@@ -8,7 +8,7 @@ import statistics
 
 # pb_load's per-arrival record layout (doubles; NaN = never happened).
 FIELDS = ("due", "sent", "ack_at", "outcome", "reason", "release", "done_at",
-          "done_kind", "done_virtual", "value", "query_due", "query_at", "conn")
+          "done_kind", "done_virtual", "value", "query_due", "query_at")
 F = {name: i for i, name in enumerate(FIELDS)}
 
 # Outcome codes: the protocol's direct replies plus pb_load's local verdicts.
@@ -135,6 +135,22 @@ def fast_phase_rate(rates):
     if len(rates) < 2:
         return rates[0]
     return statistics.quantiles(rates, n=20)[18]
+
+
+def cpu_per_answer(samples, chunk):
+    """Server CPU seconds per answered arrival over consecutive chunks of
+    `chunk` sample intervals. `samples` are pb_load's [answered, cpu_s]
+    readings in time order; a trailing partial chunk is dropped unless it is
+    the only one, and a chunk with no answers carries no cost."""
+    if len(samples) < 2:
+        raise ValueError("need at least two CPU samples")
+    ends = list(range(chunk, len(samples), chunk)) or [len(samples) - 1]
+    costs = []
+    for end in ends:
+        (a0, c0), (a1, c1) = samples[end - min(chunk, end)], samples[end]
+        if a1 > a0:
+            costs.append((c1 - c0) / (a1 - a0))
+    return costs
 
 
 def epoch_estimate(accepted, accel):

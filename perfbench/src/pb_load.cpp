@@ -1,36 +1,39 @@
 // pb_load — the benchmark's due-time open-loop load driver.
 //
-// One thread, `--connections` sockets, one poll set. Arrivals are drawn up
-// front from `--seed` (Poisson at `--rate`, exponential workload, window
-// U[slack_lo, slack_hi] × p / c_lo, value density U[1, k]), so the offered
-// stream depends on the seed alone and never on how fast the server answers.
-// Every request is timed from the instant it was DUE, not from the loop turn
-// that sent it, so a generator stall shows up as latency instead of hiding.
+// One thread, one socket, busy-polling. Arrivals are drawn up front from
+// `--seed` (Poisson at `--rate`, exponential workload p of mean
+// `--mean-workload`, window U[kSlackLo, kSlackHi] × p / c_lo, value density
+// U[1, kDensityHi]), so the
+// offered stream depends on the seed alone and never on how fast the server
+// answers. Every request is timed from the instant it was DUE, not from the
+// loop turn that sent it, so a generator stall shows up as latency instead
+// of hiding. pb_load never sleeps: a reply is timestamped when it
+// arrives, not when pb_load's CPU wakes up.
 //
-// Failure accounting is per arrival: an arrival whose connection is already
-// closed is recorded as lost (it still counts as attempted), and an arrival
-// still unanswered when the linger period ends is recorded as unanswered.
+// Failure accounting is per arrival: an arrival due after the connection
+// closed, or still waiting on it when it closed, is recorded as lost (it
+// still counts as attempted), and an arrival still unanswered when the
+// linger period ends is recorded as unanswered.
 //
-// With `--query-every=N`, every N-th arrival that is ACCEPTED gets a QUERY
-// for its ticket, due the instant the ACCEPTED arrives.
+// Every kQueryEvery-th arrival that is ACCEPTED gets a QUERY for its ticket,
+// due the instant the ACCEPTED arrives.
 //
 // Output: `--out` receives kFields little-endian doubles per arrival (see
 // Field); stdout receives one JSON object with the run's counters, the time
-// the driver spent outside its poll wait during the arrival window (its own
-// busy time, to tell a generator bottleneck from a server one), and the
+// pb_load spent outside its poll calls during the arrival window (its own
+// busy time, to tell a generator bottleneck from a server one), the
 // server's CPU time over the load window (summed
-// /proc/<pid>/task/*/schedstat, every thread).
+// /proc/<pid>/task/*/schedstat, every thread), and that CPU time sampled
+// every kCpuBlock sent arrivals as [answered, cpu_s] pairs.
 //
-//   pb_load --port=P --rate=R --seconds=S [--connections=1] [--seed=1]
-//           [--c-lo=1] [--query-every=0] [--server-pid=PID] [--linger=3]
-//           [--spin] --out=FILE
+//   pb_load --port=P --rate=R --seconds=S [--seed=1] [--mean-workload=1]
+//           [--c-lo=1] [--server-pid=PID] --out=FILE
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
@@ -43,6 +46,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/protocol.hpp"
@@ -54,6 +58,14 @@ namespace {
 using sjs::serve::FrameDecoder;
 using sjs::serve::Message;
 using sjs::serve::MsgType;
+
+/// The paper's job model (Sec. IV) and pb_load's fixed behaviour.
+constexpr double kSlackLo = 1.05;     ///< window = U[kSlackLo, kSlackHi] x p / c_lo
+constexpr double kSlackHi = 4.0;
+constexpr double kDensityHi = 7.0;    ///< value density ~ U[1, kDensityHi]
+constexpr double kLinger = 3.0;       ///< wall s to wait for answers after the window
+constexpr std::size_t kQueryEvery = 4;
+constexpr std::size_t kCpuBlock = 1000;  ///< sent arrivals per server CPU sample
 
 /// Per-arrival record layout of the --out file (all doubles; NaN = never).
 enum Field : std::size_t {
@@ -69,7 +81,6 @@ enum Field : std::size_t {
   kValue,          ///< submitted value
   kQueryDue,       ///< wall instant the QUERY was due (= ACCEPTED arrival)
   kQueryAt,        ///< wall instant QUERY_REPLY arrived
-  kConn,           ///< connection index
   kFields
 };
 
@@ -119,15 +130,6 @@ int connect_loopback(int port) {
   return fd;
 }
 
-struct Conn {
-  int fd = -1;
-  bool closed = false;
-  bool swept = false;  ///< its unanswered arrivals were marked lost
-  FrameDecoder decoder;
-  std::vector<std::uint8_t> obuf;
-  std::size_t opos = 0;
-};
-
 struct Arrival {
   double due = 0.0;
   double workload = 0.0;
@@ -145,36 +147,23 @@ int main(int argc, char** argv) {
   flags.add_int("port", 0, "server port on 127.0.0.1");
   flags.add_double("rate", 1000.0, "offered SUBMITs per wall second");
   flags.add_double("seconds", 1.0, "length of the arrival window (wall s)");
-  flags.add_int("connections", 1, "sockets; arrivals round-robin over them");
   flags.add_int("seed", 1, "arrival stream seed");
+  flags.add_double("mean-workload", 1.0, "mean of the exponential workload");
   flags.add_double("c-lo", 1.0, "admission floor the windows are sized to");
-  flags.add_double("slack-lo", 1.05, "window = U[slack-lo, slack-hi] x p/c_lo");
-  flags.add_double("slack-hi", 4.0, "upper window factor");
-  flags.add_double("k", 7.0, "value density ~ U[1, k]");
-  flags.add_int("query-every", 0, "QUERY every N-th accepted ticket (0 = off)");
   flags.add_int("server-pid", 0, "process whose CPU time is sampled");
-  flags.add_double("linger", 3.0, "wall s to wait for answers after the window");
   flags.add_string("out", "", "per-arrival record file (required)");
-  flags.add_bool("spin", false,
-                 "busy-poll instead of sleeping, so replies are timestamped "
-                 "without the driver's own wake-up latency");
   if (!flags.parse(argc, argv)) {
     if (!flags.error().empty()) std::fprintf(stderr, "%s\n", flags.error().c_str());
     return flags.error().empty() ? 0 : 1;
   }
   const double rate = flags.get_double("rate");
   const double seconds = flags.get_double("seconds");
-  const long nconn_flag = flags.get_int("connections");
-  const long query_every = flags.get_int("query-every");
+  const double mean_workload = flags.get_double("mean-workload");
   const std::string out_path = flags.get_string("out");
-  if (!(rate > 0.0) || !(seconds > 0.0) || nconn_flag < 1 || query_every < 0 ||
-      out_path.empty()) {
-    std::fprintf(stderr, "need rate > 0, seconds > 0, connections >= 1, --out\n");
+  if (!(rate > 0.0) || !(seconds > 0.0) || !(mean_workload > 0.0) || out_path.empty()) {
+    std::fprintf(stderr, "need rate > 0, seconds > 0, mean-workload > 0, --out\n");
     return 1;
   }
-  // Sub-millisecond pacing: the default 50 us timer slack would smear every
-  // poll wake-up at 40k arrivals/s.
-  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
 
   // The whole arrival stream, drawn before the first send.
   sjs::Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
@@ -185,11 +174,9 @@ int main(int argc, char** argv) {
        t += rng.exponential_rate(rate)) {
     Arrival a;
     a.due = t;
-    a.workload = rng.exponential_mean(1.0);
-    a.rel_deadline = rng.uniform(flags.get_double("slack-lo"),
-                                 flags.get_double("slack-hi")) *
-                     a.workload / c_lo;
-    a.value = a.workload * rng.uniform(1.0, flags.get_double("k"));
+    a.workload = rng.exponential_mean(mean_workload);
+    a.rel_deadline = rng.uniform(kSlackLo, kSlackHi) * a.workload / c_lo;
+    a.value = a.workload * rng.uniform(1.0, kDensityHi);
     arrivals.push_back(a);
   }
   const std::size_t n = arrivals.size();
@@ -197,29 +184,30 @@ int main(int argc, char** argv) {
   const auto at = [&](std::size_t i, Field f) -> double& {
     return rec[i * kFields + f];
   };
-  std::vector<std::uint64_t> ticket(n, 0);
 
-  const auto nconn = static_cast<std::size_t>(nconn_flag);
-  std::vector<Conn> conns(nconn);
+  int fd = -1;
   try {
-    for (Conn& c : conns) c.fd = connect_loopback(static_cast<int>(flags.get_int("port")));
+    fd = connect_loopback(static_cast<int>(flags.get_int("port")));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pb_load: %s\n", e.what());
     return 1;
   }
+  FrameDecoder decoder;
+  std::vector<std::uint8_t> obuf;
+  std::size_t opos = 0;
+  bool closed = false;
+  bool swept = false;  // arrivals waiting on the closed connection marked lost
 
   const long server_pid = flags.get_int("server-pid");
-  const bool spin = flags.get_bool("spin");
   const double t0 = mono_now() + 0.02;
   for (std::size_t i = 0; i < n; ++i) {
     arrivals[i].due += t0;
     at(i, kDue) = arrivals[i].due;
     at(i, kValue) = arrivals[i].value;
     at(i, kOutcome) = kUnanswered;
-    at(i, kConn) = static_cast<double>(i % nconn);
   }
   const double window_end = t0 + seconds;
-  const double hard_end = window_end + flags.get_double("linger");
+  const double hard_end = window_end + kLinger;
 
   std::size_t next = 0;            // next arrival to send
   std::size_t answered = 0;        // arrivals with a direct answer
@@ -227,27 +215,27 @@ int main(int argc, char** argv) {
   std::size_t accepted = 0;
   std::size_t queries_sent = 0;
   std::size_t queries_answered = 0;
-  std::size_t accept_index = 0;    // accepted-ticket counter for --query-every
   double cpu_start = 0.0;
   double cpu_end = 0.0;
   double cpu_end_at = 0.0;
   bool cpu_started = false;
   bool cpu_stopped = false;
-  double waiting_s = 0.0;  // arrival window time spent inside ppoll
+  std::vector<std::pair<std::size_t, double>> cpu_samples;  // (answered, cpu s)
+  cpu_samples.reserve(n / kCpuBlock + 2);
+  double polling_s = 0.0;  // arrival window time spent inside ppoll
 
-  std::vector<pollfd> pfds(nconn);
   std::uint8_t rbuf[1 << 16];
   while (true) {
     const double now = mono_now();
     if (!cpu_started && now >= t0) {
       cpu_start = process_cpu_seconds(server_pid);
+      cpu_samples.emplace_back(answered, cpu_start);
       cpu_started = true;
     }
     // Emit every arrival whose due instant has passed.
     while (next < n && arrivals[next].due <= now) {
       const std::size_t i = next++;
-      Conn& c = conns[i % nconn];
-      if (c.closed) {
+      if (closed) {
         at(i, kOutcome) = kLost;
         ++answered;
         continue;
@@ -258,70 +246,65 @@ int main(int argc, char** argv) {
       m.a = arrivals[i].workload;
       m.b = arrivals[i].rel_deadline;
       m.c = arrivals[i].value;
-      sjs::serve::append_frame(c.obuf, m);
+      sjs::serve::append_frame(obuf, m);
       at(i, kSent) = now;
+      if (next % kCpuBlock == 0 && next < n) {
+        cpu_samples.emplace_back(answered, process_cpu_seconds(server_pid));
+      }
     }
     const bool all_done = next >= n && answered == n && resolved == accepted &&
                           queries_answered == queries_sent;
     if (cpu_started && !cpu_stopped && next >= n && answered == n) {
       cpu_end = process_cpu_seconds(server_pid);
       cpu_end_at = mono_now();
+      cpu_samples.emplace_back(answered, cpu_end);
       cpu_stopped = true;
     }
     if (all_done || now >= hard_end) break;
 
-    for (std::size_t k = 0; k < nconn; ++k) {
-      Conn& c = conns[k];
-      pfds[k] = pollfd{c.closed ? -1 : c.fd, 0, 0};
-      if (c.closed) continue;
+    pollfd pfd{closed ? -1 : fd, 0, 0};
+    if (!closed) {
       // Write eagerly; POLLOUT only while the kernel buffer is full.
-      while (c.opos < c.obuf.size()) {
-        const ssize_t w = ::send(c.fd, c.obuf.data() + c.opos,
-                                 c.obuf.size() - c.opos, MSG_NOSIGNAL);
+      while (opos < obuf.size()) {
+        const ssize_t w = ::send(fd, obuf.data() + opos, obuf.size() - opos, MSG_NOSIGNAL);
         if (w > 0) {
-          c.opos += static_cast<std::size_t>(w);
+          opos += static_cast<std::size_t>(w);
         } else {
           if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-            c.closed = true;
+            closed = true;
           }
           break;
         }
       }
-      if (c.opos == c.obuf.size()) {
-        c.obuf.clear();
-        c.opos = 0;
+      if (opos == obuf.size()) {
+        obuf.clear();
+        opos = 0;
       }
-      pfds[k].events = static_cast<short>(POLLIN | (c.opos < c.obuf.size() ? POLLOUT : 0));
+      pfd.events = static_cast<short>(POLLIN | (opos < obuf.size() ? POLLOUT : 0));
     }
-    // Sleep until the next arrival is due (ns resolution), or 10 ms.
-    double wait_s = next < n ? arrivals[next].due - mono_now() : 0.01;
-    wait_s = spin ? 0.0 : std::clamp(wait_s, 0.0, 0.01);
-    timespec ts{};
-    ts.tv_nsec = static_cast<long>(wait_s * 1e9);
+    const timespec no_wait{};
     const double poll_start = mono_now();
-    ::ppoll(pfds.data(), static_cast<nfds_t>(nconn), &ts, nullptr);
+    ::ppoll(&pfd, 1, &no_wait, nullptr);
     if (poll_start >= t0 && poll_start < window_end) {
-      waiting_s += std::min(mono_now(), window_end) - poll_start;
+      polling_s += std::min(mono_now(), window_end) - poll_start;
     }
 
-    for (std::size_t k = 0; k < nconn; ++k) {
-      Conn& c = conns[k];
-      if (c.closed || !(pfds[k].revents & (POLLIN | POLLHUP | POLLERR))) continue;
+    if (!closed && (pfd.revents & (POLLIN | POLLHUP | POLLERR))) {
       while (true) {
-        const ssize_t r = ::recv(c.fd, rbuf, sizeof(rbuf), 0);
+        const ssize_t r = ::recv(fd, rbuf, sizeof(rbuf), 0);
         if (r > 0) {
-          c.decoder.feed(rbuf, static_cast<std::size_t>(r));
+          decoder.feed(rbuf, static_cast<std::size_t>(r));
           if (r < static_cast<ssize_t>(sizeof(rbuf))) break;
         } else {
           if (r == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
-            c.closed = true;
+            closed = true;
           }
           break;
         }
       }
       const double t = mono_now();
       Message m;
-      while (c.decoder.next(m) == FrameDecoder::Status::kOk) {
+      while (decoder.next(m) == FrameDecoder::Status::kOk) {
         if (m.seq & kQueryBit) {
           if (m.type == MsgType::kQueryReply) {
             const std::size_t i = m.seq & ~kQueryBit;
@@ -345,19 +328,16 @@ int main(int argc, char** argv) {
             at(i, kReason) = static_cast<double>(m.code);
             ++answered;
             if (m.type == MsgType::kAccepted) {
-              ++accepted;
-              ticket[i] = m.ticket;
-              at(i, kRelease) = m.a;
-              if (query_every > 0 &&
-                  accept_index++ % static_cast<std::size_t>(query_every) == 0) {
+              if (accepted++ % kQueryEvery == 0) {
                 Message q;
                 q.type = MsgType::kQuery;
                 q.seq = kQueryBit | i;
                 q.ticket = m.ticket;
-                sjs::serve::append_frame(c.obuf, q);
+                sjs::serve::append_frame(obuf, q);
                 at(i, kQueryDue) = t;
                 ++queries_sent;
               }
+              at(i, kRelease) = m.a;
             }
             break;
           case MsgType::kCompleted:
@@ -377,11 +357,10 @@ int main(int argc, char** argv) {
       }
     }
     // A closed connection loses every arrival still waiting on it (later
-    // arrivals on it are marked lost as they fall due).
-    for (std::size_t k = 0; k < nconn; ++k) {
-      if (!conns[k].closed || conns[k].swept) continue;
-      conns[k].swept = true;
-      for (std::size_t i = k; i < next; i += nconn) {
+    // arrivals are marked lost as they fall due).
+    if (closed && !swept) {
+      swept = true;
+      for (std::size_t i = 0; i < next; ++i) {
         if (at(i, kOutcome) == kUnanswered) {
           at(i, kOutcome) = kLost;
           ++answered;
@@ -392,8 +371,9 @@ int main(int argc, char** argv) {
   if (!cpu_stopped) {
     cpu_end = process_cpu_seconds(server_pid);
     cpu_end_at = mono_now();
+    cpu_samples.emplace_back(answered, cpu_end);
   }
-  for (Conn& c : conns) ::close(c.fd);
+  ::close(fd);
 
   std::FILE* out = std::fopen(out_path.c_str(), "wb");
   if (!out || std::fwrite(rec.data(), sizeof(double), rec.size(), out) != rec.size() ||
@@ -404,9 +384,13 @@ int main(int argc, char** argv) {
   std::printf("{\"arrivals\": %zu, \"fields\": %zu, \"t0\": %.9f, "
               "\"window_s\": %.9f, \"server_cpu_s\": %.9f, "
               "\"cpu_window_s\": %.9f, \"gen_busy_s\": %.9f, "
-              "\"queries_sent\": %zu, \"queries_answered\": %zu}\n",
+              "\"queries_sent\": %zu, \"queries_answered\": %zu, \"cpu_samples\": [",
               n, static_cast<std::size_t>(kFields), t0, seconds,
-              cpu_end - cpu_start, cpu_end_at - t0, seconds - waiting_s,
+              cpu_end - cpu_start, cpu_end_at - t0, seconds - polling_s,
               queries_sent, queries_answered);
+  for (std::size_t k = 0; k < cpu_samples.size(); ++k) {
+    std::printf("%s[%zu, %.9f]", k ? ", " : "", cpu_samples[k].first, cpu_samples[k].second);
+  }
+  std::printf("]}\n");
   return 0;
 }

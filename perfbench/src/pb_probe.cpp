@@ -5,14 +5,15 @@
 //       the paper's Table-I lineup (Dover c^ in {1, 10.5, 24.5, 35} and
 //       V-Dover, lambda in {4, 6, 8, 12}, 2000 jobs per run) through
 //       mc::run_monte_carlo, then the fleet Monte-Carlo (every capacity
-//       scenario x both global keys, Fleet::heterogeneous(6)) through
-//       cluster::run_cluster, run by run as mc::run_cluster_mc drives it.
+//       scenario x both global keys, Fleet::heterogeneous(6)) one run at a
+//       time through mc::run_cluster_mc.
 //       --traced replays the same work with spans around generation,
 //       sampling and each run, and timing decorators around the schedulers,
 //       and checks that the decorators leave the replay digests unchanged.
 //
 //   pb_probe host   --mode=single|cluster [server flags] --report=F
-//       Boots the server in-process the way sjs_serve does, with a
+//       Boots the server in-process the way sjs_serve does (cluster mode:
+//       Fleet::heterogeneous(4), threshold rental), with a
 //       TimedScheduler injected into the single-engine server, and
 //       records a span (plus thread CPU time) around every step(). Prints
 //       "LISTENING <port>"; SIGTERM or a DRAIN request drains it.
@@ -111,10 +112,12 @@ void for_each_fleet_cell(sjs::mc::ClusterMcConfig config, Fn fn) {
   }
 }
 
-/// One fleet Monte-Carlo run as mc::run_cluster_mc performs run 0 of
-/// `config`: job stream first, then the fleet paths, then a fresh dispatcher
-/// through cluster::run_cluster. With a log, path sampling and the run are
-/// span-timed and the dispatcher runs behind a TimedGlobalScheduler.
+/// One fleet Monte-Carlo run taken apart the way mc::run_cluster_mc performs
+/// run 0 of `config`: job stream first, then the fleet paths, then a fresh
+/// dispatcher through cluster::run_cluster. With a log, path sampling and
+/// the run are span-timed and the dispatcher runs behind a
+/// TimedGlobalScheduler. Unlike run_cluster_mc, it lets an engine refusal
+/// (a thrown SJS_CHECK) reach the caller.
 sjs::cloud::MultiSimResult fleet_run(const sjs::mc::ClusterMcConfig& config,
                                      SpanLog* log = nullptr,
                                      sjs::obs::TraceSink* sink = nullptr) {
@@ -346,30 +349,45 @@ int cmd_mc(int argc, char** argv) {
   }
   const double table_s = seconds_since(table_start);
 
-  // Fleet: one cycle = every scenario x both keys, one run each. A run the
-  // engine refuses (an SJS_CHECK throws) counts as failed and its cell is
-  // not retried, so it costs one failure per run, not one per cycle.
+  // Fleet: one cycle = every scenario x both keys, one mc::run_cluster_mc
+  // run each. An engine refusal (a thrown SJS_CHECK) inside run_cluster_mc's
+  // worker thread would end the process, so the first visit of each ring
+  // entry runs its instances untimed through fleet_run, the same steps: a
+  // run the engine refuses counts as failed once and is skipped from then on.
+  const std::size_t cells = sjs::cap::all_scenarios().size() * 2;
   std::vector<double> fleet_rates;
   std::uint64_t fleet_runs = 0;
   std::uint64_t fleet_failed = 0;
-  std::vector<char> refused(kFleetRing * 8, 0);
+  std::vector<char> screened(kFleetRing, 0);
+  std::vector<char> refused(kFleetRing * cells, 0);
+  std::int64_t screen_ns = 0;  // left out of the measured time
   const std::int64_t fleet_start = pb::now_ns();
-  for (std::size_t c = 0; c < 2 || seconds_since(fleet_start) < seconds / 2; ++c) {
+  for (std::size_t c = 0;
+       c < 2 || seconds_since(fleet_start + screen_ns) < seconds / 2; ++c) {
     const std::size_t ring = c % kFleetRing;
+    const sjs::mc::ClusterMcConfig ring_config = fleet_config(seed + ring);
+    if (!screened[ring]) {
+      screened[ring] = 1;
+      const std::int64_t s0 = pb::now_ns();
+      for_each_fleet_cell(ring_config,
+                          [&](const sjs::mc::ClusterMcConfig& config, std::size_t cell) {
+        try {
+          fleet_run(config);
+        } catch (const std::exception& e) {
+          refused[ring * cells + cell] = 1;
+          ++fleet_failed;
+          std::fprintf(stderr, "fleet run refused by the engine: %s\n", e.what());
+        }
+      });
+      screen_ns += pb::now_ns() - s0;
+    }
     const std::int64_t t0 = pb::now_ns();
     std::size_t runs = 0;
-    for_each_fleet_cell(fleet_config(seed + ring),
+    for_each_fleet_cell(ring_config,
                         [&](const sjs::mc::ClusterMcConfig& config, std::size_t cell) {
-      char& bad = refused[ring * 8 + cell];
-      if (bad) return;
-      try {
-        fleet_run(config);
-        ++runs;
-      } catch (const std::exception& e) {
-        bad = 1;
-        ++fleet_failed;
-        std::fprintf(stderr, "fleet run refused by the engine: %s\n", e.what());
-      }
+      if (refused[ring * cells + cell]) return;
+      sjs::mc::run_cluster_mc(config);
+      ++runs;
     });
     fleet_runs += runs;
     if (runs > 0) fleet_rates.push_back(static_cast<double>(runs) / seconds_since(t0));
@@ -438,8 +456,6 @@ int cmd_host(int argc, char** argv) {
   flags.add_double("c-hi", 1.0, "declared band ceiling = served rate");
   flags.add_double("accel", 1.0, "virtual seconds per wall second");
   flags.add_int("max-in-flight", 1024, "admitted-but-unresolved limit");
-  flags.add_int("cluster", 4, "fleet size (cluster mode)");
-  flags.add_string("rental", "threshold", "cluster rental policy");
   flags.add_string("report", "", "JSON report path");
   flags.add_string("spans", "", "CSV file for the kept step spans");
   if (!flags.parse(argc, argv)) return 1;
@@ -474,9 +490,8 @@ int cmd_host(int argc, char** argv) {
   };
   if (mode == "cluster") {
     sjs::cluster::ClusterServerConfig config;
-    config.fleet = sjs::cluster::Fleet::heterogeneous(
-        static_cast<std::size_t>(flags.get_int("cluster")));
-    config.rental = flags.get_string("rental");
+    config.fleet = sjs::cluster::Fleet::heterogeneous(4);
+    config.rental = "threshold";
     config.journal_dir = flags.get_string("journal");
     config.accel = flags.get_double("accel");
     config.max_in_flight = static_cast<std::uint64_t>(flags.get_int("max-in-flight"));

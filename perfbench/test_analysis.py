@@ -15,9 +15,9 @@ NAN = float("nan")
 
 def rec(due=0.0, sent=NAN, ack_at=NAN, outcome=A.UNANSWERED, reason=0,
         release=NAN, done_at=NAN, done_kind=NAN, done_virtual=NAN, value=1.0,
-        query_due=NAN, query_at=NAN, conn=0):
+        query_due=NAN, query_at=NAN):
     return (due, sent, ack_at, outcome, reason, release, done_at, done_kind,
-            done_virtual, value, query_due, query_at, conn)
+            done_virtual, value, query_due, query_at)
 
 
 class Percentiles(unittest.TestCase):
@@ -59,6 +59,28 @@ class Percentiles(unittest.TestCase):
         self.assertEqual(A.fast_phase_rate([60.0] * 30 + [100.0] * 70), 100.0)
         rates = list(range(1, 101))
         self.assertAlmostEqual(A.fast_phase_rate(rates), 95.95)
+
+
+class ServerCpu(unittest.TestCase):
+    def test_chunks(self):
+        # Answered 0, 100, ..., 600 with 1 ms CPU per answer, then a slow
+        # stretch at 3 ms per answer, then a trailing partial chunk.
+        samples = [(100 * i, 0.001 * 100 * i) for i in range(7)]
+        samples += [(600 + 100 * i, 0.6 + 0.003 * 100 * i) for i in range(1, 4)]
+        samples += [(1000, 1.0)]
+        costs = A.cpu_per_answer(samples, 3)
+        self.assertEqual(len(costs), 3)  # intervals 0-3, 3-6, 6-9
+        self.assertAlmostEqual(costs[0], 0.001)
+        self.assertAlmostEqual(costs[1], 0.001)
+        self.assertAlmostEqual(costs[2], 0.003)
+
+    def test_short_session_is_one_chunk(self):
+        self.assertEqual(A.cpu_per_answer([(0, 1.0), (50, 1.5)], 5), [0.01])
+
+    def test_idle_chunk_carries_no_cost(self):
+        costs = A.cpu_per_answer([(10, 1.0), (10, 1.1), (20, 1.2)], 1)
+        self.assertEqual(len(costs), 1)
+        self.assertAlmostEqual(costs[0], 0.01)
 
 
 class DueTimeLatency(unittest.TestCase):
@@ -151,7 +173,8 @@ class Pooling(unittest.TestCase):
         records = [rec(due=float(i), ack_at=float(i) + lat, outcome=A.ACCEPTED)
                    for i, lat in enumerate(latencies)]
         records += [rec(outcome=A.LOST)] * failed
-        summary = {"server_cpu_s": 1.0, "gen_busy_s": 0.5, "window_s": 1.0}
+        summary = {"server_cpu_s": 1.0, "gen_busy_s": 0.5, "window_s": 1.0,
+                   "cpu_samples": [[0, 0.0], [len(latencies), 1.0]]}
         raw = run.collect(records, summary, accel=1.0)
         raw.update(setups=[0.1], rss_mb=10.0, crashes=int(failed > 0), sessions=1)
         return raw
@@ -168,8 +191,29 @@ class Pooling(unittest.TestCase):
         out = run.summarize(merged)
         self.assertEqual((out["attempted"], out["failed"], out["lost"]), (25, 5, 5))
         self.assertEqual((out["sessions"], out["crashes"]), (2, 1))
-        self.assertEqual(out["server_cpu_us_per_submit"], 1e6 * 2.0 / 20)
+        self.assertEqual(out["server_cpu_us_per_submit_pooled"], 1e6 * 2.0 / 20)
+        # One CPU chunk per session: 1 s over 10 answers each; the median.
+        self.assertAlmostEqual(out["server_cpu_us_per_submit"], 1e6 * 0.1)
         self.assertEqual(out["rss_mb"], 10.0)
+
+
+class ServerExit(unittest.TestCase):
+    """Only the documented engine abort is a tolerated server death."""
+
+    def test_known_abort(self):
+        import run
+        log = ("terminate called after throwing an instance of 'sjs::CheckError'\n"
+               "  what():  SJS_CHECK failed: (...) at src/sim/engine.cpp:276 — "
+               "completion event with 3e-05 work left\n")
+        self.assertTrue(run.known_abort(-6, log))
+        self.assertTrue(run.known_abort(-6, "... — completion with work left\n"))
+
+    def test_other_deaths_fail(self):
+        import run
+        self.assertFalse(run.known_abort(-11, "completion event with 1 work left"))  # SIGSEGV
+        self.assertFalse(run.known_abort(-6, "SJS_CHECK failed: (slot < size)"))
+        self.assertFalse(run.known_abort(1, "completion with work left"))
+        self.assertFalse(run.known_abort(0, ""))
 
 
 class Records(unittest.TestCase):
