@@ -96,6 +96,63 @@ sjs::mc::ClusterMcConfig fleet_config(std::uint64_t seed) {
 /// measures a bounded set of fleet instances however long it lasts (enough
 /// of them that one seed's set runs about as fast as another's).
 constexpr std::size_t kFleetRing = 64;
+/// Table-I cycles likewise revisit this many seeds (each one instance per
+/// lambda).
+constexpr std::size_t kTableRing = 16;
+
+/// True when every scheduler of `lineup` runs run `run` of `config` to
+/// completion: the instance mc::run_monte_carlo generates for that run,
+/// played through a fresh engine per scheduler in this thread. An engine
+/// refusal (a thrown SJS_CHECK, like the completion check behind run.py's
+/// KNOWN_ABORTS) inside run_monte_carlo's worker thread would end the
+/// process, so the Monte-Carlo passes only run instances screened here.
+bool table_instance_runs(const sjs::mc::McConfig& config, std::size_t run,
+                         const std::vector<sjs::sched::NamedFactory>& lineup) {
+  sjs::Rng rng(config.seed, run);
+  const sjs::Instance instance = sjs::gen::generate_paper_instance(config.setup, rng);
+  for (const auto& f : lineup) {
+    auto scheduler = f.make();
+    sjs::sim::Engine engine(instance, *scheduler);
+    try {
+      engine.run_to_completion();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "table run refused by the engine: %s\n", e.what());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Screens each Table-I (seed, lambda) instance of a ring once; remembers
+/// the refused ones.
+class TableScreen {
+ public:
+  TableScreen(std::uint64_t seed, const std::vector<sjs::sched::NamedFactory>& lineup)
+      : seed_(seed), lineup_(&lineup), state_(kTableRing * kLambdas.size(), 0) {}
+
+  /// The config of ring entry `ring` at lambda index `l`.
+  sjs::mc::McConfig config(std::size_t ring, std::size_t l) const {
+    return table_config(kLambdas[l], seed_ + ring);
+  }
+
+  /// True when that instance runs; screens it on the first call.
+  bool runs(std::size_t ring, std::size_t l) {
+    char& s = state_[ring * kLambdas.size() + l];
+    if (s == 0) {
+      s = table_instance_runs(config(ring, l), 0, *lineup_) ? 1 : 2;
+      if (s == 2) ++refused_;
+    }
+    return s == 1;
+  }
+
+  std::uint64_t refused() const { return refused_; }
+
+ private:
+  std::uint64_t seed_;
+  const std::vector<sjs::sched::NamedFactory>* lineup_;
+  std::vector<char> state_;  // 0 unscreened, 1 runs, 2 refused
+  std::uint64_t refused_ = 0;
+};
 
 /// Runs `fn(config, cell)` for every fleet cell of one cycle: every
 /// capacity scenario x both global keys.
@@ -161,9 +218,13 @@ bool decorators_preserve_digests(std::uint64_t seed) {
                          return std::make_unique<pb::TimedScheduler>(make(), log);
                        }});
   }
+  // The first seed from `seed` on whose two runs the engine refuses nothing.
   auto config = table_config(6.0, seed);
   config.runs = 2;
   config.compute_digests = true;
+  while (!table_instance_runs(config, 0, plain) || !table_instance_runs(config, 1, plain)) {
+    ++config.seed;
+  }
   const auto a = sjs::mc::run_monte_carlo(config, plain);
   const auto b = sjs::mc::run_monte_carlo(config, wrapped);
   for (std::size_t s = 0; s < plain.size(); ++s) {
@@ -200,10 +261,12 @@ void traced_batch(double seconds, std::uint64_t seed, JsonOut& out) {
   double overhead_s = 0.0;
   std::uint64_t overhead_sims = 0;
   std::int64_t decorated_ns = 0;
+  TableScreen screen(seed, lineup);
   const std::int64_t table_start = pb::now_ns();
   for (std::size_t c = 0; c == 0 || seconds_since(table_start) < seconds / 2; ++c) {
-    for (double lambda : kLambdas) {
-      const auto config = table_config(lambda, seed + c);
+    for (std::size_t l = 0; l < kLambdas.size(); ++l) {
+      if (!screen.runs(c % kTableRing, l)) continue;
+      const auto config = screen.config(c % kTableRing, l);
       // The public driver's wall time for this instance, undecorated...
       const std::int64_t t0 = pb::now_ns();
       sjs::mc::run_monte_carlo(config, lineup);
@@ -333,31 +396,45 @@ int cmd_mc(int argc, char** argv) {
     return pb::write_text(flags.get_string("report"), out.text()) ? 0 : 1;
   }
 
-  // Table I: one cycle = every lambda, one instance each, whole lineup.
+  // Table I: one cycle = every lambda, one instance each, whole lineup, over
+  // a ring of kTableRing seeds. Each instance is screened (untimed) on its
+  // first visit; one the engine refuses is left out of the inputs.
   const auto lineup = sjs::sched::paper_lineup(kCHats);
+  TableScreen screen(seed, lineup);
   std::vector<double> cycle_rates;
   std::uint64_t sims = 0;
+  std::int64_t table_screen_ns = 0;  // left out of the measured time
   const std::int64_t table_start = pb::now_ns();
-  for (std::size_t c = 0; c == 0 || seconds_since(table_start) < seconds / 2; ++c) {
+  for (std::size_t c = 0;
+       c == 0 || seconds_since(table_start + table_screen_ns) < seconds / 2; ++c) {
+    const std::size_t ring = c % kTableRing;
+    if (c < kTableRing) {
+      const std::int64_t s0 = pb::now_ns();
+      for (std::size_t l = 0; l < kLambdas.size(); ++l) screen.runs(ring, l);
+      table_screen_ns += pb::now_ns() - s0;
+    }
     const std::int64_t t0 = pb::now_ns();
-    for (double lambda : kLambdas) {
-      sjs::mc::run_monte_carlo(table_config(lambda, seed + c), lineup);
+    std::size_t runs = 0;
+    for (std::size_t l = 0; l < kLambdas.size(); ++l) {
+      if (!screen.runs(ring, l)) continue;
+      sjs::mc::run_monte_carlo(screen.config(ring, l), lineup);
+      runs += lineup.size();
     }
     const double dt = seconds_since(t0);
-    sims += kLambdas.size() * lineup.size();
-    cycle_rates.push_back(static_cast<double>(kLambdas.size() * lineup.size()) / dt);
+    sims += runs;
+    if (runs > 0) cycle_rates.push_back(static_cast<double>(runs) / dt);
   }
-  const double table_s = seconds_since(table_start);
+  const double table_s = seconds_since(table_start + table_screen_ns);
 
   // Fleet: one cycle = every scenario x both keys, one mc::run_cluster_mc
   // run each. An engine refusal (a thrown SJS_CHECK) inside run_cluster_mc's
   // worker thread would end the process, so the first visit of each ring
   // entry runs its instances untimed through fleet_run, the same steps: a
-  // run the engine refuses counts as failed once and is skipped from then on.
+  // run the engine refuses is left out of the inputs from then on.
   const std::size_t cells = sjs::cap::all_scenarios().size() * 2;
   std::vector<double> fleet_rates;
   std::uint64_t fleet_runs = 0;
-  std::uint64_t fleet_failed = 0;
+  std::uint64_t fleet_refused = 0;
   std::vector<char> screened(kFleetRing, 0);
   std::vector<char> refused(kFleetRing * cells, 0);
   std::int64_t screen_ns = 0;  // left out of the measured time
@@ -375,7 +452,7 @@ int cmd_mc(int argc, char** argv) {
           fleet_run(config);
         } catch (const std::exception& e) {
           refused[ring * cells + cell] = 1;
-          ++fleet_failed;
+          ++fleet_refused;
           std::fprintf(stderr, "fleet run refused by the engine: %s\n", e.what());
         }
       });
@@ -397,11 +474,12 @@ int cmd_mc(int argc, char** argv) {
   out.num("mc_runs_per_s_median", median(cycle_rates));
   out.num("mc_cycles", static_cast<double>(cycle_rates.size()));
   out.num("mc_sims", static_cast<double>(sims));
+  out.num("mc_refused", static_cast<double>(screen.refused()));
   out.num("mc_seconds", table_s);
   out.num("cluster_mc_runs_per_s_median", median(fleet_rates));
   out.num("cluster_mc_cycles", static_cast<double>(fleet_rates.size()));
   out.num("cluster_mc_runs", static_cast<double>(fleet_runs));
-  out.num("cluster_mc_failed", static_cast<double>(fleet_failed));
+  out.num("cluster_mc_refused", static_cast<double>(fleet_refused));
   return pb::write_text(flags.get_string("report"), out.text()) ? 0 : 1;
 }
 
