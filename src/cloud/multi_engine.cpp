@@ -10,17 +10,13 @@
 
 namespace sjs::cloud {
 
-namespace {
-double deadline_eps(double deadline) {
-  return 1e-9 * std::max(1.0, std::abs(deadline));
-}
-}  // namespace
-
 MultiEngine::MultiEngine(const std::vector<Job>& jobs,
                          std::vector<cap::CapacityProfile> servers,
                          GlobalScheduler& scheduler)
     : jobs_(&jobs), servers_(std::move(servers)), scheduler_(&scheduler) {
   SJS_CHECK_MSG(!servers_.empty(), "need at least one server");
+  cursors_.reserve(servers_.size());
+  for (const cap::CapacityProfile& path : servers_) cursors_.emplace_back(path);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SJS_CHECK_MSG(jobs[i].id == static_cast<JobId>(i),
                   "jobs must be in Instance canonical form (id == position)");
@@ -40,12 +36,19 @@ MultiEngine::MultiEngine(const std::vector<Job>& jobs,
 
 void MultiEngine::push_event(double time, EventType type, JobId jid,
                              std::size_t server, std::uint64_t epoch) {
-  queue_.push(Event{time, type, next_seq_++, jid, server, epoch});
+  const Event event{time, type, next_seq_++, jid, server, epoch};
+  // Batch releases/expiries are all known up front: sealed static side.
+  // Completions, and everything in live mode, go to the heap.
+  if (type == EventType::kCompletion || live_) {
+    queue_.push_volatile(event);
+  } else {
+    queue_.push_static(event);
+  }
 }
 
 double MultiEngine::server_rate(std::size_t server) const {
   SJS_CHECK(server < servers_.size());
-  return servers_[server].rate(now_);
+  return cursors_[server].rate(now_);
 }
 
 double MultiEngine::remaining(JobId id) const {
@@ -80,7 +83,7 @@ void MultiEngine::advance_all(double t) {
     for (std::size_t s = 0; s < servers_.size(); ++s) {
       const JobId jid = running_[s];
       if (jid == kNoJob) continue;
-      const double executed = servers_[s].work(last_advance_, t);
+      const double executed = cursors_[s].work(last_advance_, t);
       auto& rem = remaining_[static_cast<std::size_t>(jid)];
       rem = std::max(0.0, rem - executed);
       result_.busy_time_per_server[s] += t - last_advance_;
@@ -102,9 +105,11 @@ void MultiEngine::schedule_completion(std::size_t server) {
   const JobId jid = running_[server];
   if (jid == kNoJob) return;
   const Job& j = job(jid);
-  const double completion =
-      servers_[server].invert(now_, remaining_[static_cast<std::size_t>(jid)]);
-  if (completion <= j.deadline + deadline_eps(j.deadline)) {
+  const double rem = remaining_[static_cast<std::size_t>(jid)];
+  const double completion = cursors_[server].invert(now_, rem);
+  if (sim::completes_by_deadline(completion, j, [&] {
+        return rem - servers_[server].work(now_, j.deadline);
+      })) {
     push_event(std::min(completion, j.deadline), EventType::kCompletion, jid,
                server, epochs_[server]);
   }
@@ -176,7 +181,7 @@ void MultiEngine::process_event(const Event& event) {
       }
       const auto idx = static_cast<std::size_t>(event.job);
       SJS_CHECK_MSG(remaining_[idx] <
-                        1e-6 * std::max(1.0, job(event.job).workload),
+                        sim::completion_residue_bound(job(event.job).workload),
                     "completion with work left");
       remaining_[idx] = 0.0;
       outcomes_[idx] = sim::JobOutcome::kCompleted;
@@ -231,11 +236,14 @@ MultiSimResult MultiEngine::run_to_completion() {
   result_.busy_time_per_server.assign(servers_.size(), 0.0);
   result_.completion_times.assign(jobs_->size(),
                                   std::numeric_limits<double>::quiet_NaN());
+  queue_.clear();
+  queue_.reserve(2 * jobs_->size(), 0);
   for (const Job& j : *jobs_) {
     result_.generated_value += j.value;
     push_event(j.release, EventType::kRelease, j.id, kNoServer, 0);
     push_event(j.deadline, EventType::kExpiry, j.id, kNoServer, 0);
   }
+  queue_.seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob, kNoServer,
         static_cast<double>(jobs_->size()),
@@ -245,11 +253,7 @@ MultiSimResult MultiEngine::run_to_completion() {
   scheduler_->on_start(*this);
   in_callback_ = false;
 
-  while (!queue_.empty()) {
-    const Event event = queue_.top();
-    queue_.pop();
-    process_event(event);
-  }
+  while (!queue_.empty()) process_event(queue_.pop());
 
   harvest();
   return result_;
@@ -272,6 +276,7 @@ void MultiEngine::begin_live() {
     push_event(j.release, EventType::kRelease, j.id, kNoServer, 0);
     push_event(j.deadline, EventType::kExpiry, j.id, kNoServer, 0);
   }
+  queue_.seal();
   trace(obs::TraceKind::kRunStart, kNoJob, kNoServer,
         static_cast<double>(jobs_->size()),
         static_cast<double>(servers_.size()));
@@ -286,6 +291,9 @@ void MultiEngine::reserve_live(std::size_t max_in_flight) {
   outcomes_.reserve(max_in_flight);
   released_.reserve(max_in_flight);
   result_.completion_times.reserve(max_in_flight);
+  // A release and an expiry per in-flight job, plus one completion per
+  // server.
+  queue_.reserve(0, 2 * max_in_flight + servers_.size());
 }
 
 void MultiEngine::admit_live(JobId id) {
@@ -329,10 +337,9 @@ void MultiEngine::advance_to(double t) {
   SJS_CHECK_MSG(live_ && !in_callback_, "advance_to outside live mode");
   SJS_CHECK_MSG(t >= now_ - 1e-12,
                 "advance_to moving backwards: " << t << " < " << now_);
-  while (!queue_.empty() && queue_.top().time < t) {
-    const Event event = queue_.top();
-    queue_.pop();
-    process_event(event);
+  for (const Event* next = queue_.front(); next && next->time < t;
+       next = queue_.front()) {
+    process_event(queue_.pop());
   }
   now_ = std::max(now_, t);
   // last_advance_ deliberately stays at the last processed event: execution
@@ -341,17 +348,13 @@ void MultiEngine::advance_to(double t) {
 }
 
 double MultiEngine::next_event_time() const {
-  if (queue_.empty()) return std::numeric_limits<double>::infinity();
-  return queue_.top().time;
+  const Event* next = queue_.front();
+  return next ? next->time : std::numeric_limits<double>::infinity();
 }
 
 const MultiSimResult& MultiEngine::finish_live() {
   SJS_CHECK_MSG(live_ && !in_callback_, "finish_live outside live mode");
-  while (!queue_.empty()) {
-    const Event event = queue_.top();
-    queue_.pop();
-    process_event(event);
-  }
+  while (!queue_.empty()) process_event(queue_.pop());
   harvest();
   live_ = false;
   return result_;

@@ -13,11 +13,13 @@
 // The engine mirrors sim::Engine's guarantees: exact completion instants per
 // server via cumulative-work inversion, deterministic event ordering
 // (Completion < Expiry < Release, FIFO within class), lazy invalidation via
-// per-server dispatch epochs, and online information hiding.
+// per-server dispatch epochs, and online information hiding. It runs on the
+// same event queue (sim::SplitEventQueue: releases/expiries on the sealed
+// static side in batch runs, completions on the heap) and reads each server's
+// path through its own monotone capacity cursor.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "jobs/job.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/result.hpp"
+#include "sim/split_event_queue.hpp"
 #include "util/fp.hpp"
 
 namespace sjs::cloud {
@@ -90,6 +93,9 @@ class MultiEngine {
   MultiEngine(const std::vector<Job>& jobs,
               std::vector<cap::CapacityProfile> servers,
               GlobalScheduler& scheduler);
+  // The capacity cursors point into servers_.
+  MultiEngine(const MultiEngine&) = delete;
+  MultiEngine& operator=(const MultiEngine&) = delete;
 
   MultiSimResult run_to_completion();
 
@@ -97,7 +103,8 @@ class MultiEngine {
   /// Enters live mode: no pre-loaded events beyond jobs already present in
   /// the backing vector (a warm-started fleet behaves like its replay).
   void begin_live();
-  /// Pre-sizes per-job tables for a bounded-in-flight session.
+  /// Pre-sizes per-job tables and the event heap for a bounded-in-flight
+  /// session.
   void reserve_live(std::size_t max_in_flight);
   /// Registers the job at `id` (must already be appended to the backing jobs
   /// vector, dense id == position, release >= now). Pushes its release and
@@ -197,6 +204,9 @@ class MultiEngine {
 
   const std::vector<Job>* jobs_;
   std::vector<cap::CapacityProfile> servers_;
+  /// One monotone cursor per server path: amortized O(1) rate/work/invert
+  /// (mutable: server_rate() is a const query).
+  mutable std::vector<cap::CapacityProfile::Cursor> cursors_;
   GlobalScheduler* scheduler_;
 
   double now_ = 0.0;
@@ -208,7 +218,7 @@ class MultiEngine {
   std::vector<sim::JobOutcome> outcomes_;
   std::vector<bool> released_;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  sim::SplitEventQueue<Event> queue_;
   std::uint64_t next_seq_ = 0;
   bool in_callback_ = false;
   bool live_ = false;

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/logging.hpp"
@@ -9,17 +8,6 @@
 #include "util/vec.hpp"
 
 namespace sjs::sim {
-
-namespace {
-// Relative tolerance for "completed by deadline" decisions. Completion
-// instants are exact inversions of the cumulative-work function, but deadlines
-// are computed independently (r + p/c_lo in the generators), so the two can
-// disagree by a few ulps. A job whose exact completion lands within this
-// tolerance of its deadline is treated as completing *at* the deadline.
-double deadline_eps(double deadline) {
-  return 1e-9 * std::max(1.0, std::abs(deadline));
-}
-}  // namespace
 
 Engine::Engine(const Instance& instance, Scheduler& scheduler)
     : instance_(&instance),
@@ -42,12 +30,8 @@ void Engine::rewind() {
 
   jobs_.bind_dense(instance_->jobs());
 
-  static_events_.clear();
-  static_cursor_ = 0;
-  static_sealed_ = false;
-  heap_.clear();
+  queue_.clear();
   next_seq_ = 0;
-  dead_events_ = 0;
   wheel_.clear();
   cursor_.reset();
   in_callback_ = false;
@@ -60,41 +44,24 @@ void Engine::push_event(double time, EventType type, JobId jid,
                 "timer events go through the wheel, not push_event");
   const Event event{time, type, next_seq_++, jid, id};
   // Live-admitted releases/expiries arrive after the static side was sealed,
-  // so they use the heap; side placement never changes the merged pop order
-  // (pop_event compares fronts under the total order on Event).
-  const bool volatile_side =
-      type == EventType::kCompletion ||
-      (live_ && (type == EventType::kRelease || type == EventType::kExpiry));
-  if (volatile_side) {
-    // Growth to the episode high-water only; reserve_live pre-sizes this for
-    // the serve plane, so a warmed steady state never grows it.
-    util::append(heap_, event);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+  // so they use the heap; side placement never changes the merged pop order.
+  if (type == EventType::kCompletion ||
+      (live_ && (type == EventType::kRelease || type == EventType::kExpiry))) {
+    queue_.push_volatile(event);
   } else {
-    // Releases, expiries, and capacity changes all arrive during setup and
-    // are never cancelled; they go to the sort-once static queue.
-    SJS_CHECK_MSG(!static_sealed_,
-                  "static-type event pushed after the queue was sealed");
-    util::append(static_events_, event);
+    queue_.push_static(event);
   }
-  result_.event_heap_peak = std::max<std::uint64_t>(
-      result_.event_heap_peak, pending_events());
+  queue_.track_peak(wheel_.pending_count());
 }
 
 Engine::Event Engine::pop_event() {
-  // Three-way merge-pop: static cursor, completion heap, timer wheel —
-  // whichever front is smallest under Event's total order. The sides never
+  // Three-way merge-pop: the queue's two sides, then the timer wheel —
+  // whichever front is smallest under Event's total order. The fronts never
   // tie: seq numbers are globally unique.
-  const bool has_static = static_cursor_ < static_events_.size();
-  const Event* best = has_static ? &static_events_[static_cursor_] : nullptr;
-  bool from_heap = false;
-  if (!heap_.empty() && (best == nullptr || *best > heap_.front())) {
-    best = &heap_.front();
-    from_heap = true;
-  }
   double wheel_time = 0.0;
   std::uint64_t wheel_seq = 0;
   if (wheel_.peek(wheel_time, wheel_seq)) {
+    const Event* best = queue_.front();
     const Event wheel_front{wheel_time, EventType::kTimer, wheel_seq, kNoJob,
                             0};
     if (best == nullptr || *best > wheel_front) {
@@ -108,24 +75,15 @@ Engine::Event Engine::pop_event() {
       return Event{fired.time, EventType::kTimer, fired.seq, fired.job, id};
     }
   }
-  if (from_heap) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
-    const Event event = heap_.back();
-    heap_.pop_back();
-    return event;
-  }
-  return static_events_[static_cursor_++];
+  return queue_.pop();
 }
 
 double Engine::peek_event_time() const {
-  // Only the minimum timestamp is needed here, and the three fronts carry
-  // exact (same-path) doubles, so a plain min over times matches the full
+  // Only the minimum timestamp is needed here, and the fronts carry exact
+  // (same-path) doubles, so a plain min over times matches the full
   // Event-order merge in pop_event.
-  double t = std::numeric_limits<double>::infinity();
-  if (static_cursor_ < static_events_.size()) {
-    t = static_events_[static_cursor_].time;
-  }
-  if (!heap_.empty()) t = std::min(t, heap_.front().time);
+  const Event* front = queue_.front();
+  double t = front ? front->time : std::numeric_limits<double>::infinity();
   double wheel_time = 0.0;
   std::uint64_t wheel_seq = 0;
   if (wheel_.peek(wheel_time, wheel_seq)) t = std::min(t, wheel_time);
@@ -136,18 +94,16 @@ void Engine::maybe_compact_heap() {
   // The volatile side is the completion heap plus the wheel's queued nodes —
   // the same population the single pre-wheel heap held, so the trigger fires
   // at the same instants as before the split (digest-neutral by replication).
-  const std::size_t volatile_size = heap_.size() + wheel_.pending_count();
+  const std::size_t volatile_size =
+      queue_.volatile_size() + wheel_.pending_count();
   if (volatile_size < kCompactionMinEvents ||
-      dead_events_ * 2 <= volatile_size) {
+      queue_.dead_count() * 2 <= volatile_size) {
     return;
   }
-  std::erase_if(heap_, [&](const Event& e) {
-    if (e.type == EventType::kCompletion) return e.id != dispatch_epoch_;
-    return false;
+  queue_.purge([&](const Event& e) {
+    return e.type == EventType::kCompletion && e.id != dispatch_epoch_;
   });
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
   wheel_.purge_dead();
-  dead_events_ = 0;
   ++result_.heap_compactions;
 }
 
@@ -201,9 +157,7 @@ void Engine::halt_running() {
   ++dispatch_epoch_;  // invalidates any in-flight completion event
   if (completion_pending_) {
     completion_pending_ = false;
-    ++dead_events_;
-    result_.event_heap_dead_peak =
-        std::max<std::uint64_t>(result_.event_heap_dead_peak, dead_events_);
+    queue_.mark_dead();
   }
 }
 
@@ -228,10 +182,14 @@ void Engine::run(JobId id) {
   trace(obs::TraceKind::kDispatch, id, jobs_.remaining(id));
 
   const Job& j = instance_->job(id);
-  const double completion = cursor_.invert(now_, jobs_.remaining(id));
-  if (completion <= j.deadline + deadline_eps(j.deadline)) {
-    // Clamp to the deadline so a completion that lands "at" the deadline
-    // sorts before the expiry event at the same timestamp.
+  const double rem = jobs_.remaining(id);
+  const double completion = cursor_.invert(now_, rem);
+  // A completion just past the deadline is clamped to it, so it sorts before
+  // the expiry at the same timestamp. The profile's own work() keeps the
+  // cursor off the deadline.
+  if (completes_by_deadline(completion, j, [&] {
+        return rem - instance_->capacity().work(now_, j.deadline);
+      })) {
     push_event(std::min(completion, j.deadline), EventType::kCompletion, id,
                dispatch_epoch_);
     completion_pending_ = true;
@@ -250,8 +208,7 @@ TimerId Engine::set_timer(double t, JobId jid, int tag) {
   ++result_.timers_armed;
   result_.timer_slab_peak =
       std::max<std::uint64_t>(result_.timer_slab_peak, wheel_.live_count());
-  result_.event_heap_peak = std::max<std::uint64_t>(
-      result_.event_heap_peak, pending_events());
+  queue_.track_peak(wheel_.pending_count());
   return id;
 }
 
@@ -260,21 +217,19 @@ void Engine::cancel_timer(TimerId id) {
   // O(1): frees the slab slot; the queued node stays as a tombstone (stale
   // ids are a tolerated no-op; corrupted ids fail a check inside the wheel).
   if (!wheel_.cancel(id)) return;
-  ++dead_events_;  // its queued node is now dead weight
-  result_.event_heap_dead_peak =
-      std::max<std::uint64_t>(result_.event_heap_dead_peak, dead_events_);
+  queue_.mark_dead();  // its queued node is now dead weight
   maybe_compact_heap();
 }
 
 void Engine::handle_completion(const Event& event) {
   if (event.id != dispatch_epoch_ || event.job != running_) {  // stale
-    --dead_events_;  // counted when the preemption invalidated it
+    queue_.unmark_dead();  // counted when the preemption invalidated it
     return;
   }
   completion_pending_ = false;
   // The inversion is exact; any residue is floating-point dust.
   SJS_CHECK_MSG(jobs_.remaining(event.job) <
-                    1e-6 * std::max(1.0, instance_->job(event.job).workload),
+                    completion_residue_bound(instance_->job(event.job).workload),
                 "completion event with " << jobs_.remaining(event.job)
                                          << " work left");
   jobs_.remaining(event.job) = 0.0;
@@ -314,7 +269,7 @@ void Engine::handle_timer(const Event& event) {
     // Cancelled before firing (a wheel tombstone): dead event, counted when
     // the cancel happened. Popping it still advanced the clock — the
     // digest-relevant side effect the tombstone exists to preserve.
-    --dead_events_;
+    queue_.unmark_dead();
     return;
   }
   // The slot was freed in pop_event; the id is already stale and the timer
@@ -339,7 +294,7 @@ const SimResult& Engine::run_to_completion() {
                                   std::numeric_limits<double>::quiet_NaN());
   result_.release_times.reserve(instance_->size());
   result_.value_trace.reserve(instance_->size());
-  static_events_.reserve(static_events_.size() + 2 * instance_->size());
+  queue_.reserve(2 * instance_->size(), 0);
 
   for (const Job& j : instance_->jobs()) {
     util::append(result_.release_times, j.release);
@@ -355,10 +310,7 @@ const SimResult& Engine::run_to_completion() {
     }
   }
 
-  // Seal the static side: one ascending sort, then pops are a cursor walk.
-  std::sort(static_events_.begin(), static_events_.end(),
-            [](const Event& a, const Event& b) { return b > a; });
-  static_sealed_ = true;
+  queue_.seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob,
         static_cast<double>(instance_->size()));
@@ -418,6 +370,8 @@ void Engine::harvest_result() {
   for (std::size_t i = 0; i < instance_->size(); ++i) {
     result_.executed_work[i] = instance_->jobs()[i].workload - remaining[i];
   }
+  result_.event_heap_peak = queue_.peak();
+  result_.event_heap_dead_peak = queue_.dead_peak();
   result_.job_slab_peak = jobs_.peak();
   result_.job_slab_slots = jobs_.slots();
   result_.timer_slab_slots = wheel_.slab_size();
@@ -460,9 +414,7 @@ void Engine::begin_live() {
       }
     }
   }
-  std::sort(static_events_.begin(), static_events_.end(),
-            [](const Event& a, const Event& b) { return b > a; });
-  static_sealed_ = true;
+  queue_.seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob,
         static_cast<double>(instance_->size()));
@@ -541,12 +493,12 @@ const SimResult& Engine::finish_live() {
 void Engine::reserve_live(std::size_t max_in_flight) {
   live_reserve_ = max_in_flight;
   jobs_.reserve(max_in_flight);
-  // Live releases/expiries go to the volatile heap: up to two events per
-  // in-flight job, plus the running job's completion.
-  heap_.reserve(2 * max_in_flight + 1);
-  // The static side only takes pre-loaded jobs and capacity breakpoints.
-  static_events_.reserve(2 * instance_->size() +
-                         instance_->capacity().breakpoints().size());
+  // The static side only takes pre-loaded jobs and capacity breakpoints; live
+  // releases/expiries go to the volatile heap: up to two events per in-flight
+  // job, plus the running job's completion.
+  queue_.reserve(2 * instance_->size() +
+                     instance_->capacity().breakpoints().size(),
+                 2 * max_in_flight + 1);
   wheel_.reserve(max_in_flight);
   result_.completion_times.reserve(max_in_flight);
   result_.release_times.reserve(max_in_flight);

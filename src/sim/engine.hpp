@@ -33,6 +33,7 @@
 #include "sim/job_table.hpp"
 #include "sim/result.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/split_event_queue.hpp"
 #include "sim/timer_wheel.hpp"
 #include "util/fp.hpp"
 
@@ -216,7 +217,7 @@ class Engine {
   /// Dead events currently queued on the volatile side (stale completions in
   /// the heap + cancelled-timer tombstones in the wheel); lazy compaction
   /// keeps this at most max(kCompactionMinEvents, half the volatile side).
-  std::size_t dead_event_count() const { return dead_events_; }
+  std::size_t dead_event_count() const { return queue_.dead_count(); }
 
   /// Compaction is skipped below this heap size: tiny heaps make the dead
   /// fraction noisy and the O(n) pass isn't worth saving a few entries.
@@ -300,35 +301,21 @@ class Engine {
   JobTable jobs_;
 
   std::size_t pending_events() const {
-    return heap_.size() + (static_events_.size() - static_cursor_) +
-           wheel_.pending_count();
+    return queue_.size() + wheel_.pending_count();
   }
 
-  /// The event queue is split in two by churn profile; pop_event compares
-  /// the two fronts under the total order on Event (time, type, seq), so
-  /// the merged pop sequence is identical to a single queue's.
-  ///
-  /// Static side: releases, expiries, and capacity changes are all pushed
-  /// up front by run_to_completion and never cancelled — one sort seals
-  /// them, then consumption is a cursor walk (O(1) pops, no heap traffic).
-  std::vector<Event> static_events_;
-  std::size_t static_cursor_ = 0;
-  bool static_sealed_ = false;
-
-  /// Volatile side, completions: a binary min-heap (std::push_heap/pop_heap
-  /// with greater<>) — an explicit container instead of std::priority_queue
-  /// so dead (stale-epoch) events can be purged in place; the total order on
-  /// Event makes compaction order-neutral. In live mode the heap also takes
-  /// the late-arriving release/expiry events.
-  std::vector<Event> heap_;
+  /// Releases, expiries and capacity changes go to the queue's sealed static
+  /// side; completions (and, in live mode, late-arriving releases/expiries)
+  /// to its volatile heap. The merge rule is the queue's
+  /// (sim/split_event_queue.hpp); pop_event adds the timer wheel as a third
+  /// front under the same total order on Event.
+  SplitEventQueue<Event> queue_;
   std::uint64_t next_seq_ = 0;
-  std::size_t dead_events_ = 0;   // dead entries currently in heap_
 
   /// Volatile side, timers: the hierarchical wheel — amortized O(1)
   /// arm/cancel, pops in exact (time, seq) order (sim/timer_wheel.hpp).
-  /// pop_event merges its front with the other two sides under the total
-  /// order on Event, so the merged pop sequence is identical to the old
-  /// single heap's.
+  /// pop_event merges its front with the queue's under the total order on
+  /// Event, so the merged pop sequence is a single queue's.
   TimerWheel wheel_;
 
   mutable cap::CapacityProfile::Cursor cursor_;  // mutable: amortized-O(1)

@@ -2,6 +2,8 @@
 // cumulative value-vs-time trace (paper Fig. 1), and engine counters.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,6 +18,38 @@ enum class JobOutcome : std::uint8_t {
   kCompleted,     ///< finished by its deadline; value collected
   kExpired,       ///< deadline passed uncompleted
 };
+
+// Completion tolerances shared by sim::Engine and cloud::MultiEngine.
+//
+// Completion instants are exact inversions of the cumulative-work function,
+// but deadlines are computed independently (r + p/c_lo in the generators), so
+// the two can disagree by a few ulps. A completion that lands within
+// deadline_eps(d) past its deadline d is clamped to d — but only when the
+// work it would leave undone at d is below completion_residue_bound, the same
+// bound the completion handler checks. At large virtual times deadline_eps
+// spans real work; such a job does not complete, it expires at d.
+
+/// Relative tolerance for "completed by deadline" decisions.
+inline double deadline_eps(double deadline) {
+  return 1e-9 * std::max(1.0, std::abs(deadline));
+}
+
+/// Work left at a completion event below this is floating-point dust.
+inline double completion_residue_bound(double workload) {
+  return 1e-6 * std::max(1.0, workload);
+}
+
+/// Whether a job dispatched with exact completion instant `completion` gets a
+/// completion event (at min(completion, deadline)). `undone_at_deadline()`
+/// returns the work the job would still have left at its deadline; it is
+/// called only for a completion inside the tolerance window past it.
+template <typename UndoneAtDeadline>
+bool completes_by_deadline(double completion, const Job& job,
+                           UndoneAtDeadline undone_at_deadline) {
+  if (completion <= job.deadline) return true;
+  return completion <= job.deadline + deadline_eps(job.deadline) &&
+         undone_at_deadline() < completion_residue_bound(job.workload);
+}
 
 /// One maximal stretch of uninterrupted execution of one job.
 struct ExecutionSlice {

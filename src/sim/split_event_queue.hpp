@@ -1,0 +1,149 @@
+// Two-sided discrete-event queue shared by sim::Engine and cloud::MultiEngine.
+//
+// Events split by churn profile:
+//
+//   * Static side — events known before the run starts and never cancelled
+//     (releases, expiries, capacity changes of a sealed instance). They are
+//     pushed up front, sorted once by seal(), and consumed by a cursor walk:
+//     O(1) pops, no heap traffic.
+//   * Volatile side — everything pushed while the run is under way
+//     (completions, and in live mode the late-arriving releases/expiries): a
+//     binary min-heap kept in an explicit vector (std::push_heap/pop_heap with
+//     greater<>) so dead events can be purged in place.
+//
+// Merge rule: front()/pop() return the smaller of the two fronts under the
+// event type's own total order (Event::operator>). The owner gives every
+// event a globally unique sequence number, so the fronts never tie and the
+// merged pop sequence is exactly a single priority queue's over the same
+// events. Which side an event sits on therefore never changes the pop order;
+// it only changes what the pop costs.
+//
+// Event must provide `bool operator>(const Event&) const`, a strict total
+// order.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "util/logging.hpp"
+#include "util/vec.hpp"
+
+namespace sjs::sim {
+
+template <typename Event>
+class SplitEventQueue {
+ public:
+  /// Empties both sides, unseals the static side, and zeroes the peak and
+  /// dead-event accounting. Keeps every allocation.
+  void clear() {
+    static_.clear();
+    cursor_ = 0;
+    sealed_ = false;
+    heap_.clear();
+    dead_ = 0;
+    peak_ = 0;
+    dead_peak_ = 0;
+  }
+
+  /// Pre-sizes each side to hold at least the given number of events.
+  void reserve(std::size_t static_events, std::size_t volatile_events) {
+    static_.reserve(static_events);
+    heap_.reserve(volatile_events);
+  }
+
+  /// Queues an event on the static side; only valid before seal().
+  void push_static(const Event& event) {
+    SJS_CHECK_MSG(!sealed_, "static-side event pushed after the queue was sealed");
+    util::append(static_, event);
+  }
+
+  /// Sorts the static side once; from here on it is consumed by the cursor.
+  /// Pops read the static side only after this call.
+  void seal() {
+    std::sort(static_.begin(), static_.end(),
+              [](const Event& a, const Event& b) { return b > a; });
+    sealed_ = true;
+  }
+
+  /// Queues an event on the volatile heap (any time).
+  void push_volatile(const Event& event) {
+    // Growth to the episode high-water only; owners that serve live traffic
+    // pre-size it with reserve(), so a warmed steady state never grows it.
+    util::append(heap_, event);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+  }
+
+  bool empty() const { return heap_.empty() && cursor_ == static_.size(); }
+  /// Events pending on both sides, dead ones included.
+  std::size_t size() const { return heap_.size() + (static_.size() - cursor_); }
+  std::size_t volatile_size() const { return heap_.size(); }
+
+  /// The event pop() would return, or nullptr when empty.
+  const Event* front() const {
+    const Event* best = cursor_ < static_.size() ? &static_[cursor_] : nullptr;
+    if (!heap_.empty() && (best == nullptr || *best > heap_.front())) {
+      best = &heap_.front();
+    }
+    return best;
+  }
+
+  /// Removes and returns the smaller front. Requires !empty().
+  Event pop() {
+    if (!heap_.empty() &&
+        (cursor_ == static_.size() || static_[cursor_] > heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+      const Event event = heap_.back();
+      heap_.pop_back();
+      return event;
+    }
+    return static_[cursor_++];
+  }
+
+  // --- Occupancy accounting -------------------------------------------------
+
+  /// Folds size() + `extra` into the peak; owners that report a peak call it
+  /// after each push. An owner merging a third front (sim::Engine's timer
+  /// wheel) passes that front's pending count as `extra`.
+  void track_peak(std::size_t extra = 0) {
+    peak_ = std::max<std::uint64_t>(peak_, size() + extra);
+  }
+  /// Largest pending-event count seen since clear().
+  std::uint64_t peak() const { return peak_; }
+
+  /// Counts one queued event as dead (invalidated but still queued; it pops
+  /// as a no-op). An owner with a third front may count that front's dead
+  /// entries here too, so one compaction trigger covers all of them.
+  void mark_dead() {
+    ++dead_;
+    dead_peak_ = std::max<std::uint64_t>(dead_peak_, dead_);
+  }
+  /// A dead event was popped.
+  void unmark_dead() { --dead_; }
+  std::size_t dead_count() const { return dead_; }
+  /// Largest dead-event count seen since clear().
+  std::uint64_t dead_peak() const { return dead_peak_; }
+
+  /// Drops every volatile event for which `is_dead(event)` holds, restores the
+  /// heap, and zeroes the dead count (the owner purges any third front in the
+  /// same step). The total order makes the rebuild order-neutral. O(n).
+  template <typename Pred>
+  void purge(Pred is_dead) {
+    std::erase_if(heap_, is_dead);
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+    dead_ = 0;
+  }
+
+ private:
+  std::vector<Event> static_;
+  std::size_t cursor_ = 0;
+  bool sealed_ = false;
+  std::vector<Event> heap_;
+  std::size_t dead_ = 0;
+  std::uint64_t peak_ = 0;
+  std::uint64_t dead_peak_ = 0;
+};
+
+}  // namespace sjs::sim

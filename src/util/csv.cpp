@@ -1,6 +1,6 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
@@ -19,10 +19,18 @@ std::string csv_escape(const std::string& field) {
   return out;
 }
 
+namespace {
+// The %.17g conversion without printf: the standard defines to_chars with
+// chars_format::general and a precision as exactly printf's %.*g, and it skips
+// the format-string parse and locale lookup. Returns the end of the text.
+char* write_g17(char* first, char* last, double v) {
+  return std::to_chars(first, last, v, std::chars_format::general, 17).ptr;
+}
+}  // namespace
+
 std::string format_double(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  return std::string(buf, write_g17(buf, buf + sizeof(buf), v));
 }
 
 CsvWriter::CsvWriter(const std::string& path) : out_(path) {
@@ -45,8 +53,7 @@ void CsvWriter::write_row_numeric(const double* fields, std::size_t count) {
   char buf[32];
   for (std::size_t i = 0; i < count; ++i) {
     if (i) out_.put(',');
-    const int n = std::snprintf(buf, sizeof(buf), "%.17g", fields[i]);
-    out_.write(buf, n);
+    out_.write(buf, write_g17(buf, buf + sizeof(buf), fields[i]) - buf);
   }
   out_.put('\n');
 }

@@ -25,9 +25,9 @@ class CsvWriter {
   void write_row_numeric(const std::vector<double>& fields);
 
   /// Allocation-free variant for steady-state writers (serve::Journal):
-  /// formats each value with snprintf into a stack buffer and streams it
-  /// straight out — no temporary vector or std::string per row. Numeric
-  /// fields never need RFC 4180 escaping.
+  /// formats each value as %.17g (std::to_chars) into a stack buffer and
+  /// streams it straight out — no temporary vector or std::string per row.
+  /// Numeric fields never need RFC 4180 escaping.
   void write_row_numeric(const double* fields, std::size_t count);
 
   void flush() { out_.flush(); }
@@ -48,7 +48,8 @@ std::vector<std::vector<std::string>> read_csv(const std::string& path);
 /// Escapes one CSV field per RFC 4180.
 std::string csv_escape(const std::string& field);
 
-/// Formats a double with enough digits to round-trip.
+/// Formats a double with enough digits to round-trip: the %.17g text,
+/// produced by std::to_chars.
 std::string format_double(double v);
 
 }  // namespace sjs

@@ -10,15 +10,14 @@
 #include "sched/factory.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace sjs {
 namespace {
 
 class BundleTest : public ::testing::Test {
  protected:
-  std::string dir_ = (std::filesystem::temp_directory_path() /
-                      "sjs_bundle_test")
-                         .string();
+  std::string dir_ = sjs::testutil::unique_temp_path("sjs_bundle_test");
   void TearDown() override { std::filesystem::remove_all(dir_); }
 };
 

@@ -11,6 +11,7 @@
 #include "capacity/trace_io.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace sjs::cap {
 namespace {
@@ -347,9 +348,7 @@ TEST(SquareWave, ExactPattern) {
 
 class TraceIo : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "sjs_trace_test.csv")
-                          .string();
+  std::string path_ = sjs::testutil::unique_temp_path("sjs_trace_test", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 

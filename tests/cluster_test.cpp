@@ -17,6 +17,7 @@
 #include "jobs/workload_gen.hpp"
 #include "mc/cluster_mc.hpp"
 #include "obs/metrics.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -61,8 +62,7 @@ TEST(FleetTest, CsvRoundTripIsExact) {
   Fleet fleet;
   fleet.add(ServerSpec{1.0, 35.0, 2.0, 2.2});
   fleet.add(ServerSpec{0.7, 12.5, 1.0, 1.0 / 3.0});
-  const auto path =
-      (std::filesystem::path(testing::TempDir()) / "fleet_rt.csv").string();
+  const auto path = sjs::testutil::unique_temp_path("fleet_rt", ".csv");
   sjs::cluster::save_fleet_csv(fleet, path);
   const Fleet loaded = sjs::cluster::load_fleet_csv(path);
   ASSERT_EQ(loaded.size(), fleet.size());

@@ -128,6 +128,36 @@ TEST(Engine, InfeasibleJobFailsAtDeadline) {
   EXPECT_DOUBLE_EQ(result.executed_work[0], 4.0);
 }
 
+TEST(Engine, LateCompletionLeavingRealWorkExpires) {
+  // Near t = 1e9 the deadline tolerance (1e-9 relative) spans a whole time
+  // unit: the exact completion d + 0.5 falls inside it, but clamping it to d
+  // would leave 0.5 units undone — real work, not rounding dust. The job
+  // expires at d instead of tripping the engine's completion check.
+  const double d = 1e9;
+  Instance instance({make_job(d - 10.0, 10.5, d, 3.0)},
+                    cap::CapacityProfile(1.0));
+  RunOnReleaseScheduler sched;
+  Engine engine(instance, sched);
+  SimResult result;
+  ASSERT_NO_THROW(result = engine.run_to_completion());
+  EXPECT_EQ(result.completed_count, 0u);
+  EXPECT_EQ(result.expired_count, 1u);
+  EXPECT_DOUBLE_EQ(result.executed_work[0], 10.0);
+}
+
+TEST(Engine, LateCompletionLeavingDustCompletesAtDeadline) {
+  // Same window, but the clamp leaves only 4e-6 of a 10-unit job undone:
+  // below the dust bound, so the job completes exactly at its deadline.
+  const double d = 1e9;
+  Instance instance({make_job(d - 10.0, 10.0 + 4e-6, d, 3.0)},
+                    cap::CapacityProfile(1.0));
+  RunOnReleaseScheduler sched;
+  Engine engine(instance, sched);
+  const SimResult& result = engine.run_to_completion();
+  EXPECT_EQ(result.completed_count, 1u);
+  EXPECT_EQ(result.completion_times[0], d);
+}
+
 TEST(Engine, UnscheduledJobExpiresUntouched) {
   /// A scheduler that never runs anything.
   class IdleScheduler : public Scheduler {

@@ -13,6 +13,7 @@
 #include "offline/feasibility.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace sjs {
 namespace {
@@ -159,9 +160,7 @@ TEST(Instance, NormalizedEmptyAndAlreadyNormalised) {
 
 class InstanceIo : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "sjs_jobs_test.csv")
-                          .string();
+  std::string path_ = sjs::testutil::unique_temp_path("sjs_jobs_test", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 

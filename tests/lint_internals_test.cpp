@@ -15,6 +15,7 @@
 #include "lint/call_graph.hpp"
 #include "lint/index.hpp"
 #include "lint/source.hpp"
+#include "temp_path.hpp"
 
 namespace fs = std::filesystem;
 using namespace sjs::lint;
@@ -216,7 +217,7 @@ TEST(LintCallGraph, ThreeDeepTaintChainIsReconstructed) {
 class LintCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "sjs_lint_cache_test";
+    dir_ = sjs::testutil::unique_temp_path("sjs_lint_cache_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_ / "src" / "util");
     cache_ = dir_ / "index.cache";

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "temp_path.hpp"
+
 namespace {
 
 struct LintResult {
@@ -374,7 +376,7 @@ TEST(LintTest, LexerHandlesRawStringsAndLineSplices) {
 
 TEST(LintTest, CacheReplayIsByteIdentical) {
   const std::string cache =
-      ::testing::TempDir() + "/sjs_lint_cache_replay.txt";
+      sjs::testutil::unique_temp_path("sjs_lint_cache_replay", ".txt");
   std::remove(cache.c_str());
   const std::string args = "--cache=" + cache + " " + fixture_args(fx("src"));
   const auto cold = run_lint(args);

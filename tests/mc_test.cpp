@@ -8,6 +8,7 @@
 #include "mc/monte_carlo.hpp"
 #include "mc/table.hpp"
 #include "util/logging.hpp"
+#include "temp_path.hpp"
 
 namespace sjs::mc {
 namespace {
@@ -198,8 +199,7 @@ TEST(MonteCarlo, RunsCsvDumpsEverySample) {
   config.runs = 5;
   auto factories = sched::paper_lineup({1.0, 35.0});
   auto outcome = run_monte_carlo(config, factories);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "sjs_runs_test.csv").string();
+  const auto path = sjs::testutil::unique_temp_path("sjs_runs_test", ".csv");
   save_runs_csv(outcome, path);
   std::ifstream in(path);
   std::string line;
@@ -265,8 +265,7 @@ TEST(Table, CsvRoundTripsRowCount) {
   table.vdover_index = 2;
   table.rows.push_back(make_row(4.0, outcome, 2));
   table.rows.push_back(make_row(6.0, outcome, 2));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "sjs_table_test.csv").string();
+  const auto path = sjs::testutil::unique_temp_path("sjs_table_test", ".csv");
   table.save_csv(path);
   // header + 2 rows
   std::ifstream in(path);

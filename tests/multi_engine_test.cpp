@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "capacity/capacity_process.hpp"
+#include "capacity/scenario.hpp"
 #include "cloud/dispatch.hpp"
 #include "cloud/global_sched.hpp"
 #include "cloud/multi_engine.hpp"
 #include "jobs/workload_gen.hpp"
+#include "obs/trace_sink.hpp"
 #include "sched/factory.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -150,6 +152,138 @@ TEST(MultiEngine, RejectsMisuse) {
   MultiEngine engine(jobs, uniform_fleet(1, 1.0), scheduler);
   EXPECT_THROW(engine.run_on(0, 0), CheckError);  // outside callback
   EXPECT_THROW(MultiEngine(jobs, {}, scheduler), CheckError);
+}
+
+TEST(MultiEngine, LateCompletionLeavingRealWorkExpires) {
+  // Near t = 1e9 the deadline tolerance (1e-9 relative) spans a whole time
+  // unit: the exact completion d + 0.5 falls inside it, but clamping it to d
+  // would leave 0.5 units undone — real work, not rounding dust. The job
+  // expires at d instead of tripping the "completion with work left" check.
+  const double d = 1e9;
+  auto jobs = canonical({make_job(0, d - 10.0, 10.5, d, 1.0)});
+  GlobalKeyScheduler scheduler(GlobalKey::kDeadline);
+  MultiEngine engine(jobs, uniform_fleet(1, 1.0), scheduler);
+  MultiSimResult result;
+  ASSERT_NO_THROW(result = engine.run_to_completion());
+  EXPECT_EQ(result.completed_count, 0u);
+  EXPECT_EQ(result.outcomes[0], sim::JobOutcome::kExpired);
+  EXPECT_DOUBLE_EQ(result.executed_work[0], 10.0);
+}
+
+TEST(MultiEngine, LateCompletionLeavingDustCompletesAtDeadline) {
+  // Same window, but the clamp leaves only 4e-6 of a 10-unit job undone:
+  // below the dust bound, so the job completes exactly at its deadline.
+  const double d = 1e9;
+  auto jobs = canonical({make_job(0, d - 10.0, 10.0 + 4e-6, d, 1.0)});
+  GlobalKeyScheduler scheduler(GlobalKey::kDeadline);
+  MultiEngine engine(jobs, uniform_fleet(1, 1.0), scheduler);
+  const MultiSimResult result = engine.run_to_completion();
+  EXPECT_EQ(result.outcomes[0], sim::JobOutcome::kCompleted);
+  EXPECT_EQ(result.completion_times[0], d);
+}
+
+/// Re-derives each job's executed work from a run's trace, integrating the
+/// server paths with the profiles' own binary-search work() — no cursor.
+std::vector<double> work_from_trace(const std::vector<obs::TraceEvent>& events,
+                                    const std::vector<cap::CapacityProfile>& fleet,
+                                    std::size_t job_count) {
+  std::vector<double> work(job_count, 0.0);
+  std::vector<JobId> running(fleet.size(), kNoJob);
+  std::vector<double> since(fleet.size(), 0.0);
+  auto close = [&](std::size_t s, double t) {
+    if (running[s] == kNoJob) return;
+    work[static_cast<std::size_t>(running[s])] += fleet[s].work(since[s], t);
+    running[s] = kNoJob;
+  };
+  for (const obs::TraceEvent& e : events) {
+    const auto s = static_cast<std::size_t>(e.server);
+    switch (e.kind) {
+      case obs::TraceKind::kMigrate:
+        close(static_cast<std::size_t>(e.a), e.time);
+        break;
+      case obs::TraceKind::kDispatch:
+        close(s, e.time);
+        running[s] = e.job;
+        since[s] = e.time;
+        break;
+      case obs::TraceKind::kPreempt:
+      case obs::TraceKind::kIdle:
+      case obs::TraceKind::kComplete:
+        close(s, e.time);
+        break;
+      case obs::TraceKind::kExpire:
+        if (e.server >= 0) close(s, e.time);
+        break;
+      default:
+        break;
+    }
+  }
+  return work;
+}
+
+TEST(MultiEngine, LiveSessionOnDiurnalFleetMatchesBatchRun) {
+  // Multi-segment paths put every per-server capacity cursor to work: the
+  // batch run walks them forward only, while the live session also queries
+  // rates at wall instants ahead of the last event. Both runs, each on a
+  // fresh engine, must agree bit for bit; every rate the live engine reports
+  // must equal the profile's own lookup; and the work the batch engine
+  // accounted per job must match its trace integrated without cursors.
+  Rng rng(2024);
+  gen::JobGenParams jp;
+  jp.lambda = 6.0;
+  jp.horizon = 400.0;
+  const auto jobs = canonical(gen::generate_jobs(jp, rng));
+  double cover = jp.horizon;
+  for (const auto& j : jobs) cover = std::max(cover, j.deadline);
+  std::vector<cap::CapacityProfile> fleet;
+  for (int s = 0; s < 3; ++s) {
+    cap::TwoStateMarkovParams base;
+    base.mean_sojourn_lo = base.mean_sojourn_hi = 8.0;
+    cap::DiurnalParams diurnal;
+    diurnal.phase = s;
+    fleet.push_back(cap::sample_diurnal_ctmc(base, diurnal, cover, rng));
+    ASSERT_GT(fleet.back().segments(), 20u);
+  }
+
+  GlobalKeyScheduler batch_scheduler(GlobalKey::kDeadline);
+  MultiEngine batch_engine(jobs, fleet, batch_scheduler);
+  obs::VectorTraceSink trace;
+  batch_engine.attach_trace(&trace);
+  const MultiSimResult batch = batch_engine.run_to_completion();
+  const std::vector<double> traced =
+      work_from_trace(trace.events(), fleet, jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_NEAR(batch.executed_work[i], traced[i],
+                1e-9 * std::max(1.0, jobs[i].workload))
+        << i;
+  }
+
+  std::vector<Job> admitted;
+  admitted.reserve(jobs.size());
+  GlobalKeyScheduler live_scheduler(GlobalKey::kDeadline);
+  MultiEngine live(admitted, fleet, live_scheduler);
+  live.begin_live();
+  for (const Job& j : jobs) {
+    live.advance_to(j.release);
+    for (std::size_t s = 0; s < fleet.size(); ++s) {
+      ASSERT_EQ(live.server_rate(s), fleet[s].rate(live.now()));
+    }
+    admitted.push_back(j);
+    live.admit_live(j.id);
+  }
+  const MultiSimResult& replayed = live.finish_live();
+
+  ASSERT_GT(batch.completed_count, 0u);
+  ASSERT_GT(batch.expired_count, 0u);
+  EXPECT_EQ(replayed.outcomes, batch.outcomes);
+  EXPECT_EQ(replayed.migrations, batch.migrations);
+  EXPECT_EQ(replayed.preemptions, batch.preemptions);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(replayed.executed_work[i], batch.executed_work[i]) << i;
+    if (batch.outcomes[i] == sim::JobOutcome::kCompleted) {
+      EXPECT_EQ(replayed.completion_times[i], batch.completion_times[i]) << i;
+    }
+  }
 }
 
 // ------------------------------------------------------------- invariants

@@ -24,6 +24,7 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_path.hpp"
 
 namespace sjs::obs {
 namespace {
@@ -312,7 +313,8 @@ TEST(Exporters, SaveTraceRejectsUnknownFormatAndBadPath) {
   const auto events = tiny_valid_stream();
   EXPECT_THROW(save_trace(events, "/nonexistent-dir/x.jsonl", "jsonl"),
                std::runtime_error);
-  const std::string path = ::testing::TempDir() + "obs_trace_test.jsonl";
+  const std::string path =
+      sjs::testutil::unique_temp_path("obs_trace_test", ".jsonl");
   EXPECT_THROW(save_trace(events, path, "xml"), std::runtime_error);
   EXPECT_NO_THROW(save_trace(events, path, "jsonl"));
   EXPECT_NO_THROW(save_trace(events, path, "chrome"));

@@ -1,0 +1,175 @@
+// Tests for sim::SplitEventQueue, the two-sided event queue both engines run
+// on: a seeded randomized differential against a std::priority_queue
+// reference under the same (time, type, seq) total order, plus the peak,
+// dead-event and purge accounting.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <vector>
+
+#include "sim/split_event_queue.hpp"
+#include "util/logging.hpp"
+#include "util/rng.hpp"
+
+namespace sjs::sim {
+namespace {
+
+/// Same shape and order as the engines' events: type 0 (completion) is the
+/// volatile type, 1 and 2 (expiry, release) the static ones.
+struct TestEvent {
+  double time;
+  std::uint8_t type;
+  std::uint64_t seq;
+
+  bool operator>(const TestEvent& other) const {
+    if (time != other.time) return time > other.time;
+    if (type != other.type) return type > other.type;
+    return seq > other.seq;
+  }
+  bool operator==(const TestEvent& other) const {
+    return time == other.time && type == other.type && seq == other.seq;
+  }
+};
+
+using Reference = std::priority_queue<TestEvent, std::vector<TestEvent>,
+                                      std::greater<TestEvent>>;
+
+/// Drives a queue and the reference through one randomized episode. Times
+/// are small integers so equal-time ties across types are common. In batch
+/// mode the static types are pushed up front and sealed; in live mode every
+/// event, static types included, goes to the volatile heap after the seal.
+void run_episode(SplitEventQueue<TestEvent>& queue, Rng& rng, bool live) {
+  Reference reference;
+  std::uint64_t seq = 0;
+  auto push = [&](double time, std::uint8_t type, bool to_static) {
+    const TestEvent event{time, type, seq++};
+    if (to_static) {
+      queue.push_static(event);
+    } else {
+      queue.push_volatile(event);
+    }
+    reference.push(event);
+  };
+
+  if (!live) {
+    const int n = 20 + static_cast<int>(rng.below(200));
+    for (int i = 0; i < n; ++i) {
+      push(static_cast<double>(rng.below(50)),
+           static_cast<std::uint8_t>(1 + rng.below(2)), true);
+    }
+  }
+  queue.seal();
+  EXPECT_THROW(queue.push_static(TestEvent{0.0, 1, seq}), CheckError);
+
+  double now = 0.0;
+  int pushes_left = 300;
+  while (!reference.empty() || pushes_left > 0) {
+    ASSERT_EQ(queue.size(), reference.size());
+    ASSERT_EQ(queue.empty(), reference.empty());
+    if (pushes_left > 0 && (reference.empty() || rng.bernoulli(0.5))) {
+      --pushes_left;
+      // Pushes never precede the clock, as in both engines.
+      const double time = now + static_cast<double>(rng.below(10));
+      const auto type =
+          live ? static_cast<std::uint8_t>(rng.below(3)) : std::uint8_t{0};
+      push(time, type, false);
+      continue;
+    }
+    const TestEvent* front = queue.front();
+    ASSERT_NE(front, nullptr);
+    ASSERT_EQ(*front, reference.top());
+    const TestEvent popped = queue.pop();
+    ASSERT_EQ(popped, reference.top());
+    reference.pop();
+    now = popped.time;
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.front(), nullptr);
+}
+
+TEST(SplitEventQueue, BatchMatchesPriorityQueue) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed, 1);
+    SplitEventQueue<TestEvent> queue;
+    run_episode(queue, rng, /*live=*/false);
+  }
+}
+
+TEST(SplitEventQueue, LiveVolatileStaticTypesMatchPriorityQueue) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed, 2);
+    SplitEventQueue<TestEvent> queue;
+    run_episode(queue, rng, /*live=*/true);
+  }
+}
+
+TEST(SplitEventQueue, ClearReusesTheQueue) {
+  Rng rng(7, 3);
+  SplitEventQueue<TestEvent> queue;
+  for (int episode = 0; episode < 6; ++episode) {
+    // Leave events behind on both sides before clearing.
+    queue.clear();
+    queue.push_static(TestEvent{5.0, 1, 0});
+    queue.seal();
+    queue.push_volatile(TestEvent{1.0, 0, 1});
+    queue.clear();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.peak(), 0u);
+    run_episode(queue, rng, /*live=*/episode % 2 == 1);
+  }
+}
+
+TEST(SplitEventQueue, PeakAndDeadAccounting) {
+  SplitEventQueue<TestEvent> queue;
+  queue.push_static(TestEvent{3.0, 1, 0});
+  queue.push_static(TestEvent{4.0, 2, 1});
+  queue.seal();
+  queue.push_volatile(TestEvent{2.0, 0, 2});
+  EXPECT_EQ(queue.peak(), 0u);  // only track_peak() records it
+  queue.track_peak();
+  EXPECT_EQ(queue.peak(), 3u);
+  queue.track_peak(4);  // a third front with 4 pending events
+  EXPECT_EQ(queue.peak(), 7u);
+
+  queue.mark_dead();
+  queue.mark_dead();
+  queue.unmark_dead();
+  EXPECT_EQ(queue.dead_count(), 1u);
+  EXPECT_EQ(queue.dead_peak(), 2u);
+
+  queue.purge([](const TestEvent& e) { return e.seq == 2; });
+  EXPECT_EQ(queue.dead_count(), 0u);
+  EXPECT_EQ(queue.volatile_size(), 0u);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.pop().seq, 0u);
+  EXPECT_EQ(queue.pop().seq, 1u);
+  EXPECT_EQ(queue.peak(), 7u);  // peaks survive pops; clear() resets them
+  queue.clear();
+  EXPECT_EQ(queue.peak(), 0u);
+  EXPECT_EQ(queue.dead_peak(), 0u);
+}
+
+TEST(SplitEventQueue, PurgeKeepsTheMergedOrder) {
+  Rng rng(11, 4);
+  SplitEventQueue<TestEvent> queue;
+  Reference reference;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 200; ++i) {
+    const TestEvent event{static_cast<double>(rng.below(30)),
+                          static_cast<std::uint8_t>(rng.below(3)), seq++};
+    queue.push_volatile(event);
+    if (event.seq % 3 != 0) reference.push(event);
+  }
+  queue.seal();
+  queue.purge([](const TestEvent& e) { return e.seq % 3 == 0; });
+  while (!reference.empty()) {
+    ASSERT_EQ(queue.pop(), reference.top());
+    reference.pop();
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+}  // namespace
+}  // namespace sjs::sim

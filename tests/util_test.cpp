@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_path.hpp"
 
 namespace sjs {
 namespace {
@@ -455,9 +460,7 @@ TEST(ParseDoubleList, HandlesEmptyAndMalformed) {
 
 class CsvRoundtrip : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "sjs_csv_test.csv")
-                          .string();
+  std::string path_ = sjs::testutil::unique_temp_path("sjs_csv_test", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 
@@ -530,6 +533,58 @@ TEST_F(CsvRoundtrip, NumericRoundTrip) {
   EXPECT_DOUBLE_EQ(std::stod(rows[0][2]), 12345.6789);
 }
 
+/// The printf conversion format_double and write_row_numeric must reproduce
+/// byte for byte (journals and outcome tables are diffed against replays).
+std::string printf_g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+TEST_F(CsvRoundtrip, FormatMatchesPrintfG17) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 123456.789, 1e-17,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      // %.17g switches to exponent form at 1e17 and below 1e-4.
+      1e16, 1e17, 1e16 - 1.0, 1e17 - 8.0, 99999999999999984.0,
+      1e-4, 1e-5, 0.000099999999999999991, 1e9 + 4e-6, 1e21, 1e22, 5e-324};
+  Rng rng(20260501);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isnan(v)) continue;  // NaN sign/payload text is not a contract
+    values.push_back(v);
+    values.push_back(rng.uniform(-1e6, 1e6));
+  }
+  for (const double v : values) {
+    ASSERT_EQ(format_double(v), printf_g17(v)) << "bits of " << v;
+  }
+
+  const std::size_t row = 1000;  // one numeric row, checked against printf
+  {
+    CsvWriter w(path_);
+    w.write_row_numeric(values.data(), row);
+  }
+  std::string expected;
+  for (std::size_t i = 0; i < row; ++i) {
+    if (i) expected += ',';
+    expected += printf_g17(values[i]);
+  }
+  expected += '\n';
+  std::ifstream in(path_, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, expected);
+}
+
 TEST(Csv, EscapePassthroughForPlainFields) {
   EXPECT_EQ(csv_escape("hello"), "hello");
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
@@ -578,9 +633,7 @@ TEST(AsciiChart, SparklineLengthMatches) {
 
 class GnuplotTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "sjs_gnuplot_test.gp")
-                          .string();
+  std::string path_ = sjs::testutil::unique_temp_path("sjs_gnuplot_test", ".gp");
   void TearDown() override { std::filesystem::remove(path_); }
 
   std::string read_all() {
