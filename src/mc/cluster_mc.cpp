@@ -30,8 +30,7 @@ ClusterAggregate run_cluster_mc(const ClusterMcConfig& config) {
   // One task per run, writing only run-indexed slots: results are identical
   // for any thread count (the cluster digest gate asserts exactly this).
   std::vector<cloud::MultiSimResult> results(config.runs);
-  ThreadPool pool(config.threads);
-  parallel_for(pool, config.runs, [&](std::size_t run) {
+  parallel_for(config.threads, config.runs, [&](std::size_t run) {
     Rng rng(config.seed, run);
     // Fixed draw order: job stream first, then fleet paths.
     std::vector<Job> jobs = gen::generate_jobs(config.jobs, rng);

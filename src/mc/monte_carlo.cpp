@@ -6,6 +6,7 @@
 #include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sjs::mc {
 
@@ -58,8 +59,7 @@ McOutcome run_monte_carlo(const McConfig& config,
   std::vector<std::vector<sim::SimResult>> results(config.runs);
   std::vector<std::vector<std::uint64_t>> digests(
       config.compute_digests ? config.runs : 0);
-  ThreadPool pool(config.threads);
-  parallel_for(pool, config.runs, [&](std::size_t run) {
+  parallel_for(config.threads, config.runs, [&](std::size_t run) {
     Rng rng(config.seed, run);
     const Instance instance = gen::generate_paper_instance(config.setup, rng);
     auto& row = results[run];

@@ -17,7 +17,6 @@
 #include "sim/result.hpp"
 #include "stats/summary.hpp"
 #include "stats/timeseries.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sjs::mc {
 

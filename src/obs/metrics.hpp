@@ -11,7 +11,7 @@
 //
 // Snapshotting while worker threads are still writing is a data race by
 // design (no atomics on the hot path); call snapshot() after the parallel
-// region has been joined (e.g. after ThreadPool::wait_idle()).
+// region has been joined (e.g. after parallel_for returns).
 #pragma once
 
 #include <cstdint>

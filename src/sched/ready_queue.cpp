@@ -11,7 +11,8 @@ namespace sjs::sched {
 namespace {
 
 // Thread-local buffer recycler. The Monte-Carlo driver constructs one fresh
-// scheduler per (run, scheduler) cell on the same worker thread; donating a
+// scheduler per (run, scheduler) cell on the thread running that run's
+// block (the caller's own for the first block); donating a
 // destroyed queue's buffers here and adopting them in the next queue makes
 // the steady state allocation-free across cells, mirroring Engine::reset()'s
 // reuse of the event heap and timer slab. Thread-local keeps it race-free

@@ -31,8 +31,10 @@
 // clear() keeps the backing storage, and destroyed queues donate their
 // buffers to a small thread-local recycler that the next queue constructed
 // on the same thread adopts — so mc::run_monte_carlo's engine-reuse path,
-// which constructs one fresh scheduler per (run, scheduler) cell on the same
-// worker thread, reuses queue storage across cells just as Engine::reset()
+// which constructs one fresh scheduler per (run, scheduler) cell on whichever
+// thread runs that run's block (the caller's own thread for the first block,
+// and for every run of a one-worker campaign), reuses queue storage across
+// cells, and across calls on the same thread, just as Engine::reset()
 // reuses the event heap and timer slab.
 #pragma once
 

@@ -1,73 +1,46 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <thread>
+#include <vector>
 
 namespace sjs {
 
-ThreadPool::ThreadPool(std::size_t threads) {
+void parallel_for(std::size_t threads, std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_task_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  const std::size_t workers = pool.size();
+  const std::size_t workers = std::min(threads, n);
   const std::size_t block = (n + workers - 1) / workers;
-  for (std::size_t start = 0; start < n; start += block) {
-    const std::size_t end = std::min(n, start + block);
-    pool.submit([&body, start, end] {
-      for (std::size_t i = start; i < end; ++i) body(i);
-    });
+  // One slot per block, each written only by the thread running that block.
+  std::vector<std::exception_ptr> errors((n + block - 1) / block);
+  auto run_block = [&body, &errors, block, n](std::size_t b) {
+    const std::size_t end = std::min(n, (b + 1) * block);
+    try {
+      for (std::size_t i = b * block; i < end; ++i) body(i);
+    } catch (...) {
+      errors[b] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(errors.size() - 1);
+  try {
+    for (std::size_t b = 1; b < errors.size(); ++b) {
+      helpers.emplace_back(run_block, b);
+    }
+  } catch (...) {
+    // Starting a helper failed: join the ones already running, then report.
+    for (auto& h : helpers) h.join();
+    throw;
   }
-  pool.wait_idle();
+  run_block(0);  // catches everything, so the joins below always happen
+  for (auto& h : helpers) h.join();
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace sjs

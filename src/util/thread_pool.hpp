@@ -1,54 +1,28 @@
-// Minimal fixed-size thread pool for embarrassingly parallel Monte-Carlo work.
+// Fork-join parallel loop for embarrassingly parallel Monte-Carlo work.
 //
-// Design notes (HPC idioms): tasks are submitted as std::function thunks; the
-// pool is created once per experiment and joined in the destructor (RAII).
-// parallel_for distributes iterations in contiguous blocks so adjacent runs
-// (which touch adjacent result slots) stay on one thread — no false sharing on
-// the results vector and deterministic assignment of work to indices.
+// Design notes (HPC idioms): iterations are split into contiguous blocks, one
+// per worker, so adjacent runs (which touch adjacent result slots) stay on
+// one thread — no false sharing on the results vector and deterministic
+// assignment of work to indices. The calling thread runs the first block
+// itself, so a one-worker call starts no thread and keeps the caller's warm
+// caches, malloc arena and thread-local recyclers.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace sjs {
 
-class ThreadPool {
- public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task. Thread-safe.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished executing.
-  void wait_idle();
-
-  std::size_t size() const { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-};
-
-/// Runs body(i) for i in [0, n) across the pool, blocking until done.
-/// Iterations are assigned to threads in contiguous blocks.
-void parallel_for(ThreadPool& pool, std::size_t n,
+/// Runs body(i) for every i in [0, n) on min(threads, n) workers, where
+/// `threads` == 0 means std::thread::hardware_concurrency(). The caller runs
+/// the first contiguous block and workers − 1 helper threads run the rest;
+/// every helper is joined before this returns, on the exception path too.
+///
+/// A block stops at its first exception. Once all blocks are joined, the
+/// exception of the lowest-indexed failing block is rethrown — for a body
+/// whose failures depend only on i, the same exception a serial loop over
+/// [0, n) would throw.
+void parallel_for(std::size_t threads, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
 }  // namespace sjs

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_metrics.hpp"
@@ -226,30 +227,34 @@ TEST(DispatcherTest, StaticRentalKeepsWholeFleetAndHvdfNames) {
 }
 
 TEST(ClusterMcTest, ThreadCountIndependentDigests) {
-  sjs::mc::ClusterMcConfig config;
-  config.fleet = Fleet::heterogeneous(4);
-  config.jobs.lambda = 6.0;
-  config.jobs.horizon = 20.0;
-  config.jobs.c_lo = config.fleet.admission_c_lo();
-  config.scenario.kind = sjs::cap::ScenarioKind::kFlashCrowd;
-  config.runs = 8;
-  config.compute_digests = true;
+  // 8 runs over 4 threads, one run, and fewer runs than threads.
+  for (const auto& [runs, threads] :
+       {std::pair<std::size_t, std::size_t>{8, 4}, {1, 4}, {3, 8}}) {
+    sjs::mc::ClusterMcConfig config;
+    config.fleet = Fleet::heterogeneous(4);
+    config.jobs.lambda = 6.0;
+    config.jobs.horizon = 20.0;
+    config.jobs.c_lo = config.fleet.admission_c_lo();
+    config.scenario.kind = sjs::cap::ScenarioKind::kFlashCrowd;
+    config.runs = runs;
+    config.compute_digests = true;
 
-  config.threads = 1;
-  const auto serial = sjs::mc::run_cluster_mc(config);
-  config.threads = 4;
-  const auto parallel = sjs::mc::run_cluster_mc(config);
+    config.threads = 1;
+    const auto serial = sjs::mc::run_cluster_mc(config);
+    config.threads = threads;
+    const auto parallel = sjs::mc::run_cluster_mc(config);
 
-  EXPECT_EQ(serial.scheduler_name, "Cluster-EDF/threshold");
-  EXPECT_EQ(serial.scenario, "flash-crowd");
-  ASSERT_EQ(serial.run_digests.size(), 8u);
-  EXPECT_EQ(serial.run_digests, parallel.run_digests);
-  EXPECT_EQ(serial.combined_digest, parallel.combined_digest);
-  EXPECT_NE(serial.combined_digest, 0u);
-  ASSERT_EQ(serial.value_fractions.size(), 8u);
-  EXPECT_EQ(serial.value_fractions, parallel.value_fractions);
-  EXPECT_DOUBLE_EQ(serial.mean_cost, parallel.mean_cost);
-  ASSERT_EQ(serial.mean_util_per_server.size(), 4u);
+    EXPECT_EQ(serial.scheduler_name, "Cluster-EDF/threshold");
+    EXPECT_EQ(serial.scenario, "flash-crowd");
+    ASSERT_EQ(serial.run_digests.size(), runs);
+    EXPECT_EQ(serial.run_digests, parallel.run_digests) << runs;
+    EXPECT_EQ(serial.combined_digest, parallel.combined_digest) << runs;
+    EXPECT_NE(serial.combined_digest, 0u);
+    ASSERT_EQ(serial.value_fractions.size(), runs);
+    EXPECT_EQ(serial.value_fractions, parallel.value_fractions) << runs;
+    EXPECT_DOUBLE_EQ(serial.mean_cost, parallel.mean_cost);
+    ASSERT_EQ(serial.mean_util_per_server.size(), 4u);
+  }
 }
 
 TEST(ClusterMetricsTest, PublishesCountersAndPerServerGauges) {

@@ -167,6 +167,15 @@ TEST(LintTest, RawConcurrencyCoversClusterDirectory) {
   EXPECT_EQ(count_findings(r.output, "raw-concurrency"), 3) << r.output;
 }
 
+TEST(LintTest, RawConcurrencyCoversMcDirectory) {
+  const auto r = run_lint(fixture_args(fx("src/mc/bad_thread.cpp")));
+  EXPECT_EQ(r.exit_code, 1);
+  // thread + lock_guard + mutex (same line) + mutex member; the suppressed
+  // atomic stays silent.
+  EXPECT_EQ(count_findings(r.output, "raw-concurrency"), 4) << r.output;
+  EXPECT_NE(r.output.find("util/thread_pool"), std::string::npos) << r.output;
+}
+
 TEST(LintTest, RawConcurrencyIgnoresConcDirectory) {
   // conc/ is where the primitives are supposed to live — no findings there.
   const auto r = run_lint(fixture_args(fx("src/conc/good_channel.cpp")));

@@ -4,10 +4,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <string>
 
 #include "mc/monte_carlo.hpp"
 #include "mc/table.hpp"
+#include "sim/engine.hpp"
+#include "util/fp.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 #include "temp_path.hpp"
 
 namespace sjs::mc {
@@ -54,30 +59,80 @@ TEST(MonteCarlo, ThreadCountDoesNotChangeResults) {
 TEST(MonteCarlo, ReplayDigestsIdenticalAcrossThreadCounts) {
   // The determinism contract as a checkable value: every run's full engine
   // event stream hashes to the same 64-bit digest whether the campaign ran
-  // on one thread or eight.
+  // on one thread or eight — including a single run and fewer runs than
+  // threads, where the executor starts fewer workers than asked for.
+  auto factories = sched::paper_lineup({1.0, 35.0});
+  for (std::size_t runs : {8u, 1u, 3u}) {
+    McConfig config;
+    config.setup = small_setup();
+    config.runs = runs;
+    config.seed = 21;
+    config.compute_digests = true;
+    config.threads = 1;
+    auto serial = run_monte_carlo(config, factories);
+    config.threads = 8;
+    auto parallel = run_monte_carlo(config, factories);
+    for (std::size_t s = 0; s < factories.size(); ++s) {
+      EXPECT_EQ(serial.per_scheduler[s].value_fractions,
+                parallel.per_scheduler[s].value_fractions)
+          << runs;
+      ASSERT_EQ(serial.per_scheduler[s].run_digests.size(), config.runs);
+      EXPECT_EQ(serial.per_scheduler[s].run_digests,
+                parallel.per_scheduler[s].run_digests)
+          << runs;
+      EXPECT_EQ(serial.per_scheduler[s].combined_digest,
+                parallel.per_scheduler[s].combined_digest)
+          << runs;
+      EXPECT_NE(serial.per_scheduler[s].combined_digest, 0u);
+    }
+    // Different schedulers on the same instances must diverge somewhere.
+    EXPECT_NE(serial.per_scheduler[0].combined_digest,
+              serial.per_scheduler[1].combined_digest)
+        << runs;
+  }
+}
+
+// Never dispatches anything, and refuses (SJS_CHECK) the one instance whose
+// first release is `poison`: a scheduler that fails on one chosen run.
+class RefusingScheduler : public sim::Scheduler {
+ public:
+  explicit RefusingScheduler(double poison) : poison_(poison) {}
+  void on_release(sim::Engine& engine, JobId job) override {
+    SJS_CHECK_MSG(!fp::exact_eq(engine.job(job).release, poison_),
+                  "refusing the poisoned run");
+  }
+  void on_complete(sim::Engine&, JobId) override {}
+  void on_expire(sim::Engine&, JobId, bool) override {}
+  std::string name() const override { return "Refusing"; }
+
+ private:
+  double poison_;
+};
+
+TEST(MonteCarlo, CheckErrorInARunReachesTheCaller) {
   McConfig config;
   config.setup = small_setup();
   config.runs = 8;
-  config.seed = 21;
-  config.compute_digests = true;
-  auto factories = sched::paper_lineup({1.0, 35.0});
-  config.threads = 1;
-  auto serial = run_monte_carlo(config, factories);
-  config.threads = 8;
-  auto parallel = run_monte_carlo(config, factories);
-  for (std::size_t s = 0; s < factories.size(); ++s) {
-    EXPECT_EQ(serial.per_scheduler[s].value_fractions,
-              parallel.per_scheduler[s].value_fractions);
-    ASSERT_EQ(serial.per_scheduler[s].run_digests.size(), config.runs);
-    EXPECT_EQ(serial.per_scheduler[s].run_digests,
-              parallel.per_scheduler[s].run_digests);
-    EXPECT_EQ(serial.per_scheduler[s].combined_digest,
-              parallel.per_scheduler[s].combined_digest);
-    EXPECT_NE(serial.per_scheduler[s].combined_digest, 0u);
+  config.seed = 5;
+  constexpr std::uint64_t kPoisonedRun = 5;
+  Rng rng(config.seed, kPoisonedRun);
+  const double poison =
+      gen::generate_paper_instance(config.setup, rng).jobs().front().release;
+  auto factories = sched::paper_lineup({1.0});
+  factories.push_back({"Refusing", [poison] {
+                         return std::make_unique<RefusingScheduler>(poison);
+                       }});
+  for (std::size_t threads : {1u, 4u}) {
+    config.threads = threads;
+    try {
+      run_monte_carlo(config, factories);
+      FAIL() << "run " << kPoisonedRun << " should have been refused";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("refusing the poisoned run"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  // Different schedulers on the same instances must diverge somewhere.
-  EXPECT_NE(serial.per_scheduler[0].combined_digest,
-            serial.per_scheduler[1].combined_digest);
 }
 
 TEST(MonteCarlo, DigestsOffByDefault) {

@@ -212,13 +212,11 @@ TEST(Metrics, CountersGaugesDistributionsMerge) {
 
 TEST(Metrics, ThreadShardsMergeExactly) {
   MetricsRegistry registry;
-  ThreadPool pool(4);
-  parallel_for(pool, 1000, [&](std::size_t i) {
+  parallel_for(4, 1000, [&](std::size_t i) {
     auto& shard = registry.local();
     shard.count("items");
     shard.observe("value", static_cast<double>(i));
   });
-  pool.wait_idle();
   EXPECT_GE(registry.shard_count(), 1u);
   auto snap = registry.snapshot();
   EXPECT_DOUBLE_EQ(snap.counters.at("items"), 1000.0);
@@ -231,11 +229,9 @@ TEST(Metrics, ThreadShardsMergeExactly) {
 TEST(Metrics, DeclaredHistogramsBinAndMergeAcrossShards) {
   MetricsRegistry registry;
   registry.declare_histogram("value", 0.0, 100.0, 10);
-  ThreadPool pool(3);
-  parallel_for(pool, 100, [&](std::size_t i) {
+  parallel_for(3, 100, [&](std::size_t i) {
     registry.local().observe("value", static_cast<double>(i));
   });
-  pool.wait_idle();
   auto snap = registry.snapshot();
   const auto& histogram = snap.histograms.at("value");
   EXPECT_EQ(histogram.total(), 100u);

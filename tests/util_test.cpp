@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -9,7 +10,13 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/ascii_chart.hpp"
@@ -177,66 +184,110 @@ TEST(Rng, ShuffleIsPermutation) {
 
 // ---------------------------------------------------------------- ThreadPool
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { ++counter; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(3);
   std::vector<int> hits(1000, 0);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  parallel_for(3, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyIsNoop) {
-  ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL(); });
+  parallel_for(2, 0, [](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, ParallelForFewerItemsThanThreads) {
-  ThreadPool pool(8);
   std::vector<int> hits(3, 0);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  parallel_for(8, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPool, ParallelForSingleItem) {
-  ThreadPool pool(4);
   std::vector<int> hits(1, 0);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  parallel_for(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
   EXPECT_EQ(hits[0], 1);
 }
 
 TEST(ThreadPool, ParallelForNonDivisibleBlockSizes) {
   // 1000 % 7 threads != 0: the trailing partial block must still run and no
   // index may be visited twice.
-  ThreadPool pool(7);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  parallel_for(7, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForPrimeCountOnSingleThread) {
-  ThreadPool pool(1);
   std::vector<int> hits(13, 0);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  parallel_for(1, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPool, WaitIdleOnFreshPool) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
+TEST(ThreadPool, ParallelForOneWorkerRunsOnCaller) {
+  // threads == 1, and n == 1 under many threads, are both one-worker calls:
+  // every iteration runs on the calling thread and no thread is started.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [threads, n] :
+       {std::pair<std::size_t, std::size_t>{1, 13}, {8, 1}}) {
+    std::vector<std::thread::id> ids(n);
+    parallel_for(threads, n,
+                 [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
+    for (const auto& id : ids) EXPECT_EQ(id, caller) << threads << "x" << n;
+  }
 }
 
-TEST(ThreadPool, SizeReflectsThreadCount) {
-  ThreadPool pool(5);
-  EXPECT_EQ(pool.size(), 5u);
+TEST(ThreadPool, ParallelForUsesAtMostMinThreadsItemsWorkers) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [threads, n] :
+       {std::pair<std::size_t, std::size_t>{3, 100}, {8, 3}, {4, 10}}) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    parallel_for(threads, n, [&](std::size_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(ids.size(), std::min(threads, n)) << threads << "x" << n;
+    EXPECT_EQ(ids.count(caller), 1u) << "the caller runs the first block";
+  }
+}
+
+TEST(ThreadPool, ParallelForHelperExceptionJoinsAndRethrows) {
+  // Blocks [0, 2) on the caller and [2, 4) on one helper. Index 2 throws
+  // while the caller's block is still waiting for it; the call must join the
+  // helper, let the caller's block finish, and rethrow on the caller.
+  std::atomic<bool> helper_threw{false};
+  std::vector<std::atomic<int>> hits(4);
+  try {
+    parallel_for(2, hits.size(), [&](std::size_t i) {
+      ++hits[i];
+      if (i == 0) {
+        while (!helper_threw.load()) std::this_thread::yield();
+      }
+      if (i == 2) {
+        helper_threw.store(true);
+        throw std::runtime_error("helper block");
+      }
+    });
+    FAIL() << "expected the helper's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "helper block");
+  }
+  EXPECT_EQ(hits[0].load(), 1);
+  EXPECT_EQ(hits[1].load(), 1);  // the caller's block ran to its end
+  EXPECT_EQ(hits[2].load(), 1);
+  EXPECT_EQ(hits[3].load(), 0);  // a block stops at its first exception
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestFailingBlock) {
+  // Every block fails; whatever order they fail in, the caller sees the
+  // exception a serial loop would have thrown: index 0's.
+  for (std::size_t threads : {1u, 4u}) {
+    try {
+      parallel_for(threads, 8, [](std::size_t i) {
+        throw std::runtime_error("index " + std::to_string(i));
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 0") << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- CLI

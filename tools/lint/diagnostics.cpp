@@ -20,8 +20,8 @@ const std::vector<std::pair<const char*, const char*>>& rule_table() {
        "using-namespace in a header"},
       {"header-guard", "header missing #pragma once"},
       {"raw-concurrency",
-       "raw std::thread/mutex/atomic in serve//sched/ (use conc::Channel / "
-       "conc::ShardSet)"},
+       "raw std::thread/mutex/atomic in serve/sched/cluster/mc/cloud (use "
+       "conc::Channel / conc::ShardSet or util/thread_pool)"},
       {"timer-wheel-bypass",
        "kTimer event pushed past the timer wheel in sim/ (use "
        "Engine::set_timer)"},

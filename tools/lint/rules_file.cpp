@@ -292,13 +292,17 @@ void check_header_guard(const SourceFile& file,
 // The sharded admission plane's thread-safety argument is structural: every
 // cross-thread interaction flows through conc::Channel / conc::ShardSet
 // (src/conc/), so serve/, sched/, and cluster/ code can be audited as
-// single-threaded. A raw primitive smuggled into any of these layers
-// silently reopens the data-race surface the TSan CI job is meant to have
-// closed — it must either move behind conc/ or carry an audited suppression.
+// single-threaded. The Monte-Carlo drivers (mc/) and the fleet engine they
+// run (cloud/) parallelise only through util/thread_pool's fork-join
+// parallel_for, whose per-run bodies are single-threaded too. A raw
+// primitive smuggled into any of these layers silently reopens the
+// data-race surface the TSan CI job is meant to have closed — it must either
+// move behind conc/ or util/thread_pool, or carry an audited suppression.
 void check_raw_concurrency(const SourceFile& file,
                            std::vector<Diagnostic>& diags) {
   if (!path_in(file.rel, "serve") && !path_in(file.rel, "sched") &&
-      !path_in(file.rel, "cluster")) {
+      !path_in(file.rel, "cluster") && !path_in(file.rel, "mc") &&
+      !path_in(file.rel, "cloud")) {
     return;
   }
   static const std::regex prim_re(
@@ -310,7 +314,7 @@ void check_raw_concurrency(const SourceFile& file,
       report(file, i + 1, static_cast<std::size_t>(it->position()) + 1,
              "raw-concurrency",
              "std::" + (*it)[1].str() +
-                 " in src/serve//src/sched//src/cluster/: cross-thread "
+                 " in src/{serve,sched,cluster,mc,cloud}/: cross-thread "
                  "traffic must flow "
                  "through conc::Channel / conc::ShardSet (src/conc/) or "
                  "util/thread_pool so the layer stays auditable "

@@ -36,8 +36,9 @@
 //                    file-scope `using namespace`
 //   header-guard     every header must open with #pragma once
 //   raw-concurrency  std::thread/mutex/atomic/condition_variable (and other
-//                    raw primitives) in src/serve/ or src/sched/ — cross-
-//                    thread traffic must flow through conc::Channel /
+//                    raw primitives) in src/serve/, src/sched/,
+//                    src/cluster/, src/mc/ or src/cloud/ — cross-thread
+//                    traffic must flow through conc::Channel /
 //                    conc::ShardSet (src/conc/) or util/thread_pool so those
 //                    layers stay auditable single-threaded
 //   timer-wheel-bypass
