@@ -1,7 +1,6 @@
 #include "cloud/global_sched.hpp"
 
 #include <algorithm>
-#include <vector>
 
 namespace sjs::cloud {
 
@@ -12,15 +11,19 @@ double GlobalKeyScheduler::priority(const MultiEngine& engine,
   return key_ == GlobalKey::kDeadline ? j.deadline : -j.value_density();
 }
 
+void GlobalKeyScheduler::on_start(MultiEngine& engine) {
+  chosen_.assign(engine.server_count(), kNoJob);
+  available_.assign(engine.server_count(), 0);
+}
+
 void GlobalKeyScheduler::reschedule(MultiEngine& engine) {
   const std::size_t k = engine.server_count();
 
   // The top-K live jobs by priority.
-  std::vector<JobId> chosen;
-  chosen.reserve(k);
+  std::size_t n = 0;
   for (const auto& [prio, job] : live_) {
-    if (chosen.size() == k) break;
-    chosen.push_back(job);
+    if (n == k) break;
+    chosen_[n++] = job;
   }
 
   // Assign in priority order: each winner takes the fastest still-available
@@ -28,11 +31,12 @@ void GlobalKeyScheduler::reschedule(MultiEngine& engine) {
   // gratuitous migration among equal machines). run_on handles everything:
   // placing a queued job, preempting a lower-priority incumbent, and
   // migrating a running winner onto a faster machine.
-  std::vector<bool> available(k, true);
-  for (JobId job : chosen) {
+  std::fill(available_.begin(), available_.end(), 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const JobId job = chosen_[i];
     std::size_t best = kNoServer;
     for (std::size_t s = 0; s < k; ++s) {
-      if (!available[s]) continue;
+      if (!available_[s]) continue;
       if (best == kNoServer ||
           engine.server_rate(s) > engine.server_rate(best)) {
         best = s;
@@ -40,16 +44,16 @@ void GlobalKeyScheduler::reschedule(MultiEngine& engine) {
     }
     const std::size_t current = engine.server_of(job);
     std::size_t target = best;
-    if (current != kNoServer && available[current] &&
+    if (current != kNoServer && available_[current] &&
         engine.server_rate(current) >= engine.server_rate(best)) {
       target = current;
     }
-    available[target] = false;
+    available_[target] = 0;
     if (current != target) engine.run_on(target, job);
   }
   // Any remaining server still executing a non-winner goes idle.
   for (std::size_t s = 0; s < k; ++s) {
-    if (available[s] && engine.running_on(s) != kNoJob) {
+    if (available_[s] && engine.running_on(s) != kNoJob) {
       engine.idle(s);
     }
   }

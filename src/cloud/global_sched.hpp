@@ -8,8 +8,10 @@
 // most urgent job gets the fastest machine.
 #pragma once
 
+#include <cstdint>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "cloud/multi_engine.hpp"
 
@@ -24,6 +26,7 @@ class GlobalKeyScheduler : public GlobalScheduler {
  public:
   explicit GlobalKeyScheduler(GlobalKey key) : key_(key) {}
 
+  void on_start(MultiEngine& engine) override;
   void on_release(MultiEngine& engine, JobId job) override;
   void on_complete(MultiEngine& engine, JobId job,
                    std::size_t server) override;
@@ -40,6 +43,11 @@ class GlobalKeyScheduler : public GlobalScheduler {
   GlobalKey key_;
   /// Live jobs ordered by (priority, id) — lower is better.
   std::set<std::pair<double, JobId>> live_;
+  /// reschedule() scratch, sized to the server count in on_start so an
+  /// interrupt allocates nothing: the top-K winners, and which servers are
+  /// still unassigned (uint8_t, not the bit-packed vector<bool>).
+  std::vector<JobId> chosen_;
+  std::vector<std::uint8_t> available_;
 };
 
 }  // namespace sjs::cloud

@@ -220,7 +220,7 @@ void MultiEngine::process_event(const Event& event) {
 
 void MultiEngine::harvest() {
   result_.outcomes = outcomes_;
-  result_.executed_work.resize(jobs_->size());
+  util::grow(result_.executed_work, jobs_->size());
   for (std::size_t i = 0; i < jobs_->size(); ++i) {
     result_.executed_work[i] = (*jobs_)[i].workload - remaining_[i];
   }
@@ -315,7 +315,7 @@ void MultiEngine::admit_live(JobId id) {
   util::append(placement_, kNoServer);
   util::append(remaining_, j.workload);
   util::append(outcomes_, sim::JobOutcome::kPending);
-  released_.push_back(false);
+  util::append(released_, false);
   result_.generated_value += j.value;
   util::append(result_.completion_times,
                std::numeric_limits<double>::quiet_NaN());

@@ -48,24 +48,29 @@ McOutcome run_monte_carlo(const McConfig& config,
     agg.name = factories[s].name;
     agg.value_fractions.resize(config.runs);
     if (config.keep_traces) agg.traces.resize(config.runs);
+    if (config.compute_digests) agg.run_digests.resize(config.runs);
   }
 
   // One task per run: each task regenerates its instance once and plays it
   // through every scheduler (common random numbers across schedulers) on ONE
   // engine, reset between cells — the remaining/outcome tables, event heap,
-  // and timer slab are allocated once per run instead of once per cell.
-  // Digests land in run-indexed slots so the combined fold below is
-  // independent of which thread simulated which run.
-  std::vector<std::vector<sim::SimResult>> results(config.runs);
-  std::vector<std::vector<std::uint64_t>> digests(
-      config.compute_digests ? config.runs : 0);
+  // timer slab and the sealed static side of the event queue are built once
+  // per run instead of once per cell. Each cell keeps only what is
+  // aggregated: its fraction, trace and digest go straight to their
+  // run-indexed slots, its counters to a small record. The folds below are
+  // therefore independent of which thread simulated which run.
+  struct CellCounts {
+    std::uint64_t completed = 0;
+    std::uint64_t expired = 0;
+    std::uint64_t preemptions = 0;
+  };
+  const std::size_t lineup = factories.size();
+  std::vector<CellCounts> counts(config.runs * lineup);
   parallel_for(config.threads, config.runs, [&](std::size_t run) {
     Rng rng(config.seed, run);
     const Instance instance = gen::generate_paper_instance(config.setup, rng);
-    auto& row = results[run];
-    row.reserve(factories.size());
     std::optional<sim::Engine> engine;
-    for (std::size_t s = 0; s < factories.size(); ++s) {
+    for (std::size_t s = 0; s < lineup; ++s) {
       auto scheduler = factories[s].make();
       if (engine) {
         engine->reset(*scheduler);
@@ -81,11 +86,15 @@ McOutcome run_monte_carlo(const McConfig& config,
         tee.add(&*bridge);
       }
       engine->attach_trace(tee.sink_count() > 0 ? &tee : nullptr);
-      row.push_back(engine->run_to_completion());
-      if (config.compute_digests) digests[run].push_back(digest.digest());
+      const sim::SimResult& r = engine->run_to_completion();
+      auto& agg = outcome.per_scheduler[s];
+      agg.value_fractions[run] = r.value_fraction();
+      counts[run * lineup + s] =
+          CellCounts{r.completed_count, r.expired_count, r.preemptions};
+      if (config.keep_traces) agg.traces[run] = r.value_trace;
+      if (config.compute_digests) agg.run_digests[run] = digest.digest();
       if (config.metrics) {
         auto& shard = config.metrics->local();
-        const sim::SimResult& r = row.back();
         shard.set_gauge(obs::kGaugeTimerSlabPeak,
                         static_cast<double>(r.timer_slab_peak));
         shard.set_gauge(obs::kGaugeTimerSlabSlots,
@@ -116,20 +125,16 @@ McOutcome run_monte_carlo(const McConfig& config,
     }
   });
 
-  for (std::size_t s = 0; s < factories.size(); ++s) {
+  for (std::size_t s = 0; s < lineup; ++s) {
     auto& agg = outcome.per_scheduler[s];
-    if (config.compute_digests) agg.run_digests.resize(config.runs);
     double completed = 0.0;
     double expired = 0.0;
     double preemptions = 0.0;
     for (std::size_t run = 0; run < config.runs; ++run) {
-      sim::SimResult& r = results[run][s];
-      agg.value_fractions[run] = r.value_fraction();
-      completed += static_cast<double>(r.completed_count);
-      expired += static_cast<double>(r.expired_count);
-      preemptions += static_cast<double>(r.preemptions);
-      if (config.keep_traces) agg.traces[run] = std::move(r.value_trace);
-      if (config.compute_digests) agg.run_digests[run] = digests[run][s];
+      const CellCounts& cell = counts[run * lineup + s];
+      completed += static_cast<double>(cell.completed);
+      expired += static_cast<double>(cell.expired);
+      preemptions += static_cast<double>(cell.preemptions);
     }
     if (config.compute_digests) {
       agg.combined_digest = obs::combine_digests(agg.run_digests);

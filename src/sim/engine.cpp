@@ -30,8 +30,14 @@ void Engine::rewind() {
 
   jobs_.bind_dense(instance_->jobs());
 
-  queue_.clear();
-  next_seq_ = 0;
+  if (static_key_.reusable) {
+    queue_.rewind();
+    next_seq_ = static_key_.next_seq;
+  } else {
+    queue_.clear();
+    next_seq_ = 0;
+  }
+  run_started_ = false;
   wheel_.clear();
   cursor_.reset();
   in_callback_ = false;
@@ -284,7 +290,32 @@ void Engine::handle_timer(const Event& event) {
   scheduler_->on_timer(*this, jid, tag);
 }
 
+void Engine::build_static_side(bool capacity_events) {
+  static_key_.reusable = false;  // until the seal below
+  queue_.clear();
+  next_seq_ = 0;
+  queue_.reserve(2 * instance_->size(), 0);
+  for (const Job& j : instance_->jobs()) {
+    push_event(j.release, EventType::kRelease, j.id, 0);
+    push_event(j.deadline, EventType::kExpiry, j.id, 0);
+  }
+  if (capacity_events) {
+    const double end = instance_->max_deadline();
+    for (double bp : instance_->capacity().breakpoints()) {
+      if (bp > 0.0 && bp <= end) {
+        push_event(bp, EventType::kCapacityChange, kNoJob, 0);
+      }
+    }
+  }
+  queue_.seal();
+  static_key_ = StaticSideKey{true, instance_->size(), capacity_events,
+                              next_seq_};
+}
+
 const SimResult& Engine::run_to_completion() {
+  SJS_CHECK_MSG(!run_started_,
+                "run_to_completion needs a fresh engine or a reset() one");
+  run_started_ = true;
   // clear() (not `result_ = SimResult{}`) keeps every per-job vector's
   // capacity, so a warmed engine's replay performs no result allocations.
   result_.clear();
@@ -294,23 +325,18 @@ const SimResult& Engine::run_to_completion() {
                                   std::numeric_limits<double>::quiet_NaN());
   result_.release_times.reserve(instance_->size());
   result_.value_trace.reserve(instance_->size());
-  queue_.reserve(2 * instance_->size(), 0);
-
   for (const Job& j : instance_->jobs()) {
     util::append(result_.release_times, j.release);
-    push_event(j.release, EventType::kRelease, j.id, 0);
-    push_event(j.deadline, EventType::kExpiry, j.id, 0);
-  }
-  if (scheduler_->wants_capacity_events()) {
-    const double end = instance_->max_deadline();
-    for (double bp : instance_->capacity().breakpoints()) {
-      if (bp > 0.0 && bp <= end) {
-        push_event(bp, EventType::kCapacityChange, kNoJob, 0);
-      }
-    }
   }
 
-  queue_.seal();
+  // reset() already rewound a static side built for this job count and
+  // capacity flag; the instance is immutable apart from live appends, so its
+  // events are this run's.
+  const bool capacity_events = scheduler_->wants_capacity_events();
+  if (!static_key_.reusable || static_key_.jobs != instance_->size() ||
+      static_key_.capacity_events != capacity_events) {
+    build_static_side(capacity_events);
+  }
 
   trace(obs::TraceKind::kRunStart, kNoJob,
         static_cast<double>(instance_->size()));
@@ -390,7 +416,15 @@ void Engine::harvest_result() {
 
 void Engine::begin_live() {
   SJS_CHECK_MSG(!live_ && !in_callback_, "begin_live: already live");
+  SJS_CHECK_MSG(!run_started_,
+                "begin_live needs a fresh engine or a reset() one");
+  run_started_ = true;
   live_ = true;
+  // Live events join the queue after the seal, and the live static side
+  // keeps every capacity breakpoint: nothing here is a batch run's.
+  static_key_.reusable = false;
+  queue_.clear();
+  next_seq_ = 0;
   result_.clear();
   result_.scheduler_name = scheduler_->name();
   result_.generated_value = instance_->total_value();

@@ -57,11 +57,19 @@ class Engine {
   /// Rewinds the engine for another run over the same instance with a fresh
   /// scheduler, keeping every allocation (remaining/outcome/release tables,
   /// event heap, timer slab) — the Monte-Carlo driver reuses one engine per
-  /// run across all scheduler cells instead of reallocating each cell. The
-  /// replayed event stream is bit-identical to a freshly constructed
-  /// engine's (asserted in tests/engine_test.cpp). The trace sink and
-  /// record_schedule flag persist across resets; pass attach_trace(nullptr)
-  /// to detach.
+  /// run across all scheduler cells instead of reallocating each cell.
+  ///
+  /// The sealed static side (releases, expiries, and capacity changes when
+  /// the scheduler wants them) is kept too: the next run_to_completion
+  /// rewinds it instead of pushing and sorting 2n events again, as long as
+  /// the instance's job count and the scheduler's wants_capacity_events()
+  /// match the run that built it. begin_live(), a live append_job, or a
+  /// flipped capacity flag rebuild it.
+  ///
+  /// The replayed event stream and every SimResult field are bit-identical
+  /// to a freshly constructed engine's (asserted in tests/engine_test.cpp).
+  /// The trace sink and record_schedule flag persist across resets; pass
+  /// attach_trace(nullptr) to detach.
   void reset(Scheduler& scheduler);
 
   // --- Live mode (real-time admission serving, src/serve/) -----------------
@@ -272,8 +280,13 @@ class Engine {
   /// Fills the end-of-run SimResult fields (outcome/work tables, occupancy
   /// stats, kRunEnd trace) shared by run_to_completion and finish_live.
   void harvest_result();
-  /// Rewinds all per-run state (capacities of every container are kept).
+  /// Rewinds all per-run state (capacities of every container are kept) and
+  /// the event queue: a reusable static side is rewound, any other cleared.
   void rewind();
+  /// Pushes the instance's release and expiry events (plus the capacity
+  /// changes up to the last deadline when `capacity_events`) onto an empty
+  /// queue, seals it, and records what it was built for.
+  void build_static_side(bool capacity_events);
   /// Purges dead events once they outnumber the live ones (amortized O(1)
   /// per event; total order on events makes the rebuild order-neutral).
   void maybe_compact_heap();
@@ -311,6 +324,20 @@ class Engine {
   /// front under the same total order on Event.
   SplitEventQueue<Event> queue_;
   std::uint64_t next_seq_ = 0;
+
+  /// What the sealed static side was built for. run_to_completion reuses it
+  /// after reset() while `jobs` and `capacity_events` still match;
+  /// begin_live() clears `reusable`.
+  struct StaticSideKey {
+    bool reusable = false;
+    std::size_t jobs = 0;
+    bool capacity_events = false;
+    std::uint64_t next_seq = 0;  // next_seq_ right after the seal
+  };
+  StaticSideKey static_key_;
+  /// A run started since construction or the last reset(); a second run
+  /// without reset() is refused.
+  bool run_started_ = false;
 
   /// Volatile side, timers: the hierarchical wheel — amortized O(1)
   /// arm/cancel, pops in exact (time, seq) order (sim/timer_wheel.hpp).

@@ -5,7 +5,8 @@
 //   * Static side — events known before the run starts and never cancelled
 //     (releases, expiries, capacity changes of a sealed instance). They are
 //     pushed up front, sorted once by seal(), and consumed by a cursor walk:
-//     O(1) pops, no heap traffic.
+//     O(1) pops, no heap traffic. The walk leaves the sorted events in
+//     place, so rewind() replays them without pushing or sorting again.
 //   * Volatile side — everything pushed while the run is under way
 //     (completions, and in live mode the late-arriving releases/expiries): a
 //     binary min-heap kept in an explicit vector (std::push_heap/pop_heap with
@@ -66,6 +67,20 @@ class SplitEventQueue {
     std::sort(static_.begin(), static_.end(),
               [](const Event& a, const Event& b) { return b > a; });
     sealed_ = true;
+  }
+
+  /// Replays a sealed queue from the start: the cursor returns to the front
+  /// of the kept static side, the volatile heap empties, the dead count and
+  /// dead peak return to zero, and the peak to the static side's size. That
+  /// is the state right after seal() for an owner that calls track_peak()
+  /// after every static push, so the owner skips the pushes and the sort.
+  void rewind() {
+    SJS_CHECK_MSG(sealed_, "rewind of a queue that was never sealed");
+    cursor_ = 0;
+    heap_.clear();
+    dead_ = 0;
+    peak_ = static_.size();
+    dead_peak_ = 0;
   }
 
   /// Queues an event on the volatile heap (any time).

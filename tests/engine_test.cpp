@@ -3,14 +3,20 @@
 // and accounting invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
 #include "jobs/instance.hpp"
+#include "jobs/workload_gen.hpp"
 #include "obs/digest.hpp"
+#include "sched/factory.hpp"
 #include "sim/engine.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace sjs::sim {
 namespace {
@@ -642,6 +648,181 @@ TEST(EngineReset, ClearsTimersFromPreviousRun) {
   auto result = engine.run_to_completion();
   EXPECT_EQ(result.completed_count, 1u);
   for (const auto& e : second.log_) EXPECT_NE(e.kind, 'T');
+}
+
+/// Doubles compare bit for bit: NaN completion times are equal to each other
+/// and 0.0 differs from -0.0.
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Every SimResult field of `got` equals `expected`'s.
+void expect_same_result(const SimResult& expected, const SimResult& got) {
+  EXPECT_EQ(expected.scheduler_name, got.scheduler_name);
+  EXPECT_EQ(bits(expected.completed_value), bits(got.completed_value));
+  EXPECT_EQ(bits(expected.generated_value), bits(got.generated_value));
+  EXPECT_EQ(expected.completed_count, got.completed_count);
+  EXPECT_EQ(expected.expired_count, got.expired_count);
+  EXPECT_EQ(expected.outcomes, got.outcomes);
+  EXPECT_EQ(bits(expected.executed_work), bits(got.executed_work));
+  EXPECT_EQ(bits(expected.completion_times), bits(got.completion_times));
+  EXPECT_EQ(bits(expected.release_times), bits(got.release_times));
+  EXPECT_EQ(bits(expected.value_trace.times()), bits(got.value_trace.times()));
+  EXPECT_EQ(bits(expected.value_trace.values()),
+            bits(got.value_trace.values()));
+  EXPECT_EQ(bits(expected.value_trace.before()),
+            bits(got.value_trace.before()));
+  ASSERT_EQ(expected.schedule.size(), got.schedule.size());
+  for (std::size_t i = 0; i < expected.schedule.size(); ++i) {
+    EXPECT_EQ(bits(expected.schedule[i].start), bits(got.schedule[i].start));
+    EXPECT_EQ(bits(expected.schedule[i].end), bits(got.schedule[i].end));
+    EXPECT_EQ(expected.schedule[i].job, got.schedule[i].job);
+  }
+  EXPECT_EQ(expected.dispatches, got.dispatches);
+  EXPECT_EQ(expected.preemptions, got.preemptions);
+  EXPECT_EQ(expected.events_processed, got.events_processed);
+  EXPECT_EQ(bits(expected.busy_time), bits(got.busy_time));
+  EXPECT_EQ(bits(expected.executed_total), bits(got.executed_total));
+  EXPECT_EQ(expected.timers_armed, got.timers_armed);
+  EXPECT_EQ(expected.timer_slab_peak, got.timer_slab_peak);
+  EXPECT_EQ(expected.timer_slab_slots, got.timer_slab_slots);
+  EXPECT_EQ(expected.event_heap_peak, got.event_heap_peak);
+  EXPECT_EQ(expected.event_heap_dead_peak, got.event_heap_dead_peak);
+  EXPECT_EQ(expected.heap_compactions, got.heap_compactions);
+  EXPECT_EQ(expected.timer_cascades, got.timer_cascades);
+  EXPECT_EQ(expected.timer_cascade_entries, got.timer_cascade_entries);
+  EXPECT_EQ(expected.timer_bucket_peak, got.timer_bucket_peak);
+  EXPECT_EQ(expected.queue_peak, got.queue_peak);
+  EXPECT_EQ(expected.queue_slots, got.queue_slots);
+  EXPECT_EQ(expected.job_slab_peak, got.job_slab_peak);
+  EXPECT_EQ(expected.job_slab_slots, got.job_slab_slots);
+}
+
+TEST(EngineReset, ReusedStaticSideMatchesFreshEngineAcrossLineup) {
+  // The Monte-Carlo reuse path: one engine replays one instance through the
+  // extended lineup. LLF wants capacity events and its neighbours do not, so
+  // the static side is reused, rebuilt with capacity changes, and rebuilt
+  // without them again along the way.
+  gen::PaperSetup setup;
+  setup.lambda = 6.0;
+  setup.expected_jobs = 300.0;
+  Rng rng(2024, 3);
+  const Instance instance = gen::generate_paper_instance(setup, rng);
+  const auto lineup = sched::extended_lineup({1.0, 24.5});
+
+  std::optional<Engine> reused;
+  std::size_t capacity_flips = 0;
+  std::optional<bool> last_capacity_events;
+  for (const auto& factory : lineup) {
+    SCOPED_TRACE(factory.name);
+    auto fresh_scheduler = factory.make();
+    Engine fresh(instance, *fresh_scheduler);
+    fresh.record_schedule(true);
+    obs::DigestSink fresh_digest;
+    fresh.attach_trace(&fresh_digest);
+    const SimResult expected = fresh.run_to_completion();
+
+    auto scheduler = factory.make();
+    if (reused) {
+      reused->reset(*scheduler);
+      // The rewound static side is pending again before the run starts.
+      EXPECT_GE(reused->queued_event_count(), 2 * instance.size());
+    } else {
+      reused.emplace(instance, *scheduler);
+      reused->record_schedule(true);
+    }
+    obs::DigestSink digest;
+    reused->attach_trace(&digest);
+    const SimResult& got = reused->run_to_completion();
+
+    expect_same_result(expected, got);
+    EXPECT_EQ(fresh_digest.digest(), digest.digest());
+    EXPECT_EQ(fresh_digest.event_count(), digest.event_count());
+
+    const bool capacity_events = scheduler->wants_capacity_events();
+    if (last_capacity_events && *last_capacity_events != capacity_events) {
+      ++capacity_flips;
+    }
+    last_capacity_events = capacity_events;
+  }
+  EXPECT_GE(capacity_flips, 2u);
+}
+
+TEST(EngineReset, BeginLiveAfterBatchRunStartsFromEmptyQueue) {
+  // The last breakpoint lies past every deadline: a batch static side drops
+  // it, a live one keeps it, so a leftover batch side would show.
+  Instance instance(
+      {make_job(0.0, 3.0, 4.0, 1.0), make_job(1.0, 2.0, 8.0, 2.0),
+       make_job(1.5, 4.0, 5.0, 3.0)},
+      cap::CapacityProfile({0.0, 2.0, 5.0, 50.0}, {1.0, 3.0, 2.0, 1.5}));
+  const auto llf = sched::make_llf();
+
+  auto batch_scheduler = llf.make();
+  Engine engine(instance, *batch_scheduler);
+  engine.run_to_completion();
+  auto live_scheduler = llf.make();
+  engine.reset(*live_scheduler);
+  engine.begin_live();
+
+  auto fresh_scheduler = llf.make();
+  Engine fresh(instance, *fresh_scheduler);
+  fresh.begin_live();
+  // 2 events per job plus every positive breakpoint.
+  EXPECT_EQ(fresh.queued_event_count(), 2 * instance.size() + 3);
+  EXPECT_EQ(engine.queued_event_count(), fresh.queued_event_count());
+
+  const SimResult expected = fresh.finish_live();
+  expect_same_result(expected, engine.finish_live());
+}
+
+TEST(EngineReset, BatchRunAfterLiveAppendsRebuildsStaticSide) {
+  Instance instance(
+      {make_job(0.0, 3.0, 4.0, 1.0), make_job(1.0, 2.0, 8.0, 2.0)},
+      cap::CapacityProfile({0.0, 2.0, 5.0}, {1.0, 3.0, 2.0}));
+  const auto edf = sched::make_edf();
+
+  auto first = edf.make();
+  Engine engine(instance, *first);
+  engine.run_to_completion();  // static side for two jobs
+
+  // A live session appends a third job.
+  auto live_scheduler = edf.make();
+  engine.reset(*live_scheduler);
+  engine.begin_live();
+  engine.advance_to(1.5);
+  const JobId appended = instance.append_job(make_job(1.5, 4.0, 9.0, 3.0));
+  engine.admit_live(appended);
+  engine.finish_live();
+
+  auto replay = edf.make();
+  engine.reset(*replay);
+  const SimResult got = engine.run_to_completion();
+  ASSERT_EQ(got.release_times.size(), 3u);
+  auto fresh_scheduler = edf.make();
+  Engine fresh(instance, *fresh_scheduler);
+  expect_same_result(fresh.run_to_completion(), got);
+
+  // A job appended between two batch runs, with no live session between.
+  instance.append_job(make_job(2.0, 1.0, 3.5, 4.0));
+  auto second_replay = edf.make();
+  engine.reset(*second_replay);
+  const SimResult grown = engine.run_to_completion();
+  ASSERT_EQ(grown.release_times.size(), 4u);
+  auto second_fresh = edf.make();
+  Engine fresh_grown(instance, *second_fresh);
+  expect_same_result(fresh_grown.run_to_completion(), grown);
+}
+
+TEST(EngineReset, SecondRunWithoutResetThrows) {
+  Instance instance({make_job(0.0, 1.0, 2.0, 1.0)}, cap::CapacityProfile(1.0));
+  LoggingScheduler sched;
+  Engine engine(instance, sched);
+  engine.run_to_completion();
+  EXPECT_THROW(engine.run_to_completion(), CheckError);
+  EXPECT_THROW(engine.begin_live(), CheckError);
 }
 
 TEST(Engine, GeneratedValueEqualsInstanceTotal) {

@@ -317,6 +317,18 @@ TEST(LintTest, AllocInHotPathFiresOnlyOnReachableUnauditedSites) {
       << r.output;
 }
 
+TEST(LintTest, AllocInHotPathReportsCloudDirectory) {
+  const auto r = run_lint(fixture_args(fx("src/cloud/bad_hot_alloc.cpp")));
+  EXPECT_EQ(r.exit_code, 1);
+  // pick_growing's push_back fires; the start-up resize is unreachable and
+  // the pre-sized member write allocates nothing.
+  EXPECT_EQ(count_findings(r.output, "alloc-in-hot-path"), 1) << r.output;
+  EXPECT_NE(r.output.find("GlobalPicker::on_interrupt -> "
+                          "sjs::cloud::GlobalPicker::pick_growing"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(LintTest, AllocReportListsSuppressedSitesToo) {
   const auto r = run_lint("--report=alloc " +
                           fixture_args(fx("src/sim/bad_hot_alloc.cpp")));

@@ -1,7 +1,7 @@
 // Tests for sim::SplitEventQueue, the two-sided event queue both engines run
 // on: a seeded randomized differential against a std::priority_queue
 // reference under the same (time, type, seq) total order, plus the peak,
-// dead-event and purge accounting.
+// dead-event and purge accounting and the rewind a reset engine replays.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include "sim/split_event_queue.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/vec.hpp"
 
 namespace sjs::sim {
 namespace {
@@ -149,6 +150,85 @@ TEST(SplitEventQueue, PeakAndDeadAccounting) {
   queue.clear();
   EXPECT_EQ(queue.peak(), 0u);
   EXPECT_EQ(queue.dead_peak(), 0u);
+}
+
+/// What one pass over a sealed queue observed.
+struct Pass {
+  std::vector<TestEvent> popped;
+  std::uint64_t peak = 0;
+  std::uint64_t dead_peak = 0;
+  std::size_t dead_count = 0;
+};
+
+/// Pops a sealed queue to empty while pushing, killing and purging volatile
+/// events the way an engine does. The same `seed` and `first_seq` drive the
+/// same volatile traffic, as a rewound engine's next_seq_ would.
+Pass drain(SplitEventQueue<TestEvent>& queue, std::uint64_t seed,
+           std::uint64_t first_seq) {
+  Rng rng(seed, 6);
+  std::uint64_t seq = first_seq;
+  Pass pass;
+  while (!queue.empty()) {
+    const TestEvent event = queue.pop();
+    util::append(pass.popped, event);
+    if (event.type == 0 && event.seq % 4 == 0) queue.unmark_dead();
+    if (rng.bernoulli(0.4)) {
+      queue.push_volatile(TestEvent{
+          event.time + static_cast<double>(rng.below(5)), 0, seq++});
+      queue.track_peak();
+      // Every fourth completion dies before it pops, as a preempted one does.
+      if ((seq - 1) % 4 == 0) queue.mark_dead();
+    }
+    if (queue.dead_count() > 8) {
+      queue.purge(
+          [](const TestEvent& e) { return e.type == 0 && e.seq % 4 == 0; });
+    }
+  }
+  pass.peak = queue.peak();
+  pass.dead_peak = queue.dead_peak();
+  pass.dead_count = queue.dead_count();
+  return pass;
+}
+
+TEST(SplitEventQueue, RewindReplaysTheFirstPass) {
+  SplitEventQueue<TestEvent> queue;
+  EXPECT_THROW(queue.rewind(), CheckError);  // nothing sealed yet
+
+  Rng rng(13, 5);
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 150; ++i) {
+    queue.push_static(TestEvent{static_cast<double>(rng.below(40)),
+                                static_cast<std::uint8_t>(1 + rng.below(2)),
+                                seq++});
+    queue.track_peak();
+  }
+  queue.seal();
+  const std::uint64_t sealed_peak = queue.peak();
+  const Pass first = drain(queue, 99, seq);
+  ASSERT_GT(first.dead_peak, 0u);
+  ASSERT_GT(first.popped.size(), 150u);
+
+  for (int round = 0; round < 3; ++round) {
+    queue.rewind();
+    EXPECT_EQ(queue.size(), 150u);
+    EXPECT_EQ(queue.volatile_size(), 0u);
+    EXPECT_EQ(queue.peak(), sealed_peak);
+    EXPECT_EQ(queue.dead_count(), 0u);
+    EXPECT_EQ(queue.dead_peak(), 0u);
+    const Pass again = drain(queue, 99, seq);
+    EXPECT_EQ(again.popped, first.popped);
+    EXPECT_EQ(again.peak, first.peak);
+    EXPECT_EQ(again.dead_peak, first.dead_peak);
+    EXPECT_EQ(again.dead_count, first.dead_count);
+  }
+
+  // A rewind mid-pass drops the volatile events and restarts the walk.
+  queue.rewind();
+  queue.pop();
+  queue.push_volatile(TestEvent{0.0, 0, seq});
+  queue.rewind();
+  EXPECT_EQ(queue.size(), 150u);
+  EXPECT_EQ(drain(queue, 99, seq).popped, first.popped);
 }
 
 TEST(SplitEventQueue, PurgeKeepsTheMergedOrder) {

@@ -180,7 +180,7 @@ void check_alloc_in_hot_path(const Analysis& a, std::vector<Diagnostic>& diags,
       });
 
   static const std::set<std::string> kReportedModules = {
-      "sim", "sched", "serve", "conc", "obs", "cluster"};
+      "sim", "sched", "serve", "conc", "obs", "cluster", "cloud"};
   for (std::size_t n = 0; n < g.nodes.size(); ++n) {
     if (!r.reached[n]) continue;
     const FunctionDef& fn = *g.nodes[n].def;
