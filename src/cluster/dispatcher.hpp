@@ -12,21 +12,27 @@
 //      accrual), and rents lowest-index-first / releases highest-index-first,
 //   3. places the top-R live jobs (R = rented machines) by the global key
 //      (deadline → Cluster-EDF, value density → Cluster-HVDF) onto rented
-//      machines, fastest-current-rate first, winners staying put on ties —
-//      the same no-gratuitous-migration rule as cloud::GlobalKeyScheduler.
+//      machines with cloud::place_ranked, the routine
+//      cloud::GlobalKeyScheduler runs over every server: fastest-current-rate
+//      first, winners staying put on ties.
+//
+// Live jobs sit in a cloud::RankedLiveSet sized to the fleet: the top-R
+// winners are the first R entries of its sorted head, for any R the rental
+// controller picks.
 //
 // Decisions depend only on the interrupt sequence, so a replayed journal
 // reproduces every rent, placement, and cost cent bit-exactly. The scheduler
 // callbacks are hot paths (sjs_lint alloc roots): all scratch is pre-sized at
-// construction and never grown inside a hook.
+// construction or in on_start and never grown inside a hook.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <set>
-#include <utility>
+#include <vector>
 
 #include "cloud/global_sched.hpp"
 #include "cloud/multi_engine.hpp"
+#include "cloud/ranked_live_set.hpp"
 #include "cluster/fleet.hpp"
 #include "cluster/rental.hpp"
 
@@ -69,7 +75,6 @@ class Dispatcher final : public cloud::GlobalScheduler {
   void apply_accounting(cloud::MultiSimResult* result) const;
 
  private:
-  double priority(const cloud::MultiEngine& engine, JobId job) const;
   /// Shared interrupt body: accrue, re-rent, re-place.
   void handle_interrupt(cloud::MultiEngine& engine);
   void accrue(double t);
@@ -80,10 +85,9 @@ class Dispatcher final : public cloud::GlobalScheduler {
   DispatcherConfig config_;
   std::unique_ptr<RentalController> rental_;
 
-  /// Live jobs ordered by (priority, id) — lower is better.
-  std::set<std::pair<double, JobId>> live_;
+  cloud::RankedLiveSet live_;
 
-  std::vector<char> rented_;          // per server
+  std::vector<std::uint8_t> rented_;  // per server
   std::size_t rented_count_ = 0;
   double rented_cost_rate_ = 0.0;     // sum of rented machines' cost rates
   double last_accrual_ = 0.0;
@@ -93,9 +97,8 @@ class Dispatcher final : public cloud::GlobalScheduler {
   std::uint64_t release_events_ = 0;
   std::uint64_t rented_peak_ = 0;
 
-  // Hook-time scratch, pre-sized to the fleet in the constructor.
-  std::vector<JobId> chosen_;
-  std::vector<char> available_;
+  // place_ranked() scratch, pre-sized to the fleet in the constructor.
+  std::vector<std::uint8_t> available_;
 };
 
 /// Convenience replay driver: runs `jobs` over `paths` under a fresh

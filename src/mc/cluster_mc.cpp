@@ -13,16 +13,6 @@ ClusterAggregate run_cluster_mc(const ClusterMcConfig& config) {
 
   ClusterAggregate agg;
   agg.scenario = cap::scenario_name(config.scenario.kind);
-  {
-    // Name a throwaway dispatcher so the label is right even for 0 jobs.
-    cluster::DispatcherConfig dc;
-    dc.key = config.key;
-    dc.budget = config.budget;
-    dc.min_rented = config.min_rented;
-    cluster::Dispatcher probe(config.fleet, dc,
-                              cluster::make_rental_controller(config.rental));
-    agg.scheduler_name = probe.name();
-  }
   agg.value_fractions.resize(config.runs);
   agg.mean_util_per_server.assign(config.fleet.size(), 0.0);
   if (config.compute_digests) agg.run_digests.resize(config.runs);
@@ -58,6 +48,8 @@ ClusterAggregate run_cluster_mc(const ClusterMcConfig& config) {
     }
   });
 
+  // Every run's result carries its dispatcher's name, 0 jobs included.
+  agg.scheduler_name = results[0].scheduler_name;
   double completed = 0.0, expired = 0.0, dispatches = 0.0, preemptions = 0.0;
   double migrations = 0.0, rents = 0.0, releases = 0.0, peak = 0.0;
   double cost = 0.0, rented_time = 0.0;

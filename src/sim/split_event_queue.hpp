@@ -4,9 +4,11 @@
 //
 //   * Static side — events known before the run starts and never cancelled
 //     (releases, expiries, capacity changes of a sealed instance). They are
-//     pushed up front, sorted once by seal(), and consumed by a cursor walk:
-//     O(1) pops, no heap traffic. The walk leaves the sorted events in
-//     place, so rewind() replays them without pushing or sorting again.
+//     pushed up front, sorted once by seal() (an in-place insertion sort
+//     that falls back to std::sort on input far from order), and consumed
+//     by a cursor walk: O(1) pops, no heap traffic. The walk leaves the
+//     sorted events in place, so rewind() replays them without pushing or
+//     sorting again.
 //   * Volatile side — everything pushed while the run is under way
 //     (completions, and in live mode the late-arriving releases/expiries): a
 //     binary min-heap kept in an explicit vector (std::push_heap/pop_heap with
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -63,9 +66,33 @@ class SplitEventQueue {
 
   /// Sorts the static side once; from here on it is consumed by the cursor.
   /// Pops read the static side only after this call.
+  ///
+  /// Adaptive: an in-place insertion sort, because both engines push nearly
+  /// in order (releases in canonical order, each expiry right after its
+  /// release). Once it has moved n·bit_width(n) events — about std::sort's
+  /// own work — it stops and finishes with std::sort, so no input costs more
+  /// than about twice a plain sort. The order is the unique sorted order of
+  /// a strict total order either way, and nothing is allocated.
   void seal() {
-    std::sort(static_.begin(), static_.end(),
-              [](const Event& a, const Event& b) { return b > a; });
+    const std::size_t n = static_.size();
+    const std::size_t budget = n * static_cast<std::size_t>(std::bit_width(n));
+    std::size_t moves = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (!(static_[i - 1] > static_[i])) continue;
+      const Event moving = static_[i];
+      std::size_t j = i;
+      do {
+        static_[j] = static_[j - 1];
+        --j;
+        ++moves;
+      } while (j > 0 && static_[j - 1] > moving && moves < budget);
+      static_[j] = moving;
+      if (moves >= budget) {
+        std::sort(static_.begin(), static_.end(),
+                  [](const Event& a, const Event& b) { return b > a; });
+        break;
+      }
+    }
     sealed_ = true;
   }
 

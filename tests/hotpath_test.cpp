@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +28,12 @@
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
+#include "cloud/global_sched.hpp"
+#include "cloud/multi_engine.hpp"
+#include "cloud/ranked_live_set.hpp"
+#include "cluster/dispatcher.hpp"
+#include "cluster/fleet.hpp"
+#include "cluster/rental.hpp"
 #include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
 #include "sched/factory.hpp"
@@ -466,6 +473,136 @@ TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
                static_cast<unsigned long long>(steady_count),
                static_cast<unsigned long long>(steady_bytes));
   EXPECT_EQ(steady_count, 0u);
+}
+
+/// Forwards every hook to a wrapped global scheduler and sums the
+/// allocations made inside the hooks that follow on_start.
+class AllocCountingGlobalScheduler : public cloud::GlobalScheduler {
+ public:
+  explicit AllocCountingGlobalScheduler(cloud::GlobalScheduler& inner)
+      : inner_(inner) {}
+
+  void on_start(cloud::MultiEngine& engine) override {
+    inner_.on_start(engine);
+  }
+  void on_release(cloud::MultiEngine& engine, JobId job) override {
+    const std::uint64_t before = util::AllocProbe::count();
+    inner_.on_release(engine, job);
+    count(before);
+  }
+  void on_complete(cloud::MultiEngine& engine, JobId job,
+                   std::size_t server) override {
+    const std::uint64_t before = util::AllocProbe::count();
+    inner_.on_complete(engine, job, server);
+    count(before);
+  }
+  void on_expire(cloud::MultiEngine& engine, JobId job,
+                 std::size_t server) override {
+    const std::uint64_t before = util::AllocProbe::count();
+    inner_.on_expire(engine, job, server);
+    count(before);
+  }
+  std::string name() const override { return inner_.name(); }
+
+  std::uint64_t hook_allocs = 0;
+  std::uint64_t hooks = 0;
+
+ private:
+  void count(std::uint64_t before) {
+    hook_allocs += util::AllocProbe::count() - before;
+    ++hooks;
+  }
+
+  cloud::GlobalScheduler& inner_;
+};
+
+/// Hook allocations of one batch fleet run (the pb_probe fleet shape:
+/// Fleet::heterogeneous(6), default arrivals, flash-crowd paths) under
+/// `scheduler`. The engine's completion heap is pre-sized first, so the
+/// count is the scheduler's own work, not the engine's growth to its
+/// high-water.
+std::uint64_t fleet_hook_allocs(cloud::GlobalScheduler& scheduler,
+                                std::uint64_t* hooks) {
+  const cluster::Fleet fleet = cluster::Fleet::heterogeneous(6);
+  gen::JobGenParams params;
+  params.c_lo = fleet.admission_c_lo();
+  Rng rng(2028, 0);
+  std::vector<Job> jobs = gen::generate_jobs(params, rng);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = static_cast<JobId>(i);
+  }
+  cluster::ScenarioConfig scenario;
+  scenario.kind = cap::ScenarioKind::kFlashCrowd;
+  AllocCountingGlobalScheduler counting(scheduler);
+  cloud::MultiEngine engine(
+      jobs, fleet.sample_paths(scenario, params.horizon, rng), counting);
+  engine.reserve_live(jobs.size());
+  const cloud::MultiSimResult result = engine.run_to_completion();
+  EXPECT_GT(result.completed_count, 100u);
+  EXPECT_GT(result.migrations + result.preemptions, 0u);
+  *hooks = counting.hooks;
+  return counting.hook_allocs;
+}
+
+TEST(HotPathAllocations, FleetGlobalSchedulerHooksAllocationFree) {
+  // Both fleet schedulers keep their live set in a cloud::RankedLiveSet
+  // that on_start sizes to the run: no hook after it allocates — not one
+  // tree node per release, as a std::set live set would. Each run is on a
+  // fresh thread so the ReadyQueue recycler starts empty.
+  std::uint64_t dispatcher_allocs = 0, dispatcher_hooks = 0;
+  std::uint64_t global_allocs = 0, global_hooks = 0;
+  std::thread worker([&] {
+    const cluster::Fleet fleet = cluster::Fleet::heterogeneous(6);
+    cluster::Dispatcher dispatcher(
+        fleet, cluster::DispatcherConfig{},
+        cluster::make_rental_controller("threshold"));
+    dispatcher_allocs = fleet_hook_allocs(dispatcher, &dispatcher_hooks);
+  });
+  worker.join();
+  std::thread global_worker([&] {
+    cloud::GlobalKeyScheduler scheduler(cloud::GlobalKey::kValueDensity);
+    global_allocs = fleet_hook_allocs(scheduler, &global_hooks);
+  });
+  global_worker.join();
+
+  std::fprintf(stderr,
+               "fleet hooks: dispatcher %llu allocations in %llu hooks, "
+               "global %llu allocations in %llu hooks\n",
+               static_cast<unsigned long long>(dispatcher_allocs),
+               static_cast<unsigned long long>(dispatcher_hooks),
+               static_cast<unsigned long long>(global_allocs),
+               static_cast<unsigned long long>(global_hooks));
+  EXPECT_GT(dispatcher_hooks, 1000u);
+  EXPECT_GT(global_hooks, 1000u);
+  EXPECT_EQ(dispatcher_allocs, 0u);
+  EXPECT_EQ(global_allocs, 0u);
+}
+
+TEST(HotPathAllocations, RankedLiveSetIdIndexGrowsGeometrically) {
+  // Live mode: on_start sees no jobs yet, and ids grow with the session.
+  // The tail's id index must grow geometrically: O(log n) allocations over
+  // n releases, never one per release.
+  constexpr JobId kReleases = 100000;
+  std::uint64_t allocs = 0;
+  std::thread worker([&] {
+    cloud::RankedLiveSet live;
+    live.reset(4, 0);
+    util::AllocProbe::reset();
+    for (JobId id = 0; id < kReleases; ++id) {
+      live.insert(static_cast<double>(id % 97), id);
+      if (id >= 32) {
+        ASSERT_TRUE(live.erase(id - 32));  // ~32 live jobs
+      }
+    }
+    allocs = util::AllocProbe::count();
+  });
+  worker.join();
+  std::fprintf(stderr, "ranked live set: %llu allocations over %lld releases\n",
+               static_cast<unsigned long long>(allocs),
+               static_cast<long long>(kReleases));
+  // About one doubling of the id index per power of two, plus the tail
+  // heap's growth to its small high-water.
+  EXPECT_LE(allocs, 2u * std::bit_width(static_cast<unsigned>(kReleases)));
 }
 
 }  // namespace

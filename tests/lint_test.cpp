@@ -90,6 +90,17 @@ TEST(LintTest, OrderedSetHotPathFiresOnDoubleKeyedSetsOnly) {
   EXPECT_NE(r.output.find("ReadyQueue"), std::string::npos) << r.output;
 }
 
+TEST(LintTest, OrderedSetHotPathCoversFleetSchedulers) {
+  // The fleet's global schedulers (cloud/, cluster/) keep top-K live sets on
+  // every release; a double-keyed std::set there is flagged like in sched/.
+  const auto r = run_lint(fixture_args(fx("src/cluster/bad_ordered_set.cpp")));
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_EQ(count_findings(r.output, "ordered-set-hot-path",
+                           "cluster/bad_ordered_set.cpp"),
+            1)
+      << r.output;
+}
+
 TEST(LintTest, BannedTimeFiresOnEverySource) {
   const auto r = run_lint(fixture_args(fx("src/sim/bad_time.cpp")));
   EXPECT_EQ(r.exit_code, 1);

@@ -1,9 +1,12 @@
 // Tests for sim::SplitEventQueue, the two-sided event queue both engines run
 // on: a seeded randomized differential against a std::priority_queue
-// reference under the same (time, type, seq) total order, plus the peak,
-// dead-event and purge accounting and the rewind a reset engine replays.
+// reference under the same (time, type, seq) total order, the adaptive
+// seal() against std::sort on the input shapes it must handle, plus the
+// peak, dead-event and purge accounting and the rewind a reset engine
+// replays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -104,6 +107,102 @@ TEST(SplitEventQueue, LiveVolatileStaticTypesMatchPriorityQueue) {
     SplitEventQueue<TestEvent> queue;
     run_episode(queue, rng, /*live=*/true);
   }
+}
+
+/// Pushes `events` onto a fresh queue's static side in the given order,
+/// seals it, and checks that the cursor walk yields std::sort's order.
+void expect_seal_sorts(const std::vector<TestEvent>& events) {
+  SplitEventQueue<TestEvent> queue;
+  for (const TestEvent& e : events) queue.push_static(e);
+  queue.seal();
+  std::vector<TestEvent> expected = events;
+  std::sort(expected.begin(), expected.end(),
+            [](const TestEvent& a, const TestEvent& b) { return b > a; });
+  ASSERT_EQ(queue.size(), expected.size());
+  for (const TestEvent& want : expected) {
+    ASSERT_EQ(queue.pop(), want);
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+/// The engines' push pattern: per job, its release (type 2) then its expiry
+/// (type 1), releases in canonical order.
+std::vector<TestEvent> engine_like_events(Rng& rng, int jobs,
+                                          std::uint64_t& seq) {
+  std::vector<TestEvent> events;
+  double release = 0.0;
+  for (int j = 0; j < jobs; ++j) {
+    release += rng.exponential_mean(0.05);
+    events.push_back({release, 2, seq++});
+    events.push_back({release + rng.uniform(0.05, 0.5), 1, seq++});
+  }
+  return events;
+}
+
+TEST(SplitEventQueue, SealSortsNearlySortedInput) {
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    Rng rng(seed, 5);
+    std::uint64_t seq = 0;
+    std::vector<TestEvent> events =
+        engine_like_events(rng, 50 + static_cast<int>(rng.below(2000)), seq);
+    // A few local swaps on top of the engines' pattern.
+    for (int k = 0; k < 20; ++k) {
+      const auto i = static_cast<std::size_t>(rng.below(events.size() - 1));
+      std::swap(events[i], events[i + 1]);
+    }
+    expect_seal_sorts(events);
+  }
+}
+
+TEST(SplitEventQueue, SealFallsBackOnReversedInput) {
+  // Reversed input needs ~n²/2 moves, far past the n·bit_width(n) budget,
+  // so seal() finishes with std::sort from a partially sorted prefix.
+  for (const int n : {2, 3, 17, 500, 4096}) {
+    std::vector<TestEvent> events;
+    for (int i = 0; i < n; ++i) {
+      events.push_back({static_cast<double>(n - i), 1,
+                        static_cast<std::uint64_t>(i)});
+    }
+    expect_seal_sorts(events);
+  }
+}
+
+TEST(SplitEventQueue, SealSortsCapacityChangesPushedLast) {
+  // sim::Engine pushes the capacity breakpoints after every job's release
+  // and expiry: a sorted run that must travel back across the whole side.
+  for (const int breakpoints : {1, 8, 64, 512}) {
+    Rng rng(static_cast<std::uint64_t>(breakpoints), 6);
+    std::uint64_t seq = 0;
+    std::vector<TestEvent> events = engine_like_events(rng, 1000, seq);
+    const double horizon = events[events.size() - 2].time;
+    for (int b = 1; b <= breakpoints; ++b) {
+      events.push_back({horizon * b / (breakpoints + 1), 0, seq++});
+    }
+    expect_seal_sorts(events);
+  }
+}
+
+TEST(SplitEventQueue, SealOrdersEqualTimesAcrossTypes) {
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    Rng rng(seed, 7);
+    std::vector<TestEvent> events;
+    const int n = 1 + static_cast<int>(rng.below(400));
+    for (int i = 0; i < n; ++i) {
+      events.push_back({static_cast<double>(rng.below(4)),
+                        static_cast<std::uint8_t>(rng.below(3)),
+                        static_cast<std::uint64_t>(i)});
+    }
+    expect_seal_sorts(events);
+  }
+}
+
+TEST(SplitEventQueue, SealHandlesEmptyAndSingleton) {
+  expect_seal_sorts({});
+  expect_seal_sorts({TestEvent{3.0, 2, 0}});
+  SplitEventQueue<TestEvent> queue;
+  queue.seal();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.front(), nullptr);
 }
 
 TEST(SplitEventQueue, ClearReusesTheQueue) {

@@ -7,8 +7,8 @@ const std::vector<std::pair<const char*, const char*>>& rule_table() {
       {"unordered-iter",
        "iteration over unordered containers in scheduler/engine/MC hot paths"},
       {"ordered-set-hot-path",
-       "std::set/multiset keyed on double in sched//sim/ (use "
-       "sched::ReadyQueue)"},
+       "std::set/multiset keyed on double in sched//sim//cloud//cluster/ "
+       "(use sched::ReadyQueue)"},
       {"banned-time",
        "wall-clock / ambient randomness outside util/rng and util/logging"},
       {"float-eq", "raw ==/!= on floating-point values (use util/fp.hpp)"},

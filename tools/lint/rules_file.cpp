@@ -78,13 +78,19 @@ void check_unordered_iter(const SourceFile& file,
 // ---------------------------------------------------------------------------
 
 // std::set / std::multiset keyed on double (including pair<double, ...>) in
-// the scheduler/engine hot paths: every insert/erase is a node allocation
-// plus a pointer-chasing rebalance, and erase-by-value needs the exact key.
-// sched::ReadyQueue provides the same deterministic (key, id) pop order over
-// flat storage with O(log n) erase-by-id and no per-operation allocation.
+// the scheduler/engine hot paths — the single-server schedulers and engine
+// (sched/, sim/) and the fleet's global schedulers and engine (cloud/,
+// cluster/): every insert/erase is a node allocation plus a pointer-chasing
+// rebalance, and erase-by-value needs the exact key. sched::ReadyQueue (and
+// cloud::RankedLiveSet, built on it, for top-K live sets) provides the same
+// deterministic (key, id) order over flat storage with O(log n) erase-by-id
+// and no per-operation allocation.
 void check_ordered_set_hot_path(const SourceFile& file,
                                 std::vector<Diagnostic>& diags) {
-  if (!path_in(file.rel, "sched") && !path_in(file.rel, "sim")) return;
+  if (!path_in(file.rel, "sched") && !path_in(file.rel, "sim") &&
+      !path_in(file.rel, "cloud") && !path_in(file.rel, "cluster")) {
+    return;
+  }
   static const std::regex ordered_set_re(
       R"((?:std::)?(?:multi)?set\s*<\s*(?:(?:std::)?pair\s*<\s*double\b|double\b))");
   for (std::size_t i = 0; i < file.code.size(); ++i) {

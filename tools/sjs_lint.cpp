@@ -19,8 +19,9 @@
 //                    implementation-defined and leaks into schedule decisions
 //   ordered-set-hot-path
 //                    std::set/std::multiset keyed on double (incl.
-//                    pair<double, ...>) in sched/ or sim/ — node churn
-//                    allocates per operation; use sched::ReadyQueue
+//                    pair<double, ...>) in sched/, sim/, cloud/ or
+//                    cluster/ — node churn allocates per operation; use
+//                    sched::ReadyQueue
 //   banned-time      std::rand/srand/random_device/chrono *_clock::now/
 //                    time(nullptr)/clock() outside util/rng + util/logging —
 //                    all nondeterminism must flow through the seeded Rng
