@@ -73,9 +73,10 @@ cmake --build "${BUILD_DIR}" --target bench_micro
 
 if [[ "${SMOKE:-0}" == "1" ]]; then
   out="${BUILD_DIR}/bench_micro_smoke.json"
-  # The BM_Engine prefix deliberately covers the timer-wheel benches too
+  # The BM_Engine prefix deliberately covers the timer benches too
   # (BM_EngineTimerChurn, BM_EngineTimerOccupancy) so every CI run leaves an
-  # inspectable wheel-vs-heap datapoint in the artifact. BM_LiveSteadyState
+  # inspectable timer-cost datapoint, up to 4096 standing timers on the
+  # volatile heap, in the artifact. BM_LiveSteadyState
   # rides along so each CI artifact also records allocs_per_op for the warmed
   # live session (must be 0; it runs a fixed iteration count, so min_time
   # does not shorten it).

@@ -111,12 +111,6 @@ McOutcome run_monte_carlo(const McConfig& config,
                     static_cast<double>(r.timers_armed));
         shard.count(obs::kCounterHeapCompactions,
                     static_cast<double>(r.heap_compactions));
-        shard.count(obs::kCounterTimerCascades,
-                    static_cast<double>(r.timer_cascades));
-        shard.count(obs::kCounterTimerCascadeEntries,
-                    static_cast<double>(r.timer_cascade_entries));
-        shard.set_gauge(obs::kGaugeTimerBucketPeak,
-                        static_cast<double>(r.timer_bucket_peak));
         shard.set_gauge(obs::kGaugeQueuePeak,
                         static_cast<double>(r.queue_peak));
         shard.set_gauge(obs::kGaugeQueueSlots,

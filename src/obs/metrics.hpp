@@ -127,17 +127,6 @@ inline constexpr const char* kCounterHeapCompactions =
 inline constexpr const char* kGaugeJobSlabPeak = "engine.job_slab_peak";
 inline constexpr const char* kGaugeJobSlabSlots = "engine.job_slab_slots";
 
-// Timer-wheel churn (sim::TimerWheel, the kTimer backend of the volatile
-// event side). Cascades count clock advances that relinked a bucket;
-// cascade entries the nodes moved (each node cascades at most 7 times over
-// its life); bucket peak merges by maximum — the deepest single bucket any
-// run saw, the bound on one find-min scan.
-inline constexpr const char* kCounterTimerCascades = "engine.timer.cascades";
-inline constexpr const char* kCounterTimerCascadeEntries =
-    "engine.timer.cascade_entries";
-inline constexpr const char* kGaugeTimerBucketPeak =
-    "engine.timer.bucket_peak";
-
 // Scheduler ready-queue occupancy (sched::ReadyQueue via
 // Scheduler::queue_stats -> SimResult::queue_peak/queue_slots). Gauges merge
 // by maximum, so a campaign snapshot reports the worst (run, scheduler)

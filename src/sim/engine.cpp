@@ -38,7 +38,8 @@ void Engine::rewind() {
     next_seq_ = 0;
   }
   run_started_ = false;
-  wheel_.clear();
+  timer_slots_.clear();
+  free_timer_slots_.clear();
   cursor_.reset();
   in_callback_ = false;
   live_ = false;
@@ -47,7 +48,7 @@ void Engine::rewind() {
 void Engine::push_event(double time, EventType type, JobId jid,
                         std::uint64_t id) {
   SJS_CHECK_MSG(type != EventType::kTimer,
-                "timer events go through the wheel, not push_event");
+                "timer events are armed through set_timer, not push_event");
   const Event event{time, type, next_seq_++, jid, id};
   // Live-admitted releases/expiries arrive after the static side was sealed,
   // so they use the heap; side placement never changes the merged pop order.
@@ -57,60 +58,43 @@ void Engine::push_event(double time, EventType type, JobId jid,
   } else {
     queue_.push_static(event);
   }
-  queue_.track_peak(wheel_.pending_count());
+  queue_.track_peak();
 }
 
-Engine::Event Engine::pop_event() {
-  // Three-way merge-pop: the queue's two sides, then the timer wheel —
-  // whichever front is smallest under Event's total order. The fronts never
-  // tie: seq numbers are globally unique.
-  double wheel_time = 0.0;
-  std::uint64_t wheel_seq = 0;
-  if (wheel_.peek(wheel_time, wheel_seq)) {
-    const Event* best = queue_.front();
-    const Event wheel_front{wheel_time, EventType::kTimer, wheel_seq, kNoJob,
-                            0};
-    if (best == nullptr || *best > wheel_front) {
-      const TimerWheel::Fired fired = wheel_.pop();
-      // Event::id carries the tag in the low 32 bits and a tombstone flag in
-      // bit 32 (a cancelled timer still pops as a dead event — see the
-      // subdivision argument in sim/timer_wheel.hpp). The slot is freed.
-      const std::uint64_t id =
-          static_cast<std::uint32_t>(fired.tag) |
-          (fired.live ? 0ull : (1ull << 32));
-      return Event{fired.time, EventType::kTimer, fired.seq, fired.job, id};
-    }
-  }
-  return queue_.pop();
-}
-
-double Engine::peek_event_time() const {
-  // Only the minimum timestamp is needed here, and the fronts carry exact
-  // (same-path) doubles, so a plain min over times matches the full
-  // Event-order merge in pop_event.
+double Engine::next_event_time() const {
   const Event* front = queue_.front();
-  double t = front ? front->time : std::numeric_limits<double>::infinity();
-  double wheel_time = 0.0;
-  std::uint64_t wheel_seq = 0;
-  if (wheel_.peek(wheel_time, wheel_seq)) t = std::min(t, wheel_time);
-  return t;
+  return front ? front->time : std::numeric_limits<double>::infinity();
 }
 
 void Engine::maybe_compact_heap() {
-  // The volatile side is the completion heap plus the wheel's queued nodes —
-  // the same population the single pre-wheel heap held, so the trigger fires
-  // at the same instants as before the split (digest-neutral by replication).
-  const std::size_t volatile_size =
-      queue_.volatile_size() + wheel_.pending_count();
+  const std::size_t volatile_size = queue_.volatile_size();
   if (volatile_size < kCompactionMinEvents ||
       queue_.dead_count() * 2 <= volatile_size) {
     return;
   }
+  // One pass drops stale completions and cancelled timers alike.
   queue_.purge([&](const Event& e) {
-    return e.type == EventType::kCompletion && e.id != dispatch_epoch_;
+    if (e.type == EventType::kCompletion) return e.id != dispatch_epoch_;
+    return e.type == EventType::kTimer && !timer_armed(e.id);
   });
-  wheel_.purge_dead();
   ++result_.heap_compactions;
+}
+
+std::uint32_t Engine::timer_slot(TimerId id) const {
+  const std::uint64_t slot_plus_one = id & 0xffffffffull;
+  SJS_CHECK_MSG(slot_plus_one >= 1 && slot_plus_one <= timer_slots_.size(),
+                "corrupted TimerId " << id << " (slab has "
+                    << timer_slots_.size() << " slots)");
+  return static_cast<std::uint32_t>(slot_plus_one - 1);
+}
+
+const Engine::TimerSlot& Engine::free_timer(TimerId id) {
+  const std::uint32_t slot = timer_slot(id);
+  ++timer_slots_[slot].generation;
+  // Free-list push: growth stops at the slab's high-water (reserve_live
+  // pre-sizes it for live mode).
+  util::append(free_timer_slots_, slot);
+  return timer_slots_[slot];
 }
 
 double Engine::remaining(JobId id) const {
@@ -208,22 +192,37 @@ void Engine::run(JobId id) {
 TimerId Engine::set_timer(double t, JobId jid, int tag) {
   SJS_CHECK_MSG(in_callback_, "set_timer() outside a scheduler callback");
   SJS_CHECK_MSG(t >= now_ - 1e-12, "timer in the past: " << t << " < " << now_);
-  // The global seq keeps wheel entries totally ordered against the other two
-  // event sides exactly as when timers shared the heap.
-  const TimerId id = wheel_.arm(std::max(t, now_), jid, tag, next_seq_++);
+  std::uint32_t slot;
+  if (!free_timer_slots_.empty()) {
+    slot = free_timer_slots_.back();
+    free_timer_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(timer_slots_.size());
+    util::append(timer_slots_, TimerSlot{});
+  }
+  timer_slots_[slot].tag = tag;
+  // The +1 keeps every id distinct from kNoTimer regardless of generation.
+  const TimerId id =
+      (static_cast<TimerId>(timer_slots_[slot].generation) << 32) |
+      (slot + 1ull);
+  // The one place a kTimer event is built: every queued timer carries a
+  // slab-issued id, which is what lets cancel_timer leave it dead in O(1).
+  queue_.push_volatile(
+      Event{std::max(t, now_), EventType::kTimer, next_seq_++, jid, id});
   ++result_.timers_armed;
   result_.timer_slab_peak =
-      std::max<std::uint64_t>(result_.timer_slab_peak, wheel_.live_count());
-  queue_.track_peak(wheel_.pending_count());
+      std::max<std::uint64_t>(result_.timer_slab_peak, live_timer_count());
+  queue_.track_peak();
   return id;
 }
 
 void Engine::cancel_timer(TimerId id) {
   if (id == kNoTimer) return;
-  // O(1): frees the slab slot; the queued node stays as a tombstone (stale
-  // ids are a tolerated no-op; corrupted ids fail a check inside the wheel).
-  if (!wheel_.cancel(id)) return;
-  queue_.mark_dead();  // its queued node is now dead weight
+  // O(1): frees the slab slot; the queued event stays and pops dead. Stale
+  // ids are a tolerated no-op; corrupted ids fail the check in timer_slot.
+  if (!timer_armed(id)) return;
+  free_timer(id);
+  queue_.mark_dead();
   maybe_compact_heap();
 }
 
@@ -271,17 +270,16 @@ void Engine::handle_release(const Event& event) {
 }
 
 void Engine::handle_timer(const Event& event) {
-  if ((event.id >> 32) != 0) {
-    // Cancelled before firing (a wheel tombstone): dead event, counted when
-    // the cancel happened. Popping it still advanced the clock — the
-    // digest-relevant side effect the tombstone exists to preserve.
+  if (!timer_armed(event.id)) {
+    // Cancelled before firing: a dead event, counted when the cancel
+    // happened. Popping it still advanced the clock — the digest-relevant
+    // side effect a dead timer exists to preserve.
     queue_.unmark_dead();
     return;
   }
-  // The slot was freed in pop_event; the id is already stale and the timer
-  // fires exactly once.
+  // Fires exactly once: freeing the slot makes the id stale.
+  const int tag = free_timer(event.id).tag;
   const JobId jid = event.job;
-  const int tag = static_cast<int>(static_cast<std::uint32_t>(event.id));
   // Guard: timers reference queue membership that only matters for live jobs;
   // a timer outliving its job (completed early, or expired at the same
   // instant) must not resurrect it.
@@ -345,7 +343,7 @@ const SimResult& Engine::run_to_completion() {
   scheduler_->on_start(*this);
   in_callback_ = false;
 
-  while (pending_events() > 0) {
+  while (!queue_.empty()) {
     step_event();
   }
 
@@ -376,11 +374,8 @@ void Engine::process_event(const Event& event) {
 
 // sjs-hot-path-root
 void Engine::step_event() {
-  const Event event = pop_event();
+  const Event event = queue_.pop();
   now_ = std::max(now_, event.time);
-  // Safe exactly here: the pop removed the global minimum, so no pending
-  // wheel entry is earlier than now_ — the precondition for cascading.
-  wheel_.advance_clock(now_);
   advance_execution(now_);
   ++result_.events_processed;
 
@@ -400,10 +395,7 @@ void Engine::harvest_result() {
   result_.event_heap_dead_peak = queue_.dead_peak();
   result_.job_slab_peak = jobs_.peak();
   result_.job_slab_slots = jobs_.slots();
-  result_.timer_slab_slots = wheel_.slab_size();
-  result_.timer_cascades = wheel_.cascades();
-  result_.timer_cascade_entries = wheel_.cascaded_entries();
-  result_.timer_bucket_peak = wheel_.bucket_peak();
+  result_.timer_slab_slots = timer_slots_.size();
   const Scheduler::QueueStats queue_stats = scheduler_->queue_stats();
   result_.queue_peak = queue_stats.peak;
   result_.queue_slots = queue_stats.slots;
@@ -500,7 +492,7 @@ void Engine::advance_to(double t) {
   SJS_CHECK_MSG(live_ && !in_callback_, "advance_to outside live mode");
   SJS_CHECK_MSG(t >= now_ - 1e-12, "advance_to moving backwards: " << t
                                        << " < " << now_);
-  while (pending_events() > 0 && peek_event_time() < t) {
+  while (next_event_time() < t) {
     step_event();
   }
   now_ = std::max(now_, t);
@@ -509,14 +501,9 @@ void Engine::advance_to(double t) {
   // subdivides them, or remaining workloads drift by ulps.
 }
 
-double Engine::next_event_time() const {
-  if (pending_events() == 0) return std::numeric_limits<double>::infinity();
-  return peek_event_time();
-}
-
 const SimResult& Engine::finish_live() {
   SJS_CHECK_MSG(live_ && !in_callback_, "finish_live outside live mode");
-  while (pending_events() > 0) {
+  while (!queue_.empty()) {
     step_event();
   }
   harvest_result();
@@ -528,12 +515,14 @@ void Engine::reserve_live(std::size_t max_in_flight) {
   live_reserve_ = max_in_flight;
   jobs_.reserve(max_in_flight);
   // The static side only takes pre-loaded jobs and capacity breakpoints; live
-  // releases/expiries go to the volatile heap: up to two events per in-flight
-  // job, plus the running job's completion.
+  // releases/expiries and timers go to the volatile heap: a release, an
+  // expiry and one timer per in-flight job, plus the running job's
+  // completion.
   queue_.reserve(2 * instance_->size() +
                      instance_->capacity().breakpoints().size(),
-                 2 * max_in_flight + 1);
-  wheel_.reserve(max_in_flight);
+                 3 * max_in_flight + 1);
+  timer_slots_.reserve(max_in_flight);
+  free_timer_slots_.reserve(max_in_flight);
   result_.completion_times.reserve(max_in_flight);
   result_.release_times.reserve(max_in_flight);
   result_.outcomes.reserve(max_in_flight);

@@ -12,16 +12,16 @@
 // so a job finishing exactly at its deadline succeeds, and a timer armed
 // "now" during a release handler fires immediately after it.
 //
-// Stale events are handled by lazy invalidation: each dispatch bumps an epoch
-// counter recorded in completion events, and timers live in sim::TimerWheel —
-// a hierarchical wheel over virtual time whose slab slots carry a generation
-// stamp, so cancelling or firing a timer frees its slot in O(1) and bumps the
-// generation, and any event or handle still holding the old id decodes to a
-// mismatched generation and is discarded. Dead events left queued by either
-// mechanism are reclaimed lazily: when they outnumber the live events the
-// volatile side is compacted in one O(n) pass. Both structures are therefore
-// bounded by the number of *simultaneously pending* timers/dispatches, not by
-// the totals over the run.
+// Stale events are handled by lazy invalidation. Each dispatch bumps an
+// epoch counter recorded in completion events. Timers are kTimer events on
+// the same volatile heap, and each one holds a slot of the engine's timer
+// slab: its id is (generation << 32) | (slot + 1), and firing or cancelling a
+// timer frees the slot and bumps the generation, so any event or handle still
+// holding the old id sees a mismatched generation and is discarded in O(1).
+// Dead events left queued by either mechanism are reclaimed lazily: when they
+// outnumber the live events the volatile side is compacted in one O(n) pass.
+// Both structures are therefore bounded by the number of *simultaneously
+// pending* timers/dispatches, not by the totals over the run.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 #include "sim/result.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/split_event_queue.hpp"
-#include "sim/timer_wheel.hpp"
 #include "util/fp.hpp"
 
 namespace sjs::sim {
@@ -79,7 +78,7 @@ class Engine {
   // Instance as they arrive over the wire (Instance::append_job) and admitted
   // with admit_live(); the event loop advances virtual time with
   // advance_to(t) between socket polls. Live mode reuses the exact replay
-  // machinery — push_event/pop_event, the handler dispatch, the (time, type,
+  // machinery — push_event/step_event, the handler dispatch, the (time, type,
   // seq) total order — so a live session whose admitted arrival stream is
   // journalled and replayed through run_to_completion reproduces the
   // identical schedule: the event sequences coincide because (1) live
@@ -113,7 +112,8 @@ class Engine {
   void advance_to(double t);
 
   /// Timestamp of the next pending event, or +infinity when idle — the event
-  /// loop's poll-timeout bound.
+  /// loop's poll-timeout bound. Dead events count: popping one is a cheap
+  /// no-op, never wrong.
   double next_event_time() const;
 
   /// Fast-forwards through every remaining event (drain: the simulated
@@ -125,8 +125,8 @@ class Engine {
   bool live_mode() const { return live_; }
 
   /// Pre-sizes every structure that grows with in-flight population — the
-  /// job slab, both event-queue sides, the timer wheel's node slab, and the
-  /// result's per-job vectors — for `max_in_flight` simultaneous jobs, so a
+  /// job slab, both event-queue sides, the timer slab, and the result's
+  /// per-job vectors — for `max_in_flight` simultaneous jobs, so a
   /// warmed live session performs zero heap allocations in steady state
   /// (the serve plane calls this at boot with --max-in-flight). Sessions
   /// admitting more than `max_in_flight` jobs *in total* still grow the
@@ -214,17 +214,19 @@ class Engine {
 
   // --- Hot-path occupancy introspection (tests, benches, gauges) ---
 
-  /// Timers currently armed (wheel slab slots in use).
-  std::size_t live_timer_count() const { return wheel_.live_count(); }
+  /// Timers currently armed (timer slab slots in use).
+  std::size_t live_timer_count() const {
+    return timer_slots_.size() - free_timer_slots_.size();
+  }
   /// Distinct slab slots ever allocated this run (bounded by the peak of
   /// live_timer_count, NOT by the total number of set_timer calls).
-  std::size_t timer_slab_size() const { return wheel_.slab_size(); }
-  /// Events currently pending (static queue + volatile heap + timer wheel),
-  /// dead ones included.
-  std::size_t queued_event_count() const { return pending_events(); }
-  /// Dead events currently queued on the volatile side (stale completions in
-  /// the heap + cancelled-timer tombstones in the wheel); lazy compaction
-  /// keeps this at most max(kCompactionMinEvents, half the volatile side).
+  std::size_t timer_slab_size() const { return timer_slots_.size(); }
+  /// Events currently pending (static queue + volatile heap), dead ones
+  /// included.
+  std::size_t queued_event_count() const { return queue_.size(); }
+  /// Dead events currently queued on the volatile side (stale completions
+  /// and cancelled timers); lazy compaction keeps this at most
+  /// max(kCompactionMinEvents, half the volatile side).
   std::size_t dead_event_count() const { return queue_.dead_count(); }
 
   /// Compaction is skipped below this heap size: tiny heaps make the dead
@@ -253,13 +255,19 @@ class Engine {
     EventType type;
     std::uint64_t seq;     // FIFO tie-break within the same (time, type)
     JobId job = kNoJob;
-    std::uint64_t id = 0;  // dispatch epoch (completion) or timer tag
+    std::uint64_t id = 0;  // dispatch epoch (completion) or TimerId (timer)
 
     bool operator>(const Event& other) const {
       if (fp::exact_ne(time, other.time)) return time > other.time;
       if (type != other.type) return type > other.type;
       return seq > other.seq;
     }
+  };
+
+  /// One timer slab slot; TimerId = (generation << 32) | (slot + 1).
+  struct TimerSlot {
+    std::uint32_t generation = 0;
+    int tag = 0;
   };
 
   /// Records one trace event at `now_`; compiles to a null check when no
@@ -269,10 +277,6 @@ class Engine {
   }
 
   void push_event(double time, EventType type, JobId job, std::uint64_t id);
-  Event pop_event();
-  /// Timestamp of the event pop_event would return (+inf when none). Dead
-  /// events count — popping them is a cheap no-op, never wrong.
-  double peek_event_time() const;
   /// Pops and handles exactly one event (the body of the run loops).
   void step_event();
   /// Dispatches one event to its handler (the switch shared by all modes).
@@ -290,6 +294,16 @@ class Engine {
   /// Purges dead events once they outnumber the live ones (amortized O(1)
   /// per event; total order on events makes the rebuild order-neutral).
   void maybe_compact_heap();
+  /// Slab slot of a timer id; a corrupted id (slot never allocated) fails an
+  /// SJS_CHECK.
+  std::uint32_t timer_slot(TimerId id) const;
+  /// Whether `id` is still armed: its generation is the slot's current one.
+  bool timer_armed(TimerId id) const {
+    return timer_slots_[timer_slot(id)].generation == (id >> 32);
+  }
+  /// Frees an armed timer's slot, bumping its generation so every copy of
+  /// `id` goes stale, and returns the slot (its tag is still readable).
+  const TimerSlot& free_timer(TimerId id);
   /// Brings the running job's remaining workload up to date at time `t`.
   void advance_execution(double t);
   /// Stops the running job (bookkeeping only; no scheduler callback).
@@ -313,15 +327,10 @@ class Engine {
   /// Per-job ground truth + scheduler lanes, one SoA slab (sim/job_table.hpp).
   JobTable jobs_;
 
-  std::size_t pending_events() const {
-    return queue_.size() + wheel_.pending_count();
-  }
-
   /// Releases, expiries and capacity changes go to the queue's sealed static
-  /// side; completions (and, in live mode, late-arriving releases/expiries)
-  /// to its volatile heap. The merge rule is the queue's
-  /// (sim/split_event_queue.hpp); pop_event adds the timer wheel as a third
-  /// front under the same total order on Event.
+  /// side; completions, timers (and, in live mode, late-arriving
+  /// releases/expiries) to its volatile heap. The merge rule is the queue's
+  /// (sim/split_event_queue.hpp).
   SplitEventQueue<Event> queue_;
   std::uint64_t next_seq_ = 0;
 
@@ -339,11 +348,13 @@ class Engine {
   /// without reset() is refused.
   bool run_started_ = false;
 
-  /// Volatile side, timers: the hierarchical wheel — amortized O(1)
-  /// arm/cancel, pops in exact (time, seq) order (sim/timer_wheel.hpp).
-  /// pop_event merges its front with the queue's under the total order on
-  /// Event, so the merged pop sequence is a single queue's.
-  TimerWheel wheel_;
+  /// The timer slab: one slot per armed timer, recycled LIFO. A cancel only
+  /// frees the slot; the queued kTimer event stays and pops as a dead event
+  /// at its own (time, seq), because every popped event subdivides the
+  /// running job's execution integral and dropping it early would move
+  /// completion instants by ulps.
+  std::vector<TimerSlot> timer_slots_;
+  std::vector<std::uint32_t> free_timer_slots_;
 
   mutable cap::CapacityProfile::Cursor cursor_;  // mutable: amortized-O(1)
                                                  // lookups from const queries

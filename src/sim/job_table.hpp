@@ -13,7 +13,7 @@
 //   2. Cache locality: the completion/expiry handlers touch remaining +
 //      outcome for the same slot back-to-back; parallel arrays keep those
 //      loads on adjacent cache lines instead of chasing map nodes.
-//   3. Generation-stamped handles (the timer-slab idiom, sim/timer_wheel.hpp):
+//   3. Generation-stamped handles (the timer-slab idiom, Engine::set_timer):
 //      allocate()/release_slot() reuse slots through a free list and bump a
 //      per-slot generation, so a stale JobId held across a release decodes to
 //      a mismatched generation and valid() rejects it in O(1).

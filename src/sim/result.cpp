@@ -41,9 +41,6 @@ void SimResult::clear() {
   event_heap_peak = 0;
   event_heap_dead_peak = 0;
   heap_compactions = 0;
-  timer_cascades = 0;
-  timer_cascade_entries = 0;
-  timer_bucket_peak = 0;
   queue_peak = 0;
   queue_slots = 0;
   job_slab_peak = 0;

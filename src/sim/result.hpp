@@ -102,9 +102,6 @@ struct SimResult {
   std::uint64_t event_heap_peak = 0;    ///< peak pending events in the heap
   std::uint64_t event_heap_dead_peak = 0;  ///< peak dead (stale) heap events
   std::uint64_t heap_compactions = 0;   ///< lazy dead-event purges performed
-  std::uint64_t timer_cascades = 0;     ///< wheel clock advances that relinked
-  std::uint64_t timer_cascade_entries = 0;  ///< entries moved by cascades
-  std::uint64_t timer_bucket_peak = 0;  ///< peak entries in one wheel bucket
 
   // Scheduler ready-queue occupancy (Scheduler::queue_stats, harvested at
   // the end of the run; zeros for schedulers that keep no priority queue).

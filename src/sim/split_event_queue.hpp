@@ -10,9 +10,10 @@
 //     sorted events in place, so rewind() replays them without pushing or
 //     sorting again.
 //   * Volatile side — everything pushed while the run is under way
-//     (completions, and in live mode the late-arriving releases/expiries): a
-//     binary min-heap kept in an explicit vector (std::push_heap/pop_heap with
-//     greater<>) so dead events can be purged in place.
+//     (completions, sim::Engine's timers, and in live mode the late-arriving
+//     releases/expiries): a binary min-heap kept in an explicit vector
+//     (std::push_heap/pop_heap with greater<>) so dead events can be purged
+//     in place.
 //
 // Merge rule: front()/pop() return the smaller of the two fronts under the
 // event type's own total order (Event::operator>). The owner gives every
@@ -146,18 +147,16 @@ class SplitEventQueue {
 
   // --- Occupancy accounting -------------------------------------------------
 
-  /// Folds size() + `extra` into the peak; owners that report a peak call it
-  /// after each push. An owner merging a third front (sim::Engine's timer
-  /// wheel) passes that front's pending count as `extra`.
-  void track_peak(std::size_t extra = 0) {
-    peak_ = std::max<std::uint64_t>(peak_, size() + extra);
+  /// Folds size() into the peak; owners that report a peak call it after
+  /// each push.
+  void track_peak() {
+    peak_ = std::max<std::uint64_t>(peak_, size());
   }
   /// Largest pending-event count seen since clear().
   std::uint64_t peak() const { return peak_; }
 
   /// Counts one queued event as dead (invalidated but still queued; it pops
-  /// as a no-op). An owner with a third front may count that front's dead
-  /// entries here too, so one compaction trigger covers all of them.
+  /// as a no-op).
   void mark_dead() {
     ++dead_;
     dead_peak_ = std::max<std::uint64_t>(dead_peak_, dead_);
@@ -169,8 +168,8 @@ class SplitEventQueue {
   std::uint64_t dead_peak() const { return dead_peak_; }
 
   /// Drops every volatile event for which `is_dead(event)` holds, restores the
-  /// heap, and zeroes the dead count (the owner purges any third front in the
-  /// same step). The total order makes the rebuild order-neutral. O(n).
+  /// heap, and zeroes the dead count. The total order makes the rebuild
+  /// order-neutral. O(n).
   template <typename Pred>
   void purge(Pred is_dead) {
     std::erase_if(heap_, is_dead);

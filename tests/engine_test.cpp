@@ -6,7 +6,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
+#include <queue>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
@@ -506,10 +511,12 @@ TEST(EngineTimerSlab, StaleCancelAfterSlotReuseIsNoOp) {
       TimerId first = engine.set_timer(engine.now() + 0.25, job, 1);
       engine.cancel_timer(first);
       TimerId second = engine.set_timer(engine.now() + 0.5, job, 2);
+      // The same slot (low half of the id) under the next generation.
+      EXPECT_EQ(second & 0xffffffffull, first & 0xffffffffull);
+      EXPECT_EQ(second >> 32, (first >> 32) + 1);
       EXPECT_EQ(engine.live_timer_count(), 1u);
       engine.cancel_timer(first);  // stale generation: harmless no-op
       EXPECT_EQ(engine.live_timer_count(), 1u);
-      (void)second;
     }
   };
   Instance instance({make_job(0.0, 2.0, 20.0, 1.0)},
@@ -590,6 +597,181 @@ TEST(EngineTimerSlab, DeadJobTimerStillFreesItsSlot) {
   Engine engine(instance, sched);
   engine.run_to_completion();
   EXPECT_EQ(engine.live_timer_count(), 0u);
+}
+
+// ------------------------------------------------- timer contract (the heap)
+//
+// Timers are kTimer events on the volatile heap under the engine's (time,
+// type, seq) order: among timers, (time, arm order). A cancelled timer stays
+// queued and pops dead at its own position.
+
+/// Arms timers (kNoJob, so none is swallowed) from on_start and logs every
+/// fire's tag; subclasses arm in on_start and react in fired().
+class TimerProbe : public Scheduler {
+ public:
+  void on_release(Engine&, JobId) override {}
+  void on_complete(Engine&, JobId) override {}
+  void on_expire(Engine&, JobId, bool) override {}
+  void on_timer(Engine& engine, JobId, int tag) override {
+    tags_.push_back(tag);
+    fired(engine, tag);
+  }
+  std::string name() const override { return "timer-probe"; }
+  virtual void fired(Engine&, int) {}
+  std::vector<int> tags_;
+};
+
+const Instance& timer_probe_instance() {
+  static const Instance instance({make_job(0.0, 1.0, 5.0, 1.0)},
+                                 cap::CapacityProfile(1.0));
+  return instance;
+}
+
+TEST(EngineTimers, CancelAtTheExpiryInstantOfTheCancelledTimer) {
+  // Timers 1..3 are due at t = 1; timer 1's handler cancels timer 2 there.
+  // Cancelling the timer now firing, and cancelling timer 2 twice, are
+  // no-ops; a timer armed at the current instant fires after all three.
+  class Collide : public TimerProbe {
+   public:
+    void on_start(Engine& engine) override {
+      for (int tag = 1; tag <= 3; ++tag) {
+        ids_.push_back(engine.set_timer(1.0, kNoJob, tag));
+      }
+    }
+    void fired(Engine& engine, int tag) override {
+      EXPECT_EQ(engine.now(), 1.0);
+      if (tag != 1) return;
+      engine.cancel_timer(ids_[0]);
+      engine.cancel_timer(ids_[1]);
+      engine.cancel_timer(ids_[1]);
+      EXPECT_EQ(engine.live_timer_count(), 1u);
+      EXPECT_EQ(engine.dead_event_count(), 1u);
+      engine.set_timer(engine.now(), kNoJob, 4);
+    }
+    std::vector<TimerId> ids_;
+  };
+  Collide probe;
+  Engine engine(timer_probe_instance(), probe);
+  EXPECT_EQ(engine.run_to_completion().timers_armed, 4u);
+  EXPECT_EQ(probe.tags_, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(engine.dead_event_count(), 0u);
+}
+
+TEST(EngineTimers, CancelledTimerPopsDeadAtItsTimeAndSeq) {
+  // Timers 1..3 at t = 2, timer 2 cancelled: it pops between the others
+  // (one dead event queued when timer 1 fires, none when timer 3 fires) and
+  // counts as a processed event.
+  class DeadPop : public TimerProbe {
+   public:
+    void on_start(Engine& engine) override {
+      engine.set_timer(2.0, kNoJob, 1);
+      engine.cancel_timer(engine.set_timer(2.0, kNoJob, 2));
+      engine.set_timer(2.0, kNoJob, 3);
+    }
+    void fired(Engine& engine, int) override {
+      dead_.push_back(engine.dead_event_count());
+    }
+    std::vector<std::size_t> dead_;
+  };
+  DeadPop probe;
+  Engine engine(timer_probe_instance(), probe);
+  const SimResult& result = engine.run_to_completion();
+  EXPECT_EQ(probe.tags_, (std::vector<int>{1, 3}));
+  EXPECT_EQ(probe.dead_, (std::vector<std::size_t>{1, 0}));
+  // The job's release and expiry, two fires, and the dead pop.
+  EXPECT_EQ(result.events_processed, 5u);
+  EXPECT_EQ(result.event_heap_dead_peak, 1u);
+}
+
+TEST(EngineTimers, FarFutureAndInfiniteTimesOrderCorrectly) {
+  class FarFuture : public TimerProbe {
+   public:
+    void on_start(Engine& engine) override {
+      engine.set_timer(std::numeric_limits<double>::infinity(), kNoJob, 1);
+      engine.set_timer(1e300, kNoJob, 2);
+      engine.set_timer(5e-324, kNoJob, 3);  // smallest subnormal
+      engine.set_timer(0.0, kNoJob, 4);
+      engine.set_timer(-0.0, kNoJob, 5);  // the same instant as 0.0
+    }
+  };
+  FarFuture probe;
+  Engine engine(timer_probe_instance(), probe);
+  engine.run_to_completion();
+  EXPECT_EQ(probe.tags_, (std::vector<int>{4, 5, 3, 2, 1}));
+  EXPECT_EQ(engine.now(), std::numeric_limits<double>::infinity());
+  // reset() rewinds the clock from +inf.
+  FarFuture again;
+  engine.reset(again);
+  engine.run_to_completion();
+  EXPECT_EQ(again.tags_, probe.tags_);
+}
+
+TEST(EngineTimers, RandomizedFireOrderMatchesPriorityQueue) {
+  // Timer handlers arm and cancel at random, also at the current instant
+  // and at already-armed instants, keeping ~100 timers standing and
+  // cancelling often enough for the heap to compact mid-run. The reference
+  // is a std::priority_queue on (time, arm index) that skips cancelled
+  // entries; every fire must be its minimum, at its time.
+  using Ref = std::pair<double, int>;
+  class Random : public TimerProbe {
+   public:
+    void on_start(Engine& engine) override { churn(engine); }
+    void fired(Engine& engine, int tag) override {
+      skip_cancelled();
+      ASSERT_FALSE(ref_.empty());
+      ASSERT_EQ(ref_.top(), Ref(engine.now(), tag));
+      ref_.pop();
+      armed_[tag] = false;
+      --live_;
+      churn(engine);
+    }
+    void skip_cancelled() {
+      while (!ref_.empty() && !armed_[ref_.top().second]) ref_.pop();
+    }
+    void churn(Engine& engine) {
+      for (std::uint64_t op = 1 + rng_() % 4; op > 0; --op) {
+        const std::uint64_t kind = rng_() % 100;
+        if ((kind < 40 || live_ < 100) && ids_.size() < 3000) {
+          double t = engine.now() + static_cast<double>(rng_() % 4096) * 0.37;
+          if (kind % 8 == 0) t = engine.now();
+          if (kind % 8 == 1 && live_ > 0) t = times_[pick_armed()];
+          const int index = static_cast<int>(ids_.size());
+          ids_.push_back(engine.set_timer(t, kNoJob, index));
+          times_.push_back(t);
+          armed_.push_back(true);
+          ref_.push(Ref(t, index));
+          ++live_;
+        } else if (kind < 95 && live_ > 0) {
+          const std::size_t i = pick_armed();
+          engine.cancel_timer(ids_[i]);
+          engine.cancel_timer(ids_[i]);  // double cancel: no-op
+          armed_[i] = false;
+          --live_;
+        }
+      }
+      ASSERT_EQ(engine.live_timer_count(), live_);
+    }
+    std::size_t pick_armed() {
+      std::size_t i = rng_() % armed_.size();
+      while (!armed_[i]) i = (i + 1) % armed_.size();
+      return i;
+    }
+    std::mt19937_64 rng_{2026};
+    std::vector<TimerId> ids_;
+    std::vector<double> times_;
+    std::vector<bool> armed_;
+    std::size_t live_ = 0;
+    std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref_;
+  };
+  Random probe;
+  Engine engine(timer_probe_instance(), probe);
+  const SimResult& result = engine.run_to_completion();
+  EXPECT_GT(probe.tags_.size(), 500u);
+  EXPECT_GE(result.heap_compactions, 1u);
+  EXPECT_EQ(engine.live_timer_count(), 0u);
+  EXPECT_EQ(engine.dead_event_count(), 0u);
+  probe.skip_cancelled();
+  EXPECT_TRUE(probe.ref_.empty());
 }
 
 // ------------------------------------------------------------ engine reuse
@@ -692,9 +874,6 @@ void expect_same_result(const SimResult& expected, const SimResult& got) {
   EXPECT_EQ(expected.event_heap_peak, got.event_heap_peak);
   EXPECT_EQ(expected.event_heap_dead_peak, got.event_heap_dead_peak);
   EXPECT_EQ(expected.heap_compactions, got.heap_compactions);
-  EXPECT_EQ(expected.timer_cascades, got.timer_cascades);
-  EXPECT_EQ(expected.timer_cascade_entries, got.timer_cascade_entries);
-  EXPECT_EQ(expected.timer_bucket_peak, got.timer_bucket_peak);
   EXPECT_EQ(expected.queue_peak, got.queue_peak);
   EXPECT_EQ(expected.queue_slots, got.queue_slots);
   EXPECT_EQ(expected.job_slab_peak, got.job_slab_peak);

@@ -475,6 +475,63 @@ TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
   EXPECT_EQ(steady_count, 0u);
 }
 
+TEST(HotPathAllocations, LiveVDoverTimerChurnAllocationFree) {
+  // The engine's worst timer load, live: adaptive-EWMA V-Dover under a
+  // 3x-overloaded arrival stream keeps a standing Qother queue, and every
+  // capacity breakpoint cancels and re-arms each queued job's zero-laxity
+  // timer on the volatile heap. The first half of the admissions warms every
+  // structure; the second half (admissions, hooks, timer churn, dead timers,
+  // compactions) must not allocate. A fresh thread starts the ready queues'
+  // thread-local recycler empty.
+  std::uint64_t allocs = 0;
+  std::size_t breakpoints = 0;
+  std::size_t live_timers = 0;
+  sim::SimResult result;
+  std::thread worker([&] {
+    Rng rng(2029);
+    auto profile = make_choppy_profile(1024, 0.2, rng);
+    const double horizon = profile.breakpoints().back();
+    auto jobs = gen::generate_small_random_jobs(1600, horizon, 7.0, 1.0, 3.0,
+                                                rng);
+    std::sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+      return a.release < b.release;
+    });
+    Instance instance({}, profile);
+    instance.reserve_jobs(jobs.size());
+    sched::VDoverOptions options;
+    options.adaptive_estimate = true;
+    ProbedVDover scheduler(options);
+    sim::Engine engine(instance, scheduler);
+    engine.reserve_live(jobs.size());
+    engine.begin_live();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (i == jobs.size() / 2) {
+        util::AllocProbe::reset();
+        scheduler.max_live_timers_ = 0;
+        scheduler.samples_ = 0;
+      }
+      engine.advance_to(jobs[i].release);
+      engine.admit_live(instance.append_job(jobs[i]));
+    }
+    engine.advance_to(horizon);
+    allocs = util::AllocProbe::count();
+    breakpoints = scheduler.samples_;
+    live_timers = scheduler.max_live_timers_;
+    result = engine.finish_live();
+  });
+  worker.join();
+
+  // The measured half churned a standing timer population...
+  EXPECT_GT(breakpoints, 400u);
+  EXPECT_GE(live_timers, 10u);
+  EXPECT_GT(result.timers_armed, 2000u);
+  EXPECT_GE(result.heap_compactions, 1u);
+  // ...and allocated nothing.
+  std::fprintf(stderr, "live V-Dover timer churn: %llu allocations\n",
+               static_cast<unsigned long long>(allocs));
+  EXPECT_EQ(allocs, 0u);
+}
+
 /// Forwards every hook to a wrapped global scheduler and sums the
 /// allocations made inside the hooks that follow on_start.
 class AllocCountingGlobalScheduler : public cloud::GlobalScheduler {

@@ -1,6 +1,6 @@
-// Fixture: timer-wheel-bypass. kTimer events pushed straight into an event
-// queue in src/sim/ must be flagged; mentioning kTimer without a push, or
-// pushing non-timer events, must stay silent.
+// Fixture: timer-outside-set-timer. kTimer events pushed into an event queue
+// in src/sim/ outside Engine::set_timer must be flagged; mentioning kTimer
+// without a push, or pushing non-timer events, must stay silent.
 #include <vector>
 
 enum class EventType { kRelease, kCompletion, kTimer };
@@ -13,11 +13,11 @@ struct Event {
 struct BadQueue {
   std::vector<Event> heap_;
 
-  void bypass_wheel(double t) {
+  void push_timer(double t) {
     heap_.push_back(Event{t, EventType::kTimer});  // finding 1
   }
 
-  void bypass_wheel_emplace(double t) {
+  void emplace_timer(double t) {
     heap_.emplace_back(Event{t, EventType::kTimer});  // finding 2
   }
 
@@ -30,7 +30,7 @@ struct BadQueue {
   }
 
   void suppressed(double t) {
-    // sjs-lint: allow(timer-wheel-bypass): fixture exercising suppression
+    // sjs-lint: allow(timer-outside-set-timer): fixture exercising suppression
     heap_.push_back(Event{t, EventType::kTimer});
   }
 };

@@ -194,12 +194,12 @@ TEST(LintTest, RawConcurrencyIgnoresConcDirectory) {
   EXPECT_EQ(count_findings(r.output, "raw-concurrency"), 0) << r.output;
 }
 
-TEST(LintTest, TimerWheelBypassFiresOnDirectTimerPushes) {
+TEST(LintTest, TimerOutsideSetTimerFiresOnDirectTimerPushes) {
   const auto r = run_lint(fixture_args(fx("src/sim/bad_timer_push.cpp")));
   EXPECT_EQ(r.exit_code, 1);
   // push_back + emplace_back of a kTimer event; the non-timer push, the
   // push-free kTimer mention, and the suppressed push stay silent.
-  EXPECT_EQ(count_findings(r.output, "timer-wheel-bypass"), 2) << r.output;
+  EXPECT_EQ(count_findings(r.output, "timer-outside-set-timer"), 2) << r.output;
   EXPECT_NE(r.output.find("Engine::set_timer"), std::string::npos) << r.output;
 }
 
@@ -224,7 +224,7 @@ TEST(LintTest, WholeFixtureTreeReportsEveryRule) {
   for (const char* rule :
        {"unordered-iter", "ordered-set-hot-path", "banned-time", "float-eq",
         "float-type", "trace-exhaustive", "include-hygiene", "header-guard",
-        "raw-concurrency", "timer-wheel-bypass", "bad-suppression"}) {
+        "raw-concurrency", "timer-outside-set-timer", "bad-suppression"}) {
     EXPECT_GE(count_findings(r.output, rule), 1) << rule << "\n" << r.output;
   }
 }
@@ -244,7 +244,7 @@ TEST(LintTest, ListRulesNamesAllRules) {
   for (const char* rule :
        {"unordered-iter", "ordered-set-hot-path", "banned-time", "float-eq",
         "float-type", "trace-exhaustive", "include-hygiene", "header-guard",
-        "raw-concurrency", "timer-wheel-bypass", "transitive-banned-time",
+        "raw-concurrency", "timer-outside-set-timer", "transitive-banned-time",
         "alloc-in-hot-path", "channel-discipline", "include-cycle"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
   }
@@ -276,7 +276,7 @@ TEST(LintTest, GoldenDiffLegacyRulesUnchanged) {
   static const std::set<std::string> legacy_rules = {
       "unordered-iter", "ordered-set-hot-path", "banned-time",  "float-eq",
       "float-type",     "trace-exhaustive",     "include-hygiene",
-      "header-guard",   "raw-concurrency",      "timer-wheel-bypass",
+      "header-guard",   "raw-concurrency",      "timer-outside-set-timer",
       "bad-suppression"};
   std::string filtered;
   std::istringstream out(r.output);

@@ -170,11 +170,6 @@ TEST(MonteCarlo, MetricsRegistryCollectsAcrossRuns) {
   EXPECT_GT(snap.gauges.at(obs::kGaugeEventHeapPeak), 0.0);
   ASSERT_TRUE(snap.counters.count(obs::kCounterTimersArmed));
   EXPECT_GT(snap.counters.at(obs::kCounterTimersArmed), 0.0);
-  // Timer-wheel churn stats ride along too (values may be zero on a
-  // workload this small, but the keys must be present).
-  ASSERT_TRUE(snap.counters.count(obs::kCounterTimerCascades));
-  ASSERT_TRUE(snap.counters.count(obs::kCounterTimerCascadeEntries));
-  ASSERT_TRUE(snap.gauges.count(obs::kGaugeTimerBucketPeak));
   (void)outcome;
 }
 

@@ -22,9 +22,8 @@ const std::vector<std::pair<const char*, const char*>>& rule_table() {
       {"raw-concurrency",
        "raw std::thread/mutex/atomic in serve/sched/cluster/mc/cloud (use "
        "conc::Channel / conc::ShardSet or util/thread_pool)"},
-      {"timer-wheel-bypass",
-       "kTimer event pushed past the timer wheel in sim/ (use "
-       "Engine::set_timer)"},
+      {"timer-outside-set-timer",
+       "kTimer event built or pushed in sim/ outside Engine::set_timer"},
       {"bad-suppression", "malformed sjs-lint allow() comment"},
       {"transitive-banned-time",
        "call closure reaches a banned clock/entropy read (chain reported)"},

@@ -37,8 +37,8 @@ void check_header_guard(const SourceFile& file,
                         std::vector<Diagnostic>& diags);
 void check_raw_concurrency(const SourceFile& file,
                            std::vector<Diagnostic>& diags);
-void check_timer_wheel_bypass(const SourceFile& file,
-                              std::vector<Diagnostic>& diags);
+void check_timer_outside_set_timer(const SourceFile& file,
+                                   std::vector<Diagnostic>& diags);
 
 // Runs every phase-1 rule over one file.
 void run_file_rules(const SourceFile& file, std::vector<Diagnostic>& diags);

@@ -331,32 +331,39 @@ void check_raw_concurrency(const SourceFile& file,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: timer-wheel-bypass
+// Rule: timer-outside-set-timer
 // ---------------------------------------------------------------------------
 
-// Timer events must enter the engine through TimerWheel::arm (wrapped by
-// Engine::set_timer): a kTimer event pushed straight into the static queue
-// or the completion heap bypasses the wheel's generation-stamped slab, so
-// cancel_timer could not tombstone it and the lazy dead-event compaction
-// accounting would drift — both are digest-visible failures. The wheel's
-// own implementation files are the one place allowed to queue timer nodes.
-void check_timer_wheel_bypass(const SourceFile& file,
-                              std::vector<Diagnostic>& diags) {
+// A kTimer event may be built or pushed only inside Engine::set_timer in
+// src/sim/engine.cpp, which gives every queued timer an id from the engine's
+// generation-stamped timer slab. A timer queued anywhere else has no slab
+// slot: cancel_timer could not leave it dead in O(1), and the lazy
+// compaction's dead-event count would drift — both digest-visible failures.
+void check_timer_outside_set_timer(const SourceFile& file,
+                                   std::vector<Diagnostic>& diags) {
   if (!path_in(file.rel, "sim")) return;
-  if (file.rel.rfind("src/sim/timer_wheel.", 0) == 0) return;
-  static const std::regex push_re(
-      R"(\b(push_event|push_back|emplace_back|push_heap|emplace|insert)\s*\()");
+  static const std::regex set_timer_re(R"(\bEngine::set_timer\s*\()");
+  static const std::regex queue_re(
+      R"(\b(push_event|push_back|emplace_back|push_heap|push_volatile|push_static|emplace|insert)\s*\(|\bEvent\s*\{)");
+  const bool engine_cpp = file.rel == "src/sim/engine.cpp";
+  bool in_set_timer = false;  // from its signature to the closing brace
   for (std::size_t i = 0; i < file.code.size(); ++i) {
     const std::string& code = file.code[i];
-    if (code.find("kTimer") == std::string::npos) continue;
+    if (engine_cpp && std::regex_search(code, set_timer_re)) {
+      in_set_timer = true;
+    } else if (in_set_timer && code.rfind('}', 0) == 0) {
+      in_set_timer = false;
+    }
+    if (in_set_timer || code.find("kTimer") == std::string::npos) continue;
     std::smatch m;
-    if (std::regex_search(code, m, push_re)) {
+    if (std::regex_search(code, m, queue_re)) {
       report(file, i + 1, static_cast<std::size_t>(m.position()) + 1,
-             "timer-wheel-bypass",
-             "kTimer event pushed into an event queue directly; timers must "
-             "be armed through Engine::set_timer so the wheel's "
-             "generation-stamped slab (sim/timer_wheel.hpp) owns the "
-             "cancel/tombstone lifecycle the replay digest depends on",
+             "timer-outside-set-timer",
+             "kTimer event built or pushed outside Engine::set_timer; only "
+             "set_timer (src/sim/engine.cpp) may queue a timer, so every "
+             "queued timer carries a slab-issued id and cancel_timer can "
+             "leave it dead in O(1), the lifecycle the replay digest "
+             "depends on",
              diags);
     }
   }
@@ -371,7 +378,7 @@ void run_file_rules(const SourceFile& file, std::vector<Diagnostic>& diags) {
   check_include_hygiene(file, diags);
   check_header_guard(file, diags);
   check_raw_concurrency(file, diags);
-  check_timer_wheel_bypass(file, diags);
+  check_timer_outside_set_timer(file, diags);
 }
 
 }  // namespace sjs::lint

@@ -42,11 +42,11 @@
 //                    traffic must flow through conc::Channel /
 //                    conc::ShardSet (src/conc/) or util/thread_pool so those
 //                    layers stay auditable single-threaded
-//   timer-wheel-bypass
-//                    a kTimer event pushed into an event queue directly in
-//                    src/sim/ — timers must be armed through the wheel
-//                    (Engine::set_timer) so its generation-stamped slab owns
-//                    the cancel/tombstone lifecycle
+//   timer-outside-set-timer
+//                    a kTimer event built or pushed in src/sim/ outside
+//                    Engine::set_timer — only set_timer gives a queued timer
+//                    its generation-stamped slab id, which owns the
+//                    cancel/dead-event lifecycle
 //   bad-suppression  an allow() comment with an unknown rule id or without
 //                    a reason (this rule itself cannot be suppressed)
 //   transitive-banned-time

@@ -319,12 +319,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(result.timers_armed));
     shard.count(sjs::obs::kCounterHeapCompactions,
                 static_cast<double>(result.heap_compactions));
-    shard.count(sjs::obs::kCounterTimerCascades,
-                static_cast<double>(result.timer_cascades));
-    shard.count(sjs::obs::kCounterTimerCascadeEntries,
-                static_cast<double>(result.timer_cascade_entries));
-    shard.set_gauge(sjs::obs::kGaugeTimerBucketPeak,
-                    static_cast<double>(result.timer_bucket_peak));
     shard.set_gauge(sjs::obs::kGaugeQueuePeak,
                     static_cast<double>(result.queue_peak));
     shard.set_gauge(sjs::obs::kGaugeQueueSlots,
