@@ -269,6 +269,8 @@ void MultiEngine::begin_live() {
   result_.busy_time_per_server.assign(servers_.size(), 0.0);
   result_.completion_times.assign(jobs_->size(),
                                   std::numeric_limits<double>::quiet_NaN());
+  // The fresh result dropped reserve_live()'s pre-size; restore it.
+  result_.completion_times.reserve(job_capacity_hint());
   // A live session normally starts empty, but admit any pre-loaded jobs so a
   // warm-started fleet behaves like the equivalent replay.
   for (const Job& j : *jobs_) {
@@ -286,6 +288,7 @@ void MultiEngine::begin_live() {
 }
 
 void MultiEngine::reserve_live(std::size_t max_in_flight) {
+  live_reserve_ = max_in_flight;
   placement_.reserve(max_in_flight);
   remaining_.reserve(max_in_flight);
   outcomes_.reserve(max_in_flight);

@@ -19,6 +19,7 @@
 // path through its own monotone capacity cursor.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -140,6 +141,12 @@ class MultiEngine {
   double server_rate(std::size_t server) const;
   const Job& job(JobId id) const { return (*jobs_)[static_cast<std::size_t>(id)]; }
   std::size_t job_count() const { return jobs_->size(); }
+  /// What schedulers size their per-job structures for in on_start(): the
+  /// job count on batch runs, or the reserve_live() pre-size in a live
+  /// session (where job_count() is still 0 at start), as in sim::Engine.
+  std::size_t job_capacity_hint() const {
+    return std::max(job_count(), live_reserve_);
+  }
   double remaining(JobId id) const;
   bool is_live(JobId id) const;
   bool is_released(JobId id) const;
@@ -222,6 +229,7 @@ class MultiEngine {
   std::uint64_t next_seq_ = 0;
   bool in_callback_ = false;
   bool live_ = false;
+  std::size_t live_reserve_ = 0;  // reserve_live() pre-size (capacity hint)
   obs::TraceSink* sink_ = nullptr;
   MultiSimResult result_;
 };

@@ -18,18 +18,17 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
 #include "cluster/fleet.hpp"
 #include "jobs/job.hpp"
-#include "util/csv.hpp"
+#include "serve/journal.hpp"
 
 namespace sjs::cluster {
 
-class ClusterJournal {
+class ClusterJournal final : public serve::Journal {
  public:
   struct Meta {
     std::string scheduler;       ///< dispatcher name ("Cluster-EDF/threshold")
@@ -42,29 +41,12 @@ class ClusterJournal {
   };
 
   /// Creates the directory, writes fleet/server<k>/band/meta headers, opens
-  /// jobs.csv and cancels.csv for appending. Throws on I/O failure.
+  /// jobs.csv and cancels.csv for appending (serve::Journal's append-only
+  /// half: same row layout, durability contract and close()). Throws on
+  /// I/O failure.
   ClusterJournal(const std::string& dir, const Fleet& fleet,
                  const std::vector<cap::CapacityProfile>& paths,
                  const Meta& meta);
-
-  /// Appends one admitted job and flushes (throws on short write — same
-  /// durability contract as serve::Journal::record_admit).
-  void record_admit(const Job& job);
-  /// Appends one cancellation (throws on write failure).
-  void record_cancel(double time, JobId job);
-  /// Flushes and closes; throws if the final flush fails.
-  void close();
-
-  const std::string& dir() const { return dir_; }
-  std::uint64_t admit_count() const { return admit_rows_; }
-  std::uint64_t cancel_count() const { return cancel_rows_; }
-
- private:
-  std::string dir_;
-  std::unique_ptr<CsvWriter> jobs_csv_;
-  std::unique_ptr<CsvWriter> cancels_csv_;
-  std::uint64_t admit_rows_ = 0;
-  std::uint64_t cancel_rows_ = 0;
 };
 
 /// Everything needed to replay a cluster session.

@@ -1,453 +1,73 @@
 #include "cluster/cluster_server.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <cmath>
-#include <filesystem>
-
 #include "cluster/cluster_metrics.hpp"
-#include "util/logging.hpp"
+#include "serve/session_impl.hpp"
+#include "util/vec.hpp"
 
 namespace sjs::cluster {
 
-using serve::ErrorCode;
-using serve::FrameDecoder;
-using serve::JobState;
-using serve::Message;
-using serve::MsgType;
-
-namespace {
-
-// The cluster daemon publishes the same server.* family as the
-// single-engine daemon (one serving surface, two backends); cluster.*
-// rental/placement series are published at drain via
-// publish_cluster_metrics.
-constexpr const char* kCtrSubmitted = "server.jobs_submitted";
-constexpr const char* kCtrAccepted = "server.jobs_accepted";
-constexpr const char* kCtrRejected = "server.jobs_rejected";
-constexpr const char* kCtrShed = "server.jobs_shed";
-constexpr const char* kCtrCompleted = "server.jobs_completed";
-constexpr const char* kCtrExpired = "server.jobs_expired";
-constexpr const char* kCtrCancelled = "server.jobs_cancelled";
-constexpr const char* kCtrConnections = "server.connections";
-constexpr const char* kCtrMalformed = "server.malformed_frames";
-constexpr const char* kCtrOverflows = "server.write_overflows";
-constexpr const char* kGaugeInFlightPeak = "server.in_flight_peak";
-constexpr const char* kGaugeWriteBufPeak = "server.write_buffer_peak";
-
-}  // namespace
-
-ClusterServer::ClusterServer(ClusterServerConfig config, serve::Clock& clock,
-                             obs::MetricsRegistry* metrics)
-    : config_(std::move(config)),
+FleetBackend::FleetBackend(const ClusterServerConfig& config)
+    : config_(config),
       dispatcher_(config_.fleet,
                   DispatcherConfig{config_.key, config_.budget,
                                    config_.min_rented},
                   make_rental_controller(config_.rental)),
-      engine_(jobs_, config_.fleet.constant_paths(), dispatcher_),
-      gate_(config_.fleet.admission_c_lo(), config_.admission_check,
-            config_.max_in_flight),
-      bridge_(clock, config_.accel),
-      loop_(*this),
-      metrics_(metrics) {
-  if (metrics_) shard_ = &metrics_->local();
-  loop_.set_max_write_buffer(config_.max_write_buffer);
-  tee_.add(&notifications_);
-  if (config_.trace_ring > 0) {
-    ring_ = std::make_unique<obs::RingTraceBuffer>(config_.trace_ring);
-    tee_.add(ring_.get());
-  }
-  if (metrics_) {
-    trace_bridge_ = std::make_unique<obs::TraceMetricsBridge>(metrics_->local());
-    tee_.add(trace_bridge_.get());
-  }
-  engine_.attach_trace(&tee_);
-}
+      engine_(jobs_, config_.fleet.constant_paths(), dispatcher_) {}
 
-ClusterServer::~ClusterServer() = default;
-
-int ClusterServer::start() {
-  SJS_CHECK_MSG(!started_, "ClusterServer::start called twice");
-  if (!config_.journal_dir.empty()) {
-    ClusterJournal::Meta meta;
-    meta.scheduler = dispatcher_.name();
-    meta.key =
-        config_.key == cloud::GlobalKey::kDeadline ? "deadline" : "density";
-    meta.rental = config_.rental.empty() ? "static" : config_.rental;
-    meta.budget = config_.budget;
-    meta.min_rented = config_.min_rented;
-    meta.accel = config_.accel;
-    meta.admission_check = config_.admission_check;
-    journal_ = std::make_unique<ClusterJournal>(
-        config_.journal_dir, config_.fleet, config_.fleet.constant_paths(),
-        meta);
-  }
-  const int port = loop_.listen_loopback(config_.port);
-  // Pre-size the per-request path from --max-in-flight, same growth-to-
-  // high-water contract as AdmissionServer::start.
-  const auto n = static_cast<std::size_t>(config_.max_in_flight);
-  jobs_.reserve(n);
-  engine_.reserve_live(n);
-  routes_.reserve(n);
-  notifications_.reserve(n);
-  engine_.begin_live();
-  bridge_.start();
-  started_ = true;
-  return port;
-}
-
-void ClusterServer::watch_shutdown_fd(int fd) {
-  util::append(shutdown_fds_, fd);
-  loop_.watch(fd);
-}
-
-const std::string& ClusterServer::journal_dir() const {
-  static const std::string empty;
-  return journal_ ? journal_->dir() : empty;
-}
-
-std::vector<obs::TraceEvent> ClusterServer::recent_trace() const {
-  return ring_ ? ring_->events() : std::vector<obs::TraceEvent>{};
-}
-
-void ClusterServer::pump_engine() {
-  engine_.advance_to(std::max(bridge_.virtual_now(), engine_.now()));
-  dispatch_notifications();
-}
-
-void ClusterServer::dispatch_notifications() {
-  for (std::size_t i = 0; i < notifications_.size(); ++i) {
-    const obs::TraceEvent ev = notifications_[i];
-    const auto id = static_cast<std::size_t>(ev.job);
-    if (id >= routes_.size()) continue;
-    Route& route = routes_[id];
-    Message note;
-    note.ticket = static_cast<std::uint64_t>(ev.job);
-    note.seq = route.seq;
-    if (ev.kind == obs::TraceKind::kComplete) {
-      ++stats_.completed;
-      stats_.completed_value += ev.a;
-      count(kCtrCompleted);
-      note.type = MsgType::kCompleted;
-      note.a = ev.a;     // value collected
-      note.b = ev.time;  // completion instant
-    } else {
-      if (route.cancelled) {
-        // The client already got kCancelled; the forced expiry is internal.
-        --stats_.in_flight;
-        continue;
-      }
-      ++stats_.expired;
-      count(kCtrExpired);
-      note.type = MsgType::kExpired;
-      note.b = ev.time;
-    }
-    --stats_.in_flight;
-    if (route.conn >= 0 && loop_.conn_open(route.conn) &&
-        conn_gens_[static_cast<std::size_t>(route.conn)] == route.gen) {
-      reply(route.conn, note);
-    }
-  }
-  notifications_.clear();
-}
-
-bool ClusterServer::step(int max_wait_ms) {
-  SJS_CHECK_MSG(started_, "ClusterServer::step before start()");
-  if (finished_) return false;
-  if (!finalized_) {
-    pump_engine();
-    if (draining_) {
-      finalize();
-    } else {
-      int timeout = max_wait_ms;
-      const double next = engine_.next_event_time();
-      if (std::isfinite(next)) {
-        const double wall_s = bridge_.wall_until(next);
-        const double ms = std::ceil(std::max(0.0, wall_s) * 1000.0);
-        timeout = static_cast<int>(
-            std::min<double>(ms, static_cast<double>(max_wait_ms)));
-      }
-      loop_.poll_once(timeout);
-      if (draining_ && !finalized_) {
-        pump_engine();
-        finalize();
-      }
-    }
-  }
-  if (finalized_) {
-    // Bounded flush spins, then drop: a peer that stops reading cannot wedge
-    // the drain.
-    if (loop_.writes_pending() && loop_.open_conn_count() > 0 &&
-        flush_spins_ < 200) {
-      ++flush_spins_;
-      loop_.poll_once(std::min(max_wait_ms, 10));
-    } else {
-      set_gauge(kGaugeInFlightPeak, static_cast<double>(in_flight_peak_));
-      set_gauge(kGaugeWriteBufPeak,
-                static_cast<double>(loop_.write_buffer_peak()));
-      loop_.shutdown();
-      finished_ = true;
-    }
-  }
-  return !finished_;
-}
-
-void ClusterServer::run() {
-  while (step()) {
-  }
-}
-
-void ClusterServer::request_drain() {
-  if (draining_) return;
-  draining_ = true;
-  loop_.stop_listening();
-}
-
-void ClusterServer::finalize() {
-  SJS_CHECK_MSG(!finalized_, "ClusterServer::finalize called twice");
-  // Drain = fast-forward, as in AdmissionServer::finalize; then settle the
-  // rental account at the final instant so the cost integral covers the tail
-  // interval after the last interrupt.
-  result_ = engine_.finish_live();
-  dispatcher_.settle(engine_.now());
-  dispatcher_.apply_accounting(&result_);
-  dispatch_notifications();
-  if (shard_) {
-    publish_cluster_metrics(result_, engine_.now(), *shard_);
-  }
-  if (journal_) {
-    save_multi_outcomes_csv(result_, jobs_,
-                            (std::filesystem::path(journal_->dir()) /
-                             "outcomes.csv").string());
-    try {
-      journal_->close();
-    } catch (const std::exception& e) {
-      if (journal_error_.empty()) journal_error_ = e.what();
-    }
-  }
-  finalized_ = true;
-}
-
-serve::StatsBody ClusterServer::stats() const {
-  serve::StatsBody s = stats_;
-  s.virtual_now = engine_.now();
-  return s;
-}
-
-void ClusterServer::on_accept(int conn) {
-  const auto i = static_cast<std::size_t>(conn);
-  util::grow_to_index(decoders_, i);
-  util::grow_to_index_fill(conn_gens_, i, std::uint64_t{0});
-  decoders_[i].reset();
-  count(kCtrConnections);
-}
-
-void ClusterServer::on_close(int conn, bool overflow) {
-  ++conn_gens_[static_cast<std::size_t>(conn)];
-  if (overflow) count(kCtrOverflows);
-}
-
-void ClusterServer::on_wake(int fd) {
-  char buf[64];
-  while (::read(fd, buf, sizeof(buf)) > 0) {
-  }
-  request_drain();
-}
-
-void ClusterServer::on_data(int conn, const std::uint8_t* data,
-                            std::size_t size) {
-  FrameDecoder& dec = decoders_[static_cast<std::size_t>(conn)];
-  dec.feed(data, size);
-  Message m;
-  while (true) {
-    const FrameDecoder::Status st = dec.next(m);
-    if (st == FrameDecoder::Status::kNeedMore) return;
-    if (st == FrameDecoder::Status::kMalformed) {
-      count(kCtrMalformed);
-      Message err;
-      err.type = MsgType::kError;
-      err.code = static_cast<std::uint8_t>(ErrorCode::kMalformedFrame);
-      reply(conn, err);
-      loop_.close_conn(conn);
-      return;
-    }
-    handle_message(conn, m);
-    if (!loop_.conn_open(conn)) return;
-  }
-}
-
-void ClusterServer::handle_message(int conn, const Message& m) {
-  switch (m.type) {
-    case MsgType::kSubmit:
-      handle_submit(conn, m);
-      return;
-    case MsgType::kCancel:
-      handle_cancel(conn, m);
-      return;
-    case MsgType::kQuery:
-      handle_query(conn, m);
-      return;
-    case MsgType::kStats: {
-      Message r;
-      r.type = MsgType::kStatsReply;
-      r.seq = m.seq;
-      r.stats = stats();
-      reply(conn, r);
-      return;
-    }
-    case MsgType::kDrain: {
-      Message r;
-      r.type = MsgType::kDraining;
-      r.seq = m.seq;
-      reply(conn, r);
-      request_drain();
-      return;
-    }
-    default: {
-      Message err;
-      err.type = MsgType::kError;
-      err.seq = m.seq;
-      err.code = static_cast<std::uint8_t>(ErrorCode::kNotARequest);
-      reply(conn, err);
-      loop_.close_conn(conn);
-      return;
-    }
-  }
-}
-
-void ClusterServer::handle_submit(int conn, const Message& m) {
-  ++stats_.submitted;
-  count(kCtrSubmitted);
-  Message r;
-  r.seq = m.seq;
-  const serve::AdmissionGate::Decision verdict =
-      gate_.evaluate(m.a, m.b, m.c, bridge_.virtual_now(), engine_.now(),
-                     draining_, stats_.in_flight);
-  if (verdict.reply == MsgType::kRejected) {
-    ++stats_.rejected;
-    count(kCtrRejected);
-    r.type = MsgType::kRejected;
-    r.code = static_cast<std::uint8_t>(verdict.reason);
-    reply(conn, r);
-    return;
-  }
-  if (verdict.reply == MsgType::kShed) {
-    ++stats_.shed;
-    count(kCtrShed);
-    r.type = MsgType::kShed;
-    reply(conn, r);
-    return;
-  }
-  Job job = verdict.job;
-  const JobId id = static_cast<JobId>(jobs_.size());
+JobId FleetBackend::append(Job job) {
+  const auto id = static_cast<JobId>(jobs_.size());
   job.id = id;
   util::append(jobs_, job);
-  engine_.admit_live(id);
-  Route route;
-  route.conn = conn;
-  route.gen = conn_gens_[static_cast<std::size_t>(conn)];
-  route.seq = m.seq;
-  util::append(routes_, route);
-  SJS_CHECK(routes_.size() == static_cast<std::size_t>(id) + 1);
-  ++stats_.in_flight;
-  in_flight_peak_ = std::max(in_flight_peak_, stats_.in_flight);
-  if (journal_) {
-    try {
-      journal_->record_admit(job);
-    } catch (const std::exception& e) {
-      // Same durability contract as AdmissionServer: the admit cannot be
-      // made durable, so withdraw the job and fail the session via drain.
-      journal_error_ = e.what();
-      routes_[static_cast<std::size_t>(id)].cancelled = true;
-      engine_.cancel_live(id);
-      r.type = MsgType::kError;
-      r.code = static_cast<std::uint8_t>(ErrorCode::kJournalFailed);
-      reply(conn, r);
-      dispatch_notifications();
-      request_drain();
-      return;
-    }
+  return id;
+}
+
+serve::JobState FleetBackend::state(JobId id) const {
+  const sim::JobOutcome outcome = engine_.outcome(id);
+  if (outcome == sim::JobOutcome::kCompleted) {
+    return serve::JobState::kCompleted;
   }
-  ++stats_.accepted;
-  stats_.admitted_value += job.value;
-  count(kCtrAccepted);
-  r.type = MsgType::kAccepted;
-  r.ticket = static_cast<std::uint64_t>(id);
-  r.a = job.release;
-  reply(conn, r);
-}
-
-void ClusterServer::handle_cancel(int conn, const Message& m) {
-  Message r;
-  r.seq = m.seq;
-  r.ticket = m.ticket;
-  const auto id = static_cast<JobId>(m.ticket);
-  const bool known =
-      m.ticket < routes_.size() && !routes_[m.ticket].cancelled;
-  if (known && engine_.cancel_live(id)) {
-    routes_[m.ticket].cancelled = true;
-    ++stats_.cancelled;
-    count(kCtrCancelled);
-    if (journal_) {
-      try {
-        journal_->record_cancel(engine_.now(), id);
-      } catch (const std::exception& e) {
-        journal_error_ = e.what();
-        r.type = MsgType::kError;
-        r.code = static_cast<std::uint8_t>(ErrorCode::kJournalFailed);
-        reply(conn, r);
-        dispatch_notifications();
-        request_drain();
-        return;
-      }
-    }
-    r.type = MsgType::kCancelled;
-    reply(conn, r);
-    dispatch_notifications();
-  } else {
-    r.type = MsgType::kCancelFailed;
-    reply(conn, r);
+  if (outcome == sim::JobOutcome::kExpired) return serve::JobState::kExpired;
+  if (engine_.server_of(id) != cloud::kNoServer) {
+    return serve::JobState::kRunning;
   }
+  return serve::JobState::kQueued;
 }
 
-void ClusterServer::handle_query(int conn, const Message& m) {
-  Message r;
-  r.type = MsgType::kQueryReply;
-  r.seq = m.seq;
-  r.ticket = m.ticket;
-  const auto id = static_cast<JobId>(m.ticket);
-  if (m.ticket >= routes_.size()) {
-    r.code = static_cast<std::uint8_t>(JobState::kUnknown);
-  } else if (engine_.outcome(id) == sim::JobOutcome::kCompleted) {
-    r.code = static_cast<std::uint8_t>(JobState::kCompleted);
-  } else if (engine_.outcome(id) == sim::JobOutcome::kExpired) {
-    r.code = static_cast<std::uint8_t>(JobState::kExpired);
-  } else if (engine_.server_of(id) != cloud::kNoServer) {
-    r.code = static_cast<std::uint8_t>(JobState::kRunning);
-    r.a = engine_.remaining(id);
-  } else {
-    r.code = static_cast<std::uint8_t>(JobState::kQueued);
-    r.a = engine_.is_released(id) ? engine_.remaining(id)
-                                  : engine_.job(id).workload;
-  }
-  reply(conn, r);
+std::unique_ptr<ClusterJournal> FleetBackend::open_journal() const {
+  if (config_.journal_dir.empty()) return nullptr;
+  ClusterJournal::Meta meta;
+  meta.scheduler = dispatcher_.name();
+  meta.key =
+      config_.key == cloud::GlobalKey::kDeadline ? "deadline" : "density";
+  meta.rental = config_.rental.empty() ? "static" : config_.rental;
+  meta.budget = config_.budget;
+  meta.min_rented = config_.min_rented;
+  meta.accel = config_.accel;
+  meta.admission_check = config_.admission_check;
+  return std::make_unique<ClusterJournal>(config_.journal_dir, config_.fleet,
+                                          config_.fleet.constant_paths(),
+                                          meta);
 }
 
-void ClusterServer::reply(int conn, const Message& m) {
-  // Stack-encoded frame, as in AdmissionServer::reply: the per-reply path
-  // allocates nothing.
-  std::uint8_t frame[serve::kMaxFrame];
-  const std::size_t n = serve::encode_frame_into(frame, m);
-  loop_.send(conn, frame, n);
+cloud::MultiSimResult FleetBackend::finish() {
+  cloud::MultiSimResult result = engine_.finish_live();
+  dispatcher_.settle(engine_.now());
+  dispatcher_.apply_accounting(&result);
+  return result;
 }
 
-void ClusterServer::count(const char* name, double delta) {
-  if (shard_) shard_->count(name, delta);
+void FleetBackend::save_outcomes(const cloud::MultiSimResult& result,
+                                 const std::string& path) const {
+  cloud::save_multi_outcomes_csv(result, jobs_, path);
 }
 
-void ClusterServer::set_gauge(const char* name, double value) {
-  if (shard_) shard_->set_gauge(name, value);
+void FleetBackend::publish(const cloud::MultiSimResult& result,
+                           obs::MetricsRegistry::Shard& shard) const {
+  publish_cluster_metrics(result, engine_.now(), shard);
 }
 
 }  // namespace sjs::cluster
+
+namespace sjs::serve {
+template class Session<cluster::FleetBackend>;
+}  // namespace sjs::serve

@@ -1,10 +1,11 @@
 // ClusterServer — the fleet-backed real-time admission service
 // (docs/cluster.md), the K-machine analogue of serve::AdmissionServer.
 //
-// Same serving stack — EventLoop + length-prefixed protocol + ClockBridge +
-// AdmissionGate — but the backend is a live cloud::MultiEngine over the
-// fleet's constant serving paths, scheduled by a cluster::Dispatcher
-// (elastic rental + top-R placement). The admission floor is the fleet's
+// Same serving stack — serve::InlineServer: EventLoop + length-prefixed
+// protocol + serve::Session (ClockBridge, AdmissionGate, routes, journal
+// policy) — over FleetBackend: a live cloud::MultiEngine over the fleet's
+// constant serving paths, scheduled by a cluster::Dispatcher (elastic
+// rental + top-R placement). The admission floor is the fleet's
 // admission_c_lo(): a job needs only one machine, so it is rejected at the
 // door only if even the strongest guaranteed floor cannot fit it (Thm. 3(3)
 // applied per machine).
@@ -20,7 +21,6 @@
 // dispatcher, and journal are touched only from the thread calling step().
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,160 +30,68 @@
 #include "cluster/dispatcher.hpp"
 #include "cluster/fleet.hpp"
 #include "obs/metrics.hpp"
-#include "obs/ring_buffer.hpp"
-#include "obs/trace_sink.hpp"
-#include "serve/admission.hpp"
 #include "serve/clock.hpp"
-#include "serve/event_loop.hpp"
+#include "serve/inline_server.hpp"
 #include "serve/protocol.hpp"
-#include "util/vec.hpp"
+#include "serve/session.hpp"
 
 namespace sjs::cluster {
 
-struct ClusterServerConfig {
+struct ClusterServerConfig : serve::SessionConfig {
   Fleet fleet = Fleet::heterogeneous(4);
   cloud::GlobalKey key = cloud::GlobalKey::kDeadline;
   std::string rental = "threshold";  ///< "static" | "threshold" | "load"
   double budget = 0.0;               ///< total rental budget; <= 0 unlimited
   std::size_t min_rented = 1;
-
-  int port = 0;                ///< 0 → ephemeral
-  std::string journal_dir;     ///< empty → no journal
-  double accel = 1.0;          ///< virtual seconds per wall second
-  std::uint64_t max_in_flight = 1024;
-  std::size_t max_write_buffer = 1 << 18;
-  bool admission_check = true;
-  std::size_t trace_ring = 0;  ///< >0: keep the last N trace events
 };
 
-class ClusterServer final : public serve::EventLoop::Handler {
+/// The fleet session backend (serve/session.hpp's seam): the admitted job
+/// stream, a cluster::Dispatcher, a live cloud::MultiEngine over the
+/// fleet's constant paths, and a ClusterJournal bundle. finish() settles
+/// the rental account; publish() adds the cluster.* series.
+class FleetBackend {
+ public:
+  using Config = ClusterServerConfig;
+  using Result = cloud::MultiSimResult;
+  using Journal = ClusterJournal;
+
+  explicit FleetBackend(const ClusterServerConfig& config);
+
+  const ClusterServerConfig& config() const { return config_; }
+  cloud::MultiEngine& engine() { return engine_; }
+  const cloud::MultiEngine& engine() const { return engine_; }
+  const std::vector<Job>& jobs() const { return jobs_; }
+  double admission_c_lo() const { return config_.fleet.admission_c_lo(); }
+
+  void reserve(std::size_t n) { jobs_.reserve(n); }
+  JobId append(Job job);
+  serve::JobState state(JobId id) const;
+  std::unique_ptr<Journal> open_journal() const;
+  /// finish_live, then settles the rental account at the final instant so
+  /// the cost integral covers the tail interval after the last interrupt.
+  Result finish();
+  void save_outcomes(const Result& result, const std::string& path) const;
+  /// The cluster.* rental/placement series.
+  void publish(const Result& result, obs::MetricsRegistry::Shard& shard) const;
+
+ private:
+  ClusterServerConfig config_;
+  std::vector<Job> jobs_;  ///< the admitted stream (dense ids)
+  Dispatcher dispatcher_;
+  cloud::MultiEngine engine_;
+};
+
+class ClusterServer final : public serve::InlineServer<FleetBackend> {
  public:
   /// The clock is injected (SystemClock for the daemon, FakeClock in tests)
   /// and must outlive the server; `metrics` is optional (server.* and
   /// cluster.* series are published to it).
   ClusterServer(ClusterServerConfig config, serve::Clock& clock,
-                obs::MetricsRegistry* metrics = nullptr);
-  ~ClusterServer() override;
+                obs::MetricsRegistry* metrics = nullptr)
+      : InlineServer(config, clock, metrics) {}
 
-  /// Binds the listener, writes the journal preamble, anchors the clock
-  /// bridge, enters engine live mode. Returns the bound port.
-  int start();
-
-  /// One pump cycle; same contract as AdmissionServer::step. Returns false
-  /// once fully drained.
-  bool step(int max_wait_ms = 50);
-
-  /// Serves until drained (DRAIN request or request_drain()).
-  void run();
-
-  /// Initiates graceful drain: stop accepting, refuse new submits, resolve
-  /// the simulated backlog, settle the rental account, flush, shut down.
-  void request_drain();
-
-  bool draining() const { return draining_; }
-  bool finished() const { return finished_; }
-
-  /// Final result (rental accounting filled in); valid once finished().
-  const cloud::MultiSimResult& result() const { return result_; }
-
-  /// Live counters (also the body of STATS replies).
-  serve::StatsBody stats() const;
-
-  int port() const { return loop_.port(); }
-  serve::EventLoop& loop() { return loop_; }
-  const Fleet& fleet() const { return config_.fleet; }
-  const std::vector<Job>& jobs() const { return jobs_; }
-  const std::string& journal_dir() const;
-  /// Non-empty once a journal append has failed (session fails via drain;
-  /// sjs_serve exits non-zero).
-  const std::string& journal_error() const { return journal_error_; }
-  std::vector<obs::TraceEvent> recent_trace() const;
-
-  /// Registers `fd` (e.g. a signal self-pipe) with the loop; when readable
-  /// the server drains it and initiates a drain.
-  void watch_shutdown_fd(int fd);
-
-  // EventLoop::Handler:
-  void on_accept(int conn) override;
-  void on_data(int conn, const std::uint8_t* data, std::size_t size) override;
-  void on_close(int conn, bool overflow) override;
-  void on_wake(int fd) override;
-
- private:
-  /// Routes a job's COMPLETED/EXPIRED notification; the generation guards
-  /// against conn-id reuse after a disconnect.
-  struct Route {
-    int conn = -1;
-    std::uint64_t gen = 0;
-    std::uint64_t seq = 0;  // the SUBMIT's seq, echoed in notifications
-    bool cancelled = false;
-  };
-
-  /// Captures kComplete/kExpire events raised inside the engine (same
-  /// drain-in-place pattern as AdmissionServer::NotificationSink).
-  class NotificationSink final : public obs::TraceSink {
-   public:
-    void record(const obs::TraceEvent& event) override {
-      if (event.kind == obs::TraceKind::kComplete ||
-          event.kind == obs::TraceKind::kExpire) {
-        util::append(pending_, event);
-      }
-    }
-    std::size_t size() const { return pending_.size(); }
-    const obs::TraceEvent& operator[](std::size_t i) const {
-      return pending_[i];
-    }
-    void clear() { pending_.clear(); }
-    void reserve(std::size_t n) { pending_.reserve(n); }
-
-   private:
-    std::vector<obs::TraceEvent> pending_;
-  };
-
-  void handle_message(int conn, const serve::Message& m);
-  void handle_submit(int conn, const serve::Message& m);
-  void handle_cancel(int conn, const serve::Message& m);
-  void handle_query(int conn, const serve::Message& m);
-  void reply(int conn, const serve::Message& m);
-  void pump_engine();
-  void dispatch_notifications();
-  /// Resolves the backlog (finish_live), settles the rental account, writes
-  /// outcomes.csv, publishes cluster.* metrics.
-  void finalize();
-  void count(const char* name, double delta = 1.0);
-  void set_gauge(const char* name, double value);
-
-  ClusterServerConfig config_;
-  std::vector<Job> jobs_;  ///< the admitted stream (dense ids)
-  Dispatcher dispatcher_;
-  cloud::MultiEngine engine_;
-  serve::AdmissionGate gate_;
-  serve::ClockBridge bridge_;
-  serve::EventLoop loop_;
-  std::unique_ptr<ClusterJournal> journal_;
-  std::string journal_error_;
-  obs::MetricsRegistry* metrics_;
-  obs::MetricsRegistry::Shard* shard_ = nullptr;
-
-  NotificationSink notifications_;
-  std::unique_ptr<obs::RingTraceBuffer> ring_;
-  std::unique_ptr<obs::TraceMetricsBridge> trace_bridge_;
-  obs::TeeSink tee_;
-
-  std::vector<serve::FrameDecoder> decoders_;  // indexed by conn id
-  std::vector<std::uint64_t> conn_gens_;       // bumped on close
-  std::vector<Route> routes_;                  // indexed by JobId
-  std::vector<int> shutdown_fds_;
-
-  bool started_ = false;
-  bool draining_ = false;
-  bool finalized_ = false;
-  bool finished_ = false;
-  int flush_spins_ = 0;
-
-  serve::StatsBody stats_{};
-  std::uint64_t in_flight_peak_ = 0;
-  cloud::MultiSimResult result_;
+  const Fleet& fleet() const { return backend().config().fleet; }
+  const std::vector<Job>& jobs() const { return backend().jobs(); }
 };
 
 }  // namespace sjs::cluster

@@ -1,6 +1,6 @@
-// AdmissionGate — the per-engine admission decision procedure, factored out
-// of AdmissionServer so the single-threaded server and every shard worker of
-// the sharded plane (serve/shard_worker.hpp) run the IDENTICAL sequence:
+// AdmissionGate — the per-engine admission decision procedure. Each
+// serve::Session owns one, so every serving mode (single, each shard of the
+// sharded plane, the fleet) runs the IDENTICAL sequence:
 //
 //   draining              → REJECTED(draining)
 //   in_flight >= limit    → SHED                  (backpressure)

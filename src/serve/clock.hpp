@@ -93,14 +93,14 @@ class ClockBridge {
   bool started() const { return started_; }
 
   /// Current virtual time (>= 0, non-decreasing).
-  double virtual_now() {
+  double virtual_now() const {
     SJS_CHECK_MSG(started_, "ClockBridge::virtual_now before start()");
     return (clock_->now() - epoch_) * accel_;
   }
 
   /// Wall seconds from now until virtual time `v` is reached (<= 0 when v is
   /// already past). The event loop's poll-timeout computation.
-  double wall_until(double v) {
+  double wall_until(double v) const {
     SJS_CHECK_MSG(started_, "ClockBridge::wall_until before start()");
     return v / accel_ - (clock_->now() - epoch_);
   }

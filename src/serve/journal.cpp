@@ -9,27 +9,12 @@ namespace sjs::serve {
 
 namespace fs = std::filesystem;
 
-Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
-                 double c_lo, double c_hi, const Meta& meta)
-    : dir_(dir) {
+Journal::Journal(const std::string& dir) : dir_(dir) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
     throw std::runtime_error("cannot create journal directory " + dir + ": " +
                              ec.message());
-  }
-  cap::save_trace(capacity, (fs::path(dir) / "capacity.csv").string());
-  {
-    CsvWriter band((fs::path(dir) / "band.csv").string());
-    band.write_row({"c_lo", "c_hi"});
-    band.write_row_numeric({c_lo, c_hi});
-  }
-  {
-    CsvWriter m((fs::path(dir) / "meta.csv").string());
-    m.write_row({"key", "value"});
-    m.write_row({"scheduler", meta.scheduler});
-    m.write_row({"accel", format_double(meta.accel)});
-    m.write_row({"admission_check", meta.admission_check ? "1" : "0"});
   }
   jobs_csv_ = std::make_unique<CsvWriter>((fs::path(dir) / "jobs.csv").string());
   jobs_csv_->write_row({"id", "release", "workload", "deadline", "value"});
@@ -41,6 +26,29 @@ Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
   if (!jobs_csv_->ok() || !cancels_csv_->ok()) {
     throw std::runtime_error("journal header write failed in " + dir);
   }
+}
+
+Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
+                 double c_lo, double c_hi, const Meta& meta)
+    : Journal(dir) {
+  cap::save_trace(capacity, (fs::path(dir) / "capacity.csv").string());
+  write_band(c_lo, c_hi);
+  write_meta({{"scheduler", meta.scheduler},
+              {"accel", format_double(meta.accel)},
+              {"admission_check", meta.admission_check ? "1" : "0"}});
+}
+
+void Journal::write_band(double c_lo, double c_hi) const {
+  CsvWriter band((fs::path(dir_) / "band.csv").string());
+  band.write_row({"c_lo", "c_hi"});
+  band.write_row_numeric({c_lo, c_hi});
+}
+
+void Journal::write_meta(
+    const std::vector<std::pair<std::string, std::string>>& rows) const {
+  CsvWriter m((fs::path(dir_) / "meta.csv").string());
+  m.write_row({"key", "value"});
+  for (const auto& [key, value] : rows) m.write_row({key, value});
 }
 
 void Journal::record_admit(const Job& job) {

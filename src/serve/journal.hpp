@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
@@ -64,6 +65,17 @@ class Journal {
   const std::string& dir() const { return dir_; }
   std::uint64_t admit_count() const { return admit_rows_; }
   std::uint64_t cancel_count() const { return cancel_rows_; }
+
+ protected:
+  /// The append-only half every journal bundle shares (the fleet's
+  /// cluster::ClusterJournal too): creates `dir` and opens jobs.csv and
+  /// cancels.csv; the caller writes its own preamble files.
+  explicit Journal(const std::string& dir);
+  /// Writes band.csv.
+  void write_band(double c_lo, double c_hi) const;
+  /// Writes meta.csv from key,value rows.
+  void write_meta(
+      const std::vector<std::pair<std::string, std::string>>& rows) const;
 
  private:
   std::string dir_;

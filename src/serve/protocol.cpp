@@ -7,147 +7,120 @@ namespace sjs::serve {
 
 namespace {
 
-// Raw-pointer little-endian writers: the encoder targets a caller-owned
-// buffer of at least kMaxFrame bytes, so encoding never allocates.
-inline std::uint8_t* put_u8(std::uint8_t* out, std::uint8_t v) {
-  *out++ = v;
-  return out;
-}
-
-inline std::uint8_t* put_u32(std::uint8_t* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    *out++ = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-  return out;
-}
-
-inline std::uint8_t* put_u64(std::uint8_t* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    *out++ = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-  return out;
-}
-
-inline std::uint8_t* put_f64(std::uint8_t* out, double v) {
-  return put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint8_t u8() {
-    return pos_ < size_ ? data_[pos_++] : 0;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8 && pos_ < size_; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+// The three field visitors visit_body() drives. Writer targets a caller-owned
+// buffer of at least kMaxFrame bytes, so encoding never allocates; Reader
+// runs only after decode_payload has checked the exact length.
+struct Writer {
+  std::uint8_t* out;
+  void put(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      *out++ = static_cast<std::uint8_t>(v >> (8 * i));
     }
-    return v;
   }
-  double f64() { return std::bit_cast<double>(u64()); }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
+  void u8(std::uint8_t v) { put(v, 1); }
+  void u32(std::uint32_t v) { put(v, 4); }
+  void u64(std::uint64_t v) { put(v, 8); }
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v), 8); }
 };
+
+struct Reader {
+  const std::uint8_t* in;
+  void u8(std::uint8_t& v) { v = *in++; }
+  void u64(std::uint64_t& v) {
+    v = 0;
+    for (int i = 0; i < 8; ++i) v |= std::uint64_t{*in++} << (8 * i);
+  }
+  void f64(double& v) {
+    std::uint64_t bits = 0;
+    u64(bits);
+    v = std::bit_cast<double>(bits);
+  }
+};
+
+struct Sizer {
+  std::size_t n = 0;
+  void u8(std::uint8_t) { n += 1; }
+  void u64(std::uint64_t) { n += 8; }
+  void f64(double) { n += 8; }
+};
+
+/// The body of every message type (after type and seq), in wire order: the
+/// one place the layout is written down, for sizing, encoding and decoding
+/// alike. Returns false for an unknown type.
+template <typename Io, typename M>
+bool visit_body(Io& io, M& m) {
+  switch (m.type) {
+    case MsgType::kSubmit:
+      io.f64(m.a);
+      io.f64(m.b);
+      io.f64(m.c);
+      return true;
+    case MsgType::kCancel:
+    case MsgType::kQuery:
+    case MsgType::kCancelled:
+    case MsgType::kCancelFailed:
+      io.u64(m.ticket);
+      return true;
+    case MsgType::kStats:
+    case MsgType::kDrain:
+    case MsgType::kShed:
+    case MsgType::kDraining:
+      return true;
+    case MsgType::kAccepted:
+      io.u64(m.ticket);
+      io.f64(m.a);
+      return true;
+    case MsgType::kRejected:
+    case MsgType::kError:
+      io.u8(m.code);
+      return true;
+    case MsgType::kCompleted:
+      io.u64(m.ticket);
+      io.f64(m.a);
+      io.f64(m.b);
+      return true;
+    case MsgType::kExpired:
+      io.u64(m.ticket);
+      io.f64(m.b);
+      return true;
+    case MsgType::kQueryReply:
+      io.u64(m.ticket);
+      io.u8(m.code);
+      io.f64(m.a);
+      return true;
+    case MsgType::kStatsReply:
+      io.u64(m.stats.submitted);
+      io.u64(m.stats.accepted);
+      io.u64(m.stats.rejected);
+      io.u64(m.stats.shed);
+      io.u64(m.stats.completed);
+      io.u64(m.stats.expired);
+      io.u64(m.stats.cancelled);
+      io.u64(m.stats.in_flight);
+      io.f64(m.stats.virtual_now);
+      io.f64(m.stats.admitted_value);
+      io.f64(m.stats.completed_value);
+      return true;
+  }
+  return false;
+}
 
 }  // namespace
 
 std::size_t body_size(MsgType type) {
-  switch (type) {
-    case MsgType::kSubmit:
-      return 24;  // workload, rel_deadline, value
-    case MsgType::kCancel:
-    case MsgType::kQuery:
-    case MsgType::kCancelled:
-    case MsgType::kCancelFailed:
-      return 8;  // ticket
-    case MsgType::kStats:
-    case MsgType::kDrain:
-    case MsgType::kShed:
-    case MsgType::kDraining:
-      return 0;
-    case MsgType::kAccepted:
-      return 16;  // ticket, release
-    case MsgType::kRejected:
-    case MsgType::kError:
-      return 1;  // code
-    case MsgType::kCompleted:
-      return 24;  // ticket, value, time
-    case MsgType::kExpired:
-      return 16;  // ticket, time
-    case MsgType::kQueryReply:
-      return 17;  // ticket, state, remaining
-    case MsgType::kStatsReply:
-      return 8 * 8 + 3 * 8;  // eight u64 counters + three f64
-  }
-  return static_cast<std::size_t>(-1);
+  Message m;
+  m.type = type;
+  Sizer sizer;
+  return visit_body(sizer, m) ? sizer.n : static_cast<std::size_t>(-1);
 }
 
 std::size_t encode_frame_into(std::uint8_t* out, const Message& m) {
-  const std::uint8_t* const start = out;
-  const std::size_t payload = kMinPayload + body_size(m.type);
-  out = put_u32(out, static_cast<std::uint32_t>(payload));
-  out = put_u8(out, static_cast<std::uint8_t>(m.type));
-  out = put_u64(out, m.seq);
-  switch (m.type) {
-    case MsgType::kSubmit:
-      out = put_f64(out, m.a);
-      out = put_f64(out, m.b);
-      out = put_f64(out, m.c);
-      break;
-    case MsgType::kCancel:
-    case MsgType::kQuery:
-    case MsgType::kCancelled:
-    case MsgType::kCancelFailed:
-      out = put_u64(out, m.ticket);
-      break;
-    case MsgType::kStats:
-    case MsgType::kDrain:
-    case MsgType::kShed:
-    case MsgType::kDraining:
-      break;
-    case MsgType::kAccepted:
-      out = put_u64(out, m.ticket);
-      out = put_f64(out, m.a);
-      break;
-    case MsgType::kRejected:
-    case MsgType::kError:
-      out = put_u8(out, m.code);
-      break;
-    case MsgType::kCompleted:
-      out = put_u64(out, m.ticket);
-      out = put_f64(out, m.a);
-      out = put_f64(out, m.b);
-      break;
-    case MsgType::kExpired:
-      out = put_u64(out, m.ticket);
-      out = put_f64(out, m.b);
-      break;
-    case MsgType::kQueryReply:
-      out = put_u64(out, m.ticket);
-      out = put_u8(out, m.code);
-      out = put_f64(out, m.a);
-      break;
-    case MsgType::kStatsReply:
-      out = put_u64(out, m.stats.submitted);
-      out = put_u64(out, m.stats.accepted);
-      out = put_u64(out, m.stats.rejected);
-      out = put_u64(out, m.stats.shed);
-      out = put_u64(out, m.stats.completed);
-      out = put_u64(out, m.stats.expired);
-      out = put_u64(out, m.stats.cancelled);
-      out = put_u64(out, m.stats.in_flight);
-      out = put_f64(out, m.stats.virtual_now);
-      out = put_f64(out, m.stats.admitted_value);
-      out = put_f64(out, m.stats.completed_value);
-      break;
-  }
-  return static_cast<std::size_t>(out - start);
+  Writer w{out};
+  w.u32(static_cast<std::uint32_t>(kMinPayload + body_size(m.type)));
+  w.u8(static_cast<std::uint8_t>(m.type));
+  w.u64(m.seq);
+  visit_body(w, m);
+  return static_cast<std::size_t>(w.out - out);
 }
 
 void append_frame(std::vector<std::uint8_t>& out, const Message& m) {
@@ -185,61 +158,9 @@ bool decode_payload(const std::uint8_t* data, std::size_t size, Message& out,
   }
   out = Message{};
   out.type = type;
-  Reader r(data + 1, size - 1);
-  out.seq = r.u64();
-  switch (type) {
-    case MsgType::kSubmit:
-      out.a = r.f64();
-      out.b = r.f64();
-      out.c = r.f64();
-      break;
-    case MsgType::kCancel:
-    case MsgType::kQuery:
-    case MsgType::kCancelled:
-    case MsgType::kCancelFailed:
-      out.ticket = r.u64();
-      break;
-    case MsgType::kStats:
-    case MsgType::kDrain:
-    case MsgType::kShed:
-    case MsgType::kDraining:
-      break;
-    case MsgType::kAccepted:
-      out.ticket = r.u64();
-      out.a = r.f64();
-      break;
-    case MsgType::kRejected:
-    case MsgType::kError:
-      out.code = r.u8();
-      break;
-    case MsgType::kCompleted:
-      out.ticket = r.u64();
-      out.a = r.f64();
-      out.b = r.f64();
-      break;
-    case MsgType::kExpired:
-      out.ticket = r.u64();
-      out.b = r.f64();
-      break;
-    case MsgType::kQueryReply:
-      out.ticket = r.u64();
-      out.code = r.u8();
-      out.a = r.f64();
-      break;
-    case MsgType::kStatsReply:
-      out.stats.submitted = r.u64();
-      out.stats.accepted = r.u64();
-      out.stats.rejected = r.u64();
-      out.stats.shed = r.u64();
-      out.stats.completed = r.u64();
-      out.stats.expired = r.u64();
-      out.stats.cancelled = r.u64();
-      out.stats.in_flight = r.u64();
-      out.stats.virtual_now = r.f64();
-      out.stats.admitted_value = r.f64();
-      out.stats.completed_value = r.f64();
-      break;
-  }
+  Reader r{data + 1};
+  r.u64(out.seq);
+  visit_body(r, out);
   return true;
 }
 

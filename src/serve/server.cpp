@@ -1,456 +1,66 @@
 #include "serve/server.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <cmath>
-#include <filesystem>
-#include <limits>
-
-#include "util/logging.hpp"
+#include "serve/session_impl.hpp"
 
 namespace sjs::serve {
 
 namespace {
 
-// server.* metric names (obs/metrics.hpp documents the engine.* family; the
-// serving daemon publishes these alongside).
-constexpr const char* kCtrSubmitted = "server.jobs_submitted";
-constexpr const char* kCtrAccepted = "server.jobs_accepted";
-constexpr const char* kCtrRejected = "server.jobs_rejected";
-constexpr const char* kCtrShed = "server.jobs_shed";
-constexpr const char* kCtrCompleted = "server.jobs_completed";
-constexpr const char* kCtrExpired = "server.jobs_expired";
-constexpr const char* kCtrCancelled = "server.jobs_cancelled";
-constexpr const char* kCtrConnections = "server.connections";
-constexpr const char* kCtrMalformed = "server.malformed_frames";
-constexpr const char* kCtrOverflows = "server.write_overflows";
-constexpr const char* kGaugeInFlightPeak = "server.in_flight_peak";
-constexpr const char* kGaugeWriteBufPeak = "server.write_buffer_peak";
+std::string label(std::string_view name, std::string_view suffix) {
+  return std::string(name).append(suffix);
+}
 
 }  // namespace
 
-AdmissionServer::AdmissionServer(ServerConfig config,
-                                 std::unique_ptr<sim::Scheduler> sched,
-                                 Clock& clock, obs::MetricsRegistry* metrics)
-    : config_(std::move(config)),
-      scheduler_(std::move(sched)),
+SessionCounterNames::SessionCounterNames(std::string_view suffix)
+    : submitted(label(kCtrSubmitted, suffix)),
+      accepted(label(kCtrAccepted, suffix)),
+      rejected(label(kCtrRejected, suffix)),
+      shed(label(kCtrShed, suffix)),
+      completed(label(kCtrCompleted, suffix)),
+      expired(label(kCtrExpired, suffix)),
+      cancelled(label(kCtrCancelled, suffix)),
+      in_flight_peak(label(kGaugeInFlightPeak, suffix)) {}
+
+LocalBackend::LocalBackend(const ServerConfig& config,
+                           std::unique_ptr<sim::Scheduler> scheduler)
+    : config_(config),
+      scheduler_(std::move(scheduler)),
       instance_(std::vector<Job>{}, config_.capacity,
                 config_.c_lo > 0.0 ? config_.c_lo
                                    : config_.capacity.min_rate(),
                 config_.c_hi > 0.0 ? config_.c_hi
                                    : config_.capacity.max_rate()),
-      engine_(instance_, *scheduler_),
-      gate_(instance_.c_lo(), config_.admission_check, config_.max_in_flight),
-      bridge_(clock, config_.accel),
-      loop_(*this),
-      metrics_(metrics) {
-  if (metrics_) shard_ = &metrics_->local();
-  loop_.set_max_write_buffer(config_.max_write_buffer);
-  tee_.add(&notifications_);
-  if (config_.trace_ring > 0) {
-    ring_ = std::make_unique<obs::RingTraceBuffer>(config_.trace_ring);
-    tee_.add(ring_.get());
-  }
-  if (metrics_) {
-    trace_bridge_ = std::make_unique<obs::TraceMetricsBridge>(metrics_->local());
-    tee_.add(trace_bridge_.get());
-  }
-  engine_.attach_trace(&tee_);
+      engine_(instance_, *scheduler_) {}
+
+JobState LocalBackend::state(JobId id) const {
+  if (engine_.is_completed(id)) return JobState::kCompleted;
+  if (engine_.is_expired(id)) return JobState::kExpired;
+  if (engine_.running() == id) return JobState::kRunning;
+  return JobState::kQueued;
 }
 
-AdmissionServer::~AdmissionServer() = default;
-
-int AdmissionServer::start() {
-  SJS_CHECK_MSG(!started_, "AdmissionServer::start called twice");
-  if (!config_.journal_dir.empty()) {
-    Journal::Meta meta;
-    meta.scheduler = config_.scheduler_name;
-    meta.accel = config_.accel;
-    meta.admission_check = config_.admission_check;
-    journal_ = std::make_unique<Journal>(config_.journal_dir,
-                                         instance_.capacity(),
-                                         instance_.c_lo(), instance_.c_hi(),
-                                         meta);
-  }
-  const int port = loop_.listen_loopback(config_.port);
-  // Pre-size everything the per-request path touches from --max-in-flight:
-  // the warmed steady state then performs zero heap allocations (pinned by
-  // tests/hotpath_test.cpp). Sessions admitting more than max_in_flight jobs
-  // in TOTAL still grow the dense per-job tables past the pre-size — that
-  // growth is amortized, not per-request (see Engine::reserve_live).
-  const auto n = static_cast<std::size_t>(config_.max_in_flight);
-  instance_.reserve_jobs(n);
-  engine_.reserve_live(n);
-  routes_.reserve(n);
-  notifications_.reserve(n);
-  engine_.begin_live();
-  bridge_.start();
-  started_ = true;
-  return port;
+std::unique_ptr<Journal> LocalBackend::open_journal() const {
+  if (config_.journal_dir.empty()) return nullptr;
+  Journal::Meta meta;
+  meta.scheduler = config_.scheduler_name;
+  meta.accel = config_.accel;
+  meta.admission_check = config_.admission_check;
+  return std::make_unique<Journal>(config_.journal_dir, instance_.capacity(),
+                                   instance_.c_lo(), instance_.c_hi(), meta);
 }
 
-void AdmissionServer::watch_shutdown_fd(int fd) {
-  util::append(shutdown_fds_, fd);
-  loop_.watch(fd);
+sim::SimResult LocalBackend::finish() {
+  sim::SimResult result = engine_.finish_live();
+  result.scheduler_name = config_.scheduler_name;
+  return result;
 }
 
-const std::string& AdmissionServer::journal_dir() const {
-  static const std::string empty;
-  return journal_ ? journal_->dir() : empty;
+void LocalBackend::save_outcomes(const sim::SimResult& result,
+                                 const std::string& path) const {
+  sim::save_outcomes_csv(result, instance_.jobs(), path);
 }
 
-std::vector<obs::TraceEvent> AdmissionServer::recent_trace() const {
-  return ring_ ? ring_->events() : std::vector<obs::TraceEvent>{};
-}
-
-void AdmissionServer::pump_engine() {
-  engine_.advance_to(std::max(bridge_.virtual_now(), engine_.now()));
-  dispatch_notifications();
-}
-
-void AdmissionServer::dispatch_notifications() {
-  // Index-based drain: handlers reached from reply() never append, but the
-  // copy per entry keeps this robust if that ever changes, and clear() at
-  // the end retains the queue's capacity for the next pump cycle.
-  for (std::size_t i = 0; i < notifications_.size(); ++i) {
-    const obs::TraceEvent ev = notifications_[i];
-    const auto id = static_cast<std::size_t>(ev.job);
-    if (id >= routes_.size()) continue;
-    Route& route = routes_[id];
-    Message note;
-    note.ticket = static_cast<std::uint64_t>(ev.job);
-    note.seq = route.seq;
-    if (ev.kind == obs::TraceKind::kComplete) {
-      ++stats_.completed;
-      stats_.completed_value += ev.a;
-      count(kCtrCompleted);
-      note.type = MsgType::kCompleted;
-      note.a = ev.a;       // value collected
-      note.b = ev.time;    // completion instant
-    } else {
-      if (route.cancelled) {
-        // The client already got kCancelled; the forced expiry is internal.
-        --stats_.in_flight;
-        continue;
-      }
-      ++stats_.expired;
-      count(kCtrExpired);
-      note.type = MsgType::kExpired;
-      note.b = ev.time;
-    }
-    --stats_.in_flight;
-    if (route.conn >= 0 && loop_.conn_open(route.conn) &&
-        conn_gens_[static_cast<std::size_t>(route.conn)] == route.gen) {
-      reply(route.conn, note);
-    }
-  }
-  notifications_.clear();
-}
-
-bool AdmissionServer::step(int max_wait_ms) {
-  SJS_CHECK_MSG(started_, "AdmissionServer::step before start()");
-  if (finished_) return false;
-  if (!finalized_) {
-    pump_engine();
-    if (draining_) {
-      finalize();
-    } else {
-      // Sleep until the next simulated event is due or a socket fires.
-      int timeout = max_wait_ms;
-      const double next = engine_.next_event_time();
-      if (std::isfinite(next)) {
-        const double wall_s = bridge_.wall_until(next);
-        const double ms = std::ceil(std::max(0.0, wall_s) * 1000.0);
-        timeout = static_cast<int>(
-            std::min<double>(ms, static_cast<double>(max_wait_ms)));
-      }
-      loop_.poll_once(timeout);
-      if (draining_ && !finalized_) {
-        pump_engine();
-        finalize();
-      }
-    }
-  }
-  if (finalized_) {
-    // Flush queued notifications/replies, then shut everything down. A peer
-    // that stops reading cannot wedge the drain: bounded spins, then drop.
-    if (loop_.writes_pending() && loop_.open_conn_count() > 0 &&
-        flush_spins_ < 200) {
-      ++flush_spins_;
-      loop_.poll_once(std::min(max_wait_ms, 10));
-    } else {
-      set_gauge(kGaugeInFlightPeak, static_cast<double>(in_flight_peak_));
-      set_gauge(kGaugeWriteBufPeak,
-                static_cast<double>(loop_.write_buffer_peak()));
-      loop_.shutdown();
-      finished_ = true;
-    }
-  }
-  return !finished_;
-}
-
-void AdmissionServer::run() {
-  while (step()) {
-  }
-}
-
-void AdmissionServer::request_drain() {
-  if (draining_) return;
-  draining_ = true;
-  loop_.stop_listening();
-}
-
-void AdmissionServer::finalize() {
-  SJS_CHECK_MSG(!finalized_, "AdmissionServer::finalize called twice");
-  // Drain = fast-forward: absent new arrivals the future of the simulation
-  // is fully determined, so resolving the backlog now in virtual time yields
-  // the same outcomes the session would have reached in real time.
-  result_ = engine_.finish_live();
-  result_.scheduler_name = config_.scheduler_name;
-  dispatch_notifications();
-  if (journal_) {
-    save_outcomes_csv(result_, instance_.jobs(),
-                      (std::filesystem::path(journal_->dir()) /
-                       "outcomes.csv").string());
-    try {
-      journal_->close();
-    } catch (const std::exception& e) {
-      if (journal_error_.empty()) journal_error_ = e.what();
-    }
-  }
-  finalized_ = true;
-}
-
-StatsBody AdmissionServer::stats() const {
-  StatsBody s = stats_;
-  s.virtual_now = engine_.now();
-  return s;
-}
-
-void AdmissionServer::on_accept(int conn) {
-  // Per-connection slot setup on accept, not per-request steady state; the
-  // tables grow to the concurrent-connection high-water. reset() (not
-  // re-assignment) keeps the recycled decoder's buffer capacity.
-  const auto i = static_cast<std::size_t>(conn);
-  util::grow_to_index(decoders_, i);
-  util::grow_to_index_fill(conn_gens_, i, std::uint64_t{0});
-  decoders_[i].reset();
-  count(kCtrConnections);
-}
-
-void AdmissionServer::on_close(int conn, bool overflow) {
-  ++conn_gens_[static_cast<std::size_t>(conn)];
-  if (overflow) count(kCtrOverflows);
-}
-
-void AdmissionServer::on_wake(int fd) {
-  // Signal self-pipe: drain it and start a graceful shutdown.
-  char buf[64];
-  while (::read(fd, buf, sizeof(buf)) > 0) {
-  }
-  request_drain();
-}
-
-void AdmissionServer::on_data(int conn, const std::uint8_t* data,
-                              std::size_t size) {
-  FrameDecoder& dec = decoders_[static_cast<std::size_t>(conn)];
-  dec.feed(data, size);
-  Message m;
-  while (true) {
-    const FrameDecoder::Status st = dec.next(m);
-    if (st == FrameDecoder::Status::kNeedMore) return;
-    if (st == FrameDecoder::Status::kMalformed) {
-      count(kCtrMalformed);
-      Message err;
-      err.type = MsgType::kError;
-      err.code = static_cast<std::uint8_t>(ErrorCode::kMalformedFrame);
-      reply(conn, err);
-      loop_.close_conn(conn);
-      return;
-    }
-    handle_message(conn, m);
-    if (!loop_.conn_open(conn)) return;
-  }
-}
-
-void AdmissionServer::handle_message(int conn, const Message& m) {
-  switch (m.type) {
-    case MsgType::kSubmit:
-      handle_submit(conn, m);
-      return;
-    case MsgType::kCancel:
-      handle_cancel(conn, m);
-      return;
-    case MsgType::kQuery:
-      handle_query(conn, m);
-      return;
-    case MsgType::kStats: {
-      Message r;
-      r.type = MsgType::kStatsReply;
-      r.seq = m.seq;
-      r.stats = stats();
-      reply(conn, r);
-      return;
-    }
-    case MsgType::kDrain: {
-      Message r;
-      r.type = MsgType::kDraining;
-      r.seq = m.seq;
-      reply(conn, r);
-      request_drain();
-      return;
-    }
-    default: {
-      Message err;
-      err.type = MsgType::kError;
-      err.seq = m.seq;
-      err.code = static_cast<std::uint8_t>(ErrorCode::kNotARequest);
-      reply(conn, err);
-      loop_.close_conn(conn);
-      return;
-    }
-  }
-}
-
-void AdmissionServer::handle_submit(int conn, const Message& m) {
-  ++stats_.submitted;
-  count(kCtrSubmitted);
-  Message r;
-  r.seq = m.seq;
-  const AdmissionGate::Decision verdict =
-      gate_.evaluate(m.a, m.b, m.c, bridge_.virtual_now(), engine_.now(),
-                     draining_, stats_.in_flight);
-  if (verdict.reply == MsgType::kRejected) {
-    ++stats_.rejected;
-    count(kCtrRejected);
-    r.type = MsgType::kRejected;
-    r.code = static_cast<std::uint8_t>(verdict.reason);
-    reply(conn, r);
-    return;
-  }
-  if (verdict.reply == MsgType::kShed) {
-    ++stats_.shed;
-    count(kCtrShed);
-    r.type = MsgType::kShed;
-    reply(conn, r);
-    return;
-  }
-  const Job& job = verdict.job;
-  const JobId id = instance_.append_job(job);
-  engine_.admit_live(id);
-  Route route;
-  route.conn = conn;
-  route.gen = conn_gens_[static_cast<std::size_t>(conn)];
-  route.seq = m.seq;
-  // Growth-to-high-water: reserve(max_in_flight) at start() covers the
-  // steady state; only sessions exceeding that total keep growing.
-  util::append(routes_, route);
-  SJS_CHECK(routes_.size() == static_cast<std::size_t>(id) + 1);
-  ++stats_.in_flight;
-  in_flight_peak_ = std::max(in_flight_peak_, stats_.in_flight);
-  if (journal_) {
-    try {
-      journal_->record_admit(instance_.job(id));
-    } catch (const std::exception& e) {
-      // The admit cannot be made durable, so the client must not see
-      // ACCEPTED: withdraw the job, report the failure, and fail the session
-      // via a graceful drain (sjs_serve exits non-zero on journal_error()).
-      journal_error_ = e.what();
-      routes_[static_cast<std::size_t>(id)].cancelled = true;
-      engine_.cancel_live(id);
-      r.type = MsgType::kError;
-      r.code = static_cast<std::uint8_t>(ErrorCode::kJournalFailed);
-      reply(conn, r);
-      dispatch_notifications();
-      request_drain();
-      return;
-    }
-  }
-  ++stats_.accepted;
-  stats_.admitted_value += job.value;
-  count(kCtrAccepted);
-  r.type = MsgType::kAccepted;
-  r.ticket = static_cast<std::uint64_t>(id);
-  r.a = job.release;
-  reply(conn, r);
-}
-
-void AdmissionServer::handle_cancel(int conn, const Message& m) {
-  Message r;
-  r.seq = m.seq;
-  r.ticket = m.ticket;
-  const auto id = static_cast<JobId>(m.ticket);
-  const bool known =
-      m.ticket < routes_.size() && !routes_[m.ticket].cancelled;
-  if (known && engine_.cancel_live(id)) {
-    routes_[m.ticket].cancelled = true;
-    ++stats_.cancelled;
-    count(kCtrCancelled);
-    if (journal_) {
-      try {
-        journal_->record_cancel(engine_.now(), id);
-      } catch (const std::exception& e) {
-        // The cancel took effect in the engine but is not durable: the
-        // journal replay would disagree with the live session, so fail the
-        // session rather than pretend the record exists.
-        journal_error_ = e.what();
-        r.type = MsgType::kError;
-        r.code = static_cast<std::uint8_t>(ErrorCode::kJournalFailed);
-        reply(conn, r);
-        dispatch_notifications();
-        request_drain();
-        return;
-      }
-    }
-    r.type = MsgType::kCancelled;
-    reply(conn, r);
-    // cancel_live raised a kExpire notification; translate it now so the
-    // in-flight count is current before the next admission decision.
-    dispatch_notifications();
-  } else {
-    r.type = MsgType::kCancelFailed;
-    reply(conn, r);
-  }
-}
-
-void AdmissionServer::handle_query(int conn, const Message& m) {
-  Message r;
-  r.type = MsgType::kQueryReply;
-  r.seq = m.seq;
-  r.ticket = m.ticket;
-  const auto id = static_cast<JobId>(m.ticket);
-  if (m.ticket >= routes_.size()) {
-    r.code = static_cast<std::uint8_t>(JobState::kUnknown);
-  } else if (engine_.is_completed(id)) {
-    r.code = static_cast<std::uint8_t>(JobState::kCompleted);
-  } else if (engine_.is_expired(id)) {
-    r.code = static_cast<std::uint8_t>(JobState::kExpired);
-  } else if (engine_.running() == id) {
-    r.code = static_cast<std::uint8_t>(JobState::kRunning);
-    r.a = engine_.remaining(id);
-  } else {
-    r.code = static_cast<std::uint8_t>(JobState::kQueued);
-    r.a = engine_.is_released(id) ? engine_.remaining(id)
-                                  : engine_.job(id).workload;
-  }
-  reply(conn, r);
-}
-
-void AdmissionServer::reply(int conn, const Message& m) {
-  // Stack-encoded frame: the per-reply path allocates nothing (the loop's
-  // send buffer retains its capacity between requests).
-  std::uint8_t frame[kMaxFrame];
-  const std::size_t n = encode_frame_into(frame, m);
-  loop_.send(conn, frame, n);
-}
-
-void AdmissionServer::count(const char* name, double delta) {
-  if (shard_) shard_->count(name, delta);
-}
-
-void AdmissionServer::set_gauge(const char* name, double value) {
-  if (shard_) shard_->set_gauge(name, value);
-}
+template class Session<LocalBackend>;
 
 }  // namespace sjs::serve

@@ -5,10 +5,8 @@
 // injected Clock onto virtual simulation time; the live-mode sim::Engine +
 // a sched::Scheduler decide what runs; a Journal records every admitted job
 // so the session replays bit-exactly through `sjs_sim --bundle=<journal>`.
-//
-// Single-threaded by construction: sockets, engine, and journal are all
-// touched only from the thread calling step()/run(), so the whole daemon is
-// trivially race-free (the TSan CI job runs the loopback tests).
+// It is serve::InlineServer over LocalBackend: the session logic is
+// serve::Session (serve/session.hpp), the connection side serve::FrontEnd.
 //
 // Admission path for SUBMIT(p, d_rel, v):
 //   draining              → REJECTED(draining)
@@ -25,39 +23,27 @@
 // is what makes the journal replay exact — see engine.hpp's live-mode notes.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "jobs/instance.hpp"
 #include "obs/metrics.hpp"
-#include "obs/ring_buffer.hpp"
-#include "obs/trace_sink.hpp"
-#include "serve/admission.hpp"
 #include "serve/clock.hpp"
-#include "serve/event_loop.hpp"
+#include "serve/inline_server.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
+#include "serve/session.hpp"
 #include "sim/engine.hpp"
 #include "sim/result.hpp"
 #include "sim/scheduler.hpp"
-#include "util/vec.hpp"
 
 namespace sjs::serve {
 
-struct ServerConfig {
+struct ServerConfig : SessionConfig {
   std::string scheduler_name = "V-Dover";
   cap::CapacityProfile capacity{1.0};
   double c_lo = 0.0;               ///< 0 → profile min rate
   double c_hi = 0.0;               ///< 0 → profile max rate
-  int port = 0;                    ///< 0 → ephemeral
-  std::string journal_dir;         ///< empty → no journal
-  double accel = 1.0;              ///< virtual seconds per wall second
-  std::uint64_t max_in_flight = 1024;
-  std::size_t max_write_buffer = 1 << 18;
-  bool admission_check = true;     ///< Thm. 3(3) rejection at the door
-  std::size_t trace_ring = 0;      ///< >0: keep the last N trace events
 
   // Sharded plane only (serve/sharded_server.hpp); AdmissionServer ignores
   // these.
@@ -66,143 +52,50 @@ struct ServerConfig {
   int shard_poll_ms = 50;              ///< shard idle-poll cap (wall ms)
 };
 
-class AdmissionServer final : public EventLoop::Handler {
+/// The single-engine session backend (serve/session.hpp's seam): an
+/// Instance of the admitted jobs, a live sim::Engine over one capacity
+/// path, and a serve::Journal bundle.
+class LocalBackend {
+ public:
+  using Config = ServerConfig;
+  using Result = sim::SimResult;
+  using Journal = serve::Journal;
+
+  LocalBackend(const ServerConfig& config,
+               std::unique_ptr<sim::Scheduler> scheduler);
+
+  const ServerConfig& config() const { return config_; }
+  sim::Engine& engine() { return engine_; }
+  const sim::Engine& engine() const { return engine_; }
+  const Instance& instance() const { return instance_; }
+  double admission_c_lo() const { return instance_.c_lo(); }
+
+  void reserve(std::size_t n) { instance_.reserve_jobs(n); }
+  JobId append(const Job& job) { return instance_.append_job(job); }
+  JobState state(JobId id) const;
+  std::unique_ptr<Journal> open_journal() const;
+  Result finish();
+  void save_outcomes(const Result& result, const std::string& path) const;
+  void publish(const Result& /*result*/, obs::MetricsRegistry::Shard&) const {
+  }
+
+ private:
+  ServerConfig config_;
+  std::unique_ptr<sim::Scheduler> scheduler_;
+  Instance instance_;
+  sim::Engine engine_;
+};
+
+class AdmissionServer final : public InlineServer<LocalBackend> {
  public:
   /// The scheduler is owned; the clock is injected (SystemClock for the
   /// daemon, FakeClock in tests) and must outlive the server. `metrics` is
   /// optional; when set, server.* counters/gauges are published to it.
   AdmissionServer(ServerConfig config, std::unique_ptr<sim::Scheduler> sched,
-                  Clock& clock, obs::MetricsRegistry* metrics = nullptr);
-  ~AdmissionServer() override;
+                  Clock& clock, obs::MetricsRegistry* metrics = nullptr)
+      : InlineServer(config, clock, metrics, std::move(sched)) {}
 
-  /// Binds the listener, anchors the clock bridge, enters engine live mode.
-  /// Returns the bound port.
-  int start();
-
-  /// One pump cycle: advance virtual time, deliver job notifications, poll
-  /// sockets (at most `max_wait_ms`), process requests. After a drain has
-  /// been requested it instead finalises the run and flushes remaining
-  /// output. Returns false once fully drained (run() just loops on this).
-  bool step(int max_wait_ms = 50);
-
-  /// Serves until drained (DRAIN request or request_drain()).
-  void run();
-
-  /// Initiates graceful drain: stop accepting, refuse new submits, resolve
-  /// the simulated backlog, notify clients, flush, shut down. Callable from
-  /// a request handler or after a signal wake.
-  void request_drain();
-
-  bool draining() const { return draining_; }
-  bool finished() const { return finished_; }
-
-  /// Final result; valid once finished().
-  const sim::SimResult& result() const { return result_; }
-
-  /// Live counters (also the body of STATS replies).
-  StatsBody stats() const;
-
-  int port() const { return loop_.port(); }
-  EventLoop& loop() { return loop_; }
-  const Instance& instance() const { return instance_; }
-  const std::string& journal_dir() const;
-  /// Non-empty once a journal append has failed. The failing request was
-  /// answered with ERROR(kJournalFailed) and the session began draining;
-  /// callers (sjs_serve) should exit non-zero after the drain completes.
-  const std::string& journal_error() const { return journal_error_; }
-  /// The ring of recent trace events (empty unless trace_ring > 0).
-  std::vector<obs::TraceEvent> recent_trace() const;
-
-  /// Registers `fd` (e.g. a signal self-pipe) with the loop; when it becomes
-  /// readable the server drains it and initiates a drain.
-  void watch_shutdown_fd(int fd);
-
-  // EventLoop::Handler:
-  void on_accept(int conn) override;
-  void on_data(int conn, const std::uint8_t* data, std::size_t size) override;
-  void on_close(int conn, bool overflow) override;
-  void on_wake(int fd) override;
-
- private:
-  /// Tracks where to route a job's COMPLETED/EXPIRED notification. The
-  /// generation guards against conn-id reuse after a disconnect.
-  struct Route {
-    int conn = -1;
-    std::uint64_t gen = 0;
-    std::uint64_t seq = 0;      // the SUBMIT's seq, echoed in notifications
-    bool cancelled = false;
-  };
-
-  /// Captures kComplete/kExpire events raised inside the engine so the pump
-  /// can translate them into client notifications after advance_to returns.
-  /// Drained in place (index + clear) rather than by move-returning the
-  /// vector: a move would strip the retained capacity and force a fresh
-  /// allocation on the next pump cycle.
-  class NotificationSink final : public obs::TraceSink {
-   public:
-    void record(const obs::TraceEvent& event) override {
-      if (event.kind == obs::TraceKind::kComplete ||
-          event.kind == obs::TraceKind::kExpire) {
-        // Drained every loop turn; growth stops at the per-turn high-water.
-        util::append(pending_, event);
-      }
-    }
-    std::size_t size() const { return pending_.size(); }
-    const obs::TraceEvent& operator[](std::size_t i) const {
-      return pending_[i];
-    }
-    void clear() { pending_.clear(); }
-    void reserve(std::size_t n) { pending_.reserve(n); }
-
-   private:
-    std::vector<obs::TraceEvent> pending_;
-  };
-
-  void handle_message(int conn, const Message& m);
-  void handle_submit(int conn, const Message& m);
-  void handle_cancel(int conn, const Message& m);
-  void handle_query(int conn, const Message& m);
-  void reply(int conn, const Message& m);
-  /// Advances virtual time to the bridge's now and ships notifications.
-  void pump_engine();
-  void dispatch_notifications();
-  /// Resolves the backlog (Engine::finish_live), notifies, closes journal,
-  /// writes outcomes.csv.
-  void finalize();
-  void count(const char* name, double delta = 1.0);
-  void set_gauge(const char* name, double value);
-
-  ServerConfig config_;
-  std::unique_ptr<sim::Scheduler> scheduler_;
-  Instance instance_;
-  sim::Engine engine_;
-  AdmissionGate gate_;
-  ClockBridge bridge_;
-  EventLoop loop_;
-  std::unique_ptr<Journal> journal_;
-  std::string journal_error_;  ///< first append failure; see journal_error()
-  obs::MetricsRegistry* metrics_;
-  obs::MetricsRegistry::Shard* shard_ = nullptr;  ///< cached local() shard
-
-  NotificationSink notifications_;
-  std::unique_ptr<obs::RingTraceBuffer> ring_;
-  std::unique_ptr<obs::TraceMetricsBridge> trace_bridge_;
-  obs::TeeSink tee_;
-
-  std::vector<FrameDecoder> decoders_;   // indexed by conn id
-  std::vector<std::uint64_t> conn_gens_; // bumped on close
-  std::vector<Route> routes_;            // indexed by JobId
-  std::vector<int> shutdown_fds_;
-
-  bool started_ = false;
-  bool draining_ = false;
-  bool finalized_ = false;
-  bool finished_ = false;
-  int flush_spins_ = 0;
-
-  StatsBody stats_{};
-  std::uint64_t in_flight_peak_ = 0;
-  sim::SimResult result_;
+  const Instance& instance() const { return backend().instance(); }
 };
 
 }  // namespace sjs::serve

@@ -1,0 +1,264 @@
+// Session — the one serving session core under every front end
+// (docs/serving.md).
+//
+// A Session is everything between a decoded request and the engine: the
+// AdmissionGate, the ClockBridge, the per-job notification routes, the
+// notification sink, the StatsBody counters, the in-flight peak and the
+// journal. It answers SUBMIT, CANCEL and QUERY on local job ids, pumps the
+// engine to the bridge's virtual now, turns the engine's completions and
+// expiries into notifications, and resolves the backlog at drain.
+//
+// Three front ends run it:
+//   serve::AdmissionServer   Session<LocalBackend>, inline on the EventLoop
+//   serve::ShardWorker       Session<LocalBackend>, one per shard thread,
+//                            behind the sharded acceptor's channels
+//   cluster::ClusterServer   Session<cluster::FleetBackend>, inline
+//
+// Backend seam. A backend owns the engine and its job store and supplies:
+//   Config / Result / Journal    its config, result and journal types
+//   engine()                     sim::Engine or cloud::MultiEngine (the two
+//                                share the live API the session calls)
+//   config(), admission_c_lo()   the config copy and the gate's floor
+//   reserve(n), append(job)      pre-size / store one admitted job
+//   state(id)                    a live job's JobState for QUERY
+//   open_journal()               the journal for config().journal_dir
+//   finish()                     finish_live plus backend extras (fleet:
+//                                rental settle and accounting)
+//   save_outcomes(result, path), publish(result, shard)
+// Session<Backend> member functions live in serve/session_impl.hpp and are
+// instantiated explicitly, once per backend (serve/server.cpp,
+// cluster/cluster_server.cpp), so engine calls stay direct.
+//
+// Replies. Every outgoing message goes through one ReplyTarget to its
+// route's (conn, gen). Inline, the target checks the connection is still
+// that incarnation and encodes onto the EventLoop; in a shard it pushes to
+// the reply channel, and the shard maps local ids to global tickets.
+//
+// Journal failure (one policy in every mode): the first error wins and is
+// kept in journal_error(), the failing request is answered
+// ERROR(kJournalFailed) and never ACCEPTED/CANCELLED, and the session
+// drains — later submits are REJECTED(draining). Front ends follow the
+// session into drain; the sharded acceptor drains the whole plane when a
+// shard's ERROR(kJournalFailed) reaches it.
+#pragma once
+
+#include <cstdint>
+#include <exception>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "jobs/job.hpp"
+#include "obs/metrics.hpp"
+#include "obs/ring_buffer.hpp"
+#include "obs/trace_sink.hpp"
+#include "serve/admission.hpp"
+#include "serve/clock.hpp"
+#include "serve/protocol.hpp"
+#include "util/vec.hpp"
+
+namespace sjs::serve {
+
+/// The settings every serving front end shares (ServerConfig and
+/// cluster::ClusterServerConfig both derive from it).
+struct SessionConfig {
+  int port = 0;                    ///< 0 → ephemeral
+  std::string journal_dir;         ///< empty → no journal
+  double accel = 1.0;              ///< virtual seconds per wall second
+  std::uint64_t max_in_flight = 1024;
+  std::size_t max_write_buffer = 1 << 18;
+  bool admission_check = true;     ///< Thm. 3(3) rejection at the door
+  std::size_t trace_ring = 0;      ///< >0: keep the last N trace events
+};
+
+// server.* metric names (obs/metrics.hpp documents the engine.* family; the
+// serving daemons publish these alongside). A shard's session publishes the
+// per-request ones with a ".shard<k>" suffix; the plain names are counted
+// once per plane.
+inline constexpr std::string_view kCtrSubmitted = "server.jobs_submitted";
+inline constexpr std::string_view kCtrAccepted = "server.jobs_accepted";
+inline constexpr std::string_view kCtrRejected = "server.jobs_rejected";
+inline constexpr std::string_view kCtrShed = "server.jobs_shed";
+inline constexpr std::string_view kCtrCompleted = "server.jobs_completed";
+inline constexpr std::string_view kCtrExpired = "server.jobs_expired";
+inline constexpr std::string_view kCtrCancelled = "server.jobs_cancelled";
+inline constexpr std::string_view kCtrConnections = "server.connections";
+inline constexpr std::string_view kCtrMalformed = "server.malformed_frames";
+inline constexpr std::string_view kCtrOverflows = "server.write_overflows";
+inline constexpr std::string_view kGaugeInFlightPeak = "server.in_flight_peak";
+inline constexpr std::string_view kGaugeWriteBufPeak =
+    "server.write_buffer_peak";
+
+/// A session's counter names, built once: the plain names inline,
+/// "<name>.shard<k>" in shard k, so the per-request path never builds a
+/// string.
+struct SessionCounterNames {
+  explicit SessionCounterNames(std::string_view suffix);
+  std::string submitted, accepted, rejected, shed, completed, expired,
+      cancelled, in_flight_peak;
+};
+
+/// Where a session's outgoing messages go, and how its local job ids read
+/// on the wire.
+class ReplyTarget {
+ public:
+  virtual ~ReplyTarget() = default;
+  /// Ships `m` to connection `conn` if it is still incarnation `gen`.
+  virtual void send(int conn, std::uint64_t gen, const Message& m) = 0;
+  /// Called once per admitted job, before any message names it, with the
+  /// SUBMIT's ticket field.
+  virtual void admitted(JobId /*id*/, std::uint64_t /*request_ticket*/) {}
+  /// The wire ticket of local job `id` (inline: the id itself).
+  virtual std::uint64_t ticket(JobId id) const {
+    return static_cast<std::uint64_t>(id);
+  }
+};
+
+/// Where to route a job's COMPLETED/EXPIRED notification. The generation
+/// guards against conn-id reuse after a disconnect.
+struct Route {
+  int conn = -1;
+  std::uint64_t gen = 0;
+  std::uint64_t seq = 0;      // the SUBMIT's seq, echoed in notifications
+  bool cancelled = false;
+};
+
+/// Captures kComplete/kExpire events raised inside the engine so the pump
+/// can translate them into client notifications after advance_to returns.
+/// Drained in place (index + clear) rather than by move-returning the
+/// vector: a move would strip the retained capacity and force a fresh
+/// allocation on the next pump cycle.
+class NotificationSink final : public obs::TraceSink {
+ public:
+  void record(const obs::TraceEvent& event) override {
+    if (event.kind == obs::TraceKind::kComplete ||
+        event.kind == obs::TraceKind::kExpire) {
+      // Drained every loop turn; growth stops at the per-turn high-water.
+      util::append(pending_, event);
+    }
+  }
+  std::size_t size() const { return pending_.size(); }
+  const obs::TraceEvent& operator[](std::size_t i) const {
+    return pending_[i];
+  }
+  void clear() { pending_.clear(); }
+  void reserve(std::size_t n) { pending_.reserve(n); }
+
+ private:
+  std::vector<obs::TraceEvent> pending_;
+};
+
+template <typename Backend>
+class Session {
+ public:
+  using Config = typename Backend::Config;
+  using Result = typename Backend::Result;
+  using Journal = typename Backend::Journal;
+
+  /// `suffix` labels the counters (empty inline, ".shard<k>" in a shard);
+  /// `backend_args` follow `config` into the backend's constructor.
+  template <typename... BackendArgs>
+  Session(const Config& config, Clock& clock, ReplyTarget& target,
+          std::string_view suffix, BackendArgs&&... backend_args)
+      : backend_(config, std::forward<BackendArgs>(backend_args)...),
+        gate_(backend_.admission_c_lo(), config.admission_check,
+              config.max_in_flight),
+        bridge_(clock, config.accel),
+        target_(&target),
+        names_(suffix) {
+    tee_.add(&notifications_);
+    if (config.trace_ring > 0) {
+      ring_ = std::make_unique<obs::RingTraceBuffer>(config.trace_ring);
+      tee_.add(ring_.get());
+    }
+  }
+
+  /// Writes the journal preamble at config.journal_dir (no-op when empty).
+  /// Throws on I/O failure.
+  void open_journal() { journal_ = backend_.open_journal(); }
+
+  /// Enters live mode on the serving thread: anchors the bridge at
+  /// `epoch`, takes this thread's metrics shard (`metrics` may be null),
+  /// attaches the trace sinks, and pre-sizes everything the per-request
+  /// path touches from max_in_flight, so a warmed session allocates
+  /// nothing. Sessions admitting more than max_in_flight jobs in total grow
+  /// the dense per-job tables past the pre-size; that growth is amortized.
+  void begin(double epoch, obs::MetricsRegistry* metrics);
+
+  /// SUBMIT from (conn, gen). Returns the admitted local id, or kNoJob.
+  // sjs-hot-path-root
+  JobId submit(int conn, std::uint64_t gen, const Message& m);
+  /// CANCEL of local job `id` (kNoJob when the ticket is unknown); the reply
+  /// echoes m.ticket.
+  // sjs-hot-path-root
+  void cancel(int conn, std::uint64_t gen, const Message& m, JobId id);
+  /// QUERY of local job `id` (kNoJob when the ticket is unknown).
+  // sjs-hot-path-root
+  void query(int conn, std::uint64_t gen, const Message& m, JobId id);
+  /// Advances virtual time to the bridge's now and ships notifications.
+  // sjs-hot-path-root
+  void pump();
+  /// Poll timeout: wall ms until the next simulated event, at most `cap`.
+  int wait_ms(int cap);
+  /// Resolves the backlog (finish_live), ships the last notifications,
+  /// publishes the backend's metrics, writes outcomes.csv, closes the
+  /// journal.
+  void finalize();
+
+  /// The inline local id a wire ticket names, or kNoJob.
+  JobId local_id(std::uint64_t ticket) const {
+    return ticket < routes_.size() ? static_cast<JobId>(ticket) : kNoJob;
+  }
+
+  /// Refuse further submits (REJECTED(draining)).
+  void request_drain() { draining_ = true; }
+  bool draining() const { return draining_; }
+
+  /// Live counters; virtual_now is the engine's clock.
+  StatsBody stats() const;
+  /// Final result; valid once finalize() ran.
+  const Result& result() const { return result_; }
+  Backend& backend() { return backend_; }
+  const Backend& backend() const { return backend_; }
+  /// Empty when journalling is off.
+  const std::string& journal_dir() const;
+  /// Non-empty once a journal write failed; see the header comment.
+  const std::string& journal_error() const { return journal_error_; }
+  /// The ring of recent trace events (empty unless trace_ring > 0).
+  std::vector<obs::TraceEvent> recent_trace() const;
+
+ private:
+  void dispatch_notifications();
+  /// The journal-failure policy: the first error wins, the request gets
+  /// `r` (its reply so far) as ERROR(kJournalFailed), the session drains.
+  void fail_journal(int conn, std::uint64_t gen, Message r,
+                    const std::exception& e);
+  void count(std::string_view name, double delta = 1.0) {
+    if (shard_) shard_->count(name, delta);
+  }
+
+  Backend backend_;
+  AdmissionGate gate_;
+  ClockBridge bridge_;
+  ReplyTarget* target_;
+  SessionCounterNames names_;
+  std::unique_ptr<Journal> journal_;
+  std::string journal_error_;
+  obs::MetricsRegistry::Shard* shard_ = nullptr;
+
+  NotificationSink notifications_;
+  std::unique_ptr<obs::RingTraceBuffer> ring_;
+  std::unique_ptr<obs::TraceMetricsBridge> trace_bridge_;
+  obs::TeeSink tee_;
+  std::vector<Route> routes_;  // indexed by local JobId
+
+  bool draining_ = false;
+  bool finalized_ = false;
+  StatsBody stats_{};
+  std::uint64_t in_flight_peak_ = 0;
+  Result result_;
+};
+
+}  // namespace sjs::serve

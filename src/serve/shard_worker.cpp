@@ -2,109 +2,61 @@
 
 #include <poll.h>
 
-#include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <string>
 
 #include "util/logging.hpp"
+#include "util/vec.hpp"
 
 namespace sjs::serve {
 
 namespace {
 
-// Per-shard labels for the server.* family: shard k publishes
-// "<base>.shard<k>" into its own thread-local metrics shard. The plain
-// (unsuffixed) names are counted once by the acceptor, so a registry
-// snapshot shows both the rollup and the per-shard breakdown without
-// double counting.
-constexpr const char* kCtrAccepted = "server.jobs_accepted";
-constexpr const char* kCtrRejected = "server.jobs_rejected";
-constexpr const char* kCtrShed = "server.jobs_shed";
-constexpr const char* kCtrCompleted = "server.jobs_completed";
-constexpr const char* kCtrExpired = "server.jobs_expired";
-constexpr const char* kCtrCancelled = "server.jobs_cancelled";
-constexpr const char* kGaugeInFlightPeak = "server.in_flight_peak";
+/// Shard k's view of the plane config: it journals to `<root>/shard<k>`,
+/// and keeps no trace ring (nothing reads a shard's recent trace).
+ServerConfig shard_config(const ServerConfig& plane, std::size_t k) {
+  ServerConfig config = plane;
+  if (!plane.journal_dir.empty()) {
+    config.journal_dir = (std::filesystem::path(plane.journal_dir) /
+                          ("shard" + std::to_string(k))).string();
+  }
+  config.trace_ring = 0;
+  return config;
+}
 
 }  // namespace
 
 ShardWorker::ShardWorker(const ServerConfig& config, std::size_t shard_index,
                          std::unique_ptr<sim::Scheduler> scheduler,
                          Clock& clock, obs::MetricsRegistry* metrics)
-    : config_(config),
-      shard_index_(shard_index),
-      scheduler_(std::move(scheduler)),
-      instance_(std::vector<Job>{}, config_.capacity,
-                config_.c_lo > 0.0 ? config_.c_lo
-                                   : config_.capacity.min_rate(),
-                config_.c_hi > 0.0 ? config_.c_hi
-                                   : config_.capacity.max_rate()),
-      engine_(instance_, *scheduler_),
-      gate_(instance_.c_lo(), config_.admission_check, config_.max_in_flight),
-      bridge_(clock, config_.accel),
+    : poll_ms_(config.shard_poll_ms),
       metrics_(metrics),
-      requests_(config_.channel_capacity),
+      requests_(config.channel_capacity),
       // Sized so a healthy plane never fills it: every request in the input
       // channel yields at most one direct reply, and at most max_in_flight
       // admitted jobs can have an unshipped terminal notification at once.
-      // push_reply still tolerates overflow (it waits) for the stalled-
-      // acceptor corner, where notifications can transiently exceed this.
-      replies_(config_.channel_capacity + config_.max_in_flight + 8),
-      metric_suffix_(".shard" + std::to_string(shard_index)),
-      ctr_accepted_(kCtrAccepted + metric_suffix_),
-      ctr_rejected_(kCtrRejected + metric_suffix_),
-      ctr_shed_(kCtrShed + metric_suffix_),
-      ctr_completed_(kCtrCompleted + metric_suffix_),
-      ctr_expired_(kCtrExpired + metric_suffix_),
-      ctr_cancelled_(kCtrCancelled + metric_suffix_),
-      gauge_in_flight_peak_(kGaugeInFlightPeak + metric_suffix_) {
-  tee_.add(&notifications_);
-  if (!config_.journal_dir.empty()) {
-    Journal::Meta meta;
-    meta.scheduler = config_.scheduler_name;
-    meta.accel = config_.accel;
-    meta.admission_check = config_.admission_check;
-    const std::string dir =
-        (std::filesystem::path(config_.journal_dir) /
-         ("shard" + std::to_string(shard_index))).string();
-    journal_ = std::make_unique<Journal>(dir, instance_.capacity(),
-                                         instance_.c_lo(), instance_.c_hi(),
-                                         meta);
-  }
+      // send() still tolerates overflow (it waits) for the stalled-acceptor
+      // corner, where notifications can transiently exceed this.
+      replies_(config.channel_capacity + config.max_in_flight + 8),
+      session_(shard_config(config, shard_index), clock, *this,
+               ".shard" + std::to_string(shard_index), std::move(scheduler)) {
+  session_.open_journal();
 }
 
 ShardWorker::~ShardWorker() = default;
 
-const std::string& ShardWorker::journal_dir() const {
-  static const std::string empty;
-  return journal_ ? journal_->dir() : empty;
-}
-
 // sjs-hot-path-root
 void ShardWorker::run(double epoch) {
-  bridge_.start_at(epoch);
-  if (metrics_) {
-    // The metrics shard must belong to THIS thread; obtaining it in the
-    // constructor would alias the spawning thread's accumulator.
-    shard_ = &metrics_->local();
-    trace_bridge_ = util::alloc_unique<obs::TraceMetricsBridge>(*shard_);
-    tee_.add(trace_bridge_.get());
-  }
-  engine_.attach_trace(&tee_);
-  // Pre-size the per-job tables for a full live set; growth past the
-  // admitted high-water is amortized (the dense local-id tables keep every
-  // job ever admitted, not just the in-flight set).
-  const auto n = static_cast<std::size_t>(config_.max_in_flight);
-  instance_.reserve_jobs(n);
-  engine_.reserve_live(n);
-  routes_.reserve(n);
+  // Pre-size the ticket tables like the session's own per-job tables;
+  // growth past the admitted high-water is amortized.
+  const auto n = static_cast<std::size_t>(
+      session_.backend().config().max_in_flight);
   tickets_.reserve(n);
   by_ticket_.reserve(n);
-  notifications_.reserve(n);
-  engine_.begin_live();
+  session_.begin(epoch, metrics_);
 
   while (true) {
-    pump_engine();
+    session_.pump();
     ShardRequest req;
     bool drained = false;
     while (true) {
@@ -117,240 +69,50 @@ void ShardWorker::run(double epoch) {
       }
     }
     if (drained) break;
-    pump_engine();
+    session_.pump();
     // Park until the next simulated event is due or the acceptor signals.
-    int timeout = config_.shard_poll_ms;
-    const double next = engine_.next_event_time();
-    if (std::isfinite(next)) {
-      const double wall_s = bridge_.wall_until(next);
-      const double ms = std::ceil(std::max(0.0, wall_s) * 1000.0);
-      timeout = static_cast<int>(
-          std::min<double>(ms, static_cast<double>(timeout)));
-    }
     struct pollfd pfd;
     pfd.fd = requests_.wake_fd();
     pfd.events = POLLIN;
     pfd.revents = 0;
-    ::poll(&pfd, 1, timeout);
+    ::poll(&pfd, 1, session_.wait_ms(poll_ms_));
     if ((pfd.revents & POLLIN) != 0) requests_.drain_wakeups();
   }
 
-  pump_engine();
-  finalize();
+  session_.pump();
+  session_.finalize();
   replies_.close();
 }
 
-void ShardWorker::pump_engine() {
-  engine_.advance_to(std::max(bridge_.virtual_now(), engine_.now()));
-  dispatch_notifications();
-}
-
 void ShardWorker::handle(const ShardRequest& req) {
+  Message m;
+  m.seq = req.seq;
+  m.ticket = req.ticket;
   switch (req.kind) {
     case ShardRequest::Kind::kSubmit:
-      handle_submit(req);
+      m.a = req.workload;
+      m.b = req.rel_deadline;
+      m.c = req.value;
+      session_.submit(req.conn, req.gen, m);
       return;
     case ShardRequest::Kind::kCancel:
-      handle_cancel(req);
+      session_.cancel(req.conn, req.gen, m, by_ticket_.get(req.ticket, kNoJob));
       return;
     case ShardRequest::Kind::kQuery:
-      handle_query(req);
+      session_.query(req.conn, req.gen, m, by_ticket_.get(req.ticket, kNoJob));
       return;
   }
   SJS_CHECK_MSG(false, "unreachable: unknown ShardRequest kind");
 }
 
-void ShardWorker::handle_submit(const ShardRequest& req) {
-  ++stats_.submitted;
-  Message r;
-  r.seq = req.seq;
-  // Drain refusal happens at the acceptor (it stops forwarding before
-  // closing the channel), so draining is always false here.
-  const AdmissionGate::Decision verdict =
-      gate_.evaluate(req.workload, req.rel_deadline, req.value,
-                     bridge_.virtual_now(), engine_.now(),
-                     /*draining=*/false, stats_.in_flight);
-  if (verdict.reply == MsgType::kRejected) {
-    ++stats_.rejected;
-    count(ctr_rejected_);
-    r.type = MsgType::kRejected;
-    r.code = static_cast<std::uint8_t>(verdict.reason);
-    push_reply(req.conn, req.gen, r);
-    return;
-  }
-  if (verdict.reply == MsgType::kShed) {
-    ++stats_.shed;
-    count(ctr_shed_);
-    r.type = MsgType::kShed;
-    push_reply(req.conn, req.gen, r);
-    return;
-  }
-  if (!journal_error_.empty()) {
-    // A previous append failed; this shard admits nothing more (the plane
-    // drains, sjs_serve exits non-zero).
-    r.type = MsgType::kError;
-    r.code = static_cast<std::uint8_t>(ErrorCode::kJournalFailed);
-    push_reply(req.conn, req.gen, r);
-    return;
-  }
-  const Job& job = verdict.job;
-  const JobId id = instance_.append_job(job);
-  engine_.admit_live(id);
-  Route route;
-  route.conn = req.conn;
-  route.gen = req.gen;
-  route.seq = req.seq;
-  route.ticket = req.ticket;
+void ShardWorker::admitted(JobId id, std::uint64_t request_ticket) {
   // Per-job bookkeeping: reserve() in run() covers the steady state, growth
   // past the pre-size is amortized doubling.
-  util::append(routes_, route);
-  util::append(tickets_, req.ticket);
-  by_ticket_.put(req.ticket, id);
-  SJS_CHECK(routes_.size() == static_cast<std::size_t>(id) + 1);
-  ++stats_.in_flight;
-  in_flight_peak_ = std::max(in_flight_peak_, stats_.in_flight);
-  if (journal_) {
-    try {
-      journal_->record_admit(instance_.job(id));
-    } catch (const std::exception& e) {
-      // The admit cannot be made durable, so the client must not see
-      // ACCEPTED: withdraw the job and report the failure.
-      journal_error_ = e.what();
-      routes_[static_cast<std::size_t>(id)].cancelled = true;
-      engine_.cancel_live(id);
-      r.type = MsgType::kError;
-      r.code = static_cast<std::uint8_t>(ErrorCode::kJournalFailed);
-      push_reply(req.conn, req.gen, r);
-      dispatch_notifications();
-      return;
-    }
-  }
-  ++stats_.accepted;
-  stats_.admitted_value += job.value;
-  count(kCtrAccepted);
-  r.type = MsgType::kAccepted;
-  r.ticket = req.ticket;
-  r.a = job.release;
-  push_reply(req.conn, req.gen, r);
+  util::append(tickets_, request_ticket);
+  by_ticket_.put(request_ticket, id);
 }
 
-void ShardWorker::handle_cancel(const ShardRequest& req) {
-  Message r;
-  r.seq = req.seq;
-  r.ticket = req.ticket;
-  const JobId id = by_ticket_.get(req.ticket, kNoJob);
-  const bool known =
-      id != kNoJob && !routes_[static_cast<std::size_t>(id)].cancelled;
-  if (known && engine_.cancel_live(id)) {
-    routes_[static_cast<std::size_t>(id)].cancelled = true;
-    ++stats_.cancelled;
-    count(ctr_cancelled_);
-    if (journal_) {
-      try {
-        journal_->record_cancel(engine_.now(), id);
-      } catch (const std::exception& e) {
-        if (journal_error_.empty()) journal_error_ = e.what();
-        r.type = MsgType::kError;
-        r.code = static_cast<std::uint8_t>(ErrorCode::kJournalFailed);
-        push_reply(req.conn, req.gen, r);
-        dispatch_notifications();
-        return;
-      }
-    }
-    r.type = MsgType::kCancelled;
-    push_reply(req.conn, req.gen, r);
-    // cancel_live raised a kExpire notification; translate it now so the
-    // in-flight count is current before the next admission decision.
-    dispatch_notifications();
-  } else {
-    r.type = MsgType::kCancelFailed;
-    push_reply(req.conn, req.gen, r);
-  }
-}
-
-void ShardWorker::handle_query(const ShardRequest& req) {
-  Message r;
-  r.type = MsgType::kQueryReply;
-  r.seq = req.seq;
-  r.ticket = req.ticket;
-  const JobId id = by_ticket_.get(req.ticket, kNoJob);
-  if (id == kNoJob) {
-    r.code = static_cast<std::uint8_t>(JobState::kUnknown);
-  } else {
-    if (engine_.is_completed(id)) {
-      r.code = static_cast<std::uint8_t>(JobState::kCompleted);
-    } else if (engine_.is_expired(id)) {
-      r.code = static_cast<std::uint8_t>(JobState::kExpired);
-    } else if (engine_.running() == id) {
-      r.code = static_cast<std::uint8_t>(JobState::kRunning);
-      r.a = engine_.remaining(id);
-    } else {
-      r.code = static_cast<std::uint8_t>(JobState::kQueued);
-      r.a = engine_.is_released(id) ? engine_.remaining(id)
-                                    : engine_.job(id).workload;
-    }
-  }
-  push_reply(req.conn, req.gen, r);
-}
-
-void ShardWorker::dispatch_notifications() {
-  // Drained in place (push_reply never re-enters the sink); clear() at the
-  // end keeps the buffer's capacity for the next engine pump.
-  for (std::size_t i = 0; i < notifications_.size(); ++i) {
-    const obs::TraceEvent ev = notifications_[i];
-    const auto id = static_cast<std::size_t>(ev.job);
-    if (id >= routes_.size()) continue;
-    Route& route = routes_[id];
-    Message note;
-    note.ticket = route.ticket;
-    note.seq = route.seq;
-    if (ev.kind == obs::TraceKind::kComplete) {
-      ++stats_.completed;
-      stats_.completed_value += ev.a;
-      count(ctr_completed_);
-      note.type = MsgType::kCompleted;
-      note.a = ev.a;
-      note.b = ev.time;
-    } else {
-      if (route.cancelled) {
-        // The client already got kCancelled; the forced expiry is internal.
-        --stats_.in_flight;
-        continue;
-      }
-      ++stats_.expired;
-      count(ctr_expired_);
-      note.type = MsgType::kExpired;
-      note.b = ev.time;
-    }
-    --stats_.in_flight;
-    // Ship unconditionally; the acceptor drops it if the connection died.
-    push_reply(route.conn, route.gen, note);
-  }
-  notifications_.clear();
-}
-
-void ShardWorker::finalize() {
-  result_ = engine_.finish_live();
-  result_.scheduler_name = config_.scheduler_name;
-  dispatch_notifications();
-  if (journal_) {
-    save_outcomes_csv(result_, instance_.jobs(),
-                      (std::filesystem::path(journal_->dir()) /
-                       "outcomes.csv").string());
-    try {
-      journal_->close();
-    } catch (const std::exception& e) {
-      if (journal_error_.empty()) journal_error_ = e.what();
-    }
-  }
-  stats_.virtual_now = engine_.now();
-  if (shard_) {
-    shard_->set_gauge(gauge_in_flight_peak_,
-                      static_cast<double>(in_flight_peak_));
-  }
-}
-
-void ShardWorker::push_reply(int conn, std::uint64_t gen, const Message& msg) {
+void ShardWorker::send(int conn, std::uint64_t gen, const Message& msg) {
   ShardReply rep;
   rep.conn = conn;
   rep.gen = gen;
@@ -366,10 +128,6 @@ void ShardWorker::push_reply(int conn, std::uint64_t gen, const Message& msg) {
                   "shard reply channel closed while serving");
     ::poll(nullptr, 0, 1);
   }
-}
-
-void ShardWorker::count(const std::string& name, double delta) {
-  if (shard_) shard_->count(name, delta);
 }
 
 }  // namespace sjs::serve

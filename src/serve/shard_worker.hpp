@@ -1,19 +1,18 @@
 // ShardWorker — one engine shard of the sharded admission plane.
 //
-// Each shard is the single-threaded AdmissionServer core with the socket
-// layer cut off: a private Instance + live-mode sim::Engine + scheduler +
-// AdmissionGate + ClockBridge + append-only Journal, owned exclusively by
-// one thread. The acceptor (serve/sharded_server.hpp) feeds it decoded
-// requests through a bounded conc::Channel<ShardRequest> and reads fully
-// formed protocol replies back from a conc::Channel<ShardReply>; the shard
-// never touches a socket and the acceptor never touches an engine, so the
-// only shared state in the whole plane is the two channels.
+// Each shard is a serve::Session<LocalBackend> (the same session core the
+// single-threaded AdmissionServer runs) with the socket layer cut off,
+// owned exclusively by one thread. The acceptor (serve/sharded_server.hpp)
+// feeds it decoded requests through a bounded conc::Channel<ShardRequest>
+// and reads fully formed protocol replies back from a
+// conc::Channel<ShardReply>; the shard never touches a socket and the
+// acceptor never touches an engine, so the only shared state in the whole
+// plane is the two channels.
 //
 // Identity contract: a shard runs the IDENTICAL admission sequence as
-// AdmissionServer (both call AdmissionGate::evaluate, stamps consumed in
-// the same places), journals to its own bundle directory
-// (`<journal>/shard<k>`), and its journal replays bit-exactly through
-// `sjs_sim --bundle=<journal>/shard<k>` — per shard, independently.
+// AdmissionServer (it is the same Session), journals to its own bundle
+// directory (`<journal>/shard<k>`), and its journal replays bit-exactly
+// through `sjs_sim --bundle=<journal>/shard<k>` — per shard, independently.
 //
 // Tickets: the acceptor assigns dense global tickets and routes by
 // conc::shard_of(ticket, n). The shard maps global tickets to its dense
@@ -21,11 +20,12 @@
 // self-contained); every reply and notification carries the GLOBAL ticket.
 //
 // Lifecycle: run() serves until the request channel drains (the acceptor
-// closes it on DRAIN/SIGTERM), then finalises — Engine::finish_live,
-// final notifications, outcomes.csv, journal close — and closes the reply
-// channel. The acceptor joins the thread only after the reply channel
-// reports drained, so result()/instance()/stats() are safe to read
-// post-join without any further synchronisation.
+// closes it on DRAIN/SIGTERM, or when any shard reports a journal failure),
+// then finalises — Engine::finish_live, final notifications, outcomes.csv,
+// journal close — and closes the reply channel. The acceptor joins the
+// thread only after the reply channel reports drained, so
+// result()/journal_error()/stats() are safe to read post-join without any
+// further synchronisation.
 #pragma once
 
 #include <cstdint>
@@ -34,19 +34,14 @@
 #include <vector>
 
 #include "conc/channel.hpp"
-#include "jobs/instance.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_sink.hpp"
-#include "serve/admission.hpp"
 #include "serve/clock.hpp"
-#include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "sim/engine.hpp"
+#include "serve/session.hpp"
 #include "sim/result.hpp"
 #include "sim/scheduler.hpp"
 #include "util/flat_map.hpp"
-#include "util/vec.hpp"
 
 namespace sjs::serve {
 
@@ -73,16 +68,17 @@ struct ShardReply {
   Message msg;
 };
 
-class ShardWorker {
+class ShardWorker final : private ReplyTarget {
  public:
   /// `config.journal_dir`, when set, is the PLANE's journal root; shard k
-  /// journals to `<root>/shard<k>`. The clock is shared across the plane;
-  /// run() anchors this shard's bridge at the epoch captured once by the
-  /// acceptor. `metrics` may be nullptr.
+  /// journals to `<root>/shard<k>` (written here; throws on I/O failure).
+  /// The clock is shared across the plane; run() anchors this shard's
+  /// bridge at the epoch captured once by the acceptor. `metrics` may be
+  /// nullptr.
   ShardWorker(const ServerConfig& config, std::size_t shard_index,
               std::unique_ptr<sim::Scheduler> scheduler, Clock& clock,
               obs::MetricsRegistry* metrics);
-  ~ShardWorker();
+  ~ShardWorker() override;
 
   conc::Channel<ShardRequest>& requests() { return requests_; }
   conc::Channel<ShardReply>& replies() { return replies_; }
@@ -92,103 +88,33 @@ class ShardWorker {
   void run(double epoch);
 
   // Safe to read only after the owning thread has been joined:
-  const sim::SimResult& result() const { return result_; }
-  const Instance& instance() const { return instance_; }
-  const std::string& journal_dir() const;
-  /// Non-empty once a journal append failed on this shard. The failing
-  /// request (and every later submit) was answered ERROR(kJournalFailed);
-  /// callers should exit non-zero after the drain.
-  const std::string& journal_error() const { return journal_error_; }
-  const StatsBody& stats() const { return stats_; }
-  /// Global ticket for each local JobId (index = local id).
-  const std::vector<std::uint64_t>& tickets() const { return tickets_; }
+  const sim::SimResult& result() const { return session_.result(); }
+  /// Non-empty once a journal write failed on this shard. The failing
+  /// request was answered ERROR(kJournalFailed), the shard's session began
+  /// draining, and the acceptor drains the plane when that reply reaches
+  /// it; callers should exit non-zero after the drain.
+  const std::string& journal_error() const {
+    return session_.journal_error();
+  }
+  StatsBody stats() const { return session_.stats(); }
 
  private:
-  /// Where to route a job's COMPLETED/EXPIRED notification (local-id
-  /// indexed, global ticket remembered for the wire).
-  struct Route {
-    int conn = -1;
-    std::uint64_t gen = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t ticket = 0;
-    bool cancelled = false;
-  };
-
-  /// Captures kComplete/kExpire events raised inside the engine (same shape
-  /// as AdmissionServer's sink; per-shard, single-threaded). Drained in
-  /// place (index + clear) so the buffer's capacity survives each loop turn;
-  /// a move-out take() would hand the capacity away every drain.
-  class NotificationSink final : public obs::TraceSink {
-   public:
-    void record(const obs::TraceEvent& event) override {
-      if (event.kind == obs::TraceKind::kComplete ||
-          event.kind == obs::TraceKind::kExpire) {
-        util::append(pending_, event);
-      }
-    }
-    std::size_t size() const { return pending_.size(); }
-    const obs::TraceEvent& operator[](std::size_t i) const {
-      return pending_[i];
-    }
-    void clear() { pending_.clear(); }
-    void reserve(std::size_t n) { pending_.reserve(n); }
-
-   private:
-    std::vector<obs::TraceEvent> pending_;
-  };
-
   void handle(const ShardRequest& req);
-  void handle_submit(const ShardRequest& req);
-  void handle_cancel(const ShardRequest& req);
-  void handle_query(const ShardRequest& req);
-  /// Advances virtual time to the bridge's now and ships notifications.
-  void pump_engine();
-  void dispatch_notifications();
-  void finalize();
-  /// Commits a reply, waiting out transient fullness (see .cpp for why this
-  /// cannot deadlock).
-  void push_reply(int conn, std::uint64_t gen, const Message& msg);
-  /// `name` is one of the pre-suffixed ctr_* members below.
-  void count(const std::string& name, double delta = 1.0);
+  // ReplyTarget: commits a reply, waiting out transient fullness (see .cpp
+  // for why this cannot deadlock), and translates local ids to tickets.
+  void send(int conn, std::uint64_t gen, const Message& msg) override;
+  void admitted(JobId id, std::uint64_t request_ticket) override;
+  std::uint64_t ticket(JobId id) const override {
+    return tickets_[static_cast<std::size_t>(id)];
+  }
 
-  ServerConfig config_;
-  std::size_t shard_index_;
-  std::unique_ptr<sim::Scheduler> scheduler_;
-  Instance instance_;
-  sim::Engine engine_;
-  AdmissionGate gate_;
-  ClockBridge bridge_;
-  std::unique_ptr<Journal> journal_;
-  std::string journal_error_;  ///< first append failure; see journal_error()
+  int poll_ms_;
   obs::MetricsRegistry* metrics_;
-  /// This THREAD's metrics shard; obtained in run() (the constructor runs on
-  /// the spawning thread, whose shard must not be aliased here).
-  obs::MetricsRegistry::Shard* shard_ = nullptr;
-
-  NotificationSink notifications_;
-  obs::TeeSink tee_;
-  std::unique_ptr<obs::TraceMetricsBridge> trace_bridge_;
-
   conc::Channel<ShardRequest> requests_;
   conc::Channel<ShardReply> replies_;
-
-  std::vector<Route> routes_;           // indexed by local JobId
   util::FlatU64Map by_ticket_;          // global ticket → local JobId
   std::vector<std::uint64_t> tickets_;  // local → global
-
-  // Pre-suffixed ".shard<k>" metric names, built once in the constructor so
-  // the steady-state count() path never concatenates strings.
-  std::string metric_suffix_;  // ".shard<k>" — per-shard counter labels
-  std::string ctr_accepted_;
-  std::string ctr_rejected_;
-  std::string ctr_shed_;
-  std::string ctr_completed_;
-  std::string ctr_expired_;
-  std::string ctr_cancelled_;
-  std::string gauge_in_flight_peak_;
-  StatsBody stats_{};
-  std::uint64_t in_flight_peak_ = 0;
-  sim::SimResult result_;
+  Session<LocalBackend> session_;
 };
 
 }  // namespace sjs::serve

@@ -1,50 +1,27 @@
 #include "serve/sharded_server.hpp"
 
 #include <poll.h>
-#include <unistd.h>
 
 #include <algorithm>
 
 #include "conc/shard_hash.hpp"
+#include "serve/session.hpp"
 #include "util/logging.hpp"
 #include "util/vec.hpp"
 
 namespace sjs::serve {
 
-namespace {
-
-// Plain server.* names — counted exactly once, by the acceptor (shards
-// publish only the ".shard<k>"-suffixed breakdowns; see shard_worker.cpp).
-constexpr const char* kCtrSubmitted = "server.jobs_submitted";
-constexpr const char* kCtrAccepted = "server.jobs_accepted";
-constexpr const char* kCtrRejected = "server.jobs_rejected";
-constexpr const char* kCtrShed = "server.jobs_shed";
-constexpr const char* kCtrCompleted = "server.jobs_completed";
-constexpr const char* kCtrExpired = "server.jobs_expired";
-constexpr const char* kCtrCancelled = "server.jobs_cancelled";
-constexpr const char* kCtrConnections = "server.connections";
-constexpr const char* kCtrMalformed = "server.malformed_frames";
-constexpr const char* kCtrOverflows = "server.write_overflows";
-constexpr const char* kGaugeInFlightPeak = "server.in_flight_peak";
-constexpr const char* kGaugeWriteBufPeak = "server.write_buffer_peak";
-
-}  // namespace
-
 ShardedAdmissionServer::ShardedAdmissionServer(ServerConfig config,
                                                SchedulerFactory make_scheduler,
                                                Clock& clock,
                                                obs::MetricsRegistry* metrics)
-    : config_(std::move(config)),
+    : FrontEnd(clock, config.max_write_buffer, metrics),
+      config_(std::move(config)),
       make_scheduler_(std::move(make_scheduler)),
-      clock_(&clock),
-      bridge_(clock, config_.accel),
-      loop_(*this),
-      metrics_(metrics) {
+      bridge_(clock, config_.accel) {
   SJS_CHECK_MSG(config_.shards >= 1, "sharded server needs >= 1 shard");
   SJS_CHECK_MSG(static_cast<bool>(make_scheduler_),
                 "sharded server needs a scheduler factory");
-  if (metrics_) shard_ = &metrics_->local();
-  loop_.set_max_write_buffer(config_.max_write_buffer);
 }
 
 ShardedAdmissionServer::~ShardedAdmissionServer() {
@@ -59,14 +36,14 @@ ShardedAdmissionServer::~ShardedAdmissionServer() {
 }
 
 int ShardedAdmissionServer::start() {
-  SJS_CHECK_MSG(!started_, "ShardedAdmissionServer::start called twice");
+  SJS_CHECK_MSG(workers_.empty(), "ShardedAdmissionServer::start called twice");
   workers_.reserve(config_.shards);
   for (std::size_t k = 0; k < config_.shards; ++k) {
     workers_.push_back(std::make_unique<ShardWorker>(
         config_, k, make_scheduler_(), *clock_, metrics_));
-    loop_.watch(workers_[k]->replies().wake_fd());
+    loop().watch(workers_[k]->replies().wake_fd());
   }
-  const int port = loop_.listen_loopback(config_.port);
+  const int port = listen(config_.port);
   // Pre-size the acceptor's per-ticket tables for a full plane's worth of
   // in-flight jobs; growth past this total is amortized, not per-request.
   const std::size_t plane_in_flight =
@@ -79,78 +56,46 @@ int ShardedAdmissionServer::start() {
   bridge_.start_at(epoch);
   threads_.spawn(config_.shards,
                  [this, epoch](std::size_t k) { workers_[k]->run(epoch); });
-  started_ = true;
   return port;
 }
 
-void ShardedAdmissionServer::watch_shutdown_fd(int fd) {
-  util::append(shutdown_fds_, fd);
-  loop_.watch(fd);
-}
-
-bool ShardedAdmissionServer::step(int max_wait_ms) {
-  SJS_CHECK_MSG(started_, "ShardedAdmissionServer::step before start()");
-  if (finished_) return false;
+bool ShardedAdmissionServer::serve(int max_wait_ms) {
   drain_replies();
-  if (!joined_) {
-    loop_.poll_once(draining_ ? std::min(max_wait_ms, 10) : max_wait_ms);
-    drain_replies();
-    if (draining_ && all_replies_drained()) {
-      // Every shard has finalised and closed its reply channel, and every
-      // reply has been shipped or dropped — joining cannot block.
-      threads_.join();
-      joined_ = true;
-      for (const auto& w : workers_) {
-        stats_.virtual_now =
-            std::max(stats_.virtual_now, w->stats().virtual_now);
-      }
+  loop().poll_once(draining() ? std::min(max_wait_ms, 10) : max_wait_ms);
+  drain_replies();
+  if (!draining() || !all_replies_drained()) return false;
+  // Every shard has finalised and closed its reply channel, and every reply
+  // has been shipped or dropped — joining cannot block.
+  threads_.join();
+  joined_ = true;
+  for (std::size_t k = 0; k < workers_.size(); ++k) {
+    const ShardWorker& w = *workers_[k];
+    stats_.virtual_now = std::max(stats_.virtual_now, w.stats().virtual_now);
+    if (journal_error_.empty() && !w.journal_error().empty()) {
+      journal_error_ = "shard " + std::to_string(k) + ": " + w.journal_error();
     }
   }
-  if (joined_) {
-    // Flush queued notifications/replies, then shut everything down. A peer
-    // that stops reading cannot wedge the drain: bounded spins, then drop.
-    if (loop_.writes_pending() && loop_.open_conn_count() > 0 &&
-        flush_spins_ < 200) {
-      ++flush_spins_;
-      loop_.poll_once(std::min(max_wait_ms, 10));
-    } else {
-      set_gauge(kGaugeInFlightPeak, static_cast<double>(in_flight_peak_));
-      set_gauge(kGaugeWriteBufPeak,
-                static_cast<double>(loop_.write_buffer_peak()));
-      loop_.shutdown();
-      finished_ = true;
-    }
-  }
-  return !finished_;
+  set_gauge(kGaugeInFlightPeak, static_cast<double>(in_flight_peak_));
+  return true;
 }
 
-void ShardedAdmissionServer::run() {
-  while (step()) {
-  }
-}
-
-void ShardedAdmissionServer::request_drain() {
-  if (draining_) return;
-  draining_ = true;
-  loop_.stop_listening();
-  // Close the request channels in shard order — the deterministic half of
-  // the drain contract (ShardSet::join is the other half).
+void ShardedAdmissionServer::on_drain() {
   for (auto& w : workers_) w->requests().close();
 }
 
-StatsBody ShardedAdmissionServer::stats() {
+StatsBody ShardedAdmissionServer::stats() const {
   StatsBody s = stats_;
   if (!joined_) s.virtual_now = bridge_.virtual_now();
   return s;
 }
 
 void ShardedAdmissionServer::drain_replies() {
-  for (auto& w : workers_) {
-    auto& ch = w->replies();
+  for (std::size_t k = 0; k < workers_.size(); ++k) {
+    auto& ch = workers_[k]->replies();
     ch.drain_wakeups();
     ShardReply rep;
     while (ch.try_pop(rep) == conc::PopStatus::kOk) {
-      dispatch_reply(rep);
+      dispatch_reply(k, rep);
     }
   }
 }
@@ -162,7 +107,8 @@ bool ShardedAdmissionServer::all_replies_drained() const {
   return true;
 }
 
-void ShardedAdmissionServer::dispatch_reply(const ShardReply& rep) {
+void ShardedAdmissionServer::dispatch_reply(std::size_t shard,
+                                            const ShardReply& rep) {
   const Message& m = rep.msg;
   switch (m.type) {
     case MsgType::kAccepted:
@@ -198,45 +144,24 @@ void ShardedAdmissionServer::dispatch_reply(const ShardReply& rep) {
       --stats_.in_flight;
       count(kCtrCancelled);
       break;
+    case MsgType::kError:
+      // The shard's session failed a journal write and is draining; the
+      // plane follows (protocol.hpp: kJournalFailed means draining).
+      if (m.code == static_cast<std::uint8_t>(ErrorCode::kJournalFailed)) {
+        if (journal_error_.empty()) {
+          journal_error_ =
+              "shard " + std::to_string(shard) + ": journal append failed";
+        }
+        request_drain();
+      }
+      break;
     default:  // kCancelFailed, kQueryReply: no aggregate effect
       break;
   }
-  if (rep.conn >= 0 &&
-      static_cast<std::size_t>(rep.conn) < conn_gens_.size() &&
-      loop_.conn_open(rep.conn) &&
-      conn_gens_[static_cast<std::size_t>(rep.conn)] == rep.gen) {
-    reply(rep.conn, m);
-  }
+  send_to(rep.conn, rep.gen, m);
 }
 
-void ShardedAdmissionServer::on_accept(int conn) {
-  // Per-connection slot setup on accept, not per-request steady state; the
-  // tables grow to the concurrent-connection high-water. reset() (not
-  // re-assignment) keeps the recycled decoder's buffer capacity.
-  const auto i = static_cast<std::size_t>(conn);
-  util::grow_to_index(decoders_, i);
-  util::grow_to_index_fill(conn_gens_, i, std::uint64_t{0});
-  decoders_[i].reset();
-  count(kCtrConnections);
-}
-
-void ShardedAdmissionServer::on_close(int conn, bool overflow) {
-  ++conn_gens_[static_cast<std::size_t>(conn)];
-  if (overflow) count(kCtrOverflows);
-}
-
-void ShardedAdmissionServer::on_wake(int fd) {
-  for (const int sfd : shutdown_fds_) {
-    if (fd == sfd) {
-      char buf[64];
-      while (::read(fd, buf, sizeof(buf)) > 0) {
-      }
-      request_drain();
-      return;
-    }
-  }
-  // A shard reply wake: re-arm it now (poll is level-triggered, so leaving
-  // the fd readable would spin); the pops happen in step()'s drain_replies.
+void ShardedAdmissionServer::on_other_wake(int fd) {
   for (auto& w : workers_) {
     if (w->replies().wake_fd() == fd) {
       w->replies().drain_wakeups();
@@ -245,71 +170,16 @@ void ShardedAdmissionServer::on_wake(int fd) {
   }
 }
 
-void ShardedAdmissionServer::on_data(int conn, const std::uint8_t* data,
-                                     std::size_t size) {
-  FrameDecoder& dec = decoders_[static_cast<std::size_t>(conn)];
-  dec.feed(data, size);
-  Message m;
-  while (true) {
-    const FrameDecoder::Status st = dec.next(m);
-    if (st == FrameDecoder::Status::kNeedMore) return;
-    if (st == FrameDecoder::Status::kMalformed) {
-      count(kCtrMalformed);
-      Message err;
-      err.type = MsgType::kError;
-      err.code = static_cast<std::uint8_t>(ErrorCode::kMalformedFrame);
-      reply(conn, err);
-      loop_.close_conn(conn);
-      return;
-    }
-    handle_message(conn, m);
-    if (!loop_.conn_open(conn)) return;
+void ShardedAdmissionServer::on_request(int conn, const Message& m) {
+  if (m.type != MsgType::kSubmit) {
+    forward_by_ticket(conn, m);
+    return;
   }
-}
-
-void ShardedAdmissionServer::handle_message(int conn, const Message& m) {
-  switch (m.type) {
-    case MsgType::kSubmit:
-      handle_submit(conn, m);
-      return;
-    case MsgType::kCancel:
-    case MsgType::kQuery:
-      forward_by_ticket(conn, m);
-      return;
-    case MsgType::kStats: {
-      Message r;
-      r.type = MsgType::kStatsReply;
-      r.seq = m.seq;
-      r.stats = stats();
-      reply(conn, r);
-      return;
-    }
-    case MsgType::kDrain: {
-      Message r;
-      r.type = MsgType::kDraining;
-      r.seq = m.seq;
-      reply(conn, r);
-      request_drain();
-      return;
-    }
-    default: {
-      Message err;
-      err.type = MsgType::kError;
-      err.seq = m.seq;
-      err.code = static_cast<std::uint8_t>(ErrorCode::kNotARequest);
-      reply(conn, err);
-      loop_.close_conn(conn);
-      return;
-    }
-  }
-}
-
-void ShardedAdmissionServer::handle_submit(int conn, const Message& m) {
   ++stats_.submitted;
   count(kCtrSubmitted);
   Message r;
   r.seq = m.seq;
-  if (draining_) {
+  if (draining()) {
     ++stats_.rejected;
     count(kCtrRejected);
     r.type = MsgType::kRejected;
@@ -334,7 +204,7 @@ void ShardedAdmissionServer::handle_submit(int conn, const Message& m) {
   ShardRequest req;
   req.kind = ShardRequest::Kind::kSubmit;
   req.conn = conn;
-  req.gen = conn_gens_[static_cast<std::size_t>(conn)];
+  req.gen = gen_of(conn);
   req.seq = m.seq;
   req.ticket = ticket;
   req.workload = m.a;
@@ -355,7 +225,7 @@ void ShardedAdmissionServer::forward_by_ticket(int conn, const Message& m) {
     req.kind = m.type == MsgType::kCancel ? ShardRequest::Kind::kCancel
                                           : ShardRequest::Kind::kQuery;
     req.conn = conn;
-    req.gen = conn_gens_[static_cast<std::size_t>(conn)];
+    req.gen = gen_of(conn);
     req.seq = m.seq;
     req.ticket = m.ticket;
     forwarded = ch.try_send(req) == conc::SendStatus::kOk;
@@ -373,22 +243,6 @@ void ShardedAdmissionServer::forward_by_ticket(int conn, const Message& m) {
     r.code = static_cast<std::uint8_t>(JobState::kUnknown);
   }
   reply(conn, r);
-}
-
-void ShardedAdmissionServer::reply(int conn, const Message& m) {
-  // Stack-encoded frame: the per-reply path allocates nothing (the loop's
-  // send buffer retains its capacity between requests).
-  std::uint8_t frame[kMaxFrame];
-  const std::size_t n = encode_frame_into(frame, m);
-  loop_.send(conn, frame, n);
-}
-
-void ShardedAdmissionServer::count(const char* name, double delta) {
-  if (shard_) shard_->count(name, delta);
-}
-
-void ShardedAdmissionServer::set_gauge(const char* name, double value) {
-  if (shard_) shard_->set_gauge(name, value);
 }
 
 }  // namespace sjs::serve

@@ -20,18 +20,22 @@
 // hands the same epoch to its own bridge and every shard's, so "virtual
 // now" is one global timeline across the plane.
 //
-// Drain (DRAIN request or watched shutdown fd): the acceptor stops
-// listening, refuses further submits, and closes every request channel in
-// shard order. Each shard finishes its backlog, journals outcomes, and
-// closes its reply channel; the acceptor keeps shipping notifications until
-// every reply channel reports drained, then joins the ShardSet (again in
-// shard order), flushes client sockets, and shuts down.
+// Drain (DRAIN request, watched shutdown fd, or a shard's
+// ERROR(kJournalFailed) reply — one journal-failure policy in every mode):
+// the acceptor stops listening, refuses further submits, and closes every
+// request channel in shard order. Each shard finishes its backlog, journals
+// outcomes, and closes its reply channel; the acceptor keeps shipping
+// notifications until every reply channel reports drained, then joins the
+// ShardSet (again in shard order), flushes client sockets, and shuts down.
 //
 // Stats/metrics: the acceptor aggregates the plane-wide StatsBody from the
-// reply stream (kStats is answered locally, never forwarded), counts the
-// plain server.* metric names, and leaves "<name>.shard<k>" breakdowns to
-// the shards — a registry snapshot therefore carries both rollup and
-// per-shard series without double counting.
+// reply stream (kStats is answered locally, never forwarded) and counts the
+// plain server.* metric names; each shard's session counts only the
+// "<name>.shard<k>" breakdowns — a registry snapshot therefore carries both
+// rollup and per-shard series without double counting.
+//
+// The connection side (decoders, generations, STATS/DRAIN, flush-then-
+// shutdown) is serve::FrontEnd, shared with the inline servers.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +47,7 @@
 #include "conc/shard_set.hpp"
 #include "obs/metrics.hpp"
 #include "serve/clock.hpp"
-#include "serve/event_loop.hpp"
+#include "serve/front_end.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/shard_worker.hpp"
@@ -51,7 +55,7 @@
 
 namespace sjs::serve {
 
-class ShardedAdmissionServer final : public EventLoop::Handler {
+class ShardedAdmissionServer final : public FrontEnd {
  public:
   /// Builds one fresh scheduler per shard (schedulers are single-engine by
   /// contract, so they cannot be shared).
@@ -65,81 +69,53 @@ class ShardedAdmissionServer final : public EventLoop::Handler {
   /// Returns the bound port.
   int start();
 
-  /// One acceptor pump: poll sockets and reply channels (at most
-  /// `max_wait_ms`), dispatch. Returns false once fully drained.
-  bool step(int max_wait_ms = 50);
-
-  /// Serves until drained.
-  void run();
-
-  /// Graceful drain: stop accepting, refuse submits, close the request
-  /// channels in shard order. step() completes the shutdown.
-  void request_drain();
-
-  bool draining() const { return draining_; }
-  bool finished() const { return finished_; }
-
   /// Plane-wide aggregate counters (also the body of STATS replies).
   /// `virtual_now` is the acceptor bridge's reading (the shards' engines
   /// trail it only by their undispatched backlog).
-  StatsBody stats();
+  StatsBody stats() const override;
 
-  int port() const { return loop_.port(); }
-  EventLoop& loop() { return loop_; }
   std::size_t shard_count() const { return workers_.size(); }
-  /// Shard k's worker. Its result()/instance()/stats() are valid only after
-  /// finished().
+  /// Shard k's worker. Its result()/journal_error()/stats() are valid only
+  /// after finished().
   const ShardWorker& shard(std::size_t k) const { return *workers_[k]; }
   /// The journal ROOT (shard k writes `<root>/shard<k>`); empty when
   /// journalling is off.
   const std::string& journal_dir() const { return config_.journal_dir; }
-
-  /// Registers `fd` (e.g. a signal self-pipe) with the loop; when readable
-  /// the server drains it and initiates a drain.
-  void watch_shutdown_fd(int fd);
-
-  // EventLoop::Handler:
-  void on_accept(int conn) override;
-  void on_data(int conn, const std::uint8_t* data, std::size_t size) override;
-  void on_close(int conn, bool overflow) override;
-  void on_wake(int fd) override;
+  /// Non-empty once a shard reported ERROR(kJournalFailed) (the plane is
+  /// then draining) or, after finished(), once any shard's journal failed;
+  /// shard(k).journal_error() has each shard's own message. Callers should
+  /// exit non-zero.
+  const std::string& journal_error() const { return journal_error_; }
 
  private:
-  void handle_message(int conn, const Message& m);
-  void handle_submit(int conn, const Message& m);
+  void on_request(int conn, const Message& m) override;
+  bool serve(int max_wait_ms) override;
+  /// Closes the request channels in shard order — the deterministic half
+  /// of the drain contract (ShardSet::join is the other half).
+  void on_drain() override;
+  /// A shard reply wake: re-arm it now (poll is level-triggered, so leaving
+  /// the fd readable would spin); the pops happen in drain_replies.
+  void on_other_wake(int fd) override;
+
   /// Routes kCancel/kQuery to the owning shard by ticket.
   void forward_by_ticket(int conn, const Message& m);
-  void reply(int conn, const Message& m);
   /// Pops every deliverable reply from every shard and dispatches it.
   void drain_replies();
-  void dispatch_reply(const ShardReply& rep);
+  void dispatch_reply(std::size_t shard, const ShardReply& rep);
   bool all_replies_drained() const;
-  void count(const char* name, double delta = 1.0);
-  void set_gauge(const char* name, double value);
 
   ServerConfig config_;
   SchedulerFactory make_scheduler_;
-  Clock* clock_;
   ClockBridge bridge_;
-  EventLoop loop_;
-  obs::MetricsRegistry* metrics_;
-  obs::MetricsRegistry::Shard* shard_ = nullptr;  ///< cached local() shard
 
   std::vector<std::unique_ptr<ShardWorker>> workers_;
   conc::ShardSet threads_;
 
-  std::vector<FrameDecoder> decoders_;    // indexed by conn id
-  std::vector<std::uint64_t> conn_gens_;  // bumped on close
   std::vector<std::uint32_t> ticket_shard_;  // indexed by global ticket
   std::vector<double> ticket_value_;         // submit value, for stats
-  std::vector<int> shutdown_fds_;
 
-  bool started_ = false;
-  bool draining_ = false;
   bool joined_ = false;
-  bool finished_ = false;
-  int flush_spins_ = 0;
-
+  std::string journal_error_;
   StatsBody stats_{};
   std::uint64_t in_flight_peak_ = 0;
 };

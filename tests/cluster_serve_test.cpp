@@ -14,12 +14,6 @@
 // the cancels journal, QUERY/STATS, and cross-run journal determinism.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
@@ -32,6 +26,7 @@
 #include "cluster/cluster_journal.hpp"
 #include "cluster/cluster_server.hpp"
 #include "cluster/dispatcher.hpp"
+#include "loopback_client.hpp"
 #include "obs/metrics.hpp"
 #include "serve/clock.hpp"
 #include "serve/protocol.hpp"
@@ -43,7 +38,6 @@ using sjs::cluster::ClusterServer;
 using sjs::cluster::ClusterServerConfig;
 using sjs::cluster::Fleet;
 using sjs::serve::FakeClock;
-using sjs::serve::FrameDecoder;
 using sjs::serve::JobState;
 using sjs::serve::Message;
 using sjs::serve::MsgType;
@@ -62,83 +56,7 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-/// A raw nonblocking loopback client; same single-threaded await idiom as
-/// tests/serve_test.cpp, retargeted at ClusterServer.
-class TestClient {
- public:
-  explicit TestClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    SJS_CHECK(fd_ >= 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    SJS_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)) == 0);
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    SJS_CHECK(::fcntl(fd_, F_SETFL, O_NONBLOCK) == 0);
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send(const Message& m) {
-    const auto bytes = sjs::serve::encode_frame(m);
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      SJS_CHECK_MSG(n > 0, "test client send failed");
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  bool read_socket() {
-    std::uint8_t buf[4096];
-    while (true) {
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n > 0) {
-        decoder_.feed(buf, static_cast<std::size_t>(n));
-        Message m;
-        while (decoder_.next(m) == FrameDecoder::Status::kOk) {
-          inbox.push_back(m);
-        }
-        continue;
-      }
-      if (n == 0) return true;
-      return false;
-    }
-  }
-
-  template <typename Pred>
-  Message await(ClusterServer& server, Pred pred, int spins = 1000) {
-    for (int i = 0; i < spins; ++i) {
-      for (std::size_t j = scanned_; j < inbox.size(); ++j) {
-        if (pred(inbox[j])) {
-          scanned_ = j + 1;
-          return inbox[j];
-        }
-      }
-      scanned_ = inbox.size();
-      server.step(0);
-      read_socket();
-    }
-    ADD_FAILURE() << "no matching reply after " << spins << " spins";
-    return Message{};
-  }
-
-  Message await_seq(ClusterServer& server, std::uint64_t seq) {
-    return await(server, [seq](const Message& m) { return m.seq == seq; });
-  }
-
-  std::vector<Message> inbox;
-
- private:
-  int fd_ = -1;
-  FrameDecoder decoder_;
-  std::size_t scanned_ = 0;
-};
+using TestClient = sjs::testutil::LoopbackClient;
 
 Message submit_msg(std::uint64_t seq, double workload, double rel_deadline,
                    double value) {

@@ -11,18 +11,14 @@
 // the compaction threshold, no matter how many timers a run arms.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -31,16 +27,19 @@
 #include "cloud/global_sched.hpp"
 #include "cloud/multi_engine.hpp"
 #include "cloud/ranked_live_set.hpp"
+#include "cluster/cluster_server.hpp"
 #include "cluster/dispatcher.hpp"
 #include "cluster/fleet.hpp"
 #include "cluster/rental.hpp"
 #include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
+#include "loopback_client.hpp"
 #include "sched/factory.hpp"
 #include "sched/vdover.hpp"
 #include "serve/clock.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve/sharded_server.hpp"
 #include "sim/engine.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
@@ -294,136 +293,45 @@ TEST(HotPathAllocations, SteadyStateReplayAllocationRatchet) {
   EXPECT_LE(steady_count, kSteadyStateAllocRatchet);
 }
 
-/// Minimal loopback client for the serve steady-state probe below. Unlike
-/// serve_test's TestClient it is itself allocation-free once warmed: frames
-/// are encoded into a stack buffer, replies are counted rather than stored,
-/// and the only growable state is the FrameDecoder's byte buffer (which
-/// retains its high-water capacity).
-class SteadyClient {
- public:
-  explicit SteadyClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    SJS_CHECK(fd_ >= 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    SJS_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)) == 0);
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    SJS_CHECK(::fcntl(fd_, F_SETFL, O_NONBLOCK) == 0);
-  }
-  ~SteadyClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send(const serve::Message& m) {
-    std::uint8_t frame[serve::kMaxFrame];
-    const std::size_t n = serve::encode_frame_into(frame, m);
-    std::size_t sent = 0;
-    while (sent < n) {
-      const ssize_t k = ::send(fd_, frame + sent, n - sent, MSG_NOSIGNAL);
-      SJS_CHECK_MSG(k > 0, "steady client send failed");
-      sent += static_cast<std::size_t>(k);
-    }
-  }
-
-  void read_socket() {
-    std::uint8_t buf[4096];
-    while (true) {
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) return;
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-      serve::Message m;
-      while (decoder_.next(m) == serve::FrameDecoder::Status::kOk) note(m);
-    }
-  }
-
-  /// Pumps the server until the direct reply to `seq` arrives. Returns its
-  /// type (kError after too many fruitless spins).
-  serve::MsgType await_seq(serve::AdmissionServer& server, std::uint64_t seq) {
-    for (int i = 0; i < 1000; ++i) {
-      if (last_direct_seq_ == seq) return last_direct_type_;
-      server.step(0);
-      read_socket();
-    }
-    return serve::MsgType::kError;
-  }
-
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t expired = 0;
-
- private:
-  void note(const serve::Message& m) {
-    switch (m.type) {
-      case serve::MsgType::kCompleted:
-        ++completed;
-        return;  // notification: echoes the submit's seq, not a direct reply
-      case serve::MsgType::kExpired:
-        ++expired;
-        return;
-      case serve::MsgType::kAccepted:
-        ++accepted;
-        break;
-      case serve::MsgType::kRejected:
-        ++rejected;
-        break;
-      default:
-        break;
-    }
-    last_direct_seq_ = m.seq;
-    last_direct_type_ = m.type;
-  }
-
-  int fd_ = -1;
-  serve::FrameDecoder decoder_;
-  std::uint64_t last_direct_seq_ = 0;
-  serve::MsgType last_direct_type_ = serve::MsgType::kError;
+/// What the measured steady phase of one serve-session probe did.
+struct ServeProbe {
+  std::uint64_t allocs = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t accepts = 0;
+  std::uint64_t notifications = 0;
 };
 
-TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
-  // The live-mode twin of the replay ratchet above: a warmed FakeClock
-  // AdmissionServer session — submits, accept/reject decisions, completion
-  // and expiry notifications, reply encoding, the poll loop — performs zero
-  // heap allocations. start() pre-sizes the slab, routes, and notification
-  // buffers from --max-in-flight; the warm-up phase below grows everything
-  // else (socket buffers, decoders) to its steady-state high-water. The
-  // whole session is deterministic (FakeClock + seeded Rng), so this is an
-  // exact assertion, not a statistical one. Runs on a fresh thread so the
-  // ready queues' thread-local recycler starts empty.
-  std::uint64_t steady_count = 0;
-  std::uint64_t steady_bytes = 0;
-  std::uint64_t measured_accepts = 0;
-  std::uint64_t measured_notifications = 0;
+/// Job shapes for a probe: exponential workloads of mean `mean_workload`,
+/// windows sized against the admission floor `floor` (every 10th one
+/// deliberately inadmissible), Poisson arrivals per virtual second.
+/// `step_ms` is the poll the client grants each server step (the sharded
+/// plane needs 1 ms for shard replies to wake the acceptor).
+struct ProbeShape {
+  double floor;
+  double mean_workload;
+  double warm_rate;
+  double steady_rate;
+  int step_ms;
+};
+
+/// Boots `make_server(clock)` on a fresh thread (so the ready queues'
+/// thread-local recycler starts empty), warms it with an overloaded burst
+/// that exercises accept, reject, completion and expiry, then counts the
+/// heap allocations of a second, lighter burst. The whole session is
+/// deterministic (FakeClock + seeded Rng) up to shard thread timing.
+template <typename MakeServer>
+ServeProbe probe_steady_serve_session(const ProbeShape& shape,
+                                      MakeServer make_server) {
+  ServeProbe out;
   std::thread worker([&] {
-    constexpr double kBandLo = 0.5;
-    constexpr double kBandHi = 1.0;
-    serve::ServerConfig config;
-    config.scheduler_name = "V-Dover";
-    config.capacity = cap::CapacityProfile(1.0);
-    config.c_lo = kBandLo;
-    config.c_hi = kBandHi;
-    // No journal, no metrics: the probe measures the serve core itself.
-    const auto lineup = sched::full_lineup(kBandLo, kBandHi);
-    const auto* factory = sched::find_factory(lineup, "V-Dover");
-    ASSERT_NE(factory, nullptr);
     serve::FakeClock clock;
-    serve::AdmissionServer server(config, factory->make(), clock);
-    const int port = server.start();
-    SteadyClient client(port);
+    auto server = make_server(clock);
+    const int port = server->start();
+    testutil::LoopbackClient client(port, /*record=*/false);
 
     Rng rng(2028);
     std::uint64_t seq = 0;
-    const auto pump_one = [&](double arrival_rate) {
-      clock.advance(rng.exponential_rate(arrival_rate));
-      const double workload = rng.exponential_mean(0.05);
-      const bool sabotage = (seq % 10) == 9;
-      const double window =
-          sabotage ? 0.5 * workload / kBandLo
-                   : rng.uniform(1.05, 3.0) * workload / kBandLo;
+    const auto submit = [&](double workload, double window) {
       serve::Message m;
       m.type = serve::MsgType::kSubmit;
       m.seq = ++seq;
@@ -431,20 +339,44 @@ TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
       m.b = window;
       m.c = workload;
       client.send(m);
-      client.await_seq(server, seq);
+      client.await_seq(*server, seq, shape.step_ms);
+    };
+    const auto pump_one = [&](double arrival_rate) {
+      clock.advance(rng.exponential_rate(arrival_rate));
+      const double workload = rng.exponential_mean(shape.mean_workload);
+      const bool sabotage = (seq % 10) == 9;
+      submit(workload, sabotage
+                           ? 0.5 * workload / shape.floor
+                           : rng.uniform(1.05, 3.0) * workload / shape.floor);
     };
     const auto settle = [&] {
       clock.advance(5.0);
       for (int i = 0; i < 50; ++i) {
-        server.step(0);
+        server->step(shape.step_ms);
         client.read_socket();
       }
     };
 
-    // Warm-up: an overloaded burst (20 submits per virtual second) sizes
-    // every buffer past what the measured phase needs and exercises accept,
-    // reject, completion, and expiry at least once.
-    for (int i = 0; i < 120; ++i) pump_one(20.0);
+    // Warm-up: the overloaded burst sizes every buffer past what the
+    // measured phase needs.
+    for (int i = 0; i < 120; ++i) pump_one(shape.warm_rate);
+    settle();
+    // Then the largest reply burst the measured phase could ever see: 128
+    // small long-window jobs (more than it admits in total) are admitted at
+    // one instant and all resolve in the next pump. The sharded plane's
+    // shard threads push their notifications while the acceptor sleeps, so
+    // the acceptor queues them in one go and its write buffer and the
+    // client's decoder reach a high-water that no batching of the measured
+    // phase's replies can exceed. (Its own Rng keeps the measured phase's
+    // job stream unchanged.)
+    Rng flood_rng(7);
+    for (int i = 0; i < 128; ++i) {
+      const double workload =
+          0.1 * flood_rng.exponential_mean(shape.mean_workload);
+      submit(workload, 100.0 * workload / shape.floor);
+    }
+    clock.advance(5.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
     settle();
     ASSERT_GT(client.accepted, 0u);
     ASSERT_GT(client.rejected, 0u);
@@ -453,26 +385,84 @@ TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
     const std::uint64_t warm_accepts = client.accepted;
     const std::uint64_t warm_notes = client.completed + client.expired;
     util::AllocProbe::reset();
-    for (int i = 0; i < 120; ++i) pump_one(10.0);
+    for (int i = 0; i < 120; ++i) pump_one(shape.steady_rate);
     settle();
-    steady_count = util::AllocProbe::count();
-    steady_bytes = util::AllocProbe::bytes();
-    measured_accepts = client.accepted - warm_accepts;
-    measured_notifications = client.completed + client.expired - warm_notes;
+    out.allocs = util::AllocProbe::count();
+    out.bytes = util::AllocProbe::bytes();
+    out.accepts = client.accepted - warm_accepts;
+    out.notifications = client.completed + client.expired - warm_notes;
     // Teardown (drain, finalize) happens after the probe window on purpose:
     // the zero-allocation contract covers the steady state, not shutdown.
   });
   worker.join();
+  return out;
+}
 
+void expect_allocation_free(const char* mode, const ServeProbe& probe) {
   // The measured phase did real admission work...
-  EXPECT_GT(measured_accepts, 50u);
-  EXPECT_GT(measured_notifications, 50u);
+  EXPECT_GT(probe.accepts, 50u) << mode;
+  EXPECT_GT(probe.notifications, 50u) << mode;
   // ...and allocated nothing at all.
-  RecordProperty("steady_serve_allocs", static_cast<int>(steady_count));
-  std::fprintf(stderr, "steady-state serve: %llu allocations, %llu bytes\n",
-               static_cast<unsigned long long>(steady_count),
-               static_cast<unsigned long long>(steady_bytes));
-  EXPECT_EQ(steady_count, 0u);
+  std::fprintf(stderr, "steady-state serve (%s): %llu allocations, %llu bytes\n",
+               mode, static_cast<unsigned long long>(probe.allocs),
+               static_cast<unsigned long long>(probe.bytes));
+  EXPECT_EQ(probe.allocs, 0u) << mode;
+}
+
+TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
+  // The live-mode twin of the replay ratchet above, in every serving mode:
+  // a warmed FakeClock session — submits, accept/reject decisions,
+  // completion and expiry notifications, reply encoding, the poll loop, and
+  // for the sharded plane the channel hops both ways — performs zero heap
+  // allocations. start() pre-sizes the slab, routes, and notification
+  // buffers from --max-in-flight; the warm-up grows everything else (socket
+  // buffers, decoders) to its steady-state high-water. No journal, no
+  // metrics: the probe measures the serve core itself.
+  constexpr double kBandLo = 0.5;
+  constexpr double kBandHi = 1.0;
+  serve::ServerConfig config;
+  config.scheduler_name = "V-Dover";
+  config.capacity = cap::CapacityProfile(1.0);
+  config.c_lo = kBandLo;
+  config.c_hi = kBandHi;
+  const auto lineup = sched::full_lineup(kBandLo, kBandHi);
+  const auto* factory = sched::find_factory(lineup, "V-Dover");
+  ASSERT_NE(factory, nullptr);
+
+  const ServeProbe single = probe_steady_serve_session(
+      {kBandLo, 0.05, 20.0, 10.0, 0}, [&](serve::FakeClock& clock) {
+        return std::make_unique<serve::AdmissionServer>(
+            config, factory->make(), clock);
+      });
+  RecordProperty("steady_serve_allocs", static_cast<int>(single.allocs));
+  expect_allocation_free("single", single);
+
+  serve::ServerConfig sharded = config;
+  sharded.shards = 2;
+  sharded.shard_poll_ms = 5;  // shard threads re-check the FakeClock promptly
+  expect_allocation_free(
+      "sharded",
+      probe_steady_serve_session(
+          {kBandLo, 0.05, 20.0, 10.0, 1}, [&](serve::FakeClock& clock) {
+            return std::make_unique<serve::ShardedAdmissionServer>(
+                sharded, [&] { return factory->make(); }, clock);
+          }));
+
+  // The fleet: three speed classes over a tight base band, so admission
+  // windows are short and the warm-up burst expires jobs too.
+  cluster::ClusterServerConfig fleet;
+  fleet.fleet = cluster::Fleet();
+  fleet.fleet.add(cluster::ServerSpec{30.0, 35.0, 2.0, 2.2});
+  fleet.fleet.add(cluster::ServerSpec{30.0, 35.0, 1.0, 1.0});
+  fleet.fleet.add(cluster::ServerSpec{30.0, 35.0, 0.5, 0.45});
+  fleet.rental = "threshold";
+  expect_allocation_free(
+      "fleet", probe_steady_serve_session(
+                   {fleet.fleet.admission_c_lo(), 40.0, 4.0, 2.0, 0},
+                   [&](serve::FakeClock& clock) {
+                     return std::make_unique<cluster::ClusterServer>(fleet,
+                                                                     clock);
+                   }));
 }
 
 TEST(HotPathAllocations, LiveVDoverTimerChurnAllocationFree) {

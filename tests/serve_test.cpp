@@ -14,12 +14,7 @@
 // real-clock loadgen session (the TSan CI job runs this file).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -35,13 +30,16 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/cluster_server.hpp"
 #include "jobs/bundle.hpp"
+#include "loopback_client.hpp"
 #include "sched/factory.hpp"
 #include "serve/clock.hpp"
 #include "serve/journal.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve/sharded_server.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -49,7 +47,6 @@ namespace {
 
 using sjs::serve::AdmissionServer;
 using sjs::serve::FakeClock;
-using sjs::serve::FrameDecoder;
 using sjs::serve::JobState;
 using sjs::serve::Message;
 using sjs::serve::MsgType;
@@ -77,93 +74,7 @@ std::unique_ptr<sjs::sim::Scheduler> make_scheduler(const std::string& name,
   return factory->make();
 }
 
-/// A raw nonblocking loopback client. Lives in the same thread as the
-/// server: every await interleaves server.step(0) with socket reads, so the
-/// whole exchange is single-threaded and deterministic under FakeClock.
-class TestClient {
- public:
-  explicit TestClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    SJS_CHECK(fd_ >= 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    SJS_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)) == 0);
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    SJS_CHECK(::fcntl(fd_, F_SETFL, O_NONBLOCK) == 0);
-  }
-  ~TestClient() { close(); }
-
-  void close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  void send(const Message& m) { send_bytes(sjs::serve::encode_frame(m)); }
-
-  void send_bytes(const std::vector<std::uint8_t>& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      SJS_CHECK_MSG(n > 0, "test client send failed");
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  /// Drains readable bytes into the decoder; true if the peer closed.
-  bool read_socket() {
-    std::uint8_t buf[4096];
-    while (true) {
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n > 0) {
-        decoder_.feed(buf, static_cast<std::size_t>(n));
-        Message m;
-        while (decoder_.next(m) == FrameDecoder::Status::kOk) {
-          inbox.push_back(m);
-        }
-        continue;
-      }
-      if (n == 0) return true;  // orderly close
-      return false;             // EAGAIN: nothing more right now
-    }
-  }
-
-  /// Steps the server until a message matching `pred` arrives; fails the
-  /// test (and returns a default Message) after `spins` fruitless cycles.
-  template <typename Pred>
-  Message await(AdmissionServer& server, Pred pred, int spins = 1000) {
-    for (int i = 0; i < spins; ++i) {
-      for (std::size_t j = scanned_; j < inbox.size(); ++j) {
-        if (pred(inbox[j])) {
-          scanned_ = j + 1;
-          return inbox[j];
-        }
-      }
-      scanned_ = inbox.size();
-      server.step(0);
-      read_socket();
-    }
-    ADD_FAILURE() << "no matching reply after " << spins << " spins";
-    return Message{};
-  }
-
-  Message await_seq(AdmissionServer& server, std::uint64_t seq) {
-    return await(server, [seq](const Message& m) { return m.seq == seq; });
-  }
-
-  std::vector<Message> inbox;
-
- private:
-  int fd_ = -1;
-  FrameDecoder decoder_;
-  std::size_t scanned_ = 0;  // inbox prefix already handed out by await()
-};
+using TestClient = sjs::testutil::LoopbackClient;
 
 Message submit_msg(std::uint64_t seq, double workload, double rel_deadline,
                    double value) {
@@ -653,16 +564,19 @@ TEST(JournalTest, AppendFailureThrowsInsteadOfSilentLoss) {
   EXPECT_NE(what.find("journal append failed"), std::string::npos) << what;
 }
 
-TEST(ServeTest, JournalFailureFailsSessionCleanly) {
-  const std::string dir = fresh_dir("serve_journal_fail");
-  FakeClock clock;
-  AdmissionServer server(scripted_config(dir),
-                         make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+/// Drives `server` (any mode) into a journal append failure and checks the
+/// one journal-failure policy: the client sees ERROR(kJournalFailed), never
+/// an ACCEPTED whose row was dropped; journal_error() names the failure; the
+/// session drains on its own (no DRAIN frame); and the drain completes.
+template <typename Server>
+void expect_journal_failure_fails_session_cleanly(Server& server,
+                                                  FakeClock& clock,
+                                                  int step_ms) {
   TestClient client(server.start());
 
   // One healthy admission first: the failure path must not corrupt it.
   client.send(submit_msg(1, 0.5, 5.0, 1.0));
-  EXPECT_EQ(client.await_seq(server, 1).type, MsgType::kAccepted);
+  EXPECT_EQ(client.await_seq(server, 1, step_ms).type, MsgType::kAccepted);
 
   struct sigaction ignore_xfsz {};
   ignore_xfsz.sa_handler = SIG_IGN;
@@ -680,7 +594,7 @@ TEST(ServeTest, JournalFailureFailsSessionCleanly) {
   for (int i = 0; i < 64; ++i) {
     clock.advance(0.01);
     client.send(submit_msg(++seq, 0.5, 5.0, 1.0));
-    const Message r = client.await_seq(server, seq);
+    const Message r = client.await_seq(server, seq, step_ms);
     if (r.type == MsgType::kError) {
       failed = r;
       break;
@@ -695,9 +609,40 @@ TEST(ServeTest, JournalFailureFailsSessionCleanly) {
             static_cast<std::uint8_t>(sjs::serve::ErrorCode::kJournalFailed));
   EXPECT_FALSE(server.journal_error().empty());
   // The failure initiated a drain on its own — no DRAIN frame was sent.
-  EXPECT_TRUE(server.draining());
-  while (server.step(0)) client.read_socket();
+  // (ASSERT: a session that keeps serving would never finish the loop.)
+  ASSERT_TRUE(server.draining());
+  while (server.step(step_ms)) client.read_socket();
   EXPECT_TRUE(server.finished());
+}
+
+TEST(ServeTest, JournalFailureFailsSessionCleanly) {
+  {
+    SCOPED_TRACE("single");
+    FakeClock clock;
+    AdmissionServer server(scripted_config(fresh_dir("serve_journal_fail")),
+                           make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+    expect_journal_failure_fails_session_cleanly(server, clock, 0);
+  }
+  {
+    SCOPED_TRACE("--shards=2");
+    FakeClock clock;
+    ServerConfig config = scripted_config(fresh_dir("sharded_journal_fail"));
+    config.shards = 2;
+    config.shard_poll_ms = 5;
+    sjs::serve::ShardedAdmissionServer server(
+        config, [] { return make_scheduler("V-Dover", kBandLo, kBandHi); },
+        clock);
+    expect_journal_failure_fails_session_cleanly(server, clock, 1);
+  }
+  {
+    SCOPED_TRACE("--cluster=4");
+    FakeClock clock;
+    sjs::cluster::ClusterServerConfig config;
+    config.fleet = sjs::cluster::Fleet::heterogeneous(4);
+    config.journal_dir = fresh_dir("cluster_journal_fail");
+    sjs::cluster::ClusterServer server(config, clock);
+    expect_journal_failure_fails_session_cleanly(server, clock, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

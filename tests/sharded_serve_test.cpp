@@ -20,12 +20,6 @@
 // wake fds, so it unblocks the moment a shard commits a reply.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -37,6 +31,8 @@
 #include <vector>
 
 #include "jobs/bundle.hpp"
+#include "obs/metrics.hpp"
+#include "loopback_client.hpp"
 #include "sched/factory.hpp"
 #include "serve/clock.hpp"
 #include "serve/journal.hpp"
@@ -50,7 +46,6 @@ namespace {
 
 using sjs::serve::AdmissionServer;
 using sjs::serve::FakeClock;
-using sjs::serve::FrameDecoder;
 using sjs::serve::JobState;
 using sjs::serve::Message;
 using sjs::serve::MsgType;
@@ -98,82 +93,7 @@ ShardedAdmissionServer::SchedulerFactory scheduler_factory() {
   return [] { return make_scheduler("V-Dover", kBandLo, kBandHi); };
 }
 
-/// Raw nonblocking loopback client, templated on the server type so the
-/// same scripted session can drive AdmissionServer and the sharded plane.
-/// `step_ms` is the poll timeout each await spin grants the acceptor.
-class TestClient {
- public:
-  explicit TestClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    SJS_CHECK(fd_ >= 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    SJS_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)) == 0);
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    SJS_CHECK(::fcntl(fd_, F_SETFL, O_NONBLOCK) == 0);
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send(const Message& m) {
-    const auto bytes = sjs::serve::encode_frame(m);
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      SJS_CHECK_MSG(n > 0, "test client send failed");
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  void read_socket() {
-    std::uint8_t buf[4096];
-    while (true) {
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) return;
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-      Message m;
-      while (decoder_.next(m) == FrameDecoder::Status::kOk) {
-        inbox.push_back(m);
-      }
-    }
-  }
-
-  template <typename Server, typename Pred>
-  Message await(Server& server, Pred pred, int step_ms, int spins = 4000) {
-    for (int i = 0; i < spins; ++i) {
-      for (std::size_t j = scanned_; j < inbox.size(); ++j) {
-        if (pred(inbox[j])) {
-          scanned_ = j + 1;
-          return inbox[j];
-        }
-      }
-      scanned_ = inbox.size();
-      server.step(step_ms);
-      read_socket();
-    }
-    ADD_FAILURE() << "no matching reply after " << spins << " spins";
-    return Message{};
-  }
-
-  template <typename Server>
-  Message await_seq(Server& server, std::uint64_t seq, int step_ms) {
-    return await(
-        server, [seq](const Message& m) { return m.seq == seq; }, step_ms);
-  }
-
-  std::vector<Message> inbox;
-
- private:
-  int fd_ = -1;
-  FrameDecoder decoder_;
-  std::size_t scanned_ = 0;
-};
+using TestClient = sjs::testutil::LoopbackClient;
 
 Message submit_msg(std::uint64_t seq, double workload, double rel_deadline,
                    double value) {
@@ -501,6 +421,71 @@ TEST(ShardedServeTest, CancelAndQueryRouteToOwningShard) {
   // The three survivors resolved one way or the other at drain.
   EXPECT_EQ(expired + completed, 3u);
   EXPECT_EQ(server.stats().cancelled, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Metrics: the acceptor counts the plain server.* names once per plane, each
+// shard only its ".shard<k>" breakdown, so nothing is double-counted.
+
+TEST(ShardedServeTest, MetricsCountEachJobOncePerPlaneAndOncePerShard) {
+  sjs::obs::MetricsRegistry metrics;
+  FakeClock clock;
+  ShardedAdmissionServer server(base_config("", 2), scheduler_factory(), clock,
+                                &metrics);
+  server.start();
+  TestClient client(server.port());
+
+  // One long job to cancel once its release event has fired.
+  client.send(submit_msg(1, 1.0, 50.0, 1.0));
+  const Message accepted = client.await_seq(server, 1, 1);
+  ASSERT_EQ(accepted.type, MsgType::kAccepted);
+  clock.advance(0.1);
+  server.step(1);
+  Message cancel;
+  cancel.type = MsgType::kCancel;
+  cancel.seq = 2;
+  cancel.ticket = accepted.ticket;
+  client.send(cancel);
+  ASSERT_EQ(client.await_seq(server, 2, 1).type, MsgType::kCancelled);
+
+  // An overloaded stream (about three times what two unit-capacity shards
+  // serve), so jobs both complete and expire.
+  sjs::Rng rng(4242);
+  std::uint64_t seq = 2;
+  for (int i = 0; i < 80; ++i) {
+    clock.advance(rng.exponential_rate(60.0));
+    const double workload = rng.exponential_mean(0.05);
+    const double window = rng.uniform(1.05, 3.0) * workload / kBandLo;
+    client.send(submit_msg(++seq, workload, window, 1.0));
+    client.await_seq(server, seq, 1);
+  }
+  clock.advance(0.5);
+  server.request_drain();
+  while (server.step(1)) client.read_socket();
+  ASSERT_TRUE(server.finished());
+
+  const sjs::serve::StatsBody stats = server.stats();
+  EXPECT_GT(stats.accepted, 0u);
+  EXPECT_GT(stats.completed, 0u);
+  EXPECT_GT(stats.expired, 0u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  const auto snap = metrics.snapshot();
+  const auto counter = [&snap](const std::string& name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0.0 : it->second;
+  };
+  const std::pair<const char*, std::uint64_t> series[] = {
+      {"server.jobs_accepted", stats.accepted},
+      {"server.jobs_completed", stats.completed},
+      {"server.jobs_expired", stats.expired},
+      {"server.jobs_cancelled", stats.cancelled}};
+  for (const auto& [name, expected] : series) {
+    const std::string plain = name;
+    EXPECT_EQ(counter(plain), static_cast<double>(expected)) << plain;
+    EXPECT_EQ(counter(plain + ".shard0") + counter(plain + ".shard1"),
+              static_cast<double>(expected))
+        << plain;
+  }
 }
 
 TEST(ShardedServeTest, SubmitsDuringDrainAreRefused) {

@@ -31,6 +31,7 @@
 // Prints "LISTENING <port>" on stdout once ready — scripts wait for it.
 #include <csignal>
 #include <cstdio>
+#include <string>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -51,6 +52,71 @@ int g_signal_pipe[2] = {-1, -1};
 void on_signal(int) {
   const char byte = 1;
   [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
+}
+
+bool install_signal_pipe() {
+  if (::pipe(g_signal_pipe) != 0) {
+    std::perror("pipe");
+    return false;
+  }
+  // Both ends nonblocking: the wake handler drains the pipe until EAGAIN,
+  // and the signal handler must never block on a full pipe.
+  for (int fd : g_signal_pipe) {
+    const int fl = ::fcntl(fd, F_GETFL, 0);
+    if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
+  }
+  struct sigaction sa {};
+  sa.sa_handler = on_signal;
+  ::sigaction(SIGINT, &sa, nullptr);
+  ::sigaction(SIGTERM, &sa, nullptr);
+  return true;
+}
+
+/// Boots `server` (any mode), serves until drained, then prints the mode's
+/// drain report (`report(server)` returns true on a journal failure), the
+/// server counters, the mode's journal hint and, with --metrics, the
+/// registry. Returns the process exit code.
+template <typename Server, typename Report, typename JournalHint>
+int serve_until_drained(Server& server, Report report,
+                        JournalHint journal_hint,
+                        const sjs::obs::MetricsRegistry* metrics) {
+  int port = 0;
+  try {
+    port = server.start();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "failed to start: %s\n", e.what());
+    return 1;
+  }
+  server.watch_shutdown_fd(g_signal_pipe[0]);
+  std::printf("LISTENING %d\n", port);
+  std::fflush(stdout);
+
+  server.run();
+
+  const bool journal_failed = report(server);
+  const auto stats = server.stats();
+  std::printf("server: %llu submitted, %llu accepted, %llu rejected, "
+              "%llu shed, %llu completed, %llu expired, %llu cancelled\n",
+              static_cast<unsigned long long>(stats.submitted),
+              static_cast<unsigned long long>(stats.accepted),
+              static_cast<unsigned long long>(stats.rejected),
+              static_cast<unsigned long long>(stats.shed),
+              static_cast<unsigned long long>(stats.completed),
+              static_cast<unsigned long long>(stats.expired),
+              static_cast<unsigned long long>(stats.cancelled));
+  journal_hint();
+  if (metrics) std::printf("\nmetrics:\n%s", metrics->render().c_str());
+  return journal_failed ? 1 : 0;
+}
+
+/// Prints the journal failure of a single-session server to stderr; true
+/// when there was one.
+template <typename Server>
+bool report_journal_error(const Server& server) {
+  if (server.journal_error().empty()) return false;
+  std::fprintf(stderr, "journal failure: %s\n",
+               server.journal_error().c_str());
+  return true;
 }
 
 }  // namespace
@@ -116,6 +182,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--cluster must be >= 0\n");
     return 1;
   }
+  sjs::obs::MetricsRegistry registry;
+  const sjs::obs::MetricsRegistry* metrics =
+      flags.get_bool("metrics") ? &registry : nullptr;
+  sjs::serve::SystemClock clock;
+  const std::string journal_dir = flags.get_string("journal");
+
   if (cluster_k > 0) {
     if (flags.get_int("shards") >= 2) {
       std::fprintf(stderr, "--cluster and --shards >= 2 are exclusive\n");
@@ -141,7 +213,7 @@ int main(int argc, char** argv) {
     }
     config.min_rented = static_cast<std::size_t>(min_rented);
     config.port = static_cast<int>(flags.get_int("port"));
-    config.journal_dir = flags.get_string("journal");
+    config.journal_dir = journal_dir;
     config.accel = flags.get_double("accel");
     config.max_in_flight =
         static_cast<std::uint64_t>(flags.get_int("max-in-flight"));
@@ -154,72 +226,32 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-
-    sjs::obs::MetricsRegistry registry;
-    sjs::serve::SystemClock clock;
-    if (::pipe(g_signal_pipe) != 0) {
-      std::perror("pipe");
-      return 1;
-    }
-    for (int fd : g_signal_pipe) {
-      const int fl = ::fcntl(fd, F_GETFL, 0);
-      if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-    }
-    struct sigaction sa {};
-    sa.sa_handler = on_signal;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
-
+    if (!install_signal_pipe()) return 1;
     sjs::cluster::ClusterServer server(config, clock, &registry);
-    int port = 0;
-    try {
-      port = server.start();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to start: %s\n", e.what());
-      return 1;
-    }
-    server.watch_shutdown_fd(g_signal_pipe[0]);
-    std::printf("LISTENING %d\n", port);
-    std::fflush(stdout);
-
-    server.run();
-
-    const auto& result = server.result();
-    std::printf("drained: cluster of %zu (%s): %llu completed, %llu expired, "
-                "value %.3f/%.3f, rental cost %.3f, peak %llu machines, "
-                "%llu migrations\n",
-                server.fleet().size(), result.scheduler_name.c_str(),
-                static_cast<unsigned long long>(result.completed_count),
-                static_cast<unsigned long long>(result.expired_count),
-                result.completed_value, result.generated_value,
-                result.rental_cost,
-                static_cast<unsigned long long>(result.rented_peak),
-                static_cast<unsigned long long>(result.migrations));
-    bool cluster_journal_failed = false;
-    if (!server.journal_error().empty()) {
-      std::fprintf(stderr, "journal failure: %s\n",
-                   server.journal_error().c_str());
-      cluster_journal_failed = true;
-    }
-    const auto stats = server.stats();
-    std::printf("server: %llu submitted, %llu accepted, %llu rejected, "
-                "%llu shed, %llu completed, %llu expired, %llu cancelled\n",
-                static_cast<unsigned long long>(stats.submitted),
-                static_cast<unsigned long long>(stats.accepted),
-                static_cast<unsigned long long>(stats.rejected),
-                static_cast<unsigned long long>(stats.shed),
-                static_cast<unsigned long long>(stats.completed),
-                static_cast<unsigned long long>(stats.expired),
-                static_cast<unsigned long long>(stats.cancelled));
-    if (!config.journal_dir.empty()) {
-      std::printf("journal: %s (replay with sjs_sim --cluster-bundle=%s "
-                  "--outcomes-csv=...)\n",
-                  config.journal_dir.c_str(), config.journal_dir.c_str());
-    }
-    if (flags.get_bool("metrics")) {
-      std::printf("\nmetrics:\n%s", registry.render().c_str());
-    }
-    return cluster_journal_failed ? 1 : 0;
+    return serve_until_drained(
+        server,
+        [](const sjs::cluster::ClusterServer& s) {
+          const auto& result = s.result();
+          std::printf(
+              "drained: cluster of %zu (%s): %llu completed, %llu expired, "
+              "value %.3f/%.3f, rental cost %.3f, peak %llu machines, "
+              "%llu migrations\n",
+              s.fleet().size(), result.scheduler_name.c_str(),
+              static_cast<unsigned long long>(result.completed_count),
+              static_cast<unsigned long long>(result.expired_count),
+              result.completed_value, result.generated_value,
+              result.rental_cost,
+              static_cast<unsigned long long>(result.rented_peak),
+              static_cast<unsigned long long>(result.migrations));
+          return report_journal_error(s);
+        },
+        [&] {
+          if (journal_dir.empty()) return;
+          std::printf("journal: %s (replay with sjs_sim --cluster-bundle=%s "
+                      "--outcomes-csv=...)\n",
+                      journal_dir.c_str(), journal_dir.c_str());
+        },
+        metrics);
   }
 
   const auto lineup = sjs::sched::full_lineup(c_lo, c_hi);
@@ -238,7 +270,7 @@ int main(int argc, char** argv) {
   config.c_lo = c_lo;
   config.c_hi = c_hi;
   config.port = static_cast<int>(flags.get_int("port"));
-  config.journal_dir = flags.get_string("journal");
+  config.journal_dir = journal_dir;
   config.accel = flags.get_double("accel");
   config.max_in_flight =
       static_cast<std::uint64_t>(flags.get_int("max-in-flight"));
@@ -248,104 +280,50 @@ int main(int argc, char** argv) {
   config.shards = static_cast<std::size_t>(flags.get_int("shards"));
   config.channel_capacity =
       static_cast<std::size_t>(flags.get_int("channel-capacity"));
+  if (!install_signal_pipe()) return 1;
 
-  sjs::obs::MetricsRegistry registry;
-  sjs::serve::SystemClock clock;
-
-  if (::pipe(g_signal_pipe) != 0) {
-    std::perror("pipe");
-    return 1;
-  }
-  // Both ends nonblocking: the wake handler drains the pipe until EAGAIN,
-  // and the signal handler must never block on a full pipe.
-  for (int fd : g_signal_pipe) {
-    const int fl = ::fcntl(fd, F_GETFL, 0);
-    if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-  }
-  struct sigaction sa {};
-  sa.sa_handler = on_signal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-
-  const auto print_stats = [](const sjs::serve::StatsBody& stats) {
-    std::printf("server: %llu submitted, %llu accepted, %llu rejected, "
-                "%llu shed, %llu completed, %llu expired, %llu cancelled\n",
-                static_cast<unsigned long long>(stats.submitted),
-                static_cast<unsigned long long>(stats.accepted),
-                static_cast<unsigned long long>(stats.rejected),
-                static_cast<unsigned long long>(stats.shed),
-                static_cast<unsigned long long>(stats.completed),
-                static_cast<unsigned long long>(stats.expired),
-                static_cast<unsigned long long>(stats.cancelled));
-  };
-
-  bool journal_failed = false;
   if (config.shards >= 2) {
     sjs::serve::ShardedAdmissionServer server(
         config, [&] { return factory->make(); }, clock, &registry);
-    int port = 0;
-    try {
-      port = server.start();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to start: %s\n", e.what());
-      return 1;
-    }
-    server.watch_shutdown_fd(g_signal_pipe[0]);
-    std::printf("LISTENING %d\n", port);
-    std::fflush(stdout);
-
-    server.run();
-
-    for (std::size_t k = 0; k < server.shard_count(); ++k) {
-      std::printf("shard %zu drained: %s\n", k,
-                  server.shard(k).result().to_string().c_str());
-      if (!server.shard(k).journal_error().empty()) {
-        std::fprintf(stderr, "shard %zu journal failure: %s\n", k,
-                     server.shard(k).journal_error().c_str());
-        journal_failed = true;
-      }
-    }
-    print_stats(server.stats());
-    if (!config.journal_dir.empty()) {
-      std::printf("journal: %s (per-shard bundles; replay shard k with "
-                  "sjs_sim --bundle=%s/shard<k> --scheduler=\"%s\" "
-                  "--outcomes-csv=...)\n",
-                  config.journal_dir.c_str(), config.journal_dir.c_str(),
-                  config.scheduler_name.c_str());
-    }
-  } else {
-    sjs::serve::AdmissionServer server(config, factory->make(), clock,
-                                       &registry);
-    int port = 0;
-    try {
-      port = server.start();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to start: %s\n", e.what());
-      return 1;
-    }
-    server.watch_shutdown_fd(g_signal_pipe[0]);
-    std::printf("LISTENING %d\n", port);
-    std::fflush(stdout);
-
-    server.run();
-
-    const auto& result = server.result();
-    std::printf("drained: %s\n", result.to_string().c_str());
-    if (!server.journal_error().empty()) {
-      std::fprintf(stderr, "journal failure: %s\n",
-                   server.journal_error().c_str());
-      journal_failed = true;
-    }
-    print_stats(server.stats());
-    if (!config.journal_dir.empty()) {
-      std::printf("journal: %s (replay with sjs_sim --bundle=%s "
-                  "--scheduler=\"%s\" --outcomes-csv=...)\n",
-                  config.journal_dir.c_str(), config.journal_dir.c_str(),
-                  config.scheduler_name.c_str());
-    }
+    return serve_until_drained(
+        server,
+        [](const sjs::serve::ShardedAdmissionServer& s) {
+          bool failed = false;
+          for (std::size_t k = 0; k < s.shard_count(); ++k) {
+            std::printf("shard %zu drained: %s\n", k,
+                        s.shard(k).result().to_string().c_str());
+            if (!s.shard(k).journal_error().empty()) {
+              std::fprintf(stderr, "shard %zu journal failure: %s\n", k,
+                           s.shard(k).journal_error().c_str());
+              failed = true;
+            }
+          }
+          return failed;
+        },
+        [&] {
+          if (journal_dir.empty()) return;
+          std::printf("journal: %s (per-shard bundles; replay shard k with "
+                      "sjs_sim --bundle=%s/shard<k> --scheduler=\"%s\" "
+                      "--outcomes-csv=...)\n",
+                      journal_dir.c_str(), journal_dir.c_str(),
+                      config.scheduler_name.c_str());
+        },
+        metrics);
   }
-  if (flags.get_bool("metrics")) {
-    std::printf("\nmetrics:\n%s", registry.render().c_str());
-  }
-  return journal_failed ? 1 : 0;
+  sjs::serve::AdmissionServer server(config, factory->make(), clock,
+                                     &registry);
+  return serve_until_drained(
+      server,
+      [](const sjs::serve::AdmissionServer& s) {
+        std::printf("drained: %s\n", s.result().to_string().c_str());
+        return report_journal_error(s);
+      },
+      [&] {
+        if (journal_dir.empty()) return;
+        std::printf("journal: %s (replay with sjs_sim --bundle=%s "
+                    "--scheduler=\"%s\" --outcomes-csv=...)\n",
+                    journal_dir.c_str(), journal_dir.c_str(),
+                    config.scheduler_name.c_str());
+      },
+      metrics);
 }
