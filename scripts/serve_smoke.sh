@@ -10,6 +10,9 @@
 #   4. replaying it through sjs_sim reproduces the live outcomes
 #      byte-identically (diff of outcomes.csv).
 #
+# Each phase also prints sjs_load's notification lag p50/p99, with no
+# threshold.
+#
 # The gate runs three times: against the single-threaded server, against the
 # sharded plane (--shards=4, sjs_load --connections=4, where step 3/4 apply
 # to EVERY per-shard bundle <journal>/shard<k> independently), and against
@@ -96,7 +99,12 @@ smoke_phase() {
   echo "[$tag] server up on port $port (pid $SERVER_PID)"
 
   "$LOAD" --port="$port" --duration=2 --rate=200 --linger=1 --seed=7 \
-    "${load_flags[@]}"
+    "${load_flags[@]}" | tee "$WORK/load_$tag.log"
+  # Reported, not gated: how long after the server's clock reached each
+  # completion its COMPLETED arrived (docs/serving.md, "Waking on time").
+  local lag
+  lag="$(sed -n 's/^notification lag (ms): //p' "$WORK/load_$tag.log")"
+  echo "[$tag] notification lag (ms): ${lag:-no completions}"
 
   echo "[$tag] sending SIGTERM"
   kill -TERM "$SERVER_PID"

@@ -6,7 +6,7 @@
 //   server<k>.csv  time,rate — server k's capacity path (written once)
 //   band.csv       c_lo,c_hi — the fleet admission band (info)
 //   meta.csv       key,value — scheduler key, rental policy, budget, accel...
-//   jobs.csv       appended+flushed per admitted job (id,release,workload,
+//   jobs.csv       one write(2) per admitted job (id,release,workload,
 //                  deadline,value — the Instance row layout)
 //   cancels.csv    time,ticket (a session with cancels is not replayable)
 //   outcomes.csv   written at drain (cloud::save_multi_outcomes_csv)

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <stdexcept>
 #include <string>
 
@@ -29,6 +30,18 @@ void set_nonblocking(int fd) {
 }
 
 }  // namespace
+
+int wait_fds(pollfd* fds, std::size_t n, std::int64_t timeout_us) {
+  timespec timeout{};
+  timespec* until = nullptr;  // nullptr: no timeout
+  if (timeout_us >= 0) {
+    timeout.tv_sec = static_cast<time_t>(timeout_us / 1000000);
+    timeout.tv_nsec = static_cast<long>(timeout_us % 1000000) * 1000;
+    until = &timeout;
+  }
+  const int ready = ::ppoll(fds, static_cast<nfds_t>(n), until, nullptr);
+  return ready < 0 ? 0 : ready;
+}
 
 EventLoop::EventLoop(Handler& handler) : handler_(&handler) {}
 
@@ -121,7 +134,11 @@ void EventLoop::shutdown() {
   watched_.clear();
 }
 
-int EventLoop::poll_once(int timeout_ms) {
+int EventLoop::poll_once(std::int64_t timeout_us) {
+  // Write before sleep: what the owner queued since the last cycle (the
+  // pump's notifications, the acceptor's shard replies) goes to the kernel
+  // now, so POLLOUT below is armed only where the socket refused some of it.
+  flush();
   // Member scratch: clear() keeps capacity, so rebuilding the poll set each
   // cycle stops allocating once the fd high-water is reached. fds[i] belongs
   // to conn ids[i] (or a special slot).
@@ -144,8 +161,8 @@ int EventLoop::poll_once(int timeout_ms) {
     util::append(fds, pollfd{conns_[i].fd, ev, 0});
     util::append(ids, static_cast<int>(i));
   }
-  const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
-  if (n <= 0) return 0;
+  const int n = wait_fds(fds.data(), fds.size(), timeout_us);
+  if (n == 0) return 0;
   for (std::size_t i = 0; i < fds.size(); ++i) {
     if (fds[i].revents == 0) continue;
     if (ids[i] == -1) {
@@ -240,6 +257,14 @@ void EventLoop::flush_conn(int conn) {
   if (c.wpos == c.wbuf.size()) {
     c.wbuf.clear();
     c.wpos = 0;
+  }
+}
+
+void EventLoop::flush() {
+  for (std::size_t i = 0; i < conns_.size(); ++i) {
+    if (conns_[i].open && conns_[i].wpos < conns_[i].wbuf.size()) {
+      flush_conn(static_cast<int>(i));
+    }
   }
 }
 

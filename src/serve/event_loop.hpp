@@ -1,12 +1,16 @@
-// Single-threaded poll(2) reactor for the admission service.
+// Single-threaded ppoll(2) reactor for the admission service.
 //
 // Deliberately minimal: one listening socket on loopback, N nonblocking
 // connections with per-connection bounded write queues, and optional extra
 // watched fds (the daemon's signal self-pipe). The loop never reads a clock
-// — poll timeouts are computed by the caller from serve::ClockBridge — and
-// never blocks on a write: output is queued and drained on POLLOUT, and a
-// connection whose queue exceeds the budget is dropped (a slow consumer must
-// shed, not wedge the admission path or grow without bound).
+// — wait timeouts, in microseconds, are computed by the caller from
+// serve::ClockBridge — and never blocks on a write. Output is queued by
+// send() and written before the loop sleeps: each poll_once() first hands
+// every connection's queue to the kernel, and the owner may flush() what
+// its upcalls queued without waiting for the next cycle. POLLOUT is armed
+// only for a connection whose socket did not take everything, and a
+// connection whose queue exceeds the budget is dropped (a slow consumer
+// must shed, not wedge the admission path or grow without bound).
 //
 // Framing, protocol state, and scheduling live above this layer
 // (serve::FrontEnd and serve::Session); the loop deals in raw bytes only.
@@ -19,6 +23,13 @@
 #include <vector>
 
 namespace sjs::serve {
+
+/// The serving stack's one blocking wait (the poll-outside-wait-fds lint rule
+/// keeps every other poll out of src/serve, src/cluster and src/conc):
+/// ppoll(2) over fds[0, n) for at most `timeout_us` wall microseconds. -1
+/// waits until an fd fires, 0 only polls. Returns the number of ready fds,
+/// or 0 on timeout or EINTR.
+int wait_fds(pollfd* fds, std::size_t n, std::int64_t timeout_us);
 
 class EventLoop {
  public:
@@ -62,10 +73,15 @@ class EventLoop {
   bool conn_open(int conn) const;
   std::size_t open_conn_count() const;
 
-  /// One poll cycle: accept, read (on_data), flush pending writes. Blocks at
-  /// most `timeout_ms` (0 = nonblocking pass, -1 = until activity). Returns
-  /// the number of fds that had activity.
-  int poll_once(int timeout_ms);
+  /// One cycle: write every queued output, wait at most `timeout_us` wall
+  /// microseconds (0 = nonblocking pass, -1 = until activity), then accept,
+  /// read (on_data) and resume POLLOUT writes. Returns the number of fds
+  /// that had activity.
+  int poll_once(std::int64_t timeout_us);
+
+  /// Writes every connection's queued output now, as poll_once does before
+  /// it sleeps; what the kernel refuses stays queued.
+  void flush();
 
   /// True while any connection has unsent bytes queued (drain barrier).
   bool writes_pending() const;

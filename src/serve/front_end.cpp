@@ -34,14 +34,18 @@ void FrontEnd::watch_shutdown_fd(int fd) {
 bool FrontEnd::step(int max_wait_ms) {
   SJS_CHECK_MSG(started_, "serving front end stepped before start()");
   if (finished_) return false;
-  if (!served_) served_ = serve(max_wait_ms);
+  const std::int64_t max_wait_us =
+      max_wait_ms < 0 ? -1 : std::int64_t{max_wait_ms} * 1000;
+  if (!served_) served_ = serve(max_wait_us);
   if (served_) {
-    // Flush queued notifications/replies, then shut everything down. A peer
-    // that stops reading cannot wedge the drain: bounded spins, then drop.
+    // Flush queued notifications/replies, then shut everything down. Only
+    // output a socket refused needs a wait for POLLOUT, and a peer that
+    // stops reading cannot wedge the drain: bounded spins, then drop.
+    loop_.flush();
     if (loop_.writes_pending() && loop_.open_conn_count() > 0 &&
         flush_spins_ < 200) {
       ++flush_spins_;
-      loop_.poll_once(std::min(max_wait_ms, 10));
+      loop_.poll_once(capped_wait_us(max_wait_us, kDrainWaitUs));
     } else {
       set_gauge(kGaugeWriteBufPeak,
                 static_cast<double>(loop_.write_buffer_peak()));

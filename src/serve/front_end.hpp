@@ -20,6 +20,7 @@
 // touched only from the thread calling step().
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -32,12 +33,23 @@
 
 namespace sjs::serve {
 
+/// The longest a draining front end waits between its flush and reply
+/// checks.
+inline constexpr std::int64_t kDrainWaitUs = 10000;
+
+/// A wait of at most `cap_us` and at most `bound_us`; a negative cap (no
+/// cap) becomes the bound.
+constexpr std::int64_t capped_wait_us(std::int64_t cap_us,
+                                      std::int64_t bound_us) {
+  return cap_us < 0 ? bound_us : std::min(cap_us, bound_us);
+}
+
 class FrontEnd : public EventLoop::Handler {
  public:
   ~FrontEnd() override;
 
-  /// One pump cycle (at most `max_wait_ms` of polling). Returns false once
-  /// fully drained.
+  /// One pump cycle, waiting at most `max_wait_ms` (negative: no cap) for a
+  /// socket or the next simulated event. Returns false once fully drained.
   bool step(int max_wait_ms = 50);
 
   /// Serves until drained (DRAIN request or request_drain()).
@@ -78,9 +90,10 @@ class FrontEnd : public EventLoop::Handler {
 
   /// SUBMIT, CANCEL or QUERY from `conn`.
   virtual void on_request(int conn, const Message& m) = 0;
-  /// Serves one cycle; returns true once the back end has finished (all
+  /// Serves one cycle, waiting at most `max_wait_us` wall microseconds
+  /// (negative: no cap); returns true once the back end has finished (all
   /// results final), after which step() only flushes and shuts down.
-  virtual bool serve(int max_wait_ms) = 0;
+  virtual bool serve(std::int64_t max_wait_us) = 0;
   /// Extra drain work, run once by request_drain().
   virtual void on_drain() = 0;
   /// A watched fd other than a shutdown fd became readable.

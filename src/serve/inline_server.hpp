@@ -78,13 +78,16 @@ class InlineServer : public FrontEnd, private ReplyTarget {
     if (session_.draining()) request_drain();
   }
 
-  bool serve(int max_wait_ms) override {
+  bool serve(std::int64_t max_wait_us) override {
     session_.pump();
     if (!draining()) {
-      // Sleep until the next simulated event is due or a socket fires.
-      loop().poll_once(session_.wait_ms(max_wait_ms));
-      if (!draining()) return false;
+      // Sleep until the next simulated event is due or a socket fires. Then
+      // advance to now and write at once: the wake-up's replies leave in this
+      // turn, and a notification that fell due meanwhile shares their send.
+      loop().poll_once(session_.wait_us(max_wait_us));
       session_.pump();
+      loop().flush();
+      if (!draining()) return false;
     }
     session_.finalize();
     return true;

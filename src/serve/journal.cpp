@@ -1,13 +1,54 @@
 #include "serve/journal.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
 
 #include "capacity/trace_io.hpp"
+#include "util/logging.hpp"
 
 namespace sjs::serve {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// One write(2) of [data, data + size) on an O_APPEND descriptor, retried
+/// only on EINTR. Returns the byte count written, or -1 with errno set.
+ssize_t write_once(int fd, const char* data, std::size_t size) {
+  ssize_t n;
+  do {
+    n = ::write(fd, data, size);
+  } while (n < 0 && errno == EINTR);
+  return n;
+}
+
+/// Creates `dir`/`file` (truncating), opened for appending, with `header`
+/// as its first line.
+int open_append(const std::string& dir, const char* file,
+                std::string_view header) {
+  const std::string path = (fs::path(dir) / file).string();
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
+             0644);
+  if (fd < 0) {
+    throw std::runtime_error("cannot open for writing: " + path + ": " +
+                             std::strerror(errno));
+  }
+  if (write_once(fd, header.data(), header.size()) !=
+      static_cast<ssize_t>(header.size())) {
+    ::close(fd);
+    throw std::runtime_error("journal header write failed in " + dir);
+  }
+  return fd;
+}
+
+}  // namespace
 
 Journal::Journal(const std::string& dir) : dir_(dir) {
   std::error_code ec;
@@ -16,16 +57,19 @@ Journal::Journal(const std::string& dir) : dir_(dir) {
     throw std::runtime_error("cannot create journal directory " + dir + ": " +
                              ec.message());
   }
-  jobs_csv_ = std::make_unique<CsvWriter>((fs::path(dir) / "jobs.csv").string());
-  jobs_csv_->write_row({"id", "release", "workload", "deadline", "value"});
-  jobs_csv_->flush();
-  cancels_csv_ =
-      std::make_unique<CsvWriter>((fs::path(dir) / "cancels.csv").string());
-  cancels_csv_->write_row({"time", "ticket"});
-  cancels_csv_->flush();
-  if (!jobs_csv_->ok() || !cancels_csv_->ok()) {
-    throw std::runtime_error("journal header write failed in " + dir);
+  jobs_fd_ =
+      open_append(dir, "jobs.csv", "id,release,workload,deadline,value\n");
+  try {
+    cancels_fd_ = open_append(dir, "cancels.csv", "time,ticket\n");
+  } catch (...) {
+    ::close(jobs_fd_);
+    throw;
   }
+}
+
+Journal::~Journal() {
+  if (jobs_fd_ >= 0) ::close(jobs_fd_);
+  if (cancels_fd_ >= 0) ::close(cancels_fd_);
 }
 
 Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
@@ -56,39 +100,50 @@ void Journal::record_admit(const Job& job) {
   // bundle loader reconstructs the admitted stream bit-exactly.
   const double row[] = {static_cast<double>(job.id), job.release, job.workload,
                         job.deadline, job.value};
-  jobs_csv_->write_row_numeric(row, 5);
-  jobs_csv_->flush();
-  // An ofstream swallows short writes and ENOSPC into its failbit; a row the
-  // client was promised durable must not vanish silently, so surface the
-  // stream state as the append's result.
-  if (!jobs_csv_->ok()) {
-    throw std::runtime_error("journal append failed (jobs.csv in " + dir_ +
-                             "): disk full or I/O error");
-  }
+  append_row(jobs_fd_, "jobs.csv", row, 5);
   ++admit_rows_;
 }
 
 void Journal::record_cancel(double time, JobId job) {
   const double row[] = {time, static_cast<double>(job)};
-  cancels_csv_->write_row_numeric(row, 2);
-  cancels_csv_->flush();
-  if (!cancels_csv_->ok()) {
-    throw std::runtime_error("journal append failed (cancels.csv in " + dir_ +
-                             "): disk full or I/O error");
-  }
+  append_row(cancels_fd_, "cancels.csv", row, 2);
   ++cancel_rows_;
 }
 
+void Journal::append_row(int fd, const char* file, const double* fields,
+                         std::size_t count) {
+  SJS_CHECK(count <= 5);
+  char text[5 * kNumericFieldMax];
+  const auto size = static_cast<std::size_t>(
+      format_numeric_row(text, text + sizeof(text), fields, count) - text);
+  const ssize_t n = write_once(fd, text, size);
+  if (n == static_cast<ssize_t>(size)) return;
+  // A row the client was promised durable must not vanish silently. A short
+  // write (the file size limit, a full disk) left a torn row: cut it off so
+  // the file still holds whole rows, then fail.
+  const int err = errno;
+  if (n > 0) {
+    // Best effort: the append fails below whether or not the cut succeeds.
+    const off_t end = ::lseek(fd, 0, SEEK_END);
+    [[maybe_unused]] const int cut = end >= n ? ::ftruncate(fd, end - n) : -1;
+  }
+  const std::string why =
+      n < 0 ? std::string(std::strerror(err))
+            : "short write, " + std::to_string(n) + " of " +
+                  std::to_string(size) + " bytes";
+  throw std::runtime_error("journal append failed (" + std::string(file) +
+                           " in " + dir_ + "): " + why);
+}
+
 void Journal::close() {
-  if (jobs_csv_) jobs_csv_->flush();
-  if (cancels_csv_) cancels_csv_->flush();
-  const bool failed = (jobs_csv_ && !jobs_csv_->ok()) ||
-                      (cancels_csv_ && !cancels_csv_->ok());
-  jobs_csv_.reset();
-  cancels_csv_.reset();
-  if (failed) {
-    throw std::runtime_error("journal close failed in " + dir_ +
-                             ": disk full or I/O error");
+  int err = 0;
+  for (int* fd : {&jobs_fd_, &cancels_fd_}) {
+    if (*fd >= 0 && ::close(*fd) != 0) err = errno;
+    *fd = -1;
+  }
+  if (err != 0) {
+    throw std::runtime_error("journal close failed in " + dir_ + ": " +
+                             std::strerror(err));
   }
 }
 

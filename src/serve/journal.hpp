@@ -4,7 +4,9 @@
 // band.csv, the src/jobs/bundle.hpp layout): capacity and band are written
 // once at session start, and every admitted job appends one row to jobs.csv
 // the moment it is accepted — %.17g doubles, so the admission stamps
-// round-trip bit-exactly. Replay is therefore just
+// round-trip bit-exactly. A row is formatted on the stack and reaches the
+// file in one write(2) on an O_APPEND descriptor: no stream buffer sits
+// between an ACCEPTED and its row. Replay is therefore just
 //
 //   sjs_sim --bundle=<journal dir> --scheduler=<meta.csv scheduler>
 //
@@ -23,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,19 +48,25 @@ class Journal {
   /// Throws std::runtime_error on I/O failure.
   Journal(const std::string& dir, const cap::CapacityProfile& capacity,
           double c_lo, double c_hi, const Meta& meta);
+  ~Journal();
 
-  /// Appends one admitted job and flushes the row (an admission the client
-  /// saw ACCEPTED for must be on disk before the next poll). Throws
-  /// std::runtime_error if the write or flush fails (short write, ENOSPC):
-  /// a silently dropped row would break the replay-parity guarantee, so the
-  /// session must fail loudly instead.
+  Journal(const Journal&) = delete;
+  Journal& operator=(const Journal&) = delete;
+
+  /// Appends one admitted job as one write(2) (an admission the client saw
+  /// ACCEPTED for must reach the file before the reply is queued). Throws
+  /// std::runtime_error "journal append failed ..." on a short write or a
+  /// write error (EFBIG, ENOSPC; the message carries strerror): a silently
+  /// dropped row would break the replay-parity guarantee, so the session
+  /// must fail loudly instead. A short write's partial row is cut off
+  /// again, so the file keeps whole rows only.
   void record_admit(const Job& job);
 
   /// Appends one cancellation. Throws on write failure like record_admit.
   void record_cancel(double time, JobId job);
 
-  /// Flushes and closes the writers (the destructor also flushes, but only
-  /// close() reports failure). Throws if the final flush fails.
+  /// Closes the files (the destructor also closes them, but only close()
+  /// reports failure). Throws if a close fails.
   void close();
 
   const std::string& dir() const { return dir_; }
@@ -78,9 +85,13 @@ class Journal {
       const std::vector<std::pair<std::string, std::string>>& rows) const;
 
  private:
+  /// Writes one numeric row to `fd` (`file` names it in the error).
+  void append_row(int fd, const char* file, const double* fields,
+                  std::size_t count);
+
   std::string dir_;
-  std::unique_ptr<CsvWriter> jobs_csv_;
-  std::unique_ptr<CsvWriter> cancels_csv_;
+  int jobs_fd_ = -1;     ///< jobs.csv, O_APPEND
+  int cancels_fd_ = -1;  ///< cancels.csv, O_APPEND
   std::uint64_t admit_rows_ = 0;
   std::uint64_t cancel_rows_ = 0;
 };

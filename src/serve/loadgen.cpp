@@ -12,11 +12,13 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "serve/event_loop.hpp"
 #include "serve/protocol.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -84,6 +86,8 @@ LoadReport run_load(const LoadGenConfig& config, Clock& clock) {
   std::uint64_t next_seq = 1;
   std::uint64_t submit_index = 0;  // round-robin cursor over connections
   bool drain_sent = false;
+  std::vector<AcceptStamp> accepts;     // every conn: one server clock
+  std::vector<CompletionStamp> dones;
 
   const auto open_count = [&] {
     std::size_t n = 0;
@@ -140,8 +144,8 @@ LoadReport run_load(const LoadGenConfig& config, Clock& clock) {
                         : std::max(0.0, next_submit - now);
     if (next_submit >= submit_end && !config.send_drain) wait_s = 0.01;
     wait_s = std::min(wait_s, std::max(0.0, hard_end - now));
-    const int timeout_ms =
-        static_cast<int>(std::ceil(std::min(wait_s, 0.05) * 1000.0));
+    const auto timeout_us =
+        static_cast<std::int64_t>(std::ceil(std::min(wait_s, 0.05) * 1e6));
     std::vector<pollfd> pfds;
     std::vector<std::size_t> pfd_conn;
     pfds.reserve(nconn);
@@ -153,7 +157,7 @@ LoadReport run_load(const LoadGenConfig& config, Clock& clock) {
       pfds.push_back(pfd);
       pfd_conn.push_back(i);
     }
-    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
+    wait_fds(pfds.data(), pfds.size(), timeout_us);
 
     for (std::size_t p = 0; p < pfds.size(); ++p) {
       Conn& c = conns[pfd_conn[p]];
@@ -202,6 +206,7 @@ LoadReport run_load(const LoadGenConfig& config, Clock& clock) {
               const auto it = c.by_seq.find(m.seq);
               if (it != c.by_seq.end()) {
                 c.ack_lat.push_back(t - it->second.sent_at);
+                accepts.push_back(AcceptStamp{it->second.sent_at, t, m.a});
                 report.admitted_value += it->second.value;
                 c.by_ticket[m.ticket] = it->second;
                 c.by_seq.erase(it);
@@ -233,6 +238,7 @@ LoadReport run_load(const LoadGenConfig& config, Clock& clock) {
                 c.done_lat.push_back(t - it->second.sent_at);
                 c.by_ticket.erase(it);
               }
+              dones.push_back(CompletionStamp{t, m.b});
               ++c.report.completed;
               report.completed_value += m.a;
               break;
@@ -274,7 +280,45 @@ LoadReport run_load(const LoadGenConfig& config, Clock& clock) {
   }
   report.ack_latency = merge_latency_samples(ack_samples);
   report.completion_latency = merge_latency_samples(done_samples);
+  report.notify_lag = summarize(notification_lags(accepts, dones));
   return report;
+}
+
+std::vector<double> notification_lags(
+    const std::vector<AcceptStamp>& accepted,
+    const std::vector<CompletionStamp>& completions) {
+  std::vector<double> lags;
+  const std::size_t n = accepted.size();
+  if (n < 2) return lags;
+  const auto round_trip = [](const AcceptStamp& s) {
+    return s.received_at - s.sent_at;
+  };
+  const auto midpoint = [](const AcceptStamp& s) {
+    return 0.5 * (s.sent_at + s.received_at);
+  };
+  // The stamp with the shortest round trip in accepted[first, last).
+  const auto anchor = [&](std::size_t first, std::size_t last) {
+    std::size_t best = first;
+    for (std::size_t i = first + 1; i < last; ++i) {
+      if (round_trip(accepted[i]) < round_trip(accepted[best])) best = i;
+    }
+    return accepted[best];
+  };
+  const std::size_t quarter = std::max<std::size_t>(1, n / 4);
+  const AcceptStamp a = anchor(0, quarter);
+  const AcceptStamp b = anchor(n - quarter, n);
+  const double wall_span = midpoint(b) - midpoint(a);
+  if (!(b.release > a.release) || !(wall_span > 0.0)) return lags;
+  const double accel = (b.release - a.release) / wall_span;
+  double epoch = std::numeric_limits<double>::infinity();
+  for (const AcceptStamp& s : accepted) {
+    epoch = std::min(epoch, s.received_at - s.release / accel);
+  }
+  lags.reserve(completions.size());
+  for (const CompletionStamp& c : completions) {
+    lags.push_back(c.received_at - (epoch + c.completed_at / accel));
+  }
+  return lags;
 }
 
 Summary merge_latency_samples(
@@ -316,6 +360,10 @@ std::string LoadReport::to_string() const {
     os << "\ncompletion latency (ms): p50 " << completion_latency.median * 1e3
        << ", p95 " << completion_latency.p95 * 1e3 << ", p99 "
        << completion_latency.p99 * 1e3;
+  }
+  if (notify_lag.count > 0) {
+    os << "\nnotification lag (ms): p50 " << notify_lag.median * 1e3
+       << ", p99 " << notify_lag.p99 * 1e3;
   }
   if (connections.size() > 1) {
     for (std::size_t i = 0; i < connections.size(); ++i) {

@@ -66,6 +66,9 @@ struct LoadReport {
 
   Summary ack_latency;         ///< wall s, SUBMIT → ACCEPTED/REJECTED/SHED
   Summary completion_latency;  ///< wall s, SUBMIT → COMPLETED
+  /// wall s, how long after the server's clock reached a job's completion
+  /// instant its COMPLETED arrived (notification_lags below).
+  Summary notify_lag;
   /// Per-connection breakdown, index = connection number (round-robin
   /// position). Size = LoadGenConfig::connections.
   std::vector<ConnReport> connections;
@@ -79,6 +82,36 @@ struct LoadReport {
 /// fast connection's p99 with a slow one's understates the tail exactly when
 /// the skew matters. Exposed so the pooling rule is testable on its own.
 Summary merge_latency_samples(const std::vector<std::vector<double>>& per_conn);
+
+/// One ACCEPTED as the client saw it: when the SUBMIT was sent and the
+/// reply received (client clock, s), and the release it stamps (virtual s).
+struct AcceptStamp {
+  double sent_at = 0.0;
+  double received_at = 0.0;
+  double release = 0.0;
+};
+
+/// One COMPLETED: when it was received (client clock, s) and the completion
+/// instant it reports (virtual s).
+struct CompletionStamp {
+  double received_at = 0.0;
+  double completed_at = 0.0;
+};
+
+/// Notification lag of each completion, wall s: its receipt time minus the
+/// wall instant the server's clock reached the reported completion time.
+/// The server maps wall to virtual time as virtual = (wall − epoch)·accel,
+/// and the client knows neither. accel is the slope between two anchor
+/// stamps, the ACCEPTED with the shortest round trip in the first and in
+/// the last quarter of `accepted`, each placed at its round trip's midpoint.
+/// The epoch is the tightest bound the ACCEPTEDs give: the server stamped r
+/// no later than the reply arrived, so epoch ≤ received_at − r/accel for
+/// every one (perfbench/README.md, "Notify-lag epoch"). The lags are
+/// therefore biased low by at most the shortest stamp-to-receipt delay.
+/// Empty when fewer than two ACCEPTEDs with distinct stamps exist.
+std::vector<double> notification_lags(
+    const std::vector<AcceptStamp>& accepted,
+    const std::vector<CompletionStamp>& completions);
 
 /// Opens `config.connections` sockets to 127.0.0.1:port and runs the
 /// configured load round-robin over them (still single-threaded: one poll

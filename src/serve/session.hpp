@@ -200,8 +200,11 @@ class Session {
   /// Advances virtual time to the bridge's now and ships notifications.
   // sjs-hot-path-root
   void pump();
-  /// Poll timeout: wall ms until the next simulated event, at most `cap`.
-  int wait_ms(int cap);
+  /// The loop's wait timeout: wall microseconds until the next simulated
+  /// event is due (0 once it is), at most `cap_us`. A negative cap means
+  /// uncapped; with no event queued the cap itself comes back (-1: until
+  /// activity).
+  std::int64_t wait_us(std::int64_t cap_us);
   /// Resolves the backlog (finish_live), ships the last notifications,
   /// publishes the backend's metrics, writes outcomes.csv, closes the
   /// journal.

@@ -61,11 +61,15 @@ void Session<Backend>::pump() {
 }
 
 template <typename Backend>
-int Session<Backend>::wait_ms(int cap) {
+std::int64_t Session<Backend>::wait_us(std::int64_t cap_us) {
   const double next = backend_.engine().next_event_time();
-  if (!std::isfinite(next)) return cap;
-  const double ms = std::ceil(std::max(0.0, bridge_.wall_until(next)) * 1000.0);
-  return static_cast<int>(std::min<double>(ms, static_cast<double>(cap)));
+  if (!std::isfinite(next)) return cap_us;
+  // Rounded up, so the loop never wakes just before the event is due; kept
+  // below an hour so a far-future event cannot overflow the conversion.
+  const double us = std::min(
+      std::ceil(std::max(0.0, bridge_.wall_until(next)) * 1e6), 3.6e9);
+  const auto wait = static_cast<std::int64_t>(us);
+  return cap_us >= 0 ? std::min(wait, cap_us) : wait;
 }
 
 template <typename Backend>

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <string>
 
+#include "serve/event_loop.hpp"
 #include "util/logging.hpp"
 #include "util/vec.hpp"
 
@@ -29,7 +30,7 @@ ServerConfig shard_config(const ServerConfig& plane, std::size_t k) {
 ShardWorker::ShardWorker(const ServerConfig& config, std::size_t shard_index,
                          std::unique_ptr<sim::Scheduler> scheduler,
                          Clock& clock, obs::MetricsRegistry* metrics)
-    : poll_ms_(config.shard_poll_ms),
+    : poll_cap_us_(std::int64_t{config.shard_poll_ms} * 1000),
       metrics_(metrics),
       requests_(config.channel_capacity),
       // Sized so a healthy plane never fills it: every request in the input
@@ -71,11 +72,8 @@ void ShardWorker::run(double epoch) {
     if (drained) break;
     session_.pump();
     // Park until the next simulated event is due or the acceptor signals.
-    struct pollfd pfd;
-    pfd.fd = requests_.wake_fd();
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    ::poll(&pfd, 1, session_.wait_ms(poll_ms_));
+    pollfd pfd{requests_.wake_fd(), POLLIN, 0};
+    wait_fds(&pfd, 1, session_.wait_us(poll_cap_us_));
     if ((pfd.revents & POLLIN) != 0) requests_.drain_wakeups();
   }
 
@@ -126,7 +124,7 @@ void ShardWorker::send(int conn, std::uint64_t gen, const Message& msg) {
     if (st == conc::SendStatus::kOk) return;
     SJS_CHECK_MSG(st != conc::SendStatus::kClosed,
                   "shard reply channel closed while serving");
-    ::poll(nullptr, 0, 1);
+    wait_fds(nullptr, 0, 1000);  // back off 1 ms, then retry
   }
 }
 

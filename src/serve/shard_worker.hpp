@@ -108,7 +108,7 @@ class ShardWorker final : private ReplyTarget {
     return tickets_[static_cast<std::size_t>(id)];
   }
 
-  int poll_ms_;
+  std::int64_t poll_cap_us_;  ///< idle park cap (config.shard_poll_ms)
   obs::MetricsRegistry* metrics_;
   conc::Channel<ShardRequest> requests_;
   conc::Channel<ShardReply> replies_;

@@ -1,10 +1,9 @@
 #include "serve/sharded_server.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
 
 #include "conc/shard_hash.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/session.hpp"
 #include "util/logging.hpp"
 #include "util/vec.hpp"
@@ -31,7 +30,7 @@ ShardedAdmissionServer::~ShardedAdmissionServer() {
   for (auto& w : workers_) w->requests().close();
   while (!all_replies_drained()) {
     drain_replies();
-    ::poll(nullptr, 0, 1);
+    wait_fds(nullptr, 0, 1000);
   }
 }
 
@@ -59,9 +58,10 @@ int ShardedAdmissionServer::start() {
   return port;
 }
 
-bool ShardedAdmissionServer::serve(int max_wait_ms) {
+bool ShardedAdmissionServer::serve(std::int64_t max_wait_us) {
   drain_replies();
-  loop().poll_once(draining() ? std::min(max_wait_ms, 10) : max_wait_ms);
+  loop().poll_once(draining() ? capped_wait_us(max_wait_us, kDrainWaitUs)
+                              : max_wait_us);
   drain_replies();
   if (!draining() || !all_replies_drained()) return false;
   // Every shard has finalised and closed its reply channel, and every reply

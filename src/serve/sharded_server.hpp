@@ -89,7 +89,7 @@ class ShardedAdmissionServer final : public FrontEnd {
 
  private:
   void on_request(int conn, const Message& m) override;
-  bool serve(int max_wait_ms) override;
+  bool serve(std::int64_t max_wait_us) override;
   /// Closes the request channels in shard order — the deterministic half
   /// of the drain contract (ShardSet::join is the other half).
   void on_drain() override;

@@ -33,6 +33,16 @@ std::string format_double(double v) {
   return std::string(buf, write_g17(buf, buf + sizeof(buf), v));
 }
 
+char* format_numeric_row(char* first, char* last, const double* fields,
+                         std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i) *first++ = ',';
+    first = write_g17(first, last, fields[i]);
+  }
+  *first++ = '\n';
+  return first;
+}
+
 CsvWriter::CsvWriter(const std::string& path) : out_(path) {
   if (!out_) throw std::runtime_error("cannot open for writing: " + path);
 }

@@ -24,10 +24,9 @@ class CsvWriter {
   /// Convenience: formats doubles with full round-trip precision.
   void write_row_numeric(const std::vector<double>& fields);
 
-  /// Allocation-free variant for steady-state writers (serve::Journal):
-  /// formats each value as %.17g (std::to_chars) into a stack buffer and
-  /// streams it straight out — no temporary vector or std::string per row.
-  /// Numeric fields never need RFC 4180 escaping.
+  /// Allocation-free variant: formats each value as %.17g (std::to_chars)
+  /// into a stack buffer and streams it straight out — no temporary vector
+  /// or std::string per row. Numeric fields never need RFC 4180 escaping.
   void write_row_numeric(const double* fields, std::size_t count);
 
   void flush() { out_.flush(); }
@@ -51,5 +50,17 @@ std::string csv_escape(const std::string& field);
 /// Formats a double with enough digits to round-trip: the %.17g text,
 /// produced by std::to_chars.
 std::string format_double(double v);
+
+/// Room one value of a numeric row needs: its %.17g text (at most 24
+/// characters) and a separator.
+inline constexpr std::size_t kNumericFieldMax = 32;
+
+/// Formats one numeric CSV row — each value as %.17g (std::to_chars), comma
+/// separated, '\n' terminated, the bytes CsvWriter::write_row_numeric
+/// writes — into [first, last) without allocating, for writers that issue
+/// the row as one write(2) (serve::Journal). The buffer must hold
+/// count * kNumericFieldMax bytes. Returns the end of the text.
+char* format_numeric_row(char* first, char* last, const double* fields,
+                         std::size_t count);
 
 }  // namespace sjs

@@ -203,6 +203,15 @@ TEST(LintTest, TimerOutsideSetTimerFiresOnDirectTimerPushes) {
   EXPECT_NE(r.output.find("Engine::set_timer"), std::string::npos) << r.output;
 }
 
+TEST(LintTest, PollOutsideWaitFdsFiresOnBlockingPolls) {
+  const auto r = run_lint(fixture_args(fx("src/serve/bad_poll_wait.cpp")));
+  EXPECT_EQ(r.exit_code, 1);
+  // poll with a ms timeout, ppoll, epoll_wait with a timeout; the zero
+  // timeouts and the suppressed wait stay silent.
+  EXPECT_EQ(count_findings(r.output, "poll-outside-wait-fds"), 3) << r.output;
+  EXPECT_NE(r.output.find("serve::wait_fds"), std::string::npos) << r.output;
+}
+
 TEST(LintTest, BadSuppressionFiresAndDoesNotSuppress) {
   const auto r = run_lint(fixture_args(fx("src/util/bad_suppression.cpp")));
   EXPECT_EQ(r.exit_code, 1);
@@ -224,7 +233,8 @@ TEST(LintTest, WholeFixtureTreeReportsEveryRule) {
   for (const char* rule :
        {"unordered-iter", "ordered-set-hot-path", "banned-time", "float-eq",
         "float-type", "trace-exhaustive", "include-hygiene", "header-guard",
-        "raw-concurrency", "timer-outside-set-timer", "bad-suppression"}) {
+        "raw-concurrency", "timer-outside-set-timer", "poll-outside-wait-fds",
+        "bad-suppression"}) {
     EXPECT_GE(count_findings(r.output, rule), 1) << rule << "\n" << r.output;
   }
 }
@@ -244,7 +254,8 @@ TEST(LintTest, ListRulesNamesAllRules) {
   for (const char* rule :
        {"unordered-iter", "ordered-set-hot-path", "banned-time", "float-eq",
         "float-type", "trace-exhaustive", "include-hygiene", "header-guard",
-        "raw-concurrency", "timer-outside-set-timer", "transitive-banned-time",
+        "raw-concurrency", "timer-outside-set-timer", "poll-outside-wait-fds",
+        "transitive-banned-time",
         "alloc-in-hot-path", "channel-discipline", "include-cycle"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
   }

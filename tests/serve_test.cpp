@@ -19,6 +19,8 @@
 
 #include <csignal>
 
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -28,6 +30,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/cluster_server.hpp"
@@ -524,85 +527,137 @@ TEST(ServeTest, RealClockLoadgenSessionReplays) {
 // ---------------------------------------------------------------------------
 // Journal durability: a failed append must surface, not silently drop rows.
 
+/// Caps the process's file size (RLIMIT_FSIZE) with SIGXFSZ ignored, so a
+/// write(2) that crosses the cap comes back short and one that starts at it
+/// fails with EFBIG, instead of the kernel killing the process. Restores
+/// both on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    SJS_CHECK(::sigaction(SIGXFSZ, &ignore, &old_action_) == 0);
+    SJS_CHECK(::getrlimit(RLIMIT_FSIZE, &old_limit_) == 0);
+    const rlimit cap{bytes, old_limit_.rlim_max};
+    SJS_CHECK(::setrlimit(RLIMIT_FSIZE, &cap) == 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &old_limit_);
+    ::sigaction(SIGXFSZ, &old_action_, nullptr);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  struct sigaction old_action_ {};
+  rlimit old_limit_{};
+};
+
+/// The two ways a raw journal append fails: the row crosses the file size
+/// cap (a short write) or starts at it (EFBIG).
+enum class JournalFault { kShortWrite, kFileTooLarge };
+
+/// A file size cap under which the next row appended to the largest of
+/// `files` fails as `fault`.
+rlim_t fault_cap(const std::vector<std::string>& files, JournalFault fault) {
+  std::uintmax_t largest = 0;
+  for (const std::string& f : files) {
+    largest = std::max(largest, std::filesystem::file_size(f));
+  }
+  return static_cast<rlim_t>(fault == JournalFault::kShortWrite ? largest + 8
+                                                                : largest);
+}
+
+/// The text a failure of kind `fault` must carry.
+std::string fault_text(JournalFault fault) {
+  return fault == JournalFault::kShortWrite ? "short write"
+                                            : std::strerror(EFBIG);
+}
+
+/// Data rows across `files`; fails the test on a torn (unterminated) row.
+std::uint64_t journal_rows(const std::vector<std::string>& files) {
+  std::uint64_t rows = 0;
+  for (const std::string& f : files) {
+    const std::string text = slurp(f);
+    EXPECT_FALSE(text.empty()) << f;
+    EXPECT_EQ(text.back(), '\n') << "torn row at the end of " << f;
+    rows += static_cast<std::uint64_t>(
+                std::count(text.begin(), text.end(), '\n')) - 1;  // header
+  }
+  return rows;
+}
+
 TEST(JournalTest, AppendFailureThrowsInsteadOfSilentLoss) {
   const std::string dir = fresh_dir("journal_enospc");
   sjs::serve::Journal journal(dir, sjs::cap::CapacityProfile(1.0), kBandLo,
                               kBandHi, {"V-Dover", 1.0, true});
-
-  // Cap the process file size so the next flush past the cap fails with
-  // EFBIG — the same silent-failbit path a short write or ENOSPC takes.
-  // SIGXFSZ must be ignored or the kernel kills the process instead.
-  struct sigaction ignore_xfsz {};
-  ignore_xfsz.sa_handler = SIG_IGN;
-  struct sigaction old_xfsz {};
-  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore_xfsz, &old_xfsz), 0);
-  rlimit old_limit{};
-  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
-  const rlimit tiny{256, old_limit.rlim_max};
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tiny), 0);
-
+  const std::string jobs = dir + "/jobs.csv";
   sjs::Job job;
   job.id = 0;
   job.release = 0.25;
   job.workload = 1.0;
   job.deadline = 4.0;
   job.value = 2.0;
-  bool threw = false;
-  std::string what;
-  for (int i = 0; i < 64 && !threw; ++i) {
-    job.id = i;
-    try {
-      journal.record_admit(job);
-    } catch (const std::runtime_error& e) {
-      threw = true;
-      what = e.what();
+  journal.record_admit(job);
+  const std::uintmax_t healthy = std::filesystem::file_size(jobs);
+
+  job.id = 1;
+  for (const JournalFault fault :
+       {JournalFault::kShortWrite, JournalFault::kFileTooLarge}) {
+    std::string what;
+    {
+      const FileSizeCap cap(fault_cap({jobs}, fault));
+      try {
+        journal.record_admit(job);
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
     }
+    ASSERT_FALSE(what.empty()) << "journal swallowed a failed append";
+    EXPECT_NE(what.find("journal append failed"), std::string::npos) << what;
+    EXPECT_NE(what.find(fault_text(fault)), std::string::npos) << what;
+    // A short write's torn row is cut off again: whole rows only.
+    EXPECT_EQ(std::filesystem::file_size(jobs), healthy);
   }
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
-  ASSERT_EQ(::sigaction(SIGXFSZ, &old_xfsz, nullptr), 0);
-  EXPECT_TRUE(threw) << "journal swallowed a failed append";
-  EXPECT_NE(what.find("journal append failed"), std::string::npos) << what;
+  EXPECT_EQ(journal.admit_count(), 1u);
+  EXPECT_EQ(journal_rows({jobs}), 1u);
 }
 
-/// Drives `server` (any mode) into a journal append failure and checks the
-/// one journal-failure policy: the client sees ERROR(kJournalFailed), never
-/// an ACCEPTED whose row was dropped; journal_error() names the failure; the
-/// session drains on its own (no DRAIN frame); and the drain completes.
+/// Drives `server` (any mode) into a journal append failure of kind `fault`
+/// and checks the one journal-failure policy: the client sees
+/// ERROR(kJournalFailed), never an ACCEPTED whose row was dropped (the
+/// `journals` hold exactly the accepted rows, all whole); journal_error()
+/// names the failure; the session drains on its own (no DRAIN frame); and
+/// the drain completes.
 template <typename Server>
-void expect_journal_failure_fails_session_cleanly(Server& server,
-                                                  FakeClock& clock,
-                                                  int step_ms) {
+void expect_journal_failure_fails_session_cleanly(
+    Server& server, FakeClock& clock, int step_ms,
+    const std::vector<std::string>& journals, JournalFault fault) {
   TestClient client(server.start());
 
   // One healthy admission first: the failure path must not corrupt it.
   client.send(submit_msg(1, 0.5, 5.0, 1.0));
   EXPECT_EQ(client.await_seq(server, 1, step_ms).type, MsgType::kAccepted);
-
-  struct sigaction ignore_xfsz {};
-  ignore_xfsz.sa_handler = SIG_IGN;
-  struct sigaction old_xfsz {};
-  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore_xfsz, &old_xfsz), 0);
-  rlimit old_limit{};
-  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
-  const rlimit tiny{128, old_limit.rlim_max};
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tiny), 0);
+  std::uint64_t accepted = 1;
 
   // Submit until an append fails. The client must see ERROR(kJournalFailed),
   // never an ACCEPTED whose journal row was silently dropped.
   std::uint64_t seq = 1;
   Message failed{};
-  for (int i = 0; i < 64; ++i) {
-    clock.advance(0.01);
-    client.send(submit_msg(++seq, 0.5, 5.0, 1.0));
-    const Message r = client.await_seq(server, seq, step_ms);
-    if (r.type == MsgType::kError) {
-      failed = r;
-      break;
+  {
+    const FileSizeCap cap(fault_cap(journals, fault));
+    for (int i = 0; i < 64; ++i) {
+      clock.advance(0.01);
+      client.send(submit_msg(++seq, 0.5, 5.0, 1.0));
+      const Message r = client.await_seq(server, seq, step_ms);
+      if (r.type == MsgType::kError) {
+        failed = r;
+        break;
+      }
+      ASSERT_EQ(r.type, MsgType::kAccepted);
+      ++accepted;
     }
-    ASSERT_EQ(r.type, MsgType::kAccepted);
   }
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
-  ASSERT_EQ(::sigaction(SIGXFSZ, &old_xfsz, nullptr), 0);
 
   ASSERT_EQ(failed.type, MsgType::kError);
   EXPECT_EQ(failed.code,
@@ -613,41 +668,177 @@ void expect_journal_failure_fails_session_cleanly(Server& server,
   ASSERT_TRUE(server.draining());
   while (server.step(step_ms)) client.read_socket();
   EXPECT_TRUE(server.finished());
+  // The failure's own text: the short count or strerror. The plane keeps
+  // each shard's message on the shard.
+  std::string why = server.journal_error();
+  if constexpr (std::is_same_v<Server, sjs::serve::ShardedAdmissionServer>) {
+    for (std::size_t k = 0; k < journals.size(); ++k) {
+      why += " | " + server.shard(k).journal_error();
+    }
+  }
+  EXPECT_NE(why.find(fault_text(fault)), std::string::npos) << why;
+  EXPECT_EQ(journal_rows(journals), accepted);
 }
 
 TEST(ServeTest, JournalFailureFailsSessionCleanly) {
-  {
-    SCOPED_TRACE("single");
-    FakeClock clock;
-    AdmissionServer server(scripted_config(fresh_dir("serve_journal_fail")),
-                           make_scheduler("V-Dover", kBandLo, kBandHi), clock);
-    expect_journal_failure_fails_session_cleanly(server, clock, 0);
+  for (const JournalFault fault :
+       {JournalFault::kShortWrite, JournalFault::kFileTooLarge}) {
+    SCOPED_TRACE(fault_text(fault));
+    {
+      SCOPED_TRACE("single");
+      FakeClock clock;
+      const std::string dir = fresh_dir("serve_journal_fail");
+      AdmissionServer server(scripted_config(dir),
+                             make_scheduler("V-Dover", kBandLo, kBandHi),
+                             clock);
+      expect_journal_failure_fails_session_cleanly(
+          server, clock, 0, {dir + "/jobs.csv"}, fault);
+    }
+    {
+      SCOPED_TRACE("--shards=2");
+      FakeClock clock;
+      const std::string dir = fresh_dir("sharded_journal_fail");
+      ServerConfig config = scripted_config(dir);
+      config.shards = 2;
+      config.shard_poll_ms = 5;
+      sjs::serve::ShardedAdmissionServer server(
+          config, [] { return make_scheduler("V-Dover", kBandLo, kBandHi); },
+          clock);
+      expect_journal_failure_fails_session_cleanly(
+          server, clock, 1,
+          {dir + "/shard0/jobs.csv", dir + "/shard1/jobs.csv"}, fault);
+    }
+    {
+      SCOPED_TRACE("--cluster=4");
+      FakeClock clock;
+      sjs::cluster::ClusterServerConfig config;
+      config.fleet = sjs::cluster::Fleet::heterogeneous(4);
+      config.journal_dir = fresh_dir("cluster_journal_fail");
+      sjs::cluster::ClusterServer server(config, clock);
+      expect_journal_failure_fails_session_cleanly(
+          server, clock, 0, {config.journal_dir + "/jobs.csv"}, fault);
+    }
   }
-  {
-    SCOPED_TRACE("--shards=2");
-    FakeClock clock;
-    ServerConfig config = scripted_config(fresh_dir("sharded_journal_fail"));
-    config.shards = 2;
-    config.shard_poll_ms = 5;
-    sjs::serve::ShardedAdmissionServer server(
-        config, [] { return make_scheduler("V-Dover", kBandLo, kBandHi); },
-        clock);
-    expect_journal_failure_fails_session_cleanly(server, clock, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Session wait: the loop sleeps until the next engine event is due, to the
+// microsecond.
+
+class DiscardTarget final : public sjs::serve::ReplyTarget {
+ public:
+  void send(int /*conn*/, std::uint64_t /*gen*/, const Message& m) override {
+    last = m;
   }
-  {
-    SCOPED_TRACE("--cluster=4");
-    FakeClock clock;
-    sjs::cluster::ClusterServerConfig config;
-    config.fleet = sjs::cluster::Fleet::heterogeneous(4);
-    config.journal_dir = fresh_dir("cluster_journal_fail");
-    sjs::cluster::ClusterServer server(config, clock);
-    expect_journal_failure_fails_session_cleanly(server, clock, 0);
-  }
+  Message last;
+};
+
+TEST(SessionWait, MicrosecondsUntilTheNextEventUnderFakeClock) {
+  FakeClock clock;
+  DiscardTarget target;
+  sjs::serve::Session<sjs::serve::LocalBackend> session(
+      scripted_config(""), clock, target, "",
+      make_scheduler("V-Dover", kBandLo, kBandHi));
+  session.begin(clock.now(), nullptr);
+
+  // Nothing queued: the cap itself, -1 ("until activity") included.
+  EXPECT_EQ(session.wait_us(50000), 50000);
+  EXPECT_EQ(session.wait_us(0), 0);
+  EXPECT_EQ(session.wait_us(-1), -1);
+
+  // A job of 0.4 ms of work on the unit path, released at 0: once the pump
+  // at 0.1 ms has started it, its completion is due 0.3 ms of wall time
+  // ahead (accel 1).
+  session.submit(0, 0, submit_msg(1, 0.0004, 0.01, 1.0));
+  ASSERT_EQ(target.last.type, MsgType::kAccepted);
+  clock.advance(0.0001);
+  session.pump();
+  EXPECT_NEAR(static_cast<double>(session.wait_us(50000)), 300.0, 1.0);
+  // Not rounded up to a whole millisecond, and a negative cap is no cap:
+  // the loop must not sleep past the completion until a socket fires.
+  EXPECT_NEAR(static_cast<double>(session.wait_us(-1)), 300.0, 1.0);
+  // A shorter cap still wins.
+  EXPECT_EQ(session.wait_us(100), 100);
+
+  // Due (or overdue): no wait at all.
+  clock.set(0.0004);
+  EXPECT_EQ(session.wait_us(50000), 0);
+  EXPECT_EQ(session.wait_us(-1), 0);
+  clock.advance(0.001);
+  EXPECT_EQ(session.wait_us(-1), 0);
+  session.pump();
+  EXPECT_EQ(target.last.type, MsgType::kCompleted);
 }
 
 // ---------------------------------------------------------------------------
 // Pooled latency merge: quantiles come from the union of samples, never from
 // averaging per-connection summaries.
+
+// ---------------------------------------------------------------------------
+// Notification lag: the client recovers the server's clock from the ACCEPTED
+// stamps alone.
+
+/// A synthetic session against a server whose clock reads
+/// virtual = (wall − 100)·20: `n` ACCEPTEDs 5 ms apart whose request and
+/// reply each spend `base` plus up to `jitter` seconds in transit, and one
+/// COMPLETED per ACCEPTED that arrives a known lag after the server's clock
+/// reached its completion instant.
+struct SyntheticSession {
+  std::vector<sjs::serve::AcceptStamp> accepted;
+  std::vector<sjs::serve::CompletionStamp> completions;
+  std::vector<double> lags;
+};
+
+SyntheticSession synthetic_session(int n, double base, double jitter) {
+  constexpr double kEpoch = 100.0;
+  constexpr double kAccel = 20.0;
+  sjs::Rng rng(77);
+  SyntheticSession out;
+  for (int i = 0; i < n; ++i) {
+    const double sent = kEpoch + 0.01 + 0.005 * i;
+    const double stamped = sent + base + rng.uniform(0.0, jitter);
+    const double received = stamped + base + rng.uniform(0.0, jitter);
+    out.accepted.push_back({sent, received, (stamped - kEpoch) * kAccel});
+    const double done = stamped + rng.uniform(0.001, 0.05);
+    const double lag = rng.uniform(5e-6, 500e-6);
+    out.completions.push_back({done + lag, (done - kEpoch) * kAccel});
+    out.lags.push_back(lag);
+  }
+  return out;
+}
+
+TEST(LoadGen, NotificationLagRecoversTheServerClockFromAcceptedStamps) {
+  {
+    // Symmetric, jitter-free transit: accel is exact and the epoch is late
+    // by exactly one reply delay, so every lag reads that much low.
+    const SyntheticSession s = synthetic_session(400, 30e-6, 0.0);
+    const std::vector<double> lags =
+        sjs::serve::notification_lags(s.accepted, s.completions);
+    ASSERT_EQ(lags.size(), s.lags.size());
+    for (std::size_t i = 0; i < lags.size(); ++i) {
+      EXPECT_NEAR(lags[i], s.lags[i] - 30e-6, 1e-9) << i;
+    }
+  }
+  {
+    // Up to 200 µs of jitter each way: the bias stays within a few tens of
+    // microseconds, far below the millisecond the lag is meant to resolve.
+    const SyntheticSession s = synthetic_session(400, 10e-6, 200e-6);
+    const std::vector<double> lags =
+        sjs::serve::notification_lags(s.accepted, s.completions);
+    ASSERT_EQ(lags.size(), s.lags.size());
+    for (std::size_t i = 0; i < lags.size(); ++i) {
+      EXPECT_NEAR(lags[i], s.lags[i], 40e-6) << i;
+    }
+    EXPECT_NEAR(sjs::summarize(lags).median, sjs::summarize(s.lags).median,
+                20e-6);
+  }
+  // Too little to estimate a clock from: no lags rather than made-up ones.
+  const SyntheticSession s = synthetic_session(1, 10e-6, 0.0);
+  EXPECT_TRUE(sjs::serve::notification_lags(s.accepted, s.completions).empty());
+  std::vector<sjs::serve::AcceptStamp> same_stamp = {{1.0, 1.1, 5.0},
+                                                     {2.0, 2.1, 5.0}};
+  EXPECT_TRUE(sjs::serve::notification_lags(same_stamp, s.completions).empty());
+}
 
 TEST(LoadGen, MergedLatencyPoolsSamplesAcrossConnections) {
   // Two heavily skewed connections: one fast (1ms-ish), one slow (100ms-ish)

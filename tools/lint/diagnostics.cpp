@@ -24,6 +24,9 @@ const std::vector<std::pair<const char*, const char*>>& rule_table() {
        "conc::Channel / conc::ShardSet or util/thread_pool)"},
       {"timer-outside-set-timer",
        "kTimer event built or pushed in sim/ outside Engine::set_timer"},
+      {"poll-outside-wait-fds",
+       "blocking poll/ppoll/epoll_wait in serve/cluster/conc outside "
+       "serve::wait_fds"},
       {"bad-suppression", "malformed sjs-lint allow() comment"},
       {"transitive-banned-time",
        "call closure reaches a banned clock/entropy read (chain reported)"},

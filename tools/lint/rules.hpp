@@ -5,8 +5,9 @@
 //   Phase 1 (per-file): each rule sees one SourceFile and appends
 //   diagnostics. These are the 9 line/token rules carried over from the
 //   original single-pass linter, byte-for-byte compatible (the golden diff
-//   test in tests/lint_test.cpp holds them to that). Phase-1 output is
-//   cacheable: it depends only on the file's bytes.
+//   test in tests/lint_test.cpp holds them to that), plus
+//   poll-outside-wait-fds. Phase-1 output is cacheable: it depends only on
+//   the file's bytes.
 //
 //   Phase 2 (cross-TU): rules that see every FileIndex plus the call graph
 //   — trace-exhaustive (enum vs exporter), transitive-banned-time,
@@ -39,6 +40,8 @@ void check_raw_concurrency(const SourceFile& file,
                            std::vector<Diagnostic>& diags);
 void check_timer_outside_set_timer(const SourceFile& file,
                                    std::vector<Diagnostic>& diags);
+void check_poll_outside_wait_fds(const SourceFile& file,
+                                 std::vector<Diagnostic>& diags);
 
 // Runs every phase-1 rule over one file.
 void run_file_rules(const SourceFile& file, std::vector<Diagnostic>& diags);

@@ -1,5 +1,5 @@
-// Phase-1 (per-file) rules, ported unchanged from the original single-pass
-// sjs_lint. Diagnostic text, coordinates, and firing conditions are frozen:
+// Phase-1 (per-file) rules. Those ported from the original single-pass
+// sjs_lint have frozen diagnostic text, coordinates, and firing conditions:
 // tests/lint_test.cpp diffs the output on the fixture tree against
 // tests/lint_fixtures/legacy_golden.txt, so any drift here is a test
 // failure, not a silent behavior change.
@@ -369,6 +369,84 @@ void check_timer_outside_set_timer(const SourceFile& file,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule: poll-outside-wait-fds
+// ---------------------------------------------------------------------------
+
+// A blocking wait in the serving layers (src/serve, src/cluster, src/conc)
+// goes through serve::wait_fds (src/serve/event_loop.cpp), the one
+// ppoll(2) site, which takes its timeout in microseconds. A poll(2) or
+// epoll_wait(2) timeout counts whole milliseconds, so a wait computed from
+// the next event's due time is rounded up to a millisecond boundary and a
+// COMPLETED due in between reaches its client late. A zero timeout (a
+// nonblocking check) is exempt.
+void check_poll_outside_wait_fds(const SourceFile& file,
+                                 std::vector<Diagnostic>& diags) {
+  if (!path_in(file.rel, "serve") && !path_in(file.rel, "cluster") &&
+      !path_in(file.rel, "conc")) {
+    return;
+  }
+  static const std::regex helper_re(R"(^\s*int\s+wait_fds\s*\()");
+  static const std::regex call_re(
+      R"(\b(poll|ppoll|epoll_wait|epoll_pwait|epoll_pwait2)\s*\()");
+  const bool helper_file = file.rel == "src/serve/event_loop.cpp";
+  bool in_helper = false;  // from wait_fds's definition to its closing brace
+  for (std::size_t i = 0; i < file.code.size(); ++i) {
+    const std::string& code = file.code[i];
+    if (helper_file && std::regex_search(code, helper_re)) {
+      in_helper = true;
+    } else if (in_helper && code.rfind('}', 0) == 0) {
+      in_helper = false;
+    }
+    if (in_helper) continue;
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), call_re);
+         it != std::sregex_iterator(); ++it) {
+      const auto pos = static_cast<std::size_t>(it->position());
+      // The timeout argument (poll: third, epoll_wait/epoll_pwait: fourth);
+      // a literal 0 is a nonblocking check. ppoll and epoll_pwait2 take a
+      // timespec and always count as a wait, as does a call whose argument
+      // list does not close on this line.
+      const std::string name = (*it)[1];
+      const int timeout_arg =
+          name == "poll" ? 2 : (name == "epoll_wait" || name == "epoll_pwait")
+                                   ? 3
+                                   : -1;
+      std::vector<std::string> args(1);
+      int depth = 0;
+      bool closed = false;
+      for (std::size_t c = pos + it->length(); c < code.size(); ++c) {
+        const char ch = code[c];
+        if (ch == '(' || ch == '[' || ch == '{') ++depth;
+        if (ch == ')' || ch == ']' || ch == '}') {
+          if (depth == 0) {
+            closed = true;
+            break;
+          }
+          --depth;
+        }
+        if (ch == ',' && depth == 0) {
+          args.emplace_back();
+        } else if (ch != ' ') {
+          args.back() += ch;
+        }
+      }
+      if (closed && timeout_arg >= 0 &&
+          static_cast<std::size_t>(timeout_arg) < args.size() &&
+          args[static_cast<std::size_t>(timeout_arg)] == "0") {
+        continue;
+      }
+      report(file, i + 1, pos + 1, "poll-outside-wait-fds",
+             name +
+                 "() with a timeout in src/{serve,cluster,conc}/ outside "
+                 "serve::wait_fds; every blocking wait goes through "
+                 "wait_fds (src/serve/event_loop.cpp), the one ppoll(2) "
+                 "site with a microsecond timeout, so no wait for a due "
+                 "event is rounded up to a whole millisecond",
+             diags);
+    }
+  }
+}
+
 void run_file_rules(const SourceFile& file, std::vector<Diagnostic>& diags) {
   check_unordered_iter(file, diags);
   check_ordered_set_hot_path(file, diags);
@@ -379,6 +457,7 @@ void run_file_rules(const SourceFile& file, std::vector<Diagnostic>& diags) {
   check_header_guard(file, diags);
   check_raw_concurrency(file, diags);
   check_timer_outside_set_timer(file, diags);
+  check_poll_outside_wait_fds(file, diags);
 }
 
 }  // namespace sjs::lint

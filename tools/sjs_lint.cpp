@@ -47,6 +47,12 @@
 //                    Engine::set_timer — only set_timer gives a queued timer
 //                    its generation-stamped slab id, which owns the
 //                    cancel/dead-event lifecycle
+//   poll-outside-wait-fds
+//                    a poll/ppoll/epoll_wait with a nonzero timeout in
+//                    src/serve/, src/cluster/ or src/conc/ outside
+//                    serve::wait_fds — the one ppoll(2) site, whose
+//                    microsecond timeout is what keeps a wait for a due
+//                    event from rounding up to a whole millisecond
 //   bad-suppression  an allow() comment with an unknown rule id or without
 //                    a reason (this rule itself cannot be suppressed)
 //   transitive-banned-time

@@ -6,8 +6,11 @@
 //
 // Submits jobs at Poisson arrival instants regardless of server responses
 // (open loop — the regime where SHED backpressure is actually exercised),
-// then reports admission/completion counts, captured-value percentage, and
-// ack/completion latency percentiles. With --connections=N the arrival
+// then reports admission/completion counts, captured-value percentage,
+// ack/completion latency percentiles, and the notification lag p50/p99: how
+// long after the server's clock reached a job's completion instant its
+// COMPLETED arrived (serve::notification_lags estimates the server's clock
+// from the ACCEPTED stamps). With --connections=N the arrival
 // stream round-robins over N sockets (one poll set, still single-threaded)
 // and the report adds per-connection counts and percentiles — the shape
 // that exercises sjs_serve --shards=N. With --drain it asks the server to
