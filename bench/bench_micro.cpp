@@ -267,11 +267,11 @@ BENCHMARK(BM_ClusterScenario)->Arg(1)->Arg(2)->Arg(3);
 void BM_LiveSteadyState(benchmark::State& state) {
   // The sjs_serve steady state without sockets: one warmed live-mode
   // session, pre-sized the way AdmissionServer::start() pre-sizes from
-  // --max-in-flight, admitting one job and advancing virtual time per
-  // iteration. Live ids are dense (never reused), so the pre-size covers
-  // the whole fixed-length session; after the warm-up batch every structure
-  // is at its high water and the loop body must perform zero heap
-  // allocations. The interposed AllocProbe counts the loop's allocations
+  // --max-in-flight, admitting one job, advancing virtual time and retiring
+  // the resolved jobs per iteration, as serve::Session does. The job window
+  // stays within the pre-size however long the session runs; after the
+  // warm-up batch every structure is at its high water and the loop body
+  // must perform zero heap allocations. The interposed AllocProbe counts the loop's allocations
   // and reports them as allocs_per_op so the claim is pinned in the
   // benchmark output itself, not just in hotpath_test.
   const int scheduler_index = static_cast<int>(state.range(0));
@@ -280,15 +280,14 @@ void BM_LiveSteadyState(benchmark::State& state) {
   state.SetLabel(factory.name);
 
   constexpr std::size_t kWarmup = 256;
+  constexpr std::size_t kMaxInFlight = 256;
   constexpr double kDt = 0.1;  // arrival spacing: ~75% load at capacity 4
-  const std::size_t total =
-      kWarmup + static_cast<std::size_t>(state.max_iterations);
   sjs::Instance instance({}, sjs::cap::CapacityProfile(4.0));
-  instance.reserve_jobs(total);
   auto scheduler = factory.make();
   sjs::sim::Engine engine(instance, *scheduler);
-  engine.reserve_live(total);
+  engine.reserve_live(kMaxInFlight);
   engine.begin_live();
+  const sjs::sim::JobTable& window = engine.job_state();
 
   double now = 0.0;
   std::size_t phase = 0;
@@ -301,8 +300,12 @@ void BM_LiveSteadyState(benchmark::State& state) {
     job.deadline = now + 5.0;
     job.value = job.workload * 12.0;
     phase = (phase + 1) % 3;
-    engine.admit_live(instance.append_job(job));
+    engine.admit_live(job);
     engine.advance_to(now);
+    while (window.base() < window.end() &&
+           window.outcome(window.base()) != sjs::sim::JobOutcome::kPending) {
+      engine.retire(window.base());
+    }
   };
   for (std::size_t i = 0; i < kWarmup; ++i) admit_one();
 
@@ -317,9 +320,8 @@ void BM_LiveSteadyState(benchmark::State& state) {
   state.counters["jobs/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-// Fixed iteration count: the session length must be known up front so the
-// pre-size covers it (exactly how --max-in-flight bounds a serve session's
-// live window). V-Dover, EDF, and LLF cover the three queue profiles.
+// Fixed iteration count, so runs are comparable. V-Dover, EDF, and LLF
+// cover the three queue profiles.
 BENCHMARK(BM_LiveSteadyState)
     ->Iterations(100000)
     ->Arg(1)

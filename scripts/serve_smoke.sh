@@ -10,8 +10,10 @@
 #   4. replaying it through sjs_sim reproduces the live outcomes
 #      byte-identically (diff of outcomes.csv).
 #
-# Each phase also prints sjs_load's notification lag p50/p99, with no
-# threshold.
+# Each phase also prints, with no threshold, sjs_load's notification lag
+# p50/p99, the server's peak RSS (VmHWM, read before the drain) and its
+# job-window high-water gauges (server.window_peak[.shard<k>]). The cluster
+# replay also runs the invariant checker (sjs_sim --check-invariants).
 #
 # The gate runs three times: against the single-threaded server, against the
 # sharded plane (--shards=4, sjs_load --connections=4, where step 3/4 apply
@@ -63,8 +65,13 @@ replay_cluster_bundle() {
            outcomes.csv; do
     [ -s "$bundle/$f" ] || { echo "FAIL($tag): bundle missing $f" >&2; exit 1; }
   done
-  "$SIM" --cluster-bundle="$bundle" \
-    --outcomes-csv="$WORK/replay_$tag.csv" > "$WORK/replay_$tag.log"
+  "$SIM" --cluster-bundle="$bundle" --check-invariants \
+    --outcomes-csv="$WORK/replay_$tag.csv" > "$WORK/replay_$tag.log" || {
+    cat "$WORK/replay_$tag.log" >&2
+    echo "FAIL($tag): cluster replay failed (invariant violation?)" >&2
+    exit 1
+  }
+  grep "^invariants:" "$WORK/replay_$tag.log"
   diff "$bundle/outcomes.csv" "$WORK/replay_$tag.csv" || {
     echo "FAIL($tag): cluster replay outcomes differ from the live session" >&2
     exit 1
@@ -106,6 +113,10 @@ smoke_phase() {
   lag="$(sed -n 's/^notification lag (ms): //p' "$WORK/load_$tag.log")"
   echo "[$tag] notification lag (ms): ${lag:-no completions}"
 
+  local hwm
+  hwm="$(awk '/^VmHWM:/ { print $2, $3 }' "/proc/$SERVER_PID/status" \
+    2>/dev/null || true)"
+  echo "[$tag] server VmHWM before drain: ${hwm:-unavailable}"
   echo "[$tag] sending SIGTERM"
   kill -TERM "$SERVER_PID"
   local status=0
@@ -118,6 +129,9 @@ smoke_phase() {
   COMPLETED="$(sed -n 's/^server: .* \([0-9]*\) completed.*/\1/p' "$server_log")"
   [ -n "$COMPLETED" ] && [ "$COMPLETED" -gt 0 ] || {
     echo "FAIL($tag): no completed jobs in server summary" >&2; exit 1; }
+
+  echo "[$tag] job-window high-water:"
+  grep -E '^ +server\.window_peak' "$server_log" || echo "  (none reported)"
 
   local metric
   metric="$(awk '/server\.jobs_completed:/ { print $2 }' "$server_log")"

@@ -14,10 +14,11 @@ FleetBackend::FleetBackend(const ClusterServerConfig& config)
                   make_rental_controller(config_.rental)),
       engine_(jobs_, config_.fleet.constant_paths(), dispatcher_) {}
 
-JobId FleetBackend::append(Job job) {
+JobId FleetBackend::admit(Job job) {
   const auto id = static_cast<JobId>(jobs_.size());
   job.id = id;
   util::append(jobs_, job);
+  engine_.admit_live(id);
   return id;
 }
 

@@ -64,7 +64,11 @@ class FleetBackend {
   double admission_c_lo() const { return config_.fleet.admission_c_lo(); }
 
   void reserve(std::size_t n) { jobs_.reserve(n); }
-  JobId append(Job job);
+  /// Appends `job` to the admitted stream and admits it into the engine.
+  JobId admit(Job job);
+  /// Nothing yet: the fleet engine keeps every job until drain, and
+  /// outcomes.csv is written then (save_outcomes).
+  void retire(JobId /*id*/, Journal* /*journal*/) {}
   serve::JobState state(JobId id) const;
   std::unique_ptr<Journal> open_journal() const;
   /// finish_live, then settles the rental account at the final instant so

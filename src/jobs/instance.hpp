@@ -64,17 +64,16 @@ class Instance {
   /// are unchanged up to the common factor.
   Instance normalized() const;
 
-  /// Appends one job to a *live* instance (real-time admission, src/serve/).
-  /// Releases must be non-decreasing so the canonical sorted-by-release form
-  /// is preserved without re-sorting; the job's id is assigned to its
-  /// position and returned. An engine bound to this instance may be mid-run
-  /// in live mode — append only between engine callbacks (the engine holds
-  /// no references into the job vector across calls).
+  /// Appends one job to an instance an engine replays live, job by job
+  /// (sim::Engine::admit_live(JobId); the serving daemon admits jobs into
+  /// the engine directly instead). Releases must be non-decreasing so the
+  /// canonical sorted-by-release form is preserved without re-sorting; the
+  /// job's id is assigned to its position and returned. An engine bound to
+  /// this instance may be mid-run in live mode — append only between engine
+  /// callbacks.
   JobId append_job(Job job);
 
-  /// Pre-sizes the job vector (live boot: --max-in-flight admissions fit
-  /// without reallocation, part of the serve plane's zero-alloc steady
-  /// state).
+  /// Pre-sizes the job vector for `n` appends.
   void reserve_jobs(std::size_t n) { jobs_.reserve(n); }
 
   /// Serializes jobs to CSV ("id,release,workload,deadline,value").

@@ -3,36 +3,20 @@
 // collected only when the job completes by d_i.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
 namespace sjs {
 
-// A JobId is a 64-bit handle: the low 32 bits name a slot in the engine's
-// job slab (sim::JobTable), the high 32 bits carry a generation stamp so a
-// reused slot invalidates stale handles (the same idiom as the timer slab's
-// TimerId). On the replay and live-admission paths the generation is always
-// zero and ids are dense slot indices — numerically identical to the old
-// 32-bit ids, which keeps every tie-break, trace payload, and digest fold
-// byte-stable across the widening.
+// A JobId is the dense admission index of a job: its position in a sealed
+// instance, or its admission order in a live session. The engine's per-job
+// state is a window over these ids (sim::JobTable), so ids are never reused
+// and every tie-break, trace payload and digest fold sees the same numbers
+// in replay and live runs.
 using JobId = std::int64_t;
 inline constexpr JobId kNoJob = -1;
-
-/// Slot index (low 32 bits) of a job handle.
-constexpr std::uint32_t job_slot(JobId id) {
-  return static_cast<std::uint32_t>(static_cast<std::uint64_t>(id));
-}
-
-/// Generation stamp (high 32 bits) of a job handle.
-constexpr std::uint32_t job_generation(JobId id) {
-  return static_cast<std::uint32_t>(static_cast<std::uint64_t>(id) >> 32);
-}
-
-/// Assembles a handle from slot + generation (generation 0 = dense id).
-constexpr JobId make_job_id(std::uint32_t slot, std::uint32_t generation) {
-  return static_cast<JobId>((static_cast<std::uint64_t>(generation) << 32) |
-                            slot);
-}
 
 struct Job {
   JobId id = kNoJob;
@@ -70,5 +54,14 @@ struct Job {
 };
 
 bool operator==(const Job& a, const Job& b);
+
+/// Relative tolerance for "completed by deadline" decisions — the one
+/// tolerance contract shared by both engines (sim::completes_by_deadline),
+/// the invariant checker (obs/invariants.cpp) and the feasibility oracle
+/// (offline/feasibility.cpp), so a change to it cannot split them. It lives
+/// here, below all three, because obs/ cannot include sim/.
+inline double deadline_eps(double deadline) {
+  return 1e-9 * std::max(1.0, std::abs(deadline));
+}
 
 }  // namespace sjs

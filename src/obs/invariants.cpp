@@ -10,14 +10,10 @@
 
 namespace sjs::obs {
 
-namespace {
-// Matches the engine's deadline tolerance (sim/engine.cpp): completion
-// instants are exact, deadlines computed independently; within an ulp-scale
-// band the two may disagree.
-double deadline_eps(double deadline) {
-  return 1e-9 * std::max(1.0, std::abs(deadline));
-}
-}  // namespace
+// Deadline checks use the engines' own tolerance, sjs::deadline_eps
+// (jobs/job.hpp, used by sim::completes_by_deadline in sim/result.hpp):
+// completion instants are exact, deadlines computed independently, and
+// within that ulp-scale band the two may disagree.
 
 InvariantChecker::InvariantChecker(const Instance& instance, Options options)
     : instance_(&instance), options_(options) {

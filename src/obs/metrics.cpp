@@ -1,8 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -153,27 +151,34 @@ static_assert(sizeof(kTraceCounterName) / sizeof(kTraceCounterName[0]) ==
               static_cast<std::size_t>(TraceKind::kRunEnd) + 1);
 }  // namespace
 
+void TraceMetricsBridge::grow_stamps() {
+  std::vector<Stamp> old;
+  old.swap(stamps_);
+  util::grow(stamps_, old.empty() ? std::size_t{64} : 2 * old.size());
+  for (const Stamp& s : old) {
+    if (s.job != kNoJob) stamps_[slot_of(s.job)] = s;
+  }
+}
+
 void TraceMetricsBridge::record(const TraceEvent& event) {
   shard_->count(kTraceCounterName[static_cast<std::size_t>(event.kind)]);
-  constexpr double kUnseen = std::numeric_limits<double>::quiet_NaN();
   switch (event.kind) {
     case TraceKind::kRelease: {
-      const auto slot = static_cast<std::size_t>(job_slot(event.job));
-      util::grow_to_index_fill(release_time_, slot, kUnseen);
-      util::grow_to_index_fill(deadline_, slot, kUnseen);
-      release_time_[slot] = event.time;
-      deadline_[slot] = event.b;
+      if (stamps_.empty()) grow_stamps();
+      while (stamps_[slot_of(event.job)].job != kNoJob) grow_stamps();
+      stamps_[slot_of(event.job)] = Stamp{event.job, event.time, event.b};
       break;
     }
-    case TraceKind::kComplete: {
-      const auto slot = static_cast<std::size_t>(job_slot(event.job));
-      if (slot < release_time_.size() && !std::isnan(release_time_[slot])) {
-        shard_->observe("job.response_time", event.time - release_time_[slot]);
+    case TraceKind::kComplete:
+    case TraceKind::kExpire: {
+      if (stamps_.empty()) break;
+      Stamp& s = stamps_[slot_of(event.job)];
+      if (s.job != event.job) break;  // released before the bridge attached
+      if (event.kind == TraceKind::kComplete) {
+        shard_->observe("job.response_time", event.time - s.release);
+        shard_->observe("job.slack_at_completion", s.deadline - event.time);
       }
-      if (slot < deadline_.size() && !std::isnan(deadline_[slot])) {
-        shard_->observe("job.slack_at_completion",
-                        deadline_[slot] - event.time);
-      }
+      s.job = kNoJob;
       break;
     }
     case TraceKind::kRunEnd:

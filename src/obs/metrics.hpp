@@ -119,11 +119,11 @@ inline constexpr const char* kCounterTimersArmed = "engine.timers_armed";
 inline constexpr const char* kCounterHeapCompactions =
     "engine.heap_compactions";
 
-// Job-slab occupancy (sim::JobTable, the SoA per-job state store). Peak is
-// the live-job high-water mark of a run; slots the slot-array length — the
-// storage actually reserved. On dense (replay) runs slots == the instance
-// size; on live admission runs both are bounded by the in-flight high-water,
-// never by how many jobs the session admitted in total.
+// Job-window occupancy (sim::JobTable, the per-job state window). Peak is
+// the high-water of the unretired id span; slots the ring size — the
+// storage actually reserved. On batch runs the span is the instance size;
+// in a live session that retires its jobs both are bounded by the unretired
+// span, never by how many jobs the session admitted in total.
 inline constexpr const char* kGaugeJobSlabPeak = "engine.job_slab_peak";
 inline constexpr const char* kGaugeJobSlabSlots = "engine.job_slab_slots";
 
@@ -173,11 +173,27 @@ class TraceMetricsBridge : public TraceSink {
   void record(const TraceEvent& event) override;
 
  private:
+  /// Release/deadline stamps of a released, unresolved job.
+  struct Stamp {
+    JobId job = kNoJob;  ///< kNoJob = free
+    double release = 0.0;
+    double deadline = 0.0;
+  };
+
+  /// The stamp ring slot of `job`.
+  std::size_t slot_of(JobId job) const {
+    return static_cast<std::size_t>(job) & (stamps_.size() - 1);
+  }
+  /// Doubles the ring and re-slots the stamps it holds.
+  void grow_stamps();
+
   MetricsRegistry::Shard* shard_;
-  // Per-job release/deadline stamps, indexed by job slot (dense vectors, not
-  // maps: the per-event path must not allocate node storage). NaN = unseen.
-  std::vector<double> release_time_;
-  std::vector<double> deadline_;
+  // Stamps of the jobs released and not yet completed or expired, in a
+  // power-of-two ring keyed by `job & mask` (the job-window idiom of
+  // sim/job_table.hpp): bounded by the span of unresolved ids, not by the
+  // number of jobs a session ever releases. A release that finds its slot
+  // held by another unresolved job doubles the ring.
+  std::vector<Stamp> stamps_;
 };
 
 }  // namespace sjs::obs

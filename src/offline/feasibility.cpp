@@ -22,10 +22,6 @@ struct LiveJob {
   }
 };
 
-double deadline_eps(double deadline) {
-  return 1e-9 * std::max(1.0, std::abs(deadline));
-}
-
 }  // namespace
 
 bool edf_feasible(const std::vector<Job>& jobs,

@@ -21,7 +21,7 @@ bool EdfAcScheduler::admissible_with(const sim::Engine& engine,
   // remaining work never overtakes c_est * (deadline − now). All admitted
   // jobs are already released, so release times play no role. Visitation
   // order does not matter: the entries are sorted before the sweep. The
-  // scratch is the job slab's admission buffer — pre-sized in on_start and
+  // scratch is the job window's admission buffer — pre-sized in on_start and
   // reused across calls, so the trial schedule is allocation-free.
   std::vector<std::pair<double, double>>& load =
       engine.job_state().admission_scratch();

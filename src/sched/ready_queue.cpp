@@ -1,6 +1,7 @@
 #include "sched/ready_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -67,25 +68,34 @@ ReadyQueue::~ReadyQueue() {
   }
 }
 
+void ReadyQueue::resize_index(std::size_t slots) {
+  util::grow(pos_, slots);
+  std::fill(pos_.begin(), pos_.end(), kNpos);
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    pos_[index_of(heap_[i].id)] = static_cast<std::uint32_t>(i);
+  }
+}
+
 void ReadyQueue::reserve(std::size_t id_bound) {
   // This IS the pre-sizing remedy: grow every table before the hot loop.
   // The scratch is included so all buffers a queue donates to the recycler
   // have capacity >= id_bound — whichever buffer the next same-sized queue
   // adopts, its own reserve() is then a no-op (the zero-allocation warmed
   // steady state depends on this interchangeability).
-  if (pos_.size() < id_bound) util::grow_fill(pos_, id_bound, kNpos);
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(id_bound, 1));
+  if (pos_.size() < slots) resize_index(slots);
   heap_.reserve(id_bound);
   scratch_.reserve(id_bound);
 }
 
 void ReadyQueue::clear() {
-  for (const Entry& e : heap_) pos_[static_cast<std::size_t>(e.id)] = kNpos;
+  for (const Entry& e : heap_) pos_[index_of(e.id)] = kNpos;
   heap_.clear();
 }
 
 double ReadyQueue::key_of(JobId id) const {
   SJS_CHECK_MSG(contains(id), "ReadyQueue::key_of on absent job " << id);
-  return heap_[pos_[static_cast<std::size_t>(id)]].key;
+  return heap_[pos_[index_of(id)]].key;
 }
 
 const ReadyQueue::Entry& ReadyQueue::top() const {
@@ -95,14 +105,16 @@ const ReadyQueue::Entry& ReadyQueue::top() const {
 
 void ReadyQueue::push(double key, JobId id) {
   SJS_CHECK_MSG(id >= 0, "ReadyQueue::push of invalid job " << id);
-  const auto idx = static_cast<std::size_t>(id);
-  // Amortized doubling to the live-set high-water; reserve() pre-sizes both
-  // tables, so a warmed steady state never grows them.
-  util::grow_to_index_fill(pos_, idx, kNpos);
-  SJS_CHECK_MSG(pos_[idx] == kNpos,
-                "ReadyQueue::push of already-queued job " << id);
+  if (pos_.empty()) resize_index(16);
+  // Doubling to the span high-water: reserve() pre-sizes the ring, so a
+  // warmed steady state whose queued ids stay within it never grows it.
+  while (pos_[index_of(id)] != kNpos) {
+    SJS_CHECK_MSG(heap_[pos_[index_of(id)]].id != id,
+                  "ReadyQueue::push of already-queued job " << id);
+    resize_index(2 * pos_.size());
+  }
   util::append(heap_, Entry{key, id});
-  pos_[idx] = static_cast<std::uint32_t>(heap_.size() - 1);
+  pos_[index_of(id)] = static_cast<std::uint32_t>(heap_.size() - 1);
   sift_up(heap_.size() - 1);
   peak_ = std::max<std::uint64_t>(peak_, heap_.size());
 }
@@ -110,7 +122,7 @@ void ReadyQueue::push(double key, JobId id) {
 ReadyQueue::Entry ReadyQueue::pop() {
   SJS_CHECK_MSG(!heap_.empty(), "ReadyQueue::pop on an empty queue");
   const Entry best = heap_.front();
-  pos_[static_cast<std::size_t>(best.id)] = kNpos;
+  pos_[index_of(best.id)] = kNpos;
   const Entry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
@@ -122,8 +134,8 @@ ReadyQueue::Entry ReadyQueue::pop() {
 
 bool ReadyQueue::erase(JobId id) {
   if (!contains(id)) return false;
-  const std::size_t slot = pos_[static_cast<std::size_t>(id)];
-  pos_[static_cast<std::size_t>(id)] = kNpos;
+  const std::size_t slot = pos_[index_of(id)];
+  pos_[index_of(id)] = kNpos;
   const Entry last = heap_.back();
   heap_.pop_back();
   if (slot < heap_.size()) {
@@ -137,7 +149,7 @@ bool ReadyQueue::erase(JobId id) {
 
 void ReadyQueue::update_key(JobId id, double key) {
   SJS_CHECK_MSG(contains(id), "ReadyQueue::update_key on absent job " << id);
-  const std::size_t slot = pos_[static_cast<std::size_t>(id)];
+  const std::size_t slot = pos_[index_of(id)];
   const Entry updated{key, id};
   const bool toward_top = before(updated, heap_[slot]);
   heap_[slot].key = key;

@@ -21,8 +21,14 @@
 // so the pop sequence is a total order independent of insertion order and of
 // the heap's internal layout.
 //
-// Addressable-slot invalidation rules: the position index is keyed by JobId
-// and is only valid while the job is in the queue. push() requires the id to
+// Addressable-slot invalidation rules: the position index is a power-of-two
+// ring keyed by `id & mask`, like the engine's job window
+// (sim/job_table.hpp), so a live session's queue index is bounded by the
+// span of the ids it holds, not by the number of jobs ever admitted. An
+// index slot names a heap position whose entry carries the id, so
+// contains(id) checks that the slot holds that id; when a push finds its
+// slot held by another queued id, the ring doubles and re-slots (queued ids
+// stay collision-free under every larger mask). push() requires the id to
 // be absent; erase()/pop() invalidate the id's slot immediately (erase of an
 // absent id is a tolerated no-op — schedulers purge expired jobs from every
 // queue they might be in). Keys are frozen at push(); a key that must change
@@ -65,10 +71,10 @@ class ReadyQueue {
   ReadyQueue(const ReadyQueue&) = delete;
   ReadyQueue& operator=(const ReadyQueue&) = delete;
 
-  /// Sizes the position index for JobIds in [0, id_bound) and reserves heap
-  /// storage, so a run whose queue never exceeds id_bound entries performs
-  /// no allocation after this call. Schedulers call it from on_start with
-  /// engine.job_count().
+  /// Sizes the position index for a span of id_bound ids and reserves heap
+  /// storage, so a run whose queued ids span fewer than id_bound performs no
+  /// allocation after this call. Schedulers call it from on_start with
+  /// engine.job_capacity_hint().
   void reserve(std::size_t id_bound);
 
   /// Empties the queue in O(size), keeping all storage for reuse. The peak
@@ -80,8 +86,9 @@ class ReadyQueue {
 
   /// True iff `id` is currently queued. O(1).
   bool contains(JobId id) const {
-    const auto idx = static_cast<std::size_t>(id);
-    return id >= 0 && idx < pos_.size() && pos_[idx] != kNpos;
+    if (id < 0 || pos_.empty()) return false;
+    const std::uint32_t p = pos_[index_of(id)];
+    return p != kNpos && heap_[p].id == id;
   }
 
   /// Key `id` was queued with. The job must be queued. O(1).
@@ -143,10 +150,18 @@ class ReadyQueue {
     return a.key > b.key || (fp::exact_eq(a.key, b.key) && a.id > b.id);
   }
 
+  std::size_t index_of(JobId id) const {
+    return static_cast<std::size_t>(id) & (pos_.size() - 1);
+  }
+
   void place(std::size_t slot, const Entry& e) {
     heap_[slot] = e;
-    pos_[static_cast<std::size_t>(e.id)] = static_cast<std::uint32_t>(slot);
+    pos_[index_of(e.id)] = static_cast<std::uint32_t>(slot);
   }
+
+  /// Resizes the position ring to `slots` (a power of two) and re-slots
+  /// every queued entry.
+  void resize_index(std::size_t slots);
 
   void sift_up(std::size_t slot);
   void sift_down(std::size_t slot);
@@ -155,7 +170,7 @@ class ReadyQueue {
 
   QueueOrder order_;
   std::vector<Entry> heap_;
-  std::vector<std::uint32_t> pos_;  // JobId -> heap slot, kNpos when absent
+  std::vector<std::uint32_t> pos_;  // id & mask -> heap slot, kNpos when free
   mutable std::vector<Entry> scratch_;
   std::uint64_t peak_ = 0;
 };

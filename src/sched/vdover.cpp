@@ -91,9 +91,11 @@ void VDoverScheduler::on_start(sim::Engine& engine) {
   qedf_.reserve(n);
   qother_.reserve(n);
   qsupp_.reserve(n);
-  // One regular interval closes per completion, so the hint also bounds the
-  // Lemma-1 interval log for a bounded-in-flight session.
-  intervals_.reserve(n);
+  // At most one regular interval closes per job (with its completion or
+  // failure), so on a batch run the job count bounds the Lemma-1 interval
+  // log. A live session keeps the most recent ones within the same bound.
+  interval_cap_ = std::max<std::size_t>(n, 2);
+  intervals_.reserve(interval_cap_);
   // Per-job lanes (Qedf metadata, 0cl timers, flags) are slab lanes the
   // engine already sized in rewind()/admit_live — nothing to grow here.
 }
@@ -108,6 +110,13 @@ void VDoverScheduler::close_interval(double now) {
   if (!interval_open_) return;
   interval_open_ = false;
   current_interval_.end = now;
+  if (intervals_.size() == interval_cap_) {
+    // Only a live session gets here: drop the older half, so the log stays
+    // within its pre-size however long the session runs.
+    intervals_.erase(intervals_.begin(),
+                     intervals_.begin() +
+                         static_cast<std::ptrdiff_t>(interval_cap_ / 2));
+  }
   // Growth to the recycled buffer's high-water (see interval_recycler).
   util::append(intervals_, current_interval_);
 }

@@ -115,7 +115,10 @@ class VDoverScheduler : public sim::Scheduler {
   /// instrumentation). An interval left open at the end of a run (possible
   /// only when individual admissibility is violated — an admissible regular
   /// job never fails, so every interval closes with a completion) is not
-  /// included; `interval_open()` reports that condition.
+  /// included; `interval_open()` reports that condition. A batch run keeps
+  /// every interval; a live session keeps at least the most recent half of
+  /// its job_capacity_hint() worth, so the log does not grow with the
+  /// session.
   const std::vector<RegularInterval>& regular_intervals() const {
     return intervals_;
   }
@@ -175,7 +178,7 @@ class VDoverScheduler : public sim::Scheduler {
   /// Keyed by (deadline, id), max-first: latest deadline first.
   ReadyQueue qsupp_{QueueOrder::kMaxFirst};
   // Per-job lanes (Qedf metadata, 0cl timer handles, abandoned/0cl-scheduled
-  // flags) live in the engine's job slab (sim::JobTable), not here: the slab
+  // flags) live in the engine's job window (sim::JobTable), not here: it
   // is owned by the engine and survives warmed across runs, so a fresh
   // scheduler performs no per-job table allocation — part of the
   // zero-allocation steady state (tests/hotpath_test.cpp).
@@ -184,6 +187,7 @@ class VDoverScheduler : public sim::Scheduler {
   // from / donated to a thread-local recycler (the ReadyQueue idiom), so
   // per-cell scheduler churn reuses interval storage allocation-free.
   std::vector<RegularInterval> intervals_;
+  std::size_t interval_cap_ = 2;  ///< log bound, set in on_start
   bool interval_open_ = false;
   RegularInterval current_interval_;
 

@@ -51,6 +51,9 @@ class InlineServer : public FrontEnd, private ReplyTarget {
   std::vector<obs::TraceEvent> recent_trace() const {
     return session_.recent_trace();
   }
+  /// The session's job window: ring slots and peak unretired span.
+  std::size_t window_slots() const { return session_.window_slots(); }
+  std::uint64_t window_peak() const { return session_.window_peak(); }
 
  protected:
   /// The clock is injected (SystemClock for the daemon, FakeClock in tests)
@@ -70,9 +73,9 @@ class InlineServer : public FrontEnd, private ReplyTarget {
     if (m.type == MsgType::kSubmit) {
       session_.submit(conn, gen, m);
     } else if (m.type == MsgType::kCancel) {
-      session_.cancel(conn, gen, m, session_.local_id(m.ticket));
+      session_.cancel(conn, gen, m);
     } else {
-      session_.query(conn, gen, m, session_.local_id(m.ticket));
+      session_.query(conn, gen, m);
     }
     // A journal failure drains the session; the connection side follows.
     if (session_.draining()) request_drain();
@@ -84,8 +87,11 @@ class InlineServer : public FrontEnd, private ReplyTarget {
       // Sleep until the next simulated event is due or a socket fires. Then
       // advance to now and write at once: the wake-up's replies leave in this
       // turn, and a notification that fell due meanwhile shares their send.
-      loop().poll_once(session_.wait_us(max_wait_us));
+      const std::int64_t wait = session_.wait_us(max_wait_us);
+      const int ready = loop().poll_once(wait);
+      const std::uint64_t notified = session_.notified();
       session_.pump();
+      session_.count_wakeup(wait, ready, notified);
       loop().flush();
       if (!draining()) return false;
     }

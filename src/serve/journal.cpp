@@ -11,6 +11,7 @@
 
 #include "capacity/trace_io.hpp"
 #include "util/logging.hpp"
+#include "util/vec.hpp"
 
 namespace sjs::serve {
 
@@ -48,6 +49,9 @@ int open_append(const std::string& dir, const char* file,
   return fd;
 }
 
+/// Outcome rows buffered per write(2): about a thousand rows.
+constexpr std::size_t kOutcomeBuffer = 1 << 16;
+
 }  // namespace
 
 Journal::Journal(const std::string& dir) : dir_(dir) {
@@ -68,13 +72,16 @@ Journal::Journal(const std::string& dir) : dir_(dir) {
 }
 
 Journal::~Journal() {
-  if (jobs_fd_ >= 0) ::close(jobs_fd_);
-  if (cancels_fd_ >= 0) ::close(cancels_fd_);
+  for (int fd : {jobs_fd_, cancels_fd_, outcomes_fd_}) {
+    if (fd >= 0) ::close(fd);
+  }
 }
 
 Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
                  double c_lo, double c_hi, const Meta& meta)
     : Journal(dir) {
+  outcomes_fd_ = open_append(dir, "outcomes.csv", sim::kOutcomesCsvHeader);
+  util::grow(outcome_buf_, kOutcomeBuffer);
   cap::save_trace(capacity, (fs::path(dir) / "capacity.csv").string());
   write_band(c_lo, c_hi);
   write_meta({{"scheduler", meta.scheduler},
@@ -110,6 +117,35 @@ void Journal::record_cancel(double time, JobId job) {
   ++cancel_rows_;
 }
 
+void Journal::record_outcome(JobId id, sim::JobOutcome outcome,
+                             double completion, double value) {
+  SJS_CHECK_MSG(outcomes_fd_ >= 0, "record_outcome without an outcomes.csv");
+  if (outcome_len_ + sim::kOutcomeRowMax > outcome_buf_.size()) {
+    flush_outcomes();
+  }
+  char* const row = outcome_buf_.data() + outcome_len_;
+  outcome_len_ = static_cast<std::size_t>(
+      sim::format_outcome_row(row, id, outcome, completion, value) -
+      outcome_buf_.data());
+}
+
+void Journal::flush_outcomes() {
+  std::size_t done = 0;
+  while (done < outcome_len_) {
+    const ssize_t n = write_once(outcomes_fd_, outcome_buf_.data() + done,
+                                 outcome_len_ - done);
+    if (n <= 0) {
+      const std::string why =
+          n < 0 ? std::string(std::strerror(errno)) : "no progress";
+      outcome_len_ = 0;
+      throw std::runtime_error("outcomes write failed (outcomes.csv in " +
+                               dir_ + "): " + why);
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  outcome_len_ = 0;
+}
+
 void Journal::append_row(int fd, const char* file, const double* fields,
                          std::size_t count) {
   SJS_CHECK(count <= 5);
@@ -136,11 +172,20 @@ void Journal::append_row(int fd, const char* file, const double* fields,
 }
 
 void Journal::close() {
+  std::string flush_error;
+  if (outcomes_fd_ >= 0 && outcome_len_ > 0) {
+    try {
+      flush_outcomes();
+    } catch (const std::runtime_error& e) {
+      flush_error = e.what();  // reported once every file is closed
+    }
+  }
   int err = 0;
-  for (int* fd : {&jobs_fd_, &cancels_fd_}) {
+  for (int* fd : {&jobs_fd_, &cancels_fd_, &outcomes_fd_}) {
     if (*fd >= 0 && ::close(*fd) != 0) err = errno;
     *fd = -1;
   }
+  if (!flush_error.empty()) throw std::runtime_error(flush_error);
   if (err != 0) {
     throw std::runtime_error("journal close failed in " + dir_ + ": " +
                              std::strerror(err));

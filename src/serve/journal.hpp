@@ -19,8 +19,13 @@
 //   cancels.csv  time,ticket — client cancellations. A session with cancels
 //                is NOT replayable through sjs_sim (the replay input has no
 //                cancel channel); readers must check cancel_count.
-//   outcomes.csv written at drain by sjs_serve (sim::save_outcomes_csv) so
-//                the replay gate can diff live vs replayed outcomes.
+//   outcomes.csv one row per admitted job, in id order, streamed as the
+//                session retires its jobs (record_outcome) with the row
+//                formatter of sim::save_outcomes_csv, so the replay gate can
+//                diff live vs replayed outcomes. Rows are buffered and reach
+//                the file one write(2) per full buffer; the file is complete
+//                once the session has drained and closed the journal. (The
+//                fleet's ClusterJournal writes its own at drain.)
 #pragma once
 
 #include <cstdint>
@@ -31,6 +36,7 @@
 
 #include "capacity/capacity_profile.hpp"
 #include "jobs/job.hpp"
+#include "sim/result.hpp"
 #include "util/csv.hpp"
 
 namespace sjs::serve {
@@ -44,8 +50,8 @@ class Journal {
   };
 
   /// Creates the journal directory (if missing), writes capacity.csv,
-  /// band.csv, and meta.csv, and opens jobs.csv / cancels.csv for appending.
-  /// Throws std::runtime_error on I/O failure.
+  /// band.csv, and meta.csv, and opens jobs.csv / cancels.csv /
+  /// outcomes.csv for appending. Throws std::runtime_error on I/O failure.
   Journal(const std::string& dir, const cap::CapacityProfile& capacity,
           double c_lo, double c_hi, const Meta& meta);
   ~Journal();
@@ -65,8 +71,14 @@ class Journal {
   /// Appends one cancellation. Throws on write failure like record_admit.
   void record_cancel(double time, JobId job);
 
-  /// Closes the files (the destructor also closes them, but only close()
-  /// reports failure). Throws if a close fails.
+  /// Buffers job `id`'s outcomes.csv row (ids in order, each once; see the
+  /// header). Throws std::runtime_error when a full buffer's write fails.
+  void record_outcome(JobId id, sim::JobOutcome outcome, double completion,
+                      double value);
+
+  /// Writes the buffered outcome rows and closes the files (the destructor
+  /// also closes them, but only close() reports failure). Throws if a write
+  /// or close fails.
   void close();
 
   const std::string& dir() const { return dir_; }
@@ -88,10 +100,15 @@ class Journal {
   /// Writes one numeric row to `fd` (`file` names it in the error).
   void append_row(int fd, const char* file, const double* fields,
                   std::size_t count);
+  /// Writes the buffered outcome rows.
+  void flush_outcomes();
 
   std::string dir_;
   int jobs_fd_ = -1;     ///< jobs.csv, O_APPEND
   int cancels_fd_ = -1;  ///< cancels.csv, O_APPEND
+  int outcomes_fd_ = -1;  ///< outcomes.csv (single-engine journals only)
+  std::vector<char> outcome_buf_;  ///< pending rows; capacity = one write
+  std::size_t outcome_len_ = 0;
   std::uint64_t admit_rows_ = 0;
   std::uint64_t cancel_rows_ = 0;
 };

@@ -88,7 +88,8 @@ struct Message {
   std::uint64_t ticket = 0;
   double a = 0.0;  ///< workload / release / value / remaining
   double b = 0.0;  ///< rel_deadline / completion or expiry time
-  double c = 0.0;  ///< value (SUBMIT)
+  double c = 0.0;  ///< value (SUBMIT); the admitted value on an ACCEPTED
+                   ///< inside the server (not encoded on the wire)
   std::uint8_t code = 0;  ///< RejectReason / JobState / ErrorCode
   StatsBody stats;        ///< kStatsReply only
 };

@@ -20,7 +20,12 @@ SessionCounterNames::SessionCounterNames(std::string_view suffix)
       completed(label(kCtrCompleted, suffix)),
       expired(label(kCtrExpired, suffix)),
       cancelled(label(kCtrCancelled, suffix)),
-      in_flight_peak(label(kGaugeInFlightPeak, suffix)) {}
+      in_flight_peak(label(kGaugeInFlightPeak, suffix)),
+      window_peak(label(kGaugeWindowPeak, suffix)),
+      window_slots(label(kGaugeWindowSlots, suffix)),
+      wake_socket(label(kCtrWakeSocket, suffix)),
+      wake_timer(label(kCtrWakeTimer, suffix)),
+      wake_timer_empty(label(kCtrWakeTimerEmpty, suffix)) {}
 
 LocalBackend::LocalBackend(const ServerConfig& config,
                            std::unique_ptr<sim::Scheduler> scheduler)
@@ -32,6 +37,19 @@ LocalBackend::LocalBackend(const ServerConfig& config,
                 config_.c_hi > 0.0 ? config_.c_hi
                                    : config_.capacity.max_rate()),
       engine_(instance_, *scheduler_) {}
+
+JobId LocalBackend::admit(const Job& job) {
+  return engine_.admit_live(job);
+}
+
+void LocalBackend::retire(JobId id, Journal* journal) {
+  const sim::JobTable& jobs = engine_.job_state();
+  const sim::JobOutcome outcome = jobs.outcome(id);
+  const double completion = jobs.completion(id);
+  const double value = jobs.job(id).value;
+  engine_.retire(id);
+  if (journal) journal->record_outcome(id, outcome, completion, value);
+}
 
 JobState LocalBackend::state(JobId id) const {
   if (engine_.is_completed(id)) return JobState::kCompleted;
@@ -54,11 +72,6 @@ sim::SimResult LocalBackend::finish() {
   sim::SimResult result = engine_.finish_live();
   result.scheduler_name = config_.scheduler_name;
   return result;
-}
-
-void LocalBackend::save_outcomes(const sim::SimResult& result,
-                                 const std::string& path) const {
-  sim::save_outcomes_csv(result, instance_.jobs(), path);
 }
 
 template class Session<LocalBackend>;

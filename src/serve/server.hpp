@@ -15,8 +15,9 @@
 //   d − r < p / c_lo      → REJECTED(inadmissible)   [Thm. 3(3): such a job
 //                           can be dropped without hurting any algorithm's
 //                           competitive ratio, so it never enters the system]
-//   otherwise             → release stamped, appended to the Instance,
-//                           Engine::admit_live, journalled, ACCEPTED
+//   otherwise             → release stamped, Engine::admit_live (the job
+//                           joins the engine's job window), journalled,
+//                           ACCEPTED
 //
 // Admission stamps are strictly increasing (max(virtual_now,
 // nextafter(prev))), which together with Engine::advance_to's strict bound
@@ -52,9 +53,11 @@ struct ServerConfig : SessionConfig {
   int shard_poll_ms = 50;              ///< shard idle-poll cap (wall ms)
 };
 
-/// The single-engine session backend (serve/session.hpp's seam): an
-/// Instance of the admitted jobs, a live sim::Engine over one capacity
-/// path, and a serve::Journal bundle.
+/// The single-engine session backend (serve/session.hpp's seam): a live
+/// sim::Engine over one capacity path (an Instance with no jobs: admitted
+/// jobs live in the engine's job window until the session retires them),
+/// and a serve::Journal bundle whose outcomes.csv is streamed as jobs
+/// retire.
 class LocalBackend {
  public:
   using Config = ServerConfig;
@@ -67,15 +70,19 @@ class LocalBackend {
   const ServerConfig& config() const { return config_; }
   sim::Engine& engine() { return engine_; }
   const sim::Engine& engine() const { return engine_; }
-  const Instance& instance() const { return instance_; }
   double admission_c_lo() const { return instance_.c_lo(); }
 
-  void reserve(std::size_t n) { instance_.reserve_jobs(n); }
-  JobId append(const Job& job) { return instance_.append_job(job); }
+  void reserve(std::size_t /*n*/) {}
+  JobId admit(const Job& job);
+  /// Writes job `id`'s outcomes.csv row (when journalling) and retires it
+  /// from the engine's window.
+  void retire(JobId id, Journal* journal);
   JobState state(JobId id) const;
   std::unique_ptr<Journal> open_journal() const;
   Result finish();
-  void save_outcomes(const Result& result, const std::string& path) const;
+  /// Nothing to do: retire() streamed every row.
+  void save_outcomes(const Result& /*result*/,
+                     const std::string& /*path*/) const {}
   void publish(const Result& /*result*/, obs::MetricsRegistry::Shard&) const {
   }
 
@@ -95,7 +102,8 @@ class AdmissionServer final : public InlineServer<LocalBackend> {
                   Clock& clock, obs::MetricsRegistry* metrics = nullptr)
       : InlineServer(config, clock, metrics, std::move(sched)) {}
 
-  const Instance& instance() const { return backend().instance(); }
+  /// The live engine (its job window: engine().job_state()).
+  const sim::Engine& engine() const { return backend().engine(); }
 };
 
 }  // namespace sjs::serve

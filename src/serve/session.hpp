@@ -19,12 +19,17 @@
 //   engine()                     sim::Engine or cloud::MultiEngine (the two
 //                                share the live API the session calls)
 //   config(), admission_c_lo()   the config copy and the gate's floor
-//   reserve(n), append(job)      pre-size / store one admitted job
-//   state(id)                    a live job's JobState for QUERY
+//   reserve(n), admit(job)       pre-size / admit one job, returning its id
+//   state(id)                    an unretired job's JobState for QUERY
+//   retire(id, journal)          the session retired job `id` (single
+//                                engine: its outcomes.csv row and its
+//                                engine window slot; fleet: nothing yet)
 //   open_journal()               the journal for config().journal_dir
 //   finish()                     finish_live plus backend extras (fleet:
 //                                rental settle and accounting)
-//   save_outcomes(result, path), publish(result, shard)
+//   save_outcomes(result, path)  outcomes.csv at drain (fleet only; the
+//                                single engine streams it through retire)
+//   publish(result, shard)
 // Session<Backend> member functions live in serve/session_impl.hpp and are
 // instantiated explicitly, once per backend (serve/server.cpp,
 // cluster/cluster_server.cpp), so engine calls stay direct.
@@ -32,7 +37,18 @@
 // Replies. Every outgoing message goes through one ReplyTarget to its
 // route's (conn, gen). Inline, the target checks the connection is still
 // that incarnation and encodes onto the EventLoop; in a shard it pushes to
-// the reply channel, and the shard maps local ids to global tickets.
+// the reply channel. A job's wire ticket is its local id inline and the
+// acceptor's global ticket in a shard; the route keeps it.
+//
+// The job window. Routes form a power-of-two ring over local ids, the
+// window [base, next) of jobs not yet retired, pre-sized from
+// max_in_flight and doubled only when the unretired span outgrows it. A job
+// retires once its terminal notification is dispatched and every lower id
+// has retired; the backend retires it too, and its outcome (completed or
+// expired, 2 bits) moves to a packed lane indexed by wire ticket, which is
+// all QUERY and CANCEL need of a retired ticket. So a session's memory is
+// bounded by its unretired span plus those 2 bits per ticket, however long
+// it runs.
 //
 // Journal failure (one policy in every mode): the first error wins and is
 // kept in journal_error(), the failing request is answered
@@ -88,6 +104,12 @@ inline constexpr std::string_view kCtrConnections = "server.connections";
 inline constexpr std::string_view kCtrMalformed = "server.malformed_frames";
 inline constexpr std::string_view kCtrOverflows = "server.write_overflows";
 inline constexpr std::string_view kGaugeInFlightPeak = "server.in_flight_peak";
+inline constexpr std::string_view kGaugeWindowPeak = "server.window_peak";
+inline constexpr std::string_view kGaugeWindowSlots = "server.window_slots";
+inline constexpr std::string_view kCtrWakeSocket = "server.wakeups.socket";
+inline constexpr std::string_view kCtrWakeTimer = "server.wakeups.timer";
+inline constexpr std::string_view kCtrWakeTimerEmpty =
+    "server.wakeups.timer_empty";
 inline constexpr std::string_view kGaugeWriteBufPeak =
     "server.write_buffer_peak";
 
@@ -97,7 +119,8 @@ inline constexpr std::string_view kGaugeWriteBufPeak =
 struct SessionCounterNames {
   explicit SessionCounterNames(std::string_view suffix);
   std::string submitted, accepted, rejected, shed, completed, expired,
-      cancelled, in_flight_peak;
+      cancelled, in_flight_peak, window_peak, window_slots, wake_socket,
+      wake_timer, wake_timer_empty;
 };
 
 /// Where a session's outgoing messages go, and how its local job ids read
@@ -107,22 +130,26 @@ class ReplyTarget {
   virtual ~ReplyTarget() = default;
   /// Ships `m` to connection `conn` if it is still incarnation `gen`.
   virtual void send(int conn, std::uint64_t gen, const Message& m) = 0;
-  /// Called once per admitted job, before any message names it, with the
-  /// SUBMIT's ticket field.
-  virtual void admitted(JobId /*id*/, std::uint64_t /*request_ticket*/) {}
-  /// The wire ticket of local job `id` (inline: the id itself).
-  virtual std::uint64_t ticket(JobId id) const {
+  /// The wire ticket of newly admitted local job `id`, whose SUBMIT carried
+  /// `request_ticket` (inline: the id itself). Tickets must increase with
+  /// the local id.
+  virtual std::uint64_t ticket_for(JobId id,
+                                   std::uint64_t /*request_ticket*/) const {
     return static_cast<std::uint64_t>(id);
   }
 };
 
-/// Where to route a job's COMPLETED/EXPIRED notification. The generation
-/// guards against conn-id reuse after a disconnect.
+/// An unretired job's routing state: where its COMPLETED/EXPIRED
+/// notification goes (the generation guards against conn-id reuse after a
+/// disconnect) and what the session knows of its fate.
 struct Route {
   int conn = -1;
   std::uint64_t gen = 0;
   std::uint64_t seq = 0;      // the SUBMIT's seq, echoed in notifications
+  std::uint64_t ticket = 0;   // the job's wire ticket
   bool cancelled = false;
+  /// kCompleted/kExpired once the terminal notification is dispatched.
+  JobState outcome = JobState::kQueued;
 };
 
 /// Captures kComplete/kExpire events raised inside the engine so the pump
@@ -183,20 +210,22 @@ class Session {
   /// `epoch`, takes this thread's metrics shard (`metrics` may be null),
   /// attaches the trace sinks, and pre-sizes everything the per-request
   /// path touches from max_in_flight, so a warmed session allocates
-  /// nothing. Sessions admitting more than max_in_flight jobs in total grow
-  /// the dense per-job tables past the pre-size; that growth is amortized.
+  /// nothing, for any session length, while its unretired span stays within
+  /// the pre-size (the one exception is the retired-outcome lane, 2 bits
+  /// per ticket, pre-sized for kRetiredTickets and doubling past it).
   void begin(double epoch, obs::MetricsRegistry* metrics);
 
   /// SUBMIT from (conn, gen). Returns the admitted local id, or kNoJob.
   // sjs-hot-path-root
   JobId submit(int conn, std::uint64_t gen, const Message& m);
-  /// CANCEL of local job `id` (kNoJob when the ticket is unknown); the reply
-  /// echoes m.ticket.
+  /// CANCEL of the job with wire ticket m.ticket; the reply echoes it. A
+  /// retired or unknown ticket gets CANCEL_FAILED.
   // sjs-hot-path-root
-  void cancel(int conn, std::uint64_t gen, const Message& m, JobId id);
-  /// QUERY of local job `id` (kNoJob when the ticket is unknown).
+  void cancel(int conn, std::uint64_t gen, const Message& m);
+  /// QUERY of the job with wire ticket m.ticket; a retired ticket reads
+  /// COMPLETED or EXPIRED from the packed outcome lane.
   // sjs-hot-path-root
-  void query(int conn, std::uint64_t gen, const Message& m, JobId id);
+  void query(int conn, std::uint64_t gen, const Message& m);
   /// Advances virtual time to the bridge's now and ships notifications.
   // sjs-hot-path-root
   void pump();
@@ -205,15 +234,29 @@ class Session {
   /// uncapped; with no event queued the cap itself comes back (-1: until
   /// activity).
   std::int64_t wait_us(std::int64_t cap_us);
+  /// Counts one turn of the loop's wait by cause (server.wakeups.*): a wait
+  /// of `waited_us` (0: no sleep, not counted) that ended with `ready`
+  /// descriptors ready (socket) or on its timeout (timer), and whether the
+  /// pump after it shipped a notification: `notified_before` is
+  /// notified() read before that pump (a timer wake that shipped none is
+  /// timer_empty too).
+  void count_wakeup(std::int64_t waited_us, int ready,
+                    std::uint64_t notified_before);
+  /// COMPLETED/EXPIRED notifications handled so far (cancelled jobs'
+  /// internal expiries included).
+  std::uint64_t notified() const { return notified_; }
   /// Resolves the backlog (finish_live), ships the last notifications,
   /// publishes the backend's metrics, writes outcomes.csv, closes the
   /// journal.
   void finalize();
 
-  /// The inline local id a wire ticket names, or kNoJob.
-  JobId local_id(std::uint64_t ticket) const {
-    return ticket < routes_.size() ? static_cast<JobId>(ticket) : kNoJob;
-  }
+  /// Ring slots of the job window (a power of two).
+  std::size_t window_slots() const { return routes_.size(); }
+  /// Peak unretired span of the job window.
+  std::uint64_t window_peak() const { return window_peak_; }
+
+  /// Tickets the retired-outcome lane is pre-sized for.
+  static constexpr std::size_t kRetiredTickets = std::size_t{1} << 20;
 
   /// Refuse further submits (REJECTED(draining)).
   void request_drain() { draining_ = true; }
@@ -234,6 +277,26 @@ class Session {
 
  private:
   void dispatch_notifications();
+  /// Admitted jobs not yet retired.
+  std::uint64_t window_span() const {
+    return static_cast<std::uint64_t>(next_ - base_);
+  }
+  /// Retires every job from the window base up to the first one without
+  /// an outcome.
+  void retire_resolved();
+  /// The unretired local id with wire ticket `ticket`, or kNoJob.
+  JobId find(std::uint64_t ticket) const;
+  /// What the retired-outcome lane says of `ticket` (kUnknown: not a
+  /// retired job of this session).
+  JobState retired_state(std::uint64_t ticket) const;
+  Route& route(JobId id) {
+    return routes_[static_cast<std::size_t>(id) & (routes_.size() - 1)];
+  }
+  const Route& route(JobId id) const {
+    return routes_[static_cast<std::size_t>(id) & (routes_.size() - 1)];
+  }
+  /// Doubles the routes ring and re-slots the window.
+  void grow_routes();
   /// The journal-failure policy: the first error wins, the request gets
   /// `r` (its reply so far) as ERROR(kJournalFailed), the session drains.
   void fail_journal(int conn, std::uint64_t gen, Message r,
@@ -255,7 +318,14 @@ class Session {
   std::unique_ptr<obs::RingTraceBuffer> ring_;
   std::unique_ptr<obs::TraceMetricsBridge> trace_bridge_;
   obs::TeeSink tee_;
-  std::vector<Route> routes_;  // indexed by local JobId
+  std::vector<Route> routes_;  // ring over local ids [base_, next_)
+  JobId base_ = 0;             // lowest unretired local id
+  JobId next_ = 0;             // next local id
+  std::uint64_t window_peak_ = 0;
+  /// Outcomes of retired jobs, 2 bits per wire ticket (0 unknown,
+  /// 1 completed, 2 expired), 32 tickets per word.
+  std::vector<std::uint64_t> retired_;
+  std::uint64_t notified_ = 0;
 
   bool draining_ = false;
   bool finalized_ = false;

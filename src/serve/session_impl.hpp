@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <filesystem>
@@ -29,7 +30,8 @@ void Session<Backend>::begin(double epoch, obs::MetricsRegistry* metrics) {
   const auto n = static_cast<std::size_t>(backend_.config().max_in_flight);
   backend_.reserve(n);
   backend_.engine().reserve_live(n);
-  routes_.reserve(n);
+  util::grow(routes_, std::bit_ceil(std::max<std::size_t>(n, 1)));
+  retired_.reserve(kRetiredTickets / 32);
   notifications_.reserve(n);
   backend_.engine().begin_live();
   bridge_.start_at(epoch);
@@ -73,18 +75,31 @@ std::int64_t Session<Backend>::wait_us(std::int64_t cap_us) {
 }
 
 template <typename Backend>
+void Session<Backend>::count_wakeup(std::int64_t waited_us, int ready,
+                                    std::uint64_t notified_before) {
+  if (waited_us == 0) return;  // the loop did not sleep
+  if (ready > 0) {
+    count(names_.wake_socket);
+    return;
+  }
+  count(names_.wake_timer);
+  if (notified_ == notified_before) count(names_.wake_timer_empty);
+}
+
+template <typename Backend>
 void Session<Backend>::dispatch_notifications() {
   // Index-based drain: the target never re-enters the sink, and clear() at
   // the end retains the queue's capacity for the next pump cycle.
   for (std::size_t i = 0; i < notifications_.size(); ++i) {
     const obs::TraceEvent ev = notifications_[i];
-    const auto id = static_cast<std::size_t>(ev.job);
-    if (id >= routes_.size()) continue;
-    const Route& route = routes_[id];
+    if (ev.job < base_ || ev.job >= next_) continue;
+    ++notified_;
+    Route& route = this->route(ev.job);
     Message note;
-    note.ticket = target_->ticket(ev.job);
+    note.ticket = route.ticket;
     note.seq = route.seq;
     if (ev.kind == obs::TraceKind::kComplete) {
+      route.outcome = JobState::kCompleted;
       ++stats_.completed;
       stats_.completed_value += ev.a;
       count(names_.completed);
@@ -92,6 +107,7 @@ void Session<Backend>::dispatch_notifications() {
       note.a = ev.a;       // value collected
       note.b = ev.time;    // completion instant
     } else {
+      route.outcome = JobState::kExpired;
       if (route.cancelled) {
         // The client already got kCancelled; the forced expiry is internal.
         --stats_.in_flight;
@@ -106,6 +122,68 @@ void Session<Backend>::dispatch_notifications() {
     target_->send(route.conn, route.gen, note);
   }
   notifications_.clear();
+  retire_resolved();
+}
+
+template <typename Backend>
+void Session<Backend>::retire_resolved() {
+  while (base_ < next_) {
+    const Route& r = route(base_);
+    if (r.outcome == JobState::kQueued) return;
+    // The packed lane: 2 bits per wire ticket, grown a word at a time
+    // inside begin()'s reserve (doubling past it).
+    const std::size_t word = r.ticket / 32;
+    if (word >= retired_.size()) util::grow(retired_, word + 1);
+    retired_[word] |= std::uint64_t{r.outcome == JobState::kCompleted ? 1u
+                                                                      : 2u}
+                      << (2 * (r.ticket % 32));
+    const JobId id = base_++;
+    try {
+      backend_.retire(id, journal_.get());
+    } catch (const std::exception& e) {
+      // The outcome row could not be written: outcomes.csv can no longer
+      // match a replay, so the session fails and drains.
+      if (journal_error_.empty()) journal_error_ = e.what();
+      request_drain();
+    }
+  }
+}
+
+template <typename Backend>
+JobId Session<Backend>::find(std::uint64_t ticket) const {
+  // Tickets increase with the local id: binary search the window.
+  JobId lo = base_;
+  JobId hi = next_;
+  while (lo < hi) {
+    const JobId mid = lo + (hi - lo) / 2;
+    if (route(mid).ticket < ticket) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < next_ && route(lo).ticket == ticket ? lo : kNoJob;
+}
+
+template <typename Backend>
+JobState Session<Backend>::retired_state(std::uint64_t ticket) const {
+  const std::size_t word = ticket / 32;
+  if (word >= retired_.size()) return JobState::kUnknown;
+  const auto bits = (retired_[word] >> (2 * (ticket % 32))) & 3u;
+  return bits == 1   ? JobState::kCompleted
+         : bits == 2 ? JobState::kExpired
+                     : JobState::kUnknown;
+}
+
+template <typename Backend>
+void Session<Backend>::grow_routes() {
+  std::vector<Route> ring;
+  util::grow(ring, 2 * routes_.size());
+  const std::size_t mask = ring.size() - 1;
+  for (JobId id = base_; id < next_; ++id) {
+    ring[static_cast<std::size_t>(id) & mask] = route(id);
+  }
+  routes_.swap(ring);
 }
 
 template <typename Backend>
@@ -133,17 +211,18 @@ JobId Session<Backend>::submit(int conn, std::uint64_t gen, const Message& m) {
     target_->send(conn, gen, r);
     return kNoJob;
   }
-  const JobId id = backend_.append(verdict.job);
-  engine.admit_live(id);
-  Route route;
+  const JobId id = backend_.admit(verdict.job);
+  SJS_CHECK(id == next_);
+  // The ring doubles only when the unretired span outgrows the pre-size.
+  if (window_span() == routes_.size()) grow_routes();
+  Route& route = this->route(id);
+  route = Route{};
   route.conn = conn;
   route.gen = gen;
   route.seq = m.seq;
-  // Growth-to-high-water: reserve(max_in_flight) in begin() covers the
-  // steady state; only sessions exceeding that total keep growing.
-  util::append(routes_, route);
-  SJS_CHECK(routes_.size() == static_cast<std::size_t>(id) + 1);
-  target_->admitted(id, m.ticket);
+  route.ticket = target_->ticket_for(id, m.ticket);
+  ++next_;
+  window_peak_ = std::max(window_peak_, window_span());
   ++stats_.in_flight;
   in_flight_peak_ = std::max(in_flight_peak_, stats_.in_flight);
   const Job& job = engine.job(id);
@@ -153,7 +232,7 @@ JobId Session<Backend>::submit(int conn, std::uint64_t gen, const Message& m) {
     } catch (const std::exception& e) {
       // The admit cannot be made durable, so the client must not see
       // ACCEPTED: withdraw the job, then fail the session.
-      routes_[static_cast<std::size_t>(id)].cancelled = true;
+      this->route(id).cancelled = true;
       engine.cancel_live(id);
       fail_journal(conn, gen, r, e);
       return id;
@@ -163,28 +242,28 @@ JobId Session<Backend>::submit(int conn, std::uint64_t gen, const Message& m) {
   stats_.admitted_value += job.value;
   count(names_.accepted);
   r.type = MsgType::kAccepted;
-  r.ticket = target_->ticket(id);
+  r.ticket = this->route(id).ticket;
   r.a = job.release;
+  r.c = job.value;  // not on the wire; the sharded acceptor's stats read it
   target_->send(conn, gen, r);
   return id;
 }
 
 template <typename Backend>
-void Session<Backend>::cancel(int conn, std::uint64_t gen, const Message& m,
-                              JobId id) {
+void Session<Backend>::cancel(int conn, std::uint64_t gen, const Message& m) {
   Message r;
   r.seq = m.seq;
   r.ticket = m.ticket;
   auto& engine = backend_.engine();
-  const auto slot = static_cast<std::size_t>(id);
-  const bool known =
-      id != kNoJob && slot < routes_.size() && !routes_[slot].cancelled;
-  if (!known || !engine.cancel_live(id)) {
+  // A retired ticket is not found: its job has an outcome, so the cancel
+  // fails exactly as it would have before retirement.
+  const JobId id = find(m.ticket);
+  if (id == kNoJob || route(id).cancelled || !engine.cancel_live(id)) {
     r.type = MsgType::kCancelFailed;
     target_->send(conn, gen, r);
     return;
   }
-  routes_[slot].cancelled = true;
+  route(id).cancelled = true;
   ++stats_.cancelled;
   count(names_.cancelled);
   if (journal_) {
@@ -205,14 +284,14 @@ void Session<Backend>::cancel(int conn, std::uint64_t gen, const Message& m,
 }
 
 template <typename Backend>
-void Session<Backend>::query(int conn, std::uint64_t gen, const Message& m,
-                             JobId id) {
+void Session<Backend>::query(int conn, std::uint64_t gen, const Message& m) {
   Message r;
   r.type = MsgType::kQueryReply;
   r.seq = m.seq;
   r.ticket = m.ticket;
-  if (id == kNoJob || static_cast<std::size_t>(id) >= routes_.size()) {
-    r.code = static_cast<std::uint8_t>(JobState::kUnknown);
+  const JobId id = find(m.ticket);
+  if (id == kNoJob) {
+    r.code = static_cast<std::uint8_t>(retired_state(m.ticket));
   } else {
     const auto& engine = backend_.engine();
     const JobState state = backend_.state(id);
@@ -246,10 +325,15 @@ void Session<Backend>::finalize() {
   // the same outcomes the session would have reached in real time.
   result_ = backend_.finish();
   dispatch_notifications();
+  SJS_CHECK_MSG(base_ == next_, "drain left " << window_span()
+                                              << " jobs unretired");
   if (shard_) {
     backend_.publish(result_, *shard_);
     shard_->set_gauge(names_.in_flight_peak,
                       static_cast<double>(in_flight_peak_));
+    shard_->set_gauge(names_.window_peak, static_cast<double>(window_peak_));
+    shard_->set_gauge(names_.window_slots,
+                      static_cast<double>(routes_.size()));
   }
   if (journal_) {
     backend_.save_outcomes(result_, (std::filesystem::path(journal_->dir()) /

@@ -7,7 +7,6 @@
 
 #include "serve/event_loop.hpp"
 #include "util/logging.hpp"
-#include "util/vec.hpp"
 
 namespace sjs::serve {
 
@@ -48,16 +47,16 @@ ShardWorker::~ShardWorker() = default;
 
 // sjs-hot-path-root
 void ShardWorker::run(double epoch) {
-  // Pre-size the ticket tables like the session's own per-job tables;
-  // growth past the admitted high-water is amortized.
-  const auto n = static_cast<std::size_t>(
-      session_.backend().config().max_in_flight);
-  tickets_.reserve(n);
-  by_ticket_.reserve(n);
   session_.begin(epoch, metrics_);
 
+  // The last park's length, ready count and notification mark, for the
+  // wake-up counters (the first turn did not park).
+  std::int64_t waited = 0;
+  int ready = 0;
+  std::uint64_t notified = 0;
   while (true) {
     session_.pump();
+    session_.count_wakeup(waited, ready, notified);
     ShardRequest req;
     bool drained = false;
     while (true) {
@@ -73,8 +72,10 @@ void ShardWorker::run(double epoch) {
     session_.pump();
     // Park until the next simulated event is due or the acceptor signals.
     pollfd pfd{requests_.wake_fd(), POLLIN, 0};
-    wait_fds(&pfd, 1, session_.wait_us(poll_cap_us_));
+    waited = session_.wait_us(poll_cap_us_);
+    ready = wait_fds(&pfd, 1, waited);
     if ((pfd.revents & POLLIN) != 0) requests_.drain_wakeups();
+    notified = session_.notified();
   }
 
   session_.pump();
@@ -94,20 +95,13 @@ void ShardWorker::handle(const ShardRequest& req) {
       session_.submit(req.conn, req.gen, m);
       return;
     case ShardRequest::Kind::kCancel:
-      session_.cancel(req.conn, req.gen, m, by_ticket_.get(req.ticket, kNoJob));
+      session_.cancel(req.conn, req.gen, m);
       return;
     case ShardRequest::Kind::kQuery:
-      session_.query(req.conn, req.gen, m, by_ticket_.get(req.ticket, kNoJob));
+      session_.query(req.conn, req.gen, m);
       return;
   }
   SJS_CHECK_MSG(false, "unreachable: unknown ShardRequest kind");
-}
-
-void ShardWorker::admitted(JobId id, std::uint64_t request_ticket) {
-  // Per-job bookkeeping: reserve() in run() covers the steady state, growth
-  // past the pre-size is amortized doubling.
-  util::append(tickets_, request_ticket);
-  by_ticket_.put(request_ticket, id);
 }
 
 void ShardWorker::send(int conn, std::uint64_t gen, const Message& msg) {

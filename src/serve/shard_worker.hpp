@@ -15,9 +15,11 @@
 // through `sjs_sim --bundle=<journal>/shard<k>` — per shard, independently.
 //
 // Tickets: the acceptor assigns dense global tickets and routes by
-// conc::shard_of(ticket, n). The shard maps global tickets to its dense
-// local JobIds (the journal speaks local ids, keeping each shard bundle
-// self-contained); every reply and notification carries the GLOBAL ticket.
+// conc::shard_of(ticket, n). The shard's session admits under dense local
+// JobIds (the journal speaks local ids, keeping each shard bundle
+// self-contained) and keeps each job's global ticket in its route, so
+// every reply and notification carries the GLOBAL ticket and CANCEL/QUERY
+// find their job by it.
 //
 // Lifecycle: run() serves until the request channel drains (the acceptor
 // closes it on DRAIN/SIGTERM, or when any shard reports a journal failure),
@@ -41,7 +43,6 @@
 #include "serve/session.hpp"
 #include "sim/result.hpp"
 #include "sim/scheduler.hpp"
-#include "util/flat_map.hpp"
 
 namespace sjs::serve {
 
@@ -89,6 +90,9 @@ class ShardWorker final : private ReplyTarget {
 
   // Safe to read only after the owning thread has been joined:
   const sim::SimResult& result() const { return session_.result(); }
+  /// The session's job window: ring slots and peak unretired span.
+  std::size_t window_slots() const { return session_.window_slots(); }
+  std::uint64_t window_peak() const { return session_.window_peak(); }
   /// Non-empty once a journal write failed on this shard. The failing
   /// request was answered ERROR(kJournalFailed), the shard's session began
   /// draining, and the acceptor drains the plane when that reply reaches
@@ -101,19 +105,17 @@ class ShardWorker final : private ReplyTarget {
  private:
   void handle(const ShardRequest& req);
   // ReplyTarget: commits a reply, waiting out transient fullness (see .cpp
-  // for why this cannot deadlock), and translates local ids to tickets.
+  // for why this cannot deadlock); a job's wire ticket is the global one.
   void send(int conn, std::uint64_t gen, const Message& msg) override;
-  void admitted(JobId id, std::uint64_t request_ticket) override;
-  std::uint64_t ticket(JobId id) const override {
-    return tickets_[static_cast<std::size_t>(id)];
+  std::uint64_t ticket_for(JobId /*id*/,
+                           std::uint64_t request_ticket) const override {
+    return request_ticket;
   }
 
   std::int64_t poll_cap_us_;  ///< idle park cap (config.shard_poll_ms)
   obs::MetricsRegistry* metrics_;
   conc::Channel<ShardRequest> requests_;
   conc::Channel<ShardReply> replies_;
-  util::FlatU64Map by_ticket_;          // global ticket → local JobId
-  std::vector<std::uint64_t> tickets_;  // local → global
   Session<LocalBackend> session_;
 };
 

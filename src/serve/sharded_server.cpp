@@ -6,7 +6,6 @@
 #include "serve/event_loop.hpp"
 #include "serve/session.hpp"
 #include "util/logging.hpp"
-#include "util/vec.hpp"
 
 namespace sjs::serve {
 
@@ -43,12 +42,6 @@ int ShardedAdmissionServer::start() {
     loop().watch(workers_[k]->replies().wake_fd());
   }
   const int port = listen(config_.port);
-  // Pre-size the acceptor's per-ticket tables for a full plane's worth of
-  // in-flight jobs; growth past this total is amortized, not per-request.
-  const std::size_t plane_in_flight =
-      static_cast<std::size_t>(config_.max_in_flight) * config_.shards;
-  ticket_shard_.reserve(plane_in_flight);
-  ticket_value_.reserve(plane_in_flight);
   // ONE clock read anchors the whole plane: the acceptor's bridge and every
   // shard's bridge share this epoch, so virtual time is a single timeline.
   const double epoch = clock_->now();
@@ -113,7 +106,7 @@ void ShardedAdmissionServer::dispatch_reply(std::size_t shard,
   switch (m.type) {
     case MsgType::kAccepted:
       ++stats_.accepted;
-      stats_.admitted_value += ticket_value_[m.ticket];
+      stats_.admitted_value += m.c;  // the session's admitted value
       ++stats_.in_flight;
       in_flight_peak_ = std::max(in_flight_peak_, stats_.in_flight);
       count(kCtrAccepted);
@@ -190,7 +183,7 @@ void ShardedAdmissionServer::on_request(int conn, const Message& m) {
   // The next dense ticket decides the shard; the two-phase send means a
   // full channel sheds WITHOUT consuming the ticket, keeping the
   // ticket→shard map a pure function of the forwarded-submission index.
-  const std::uint64_t ticket = ticket_shard_.size();
+  const std::uint64_t ticket = next_ticket_;
   const std::size_t k = conc::shard_of(ticket, workers_.size());
   auto& ch = workers_[k]->requests();
   conc::Channel<ShardRequest>::Reservation res;
@@ -211,16 +204,14 @@ void ShardedAdmissionServer::on_request(int conn, const Message& m) {
   req.rel_deadline = m.b;
   req.value = m.c;
   ch.commit(res, req);
-  // Growth-to-high-water: reserve() at start() covers the steady state.
-  util::append(ticket_shard_, static_cast<std::uint32_t>(k));
-  util::append(ticket_value_, m.c);
+  ++next_ticket_;
 }
 
 void ShardedAdmissionServer::forward_by_ticket(int conn, const Message& m) {
-  const bool known = m.ticket < ticket_shard_.size();
+  const bool known = m.ticket < next_ticket_;
   bool forwarded = false;
   if (known) {
-    auto& ch = workers_[ticket_shard_[m.ticket]]->requests();
+    auto& ch = workers_[conc::shard_of(m.ticket, workers_.size())]->requests();
     ShardRequest req;
     req.kind = m.type == MsgType::kCancel ? ShardRequest::Kind::kCancel
                                           : ShardRequest::Kind::kQuery;

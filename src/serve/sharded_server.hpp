@@ -111,8 +111,9 @@ class ShardedAdmissionServer final : public FrontEnd {
   std::vector<std::unique_ptr<ShardWorker>> workers_;
   conc::ShardSet threads_;
 
-  std::vector<std::uint32_t> ticket_shard_;  // indexed by global ticket
-  std::vector<double> ticket_value_;         // submit value, for stats
+  /// The next global ticket (= SUBMITs forwarded so far); a ticket's
+  /// shard is conc::shard_of(ticket, shards).
+  std::uint64_t next_ticket_ = 0;
 
   bool joined_ = false;
   std::string journal_error_;

@@ -28,7 +28,7 @@ void Engine::rewind() {
   dispatch_epoch_ = 0;
   completion_pending_ = false;
 
-  jobs_.bind_dense(instance_->jobs());
+  jobs_.bind(instance_->jobs());
 
   if (static_key_.reusable) {
     queue_.rewind();
@@ -103,14 +103,18 @@ double Engine::remaining(JobId id) const {
 }
 
 bool Engine::is_released(JobId id) const {
-  return jobs_.released_checked(id);
+  return jobs_.holds(id) && jobs_.released(id);
 }
 
 bool Engine::is_completed(JobId id) const {
+  SJS_CHECK_MSG(jobs_.holds(id), "is_completed() on job " << id
+                                     << " outside the window");
   return jobs_.outcome(id) == JobOutcome::kCompleted;
 }
 
 bool Engine::is_expired(JobId id) const {
+  SJS_CHECK_MSG(jobs_.holds(id), "is_expired() on job " << id
+                                     << " outside the window");
   return jobs_.outcome(id) == JobOutcome::kExpired;
 }
 
@@ -171,7 +175,7 @@ void Engine::run(JobId id) {
   ++result_.dispatches;
   trace(obs::TraceKind::kDispatch, id, jobs_.remaining(id));
 
-  const Job& j = instance_->job(id);
+  const Job& j = jobs_.job(id);
   const double rem = jobs_.remaining(id);
   const double completion = cursor_.invert(now_, rem);
   // A completion just past the deadline is clamped to it, so it sorts before
@@ -233,26 +237,33 @@ void Engine::handle_completion(const Event& event) {
   }
   completion_pending_ = false;
   // The inversion is exact; any residue is floating-point dust.
+  const Job& j = jobs_.job(event.job);
   SJS_CHECK_MSG(jobs_.remaining(event.job) <
-                    completion_residue_bound(instance_->job(event.job).workload),
+                    completion_residue_bound(j.workload),
                 "completion event with " << jobs_.remaining(event.job)
                                          << " work left");
   jobs_.remaining(event.job) = 0.0;
   jobs_.set_outcome(event.job, JobOutcome::kCompleted);
+  jobs_.set_completion(event.job, now_);
   halt_running();
 
-  const Job& j = instance_->job(event.job);
   result_.completed_value += j.value;
   ++result_.completed_count;
-  result_.completion_times[job_slot(event.job)] = now_;
-  result_.value_trace.append(now_, result_.completed_value);
+  // The value-vs-time trace is a batch figure: a live session's would grow
+  // by one point per completion.
+  if (!live_) result_.value_trace.append(now_, result_.completed_value);
   trace(obs::TraceKind::kComplete, event.job, j.value);
 
   scheduler_->on_complete(*this, event.job);
 }
 
 void Engine::handle_expiry(const Event& event) {
-  if (jobs_.outcome(event.job) != JobOutcome::kPending) return;  // completed
+  // Dead when the job already has an outcome, or was retired since (its
+  // slot may hold a later job by now).
+  if (!jobs_.holds(event.job) ||
+      jobs_.outcome(event.job) != JobOutcome::kPending) {
+    return;
+  }
   jobs_.set_outcome(event.job, JobOutcome::kExpired);
   ++result_.expired_count;
   const bool was_running = (running_ == event.job);
@@ -264,7 +275,7 @@ void Engine::handle_expiry(const Event& event) {
 
 void Engine::handle_release(const Event& event) {
   jobs_.set_released(event.job);
-  const Job& j = instance_->job(event.job);
+  const Job& j = jobs_.job(event.job);
   trace(obs::TraceKind::kRelease, event.job, j.workload, j.deadline);
   scheduler_->on_release(*this, event.job);
 }
@@ -281,8 +292,8 @@ void Engine::handle_timer(const Event& event) {
   const int tag = free_timer(event.id).tag;
   const JobId jid = event.job;
   // Guard: timers reference queue membership that only matters for live jobs;
-  // a timer outliving its job (completed early, or expired at the same
-  // instant) must not resurrect it.
+  // a timer outliving its job (completed early, expired at the same instant,
+  // or retired) must not resurrect it.
   if (jid != kNoJob && !is_live(jid)) return;
   trace(obs::TraceKind::kTimer, jid, static_cast<double>(tag));
   scheduler_->on_timer(*this, jid, tag);
@@ -319,13 +330,7 @@ const SimResult& Engine::run_to_completion() {
   result_.clear();
   result_.scheduler_name = scheduler_->name();
   result_.generated_value = instance_->total_value();
-  result_.completion_times.assign(instance_->size(),
-                                  std::numeric_limits<double>::quiet_NaN());
-  result_.release_times.reserve(instance_->size());
   result_.value_trace.reserve(instance_->size());
-  for (const Job& j : instance_->jobs()) {
-    util::append(result_.release_times, j.release);
-  }
 
   // reset() already rewound a static side built for this job count and
   // capacity flag; the instance is immutable apart from live appends, so its
@@ -385,16 +390,26 @@ void Engine::step_event() {
 }
 
 void Engine::harvest_result() {
-  result_.outcomes = jobs_.outcome_lane();
-  util::grow(result_.executed_work, instance_->size());
-  const std::vector<double>& remaining = jobs_.remaining_lane();
-  for (std::size_t i = 0; i < instance_->size(); ++i) {
-    result_.executed_work[i] = instance_->jobs()[i].workload - remaining[i];
+  if (jobs_.base() == 0) {
+    // The window still holds every job of the run: report them per job.
+    const auto n = static_cast<std::size_t>(jobs_.end());
+    util::grow(result_.outcomes, n);
+    util::grow(result_.executed_work, n);
+    util::grow(result_.completion_times, n);
+    util::grow(result_.release_times, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<JobId>(i);
+      const Job& j = jobs_.job(id);
+      result_.outcomes[i] = jobs_.outcome(id);
+      result_.executed_work[i] = j.workload - jobs_.remaining(id);
+      result_.completion_times[i] = jobs_.completion(id);
+      result_.release_times[i] = j.release;
+    }
   }
   result_.event_heap_peak = queue_.peak();
   result_.event_heap_dead_peak = queue_.dead_peak();
-  result_.job_slab_peak = jobs_.peak();
-  result_.job_slab_slots = jobs_.slots();
+  result_.job_slab_peak = jobs_.span_peak();
+  result_.job_slab_slots = jobs_.capacity();
   result_.timer_slab_slots = timer_slots_.size();
   const Scheduler::QueueStats queue_stats = scheduler_->queue_stats();
   result_.queue_peak = queue_stats.peak;
@@ -419,17 +434,10 @@ void Engine::begin_live() {
   next_seq_ = 0;
   result_.clear();
   result_.scheduler_name = scheduler_->name();
-  result_.generated_value = instance_->total_value();
-  result_.completion_times.assign(instance_->size(),
-                                  std::numeric_limits<double>::quiet_NaN());
-  result_.release_times.reserve(instance_->size());
-  // A live session normally starts empty, but admit any pre-loaded jobs so a
-  // warm-started instance behaves like the equivalent replay.
-  for (const Job& j : instance_->jobs()) {
-    util::append(result_.release_times, j.release);
-    push_event(j.release, EventType::kRelease, j.id, 0);
-    push_event(j.deadline, EventType::kExpiry, j.id, 0);
-  }
+  // A live session normally starts empty, but admit any pre-loaded jobs (the
+  // window already holds them, bound by rewind()) so a warm-started instance
+  // behaves like the equivalent replay.
+  for (JobId id = 0; id < jobs_.end(); ++id) schedule_live_job(id);
   if (scheduler_->wants_capacity_events()) {
     // All profile breakpoints: the final deadline is unknown up front. The
     // extras beyond the last admitted deadline fire with no live jobs and
@@ -449,26 +457,41 @@ void Engine::begin_live() {
   in_callback_ = false;
 }
 
-void Engine::admit_live(JobId id) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "admit_live outside live mode");
-  SJS_CHECK_MSG(static_cast<std::size_t>(id) == jobs_.size(),
-                "admit_live out of order: job " << id << ", expected "
-                    << jobs_.size());
-  const Job& j = instance_->job(id);
-  SJS_CHECK_MSG(j.release >= now_ - 1e-12,
-                "admit_live in the past: release " << j.release << " < now "
-                    << now_);
-  // Dense append: live ids stay == admission order (journal local ids and
-  // the outcome CSV depend on it), so slots are never reused here. All
-  // growth is to reserve_live's pre-size in a bounded-in-flight session.
-  const JobId slab_id = jobs_.append_dense(j.workload);
-  SJS_CHECK_MSG(slab_id == id, "job slab out of sync with instance ids");
+void Engine::schedule_live_job(JobId id) {
+  const Job& j = jobs_.job(id);
   result_.generated_value += j.value;
-  util::append(result_.completion_times,
-               std::numeric_limits<double>::quiet_NaN());
-  util::append(result_.release_times, j.release);
   push_event(j.release, EventType::kRelease, id, 0);
   push_event(j.deadline, EventType::kExpiry, id, 0);
+}
+
+JobId Engine::admit_live(const Job& job) {
+  SJS_CHECK_MSG(live_ && !in_callback_, "admit_live outside live mode");
+  SJS_CHECK_MSG(job.release >= now_ - 1e-12,
+                "admit_live in the past: release " << job.release << " < now "
+                    << now_);
+  SJS_CHECK_MSG(job.valid(), "admit_live of invalid job " << job.to_string());
+  // Ids stay == admission order (journal local ids and the outcome CSV
+  // depend on it). The window grows only when its unretired span outgrows
+  // reserve_live's pre-size.
+  const JobId id = jobs_.admit(job);
+  schedule_live_job(id);
+  return id;
+}
+
+void Engine::admit_live(JobId id) {
+  SJS_CHECK_MSG(id == jobs_.end() &&
+                    static_cast<std::size_t>(id) < instance_->size(),
+                "admit_live out of order: job " << id << ", expected "
+                    << jobs_.end());
+  admit_live(instance_->job(id));
+}
+
+void Engine::retire(JobId id) {
+  SJS_CHECK_MSG(!in_callback_, "retire inside a scheduler callback");
+  SJS_CHECK_MSG(id == jobs_.base(), "retire out of order: job "
+                                        << id << ", window base "
+                                        << jobs_.base());
+  jobs_.retire_front();
 }
 
 bool Engine::cancel_live(JobId id) {
@@ -523,11 +546,6 @@ void Engine::reserve_live(std::size_t max_in_flight) {
                  3 * max_in_flight + 1);
   timer_slots_.reserve(max_in_flight);
   free_timer_slots_.reserve(max_in_flight);
-  result_.completion_times.reserve(max_in_flight);
-  result_.release_times.reserve(max_in_flight);
-  result_.outcomes.reserve(max_in_flight);
-  result_.executed_work.reserve(max_in_flight);
-  result_.value_trace.reserve(max_in_flight);
 }
 
 }  // namespace sjs::sim

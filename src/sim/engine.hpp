@@ -74,35 +74,47 @@ class Engine {
   // --- Live mode (real-time admission serving, src/serve/) -----------------
   //
   // The serving daemon drives the engine against wall-clock time instead of
-  // running a sealed instance to completion: jobs are appended to the bound
-  // Instance as they arrive over the wire (Instance::append_job) and admitted
-  // with admit_live(); the event loop advances virtual time with
-  // advance_to(t) between socket polls. Live mode reuses the exact replay
-  // machinery — push_event/step_event, the handler dispatch, the (time, type,
-  // seq) total order — so a live session whose admitted arrival stream is
-  // journalled and replayed through run_to_completion reproduces the
-  // identical schedule: the event sequences coincide because (1) live
-  // release/expiry events go to the volatile heap, and heap-vs-static
-  // placement never affects the merged pop order, (2) admission stamps are
-  // strictly increasing and advance_to's bound is *strict* (< t), so every
-  // event at one timestamp is in the queue before any of them pops, and (3)
-  // relative seq order within each (time, type) class equals admission order
-  // in both modes. See docs/serving.md for the full argument.
+  // running a sealed instance to completion: jobs are admitted with
+  // admit_live() as they arrive over the wire, and the event loop advances
+  // virtual time with advance_to(t) between socket polls. Live mode reuses
+  // the exact replay machinery — push_event/step_event, the handler
+  // dispatch, the (time, type, seq) total order — so a live session whose
+  // admitted arrival stream is journalled and replayed through
+  // run_to_completion reproduces the identical schedule: the event sequences
+  // coincide because (1) live release/expiry events go to the volatile heap,
+  // and heap-vs-static placement never affects the merged pop order, (2)
+  // admission stamps are strictly increasing and advance_to's bound is
+  // *strict* (< t), so every event at one timestamp is in the queue before
+  // any of them pops, and (3) relative seq order within each (time, type)
+  // class equals admission order in both modes. See docs/serving.md for the
+  // full argument.
+  //
+  // Per-job state lives in the JobTable window (sim/job_table.hpp). A
+  // serving session retires each job once it has an outcome and every lower
+  // id is retired (retire()), so its memory does not grow with the number
+  // of jobs it admits. A live run that retires nothing keeps every job, like
+  // a batch run.
 
-  /// Enters live mode over the (possibly empty) bound instance: initialises
-  /// the run, pushes capacity-change interrupts if the scheduler wants them,
-  /// and raises on_start. Pair with finish_live().
+  /// Enters live mode over the bound instance (normally empty; any jobs it
+  /// holds are admitted at their own releases): initialises the run, pushes
+  /// capacity-change interrupts if the scheduler wants them, and raises
+  /// on_start. Pair with finish_live().
   void begin_live();
 
-  /// Admits job `id` — already appended to the bound Instance, release
-  /// >= now() — into the live run: schedules its release and expiry.
+  /// Admits `job` (release >= now(); its id field is ignored) into the live
+  /// run at the next admission id, which it returns: stores the record in
+  /// the window and schedules the job's release and expiry.
+  JobId admit_live(const Job& job);
+
+  /// Admits job `id` of the bound instance, already appended to it
+  /// (Instance::append_job); `id` must be the next admission id.
   void admit_live(JobId id);
 
   /// Force-expires a live job at now() (client cancellation). The scheduler
   /// sees an ordinary on_expire interrupt. Returns false when the job is not
-  /// live (already completed/expired/cancelled, or not yet released).
-  /// Sessions containing cancellations are not journal-replayable through
-  /// run_to_completion (the replay input has no cancel channel).
+  /// live (already completed/expired/cancelled, retired, or not yet
+  /// released). Sessions containing cancellations are not journal-replayable
+  /// through run_to_completion (the replay input has no cancel channel).
   bool cancel_live(JobId id);
 
   /// Processes every pending event with time *strictly* before t, then
@@ -116,22 +128,28 @@ class Engine {
   /// no-op, never wrong.
   double next_event_time() const;
 
+  /// Retires job `id`, which must be the window's base() and have an
+  /// outcome: every queued event still naming it is dead from here on, and
+  /// its slot is free for a later admission. Read what the caller keeps of
+  /// the job (job(id), job_state()) before retiring it.
+  void retire(JobId id);
+
   /// Fast-forwards through every remaining event (drain: the simulated
   /// backlog is resolved immediately in virtual time), harvests and returns
-  /// the result, and leaves live mode. Same reference lifetime as
+  /// the result, and leaves live mode. A run that retired jobs reports
+  /// aggregates only (its per-job vectors stay empty: the retiring caller
+  /// consumed each job's outcome). Same reference lifetime as
   /// run_to_completion().
   const SimResult& finish_live();
 
   bool live_mode() const { return live_; }
 
-  /// Pre-sizes every structure that grows with in-flight population — the
-  /// job slab, both event-queue sides, the timer slab, and the result's
-  /// per-job vectors — for `max_in_flight` simultaneous jobs, so a
-  /// warmed live session performs zero heap allocations in steady state
-  /// (the serve plane calls this at boot with --max-in-flight). Sessions
-  /// admitting more than `max_in_flight` jobs *in total* still grow the
-  /// dense per-admitted-job tables past the pre-size (amortized, documented
-  /// in docs/performance.md).
+  /// Pre-sizes every structure that grows with the in-flight population —
+  /// the job window, both event-queue sides and the timer slab — for
+  /// `max_in_flight` simultaneous jobs. A warmed live session that retires
+  /// its resolved jobs then performs zero heap allocations, however many
+  /// jobs it admits, as long as its unretired span stays within the
+  /// pre-size (the serve plane calls this at boot with --max-in-flight).
   void reserve_live(std::size_t max_in_flight);
 
   /// Bound schedulers should size their per-job structures for in
@@ -165,14 +183,17 @@ class Engine {
   double c_lo() const { return instance_->c_lo(); }
   double c_hi() const { return instance_->c_hi(); }
 
-  const Job& job(JobId id) const { return instance_->job(id); }
-  std::size_t job_count() const { return instance_->size(); }
+  /// The record of an unretired job (release, workload, deadline, value).
+  const Job& job(JobId id) const { return jobs_.job(id); }
+  /// Jobs admitted so far (the instance size on a batch run).
+  std::size_t job_count() const { return static_cast<std::size_t>(jobs_.end()); }
   /// Remaining workload of a released job (exact as of `now`).
   double remaining(JobId id) const;
   bool is_released(JobId id) const;
   bool is_completed(JobId id) const;
   bool is_expired(JobId id) const;
-  /// A job is live if released, not completed, and not expired.
+  /// A job is live if released, not completed, not expired, and not
+  /// retired.
   bool is_live(JobId id) const;
   /// The job currently occupying the processor, or kNoJob.
   JobId running() const { return running_; }
@@ -183,7 +204,7 @@ class Engine {
     return job(id).deadline - now_ - remaining(id) / c_est;
   }
 
-  /// The structure-of-arrays job slab backing every per-job lane. Schedulers
+  /// The job window backing every per-job lane. Schedulers
   /// own their lanes (V-Dover's Qedf metadata / 0cl timers / flags, EDF-AC's
   /// admission scratch) and read/write them through this reference; the
   /// ground-truth lanes (remaining, outcome, released) are engine-owned —
@@ -277,12 +298,16 @@ class Engine {
   }
 
   void push_event(double time, EventType type, JobId job, std::uint64_t id);
+  /// Adds job `id` (already in the window) to the live run: its value to
+  /// the generated total, its release and expiry events to the queue.
+  void schedule_live_job(JobId id);
   /// Pops and handles exactly one event (the body of the run loops).
   void step_event();
   /// Dispatches one event to its handler (the switch shared by all modes).
   void process_event(const Event& event);
-  /// Fills the end-of-run SimResult fields (outcome/work tables, occupancy
-  /// stats, kRunEnd trace) shared by run_to_completion and finish_live.
+  /// Fills the end-of-run SimResult fields (per-job tables when the window
+  /// still holds every job, occupancy stats, kRunEnd trace) shared by
+  /// run_to_completion and finish_live.
   void harvest_result();
   /// Rewinds all per-run state (capacities of every container are kept) and
   /// the event queue: a reusable static side is rewound, any other cleared.
@@ -324,7 +349,7 @@ class Engine {
   /// to count the event as dead the moment a preemption invalidates it.
   bool completion_pending_ = false;
 
-  /// Per-job ground truth + scheduler lanes, one SoA slab (sim/job_table.hpp).
+  /// Per-job ground truth + scheduler lanes, one window (sim/job_table.hpp).
   JobTable jobs_;
 
   /// Releases, expiries and capacity changes go to the queue's sealed static

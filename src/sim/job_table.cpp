@@ -1,124 +1,104 @@
 #include "sim/job_table.hpp"
 
+#include <bit>
+#include <limits>
+
 #include "util/logging.hpp"
 #include "util/vec.hpp"
 
 namespace sjs::sim {
 
-void JobTable::init_slot(std::uint32_t slot, double workload) {
-  remaining_[slot] = workload;
-  outcome_[slot] = JobOutcome::kPending;
-  released_[slot] = 0;
-  qedf_meta_[slot] = QedfMeta{};
-  ocl_timer_[slot] = kNoTimer;
-  abandoned_[slot] = 0;
-  ocl_scheduled_[slot] = 0;
-}
+namespace {
 
-void JobTable::bind_dense(const std::vector<Job>& jobs) {
-  const std::size_t n = jobs.size();
-  util::grow(remaining_, n);
-  util::grow(outcome_, n);
-  util::grow(released_, n);
-  util::grow(qedf_meta_, n);
-  util::grow(ocl_timer_, n);
-  util::grow(abandoned_, n);
-  util::grow(ocl_scheduled_, n);
-  util::grow(gen_, n);
-  util::grow(freed_, n);
-  free_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    init_slot(static_cast<std::uint32_t>(i), jobs[i].workload);
-    gen_[i] = 0;
-    freed_[i] = 0;
+/// Moves the window [base, end) of `lane` from its slots under `old_mask`
+/// to its slots in a fresh lane of `slots` entries.
+template <typename T>
+void reslot(std::vector<T>& lane, std::size_t slots, JobId base, JobId end,
+            std::size_t old_mask) {
+  std::vector<T> fresh;
+  util::grow(fresh, slots);
+  const std::size_t new_mask = slots - 1;
+  for (JobId id = base; id < end; ++id) {
+    const auto i = static_cast<std::size_t>(id);
+    fresh[i & new_mask] = lane[i & old_mask];
   }
-  live_ = n;
-  peak_ = n;
+  lane.swap(fresh);
 }
 
-JobId JobTable::append_dense(double workload) {
-  SJS_CHECK_MSG(free_.empty(),
-                "append_dense after slab-regime reuse: dense ids require "
-                "no slot reuse");
-  const auto slot = static_cast<std::uint32_t>(remaining_.size());
-  util::append(remaining_, 0.0);
-  util::append(outcome_, JobOutcome::kPending);
-  util::append(released_, std::uint8_t{0});
-  util::append(qedf_meta_, QedfMeta{});
-  util::append(ocl_timer_, kNoTimer);
-  util::append(abandoned_, std::uint8_t{0});
-  util::append(ocl_scheduled_, std::uint8_t{0});
-  util::append(gen_, std::uint32_t{0});
-  util::append(freed_, std::uint8_t{0});
-  init_slot(slot, workload);
-  ++live_;
-  if (live_ > peak_) peak_ = live_;
-  return make_job_id(slot, 0);
-}
+}  // namespace
 
-JobId JobTable::allocate(double workload) {
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    freed_[slot] = 0;
+void JobTable::resize_ring(std::size_t slots) {
+  SJS_CHECK(std::has_single_bit(slots) && slots >= span());
+  if (span() == 0) {
+    // Nothing to carry over: plain growth keeps the buffers (and never
+    // shrinks them).
+    util::grow(jobs_, slots);
+    util::grow(remaining_, slots);
+    util::grow(completion_, slots);
+    util::grow(outcome_, slots);
+    util::grow(released_, slots);
+    util::grow(qedf_meta_, slots);
+    util::grow(ocl_timer_, slots);
+    util::grow(abandoned_, slots);
+    util::grow(ocl_scheduled_, slots);
   } else {
-    slot = static_cast<std::uint32_t>(remaining_.size());
-    util::append(remaining_, 0.0);
-    util::append(outcome_, JobOutcome::kPending);
-    util::append(released_, std::uint8_t{0});
-    util::append(qedf_meta_, QedfMeta{});
-    util::append(ocl_timer_, kNoTimer);
-    util::append(abandoned_, std::uint8_t{0});
-    util::append(ocl_scheduled_, std::uint8_t{0});
-    util::append(gen_, std::uint32_t{0});
-    util::append(freed_, std::uint8_t{0});
+    reslot(jobs_, slots, base_, end_, mask_);
+    reslot(remaining_, slots, base_, end_, mask_);
+    reslot(completion_, slots, base_, end_, mask_);
+    reslot(outcome_, slots, base_, end_, mask_);
+    reslot(released_, slots, base_, end_, mask_);
+    reslot(qedf_meta_, slots, base_, end_, mask_);
+    reslot(ocl_timer_, slots, base_, end_, mask_);
+    reslot(abandoned_, slots, base_, end_, mask_);
+    reslot(ocl_scheduled_, slots, base_, end_, mask_);
   }
-  init_slot(slot, workload);
-  ++live_;
-  if (live_ > peak_) peak_ = live_;
-  return make_job_id(slot, gen_[slot]);
+  mask_ = slots - 1;
 }
 
-bool JobTable::release_slot(JobId id) {
-  if (!valid(id)) return false;  // stale generation or foreign id: no-op
-  const std::uint32_t slot = job_slot(id);
-  ++gen_[slot];  // invalidates every outstanding handle to this slot
-  freed_[slot] = 1;
-  util::append(free_, slot);
-  --live_;
-  return true;
+void JobTable::init_slot(std::size_t s, const Job& job) {
+  jobs_[s] = job;
+  remaining_[s] = job.workload;
+  completion_[s] = std::numeric_limits<double>::quiet_NaN();
+  outcome_[s] = JobOutcome::kPending;
+  released_[s] = 0;
+  qedf_meta_[s] = QedfMeta{};
+  ocl_timer_[s] = kNoTimer;
+  abandoned_[s] = 0;
+  ocl_scheduled_[s] = 0;
 }
 
-void JobTable::clear() {
-  // Treat the clear as releasing every occupied slot: bump its generation
-  // (so handles from before the clear stay invalid even after the slot is
-  // repopulated) and put it on the free list. Lanes keep their high-water
-  // length and capacity — the generation stamps must survive, and a LIFO
-  // free list restores slot reuse without any reallocation.
-  for (std::size_t i = gen_.size(); i-- > 0;) {
-    if (!freed_[i]) {
-      ++gen_[i];
-      freed_[i] = 1;
-      util::append(free_, static_cast<std::uint32_t>(i));
-    }
-  }
-  live_ = 0;
-  peak_ = 0;
+void JobTable::bind(const std::vector<Job>& jobs) {
+  const std::size_t n = jobs.size();
+  base_ = 0;
+  end_ = 0;
+  if (n > capacity()) resize_ring(std::bit_ceil(n));
+  for (std::size_t i = 0; i < n; ++i) init_slot(i, jobs[i]);
+  end_ = static_cast<JobId>(n);
+  span_peak_ = n;
 }
 
 void JobTable::reserve(std::size_t n) {
-  remaining_.reserve(n);
-  outcome_.reserve(n);
-  released_.reserve(n);
-  qedf_meta_.reserve(n);
-  ocl_timer_.reserve(n);
-  abandoned_.reserve(n);
-  ocl_scheduled_.reserve(n);
-  gen_.reserve(n);
-  freed_.reserve(n);
-  free_.reserve(n);
+  if (n > capacity()) resize_ring(std::bit_ceil(n));
   admission_scratch_.reserve(n + 2);
+}
+
+JobId JobTable::admit(const Job& job) {
+  if (span() == capacity()) {
+    // The window outgrew the ring: double it (or create it) and re-slot.
+    resize_ring(capacity() == 0 ? 16 : 2 * capacity());
+  }
+  const JobId id = end_++;
+  init_slot(slot(id), job);
+  jobs_[slot(id)].id = id;
+  if (span() > span_peak_) span_peak_ = span();
+  return id;
+}
+
+void JobTable::retire_front() {
+  SJS_CHECK_MSG(base_ < end_, "retire_front on an empty window");
+  SJS_CHECK_MSG(outcome(base_) != JobOutcome::kPending,
+                "retire_front of job " << base_ << " with no outcome");
+  ++base_;
 }
 
 }  // namespace sjs::sim

@@ -1,7 +1,11 @@
 #include "sim/result.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/csv.hpp"
 
@@ -64,27 +68,40 @@ std::string SimResult::to_string() const {
   return os.str();
 }
 
+char* format_outcome_row(char* first, JobId id, JobOutcome outcome,
+                         double completion, double value) {
+  char* const last = first + kOutcomeRowMax;
+  first = std::to_chars(first, last, id).ptr;
+  const char* label = outcome == JobOutcome::kCompleted ? ",completed,"
+                      : outcome == JobOutcome::kExpired ? ",expired,"
+                                                        : ",pending,";
+  while (*label) *first++ = *label++;
+  const bool completed = outcome == JobOutcome::kCompleted;
+  if (completed && !std::isnan(completion)) {
+    first = format_double_to(first, last, completion);
+  }
+  *first++ = ',';
+  first = format_double_to(first, last, completed ? value : 0.0);
+  *first++ = '\n';
+  return first;
+}
+
 void save_outcomes_csv(const SimResult& result, const std::vector<Job>& jobs,
                        const std::string& path) {
-  CsvWriter w(path);
-  w.write_row({"id", "outcome", "completion", "value_collected"});
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open for writing: " + path);
+  out << kOutcomesCsvHeader;
+  char row[kOutcomeRowMax];
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    const char* outcome = "pending";
-    double collected = 0.0;
-    std::string completion;
-    if (result.outcomes[i] == JobOutcome::kCompleted) {
-      outcome = "completed";
-      collected = i < jobs.size() ? jobs[i].value : 0.0;
-      if (i < result.completion_times.size() &&
-          !std::isnan(result.completion_times[i])) {
-        completion = format_double(result.completion_times[i]);
-      }
-    } else if (result.outcomes[i] == JobOutcome::kExpired) {
-      outcome = "expired";
-    }
-    w.write_row({std::to_string(i), outcome, completion,
-                 format_double(collected)});
+    const double completion = i < result.completion_times.size()
+                                  ? result.completion_times[i]
+                                  : std::numeric_limits<double>::quiet_NaN();
+    const double value = i < jobs.size() ? jobs[i].value : 0.0;
+    const char* end = format_outcome_row(row, static_cast<JobId>(i),
+                                         result.outcomes[i], completion, value);
+    out.write(row, end - row);
   }
+  if (!out) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace sjs::sim

@@ -29,10 +29,9 @@ enum class JobOutcome : std::uint8_t {
 // bound the completion handler checks. At large virtual times deadline_eps
 // spans real work; such a job does not complete, it expires at d.
 
-/// Relative tolerance for "completed by deadline" decisions.
-inline double deadline_eps(double deadline) {
-  return 1e-9 * std::max(1.0, std::abs(deadline));
-}
+/// Relative tolerance for "completed by deadline" decisions (defined with
+/// the job model, jobs/job.hpp, so obs/ and offline/ share it).
+using ::sjs::deadline_eps;
 
 /// Work left at a completion event below this is floating-point dust.
 inline double completion_residue_bound(double workload) {
@@ -71,6 +70,9 @@ struct SimResult {
     return generated_value > 0.0 ? completed_value / generated_value : 0.0;
   }
 
+  // Per-job tables, indexed by JobId. A batch run fills them for every job;
+  // a live run that retired jobs (sim::Engine::retire) leaves them empty and
+  // reports the aggregates above and below only.
   std::vector<JobOutcome> outcomes;       ///< indexed by JobId
   std::vector<double> executed_work;      ///< work done per job (<= p_i)
   /// Completion instant per job; NaN for jobs that expired.
@@ -82,7 +84,8 @@ struct SimResult {
   std::vector<double> response_times() const;
   /// Mean response time of completed jobs (0 when none).
   double mean_response_time() const;
-  StepFunction value_trace;               ///< cumulative completed value v. time
+  /// Cumulative completed value v. time (batch runs only).
+  StepFunction value_trace;
   /// Full execution timeline (only populated when Engine::record_schedule()
   /// was enabled): non-overlapping slices in chronological order.
   std::vector<ExecutionSlice> schedule;
@@ -108,9 +111,9 @@ struct SimResult {
   std::uint64_t queue_peak = 0;    ///< summed per-queue occupancy high-water
   std::uint64_t queue_slots = 0;   ///< entry storage reserved across queues
 
-  // Job-slab occupancy (sim::JobTable — same shape as the timer-slab pair).
-  std::uint64_t job_slab_peak = 0;   ///< peak simultaneously-tracked jobs
-  std::uint64_t job_slab_slots = 0;  ///< distinct slab slots populated
+  // Job-window occupancy (sim::JobTable — same shape as the timer-slab pair).
+  std::uint64_t job_slab_peak = 0;   ///< peak span of unretired job ids
+  std::uint64_t job_slab_slots = 0;  ///< ring slots of the job window
 
   /// Rewinds every field to its default while keeping the capacity of every
   /// vector and the value trace — the engine-reuse path: `result_.clear()`
@@ -124,10 +127,25 @@ struct SimResult {
 /// Writes per-job outcomes as CSV ("id,outcome,completion,value_collected",
 /// %.17g doubles, outcome ∈ {pending,completed,expired}, completion empty for
 /// jobs that never finished). One canonical format shared by sjs_sim
-/// --outcomes-csv and the serving daemon's journal, so live-vs-replay
-/// fidelity can be checked with a byte diff (scripts/serve_smoke.sh).
+/// --outcomes-csv and the serving daemon's journal (which streams the rows
+/// with format_outcome_row as its jobs retire), so live-vs-replay fidelity
+/// can be checked with a byte diff (scripts/serve_smoke.sh).
 void save_outcomes_csv(const SimResult& result,
                        const std::vector<Job>& jobs,
                        const std::string& path);
+
+/// The header line of an outcomes CSV, '\n' included.
+inline constexpr char kOutcomesCsvHeader[] =
+    "id,outcome,completion,value_collected\n";
+
+/// Room one outcomes row needs.
+inline constexpr std::size_t kOutcomeRowMax = 96;
+
+/// Formats job `id`'s outcomes row into [first, first + kOutcomeRowMax)
+/// without allocating: `completion` is written only for a completed job,
+/// and `value` is the job's value (collected only when it completed).
+/// Returns the end of the text.
+char* format_outcome_row(char* first, JobId id, JobOutcome outcome,
+                         double completion, double value);
 
 }  // namespace sjs::sim

@@ -28,6 +28,10 @@ char* write_g17(char* first, char* last, double v) {
 }
 }  // namespace
 
+char* format_double_to(char* first, char* last, double v) {
+  return write_g17(first, last, v);
+}
+
 std::string format_double(double v) {
   char buf[32];
   return std::string(buf, write_g17(buf, buf + sizeof(buf), v));

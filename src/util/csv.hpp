@@ -51,6 +51,10 @@ std::string csv_escape(const std::string& field);
 /// produced by std::to_chars.
 std::string format_double(double v);
 
+/// Writes v's %.17g text (std::to_chars) at `first` without allocating;
+/// [first, last) must hold kNumericFieldMax bytes. Returns the end of it.
+char* format_double_to(char* first, char* last, double v);
+
 /// Room one value of a numeric row needs: its %.17g text (at most 24
 /// characters) and a separator.
 inline constexpr std::size_t kNumericFieldMax = 32;

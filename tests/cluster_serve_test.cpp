@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -86,6 +89,9 @@ ClusterServerConfig scripted_config(const std::string& journal_dir) {
   return config;
 }
 
+/// What one scripted session leaves behind. `jobs` is the client's own
+/// record — its SUBMITs with the ACCEPTED stamps — independent of the
+/// server's admitted-job store.
 struct SessionOutput {
   sjs::cloud::MultiSimResult live;
   std::vector<sjs::Job> jobs;
@@ -128,6 +134,11 @@ SessionOutput run_scripted_session(const std::string& journal_dir) {
       ++out.rejected;
     } else {
       EXPECT_EQ(r.type, MsgType::kAccepted);
+      EXPECT_EQ(r.ticket, out.jobs.size());
+      // The job as admitted: the ACCEPTED stamp is its release, and the
+      // gate adds the relative deadline to it.
+      out.jobs.push_back(sjs::Job{static_cast<sjs::JobId>(r.ticket), r.a,
+                                  workload, r.a + window, value});
       ++out.accepted;
     }
   }
@@ -150,7 +161,6 @@ SessionOutput run_scripted_session(const std::string& journal_dir) {
     if (m.type == MsgType::kExpired) ++out.notified_expired;
   }
   out.live = server.result();
-  out.jobs = server.jobs();
   return out;
 }
 
@@ -240,6 +250,41 @@ TEST(ClusterServeTest, FakeClockSessionReplaysBitExactly) {
                                       replay_dir + "/outcomes.csv");
   EXPECT_FALSE(live_csv.empty());
   EXPECT_EQ(live_csv, slurp(replay_dir + "/outcomes.csv"));
+}
+
+/// Runs `command`, returning its exit status and capturing stdout+stderr.
+int run_command(const std::string& command, std::string* output) {
+  std::FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) output->append(buf, n);
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ClusterServeTest, SjsSimChecksInvariantsOnClusterReplay) {
+  // sjs_sim --check-invariants on the fleet paths: a cluster journal's
+  // replay streams through the invariant checker (each machine checked
+  // against its own path) and reports; the --cluster tables refuse the
+  // flag instead of ignoring it.
+  const std::string dir = fresh_dir("cluster_check_invariants");
+  run_scripted_session(dir);
+  std::string out;
+  EXPECT_EQ(run_command(std::string(SJS_SIM_BIN) + " --cluster-bundle=" + dir +
+                            " --check-invariants",
+                        &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("invariants: all hold"), std::string::npos) << out;
+
+  std::string refused;
+  EXPECT_EQ(run_command(std::string(SJS_SIM_BIN) +
+                            " --cluster=2 --cluster-runs=1 --check-invariants",
+                        &refused),
+            1)
+      << refused;
+  EXPECT_NE(refused.find("--check-invariants"), std::string::npos) << refused;
 }
 
 TEST(ClusterServeTest, ScriptedSessionIsDeterministicAcrossRuns) {

@@ -1004,6 +1004,47 @@ TEST(EngineReset, SecondRunWithoutResetThrows) {
   EXPECT_THROW(engine.begin_live(), CheckError);
 }
 
+TEST(EngineWindow, RetiredJobsDeadEventsNeverTouchTheirSlotsNewJob) {
+  // A two-slot job window: job 0 completes and retires while its expiry
+  // event is still queued; job 2 then takes job 0's slot. When job 0's
+  // expiry pops it must be dead — it must not expire job 2.
+  Instance instance({}, cap::CapacityProfile(1.0));
+  LoggingScheduler sched;
+  Engine engine(instance, sched);
+  engine.reserve_live(2);
+  engine.begin_live();
+  ASSERT_EQ(engine.job_state().capacity(), 2u);
+
+  EXPECT_EQ(engine.admit_live(make_job(0.0, 0.1, 10.0, 1.0)), 0);
+  engine.advance_to(0.5);
+  ASSERT_TRUE(engine.is_completed(0));
+  engine.retire(0);
+  EXPECT_FALSE(engine.cancel_live(0));
+  EXPECT_THROW(engine.is_completed(0), CheckError);
+
+  EXPECT_EQ(engine.admit_live(make_job(0.5, 0.1, 20.0, 1.0)), 1);
+  EXPECT_EQ(engine.admit_live(make_job(0.6, 12.0, 30.0, 1.0)), 2);
+  // Job 2 sits in job 0's slot, and the slot says so.
+  EXPECT_EQ(engine.job_state().capacity(), 2u);
+  EXPECT_EQ(engine.job(2).id, 2);
+  EXPECT_EQ(engine.job(2).deadline, 30.0);
+
+  engine.advance_to(11.0);  // past job 0's deadline: its expiry popped
+  EXPECT_TRUE(engine.is_live(2));
+  for (const auto& e : sched.log_) {
+    EXPECT_NE(e.kind, 'X') << "job " << e.job << " expired at " << e.time;
+  }
+  engine.retire(1);
+  const SimResult& result = engine.finish_live();
+  EXPECT_EQ(result.completed_count, 3u);
+  EXPECT_EQ(result.expired_count, 0u);
+  // A run that retired jobs reports aggregates only.
+  EXPECT_TRUE(result.outcomes.empty());
+  EXPECT_TRUE(result.completion_times.empty());
+  EXPECT_EQ(result.job_slab_peak, 2u);
+  EXPECT_EQ(result.job_slab_slots, 2u);
+}
+
 TEST(Engine, GeneratedValueEqualsInstanceTotal) {
   Instance instance(
       {make_job(0.0, 1.0, 1.0, 2.5), make_job(0.5, 1.0, 9.0, 4.5)},

@@ -18,6 +18,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -31,6 +35,7 @@
 #include "cluster/dispatcher.hpp"
 #include "cluster/fleet.hpp"
 #include "cluster/rental.hpp"
+#include "jobs/bundle.hpp"
 #include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
 #include "loopback_client.hpp"
@@ -46,6 +51,13 @@
 
 namespace sjs {
 namespace {
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
 /// Many-breakpoint profile oscillating in [1, 4] with mean sojourn
 /// `mean_sojourn` — dense capacity changes, little service capacity, so an
@@ -463,6 +475,170 @@ TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
                      return std::make_unique<cluster::ClusterServer>(fleet,
                                                                      clock);
                    }));
+}
+
+/// What a long session through a small job window shows.
+struct WindowProbe {
+  std::uint64_t allocs = 0;    ///< heap allocations after warm-up
+  std::uint64_t accepted = 0;  ///< admissions after warm-up
+};
+
+/// Boots `make_server(clock)` with --max-in-flight=kWindowSessionSlots and a
+/// journal on a fresh thread, warms it up, then counts the allocations of a
+/// session that admits more than 50 times that many jobs at a light load
+/// (jobs resolve roughly in admission order, so the unretired span stays
+/// within the pre-size). Drains the server and hands it to `inspect`.
+constexpr std::uint64_t kWindowSessionSlots = 64;
+
+template <typename MakeServer, typename Inspect>
+WindowProbe probe_long_window_session(int step_ms, MakeServer make_server,
+                                      Inspect inspect) {
+  WindowProbe out;
+  std::thread worker([&] {
+    constexpr double kFloor = 0.5;
+    serve::FakeClock clock;
+    auto server = make_server(clock);
+    const int port = server->start();
+    testutil::LoopbackClient client(port, /*record=*/false);
+    Rng rng(2031);
+    std::uint64_t seq = 0;
+    const auto submit_one = [&] {
+      clock.advance(rng.exponential_rate(10.0));
+      const double workload = rng.exponential_mean(0.05);
+      const bool sabotage = (seq % 10) == 9;
+      serve::Message m;
+      m.type = serve::MsgType::kSubmit;
+      m.seq = ++seq;
+      m.a = workload;
+      m.b = sabotage ? 0.5 * workload / kFloor
+                     : rng.uniform(1.05, 3.0) * workload / kFloor;
+      m.c = workload;
+      client.send(m);
+      client.await_seq(*server, seq, step_ms);
+    };
+    const auto settle = [&] {
+      clock.advance(5.0);
+      for (int i = 0; i < 50; ++i) {
+        server->step(step_ms);
+        client.read_socket();
+      }
+    };
+    for (int i = 0; i < 400; ++i) submit_one();
+    settle();
+    // The largest reply burst the session can see: a full window of jobs
+    // admitted at one instant, all resolving in the next pump (the sharded
+    // acceptor queues a shard's burst in one go), so the write buffers
+    // reach their high-water before the count starts.
+    for (std::uint64_t i = 0; i < kWindowSessionSlots; ++i) {
+      serve::Message m;
+      m.type = serve::MsgType::kSubmit;
+      m.seq = ++seq;
+      m.a = 0.001;
+      m.b = 1.0;
+      m.c = 0.001;
+      client.send(m);
+      client.await_seq(*server, seq, step_ms);
+    }
+    clock.advance(5.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    settle();
+    const std::uint64_t warm_accepts = client.accepted;
+    util::AllocProbe::reset();
+    for (int i = 0; i < 3700; ++i) submit_one();
+    settle();
+    out.allocs = util::AllocProbe::count();
+    out.accepted = client.accepted - warm_accepts;
+
+    serve::Message drain;
+    drain.type = serve::MsgType::kDrain;
+    drain.seq = ++seq;
+    client.send(drain);
+    while (server->step(step_ms)) client.read_socket();
+    inspect(*server);
+  });
+  worker.join();
+  return out;
+}
+
+TEST(HotPathAllocations, LongSessionStaysInsideItsJobWindow) {
+  // The bounded-memory contract of the job window (sim/job_table.hpp,
+  // serve/session.hpp): a session admitting far more jobs than
+  // --max-in-flight retires them as they resolve, so its tables never grow
+  // past the pre-size and a warmed session allocates nothing, however long
+  // it runs — outcomes.csv rows included (the journal is on).
+  serve::ServerConfig config;
+  config.scheduler_name = "V-Dover";
+  config.capacity = cap::CapacityProfile(1.0);
+  config.c_lo = 0.5;
+  config.c_hi = 1.0;
+  config.max_in_flight = kWindowSessionSlots;
+  const auto lineup = sched::full_lineup(config.c_lo, config.c_hi);
+  const auto* factory = sched::find_factory(lineup, "V-Dover");
+  ASSERT_NE(factory, nullptr);
+
+  const std::string single_dir = testing::TempDir() + "/window_single";
+  std::filesystem::remove_all(single_dir);
+  config.journal_dir = single_dir;
+  const WindowProbe single = probe_long_window_session(
+      0,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<serve::AdmissionServer>(
+            config, factory->make(), clock);
+      },
+      [&](const serve::AdmissionServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        EXPECT_EQ(server.window_slots(), kWindowSessionSlots);
+        EXPECT_LE(server.window_peak(), kWindowSessionSlots);
+        EXPECT_EQ(server.engine().job_state().capacity(),
+                  kWindowSessionSlots);
+        EXPECT_GT(server.engine().job_state().base(), 3600);
+        EXPECT_EQ(server.result().completed_count +
+                      server.result().expired_count,
+                  static_cast<std::uint64_t>(
+                      server.engine().job_state().end()));
+      });
+  std::fprintf(stderr, "long window session (single): %llu admitted, "
+               "%llu allocations\n",
+               static_cast<unsigned long long>(single.accepted),
+               static_cast<unsigned long long>(single.allocs));
+  EXPECT_GE(single.accepted, 50 * kWindowSessionSlots);
+  EXPECT_EQ(single.allocs, 0u);
+
+  // The streamed outcomes.csv still equals a replay's, byte for byte.
+  const Instance replayed = load_instance_bundle(single_dir);
+  auto replay_scheduler = factory->make();
+  sim::Engine engine(replayed, *replay_scheduler);
+  const sim::SimResult replay = engine.run_to_completion();
+  const std::string replay_csv = single_dir + "_replay.csv";
+  sim::save_outcomes_csv(replay, replayed.jobs(), replay_csv);
+  EXPECT_EQ(slurp(single_dir + "/outcomes.csv"), slurp(replay_csv));
+
+  serve::ServerConfig sharded = config;
+  sharded.shards = 2;
+  sharded.shard_poll_ms = 5;
+  sharded.journal_dir = testing::TempDir() + "/window_sharded";
+  std::filesystem::remove_all(sharded.journal_dir);
+  const WindowProbe two = probe_long_window_session(
+      1,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<serve::ShardedAdmissionServer>(
+            sharded, [&] { return factory->make(); }, clock);
+      },
+      [&](const serve::ShardedAdmissionServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        for (std::size_t k = 0; k < server.shard_count(); ++k) {
+          EXPECT_EQ(server.shard(k).window_slots(), kWindowSessionSlots);
+          EXPECT_LE(server.shard(k).window_peak(), kWindowSessionSlots);
+        }
+      });
+  std::fprintf(stderr, "long window session (sharded): %llu admitted, "
+               "%llu allocations\n",
+               static_cast<unsigned long long>(two.accepted),
+               static_cast<unsigned long long>(two.allocs));
+  EXPECT_GE(two.accepted, 50 * kWindowSessionSlots);
+  EXPECT_EQ(two.allocs, 0u);
 }
 
 TEST(HotPathAllocations, LiveVDoverTimerChurnAllocationFree) {

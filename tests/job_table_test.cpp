@@ -1,28 +1,34 @@
-// Unit tests for the SoA job slab (sim/job_table.hpp): generation-stamped
-// handle semantics, free-list slot reuse, clear()-for-reuse across
-// Monte-Carlo cells, and the bounded-memory contract under churn.
+// Unit tests for the job window (sim/job_table.hpp): dense admission-order
+// ids, retirement from the base, slot reuse after retirement, ring doubling
+// when the unretired span outgrows it, and the bounded-memory contract under
+// churn.
 //
-// The differential test mirrors ready_queue_test.cpp's approach: drive the
-// slab and a deliberately naive AoS reference (maps keyed by handle) with
-// one random operation stream and require identical observable state after
-// every step — including that stale handles (released, or from before a
-// clear()) are rejected exactly when the reference says they must be.
+// The differential test drives the window and a deliberately naive
+// reference (ordered maps keyed by id) with one random operation stream and
+// requires identical observable state after every step — including that
+// every slot read holds the id it is read for, and that retired ids are no
+// longer held.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "jobs/job.hpp"
 #include "sim/job_table.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace sjs {
 namespace {
 
+using sim::JobOutcome;
 using sim::JobTable;
+
+Job make_job(double workload) { return Job{kNoJob, 0.0, workload, 10.0, 1.0}; }
 
 TEST(JobTableTest, DenseBindMatchesInstanceOrder) {
   std::vector<Job> jobs;
@@ -30,203 +36,220 @@ TEST(JobTableTest, DenseBindMatchesInstanceOrder) {
     jobs.push_back(Job{static_cast<JobId>(i), 0.0, 1.0 + i, 10.0, 1.0});
   }
   JobTable table;
-  table.bind_dense(jobs);
-  ASSERT_EQ(table.size(), 5u);
+  table.bind(jobs);
+  EXPECT_EQ(table.base(), 0);
+  EXPECT_EQ(table.end(), 5);
+  EXPECT_EQ(table.capacity(), 8u);  // the next power of two
   for (JobId id = 0; id < 5; ++id) {
-    // Dense ids are numerically the slot: generation 0.
-    EXPECT_EQ(job_slot(id), static_cast<std::uint32_t>(id));
-    EXPECT_EQ(job_generation(id), 0u);
-    EXPECT_TRUE(table.valid(id));
-    EXPECT_EQ(table.remaining(id), 1.0 + id);
-    EXPECT_EQ(table.outcome(id), sim::JobOutcome::kPending);
+    EXPECT_TRUE(table.holds(id));
+    EXPECT_EQ(table.job(id).id, id);
+    EXPECT_EQ(table.remaining(id), 1.0 + static_cast<double>(id));
+    EXPECT_EQ(table.outcome(id), JobOutcome::kPending);
     EXPECT_FALSE(table.released(id));
   }
+  EXPECT_FALSE(table.holds(5));
+  EXPECT_FALSE(table.holds(-1));
 }
 
 TEST(JobTableTest, AppendDenseAssignsAdmissionOrderIds) {
   JobTable table;
-  table.bind_dense({});
-  EXPECT_EQ(table.append_dense(2.0), 0);
-  EXPECT_EQ(table.append_dense(3.0), 1);
-  EXPECT_EQ(table.append_dense(4.0), 2);
-  EXPECT_EQ(table.size(), 3u);
+  table.bind({});
+  EXPECT_EQ(table.admit(make_job(2.0)), 0);
+  EXPECT_EQ(table.admit(make_job(3.0)), 1);
+  EXPECT_EQ(table.admit(make_job(4.0)), 2);
+  EXPECT_EQ(table.end(), 3);
+  EXPECT_EQ(table.span(), 3u);
   EXPECT_EQ(table.remaining(1), 3.0);
+  // The stored record carries its admission id, whatever the caller passed.
+  EXPECT_EQ(table.job(1).id, 1);
+  EXPECT_TRUE(std::isnan(table.completion(1)));
 }
 
 TEST(JobTableTest, ReleaseSlotInvalidatesHandleAndReusesSlot) {
+  // Retiring the base frees its slot: the id is no longer held, and the
+  // next admission reuses the slot under its own id.
   JobTable table;
-  const JobId a = table.allocate(1.0);
-  const JobId b = table.allocate(2.0);
-  ASSERT_TRUE(table.valid(a));
-  ASSERT_TRUE(table.valid(b));
-  EXPECT_EQ(table.live_count(), 2u);
+  table.reserve(4);
+  ASSERT_EQ(table.capacity(), 4u);
+  for (int i = 0; i < 4; ++i) table.admit(make_job(1.0 + i));
 
-  EXPECT_TRUE(table.release_slot(a));
-  EXPECT_FALSE(table.valid(a));
-  EXPECT_EQ(table.live_count(), 1u);
-  // Releasing again (or any stale handle) is a harmless no-op.
-  EXPECT_FALSE(table.release_slot(a));
-  EXPECT_EQ(table.live_count(), 1u);
+  // A job without an outcome cannot retire.
+  EXPECT_THROW(table.retire_front(), CheckError);
+  table.set_outcome(0, JobOutcome::kCompleted);
+  table.set_completion(0, 0.5);
+  table.retire_front();
+  EXPECT_EQ(table.base(), 1);
+  EXPECT_FALSE(table.holds(0));
 
-  // The freed slot is reused under a NEW generation: same slot, different
-  // handle, and the stale handle still bounces.
-  const JobId c = table.allocate(3.0);
-  EXPECT_EQ(job_slot(c), job_slot(a));
-  EXPECT_NE(job_generation(c), job_generation(a));
-  EXPECT_TRUE(table.valid(c));
-  EXPECT_FALSE(table.valid(a));
-  EXPECT_EQ(table.remaining(c), 3.0);
-  EXPECT_EQ(table.size(), 2u);  // no third slot was ever created
+  const JobId reused = table.admit(make_job(9.0));
+  EXPECT_EQ(reused, 4);
+  EXPECT_EQ(table.capacity(), 4u);  // the span never exceeded the ring
+  // Slot 0 now holds job 4, fully re-initialised; the stale id 0 is not
+  // held, and the slot does not hold it either.
+  EXPECT_TRUE(table.holds(reused));
+  EXPECT_EQ(table.job(reused).id, reused);
+  EXPECT_NE(table.job(0).id, 0);
+  EXPECT_EQ(table.remaining(reused), 9.0);
+  EXPECT_EQ(table.outcome(reused), JobOutcome::kPending);
+  EXPECT_TRUE(std::isnan(table.completion(reused)));
+  EXPECT_FALSE(table.holds(0));
 }
 
-TEST(JobTableTest, ClearBumpsGenerationsOfOccupiedSlots) {
+TEST(JobTableTest, RingDoublesAndReslotsWhenSpanOutgrowsIt) {
+  // A pending low id pins the base: the span grows past the ring, which
+  // doubles and moves every held job to its slot under the new mask.
   JobTable table;
-  const JobId a = table.allocate(1.0);
-  const JobId b = table.allocate(2.0);
-  table.set_released(a);
-  table.clear();
-
-  EXPECT_EQ(table.live_count(), 0u);
-  EXPECT_FALSE(table.valid(a));
-  EXPECT_FALSE(table.valid(b));
-  // Lanes keep their high-water length (clear is reuse, not shrink).
-  EXPECT_EQ(table.slots(), 2u);
-
-  // Slots come back under fresh generations with fresh lane state.
-  const JobId c = table.allocate(5.0);
-  EXPECT_FALSE(table.valid(a));
-  EXPECT_FALSE(table.valid(b));
-  EXPECT_TRUE(table.valid(c));
-  EXPECT_FALSE(table.released(c));
-  EXPECT_EQ(table.remaining(c), 5.0);
-  EXPECT_EQ(table.size(), 2u);
+  table.reserve(4);
+  for (int i = 0; i < 4; ++i) {
+    const JobId id = table.admit(make_job(1.0 + i));
+    table.qedf_meta(id) = sim::QedfMeta{0.25 * i, 0.5 * i};
+    table.set_released(id);
+  }
+  // Resolve and retire job 0; jobs 1..3 stay pending.
+  table.set_outcome(0, JobOutcome::kExpired);
+  table.retire_front();
+  for (int i = 0; i < 5; ++i) table.admit(make_job(10.0 + i));  // ids 4..8
+  EXPECT_EQ(table.span(), 8u);
+  EXPECT_EQ(table.capacity(), 8u);
+  EXPECT_EQ(table.span_peak(), 8u);
+  for (JobId id = 1; id < 4; ++id) {
+    EXPECT_EQ(table.job(id).id, id);
+    EXPECT_EQ(table.remaining(id), 1.0 + static_cast<double>(id));
+    EXPECT_EQ(table.qedf_meta(id).t_insert, 0.25 * static_cast<double>(id));
+    EXPECT_TRUE(table.released(id));
+  }
+  for (JobId id = 4; id < 9; ++id) {
+    EXPECT_EQ(table.job(id).id, id);
+    EXPECT_EQ(table.remaining(id), 6.0 + static_cast<double>(id));
+    EXPECT_FALSE(table.released(id));
+  }
+  table.admit(make_job(1.0));  // span 9 > 8: doubles again
+  EXPECT_EQ(table.capacity(), 16u);
+  EXPECT_EQ(table.job(1).id, 1);
 }
 
 TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
-  // The reference is the pre-slab design: per-job state in ordered maps
-  // keyed by the full handle. A handle is valid iff it is in the map;
-  // release erases it; clear erases everything. The slab must agree on
-  // every observable after every operation.
+  // The reference keeps per-job state in ordered maps keyed by id and
+  // retires exactly like the window: from the lowest id, only once it has
+  // an outcome. The window must agree on every observable after every
+  // operation.
   JobTable table;
+  table.reserve(8);
   std::map<JobId, double> ref_remaining;
-  std::map<JobId, bool> ref_released;
-  std::vector<JobId> live;  // reference's live handles, insertion order
-  std::vector<JobId> stale; // every handle ever invalidated
+  std::map<JobId, JobOutcome> ref_outcome;
+  std::vector<JobId> retired;
+  JobId next = 0;
   Rng rng(20250809);
 
   for (int step = 0; step < 20000; ++step) {
     const double roll = rng.uniform(0.0, 1.0);
-    if (roll < 0.40 || live.empty()) {
-      // Allocate.
+    if (roll < 0.3 || ref_remaining.empty()) {
       const double workload = rng.uniform(0.5, 9.5);
-      const JobId id = table.allocate(workload);
-      ASSERT_TRUE(table.valid(id));
-      ASSERT_EQ(ref_remaining.count(id), 0u) << "slab returned a live handle";
+      const JobId id = table.admit(make_job(workload));
+      ASSERT_EQ(id, next++);
       ref_remaining[id] = workload;
-      ref_released[id] = false;
-      live.push_back(id);
-    } else if (roll < 0.65) {
-      // Release a random live handle.
-      const std::size_t k = static_cast<std::size_t>(
-          rng.uniform(0.0, static_cast<double>(live.size())));
-      const JobId id = live[std::min(k, live.size() - 1)];
-      EXPECT_TRUE(table.release_slot(id));
-      ref_remaining.erase(id);
-      ref_released.erase(id);
-      live.erase(live.begin() +
-                 static_cast<std::ptrdiff_t>(std::min(k, live.size() - 1)));
-      stale.push_back(id);
-    } else if (roll < 0.85) {
-      // Mutate a random live handle's lanes.
-      const std::size_t k = static_cast<std::size_t>(
-          rng.uniform(0.0, static_cast<double>(live.size())));
-      const JobId id = live[std::min(k, live.size() - 1)];
-      const double served = rng.uniform(0.0, 0.5);
-      table.remaining(id) -= served;
-      ref_remaining[id] -= served;
-      if (rng.uniform(0.0, 1.0) < 0.3) {
-        table.set_released(id);
-        ref_released[id] = true;
+      ref_outcome[id] = JobOutcome::kPending;
+    } else if (roll < 0.7) {
+      // Resolve one of the oldest held jobs (jobs resolve roughly in
+      // admission order, so the window keeps moving), if still pending.
+      auto skip = static_cast<int>(rng.uniform(0.0, 4.0));
+      auto it = ref_outcome.begin();
+      while (it != ref_outcome.end() &&
+             (it->second != JobOutcome::kPending || skip-- > 0)) {
+        ++it;
       }
-    } else if (roll < 0.995) {
-      // Probe a stale handle: must be invalid, release must no-op.
-      if (!stale.empty()) {
-        const std::size_t k = static_cast<std::size_t>(
-            rng.uniform(0.0, static_cast<double>(stale.size())));
-        const JobId id = stale[std::min(k, stale.size() - 1)];
-        EXPECT_FALSE(table.valid(id));
-        EXPECT_FALSE(table.release_slot(id));
+      if (it != ref_outcome.end()) {
+        const JobOutcome o = rng.uniform(0.0, 1.0) < 0.5
+                                 ? JobOutcome::kCompleted
+                                 : JobOutcome::kExpired;
+        table.set_outcome(it->first, o);
+        it->second = o;
+      }
+    } else if (roll < 0.85) {
+      // Serve some work on a random held job.
+      auto it = ref_remaining.lower_bound(static_cast<JobId>(
+          rng.uniform(static_cast<double>(table.base()),
+                      static_cast<double>(next))));
+      if (it != ref_remaining.end()) {
+        const double served = rng.uniform(0.0, 0.5);
+        table.remaining(it->first) -= served;
+        it->second -= served;
       }
     } else {
-      // Clear-for-reuse: the Monte-Carlo cell boundary.
-      table.clear();
-      for (const auto& [id, unused] : ref_remaining) stale.push_back(id);
-      ref_remaining.clear();
-      ref_released.clear();
-      live.clear();
-      EXPECT_EQ(table.live_count(), 0u);
+      // Retire every resolved job at the base.
+      while (!ref_outcome.empty() &&
+             ref_outcome.begin()->second != JobOutcome::kPending) {
+        const JobId id = ref_outcome.begin()->first;
+        ASSERT_EQ(table.base(), id);
+        table.retire_front();
+        ref_outcome.erase(ref_outcome.begin());
+        ref_remaining.erase(id);
+        retired.push_back(id);
+      }
     }
 
-    // Full-state comparison every step.
-    ASSERT_EQ(table.live_count(), ref_remaining.size());
+    // Full-state comparison every step: each held id's slot holds that id.
+    ASSERT_EQ(table.span(), ref_remaining.size());
     for (const auto& [id, rem] : ref_remaining) {
-      ASSERT_TRUE(table.valid(id)) << "live handle rejected";
+      ASSERT_TRUE(table.holds(id));
+      ASSERT_EQ(table.job(id).id, id) << "slot does not hold job " << id;
       ASSERT_EQ(table.remaining(id), rem);
-      ASSERT_EQ(table.released(id), ref_released[id]);
+      ASSERT_EQ(table.outcome(id), ref_outcome[id]);
+    }
+    if (!retired.empty()) {
+      const JobId stale = retired[static_cast<std::size_t>(rng.uniform(
+          0.0, static_cast<double>(retired.size() - 1)))];
+      ASSERT_FALSE(table.holds(stale));
     }
   }
 
-  // The run exercised reuse: far fewer slots than allocations.
-  EXPECT_LT(table.slots(), 20000u / 4);
+  // Retirement kept the ring far below the number of admissions.
+  EXPECT_GT(next, 4000);
+  EXPECT_LT(table.capacity(), static_cast<std::size_t>(next) / 4);
+  EXPECT_GE(table.capacity(), table.span_peak());
 }
 
 TEST(JobTableTest, ChurnKeepsSlotsBoundedByPeakOccupancy) {
-  // Mirror of ready_queue_test's bounded-memory churn test: on a fresh
-  // thread (so nothing donated by earlier tests skews accounting), cycle
-  // far more allocations through the slab than it ever holds at once. Slot
-  // count must track PEAK occupancy, never the operation count — this is
-  // the bounded-memory contract for unbounded-session serving.
-  std::thread worker([] {
-    constexpr std::size_t kWindow = 64;
-    constexpr int kOps = 100000;
-    JobTable table;
-    table.reserve(kWindow);
-    std::vector<JobId> window;
-    Rng rng(777);
-    for (int i = 0; i < kOps; ++i) {
-      window.push_back(table.allocate(rng.uniform(1.0, 2.0)));
-      if (window.size() == kWindow) {
-        // Free in a scrambled order so the LIFO free list sees churn.
-        while (!window.empty()) {
-          const std::size_t k = static_cast<std::size_t>(rng.uniform(
-              0.0, static_cast<double>(window.size())));
-          const std::size_t j = std::min(k, window.size() - 1);
-          EXPECT_TRUE(table.release_slot(window[j]));
-          window[j] = window.back();
-          window.pop_back();
-        }
-      }
+  // Cycle far more admissions through the window than it ever holds at
+  // once, retiring in id order: the ring must stay at its pre-size — the
+  // bounded-memory contract for unbounded-session serving.
+  constexpr std::size_t kWindow = 64;
+  constexpr int kOps = 100000;
+  JobTable table;
+  table.reserve(kWindow);
+  Rng rng(777);
+  for (int i = 0; i < kOps; ++i) {
+    const JobId id = table.admit(make_job(rng.uniform(1.0, 2.0)));
+    table.set_outcome(id, JobOutcome::kCompleted);
+    if (table.span() == kWindow) {
+      while (table.span() > 0) table.retire_front();
     }
-    EXPECT_EQ(table.peak(), kWindow);
-    EXPECT_LE(table.slots(), kWindow);
-  });
-  worker.join();
+  }
+  EXPECT_EQ(table.span_peak(), kWindow);
+  EXPECT_EQ(table.capacity(), kWindow);
+  EXPECT_EQ(table.end(), kOps);
 }
 
 TEST(JobTableTest, DenseRebindInvalidatesPriorHandlesByContract) {
   std::vector<Job> jobs{Job{0, 0.0, 1.0, 10.0, 1.0},
                         Job{1, 0.0, 2.0, 10.0, 1.0}};
   JobTable table;
-  table.bind_dense(jobs);
+  table.bind(jobs);
   table.remaining(0) = 0.25;
   table.set_released(1);
+  table.set_outcome(0, JobOutcome::kCompleted);
+  table.retire_front();
+  ASSERT_EQ(table.base(), 1);
 
-  // Rebinding the same instance resets every slot to its initial state.
-  table.bind_dense(jobs);
+  // Rebinding the same instance resets the window and every slot to its
+  // initial state.
+  table.bind(jobs);
+  EXPECT_EQ(table.base(), 0);
+  EXPECT_EQ(table.end(), 2);
   EXPECT_EQ(table.remaining(0), 1.0);
   EXPECT_FALSE(table.released(1));
-  EXPECT_EQ(table.outcome(0), sim::JobOutcome::kPending);
-  EXPECT_EQ(table.live_count(), 2u);
+  EXPECT_EQ(table.outcome(0), JobOutcome::kPending);
+  EXPECT_EQ(table.span(), 2u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "obs/trace_sink.hpp"
 #include "sched/factory.hpp"
 #include "sim/engine.hpp"
+#include "sim/result.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -350,6 +351,28 @@ TEST(Invariants, DetectsExecutionPastTheDeadline) {
   checker.record(ev(3.5, TraceKind::kPreempt, 0, 0.0));  // d_0 = 3
   EXPECT_FALSE(checker.ok());
   EXPECT_NE(checker.report().find("past its deadline"), std::string::npos);
+}
+
+TEST(Invariants, DeadlineToleranceIsTheEnginesOwn) {
+  // One tolerance contract: the checker allows exactly sjs::deadline_eps
+  // (the engines' completes_by_deadline band) past a deadline. A completion
+  // half of it late is accepted; one twice it late is flagged. Each job
+  // runs its full workload right up to the completion instant.
+  const auto instance = tiny_instance();
+  const double d = instance.job(0).deadline;
+  const double eps = sjs::deadline_eps(d);
+  EXPECT_EQ(eps, sjs::sim::deadline_eps(d));
+  const auto complete_at = [&](double t) {
+    InvariantChecker checker(instance);
+    checker.record(ev(0.0, TraceKind::kRelease, 0, 2.0, 3.0));
+    checker.record(ev(t - 2.0, TraceKind::kDispatch, 0, 2.0));
+    checker.record(ev(t, TraceKind::kComplete, 0, 5.0));
+    return checker.ok() ? std::string() : checker.report();
+  };
+  EXPECT_EQ(complete_at(d + 0.5 * eps), "");
+  const std::string late = complete_at(d + 2.0 * eps);
+  EXPECT_NE(late.find("completion after the deadline"), std::string::npos)
+      << late;
 }
 
 TEST(Invariants, DetectsDispatchOfUnreleasedJob) {

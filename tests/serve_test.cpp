@@ -35,6 +35,7 @@
 
 #include "cluster/cluster_server.hpp"
 #include "jobs/bundle.hpp"
+#include "obs/metrics.hpp"
 #include "loopback_client.hpp"
 #include "sched/factory.hpp"
 #include "serve/clock.hpp"
@@ -104,10 +105,15 @@ ServerConfig scripted_config(const std::string& journal_dir) {
 }
 
 /// What one scripted live session leaves behind, copied out before the
-/// server is destroyed so replay comparisons can run afterwards.
+/// server is destroyed so replay comparisons can run afterwards. `jobs` and
+/// `notes` are the client's own record — its SUBMITs with the ACCEPTED
+/// stamps, and every COMPLETED/EXPIRED it received — independent of the
+/// server's state (a live session keeps no per-job list: its result holds
+/// aggregates only).
 struct SessionOutput {
   sjs::sim::SimResult live;
   std::vector<sjs::Job> jobs;
+  std::vector<Message> notes;
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t notified_completed = 0;
@@ -147,6 +153,11 @@ SessionOutput run_scripted_session(const std::string& journal_dir) {
       ++out.rejected;
     } else {
       EXPECT_EQ(r.type, MsgType::kAccepted);
+      EXPECT_EQ(r.ticket, out.jobs.size());
+      // The job as admitted: the ACCEPTED stamp is its release, and the
+      // gate adds the relative deadline to it.
+      out.jobs.push_back(sjs::Job{static_cast<sjs::JobId>(r.ticket), r.a,
+                                  workload, r.a + window, value});
       ++out.accepted;
     }
   }
@@ -167,28 +178,52 @@ SessionOutput run_scripted_session(const std::string& journal_dir) {
   for (const Message& m : client.inbox) {
     if (m.type == MsgType::kCompleted) ++out.notified_completed;
     if (m.type == MsgType::kExpired) ++out.notified_expired;
+    if (m.type == MsgType::kCompleted || m.type == MsgType::kExpired) {
+      out.notes.push_back(m);
+    }
   }
   out.live = server.result();
-  out.jobs = server.instance().jobs();
   return out;
 }
 
 void expect_bitwise_equal_results(const sjs::sim::SimResult& live,
                                   const sjs::sim::SimResult& replay) {
-  // Exact, not approximate: the replay contract is bit-for-bit.
+  // Exact, not approximate: the replay contract is bit-for-bit. The live
+  // result carries aggregates only; per-job fidelity is checked against
+  // the client's notifications and the journal's outcomes.csv.
   EXPECT_EQ(live.completed_value, replay.completed_value);
   EXPECT_EQ(live.generated_value, replay.generated_value);
   EXPECT_EQ(live.completed_count, replay.completed_count);
   EXPECT_EQ(live.expired_count, replay.expired_count);
-  ASSERT_EQ(live.outcomes.size(), replay.outcomes.size());
-  for (std::size_t i = 0; i < live.outcomes.size(); ++i) {
-    EXPECT_EQ(live.outcomes[i], replay.outcomes[i]) << "job " << i;
-    // memcmp so NaN (expired jobs) compares equal to itself.
-    EXPECT_EQ(std::memcmp(&live.completion_times[i],
-                          &replay.completion_times[i], sizeof(double)),
-              0)
-        << "job " << i;
-    EXPECT_EQ(live.executed_work[i], replay.executed_work[i]) << "job " << i;
+  EXPECT_EQ(live.executed_total, replay.executed_total);
+}
+
+/// Every job's notification agrees with the replay bit for bit: COMPLETED
+/// at the replay's completion instant with the job's value, EXPIRED where
+/// the replay expired it.
+void expect_notes_match_replay(const std::vector<Message>& notes,
+                               const sjs::Instance& replayed,
+                               const sjs::sim::SimResult& replay) {
+  ASSERT_EQ(notes.size(), replay.outcomes.size());
+  std::vector<int> seen(replay.outcomes.size(), 0);
+  for (const Message& m : notes) {
+    ASSERT_LT(m.ticket, replay.outcomes.size());
+    const std::size_t i = m.ticket;
+    ++seen[i];
+    if (m.type == MsgType::kCompleted) {
+      EXPECT_EQ(replay.outcomes[i], sjs::sim::JobOutcome::kCompleted)
+          << "job " << i;
+      EXPECT_EQ(std::memcmp(&m.b, &replay.completion_times[i], sizeof(double)),
+                0)
+          << "job " << i;
+      EXPECT_EQ(m.a, replayed.jobs()[i].value) << "job " << i;
+    } else {
+      EXPECT_EQ(replay.outcomes[i], sjs::sim::JobOutcome::kExpired)
+          << "job " << i;
+    }
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 1) << "job " << i << " notified " << seen[i] << "x";
   }
 }
 
@@ -231,8 +266,9 @@ TEST(ServeTest, FakeClockSessionReplaysBitExactly) {
   sjs::sim::Engine engine(replayed, *scheduler);
   const sjs::sim::SimResult replay = engine.run_to_completion();
   expect_bitwise_equal_results(session.live, replay);
+  expect_notes_match_replay(session.notes, replayed, replay);
 
-  // outcomes.csv written at drain must equal the one a replay would write —
+  // outcomes.csv streamed as the session retired its jobs must equal the one a replay would write —
   // same check scripts/serve_smoke.sh applies to the installed binaries.
   const std::string live_csv = slurp(dir + "/outcomes.csv");
   const std::string replay_csv_path = fresh_dir("serve_replay_outcomes");
@@ -249,6 +285,12 @@ TEST(ServeTest, ScriptedSessionIsDeterministicAcrossRuns) {
   const SessionOutput a = run_scripted_session(dir_a);
   const SessionOutput b = run_scripted_session(dir_b);
   expect_bitwise_equal_results(a.live, b.live);
+  ASSERT_EQ(a.notes.size(), b.notes.size());
+  for (std::size_t i = 0; i < a.notes.size(); ++i) {
+    EXPECT_EQ(a.notes[i].ticket, b.notes[i].ticket);
+    EXPECT_EQ(a.notes[i].type, b.notes[i].type);
+    EXPECT_EQ(std::memcmp(&a.notes[i].b, &b.notes[i].b, sizeof(double)), 0);
+  }
   // Byte-identical journals: admission stamps included.
   for (const char* file : {"/jobs.csv", "/capacity.csv", "/band.csv",
                            "/meta.csv", "/outcomes.csv"}) {
@@ -418,6 +460,150 @@ TEST(ServeTest, QueryAndStatsReportLiveState) {
   EXPECT_GE(sr.stats.virtual_now, 1.0);
 }
 
+TEST(ServeTest, LongDeadlineJobPinsTheWindowAndReplayStaysExact) {
+  // Job 0 needs 10 of its 40 virtual seconds on the unit path, so short
+  // jobs keep preempting it and it stays unresolved while dozens of them
+  // come and go: the window base is pinned at 0, the unretired span
+  // outgrows the ring pre-sized from max_in_flight = 8, and the session's
+  // routes, the engine's job window and the ready queues double and
+  // re-slot. Replay must not notice.
+  const std::string dir = fresh_dir("serve_window_doubling");
+  FakeClock clock;
+  ServerConfig config = scripted_config(dir);
+  config.max_in_flight = 8;
+  AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
+                         clock);
+  TestClient client(server.start());
+  EXPECT_EQ(server.window_slots(), 8u);
+
+  std::uint64_t seq = 0;
+  client.send(submit_msg(++seq, 10.0, 40.0, 30.0));
+  ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  for (int i = 0; i < 40; ++i) {
+    clock.advance(0.3);
+    client.send(submit_msg(++seq, 0.05, 0.5, 0.1));
+    ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  }
+  clock.advance(0.5);
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = ++seq;
+  client.send(drain);
+  EXPECT_EQ(client.await_seq(server, seq).type, MsgType::kDraining);
+  while (server.step(0)) client.read_socket();
+  client.read_socket();
+
+  EXPECT_GT(server.window_peak(), 8u);
+  EXPECT_GT(server.window_slots(), 8u);
+  EXPECT_GT(server.engine().job_state().capacity(), 8u);
+  EXPECT_EQ(server.engine().job_state().base(), 41);  // all retired
+  std::vector<Message> notes;
+  for (const Message& m : client.inbox) {
+    if (m.type == MsgType::kCompleted || m.type == MsgType::kExpired) {
+      notes.push_back(m);
+    }
+    // Job 0 finished despite the churn.
+    if (m.ticket == 0 && m.type == MsgType::kCompleted) {
+      EXPECT_EQ(m.a, 30.0);
+    }
+  }
+
+  const sjs::Instance replayed = sjs::load_instance_bundle(dir);
+  ASSERT_EQ(replayed.jobs().size(), 41u);
+  auto scheduler = make_scheduler("V-Dover", kBandLo, kBandHi);
+  sjs::sim::Engine engine(replayed, *scheduler);
+  const sjs::sim::SimResult replay = engine.run_to_completion();
+  EXPECT_EQ(replay.outcomes[0], sjs::sim::JobOutcome::kCompleted);
+  expect_bitwise_equal_results(server.result(), replay);
+  expect_notes_match_replay(notes, replayed, replay);
+  const std::string replay_dir = fresh_dir("serve_window_doubling_replay");
+  std::filesystem::create_directories(replay_dir);
+  sjs::sim::save_outcomes_csv(replay, replayed.jobs(),
+                              replay_dir + "/outcomes.csv");
+  EXPECT_EQ(slurp(dir + "/outcomes.csv"), slurp(replay_dir + "/outcomes.csv"));
+}
+
+/// Submits a job that completes and one that is cancelled (its outcome is
+/// expired), and lets a later admission retire both; then QUERY and CANCEL
+/// must answer for the retired tickets exactly as they did while the jobs
+/// were live.
+template <typename Server>
+void expect_retired_tickets_answer(Server& server, FakeClock& clock,
+                                   int step_ms) {
+  TestClient client(server.start());
+  client.send(submit_msg(1, 0.5, 4.0, 1.0));
+  const Message done = client.await_seq(server, 1, step_ms);
+  client.send(submit_msg(2, 0.5, 8.0, 1.0));
+  const Message cancelled = client.await_seq(server, 2, step_ms);
+  ASSERT_EQ(done.type, MsgType::kAccepted);
+  ASSERT_EQ(cancelled.type, MsgType::kAccepted);
+  clock.advance(0.1);
+  server.step(step_ms);
+  Message m;
+  m.type = MsgType::kCancel;
+  m.seq = 3;
+  m.ticket = cancelled.ticket;
+  client.send(m);
+  ASSERT_EQ(client.await_seq(server, 3, step_ms).type, MsgType::kCancelled);
+  // Both resolve, and a later admission moves the window past them.
+  clock.advance(5.0);
+  client.send(submit_msg(4, 0.1, 4.0, 1.0));
+  ASSERT_EQ(client.await_seq(server, 4, step_ms).type, MsgType::kAccepted);
+  clock.advance(5.0);
+  for (int i = 0; i < 20; ++i) {
+    server.step(step_ms);
+    client.read_socket();
+  }
+
+  const auto query = [&](std::uint64_t seq, std::uint64_t ticket) {
+    Message q;
+    q.type = MsgType::kQuery;
+    q.seq = seq;
+    q.ticket = ticket;
+    client.send(q);
+    return client.await_seq(server, seq, step_ms);
+  };
+  Message r = query(5, done.ticket);
+  EXPECT_EQ(r.type, MsgType::kQueryReply);
+  EXPECT_EQ(r.ticket, done.ticket);
+  EXPECT_EQ(r.code, static_cast<std::uint8_t>(JobState::kCompleted));
+  EXPECT_EQ(r.a, 0.0);
+  r = query(6, cancelled.ticket);
+  EXPECT_EQ(r.code, static_cast<std::uint8_t>(JobState::kExpired));
+  r = query(7, 12345);
+  EXPECT_EQ(r.code, static_cast<std::uint8_t>(JobState::kUnknown));
+  for (std::uint64_t ticket : {done.ticket, cancelled.ticket}) {
+    m.seq = 8 + ticket;
+    m.ticket = ticket;
+    client.send(m);
+    const Message reply = client.await_seq(server, m.seq, step_ms);
+    EXPECT_EQ(reply.type, MsgType::kCancelFailed);
+    EXPECT_EQ(reply.ticket, ticket);
+  }
+}
+
+TEST(ServeTest, RetiredTicketsAnswerQueryAndCancelAsBefore) {
+  {
+    FakeClock clock;
+    AdmissionServer server(scripted_config(""),
+                           make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+    expect_retired_tickets_answer(server, clock, 0);
+    // The two jobs really left the window.
+    EXPECT_GE(server.engine().job_state().base(), 2);
+  }
+  {
+    // The sharded plane: tickets are global, each shard retires its own.
+    FakeClock clock;
+    ServerConfig config = scripted_config("");
+    config.shards = 2;
+    config.shard_poll_ms = 5;
+    sjs::serve::ShardedAdmissionServer server(
+        config, [] { return make_scheduler("V-Dover", kBandLo, kBandHi); },
+        clock);
+    expect_retired_tickets_answer(server, clock, 1);
+  }
+}
+
 TEST(ServeTest, MalformedFrameKillsConnectionNotServer) {
   FakeClock clock;
   AdmissionServer server(scripted_config(""),
@@ -522,6 +708,12 @@ TEST(ServeTest, RealClockLoadgenSessionReplays) {
   sjs::sim::Engine engine(replayed, *scheduler);
   const sjs::sim::SimResult replay = engine.run_to_completion();
   expect_bitwise_equal_results(server.result(), replay);
+  // Per job: the streamed outcomes.csv equals the replay's.
+  const std::string replay_csv = fresh_dir("serve_loadgen_outcomes");
+  std::filesystem::create_directories(replay_csv);
+  sjs::sim::save_outcomes_csv(replay, replayed.jobs(),
+                              replay_csv + "/outcomes.csv");
+  EXPECT_EQ(slurp(dir + "/outcomes.csv"), slurp(replay_csv + "/outcomes.csv"));
 }
 
 // ---------------------------------------------------------------------------
@@ -768,6 +960,80 @@ TEST(SessionWait, MicrosecondsUntilTheNextEventUnderFakeClock) {
   EXPECT_EQ(session.wait_us(-1), 0);
   session.pump();
   EXPECT_EQ(target.last.type, MsgType::kCompleted);
+}
+
+TEST(SessionWakeups, CountsSocketTimerAndEmptyTimerWakes) {
+  // The wake-up accounting of docs/observability.md, on the Session the
+  // loops share: a wait that slept and ended with descriptors ready is a
+  // socket wake; one that ran out is a timer wake, and also timer_empty
+  // when the pump after it shipped no notification; a zero wait is no
+  // wake at all.
+  FakeClock clock;
+  DiscardTarget target;
+  sjs::obs::MetricsRegistry registry;
+  sjs::serve::Session<sjs::serve::LocalBackend> session(
+      scripted_config(""), clock, target, "",
+      make_scheduler("V-Dover", kBandLo, kBandHi));
+  session.begin(clock.now(), &registry);
+  const auto counter = [&](std::string_view name) {
+    const auto counters = registry.snapshot().counters;
+    const auto it = counters.find(std::string(name));
+    return it == counters.end() ? 0.0 : it->second;
+  };
+
+  session.count_wakeup(0, 0, session.notified());
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeSocket), 0.0);
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeTimer), 0.0);
+
+  session.count_wakeup(500, 1, session.notified());
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeSocket), 1.0);
+
+  // A timer wake that delivers the completion it slept for.
+  session.submit(0, 0, submit_msg(1, 0.0004, 0.01, 1.0));
+  clock.advance(0.0001);
+  session.pump();
+  const std::int64_t wait = session.wait_us(-1);
+  ASSERT_GT(wait, 0);
+  clock.advance(0.001);
+  std::uint64_t before = session.notified();
+  session.pump();
+  session.count_wakeup(wait, 0, before);
+  EXPECT_EQ(target.last.type, MsgType::kCompleted);
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeTimer), 1.0);
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeTimerEmpty), 0.0);
+
+  // The job's expiry is still queued, dead: the wake for it ships nothing.
+  const std::int64_t dead_wait = session.wait_us(-1);
+  ASSERT_GT(dead_wait, 0);
+  clock.advance(0.01);
+  before = session.notified();
+  session.pump();
+  session.count_wakeup(dead_wait, 0, before);
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeTimer), 2.0);
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeTimerEmpty), 1.0);
+}
+
+TEST(SessionWakeups, InlineServerCountsItsLoopWakes) {
+  // The same counters from AdmissionServer's own loop under FakeClock: a
+  // SUBMIT wakes it on the socket; with the clock frozen, the wait for the
+  // job's completion runs out and the pump after it finds nothing due.
+  FakeClock clock;
+  sjs::obs::MetricsRegistry registry;
+  ServerConfig config = scripted_config("");
+  config.accel = 1000.0;  // the job's 0.5 virtual s is 0.5 ms of wall time
+  AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
+                         clock, &registry);
+  TestClient client(server.start());
+  client.send(submit_msg(1, 0.5, 4.0, 1.0));
+  ASSERT_EQ(client.await_seq(server, 1, 50).type, MsgType::kAccepted);
+  // The pump releases the job; the loop then sleeps until its completion
+  // is due, and times out.
+  clock.advance(0.001);
+  server.step(50);
+  const auto counters = registry.snapshot().counters;
+  EXPECT_GE(counters.at(std::string(sjs::serve::kCtrWakeSocket)), 1.0);
+  EXPECT_GE(counters.at(std::string(sjs::serve::kCtrWakeTimer)), 1.0);
+  EXPECT_GE(counters.at(std::string(sjs::serve::kCtrWakeTimerEmpty)), 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 //           [--trace-csv=out.csv] [--outcomes-csv=out.csv]
 //           [--trace=FILE --trace-format=jsonl|chrome]
 //           [--metrics] [--check-invariants] [--list-schedulers]
-//   sjs_sim --cluster-bundle=DIR [--outcomes-csv=out.csv]
+//   sjs_sim --cluster-bundle=DIR [--outcomes-csv=out.csv] [--check-invariants]
 //   sjs_sim --cluster=K [--rental=threshold] [--budget=0] [--min-rented=1]
 //           [--cluster-runs=32] [--cluster-lambda=6] [--seed=42]
 //
@@ -22,12 +22,17 @@
 // --cluster-bundle replays a cluster journal (sjs_serve --cluster=K
 // --journal=DIR, docs/cluster.md): the fleet, dispatcher configuration, and
 // admitted stream are rebuilt from the bundle and the outcomes reproduce the
-// live session byte-for-byte (cancel-free sessions).
+// live session byte-for-byte (cancel-free sessions). With
+// --check-invariants the replay's event stream goes through the invariant
+// checker, with each machine's own capacity path; a violation exits 1.
+// (--cluster=K refuses the flag: its Monte-Carlo tables have no single
+// stream to check.)
 //
 // --cluster=K runs the fleet Monte-Carlo tables instead: every capacity
 // scenario (steady / diurnal / flash-crowd / outage) × both global
 // schedulers on a heterogeneous K-machine fleet, reporting captured value,
 // rental cost, rented peak, and migrations per cell.
+#include <algorithm>
 #include <cstdio>
 
 #include "cluster/cluster_journal.hpp"
@@ -48,8 +53,10 @@
 
 namespace {
 
-/// Replays a cluster journal bundle bit-exactly (docs/cluster.md).
-int run_cluster_replay(const std::string& dir, const std::string& outcomes_csv) {
+/// Replays a cluster journal bundle bit-exactly (docs/cluster.md), through
+/// the invariant checker when `check_invariants`.
+int run_cluster_replay(const std::string& dir, const std::string& outcomes_csv,
+                       bool check_invariants) {
   sjs::cluster::ClusterBundle bundle;
   try {
     bundle = sjs::cluster::load_cluster_bundle(dir);
@@ -87,10 +94,27 @@ int run_cluster_replay(const std::string& dir, const std::string& outcomes_csv) 
                 "are outside the bit-exact replay guarantee\n",
                 bundle.cancels.size());
   }
+  // The checker's ground truth: the admitted stream over the fleet's band,
+  // and each machine's own path for the events it raises.
+  double c_lo = bundle.paths.front().min_rate();
+  double c_hi = bundle.paths.front().max_rate();
+  for (const auto& path : bundle.paths) {
+    c_lo = std::min(c_lo, path.min_rate());
+    c_hi = std::max(c_hi, path.max_rate());
+  }
+  const sjs::Instance instance(bundle.jobs, bundle.paths.front(), c_lo, c_hi);
+  sjs::obs::InvariantChecker checker(instance);
+  checker.set_server_profiles(bundle.paths);
+  sjs::obs::DigestSink digest;
+  sjs::obs::TeeSink tee;
+  tee.add(&checker);
+  tee.add(&digest);
+
   sjs::cluster::Dispatcher dispatcher(
       bundle.fleet, dc, sjs::cluster::make_rental_controller(rental));
   const sjs::cloud::MultiSimResult result = sjs::cluster::run_cluster(
-      bundle.jobs, std::move(bundle.paths), dispatcher);
+      bundle.jobs, std::move(bundle.paths), dispatcher,
+      check_invariants ? &tee : nullptr);
   std::printf("\n%s: %llu completed, %llu expired, value %.3f/%.3f, "
               "rental cost %.3f, peak %llu machines, %llu migrations\n",
               result.scheduler_name.c_str(),
@@ -100,6 +124,18 @@ int run_cluster_replay(const std::string& dir, const std::string& outcomes_csv) 
               result.rental_cost,
               static_cast<unsigned long long>(result.rented_peak),
               static_cast<unsigned long long>(result.migrations));
+  if (check_invariants) {
+    checker.verify_executed_work(result.executed_work);
+    if (!checker.ok()) {
+      std::fprintf(stderr, "\ninvariant violations:\n%s",
+                   checker.report().c_str());
+      return 1;
+    }
+    std::printf("\ninvariants: all hold (%llu events checked, replay "
+                "digest %016llx)\n",
+                static_cast<unsigned long long>(digest.event_count()),
+                static_cast<unsigned long long>(digest.digest()));
+  }
   if (!outcomes_csv.empty()) {
     sjs::cloud::save_multi_outcomes_csv(result, bundle.jobs, outcomes_csv);
     std::printf("outcomes written to %s\n", outcomes_csv.c_str());
@@ -207,9 +243,16 @@ int main(int argc, char** argv) {
   }
   if (!flags.get_string("cluster-bundle").empty()) {
     return run_cluster_replay(flags.get_string("cluster-bundle"),
-                              flags.get_string("outcomes-csv"));
+                              flags.get_string("outcomes-csv"),
+                              flags.get_bool("check-invariants"));
   }
   if (flags.get_int("cluster") > 0) {
+    if (flags.get_bool("check-invariants")) {
+      std::fprintf(stderr, "--check-invariants checks one run's event "
+                   "stream; the --cluster tables have none (replay a "
+                   "journal with --cluster-bundle instead)\n");
+      return 1;
+    }
     const long min_rented = flags.get_int("min-rented");
     const long runs = flags.get_int("cluster-runs");
     const double lambda = flags.get_double("cluster-lambda");
