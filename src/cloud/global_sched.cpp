@@ -38,7 +38,7 @@ void place_ranked(MultiEngine& engine,
 }
 
 void GlobalKeyScheduler::on_start(MultiEngine& engine) {
-  live_.reset(engine.server_count(), engine.job_capacity_hint());
+  live_.begin_run(engine.server_count(), engine.job_capacity_hint());
   available_.assign(engine.server_count(), 0);
 }
 

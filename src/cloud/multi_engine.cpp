@@ -1,10 +1,8 @@
 #include "cloud/multi_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/vec.hpp"
 
@@ -13,7 +11,7 @@ namespace sjs::cloud {
 MultiEngine::MultiEngine(const std::vector<Job>& jobs,
                          std::vector<cap::CapacityProfile> servers,
                          GlobalScheduler& scheduler)
-    : jobs_(&jobs), servers_(std::move(servers)), scheduler_(&scheduler) {
+    : source_(&jobs), servers_(std::move(servers)), scheduler_(&scheduler) {
   SJS_CHECK_MSG(!servers_.empty(), "need at least one server");
   cursors_.reserve(servers_.size());
   for (const cap::CapacityProfile& path : servers_) cursors_.emplace_back(path);
@@ -25,13 +23,7 @@ MultiEngine::MultiEngine(const std::vector<Job>& jobs,
   }
   running_.assign(servers_.size(), kNoJob);
   epochs_.assign(servers_.size(), 0);
-  placement_.assign(jobs.size(), kNoServer);
-  remaining_.resize(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    remaining_[i] = jobs[i].workload;
-  }
-  outcomes_.assign(jobs.size(), sim::JobOutcome::kPending);
-  released_.assign(jobs.size(), false);
+  jobs_.bind(jobs);
 }
 
 void MultiEngine::push_event(double time, EventType type, JobId jid,
@@ -53,22 +45,23 @@ double MultiEngine::server_rate(std::size_t server) const {
 
 double MultiEngine::remaining(JobId id) const {
   SJS_CHECK_MSG(is_released(id), "remaining() on unreleased job " << id);
-  return remaining_[static_cast<std::size_t>(id)];
+  return jobs_.remaining(id);
 }
 
 bool MultiEngine::is_released(JobId id) const {
-  return id >= 0 && static_cast<std::size_t>(id) < released_.size() &&
-         released_[static_cast<std::size_t>(id)];
+  return jobs_.holds(id) && jobs_.released(id);
 }
 
 bool MultiEngine::is_live(JobId id) const {
-  return is_released(id) &&
-         outcomes_[static_cast<std::size_t>(id)] == sim::JobOutcome::kPending;
+  return is_released(id) && jobs_.outcome(id) == sim::JobOutcome::kPending;
 }
 
 std::size_t MultiEngine::server_of(JobId id) const {
-  SJS_CHECK(id >= 0 && static_cast<std::size_t>(id) < placement_.size());
-  return placement_[static_cast<std::size_t>(id)];
+  SJS_CHECK(id != kNoJob);
+  for (std::size_t s = 0; s < running_.size(); ++s) {
+    if (running_[s] == id) return s;
+  }
+  return kNoServer;
 }
 
 JobId MultiEngine::running_on(std::size_t server) const {
@@ -84,8 +77,9 @@ void MultiEngine::advance_all(double t) {
       const JobId jid = running_[s];
       if (jid == kNoJob) continue;
       const double executed = cursors_[s].work(last_advance_, t);
-      auto& rem = remaining_[static_cast<std::size_t>(jid)];
+      double& rem = jobs_.remaining(jid);
       rem = std::max(0.0, rem - executed);
+      result_.executed_total += executed;
       result_.busy_time_per_server[s] += t - last_advance_;
     }
   }
@@ -93,11 +87,7 @@ void MultiEngine::advance_all(double t) {
 }
 
 void MultiEngine::halt_server(std::size_t server) {
-  const JobId jid = running_[server];
-  if (jid != kNoJob) {
-    placement_[static_cast<std::size_t>(jid)] = kNoServer;
-    running_[server] = kNoJob;
-  }
+  running_[server] = kNoJob;
   ++epochs_[server];
 }
 
@@ -105,7 +95,7 @@ void MultiEngine::schedule_completion(std::size_t server) {
   const JobId jid = running_[server];
   if (jid == kNoJob) return;
   const Job& j = job(jid);
-  const double rem = remaining_[static_cast<std::size_t>(jid)];
+  const double rem = jobs_.remaining(jid);
   const double completion = cursors_[server].invert(now_, rem);
   if (sim::completes_by_deadline(completion, j, [&] {
         return rem - servers_[server].work(now_, j.deadline);
@@ -123,7 +113,7 @@ void MultiEngine::run_on(std::size_t server, JobId id) {
   if (running_[server] == id) return;
 
   // Migration: stop it wherever it currently runs.
-  const std::size_t current = placement_[static_cast<std::size_t>(id)];
+  const std::size_t current = server_of(id);
   if (current != kNoServer) {
     trace(obs::TraceKind::kMigrate, id, server, static_cast<double>(current),
           static_cast<double>(server));
@@ -132,20 +122,18 @@ void MultiEngine::run_on(std::size_t server, JobId id) {
   }
   // Preempt the incumbent on the target server.
   if (running_[server] != kNoJob) {
-    if (remaining_[static_cast<std::size_t>(running_[server])] > 0.0) {
+    if (jobs_.remaining(running_[server]) > 0.0) {
       ++result_.preemptions;
       trace(obs::TraceKind::kPreempt, running_[server], server,
-            remaining_[static_cast<std::size_t>(running_[server])]);
+            jobs_.remaining(running_[server]));
     }
     halt_server(server);
   } else {
     ++epochs_[server];
   }
   running_[server] = id;
-  placement_[static_cast<std::size_t>(id)] = server;
   ++result_.dispatches;
-  trace(obs::TraceKind::kDispatch, id, server,
-        remaining_[static_cast<std::size_t>(id)]);
+  trace(obs::TraceKind::kDispatch, id, server, jobs_.remaining(id));
   schedule_completion(server);
 }
 
@@ -153,11 +141,10 @@ void MultiEngine::idle(std::size_t server) {
   SJS_CHECK_MSG(in_callback_, "idle() outside a scheduler callback");
   SJS_CHECK(server < servers_.size());
   advance_all(now_);
-  if (running_[server] != kNoJob &&
-      remaining_[static_cast<std::size_t>(running_[server])] > 0.0) {
+  if (running_[server] != kNoJob && jobs_.remaining(running_[server]) > 0.0) {
     ++result_.preemptions;
     trace(obs::TraceKind::kPreempt, running_[server], server,
-          remaining_[static_cast<std::size_t>(running_[server])]);
+          jobs_.remaining(running_[server]));
   }
   halt_server(server);
   trace(obs::TraceKind::kIdle, kNoJob, server);
@@ -165,7 +152,7 @@ void MultiEngine::idle(std::size_t server) {
 
 void MultiEngine::stop(JobId id) {
   SJS_CHECK_MSG(in_callback_, "stop() outside a scheduler callback");
-  const std::size_t server = placement_[static_cast<std::size_t>(id)];
+  const std::size_t server = server_of(id);
   if (server != kNoServer) idle(server);
 }
 
@@ -179,13 +166,12 @@ void MultiEngine::process_event(const Event& event) {
           running_[event.server] != event.job) {
         break;  // stale
       }
-      const auto idx = static_cast<std::size_t>(event.job);
-      SJS_CHECK_MSG(remaining_[idx] <
+      SJS_CHECK_MSG(jobs_.remaining(event.job) <
                         sim::completion_residue_bound(job(event.job).workload),
                     "completion with work left");
-      remaining_[idx] = 0.0;
-      outcomes_[idx] = sim::JobOutcome::kCompleted;
-      result_.completion_times[idx] = now_;
+      jobs_.remaining(event.job) = 0.0;
+      jobs_.set_outcome(event.job, sim::JobOutcome::kCompleted);
+      jobs_.set_completion(event.job, now_);
       halt_server(event.server);
       result_.completed_value += job(event.job).value;
       ++result_.completed_count;
@@ -195,19 +181,23 @@ void MultiEngine::process_event(const Event& event) {
       break;
     }
     case EventType::kExpiry: {
-      const auto idx = static_cast<std::size_t>(event.job);
-      if (outcomes_[idx] != sim::JobOutcome::kPending) break;
-      outcomes_[idx] = sim::JobOutcome::kExpired;
+      // Dead when the job already has an outcome, or was retired since (its
+      // slot may hold a later job by now).
+      if (!jobs_.holds(event.job) ||
+          jobs_.outcome(event.job) != sim::JobOutcome::kPending) {
+        break;
+      }
+      jobs_.set_outcome(event.job, sim::JobOutcome::kExpired);
       ++result_.expired_count;
-      const std::size_t server = placement_[idx];
+      const std::size_t server = server_of(event.job);
       if (server != kNoServer) halt_server(server);
-      trace(obs::TraceKind::kExpire, event.job, server, remaining_[idx],
-            server != kNoServer ? 1.0 : 0.0);
+      trace(obs::TraceKind::kExpire, event.job, server,
+            jobs_.remaining(event.job), server != kNoServer ? 1.0 : 0.0);
       scheduler_->on_expire(*this, event.job, server);
       break;
     }
     case EventType::kRelease: {
-      released_[static_cast<std::size_t>(event.job)] = true;
+      jobs_.set_released(event.job);
       const Job& j = job(event.job);
       trace(obs::TraceKind::kRelease, event.job, kNoServer, j.workload,
             j.deadline);
@@ -219,10 +209,18 @@ void MultiEngine::process_event(const Event& event) {
 }
 
 void MultiEngine::harvest() {
-  result_.outcomes = outcomes_;
-  util::grow(result_.executed_work, jobs_->size());
-  for (std::size_t i = 0; i < jobs_->size(); ++i) {
-    result_.executed_work[i] = (*jobs_)[i].workload - remaining_[i];
+  if (jobs_.base() == 0) {
+    // The window still holds every job of the run: report them per job.
+    const std::size_t n = job_count();
+    util::grow(result_.outcomes, n);
+    util::grow(result_.executed_work, n);
+    util::grow(result_.completion_times, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<JobId>(i);
+      result_.outcomes[i] = jobs_.outcome(id);
+      result_.executed_work[i] = jobs_.job(id).workload - jobs_.remaining(id);
+      result_.completion_times[i] = jobs_.completion(id);
+    }
   }
   trace(obs::TraceKind::kRunEnd, kNoJob, kNoServer, result_.completed_value,
         result_.generated_value);
@@ -234,19 +232,13 @@ MultiSimResult MultiEngine::run_to_completion() {
   result_ = MultiSimResult{};
   result_.scheduler_name = scheduler_->name();
   result_.busy_time_per_server.assign(servers_.size(), 0.0);
-  result_.completion_times.assign(jobs_->size(),
-                                  std::numeric_limits<double>::quiet_NaN());
   queue_.clear();
-  queue_.reserve(2 * jobs_->size(), 0);
-  for (const Job& j : *jobs_) {
-    result_.generated_value += j.value;
-    push_event(j.release, EventType::kRelease, j.id, kNoServer, 0);
-    push_event(j.deadline, EventType::kExpiry, j.id, kNoServer, 0);
-  }
+  queue_.reserve(2 * job_count(), 0);
+  for (JobId id = 0; id < jobs_.end(); ++id) schedule_job(id);
   queue_.seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob, kNoServer,
-        static_cast<double>(jobs_->size()),
+        static_cast<double>(job_count()),
         static_cast<double>(servers_.size()));
 
   in_callback_ = true;
@@ -267,20 +259,12 @@ void MultiEngine::begin_live() {
   result_ = MultiSimResult{};
   result_.scheduler_name = scheduler_->name();
   result_.busy_time_per_server.assign(servers_.size(), 0.0);
-  result_.completion_times.assign(jobs_->size(),
-                                  std::numeric_limits<double>::quiet_NaN());
-  // The fresh result dropped reserve_live()'s pre-size; restore it.
-  result_.completion_times.reserve(job_capacity_hint());
   // A live session normally starts empty, but admit any pre-loaded jobs so a
   // warm-started fleet behaves like the equivalent replay.
-  for (const Job& j : *jobs_) {
-    result_.generated_value += j.value;
-    push_event(j.release, EventType::kRelease, j.id, kNoServer, 0);
-    push_event(j.deadline, EventType::kExpiry, j.id, kNoServer, 0);
-  }
+  for (JobId id = 0; id < jobs_.end(); ++id) schedule_job(id);
   queue_.seal();
   trace(obs::TraceKind::kRunStart, kNoJob, kNoServer,
-        static_cast<double>(jobs_->size()),
+        static_cast<double>(job_count()),
         static_cast<double>(servers_.size()));
   in_callback_ = true;
   scheduler_->on_start(*this);
@@ -289,41 +273,51 @@ void MultiEngine::begin_live() {
 
 void MultiEngine::reserve_live(std::size_t max_in_flight) {
   live_reserve_ = max_in_flight;
-  placement_.reserve(max_in_flight);
-  remaining_.reserve(max_in_flight);
-  outcomes_.reserve(max_in_flight);
-  released_.reserve(max_in_flight);
-  result_.completion_times.reserve(max_in_flight);
+  jobs_.reserve(max_in_flight);
   // A release and an expiry per in-flight job, plus one completion per
   // server.
   queue_.reserve(0, 2 * max_in_flight + servers_.size());
 }
 
-void MultiEngine::admit_live(JobId id) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "admit_live outside live mode");
-  SJS_CHECK_MSG(static_cast<std::size_t>(id) == placement_.size(),
-                "admit_live out of order: job " << id << ", expected "
-                    << placement_.size());
-  SJS_CHECK_MSG(static_cast<std::size_t>(id) < jobs_->size(),
-                "admit_live before the job was appended");
-  const Job& j = job(id);
-  SJS_CHECK_MSG(j.id == id, "job id out of sync with its position");
-  SJS_CHECK_MSG(j.release >= now_ - 1e-12,
-                "admit_live in the past: release " << j.release << " < now "
-                    << now_);
-  // Dense append: live ids stay == admission order, exactly as the replayed
-  // Instance canonical form requires. Release-then-expiry push order per job
-  // matches run_to_completion's loop, so relative seq order within every
-  // (time, type) class — the only thing the tie-break reads — is identical.
-  util::append(placement_, kNoServer);
-  util::append(remaining_, j.workload);
-  util::append(outcomes_, sim::JobOutcome::kPending);
-  util::append(released_, false);
+void MultiEngine::schedule_job(JobId id) {
+  // Release-then-expiry push order per job, in id order, in every mode: the
+  // relative seq order within every (time, type) class — the only thing the
+  // tie-break reads — is the same live and in replay.
+  const Job& j = jobs_.job(id);
   result_.generated_value += j.value;
-  util::append(result_.completion_times,
-               std::numeric_limits<double>::quiet_NaN());
   push_event(j.release, EventType::kRelease, id, kNoServer, 0);
   push_event(j.deadline, EventType::kExpiry, id, kNoServer, 0);
+}
+
+JobId MultiEngine::admit_live(const Job& job) {
+  SJS_CHECK_MSG(live_ && !in_callback_, "admit_live outside live mode");
+  SJS_CHECK_MSG(job.release >= now_ - 1e-12,
+                "admit_live in the past: release " << job.release << " < now "
+                    << now_);
+  // Ids stay == admission order, exactly as the replayed Instance canonical
+  // form requires. The window grows only when its unretired span outgrows
+  // reserve_live's pre-size.
+  const JobId id = jobs_.admit(job);
+  schedule_job(id);
+  return id;
+}
+
+void MultiEngine::admit_live(JobId id) {
+  SJS_CHECK_MSG(id == jobs_.end() &&
+                    static_cast<std::size_t>(id) < source_->size(),
+                "admit_live out of order: job " << id << ", expected "
+                    << jobs_.end());
+  const Job& j = (*source_)[static_cast<std::size_t>(id)];
+  SJS_CHECK_MSG(j.id == id, "job id out of sync with its position");
+  admit_live(j);
+}
+
+void MultiEngine::retire(JobId id) {
+  SJS_CHECK_MSG(!in_callback_, "retire inside a scheduler callback");
+  SJS_CHECK_MSG(id == jobs_.base(), "retire out of order: job "
+                                        << id << ", window base "
+                                        << jobs_.base());
+  jobs_.retire_front();
 }
 
 bool MultiEngine::cancel_live(JobId id) {
@@ -363,33 +357,10 @@ const MultiSimResult& MultiEngine::finish_live() {
   return result_;
 }
 
-sim::JobOutcome MultiEngine::outcome(JobId id) const {
-  SJS_CHECK(id >= 0 && static_cast<std::size_t>(id) < outcomes_.size());
-  return outcomes_[static_cast<std::size_t>(id)];
-}
-
 void save_multi_outcomes_csv(const MultiSimResult& result,
                              const std::vector<Job>& jobs,
                              const std::string& path) {
-  CsvWriter w(path);
-  w.write_row({"id", "outcome", "completion", "value_collected"});
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    const char* outcome = "pending";
-    double collected = 0.0;
-    std::string completion;
-    if (result.outcomes[i] == sim::JobOutcome::kCompleted) {
-      outcome = "completed";
-      collected = i < jobs.size() ? jobs[i].value : 0.0;
-      if (i < result.completion_times.size() &&
-          !std::isnan(result.completion_times[i])) {
-        completion = format_double(result.completion_times[i]);
-      }
-    } else if (result.outcomes[i] == sim::JobOutcome::kExpired) {
-      outcome = "expired";
-    }
-    w.write_row({std::to_string(i), outcome, completion,
-                 format_double(collected)});
-  }
+  sim::save_outcomes_csv(result.outcomes, result.completion_times, jobs, path);
 }
 
 }  // namespace sjs::cloud

@@ -17,6 +17,10 @@
 // same event queue (sim::SplitEventQueue: releases/expiries on the sealed
 // static side in batch runs, completions on the heap) and reads each server's
 // path through its own monotone capacity cursor.
+//
+// Per-job state lives in the same sim::JobTable window as sim::Engine's
+// (bound to the whole instance in a batch run, retired job by job in a
+// serving session); a job's server is read off the K running slots.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +31,7 @@
 #include "capacity/capacity_profile.hpp"
 #include "jobs/job.hpp"
 #include "obs/trace_sink.hpp"
+#include "sim/job_table.hpp"
 #include "sim/result.hpp"
 #include "sim/split_event_queue.hpp"
 #include "util/fp.hpp"
@@ -61,6 +66,8 @@ struct MultiSimResult {
   std::uint64_t dispatches = 0;
   std::uint64_t preemptions = 0;
   std::uint64_t migrations = 0;  ///< dispatches onto a different server
+  double executed_total = 0.0;     ///< work executed, summed over all servers
+  // Per job; empty when the run retired jobs.
   std::vector<sim::JobOutcome> outcomes;
   std::vector<double> executed_work;
   std::vector<double> completion_times;  ///< NaN while pending/expired
@@ -79,9 +86,9 @@ struct MultiSimResult {
   }
 };
 
-/// Writes the per-job outcome table in the exact byte format of
-/// sim::save_outcomes_csv ("id,outcome,completion,value_collected", %.17g) so
-/// a live cluster session and its replay can be diffed byte-for-byte.
+/// Writes the per-job outcome table through sim::save_outcomes_csv's row
+/// formatter, the one a serving session streams its rows with, so a live
+/// cluster session and its replay can be diffed byte-for-byte.
 void save_multi_outcomes_csv(const MultiSimResult& result,
                              const std::vector<Job>& jobs,
                              const std::string& path);
@@ -89,8 +96,9 @@ void save_multi_outcomes_csv(const MultiSimResult& result,
 class MultiEngine {
  public:
   /// Jobs must be release-sorted with ids equal to their positions (the
-  /// Instance canonical form); servers must be non-empty. Neither the jobs
-  /// nor the scheduler are owned.
+  /// Instance canonical form); servers must be non-empty. The job window is
+  /// bound to `jobs` here; the vector is read again only by
+  /// admit_live(JobId). Neither the jobs nor the scheduler are owned.
   MultiEngine(const std::vector<Job>& jobs,
               std::vector<cap::CapacityProfile> servers,
               GlobalScheduler& scheduler);
@@ -101,17 +109,24 @@ class MultiEngine {
   MultiSimResult run_to_completion();
 
   // --- live mode (real-time admission serving; mirrors sim::Engine) ---
-  /// Enters live mode: no pre-loaded events beyond jobs already present in
-  /// the backing vector (a warm-started fleet behaves like its replay).
+  /// Enters live mode: no pre-loaded events beyond the jobs bound at
+  /// construction (a warm-started fleet behaves like its replay).
   void begin_live();
-  /// Pre-sizes per-job tables and the event heap for a bounded-in-flight
+  /// Pre-sizes the job window and the event heap for a bounded-in-flight
   /// session.
   void reserve_live(std::size_t max_in_flight);
-  /// Registers the job at `id` (must already be appended to the backing jobs
-  /// vector, dense id == position, release >= now). Pushes its release and
-  /// expiry events exactly as replay does, so relative event order — and
-  /// therefore every outcome byte — matches the replayed session.
+  /// Admits `job` (release >= now; its id field is ignored) at the next
+  /// admission id, which it returns. Pushes its release and expiry events
+  /// exactly as replay does, so relative event order — and therefore every
+  /// outcome byte — matches the replayed session.
+  JobId admit_live(const Job& job);
+  /// Admits job `id` of the vector the engine was constructed over, already
+  /// appended to it; `id` must be the next admission id.
   void admit_live(JobId id);
+  /// Retires job `id`, which must be the window's base() and have an
+  /// outcome: every queued event still naming it is dead from here on.
+  /// Read what the caller keeps of the job (job_state()) first.
+  void retire(JobId id);
   /// Force-expires a live job at the current instant. Subdivides the running
   /// job's execution integral at now(), so cancel-bearing sessions are
   /// excluded from the bit-exact replay guarantee (same caveat as
@@ -125,9 +140,6 @@ class MultiEngine {
   double next_event_time() const;
   /// Drains all pending events and harvests the result.
   const MultiSimResult& finish_live();
-  bool live_mode() const { return live_; }
-  /// Outcome of an admitted job (pending/completed/expired).
-  sim::JobOutcome outcome(JobId id) const;
 
   /// Attaches a trace sink (src/obs/); events carry the server index in
   /// TraceEvent::server and migrations are recorded as kMigrate. Same
@@ -139,8 +151,14 @@ class MultiEngine {
   double now() const { return now_; }
   std::size_t server_count() const { return servers_.size(); }
   double server_rate(std::size_t server) const;
-  const Job& job(JobId id) const { return (*jobs_)[static_cast<std::size_t>(id)]; }
-  std::size_t job_count() const { return jobs_->size(); }
+  /// The record of an unretired job.
+  const Job& job(JobId id) const { return jobs_.job(id); }
+  /// Jobs admitted so far (the instance size on a batch run).
+  std::size_t job_count() const {
+    return static_cast<std::size_t>(jobs_.end());
+  }
+  /// The job window (sim/job_table.hpp) holding every per-job lane.
+  const sim::JobTable& job_state() const { return jobs_; }
   /// What schedulers size their per-job structures for in on_start(): the
   /// job count on batch runs, or the reserve_live() pre-size in a live
   /// session (where job_count() is still 0 at start), as in sim::Engine.
@@ -150,8 +168,10 @@ class MultiEngine {
   double remaining(JobId id) const;
   bool is_live(JobId id) const;
   bool is_released(JobId id) const;
-  /// Server currently executing `id`, or kNoServer.
+  /// Server currently executing `id`, or kNoServer (a scan of the K
+  /// running slots).
   std::size_t server_of(JobId id) const;
+  bool is_running(JobId id) const { return server_of(id) != kNoServer; }
   /// Job running on `server`, or kNoJob.
   JobId running_on(std::size_t server) const;
 
@@ -206,10 +226,13 @@ class MultiEngine {
   void schedule_completion(std::size_t server);
   /// Pops and dispatches one event (shared by replay and live mode).
   void process_event(const Event& event);
-  /// Copies outcome tables into result_ and closes the trace stream.
+  /// Counts job `id`'s value and queues its release and expiry.
+  void schedule_job(JobId id);
+  /// Copies the per-job lanes into result_ (when nothing retired) and closes
+  /// the trace stream.
   void harvest();
 
-  const std::vector<Job>* jobs_;
+  const std::vector<Job>* source_;  // read by admit_live(JobId) only
   std::vector<cap::CapacityProfile> servers_;
   /// One monotone cursor per server path: amortized O(1) rate/work/invert
   /// (mutable: server_rate() is a const query).
@@ -218,12 +241,9 @@ class MultiEngine {
 
   double now_ = 0.0;
   double last_advance_ = 0.0;
-  std::vector<JobId> running_;          // per server
-  std::vector<std::uint64_t> epochs_;   // per server
-  std::vector<std::size_t> placement_;  // per job: server or kNoServer
-  std::vector<double> remaining_;
-  std::vector<sim::JobOutcome> outcomes_;
-  std::vector<bool> released_;
+  std::vector<JobId> running_;         // per server
+  std::vector<std::uint64_t> epochs_;  // per server
+  sim::JobTable jobs_;                 // per job: one window
 
   sim::SplitEventQueue<Event> queue_;
   std::uint64_t next_seq_ = 0;

@@ -7,7 +7,8 @@
 
 namespace sjs::cloud {
 
-void RankedLiveSet::reset(std::size_t head_capacity, std::size_t id_bound) {
+void RankedLiveSet::begin_run(std::size_t head_capacity,
+                              std::size_t id_bound) {
   SJS_CHECK_MSG(head_capacity > 0, "ranked live set needs a head of >= 1");
   capacity_ = head_capacity;
   head_.clear();

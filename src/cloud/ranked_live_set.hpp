@@ -12,7 +12,7 @@
 //
 // Invariant: the head holds min(K, size) entries and every head entry ranks
 // before every tail entry. insert/erase cost O(K + log n): a shift inside
-// the head plus at most one tail push or pop. reset() pre-sizes both sides
+// the head plus at most one tail push or pop. begin_run() pre-sizes both sides
 // (the head to K, the tail's id index to the job count), so a batch run
 // allocates nothing after on_start; in live mode ids grow with the session
 // and the tail's index grows geometrically, never once per release.
@@ -36,9 +36,11 @@ class RankedLiveSet {
  public:
   using Entry = sched::ReadyQueue::Entry;
 
-  /// Empties the set and sizes it for a head of `head_capacity` (K) entries
-  /// and JobIds in [0, id_bound). Keeps every allocation for reuse.
-  void reset(std::size_t head_capacity, std::size_t id_bound);
+  /// Empties the set and sizes it for a run: a head of `head_capacity` (K)
+  /// entries and JobIds spanning fewer than `id_bound`. Keeps every
+  /// allocation for reuse. (Not `reset`: the hot-path analyzer resolves
+  /// calls by name, and a connection accept resets its frame decoder.)
+  void begin_run(std::size_t head_capacity, std::size_t id_bound);
 
   /// Inserts `id` with `key`. The id must not be in the set.
   void insert(double key, JobId id);

@@ -9,7 +9,8 @@
 //   jobs.csv       one write(2) per admitted job (id,release,workload,
 //                  deadline,value — the Instance row layout)
 //   cancels.csv    time,ticket (a session with cancels is not replayable)
-//   outcomes.csv   written at drain (cloud::save_multi_outcomes_csv)
+//   outcomes.csv   one row per admitted job, streamed as the session
+//                  retires its jobs (serve::Journal::record_outcome)
 //
 // Replay:  sjs_sim --cluster-bundle=<dir>  rebuilds the fleet, dispatcher,
 // and job stream and must reproduce outcomes.csv byte-for-byte
@@ -41,9 +42,9 @@ class ClusterJournal final : public serve::Journal {
   };
 
   /// Creates the directory, writes fleet/server<k>/band/meta headers, opens
-  /// jobs.csv and cancels.csv for appending (serve::Journal's append-only
-  /// half: same row layout, durability contract and close()). Throws on
-  /// I/O failure.
+  /// jobs.csv, cancels.csv and outcomes.csv for appending
+  /// (serve::Journal's append-only half: same row layout, durability
+  /// contract and close()). Throws on I/O failure.
   ClusterJournal(const std::string& dir, const Fleet& fleet,
                  const std::vector<cap::CapacityProfile>& paths,
                  const Meta& meta);

@@ -2,9 +2,16 @@
 
 #include "cluster/cluster_metrics.hpp"
 #include "serve/session_impl.hpp"
-#include "util/vec.hpp"
 
 namespace sjs::cluster {
+
+namespace {
+
+/// A live fleet session starts with no jobs: every one is admitted with
+/// MultiEngine::admit_live(job) into the engine's own window.
+const std::vector<Job> kNoJobs;
+
+}  // namespace
 
 FleetBackend::FleetBackend(const ClusterServerConfig& config)
     : config_(config),
@@ -12,27 +19,7 @@ FleetBackend::FleetBackend(const ClusterServerConfig& config)
                   DispatcherConfig{config_.key, config_.budget,
                                    config_.min_rented},
                   make_rental_controller(config_.rental)),
-      engine_(jobs_, config_.fleet.constant_paths(), dispatcher_) {}
-
-JobId FleetBackend::admit(Job job) {
-  const auto id = static_cast<JobId>(jobs_.size());
-  job.id = id;
-  util::append(jobs_, job);
-  engine_.admit_live(id);
-  return id;
-}
-
-serve::JobState FleetBackend::state(JobId id) const {
-  const sim::JobOutcome outcome = engine_.outcome(id);
-  if (outcome == sim::JobOutcome::kCompleted) {
-    return serve::JobState::kCompleted;
-  }
-  if (outcome == sim::JobOutcome::kExpired) return serve::JobState::kExpired;
-  if (engine_.server_of(id) != cloud::kNoServer) {
-    return serve::JobState::kRunning;
-  }
-  return serve::JobState::kQueued;
-}
+      engine_(kNoJobs, config_.fleet.constant_paths(), dispatcher_) {}
 
 std::unique_ptr<ClusterJournal> FleetBackend::open_journal() const {
   if (config_.journal_dir.empty()) return nullptr;
@@ -55,11 +42,6 @@ cloud::MultiSimResult FleetBackend::finish() {
   dispatcher_.settle(engine_.now());
   dispatcher_.apply_accounting(&result);
   return result;
-}
-
-void FleetBackend::save_outcomes(const cloud::MultiSimResult& result,
-                                 const std::string& path) const {
-  cloud::save_multi_outcomes_csv(result, jobs_, path);
 }
 
 void FleetBackend::publish(const cloud::MultiSimResult& result,

@@ -45,10 +45,11 @@ struct ClusterServerConfig : serve::SessionConfig {
   std::size_t min_rented = 1;
 };
 
-/// The fleet session backend (serve/session.hpp's seam): the admitted job
-/// stream, a cluster::Dispatcher, a live cloud::MultiEngine over the
-/// fleet's constant paths, and a ClusterJournal bundle. finish() settles
-/// the rental account; publish() adds the cluster.* series.
+/// The fleet session backend (serve/session.hpp's seam): a
+/// cluster::Dispatcher, a live cloud::MultiEngine over the fleet's constant
+/// paths (admitted jobs live in its job window until the session retires
+/// them), and a ClusterJournal bundle. finish() settles the rental account;
+/// publish() adds the cluster.* series.
 class FleetBackend {
  public:
   using Config = ClusterServerConfig;
@@ -60,27 +61,17 @@ class FleetBackend {
   const ClusterServerConfig& config() const { return config_; }
   cloud::MultiEngine& engine() { return engine_; }
   const cloud::MultiEngine& engine() const { return engine_; }
-  const std::vector<Job>& jobs() const { return jobs_; }
   double admission_c_lo() const { return config_.fleet.admission_c_lo(); }
 
-  void reserve(std::size_t n) { jobs_.reserve(n); }
-  /// Appends `job` to the admitted stream and admits it into the engine.
-  JobId admit(Job job);
-  /// Nothing yet: the fleet engine keeps every job until drain, and
-  /// outcomes.csv is written then (save_outcomes).
-  void retire(JobId /*id*/, Journal* /*journal*/) {}
-  serve::JobState state(JobId id) const;
   std::unique_ptr<Journal> open_journal() const;
   /// finish_live, then settles the rental account at the final instant so
   /// the cost integral covers the tail interval after the last interrupt.
   Result finish();
-  void save_outcomes(const Result& result, const std::string& path) const;
   /// The cluster.* rental/placement series.
   void publish(const Result& result, obs::MetricsRegistry::Shard& shard) const;
 
  private:
   ClusterServerConfig config_;
-  std::vector<Job> jobs_;  ///< the admitted stream (dense ids)
   Dispatcher dispatcher_;
   cloud::MultiEngine engine_;
 };
@@ -95,7 +86,8 @@ class ClusterServer final : public serve::InlineServer<FleetBackend> {
       : InlineServer(config, clock, metrics) {}
 
   const Fleet& fleet() const { return backend().config().fleet; }
-  const std::vector<Job>& jobs() const { return backend().jobs(); }
+  /// The live engine (its job window: engine().job_state()).
+  const cloud::MultiEngine& engine() const { return backend().engine(); }
 };
 
 }  // namespace sjs::cluster

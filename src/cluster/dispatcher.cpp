@@ -104,7 +104,7 @@ void Dispatcher::on_start(cloud::MultiEngine& engine) {
   SJS_CHECK_MSG(engine.server_count() == fleet_->size(),
                 "engine has " << engine.server_count() << " servers, fleet "
                               << fleet_->size());
-  live_.reset(fleet_->size(), engine.job_capacity_hint());
+  live_.begin_run(fleet_->size(), engine.job_capacity_hint());
   handle_interrupt(engine);
 }
 

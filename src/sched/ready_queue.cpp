@@ -190,7 +190,9 @@ void ReadyQueue::sift_down(std::size_t slot) {
 }
 
 void ReadyQueue::snapshot_ordered() const {
-  scratch_.assign(heap_.begin(), heap_.end());
+  // Growth to the queue's high-water only: the scratch keeps its capacity.
+  util::grow(scratch_, heap_.size());
+  std::copy(heap_.begin(), heap_.end(), scratch_.begin());
   std::sort(scratch_.begin(), scratch_.end(),
             [this](const Entry& a, const Entry& b) { return before(a, b); });
 }

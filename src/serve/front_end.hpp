@@ -50,6 +50,7 @@ class FrontEnd : public EventLoop::Handler {
 
   /// One pump cycle, waiting at most `max_wait_ms` (negative: no cap) for a
   /// socket or the next simulated event. Returns false once fully drained.
+  // sjs-hot-path-root
   bool step(int max_wait_ms = 50);
 
   /// Serves until drained (DRAIN request or request_drain()).

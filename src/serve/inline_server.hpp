@@ -32,7 +32,7 @@ class InlineServer : public FrontEnd, private ReplyTarget {
   int start() {
     session_.open_journal();
     const int bound = listen(session_.backend().config().port);
-    session_.begin(clock_->now(), metrics_);
+    session_.begin_live(clock_->now(), metrics_);
     return bound;
   }
 

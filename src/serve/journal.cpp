@@ -65,10 +65,14 @@ Journal::Journal(const std::string& dir) : dir_(dir) {
       open_append(dir, "jobs.csv", "id,release,workload,deadline,value\n");
   try {
     cancels_fd_ = open_append(dir, "cancels.csv", "time,ticket\n");
+    outcomes_fd_ = open_append(dir, "outcomes.csv", sim::kOutcomesCsvHeader);
   } catch (...) {
-    ::close(jobs_fd_);
+    for (int fd : {jobs_fd_, cancels_fd_}) {
+      if (fd >= 0) ::close(fd);
+    }
     throw;
   }
+  util::grow(outcome_buf_, kOutcomeBuffer);
 }
 
 Journal::~Journal() {
@@ -80,8 +84,6 @@ Journal::~Journal() {
 Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
                  double c_lo, double c_hi, const Meta& meta)
     : Journal(dir) {
-  outcomes_fd_ = open_append(dir, "outcomes.csv", sim::kOutcomesCsvHeader);
-  util::grow(outcome_buf_, kOutcomeBuffer);
   cap::save_trace(capacity, (fs::path(dir) / "capacity.csv").string());
   write_band(c_lo, c_hi);
   write_meta({{"scheduler", meta.scheduler},
@@ -119,7 +121,7 @@ void Journal::record_cancel(double time, JobId job) {
 
 void Journal::record_outcome(JobId id, sim::JobOutcome outcome,
                              double completion, double value) {
-  SJS_CHECK_MSG(outcomes_fd_ >= 0, "record_outcome without an outcomes.csv");
+  SJS_CHECK_MSG(outcomes_fd_ >= 0, "record_outcome on a closed journal");
   if (outcome_len_ + sim::kOutcomeRowMax > outcome_buf_.size()) {
     flush_outcomes();
   }
@@ -173,7 +175,7 @@ void Journal::append_row(int fd, const char* file, const double* fields,
 
 void Journal::close() {
   std::string flush_error;
-  if (outcomes_fd_ >= 0 && outcome_len_ > 0) {
+  if (outcome_len_ > 0) {
     try {
       flush_outcomes();
     } catch (const std::runtime_error& e) {

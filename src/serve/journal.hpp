@@ -24,8 +24,9 @@
 //                formatter of sim::save_outcomes_csv, so the replay gate can
 //                diff live vs replayed outcomes. Rows are buffered and reach
 //                the file one write(2) per full buffer; the file is complete
-//                once the session has drained and closed the journal. (The
-//                fleet's ClusterJournal writes its own at drain.)
+//                once the session has drained and closed the journal. The
+//                fleet's ClusterJournal streams its outcomes.csv the same
+//                way.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +88,9 @@ class Journal {
 
  protected:
   /// The append-only half every journal bundle shares (the fleet's
-  /// cluster::ClusterJournal too): creates `dir` and opens jobs.csv and
-  /// cancels.csv; the caller writes its own preamble files.
+  /// cluster::ClusterJournal too): creates `dir` and opens jobs.csv,
+  /// cancels.csv and outcomes.csv; the caller writes its own preamble
+  /// files.
   explicit Journal(const std::string& dir);
   /// Writes band.csv.
   void write_band(double c_lo, double c_hi) const;
@@ -106,7 +108,7 @@ class Journal {
   std::string dir_;
   int jobs_fd_ = -1;     ///< jobs.csv, O_APPEND
   int cancels_fd_ = -1;  ///< cancels.csv, O_APPEND
-  int outcomes_fd_ = -1;  ///< outcomes.csv (single-engine journals only)
+  int outcomes_fd_ = -1;  ///< outcomes.csv
   std::vector<char> outcome_buf_;  ///< pending rows; capacity = one write
   std::size_t outcome_len_ = 0;
   std::uint64_t admit_rows_ = 0;

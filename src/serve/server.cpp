@@ -38,26 +38,6 @@ LocalBackend::LocalBackend(const ServerConfig& config,
                                    : config_.capacity.max_rate()),
       engine_(instance_, *scheduler_) {}
 
-JobId LocalBackend::admit(const Job& job) {
-  return engine_.admit_live(job);
-}
-
-void LocalBackend::retire(JobId id, Journal* journal) {
-  const sim::JobTable& jobs = engine_.job_state();
-  const sim::JobOutcome outcome = jobs.outcome(id);
-  const double completion = jobs.completion(id);
-  const double value = jobs.job(id).value;
-  engine_.retire(id);
-  if (journal) journal->record_outcome(id, outcome, completion, value);
-}
-
-JobState LocalBackend::state(JobId id) const {
-  if (engine_.is_completed(id)) return JobState::kCompleted;
-  if (engine_.is_expired(id)) return JobState::kExpired;
-  if (engine_.running() == id) return JobState::kRunning;
-  return JobState::kQueued;
-}
-
 std::unique_ptr<Journal> LocalBackend::open_journal() const {
   if (config_.journal_dir.empty()) return nullptr;
   Journal::Meta meta;

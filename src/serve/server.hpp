@@ -56,8 +56,7 @@ struct ServerConfig : SessionConfig {
 /// The single-engine session backend (serve/session.hpp's seam): a live
 /// sim::Engine over one capacity path (an Instance with no jobs: admitted
 /// jobs live in the engine's job window until the session retires them),
-/// and a serve::Journal bundle whose outcomes.csv is streamed as jobs
-/// retire.
+/// and a serve::Journal bundle.
 class LocalBackend {
  public:
   using Config = ServerConfig;
@@ -72,17 +71,8 @@ class LocalBackend {
   const sim::Engine& engine() const { return engine_; }
   double admission_c_lo() const { return instance_.c_lo(); }
 
-  void reserve(std::size_t /*n*/) {}
-  JobId admit(const Job& job);
-  /// Writes job `id`'s outcomes.csv row (when journalling) and retires it
-  /// from the engine's window.
-  void retire(JobId id, Journal* journal);
-  JobState state(JobId id) const;
   std::unique_ptr<Journal> open_journal() const;
   Result finish();
-  /// Nothing to do: retire() streamed every row.
-  void save_outcomes(const Result& /*result*/,
-                     const std::string& /*path*/) const {}
   void publish(const Result& /*result*/, obs::MetricsRegistry::Shard&) const {
   }
 

@@ -14,21 +14,16 @@
 //                            behind the sharded acceptor's channels
 //   cluster::ClusterServer   Session<cluster::FleetBackend>, inline
 //
-// Backend seam. A backend owns the engine and its job store and supplies:
+// Backend seam. A backend owns the engine and supplies:
 //   Config / Result / Journal    its config, result and journal types
 //   engine()                     sim::Engine or cloud::MultiEngine (the two
-//                                share the live API the session calls)
+//                                share the live API the session calls:
+//                                admit_live(job), retire(id), job_state(),
+//                                is_running(id), ...)
 //   config(), admission_c_lo()   the config copy and the gate's floor
-//   reserve(n), admit(job)       pre-size / admit one job, returning its id
-//   state(id)                    an unretired job's JobState for QUERY
-//   retire(id, journal)          the session retired job `id` (single
-//                                engine: its outcomes.csv row and its
-//                                engine window slot; fleet: nothing yet)
 //   open_journal()               the journal for config().journal_dir
 //   finish()                     finish_live plus backend extras (fleet:
 //                                rental settle and accounting)
-//   save_outcomes(result, path)  outcomes.csv at drain (fleet only; the
-//                                single engine streams it through retire)
 //   publish(result, shard)
 // Session<Backend> member functions live in serve/session_impl.hpp and are
 // instantiated explicitly, once per backend (serve/server.cpp,
@@ -44,18 +39,19 @@
 // window [base, next) of jobs not yet retired, pre-sized from
 // max_in_flight and doubled only when the unretired span outgrows it. A job
 // retires once its terminal notification is dispatched and every lower id
-// has retired; the backend retires it too, and its outcome (completed or
-// expired, 2 bits) moves to a packed lane indexed by wire ticket, which is
-// all QUERY and CANCEL need of a retired ticket. So a session's memory is
-// bounded by its unretired span plus those 2 bits per ticket, however long
-// it runs.
+// has retired: the session streams its outcomes.csv row, retires it from
+// the engine's window, and moves its outcome (completed or expired, 2 bits)
+// to a packed lane indexed by wire ticket, which is all QUERY and CANCEL
+// need of a retired ticket. So a session's memory is bounded by its
+// unretired span plus those 2 bits per ticket, however long it runs.
 //
 // Journal failure (one policy in every mode): the first error wins and is
 // kept in journal_error(), the failing request is answered
 // ERROR(kJournalFailed) and never ACCEPTED/CANCELLED, and the session
-// drains — later submits are REJECTED(draining). Front ends follow the
-// session into drain; the sharded acceptor drains the whole plane when a
-// shard's ERROR(kJournalFailed) reaches it.
+// drains — later submits are REJECTED(draining). A SUBMIT's row is written
+// before the engine admits the job, so a failed append admits nothing.
+// Front ends follow the session into drain; the sharded acceptor drains the
+// whole plane when a shard's ERROR(kJournalFailed) reaches it.
 #pragma once
 
 #include <cstdint>
@@ -213,7 +209,7 @@ class Session {
   /// nothing, for any session length, while its unretired span stays within
   /// the pre-size (the one exception is the retired-outcome lane, 2 bits
   /// per ticket, pre-sized for kRetiredTickets and doubling past it).
-  void begin(double epoch, obs::MetricsRegistry* metrics);
+  void begin_live(double epoch, obs::MetricsRegistry* metrics);
 
   /// SUBMIT from (conn, gen). Returns the admitted local id, or kNoJob.
   // sjs-hot-path-root
@@ -245,9 +241,9 @@ class Session {
   /// COMPLETED/EXPIRED notifications handled so far (cancelled jobs'
   /// internal expiries included).
   std::uint64_t notified() const { return notified_; }
-  /// Resolves the backlog (finish_live), ships the last notifications,
-  /// publishes the backend's metrics, writes outcomes.csv, closes the
-  /// journal.
+  /// Resolves the backlog (finish_live), ships the last notifications
+  /// (retiring every job, so outcomes.csv is complete), publishes the
+  /// backend's metrics, closes the journal.
   void finalize();
 
   /// Ring slots of the job window (a power of two).

@@ -10,25 +10,25 @@
 #include <bit>
 #include <cmath>
 #include <exception>
-#include <filesystem>
 
 #include "serve/session.hpp"
+#include "sim/result.hpp"
 #include "util/logging.hpp"
 
 namespace sjs::serve {
 
 template <typename Backend>
-void Session<Backend>::begin(double epoch, obs::MetricsRegistry* metrics) {
+void Session<Backend>::begin_live(double epoch,
+                                  obs::MetricsRegistry* metrics) {
   if (metrics) {
     // The metrics shard must belong to the serving thread: a shard worker
-    // calls begin() on its own thread, never on the spawning one.
+    // calls begin_live() on its own thread, never on the spawning one.
     shard_ = &metrics->local();
     trace_bridge_ = util::alloc_unique<obs::TraceMetricsBridge>(*shard_);
     tee_.add(trace_bridge_.get());
   }
   backend_.engine().attach_trace(&tee_);
   const auto n = static_cast<std::size_t>(backend_.config().max_in_flight);
-  backend_.reserve(n);
   backend_.engine().reserve_live(n);
   util::grow(routes_, std::bit_ceil(std::max<std::size_t>(n, 1)));
   retired_.reserve(kRetiredTickets / 32);
@@ -138,8 +138,16 @@ void Session<Backend>::retire_resolved() {
                                                                       : 2u}
                       << (2 * (r.ticket % 32));
     const JobId id = base_++;
+    // Read what outcomes.csv keeps of the job, then free its engine slot.
+    auto& engine = backend_.engine();
+    const auto& jobs = engine.job_state();
+    const auto outcome = jobs.outcome(id);
+    const double completion = jobs.completion(id);
+    const double value = jobs.job(id).value;
+    engine.retire(id);
+    if (!journal_) continue;
     try {
-      backend_.retire(id, journal_.get());
+      journal_->record_outcome(id, outcome, completion, value);
     } catch (const std::exception& e) {
       // The outcome row could not be written: outcomes.csv can no longer
       // match a replay, so the session fails and drains.
@@ -211,7 +219,19 @@ JobId Session<Backend>::submit(int conn, std::uint64_t gen, const Message& m) {
     target_->send(conn, gen, r);
     return kNoJob;
   }
-  const JobId id = backend_.admit(verdict.job);
+  // Journal first: a job whose row cannot be made durable is never
+  // admitted, so nothing of it can run or notify.
+  Job job = verdict.job;
+  job.id = next_;
+  if (journal_) {
+    try {
+      journal_->record_admit(job);
+    } catch (const std::exception& e) {
+      fail_journal(conn, gen, r, e);
+      return kNoJob;
+    }
+  }
+  const JobId id = engine.admit_live(job);
   SJS_CHECK(id == next_);
   // The ring doubles only when the unretired span outgrows the pre-size.
   if (window_span() == routes_.size()) grow_routes();
@@ -225,24 +245,11 @@ JobId Session<Backend>::submit(int conn, std::uint64_t gen, const Message& m) {
   window_peak_ = std::max(window_peak_, window_span());
   ++stats_.in_flight;
   in_flight_peak_ = std::max(in_flight_peak_, stats_.in_flight);
-  const Job& job = engine.job(id);
-  if (journal_) {
-    try {
-      journal_->record_admit(job);
-    } catch (const std::exception& e) {
-      // The admit cannot be made durable, so the client must not see
-      // ACCEPTED: withdraw the job, then fail the session.
-      this->route(id).cancelled = true;
-      engine.cancel_live(id);
-      fail_journal(conn, gen, r, e);
-      return id;
-    }
-  }
   ++stats_.accepted;
   stats_.admitted_value += job.value;
   count(names_.accepted);
   r.type = MsgType::kAccepted;
-  r.ticket = this->route(id).ticket;
+  r.ticket = route.ticket;
   r.a = job.release;
   r.c = job.value;  // not on the wire; the sharded acceptor's stats read it
   target_->send(conn, gen, r);
@@ -294,11 +301,15 @@ void Session<Backend>::query(int conn, std::uint64_t gen, const Message& m) {
     r.code = static_cast<std::uint8_t>(retired_state(m.ticket));
   } else {
     const auto& engine = backend_.engine();
-    const JobState state = backend_.state(id);
+    const sim::JobOutcome outcome = engine.job_state().outcome(id);
+    const JobState state = outcome == sim::JobOutcome::kCompleted
+                               ? JobState::kCompleted
+                           : outcome == sim::JobOutcome::kExpired
+                               ? JobState::kExpired
+                           : engine.is_running(id) ? JobState::kRunning
+                                                   : JobState::kQueued;
     r.code = static_cast<std::uint8_t>(state);
-    if (state == JobState::kRunning) {
-      r.a = engine.remaining(id);
-    } else if (state == JobState::kQueued) {
+    if (outcome == sim::JobOutcome::kPending) {
       r.a = engine.is_released(id) ? engine.remaining(id)
                                    : engine.job(id).workload;
     }
@@ -336,8 +347,6 @@ void Session<Backend>::finalize() {
                       static_cast<double>(routes_.size()));
   }
   if (journal_) {
-    backend_.save_outcomes(result_, (std::filesystem::path(journal_->dir()) /
-                                     "outcomes.csv").string());
     try {
       journal_->close();
     } catch (const std::exception& e) {

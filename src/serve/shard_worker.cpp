@@ -45,10 +45,16 @@ ShardWorker::ShardWorker(const ServerConfig& config, std::size_t shard_index,
 
 ShardWorker::~ShardWorker() = default;
 
-// sjs-hot-path-root
-void ShardWorker::run(double epoch) {
-  session_.begin(epoch, metrics_);
+void ShardWorker::run_shard(double epoch) {
+  session_.begin_live(epoch, metrics_);
+  serve_requests();
+  session_.pump();
+  session_.finalize();
+  replies_.close();
+}
 
+// sjs-hot-path-root
+void ShardWorker::serve_requests() {
   // The last park's length, ready count and notification mark, for the
   // wake-up counters (the first turn did not park).
   std::int64_t waited = 0;
@@ -77,10 +83,6 @@ void ShardWorker::run(double epoch) {
     if ((pfd.revents & POLLIN) != 0) requests_.drain_wakeups();
     notified = session_.notified();
   }
-
-  session_.pump();
-  session_.finalize();
-  replies_.close();
 }
 
 void ShardWorker::handle(const ShardRequest& req) {

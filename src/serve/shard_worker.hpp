@@ -21,11 +21,11 @@
 // every reply and notification carries the GLOBAL ticket and CANCEL/QUERY
 // find their job by it.
 //
-// Lifecycle: run() serves until the request channel drains (the acceptor
-// closes it on DRAIN/SIGTERM, or when any shard reports a journal failure),
-// then finalises — Engine::finish_live, final notifications, outcomes.csv,
-// journal close — and closes the reply channel. The acceptor joins the
-// thread only after the reply channel reports drained, so
+// Lifecycle: run_shard() serves until the request channel drains (the
+// acceptor closes it on DRAIN/SIGTERM, or when any shard reports a journal
+// failure), then finalises — Engine::finish_live, final notifications,
+// outcomes.csv, journal close — and closes the reply channel. The acceptor
+// joins the thread only after the reply channel reports drained, so
 // result()/journal_error()/stats() are safe to read post-join without any
 // further synchronisation.
 #pragma once
@@ -73,9 +73,9 @@ class ShardWorker final : private ReplyTarget {
  public:
   /// `config.journal_dir`, when set, is the PLANE's journal root; shard k
   /// journals to `<root>/shard<k>` (written here; throws on I/O failure).
-  /// The clock is shared across the plane; run() anchors this shard's
-  /// bridge at the epoch captured once by the acceptor. `metrics` may be
-  /// nullptr.
+  /// The clock is shared across the plane; run_shard() anchors this
+  /// shard's bridge at the epoch captured once by the acceptor. `metrics`
+  /// may be nullptr.
   ShardWorker(const ServerConfig& config, std::size_t shard_index,
               std::unique_ptr<sim::Scheduler> scheduler, Clock& clock,
               obs::MetricsRegistry* metrics);
@@ -84,9 +84,11 @@ class ShardWorker final : private ReplyTarget {
   conc::Channel<ShardRequest>& requests() { return requests_; }
   conc::Channel<ShardReply>& replies() { return replies_; }
 
-  /// Thread body: serves until the request channel drains, finalises, then
-  /// closes the reply channel. `epoch` is the plane-wide clock reading.
-  void run(double epoch);
+  /// Thread body: enters live mode, serves until the request channel
+  /// drains, finalises, then closes the reply channel. `epoch` is the
+  /// plane-wide clock reading. (Not `run`: the hot-path analyzer resolves
+  /// calls by name, and every scheduler hook calls Engine::run.)
+  void run_shard(double epoch);
 
   // Safe to read only after the owning thread has been joined:
   const sim::SimResult& result() const { return session_.result(); }
@@ -103,6 +105,9 @@ class ShardWorker final : private ReplyTarget {
   StatsBody stats() const { return session_.stats(); }
 
  private:
+  /// The steady state: pumps, handles requests and parks until the request
+  /// channel drains.
+  void serve_requests();
   void handle(const ShardRequest& req);
   // ReplyTarget: commits a reply, waiting out transient fullness (see .cpp
   // for why this cannot deadlock); a job's wire ticket is the global one.

@@ -47,7 +47,9 @@ int ShardedAdmissionServer::start() {
   const double epoch = clock_->now();
   bridge_.start_at(epoch);
   threads_.spawn(config_.shards,
-                 [this, epoch](std::size_t k) { workers_[k]->run(epoch); });
+                 [this, epoch](std::size_t k) {
+                   workers_[k]->run_shard(epoch);
+                 });
   return port;
 }
 

@@ -112,12 +112,6 @@ bool Engine::is_completed(JobId id) const {
   return jobs_.outcome(id) == JobOutcome::kCompleted;
 }
 
-bool Engine::is_expired(JobId id) const {
-  SJS_CHECK_MSG(jobs_.holds(id), "is_expired() on job " << id
-                                     << " outside the window");
-  return jobs_.outcome(id) == JobOutcome::kExpired;
-}
-
 bool Engine::is_live(JobId id) const {
   return is_released(id) && jobs_.outcome(id) == JobOutcome::kPending;
 }

@@ -191,12 +191,12 @@ class Engine {
   double remaining(JobId id) const;
   bool is_released(JobId id) const;
   bool is_completed(JobId id) const;
-  bool is_expired(JobId id) const;
   /// A job is live if released, not completed, not expired, and not
   /// retired.
   bool is_live(JobId id) const;
   /// The job currently occupying the processor, or kNoJob.
   JobId running() const { return running_; }
+  bool is_running(JobId id) const { return running_ == id; }
 
   /// Conservative laxity (Definition 5) of a live job at `now`, computed with
   /// the capacity estimate `c_est` (V-Dover passes c_lo; Dover passes ĉ).

@@ -88,17 +88,23 @@ char* format_outcome_row(char* first, JobId id, JobOutcome outcome,
 
 void save_outcomes_csv(const SimResult& result, const std::vector<Job>& jobs,
                        const std::string& path) {
+  save_outcomes_csv(result.outcomes, result.completion_times, jobs, path);
+}
+
+void save_outcomes_csv(std::span<const JobOutcome> outcomes,
+                       std::span<const double> completion_times,
+                       const std::vector<Job>& jobs, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot open for writing: " + path);
   out << kOutcomesCsvHeader;
   char row[kOutcomeRowMax];
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    const double completion = i < result.completion_times.size()
-                                  ? result.completion_times[i]
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const double completion = i < completion_times.size()
+                                  ? completion_times[i]
                                   : std::numeric_limits<double>::quiet_NaN();
     const double value = i < jobs.size() ? jobs[i].value : 0.0;
     const char* end = format_outcome_row(row, static_cast<JobId>(i),
-                                         result.outcomes[i], completion, value);
+                                         outcomes[i], completion, value);
     out.write(row, end - row);
   }
   if (!out) throw std::runtime_error("write failed: " + path);

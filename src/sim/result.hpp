@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,13 @@ struct SimResult {
 void save_outcomes_csv(const SimResult& result,
                        const std::vector<Job>& jobs,
                        const std::string& path);
+
+/// The loop behind every outcomes CSV written at once (both engines'
+/// results): one row per entry of `outcomes`, completion instants and job
+/// values read where present.
+void save_outcomes_csv(std::span<const JobOutcome> outcomes,
+                       std::span<const double> completion_times,
+                       const std::vector<Job>& jobs, const std::string& path);
 
 /// The header line of an outcomes CSV, '\n' included.
 inline constexpr char kOutcomesCsvHeader[] =

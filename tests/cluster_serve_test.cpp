@@ -3,9 +3,11 @@
 //
 // The flagship test drives a ClusterServer over a real loopback socket under
 // a FakeClock, drains it, then loads the journal directory as a cluster
-// bundle and re-runs it through a fresh Dispatcher + MultiEngine — job
-// outcomes, completion times, and outcomes.csv must match the live session
-// BIT-EXACTLY (the contract `sjs_sim --cluster-bundle=` relies on). Rental
+// bundle and re-runs it through a fresh Dispatcher + MultiEngine — the
+// client's notifications (outcomes, completion times), the live aggregates,
+// and the streamed outcomes.csv must match the replay BIT-EXACTLY (the
+// contract `sjs_sim --cluster-bundle=` relies on). The live session retires
+// its jobs as they resolve, so its result carries aggregates only. Rental
 // *cost* is deliberately excluded from the bitwise comparison: the live
 // session settles its account at the wall-driven drain instant, which lies
 // past the last engine event the replay settles at (see docs/cluster.md).
@@ -90,11 +92,12 @@ ClusterServerConfig scripted_config(const std::string& journal_dir) {
 }
 
 /// What one scripted session leaves behind. `jobs` is the client's own
-/// record — its SUBMITs with the ACCEPTED stamps — independent of the
-/// server's admitted-job store.
+/// record — its SUBMITs with the ACCEPTED stamps — and `notes` its
+/// COMPLETED/EXPIRED notifications: a retiring session keeps neither.
 struct SessionOutput {
   sjs::cloud::MultiSimResult live;
   std::vector<sjs::Job> jobs;
+  std::vector<Message> notes;
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t notified_completed = 0;
@@ -159,26 +162,49 @@ SessionOutput run_scripted_session(const std::string& journal_dir) {
   for (const Message& m : client.inbox) {
     if (m.type == MsgType::kCompleted) ++out.notified_completed;
     if (m.type == MsgType::kExpired) ++out.notified_expired;
+    if (m.type == MsgType::kCompleted || m.type == MsgType::kExpired) {
+      out.notes.push_back(m);
+    }
   }
   out.live = server.result();
   return out;
 }
 
-void expect_bitwise_equal_outcomes(const sjs::cloud::MultiSimResult& live,
-                                   const sjs::cloud::MultiSimResult& replay) {
+void expect_bitwise_equal_aggregates(const sjs::cloud::MultiSimResult& live,
+                                     const sjs::cloud::MultiSimResult& replay) {
   EXPECT_EQ(live.completed_value, replay.completed_value);
   EXPECT_EQ(live.generated_value, replay.generated_value);
   EXPECT_EQ(live.completed_count, replay.completed_count);
   EXPECT_EQ(live.expired_count, replay.expired_count);
-  ASSERT_EQ(live.outcomes.size(), replay.outcomes.size());
-  for (std::size_t i = 0; i < live.outcomes.size(); ++i) {
-    EXPECT_EQ(live.outcomes[i], replay.outcomes[i]) << "job " << i;
-    // memcmp so NaN (expired jobs) compares equal to itself.
-    EXPECT_EQ(std::memcmp(&live.completion_times[i],
-                          &replay.completion_times[i], sizeof(double)),
-              0)
-        << "job " << i;
-    EXPECT_EQ(live.executed_work[i], replay.executed_work[i]) << "job " << i;
+  EXPECT_EQ(live.executed_total, replay.executed_total);
+}
+
+/// Every job's notification agrees with the replay bit for bit: COMPLETED
+/// at the replay's completion instant with the job's value, EXPIRED where
+/// the replay expired it.
+void expect_notes_match_replay(const std::vector<Message>& notes,
+                               const std::vector<sjs::Job>& jobs,
+                               const sjs::cloud::MultiSimResult& replay) {
+  ASSERT_EQ(notes.size(), replay.outcomes.size());
+  std::vector<int> seen(replay.outcomes.size(), 0);
+  for (const Message& m : notes) {
+    ASSERT_LT(m.ticket, replay.outcomes.size());
+    const std::size_t i = m.ticket;
+    ++seen[i];
+    if (m.type == MsgType::kCompleted) {
+      EXPECT_EQ(replay.outcomes[i], sjs::sim::JobOutcome::kCompleted)
+          << "job " << i;
+      EXPECT_EQ(std::memcmp(&m.b, &replay.completion_times[i], sizeof(double)),
+                0)
+          << "job " << i;
+      EXPECT_EQ(m.a, jobs[i].value) << "job " << i;
+    } else {
+      EXPECT_EQ(replay.outcomes[i], sjs::sim::JobOutcome::kExpired)
+          << "job " << i;
+    }
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 1) << "job " << i << " notified " << seen[i] << "x";
   }
 }
 
@@ -231,7 +257,9 @@ TEST(ClusterServeTest, FakeClockSessionReplaysBitExactly) {
       sjs::cluster::make_rental_controller(bundle.meta.at("rental")));
   const sjs::cloud::MultiSimResult replay =
       sjs::cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
-  expect_bitwise_equal_outcomes(session.live, replay);
+  EXPECT_TRUE(session.live.outcomes.empty());  // every job retired
+  expect_bitwise_equal_aggregates(session.live, replay);
+  expect_notes_match_replay(session.notes, bundle.jobs, replay);
   // Rental decisions replay exactly too — only the settle horizon differs
   // (live settles at the wall-driven drain instant), so cost is compared
   // directionally, not bitwise.
@@ -241,8 +269,9 @@ TEST(ClusterServeTest, FakeClockSessionReplaysBitExactly) {
   EXPECT_EQ(session.live.migrations, replay.migrations);
   EXPECT_GE(session.live.rental_cost, replay.rental_cost);
 
-  // outcomes.csv written at drain must equal the one the replay writes —
-  // the same byte-diff scripts/serve_smoke.sh applies to the binaries.
+  // outcomes.csv streamed as jobs retired must equal the one the replay
+  // writes — the same byte-diff scripts/serve_smoke.sh applies to the
+  // binaries.
   const std::string live_csv = slurp(dir + "/outcomes.csv");
   const std::string replay_dir = fresh_dir("cluster_replay_outcomes");
   std::filesystem::create_directories(replay_dir);
@@ -292,8 +321,15 @@ TEST(ClusterServeTest, ScriptedSessionIsDeterministicAcrossRuns) {
   const std::string dir_b = fresh_dir("cluster_det_b");
   const SessionOutput a = run_scripted_session(dir_a);
   const SessionOutput b = run_scripted_session(dir_b);
-  expect_bitwise_equal_outcomes(a.live, b.live);
+  expect_bitwise_equal_aggregates(a.live, b.live);
   EXPECT_EQ(a.live.rental_cost, b.live.rental_cost);
+  ASSERT_EQ(a.notes.size(), b.notes.size());
+  for (std::size_t i = 0; i < a.notes.size(); ++i) {
+    EXPECT_EQ(a.notes[i].ticket, b.notes[i].ticket) << i;
+    EXPECT_EQ(a.notes[i].type, b.notes[i].type) << i;
+    EXPECT_EQ(std::memcmp(&a.notes[i].b, &b.notes[i].b, sizeof(double)), 0)
+        << i;
+  }
   for (const char* file :
        {"/fleet.csv", "/server0.csv", "/server1.csv", "/server2.csv",
         "/band.csv", "/meta.csv", "/jobs.csv", "/cancels.csv",

@@ -31,6 +31,7 @@
 #include "cloud/global_sched.hpp"
 #include "cloud/multi_engine.hpp"
 #include "cloud/ranked_live_set.hpp"
+#include "cluster/cluster_journal.hpp"
 #include "cluster/cluster_server.hpp"
 #include "cluster/dispatcher.hpp"
 #include "cluster/fleet.hpp"
@@ -641,6 +642,57 @@ TEST(HotPathAllocations, LongSessionStaysInsideItsJobWindow) {
   EXPECT_EQ(two.allocs, 0u);
 }
 
+TEST(HotPathAllocations, LongFleetSessionStaysInsideItsJobWindow) {
+  // The same contract on the fleet (sjs_serve --cluster=4):
+  // cloud::MultiEngine keeps its per-job state in the same sim::JobTable
+  // window as the single engine, so a session admitting far more jobs than
+  // --max-in-flight retires them as they resolve, its engine window stays
+  // at the pre-size, and a warmed session allocates nothing — its streamed
+  // outcomes.csv rows included.
+  cluster::ClusterServerConfig config;
+  config.fleet = cluster::Fleet::heterogeneous(4);
+  config.rental = "threshold";
+  config.max_in_flight = kWindowSessionSlots;
+  config.journal_dir = testing::TempDir() + "/window_fleet";
+  std::filesystem::remove_all(config.journal_dir);
+  const WindowProbe fleet = probe_long_window_session(
+      0,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<cluster::ClusterServer>(config, clock);
+      },
+      [&](const cluster::ClusterServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        EXPECT_EQ(server.window_slots(), kWindowSessionSlots);
+        EXPECT_LE(server.window_peak(), kWindowSessionSlots);
+        const sim::JobTable& window = server.engine().job_state();
+        EXPECT_EQ(window.capacity(), kWindowSessionSlots);
+        EXPECT_GT(window.base(), 3600);
+        EXPECT_EQ(window.base(), window.end());
+        EXPECT_EQ(server.result().completed_count +
+                      server.result().expired_count,
+                  static_cast<std::uint64_t>(window.end()));
+      });
+  std::fprintf(stderr, "long window session (fleet): %llu admitted, "
+               "%llu allocations\n",
+               static_cast<unsigned long long>(fleet.accepted),
+               static_cast<unsigned long long>(fleet.allocs));
+  EXPECT_GE(fleet.accepted, 50 * kWindowSessionSlots);
+  EXPECT_EQ(fleet.allocs, 0u);
+
+  // The streamed outcomes.csv still equals a replay's, byte for byte.
+  const cluster::ClusterBundle bundle =
+      cluster::load_cluster_bundle(config.journal_dir);
+  cluster::Dispatcher dispatcher(
+      bundle.fleet, cluster::DispatcherConfig{},
+      cluster::make_rental_controller(bundle.meta.at("rental")));
+  const cloud::MultiSimResult replay =
+      cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
+  const std::string replay_csv = config.journal_dir + "_replay.csv";
+  cloud::save_multi_outcomes_csv(replay, bundle.jobs, replay_csv);
+  EXPECT_EQ(slurp(config.journal_dir + "/outcomes.csv"), slurp(replay_csv));
+}
+
 TEST(HotPathAllocations, LiveVDoverTimerChurnAllocationFree) {
   // The engine's worst timer load, live: adaptive-EWMA V-Dover under a
   // 3x-overloaded arrival stream keeps a standing Qother queue, and every
@@ -809,7 +861,7 @@ TEST(HotPathAllocations, RankedLiveSetIdIndexGrowsGeometrically) {
   std::uint64_t allocs = 0;
   std::thread worker([&] {
     cloud::RankedLiveSet live;
-    live.reset(4, 0);
+    live.begin_run(4, 0);
     util::AllocProbe::reset();
     for (JobId id = 0; id < kReleases; ++id) {
       live.insert(static_cast<double>(id % 97), id);

@@ -339,6 +339,20 @@ TEST(LintTest, AllocInHotPathFiresOnlyOnReachableUnauditedSites) {
       << r.output;
 }
 
+TEST(LintTest, AllocInHotPathKnowsReserveAndAssign) {
+  const auto r = run_lint(fixture_args(fx("src/sim/bad_hot_reserve.cpp")));
+  EXPECT_EQ(r.exit_code, 1);
+  // The reserve and the assign reachable from step() fire; the same calls
+  // in the unreachable setup stay silent.
+  EXPECT_EQ(count_findings(r.output, "alloc-in-hot-path"), 2) << r.output;
+  EXPECT_NE(r.output.find("Scratch::step -> fixture::Scratch::regrow"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("Scratch::step -> fixture::Scratch::refill"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(LintTest, AllocInHotPathReportsCloudDirectory) {
   const auto r = run_lint(fixture_args(fx("src/cloud/bad_hot_alloc.cpp")));
   EXPECT_EQ(r.exit_code, 1);

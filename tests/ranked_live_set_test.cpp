@@ -39,12 +39,12 @@ void expect_same_ranking(const RankedLiveSet& set, const Reference& reference,
 /// One randomized episode: jobs with small-integer deadlines and densities
 /// (so equal keys are common), keyed by `key`, inserted in release order and
 /// erased at random (completions/expiries). `id_bound` is the reserve given
-/// to reset(); ids run past it when it is smaller than `jobs`.
+/// to begin_run(); ids run past it when it is smaller than `jobs`.
 void run_episode(GlobalKey key, std::size_t k, std::size_t jobs,
                  std::size_t id_bound, std::uint64_t seed) {
   Rng rng(seed, 9);
   RankedLiveSet set;
-  set.reset(k, id_bound);
+  set.begin_run(k, id_bound);
   Reference reference;
   std::vector<JobId> live;
   JobId next = 0;
@@ -110,13 +110,13 @@ TEST(RankedLiveSet, IdsBeyondTheInitialReserve) {
 
 TEST(RankedLiveSet, ResetEmptiesTheSet) {
   RankedLiveSet set;
-  set.reset(2, 8);
+  set.begin_run(2, 8);
   for (JobId id = 0; id < 6; ++id) set.insert(static_cast<double>(6 - id), id);
   EXPECT_EQ(set.size(), 6u);
   ASSERT_EQ(set.head().size(), 2u);
   EXPECT_EQ(set.head()[0].id, 5);
   EXPECT_EQ(set.head()[1].id, 4);
-  set.reset(3, 8);
+  set.begin_run(3, 8);
   EXPECT_EQ(set.size(), 0u);
   EXPECT_TRUE(set.head().empty());
   EXPECT_FALSE(set.erase(5));

@@ -819,8 +819,9 @@ TEST(JournalTest, AppendFailureThrowsInsteadOfSilentLoss) {
 /// and checks the one journal-failure policy: the client sees
 /// ERROR(kJournalFailed), never an ACCEPTED whose row was dropped (the
 /// `journals` hold exactly the accepted rows, all whole); journal_error()
-/// names the failure; the session drains on its own (no DRAIN frame); and
-/// the drain completes.
+/// names the failure; the session drains on its own (no DRAIN frame); the
+/// drain completes; and nothing of the failed SUBMIT was admitted: no
+/// COMPLETED/EXPIRED reaches its seq, and the in-flight count ends at 0.
 template <typename Server>
 void expect_journal_failure_fails_session_cleanly(
     Server& server, FakeClock& clock, int step_ms,
@@ -870,6 +871,16 @@ void expect_journal_failure_fails_session_cleanly(
   }
   EXPECT_NE(why.find(fault_text(fault)), std::string::npos) << why;
   EXPECT_EQ(journal_rows(journals), accepted);
+
+  client.read_socket();
+  std::uint64_t notified = 0;
+  for (const Message& m : client.inbox) {
+    if (m.type != MsgType::kCompleted && m.type != MsgType::kExpired) continue;
+    ++notified;
+    EXPECT_NE(m.seq, failed.seq) << "the failed SUBMIT was notified";
+  }
+  EXPECT_EQ(notified, accepted);
+  EXPECT_EQ(server.stats().in_flight, 0u);
 }
 
 TEST(ServeTest, JournalFailureFailsSessionCleanly) {
@@ -931,7 +942,7 @@ TEST(SessionWait, MicrosecondsUntilTheNextEventUnderFakeClock) {
   sjs::serve::Session<sjs::serve::LocalBackend> session(
       scripted_config(""), clock, target, "",
       make_scheduler("V-Dover", kBandLo, kBandHi));
-  session.begin(clock.now(), nullptr);
+  session.begin_live(clock.now(), nullptr);
 
   // Nothing queued: the cap itself, -1 ("until activity") included.
   EXPECT_EQ(session.wait_us(50000), 50000);
@@ -974,7 +985,7 @@ TEST(SessionWakeups, CountsSocketTimerAndEmptyTimerWakes) {
   sjs::serve::Session<sjs::serve::LocalBackend> session(
       scripted_config(""), clock, target, "",
       make_scheduler("V-Dover", kBandLo, kBandHi));
-  session.begin(clock.now(), &registry);
+  session.begin_live(clock.now(), &registry);
   const auto counter = [&](std::string_view name) {
     const auto counters = registry.snapshot().counters;
     const auto it = counters.find(std::string(name));

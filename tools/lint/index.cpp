@@ -67,7 +67,8 @@ const std::set<std::string>& call_keyword_blocklist() {
 
 bool is_alloc_call_name(const std::string& name) {
   return name == "make_unique" || name == "make_shared" ||
-         name == "push_back" || name == "emplace_back" || name == "resize";
+         name == "push_back" || name == "emplace_back" || name == "resize" ||
+         name == "reserve" || name == "assign";
 }
 
 // Matches the wildcard `*_clock` of the banned-time rule.
@@ -189,6 +190,15 @@ Classification classify(const std::vector<Token>& stmt) {
   return out;
 }
 
+// Whether identifier `name` occurs in `toks[begin, end)`.
+bool mentions(const std::vector<Token>& toks, std::size_t begin,
+              std::size_t end, const char* name) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (toks[i].ident && toks[i].text == name) return true;
+  }
+  return false;
+}
+
 // Token-level two-phase discipline analysis for one function body (see
 // docs/static-analysis.md, channel-discipline). `toks[body_begin,body_end)`
 // is the token range between the body braces (exclusive of both).
@@ -196,14 +206,7 @@ std::vector<ChannelViolation> analyze_channel_discipline(
     const std::vector<Token>& toks, std::size_t body_begin,
     std::size_t body_end) {
   std::vector<ChannelViolation> out;
-  bool mentions_reservation = false;
-  for (std::size_t i = body_begin; i < body_end; ++i) {
-    if (toks[i].ident && toks[i].text == "Reservation") {
-      mentions_reservation = true;
-      break;
-    }
-  }
-  if (!mentions_reservation) return out;
+  if (!mentions(toks, body_begin, body_end, "Reservation")) return out;
 
   const auto is_call = [&](std::size_t i, const char* name) {
     return toks[i].ident && toks[i].text == name && i + 1 < body_end &&
@@ -387,6 +390,19 @@ FileIndex build_index(const SourceFile& file) {
           auto viols =
               analyze_channel_discipline(toks, body_token_begin, i);
           current.channel_violations = std::move(viols);
+          if (mentions(toks, body_token_begin, i, "Reservation")) {
+            // Beside a conc::Channel Reservation, an unqualified reserve()
+            // is the channel's two-phase slot claim: it resolves to
+            // Channel::reserve only and allocates nothing.
+            std::erase_if(current.allocs, [](const OpSite& op) {
+              return op.what == "reserve";
+            });
+            for (CallSite& call : current.calls) {
+              if (call.name == "reserve" && call.qual.empty()) {
+                call.qual = "Channel::reserve";
+              }
+            }
+          }
           idx.funcs.push_back(std::move(current));
           current = FunctionDef{};
           in_function = false;
