@@ -11,9 +11,11 @@
 #      byte-identically (diff of outcomes.csv).
 #
 # Each phase also prints, with no threshold, sjs_load's notification lag
-# p50/p99, the server's peak RSS (VmHWM, read before the drain) and its
-# job-window high-water gauges (server.window_peak[.shard<k>]). The cluster
-# replay also runs the invariant checker (sjs_sim --check-invariants).
+# p50/p99, the server's peak RSS (VmHWM, read before the drain), its
+# job-window high-water gauges (server.window_peak[.shard<k>]), its loop
+# wake-ups per submit by cause (server.wakeups.*) and the p99 of how late
+# its timer wakes came (server.wake_late_us.p99). The cluster replay also
+# runs the invariant checker (sjs_sim --check-invariants).
 #
 # The gate runs three times: against the single-threaded server, against the
 # sharded plane (--shards=4, sjs_load --connections=4, where step 3/4 apply
@@ -79,6 +81,40 @@ replay_cluster_bundle() {
   echo "replay bit-exact: $tag"
 }
 
+# wake_report <tag> <server_log>: the loop's wake-ups per submit by cause
+# and the timer-wake lateness p99, summed (counters) or maxed (p99) over the
+# plain and the per-shard names. Reported, not gated.
+wake_report() {
+  local tag="$1" log="$2"
+  awk -v tag="$tag" '
+    function base(name) { sub(/\.shard[0-9]+$/, "", name); return name }
+    $1 ~ /^server\./ {
+      name = $1; sub(/:$/, "", name)
+      sharded = (name ~ /\.shard[0-9]+$/)
+      key = base(name)
+      if (key == "server.jobs_submitted") {
+        if (sharded) shard_submits += $2; else submits += $2
+      } else if (key ~ /^server\.wakeups\./) {
+        wakes[key] += $2
+      } else if (key == "server.wake_late_us.p99" && $2 > late) {
+        late = $2; seen_late = 1
+      }
+    }
+    END {
+      if (shard_submits > 0) submits = shard_submits
+      line = sprintf("[%s] wake-ups per submit:", tag)
+      n = split("socket timer timer_empty dead_skipped", causes, " ")
+      for (i = 1; i <= n; i++) {
+        w = wakes["server.wakeups." causes[i]]
+        line = line sprintf(" %s %s", causes[i],
+                            submits > 0 ? sprintf("%.3f", w / submits) : "n/a")
+      }
+      print line
+      printf "[%s] timer wake lateness p99 (us): %s\n", tag,
+             seen_late ? late : "no timer wakes"
+    }' "$log"
+}
+
 # smoke_phase <tag> <journal_dir> <extra serve flags...> -- <extra load flags...>
 smoke_phase() {
   local tag="$1" journal="$2"
@@ -132,6 +168,7 @@ smoke_phase() {
 
   echo "[$tag] job-window high-water:"
   grep -E '^ +server\.window_peak' "$server_log" || echo "  (none reported)"
+  wake_report "$tag" "$server_log"
 
   local metric
   metric="$(awk '/server\.jobs_completed:/ { print $2 }' "$server_log")"

@@ -162,10 +162,7 @@ void MultiEngine::process_event(const Event& event) {
   in_callback_ = true;
   switch (event.type) {
     case EventType::kCompletion: {
-      if (event.server == kNoServer || event.epoch != epochs_[event.server] ||
-          running_[event.server] != event.job) {
-        break;  // stale
-      }
+      if (event_dead(event)) break;  // stale
       SJS_CHECK_MSG(jobs_.remaining(event.job) <
                         sim::completion_residue_bound(job(event.job).workload),
                     "completion with work left");
@@ -183,10 +180,7 @@ void MultiEngine::process_event(const Event& event) {
     case EventType::kExpiry: {
       // Dead when the job already has an outcome, or was retired since (its
       // slot may hold a later job by now).
-      if (!jobs_.holds(event.job) ||
-          jobs_.outcome(event.job) != sim::JobOutcome::kPending) {
-        break;
-      }
+      if (event_dead(event)) break;
       jobs_.set_outcome(event.job, sim::JobOutcome::kExpired);
       ++result_.expired_count;
       const std::size_t server = server_of(event.job);
@@ -206,6 +200,21 @@ void MultiEngine::process_event(const Event& event) {
     }
   }
   in_callback_ = false;
+}
+
+bool MultiEngine::event_dead(const Event& event) const {
+  switch (event.type) {
+    case EventType::kCompletion:
+      return event.server == kNoServer ||
+             event.epoch != epochs_[event.server] ||
+             running_[event.server] != event.job;
+    case EventType::kExpiry:
+      return !jobs_.holds(event.job) ||
+             jobs_.outcome(event.job) != sim::JobOutcome::kPending;
+    case EventType::kRelease:
+      return false;
+  }
+  return false;
 }
 
 void MultiEngine::harvest() {
@@ -256,6 +265,9 @@ MultiSimResult MultiEngine::run_to_completion() {
 void MultiEngine::begin_live() {
   SJS_CHECK_MSG(!live_ && !in_callback_, "begin_live: already live");
   live_ = true;
+  // Live admissions append to the job vector: copy out any records the
+  // window borrowed from it first.
+  jobs_.own_records();
   result_ = MultiSimResult{};
   result_.scheduler_name = scheduler_->name();
   result_.busy_time_per_server.assign(servers_.size(), 0.0);
@@ -347,6 +359,11 @@ void MultiEngine::advance_to(double t) {
 double MultiEngine::next_event_time() const {
   const Event* next = queue_.front();
   return next ? next->time : std::numeric_limits<double>::infinity();
+}
+
+double MultiEngine::next_live_event_time() const {
+  return queue_.first_live_time(
+      [this](const Event& e) { return event_dead(e); });
 }
 
 const MultiSimResult& MultiEngine::finish_live() {

@@ -138,6 +138,10 @@ class MultiEngine {
   void advance_to(double t);
   /// Time of the earliest pending event, or +inf when idle.
   double next_event_time() const;
+  /// The event loop's wake-up bound, as sim::Engine::next_live_event_time:
+  /// the first pending event that is not dead (event_dead), or a time no
+  /// later than it, or +inf when only dead events are queued.
+  double next_live_event_time() const;
   /// Drains all pending events and harvests the result.
   const MultiSimResult& finish_live();
 
@@ -219,6 +223,11 @@ class MultiEngine {
 
   void push_event(double time, EventType type, JobId job, std::size_t server,
                   std::uint64_t epoch);
+  /// Whether `event` will pop as a no-op: a completion whose server has
+  /// been re-dispatched since (a preemption or a migration), or an expiry
+  /// of a job that already has an outcome or was retired. Monotone, like
+  /// sim::Engine's.
+  bool event_dead(const Event& event) const;
   /// Accounts execution on every busy server up to time t.
   void advance_all(double t);
   /// Bookkeeping stop of the job on `server` (no callback).
@@ -243,7 +252,9 @@ class MultiEngine {
   double last_advance_ = 0.0;
   std::vector<JobId> running_;         // per server
   std::vector<std::uint64_t> epochs_;  // per server
-  sim::JobTable jobs_;                 // per job: one window
+  /// Per job: one window, engine lanes only (the dispatcher and the global
+  /// schedulers keep their own per-job state).
+  sim::JobTable jobs_{sim::JobTable::Lanes::kEngine};
 
   sim::SplitEventQueue<Event> queue_;
   std::uint64_t next_seq_ = 0;

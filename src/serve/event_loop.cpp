@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -41,6 +42,10 @@ int wait_fds(pollfd* fds, std::size_t n, std::int64_t timeout_us) {
   }
   const int ready = ::ppoll(fds, static_cast<nfds_t>(n), until, nullptr);
   return ready < 0 ? 0 : ready;
+}
+
+void use_serving_timer_slack() {
+  ::prctl(PR_SET_TIMERSLACK, kServingTimerSlackNs, 0, 0, 0);
 }
 
 EventLoop::EventLoop(Handler& handler) : handler_(&handler) {}

@@ -31,6 +31,18 @@ namespace sjs::serve {
 /// or 0 on timeout or EINTR.
 int wait_fds(pollfd* fds, std::size_t n, std::int64_t timeout_us);
 
+/// Timer slack of every serving thread, in nanoseconds: how late the kernel
+/// may end a wait_fds timeout to batch it with other wake-ups. The default
+/// is 50 µs; this value comes from the sweep in
+/// results/serve_live_wake_ab.json (docs/serving.md, "Waking on time").
+inline constexpr unsigned long kServingTimerSlackNs = 5000;
+
+/// Sets the calling thread's timer slack to kServingTimerSlackNs.
+/// prctl(PR_SET_TIMERSLACK) acts on the calling thread only, so each serving
+/// thread calls this once as it starts serving: a front end's loop thread
+/// on its first step, a shard thread in ShardWorker::run_shard.
+void use_serving_timer_slack();
+
 class EventLoop {
  public:
   /// Upcalls into the owner. Connection ids are small integers, reused after

@@ -34,6 +34,11 @@ void FrontEnd::watch_shutdown_fd(int fd) {
 bool FrontEnd::step(int max_wait_ms) {
   SJS_CHECK_MSG(started_, "serving front end stepped before start()");
   if (finished_) return false;
+  if (!slack_set_) {
+    // The thread that steps the front end is its serving thread.
+    use_serving_timer_slack();
+    slack_set_ = true;
+  }
   const std::int64_t max_wait_us =
       max_wait_ms < 0 ? -1 : std::int64_t{max_wait_ms} * 1000;
   if (!served_) served_ = serve(max_wait_us);

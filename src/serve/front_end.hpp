@@ -129,6 +129,7 @@ class FrontEnd : public EventLoop::Handler {
 
   bool started_ = false;
   bool draining_ = false;
+  bool slack_set_ = false;  ///< use_serving_timer_slack() ran
   bool served_ = false;  ///< serve() reported the back end finished
   bool finished_ = false;
   int flush_spins_ = 0;

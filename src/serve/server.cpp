@@ -25,7 +25,11 @@ SessionCounterNames::SessionCounterNames(std::string_view suffix)
       window_slots(label(kGaugeWindowSlots, suffix)),
       wake_socket(label(kCtrWakeSocket, suffix)),
       wake_timer(label(kCtrWakeTimer, suffix)),
-      wake_timer_empty(label(kCtrWakeTimerEmpty, suffix)) {}
+      wake_timer_empty(label(kCtrWakeTimerEmpty, suffix)),
+      wake_dead_skipped(label(kCtrWakeDeadSkipped, suffix)),
+      wake_late_p50(label(kGaugeWakeLateP50, suffix)),
+      wake_late_p99(label(kGaugeWakeLateP99, suffix)),
+      wake_late_max(label(kGaugeWakeLateMax, suffix)) {}
 
 LocalBackend::LocalBackend(const ServerConfig& config,
                            std::unique_ptr<sim::Scheduler> scheduler)

@@ -56,6 +56,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -69,6 +70,7 @@
 #include "serve/admission.hpp"
 #include "serve/clock.hpp"
 #include "serve/protocol.hpp"
+#include "stats/histogram.hpp"
 #include "util/vec.hpp"
 
 namespace sjs::serve {
@@ -106,6 +108,11 @@ inline constexpr std::string_view kCtrWakeSocket = "server.wakeups.socket";
 inline constexpr std::string_view kCtrWakeTimer = "server.wakeups.timer";
 inline constexpr std::string_view kCtrWakeTimerEmpty =
     "server.wakeups.timer_empty";
+inline constexpr std::string_view kCtrWakeDeadSkipped =
+    "server.wakeups.dead_skipped";
+inline constexpr std::string_view kGaugeWakeLateP50 = "server.wake_late_us.p50";
+inline constexpr std::string_view kGaugeWakeLateP99 = "server.wake_late_us.p99";
+inline constexpr std::string_view kGaugeWakeLateMax = "server.wake_late_us.max";
 inline constexpr std::string_view kGaugeWriteBufPeak =
     "server.write_buffer_peak";
 
@@ -116,7 +123,8 @@ struct SessionCounterNames {
   explicit SessionCounterNames(std::string_view suffix);
   std::string submitted, accepted, rejected, shed, completed, expired,
       cancelled, in_flight_peak, window_peak, window_slots, wake_socket,
-      wake_timer, wake_timer_empty;
+      wake_timer, wake_timer_empty, wake_dead_skipped, wake_late_p50,
+      wake_late_p99, wake_late_max;
 };
 
 /// Where a session's outgoing messages go, and how its local job ids read
@@ -225,17 +233,20 @@ class Session {
   /// Advances virtual time to the bridge's now and ships notifications.
   // sjs-hot-path-root
   void pump();
-  /// The loop's wait timeout: wall microseconds until the next simulated
-  /// event is due (0 once it is), at most `cap_us`. A negative cap means
-  /// uncapped; with no event queued the cap itself comes back (-1: until
-  /// activity).
+  /// The loop's wait timeout: wall microseconds until the first live
+  /// simulated event is due (0 once it is), at most `cap_us`. Dead events
+  /// ahead of it (engine next_live_event_time) do not end the wait; they
+  /// pop in order in the next pump. A negative cap means uncapped; with no
+  /// live event queued the cap itself comes back (-1: until activity).
   std::int64_t wait_us(std::int64_t cap_us);
   /// Counts one turn of the loop's wait by cause (server.wakeups.*): a wait
   /// of `waited_us` (0: no sleep, not counted) that ended with `ready`
   /// descriptors ready (socket) or on its timeout (timer), and whether the
   /// pump after it shipped a notification: `notified_before` is
   /// notified() read before that pump (a timer wake that shipped none is
-  /// timer_empty too).
+  /// timer_empty too). A timer wake for the live event the wait targeted
+  /// also records how late it came (server.wake_late_us), read off the
+  /// clock reading of that pump.
   void count_wakeup(std::int64_t waited_us, int ready,
                     std::uint64_t notified_before);
   /// COMPLETED/EXPIRED notifications handled so far (cancelled jobs'
@@ -253,6 +264,9 @@ class Session {
 
   /// Tickets the retired-outcome lane is pre-sized for.
   static constexpr std::size_t kRetiredTickets = std::size_t{1} << 20;
+  /// The wake-lateness histogram: 1 µs bins up to 1 ms (later wakes land in
+  /// its overflow bucket and still set the max).
+  static constexpr double kWakeLateSpanUs = 1000.0;
 
   /// Refuse further submits (REJECTED(draining)).
   void request_drain() { draining_ = true; }
@@ -322,6 +336,17 @@ class Session {
   /// 1 completed, 2 expired), 32 tickets per word.
   std::vector<std::uint64_t> retired_;
   std::uint64_t notified_ = 0;
+
+  /// Virtual due time of the live event the last wait_us() targeted; NaN
+  /// when the cap or nothing bounded that wait.
+  double wake_due_ = std::numeric_limits<double>::quiet_NaN();
+  /// The virtual time the last pump() read off the clock.
+  double pumped_at_ = 0.0;
+  /// Timer-wake lateness in µs (server.wake_late_us), allocated with the
+  /// session so the serving loop only counts into it.
+  Histogram wake_late_{0.0, kWakeLateSpanUs,
+                       static_cast<std::size_t>(kWakeLateSpanUs)};
+  double wake_late_max_ = 0.0;
 
   bool draining_ = false;
   bool finalized_ = false;

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <exception>
+#include <limits>
 
 #include "serve/session.hpp"
 #include "sim/result.hpp"
@@ -58,20 +59,47 @@ StatsBody Session<Backend>::stats() const {
 template <typename Backend>
 void Session<Backend>::pump() {
   auto& engine = backend_.engine();
-  engine.advance_to(std::max(bridge_.virtual_now(), engine.now()));
+  pumped_at_ = bridge_.virtual_now();
+  engine.advance_to(std::max(pumped_at_, engine.now()));
   dispatch_notifications();
 }
 
+namespace detail {
+
+/// Wall microseconds of a lead of `lead_s` seconds: rounded up, so the loop
+/// never wakes just before the event is due, and kept below an hour, so a
+/// far-future event cannot overflow the conversion.
+inline std::int64_t lead_us(double lead_s) {
+  return static_cast<std::int64_t>(
+      std::min(std::ceil(std::max(0.0, lead_s) * 1e6), 3.6e9));
+}
+
+}  // namespace detail
+
 template <typename Backend>
 std::int64_t Session<Backend>::wait_us(std::int64_t cap_us) {
-  const double next = backend_.engine().next_event_time();
-  if (!std::isfinite(next)) return cap_us;
-  // Rounded up, so the loop never wakes just before the event is due; kept
-  // below an hour so a far-future event cannot overflow the conversion.
-  const double us = std::min(
-      std::ceil(std::max(0.0, bridge_.wall_until(next)) * 1e6), 3.6e9);
-  const auto wait = static_cast<std::int64_t>(us);
-  return cap_us >= 0 ? std::min(wait, cap_us) : wait;
+  wake_due_ = std::numeric_limits<double>::quiet_NaN();
+  const auto& engine = backend_.engine();
+  const double front = engine.next_event_time();
+  if (!std::isfinite(front)) return cap_us;
+  const auto capped = [cap_us](std::int64_t us) {
+    return cap_us >= 0 ? std::min(us, cap_us) : us;
+  };
+  // One clock read: the live event's lead follows from the front's.
+  const double front_lead = bridge_.wall_until(front);
+  const double live = engine.next_live_event_time();
+  std::int64_t wait = cap_us;  // only dead events queued: wait as if idle
+  if (std::isfinite(live)) {
+    const std::int64_t live_us =
+        detail::lead_us(front_lead + (live - front) / bridge_.accel());
+    wait = capped(live_us);
+    if (wait == live_us) wake_due_ = live;
+  }
+  if (live > front &&
+      (wait < 0 || wait > capped(detail::lead_us(front_lead)))) {
+    count(names_.wake_dead_skipped);
+  }
+  return wait;
 }
 
 template <typename Backend>
@@ -84,6 +112,12 @@ void Session<Backend>::count_wakeup(std::int64_t waited_us, int ready,
   }
   count(names_.wake_timer);
   if (notified_ == notified_before) count(names_.wake_timer_empty);
+  if (shard_ && !std::isnan(wake_due_)) {
+    const double late_us =
+        std::max(0.0, (pumped_at_ - wake_due_) / bridge_.accel() * 1e6);
+    wake_late_.add(late_us);
+    wake_late_max_ = std::max(wake_late_max_, late_us);
+  }
 }
 
 template <typename Backend>
@@ -345,6 +379,11 @@ void Session<Backend>::finalize() {
     shard_->set_gauge(names_.window_peak, static_cast<double>(window_peak_));
     shard_->set_gauge(names_.window_slots,
                       static_cast<double>(routes_.size()));
+    if (wake_late_.total() > 0) {
+      shard_->set_gauge(names_.wake_late_p50, wake_late_.quantile(0.50));
+      shard_->set_gauge(names_.wake_late_p99, wake_late_.quantile(0.99));
+      shard_->set_gauge(names_.wake_late_max, wake_late_max_);
+    }
   }
   if (journal_) {
     try {

@@ -46,6 +46,7 @@ ShardWorker::ShardWorker(const ServerConfig& config, std::size_t shard_index,
 ShardWorker::~ShardWorker() = default;
 
 void ShardWorker::run_shard(double epoch) {
+  use_serving_timer_slack();
   session_.begin_live(epoch, metrics_);
   serve_requests();
   session_.pump();

@@ -66,6 +66,29 @@ double Engine::next_event_time() const {
   return front ? front->time : std::numeric_limits<double>::infinity();
 }
 
+double Engine::next_live_event_time() const {
+  return queue_.first_live_time(
+      [this](const Event& e) { return event_dead(e); });
+}
+
+bool Engine::event_dead(const Event& event) const {
+  switch (event.type) {
+    case EventType::kCompletion:
+      return stale_completion(event);
+    case EventType::kExpiry:
+      return resolved(event.job);
+    case EventType::kTimer:
+      // A timer of a job not yet released is live: the release may come
+      // first.
+      return cancelled_timer(event) ||
+             (event.job != kNoJob && resolved(event.job));
+    case EventType::kCapacityChange:
+    case EventType::kRelease:
+      return false;
+  }
+  return false;
+}
+
 void Engine::maybe_compact_heap() {
   const std::size_t volatile_size = queue_.volatile_size();
   if (volatile_size < kCompactionMinEvents ||
@@ -74,8 +97,7 @@ void Engine::maybe_compact_heap() {
   }
   // One pass drops stale completions and cancelled timers alike.
   queue_.purge([&](const Event& e) {
-    if (e.type == EventType::kCompletion) return e.id != dispatch_epoch_;
-    return e.type == EventType::kTimer && !timer_armed(e.id);
+    return stale_completion(e) || cancelled_timer(e);
   });
   ++result_.heap_compactions;
 }
@@ -421,6 +443,9 @@ void Engine::begin_live() {
                 "begin_live needs a fresh engine or a reset() one");
   run_started_ = true;
   live_ = true;
+  // Live admissions append to the instance: copy out any records the
+  // window borrowed from it first.
+  jobs_.own_records();
   // Live events join the queue after the seal, and the live static side
   // keeps every capacity breakpoint: nothing here is a batch run's.
   static_key_.reusable = false;

@@ -123,10 +123,19 @@ class Engine {
   /// until every same-timestamp admission has been queued.
   void advance_to(double t);
 
-  /// Timestamp of the next pending event, or +infinity when idle — the event
-  /// loop's poll-timeout bound. Dead events count: popping one is a cheap
-  /// no-op, never wrong.
+  /// Timestamp of the next pending event, or +infinity when idle. Dead
+  /// events count: popping one is a cheap no-op, never wrong.
   double next_event_time() const;
+
+  /// The event loop's wake-up bound: the time of the first pending event
+  /// that is not dead (event_dead), or a time no later than it when the
+  /// queue's fixed frontier overflows, or +infinity when only dead events
+  /// are queued. Never earlier than next_event_time(). Dead events before
+  /// it still pop in order inside the next advance_to(), so sleeping until
+  /// it changes no event, integral or outcome — only when the loop wakes.
+  /// Live timers bound it: a V-Dover timer can schedule the completion that
+  /// follows it.
+  double next_live_event_time() const;
 
   /// Retires job `id`, which must be the window's base() and have an
   /// outcome: every queued event still naming it is dead from here on, and
@@ -316,8 +325,26 @@ class Engine {
   /// changes up to the last deadline when `capacity_events`) onto an empty
   /// queue, seals it, and records what it was built for.
   void build_static_side(bool capacity_events);
+  /// Whether `event` will pop as a no-op: a completion of an older dispatch
+  /// (stale_completion), a cancelled timer (cancelled_timer), a timer or an
+  /// expiry of a job that already has an outcome or was retired. Monotone:
+  /// a dead event stays dead until it pops, and popping it queues nothing.
+  bool event_dead(const Event& event) const;
+  bool stale_completion(const Event& event) const {
+    return event.type == EventType::kCompletion && event.id != dispatch_epoch_;
+  }
+  bool cancelled_timer(const Event& event) const {
+    return event.type == EventType::kTimer && !timer_armed(event.id);
+  }
+  /// Whether job `id` has an outcome or was retired.
+  bool resolved(JobId id) const {
+    return !jobs_.holds(id) || jobs_.outcome(id) != JobOutcome::kPending;
+  }
   /// Purges dead events once they outnumber the live ones (amortized O(1)
   /// per event; total order on events makes the rebuild order-neutral).
+  /// Only the dead kinds that hold nothing are dropped — stale completions
+  /// and cancelled timers; an armed timer of a resolved job still frees its
+  /// slab slot when it pops.
   void maybe_compact_heap();
   /// Slab slot of a timer id; a corrupted id (slot never allocated) fails an
   /// SJS_CHECK.

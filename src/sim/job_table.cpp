@@ -1,5 +1,6 @@
 #include "sim/job_table.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -32,27 +33,34 @@ void JobTable::resize_ring(std::size_t slots) {
   if (span() == 0) {
     // Nothing to carry over: plain growth keeps the buffers (and never
     // shrinks them).
-    util::grow(jobs_, slots);
+    if (!borrowed_) util::grow(jobs_, slots);
     util::grow(remaining_, slots);
     util::grow(completion_, slots);
     util::grow(outcome_, slots);
     util::grow(released_, slots);
-    util::grow(qedf_meta_, slots);
-    util::grow(ocl_timer_, slots);
-    util::grow(abandoned_, slots);
-    util::grow(ocl_scheduled_, slots);
+    if (lanes_ == Lanes::kAll) {
+      util::grow(qedf_meta_, slots);
+      util::grow(ocl_timer_, slots);
+      util::grow(abandoned_, slots);
+      util::grow(ocl_scheduled_, slots);
+    }
   } else {
-    reslot(jobs_, slots, base_, end_, mask_);
+    // Borrowed records stay where they are: id & mask is the id itself
+    // under every mask at least as wide as the bound instance.
+    if (!borrowed_) reslot(jobs_, slots, base_, end_, mask_);
     reslot(remaining_, slots, base_, end_, mask_);
     reslot(completion_, slots, base_, end_, mask_);
     reslot(outcome_, slots, base_, end_, mask_);
     reslot(released_, slots, base_, end_, mask_);
-    reslot(qedf_meta_, slots, base_, end_, mask_);
-    reslot(ocl_timer_, slots, base_, end_, mask_);
-    reslot(abandoned_, slots, base_, end_, mask_);
-    reslot(ocl_scheduled_, slots, base_, end_, mask_);
+    if (lanes_ == Lanes::kAll) {
+      reslot(qedf_meta_, slots, base_, end_, mask_);
+      reslot(ocl_timer_, slots, base_, end_, mask_);
+      reslot(abandoned_, slots, base_, end_, mask_);
+      reslot(ocl_scheduled_, slots, base_, end_, mask_);
+    }
   }
   mask_ = slots - 1;
+  if (!borrowed_) records_ = jobs_.data();
 }
 
 void JobTable::init_slot(std::size_t s, const Job& job) {
@@ -61,28 +69,56 @@ void JobTable::init_slot(std::size_t s, const Job& job) {
   completion_[s] = std::numeric_limits<double>::quiet_NaN();
   outcome_[s] = JobOutcome::kPending;
   released_[s] = 0;
-  qedf_meta_[s] = QedfMeta{};
-  ocl_timer_[s] = kNoTimer;
-  abandoned_[s] = 0;
-  ocl_scheduled_[s] = 0;
+  if (lanes_ == Lanes::kAll) {
+    qedf_meta_[s] = QedfMeta{};
+    ocl_timer_[s] = kNoTimer;
+    abandoned_[s] = 0;
+    ocl_scheduled_[s] = 0;
+  }
 }
 
 void JobTable::bind(const std::vector<Job>& jobs) {
   const std::size_t n = jobs.size();
   base_ = 0;
   end_ = 0;
+  // An empty instance is a live session's start: nothing to borrow.
+  borrowed_ = n > 0;
   if (n > capacity()) resize_ring(std::bit_ceil(n));
-  for (std::size_t i = 0; i < n; ++i) init_slot(i, jobs[i]);
+  // Owned records fill every slot (a borrowed bind may have left the lane
+  // short).
+  if (!borrowed_ && jobs_.size() != capacity()) util::grow(jobs_, capacity());
+  records_ = borrowed_ ? jobs.data() : jobs_.data();
+  // init_slot for slots [0, n), a lane at a time, the records apart.
+  for (std::size_t i = 0; i < n; ++i) remaining_[i] = jobs[i].workload;
+  std::fill_n(completion_.begin(), n,
+              std::numeric_limits<double>::quiet_NaN());
+  std::fill_n(outcome_.begin(), n, JobOutcome::kPending);
+  std::fill_n(released_.begin(), n, std::uint8_t{0});
+  if (lanes_ == Lanes::kAll) {
+    std::fill_n(qedf_meta_.begin(), n, QedfMeta{});
+    std::fill_n(ocl_timer_.begin(), n, kNoTimer);
+    std::fill_n(abandoned_.begin(), n, std::uint8_t{0});
+    std::fill_n(ocl_scheduled_.begin(), n, std::uint8_t{0});
+  }
   end_ = static_cast<JobId>(n);
   span_peak_ = n;
 }
 
+void JobTable::own_records() {
+  if (!borrowed_) return;
+  util::grow(jobs_, capacity());
+  for (JobId id = base_; id < end_; ++id) jobs_[slot(id)] = records_[slot(id)];
+  borrowed_ = false;
+  records_ = jobs_.data();
+}
+
 void JobTable::reserve(std::size_t n) {
   if (n > capacity()) resize_ring(std::bit_ceil(n));
-  admission_scratch_.reserve(n + 2);
+  if (lanes_ == Lanes::kAll) admission_scratch_.reserve(n + 2);
 }
 
 JobId JobTable::admit(const Job& job) {
+  SJS_CHECK_MSG(!borrowed_, "admit into a window of borrowed records");
   if (span() == capacity()) {
     // The window outgrew the ring: double it (or create it) and re-slot.
     resize_ring(capacity() == 0 ? 16 : 2 * capacity());

@@ -16,7 +16,9 @@
 // and doubles, re-slotting the window, only when the span outgrows it.
 //
 // A batch run is the same window over the whole sealed instance (bind()):
-// ids [0, n), nothing ever retires.
+// ids [0, n), nothing ever retires. Its job records are read from the
+// instance's own vector, which outlives the run, instead of being copied;
+// a live session owns its records (own_records()).
 //
 // Retired ids are dead: holds(id) is false for them, and the engine treats
 // any event still queued for one (a completed job's expiry, a stale
@@ -47,11 +49,34 @@ struct QedfMeta {
 
 class JobTable {
  public:
+  /// Which lanes a table keeps. cloud::MultiEngine's global schedulers keep
+  /// their own per-job state, so the fleet's table sizes and initialises
+  /// only the engine's lanes (the job record, remaining, completion,
+  /// outcome, released); the scheduler lanes (V-Dover's Qedf metadata, 0cl
+  /// timer, abandoned and 0cl-scheduled flags, EDF-AC's admission scratch)
+  /// stay empty and must not be read.
+  enum class Lanes { kAll, kEngine };
+
+  explicit JobTable(Lanes lanes = Lanes::kAll) : lanes_(lanes) {}
+  // job() reads through a pointer into the owned records: a copy would
+  // read the original's. A move carries the buffer, and the pointer with it.
+  JobTable(const JobTable&) = delete;
+  JobTable& operator=(const JobTable&) = delete;
+  JobTable(JobTable&&) = default;
+  JobTable& operator=(JobTable&&) = default;
+
   /// The window over a sealed instance: ids [0, n), slot i holding job i's
   /// initial state. Keeps ring capacity across calls (the Monte-Carlo driver
   /// rebinds one engine per cell); ids from before a rebind are void by
-  /// contract.
+  /// contract. A non-empty `jobs` is borrowed, not copied: job(id) reads
+  /// jobs[id] until own_records(), so `jobs` must stay alive and unchanged
+  /// until then.
   void bind(const std::vector<Job>& jobs);
+
+  /// Copies borrowed job records into the ring (no-op when it owns them).
+  /// admit() requires owned records: a live engine calls this as it enters
+  /// live mode, before anything can append to the bound vector.
+  void own_records();
 
   /// Pre-sizes the ring for a span of `n` ids (rounded up to a power of
   /// two).
@@ -75,11 +100,11 @@ class JobTable {
   /// Peak span since the last bind().
   std::size_t span_peak() const { return span_peak_; }
   /// Ring slots (a power of two, or 0 before any reserve/bind/admit).
-  std::size_t capacity() const { return jobs_.size(); }
+  std::size_t capacity() const { return remaining_.size(); }
 
   // --- Lanes (unchecked ring indexing, see the header note) -----------------
 
-  const Job& job(JobId id) const { return jobs_[slot(id)]; }
+  const Job& job(JobId id) const { return records_[slot(id)]; }
 
   double remaining(JobId id) const { return remaining_[slot(id)]; }
   double& remaining(JobId id) { return remaining_[slot(id)]; }
@@ -123,10 +148,13 @@ class JobTable {
   /// Resizes every lane to `slots` (a power of two >= span()), moving the
   /// window's jobs to their slots under the new mask.
   void resize_ring(std::size_t slots);
-  /// Resets slot `s` to `job`'s initial state.
+  /// Resets slot `s` to `job`'s initial state (owned records only).
   void init_slot(std::size_t s, const Job& job);
 
-  std::vector<Job> jobs_;
+  /// Where job(id) reads: jobs_.data(), or the bound vector while borrowed_.
+  const Job* records_ = nullptr;
+  bool borrowed_ = false;
+  std::vector<Job> jobs_;  // the owned records (unread while borrowed_)
   std::vector<double> remaining_;
   std::vector<double> completion_;
   std::vector<JobOutcome> outcome_;
@@ -136,6 +164,7 @@ class JobTable {
   std::vector<std::uint8_t> abandoned_;
   std::vector<std::uint8_t> ocl_scheduled_;
 
+  Lanes lanes_;
   std::size_t mask_ = 0;
   JobId base_ = 0;
   JobId end_ = 0;

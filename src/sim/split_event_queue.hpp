@@ -27,10 +27,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -131,6 +133,66 @@ class SplitEventQueue {
       best = &heap_.front();
     }
     return best;
+  }
+
+  /// Heap entries the live-front walk keeps in its frontier.
+  static constexpr std::size_t kLiveFrontier = 16;
+
+  /// The time of the first pending event that `is_dead` does not reject,
+  /// or +infinity when every pending event is dead (or none is pending).
+  ///
+  /// `is_dead` must be monotone — an event it rejects stays rejected until
+  /// it pops — and popping a dead event must queue nothing, so no live
+  /// event can appear before the returned time without a new push. The
+  /// static side is walked from the cursor, the heap best-first from its
+  /// root over a fixed frontier of kLiveFrontier entries; when a walk runs
+  /// out of room it returns the time of the dead event it stopped at, which
+  /// is never later than the first live one. So the result always lies
+  /// between front()'s time and the first live event's. Const and
+  /// allocation-free.
+  template <typename Pred>
+  double first_live_time(Pred is_dead) const {
+    constexpr double kNone = std::numeric_limits<double>::infinity();
+    // Static side: the first live event from the cursor, within the budget.
+    const Event* stat = nullptr;  // live static candidate
+    double stat_bound = kNone;    // its time, or where the walk gave up
+    for (std::size_t i = cursor_, budget = kLiveFrontier; i < static_.size();
+         ++i) {
+      if (!is_dead(static_[i])) {
+        stat = &static_[i];
+        stat_bound = stat->time;
+        break;
+      }
+      if (--budget == 0) {
+        stat_bound = static_[i].time;
+        break;
+      }
+    }
+    // Heap: best-first from the root. The frontier holds the indices whose
+    // parents were examined and found dead; its smallest entry is the
+    // smallest heap event not yet examined.
+    std::array<std::size_t, kLiveFrontier> frontier{};
+    std::size_t open = heap_.empty() ? 0 : 1;  // frontier[0] = root
+    while (open > 0) {
+      std::size_t best = 0;
+      for (std::size_t k = 1; k < open; ++k) {
+        if (heap_[frontier[best]] > heap_[frontier[k]]) best = k;
+      }
+      const std::size_t at = frontier[best];
+      const Event& event = heap_[at];
+      // Every remaining heap event sorts after a live static one: done.
+      if (stat != nullptr && event > *stat) break;
+      if (!is_dead(event)) return std::min(stat_bound, event.time);
+      frontier[best] = frontier[--open];
+      for (std::size_t child = 2 * at + 1; child <= 2 * at + 2; ++child) {
+        if (child >= heap_.size()) break;
+        // Overflow: `event` sorts before every unexamined heap event, so
+        // its time bounds the first live one from below.
+        if (open == kLiveFrontier) return std::min(stat_bound, event.time);
+        frontier[open++] = child;
+      }
+    }
+    return stat_bound;
   }
 
   /// Removes and returns the smaller front. Requires !empty().

@@ -1,6 +1,8 @@
 #include "stats/histogram.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <cstdio>
 #include <sstream>
 
@@ -40,6 +42,20 @@ void Histogram::merge(const Histogram& other) {
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
   total_ += other.total_;
+}
+
+double Histogram::quantile(double q) const {
+  if (total_ == 0) return std::numeric_limits<double>::quiet_NaN();
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(q * static_cast<double>(total_))));
+  std::uint64_t seen = underflow_;
+  if (seen >= rank) return lo_;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    seen += counts_[i];
+    if (seen >= rank) return bin_hi(i);
+  }
+  return hi_;
 }
 
 double Histogram::bin_lo(std::size_t bin) const {

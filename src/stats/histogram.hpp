@@ -28,6 +28,11 @@ class Histogram {
   double bin_lo(std::size_t bin) const;
   double bin_hi(std::size_t bin) const;
 
+  /// The upper edge of the bin holding the ceil(q * total())-th smallest
+  /// sample (q in (0, 1]): lo for an underflow sample, hi for an overflow
+  /// one, NaN when empty.
+  double quantile(double q) const;
+
   /// Renders a horizontal bar chart, one line per bin.
   std::string render(int max_width = 50) const;
 

@@ -18,6 +18,7 @@
 #include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
 #include "obs/digest.hpp"
+#include "obs/trace_sink.hpp"
 #include "sched/factory.hpp"
 #include "sim/engine.hpp"
 #include "util/logging.hpp"
@@ -1043,6 +1044,45 @@ TEST(EngineWindow, RetiredJobsDeadEventsNeverTouchTheirSlotsNewJob) {
   EXPECT_TRUE(result.completion_times.empty());
   EXPECT_EQ(result.job_slab_peak, 2u);
   EXPECT_EQ(result.job_slab_slots, 2u);
+}
+
+TEST(EngineLiveFront, EventsBeforeTheLiveFrontPopAsNoOps) {
+  // A live V-Dover session under overload (stale completions from
+  // preemptions, zero-laxity timers, expiries of completed jobs): whenever
+  // the engine is advanced to exactly its live front, every event it pops
+  // on the way is dead — the trace records nothing, so no scheduler hook
+  // ran — and the live front never precedes the raw front.
+  Instance instance({}, cap::CapacityProfile(1.0), 0.5, 1.0);
+  auto scheduler = sched::make_vdover().make();
+  Engine engine(instance, *scheduler);
+  obs::VectorTraceSink trace;
+  engine.attach_trace(&trace);
+  engine.begin_live();
+  Rng rng(91, 2);
+  std::size_t skips = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (rng.bernoulli(0.5)) {
+      const double p = rng.exponential_mean(0.05);
+      const double now = engine.now();
+      engine.admit_live(make_job(now, p, now + rng.uniform(2.1, 6.0) * p,
+                                 p * rng.uniform(1.0, 7.0)));
+    }
+    const double front = engine.next_event_time();
+    const double live = engine.next_live_event_time();
+    ASSERT_LE(front, live);
+    if (std::isfinite(live) && live > front) {
+      const std::size_t recorded = trace.events().size();
+      engine.advance_to(live);
+      ASSERT_EQ(trace.events().size(), recorded) << "at " << live;
+      ++skips;
+    }
+    engine.advance_to(engine.now() + rng.exponential_mean(0.02));
+  }
+  EXPECT_GT(skips, 200u);
+  const SimResult& result = engine.finish_live();
+  EXPECT_GT(result.timers_armed, 0u);
+  EXPECT_GT(result.preemptions, 0u);
+  EXPECT_GT(result.expired_count, 0u);
 }
 
 TEST(Engine, GeneratedValueEqualsInstanceTotal) {

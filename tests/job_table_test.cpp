@@ -252,5 +252,63 @@ TEST(JobTableTest, DenseRebindInvalidatesPriorHandlesByContract) {
   EXPECT_EQ(table.span(), 2u);
 }
 
+TEST(JobTableTest, BatchBindBorrowsTheRecordsUntilOwned) {
+  std::vector<Job> jobs;
+  for (int i = 0; i < 5; ++i) {
+    jobs.push_back(Job{static_cast<JobId>(i), 0.0, 1.0 + i, 10.0, 1.0});
+  }
+  JobTable table;
+  table.bind(jobs);
+  // A batch window reads the instance's own records, not copies.
+  EXPECT_EQ(&table.job(3), &jobs[3]);
+  EXPECT_THROW(table.admit(make_job(1.0)), CheckError);
+  // Owned, the window keeps every record and admits after them; the bound
+  // vector may then change without the window seeing it.
+  table.own_records();
+  EXPECT_NE(&table.job(3), &jobs[3]);
+  EXPECT_EQ(table.admit(make_job(9.0)), 5);
+  jobs.assign(jobs.size(), Job{});
+  for (JobId id = 0; id < 5; ++id) {
+    EXPECT_EQ(table.job(id).id, id);
+    EXPECT_EQ(table.job(id).workload, 1.0 + static_cast<double>(id));
+  }
+  EXPECT_EQ(table.job(5).workload, 9.0);
+  // Rebinding an empty instance starts a live window with owned records,
+  // even after a borrowed bind left the record lane short.
+  JobTable live;
+  std::vector<Job> many(40, Job{kNoJob, 0.0, 1.0, 10.0, 1.0});
+  for (std::size_t i = 0; i < many.size(); ++i) {
+    many[i].id = static_cast<JobId>(i);
+  }
+  live.bind(many);
+  live.bind({});
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(live.admit(make_job(2.0)), i);
+  }
+  EXPECT_EQ(live.job(39).id, 39);
+}
+
+TEST(JobTableTest, EngineLanesOnlyTableServesTheEngineLanes) {
+  // The fleet's table: the record, remaining, completion, outcome and
+  // released lanes, through batch bind, live admission and ring growth.
+  std::vector<Job> jobs{Job{0, 0.0, 1.5, 10.0, 1.0},
+                        Job{1, 0.0, 2.5, 10.0, 1.0}};
+  JobTable table(JobTable::Lanes::kEngine);
+  table.bind(jobs);
+  EXPECT_EQ(table.remaining(1), 2.5);
+  EXPECT_TRUE(std::isnan(table.completion(0)));
+  table.own_records();
+  for (int i = 0; i < 100; ++i) table.admit(make_job(1.0 + i));
+  EXPECT_EQ(table.end(), 102);
+  EXPECT_GE(table.capacity(), 128u);
+  EXPECT_EQ(table.job(1).workload, 2.5);
+  EXPECT_EQ(table.remaining(101), 100.0);
+  table.set_outcome(0, JobOutcome::kCompleted);
+  table.set_completion(0, 0.5);
+  table.retire_front();
+  EXPECT_FALSE(table.holds(0));
+  EXPECT_EQ(table.outcome(1), JobOutcome::kPending);
+}
+
 }  // namespace
 }  // namespace sjs

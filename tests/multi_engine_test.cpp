@@ -286,6 +286,47 @@ TEST(MultiEngine, LiveSessionOnDiurnalFleetMatchesBatchRun) {
   }
 }
 
+TEST(MultiEngineLiveFront, EventsBeforeTheLiveFrontPopAsNoOps) {
+  // A live fleet of three unequal machines under global EDF, overloaded so
+  // that jobs migrate and are preempted (stale completions) and expiries of
+  // completed jobs pile up: advancing to exactly the live front pops only
+  // dead events — the trace records nothing — and the live front never
+  // precedes the raw front.
+  std::vector<Job> admitted;
+  std::vector<cap::CapacityProfile> fleet{cap::CapacityProfile(4.0),
+                                          cap::CapacityProfile(2.0),
+                                          cap::CapacityProfile(1.0)};
+  GlobalKeyScheduler scheduler(GlobalKey::kDeadline);
+  MultiEngine engine(admitted, fleet, scheduler);
+  obs::VectorTraceSink trace;
+  engine.attach_trace(&trace);
+  engine.begin_live();
+  Rng rng(92, 2);
+  std::size_t skips = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (rng.bernoulli(0.6)) {
+      const double p = rng.exponential_mean(0.6);
+      const double now = engine.now();
+      engine.admit_live(Job{kNoJob, now, p, now + rng.uniform(1.1, 4.0) * p,
+                            p * rng.uniform(1.0, 7.0)});
+    }
+    const double front = engine.next_event_time();
+    const double live = engine.next_live_event_time();
+    ASSERT_LE(front, live);
+    if (std::isfinite(live) && live > front) {
+      const std::size_t recorded = trace.events().size();
+      engine.advance_to(live);
+      ASSERT_EQ(trace.events().size(), recorded) << "at " << live;
+      ++skips;
+    }
+    engine.advance_to(engine.now() + rng.exponential_mean(0.02));
+  }
+  EXPECT_GT(skips, 200u);
+  const MultiSimResult& result = engine.finish_live();
+  EXPECT_GT(result.migrations, 0u);
+  EXPECT_GT(result.expired_count, 0u);
+}
+
 // ------------------------------------------------------------- invariants
 
 class ChaosGlobalScheduler : public GlobalScheduler {

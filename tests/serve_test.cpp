@@ -14,6 +14,7 @@
 // real-clock loadgen session (the TSan CI job runs this file).
 #include <gtest/gtest.h>
 
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -27,6 +28,8 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -973,6 +976,128 @@ TEST(SessionWait, MicrosecondsUntilTheNextEventUnderFakeClock) {
   EXPECT_EQ(target.last.type, MsgType::kCompleted);
 }
 
+/// A V-Dover session under FakeClock with its metrics on `registry`.
+struct WaitSession {
+  explicit WaitSession(sjs::obs::MetricsRegistry* registry = nullptr)
+      : session(scripted_config(""), clock, target, "",
+                make_scheduler("V-Dover", kBandLo, kBandHi)) {
+    session.begin_live(clock.now(), registry);
+  }
+  const sjs::sim::Engine& engine() const { return session.backend().engine(); }
+  /// Wall µs from now until virtual time `t` (accel 1), rounded up.
+  double lead_us(double t) { return (t - clock.now()) * 1e6; }
+
+  FakeClock clock;
+  DiscardTarget target;
+  sjs::serve::Session<sjs::serve::LocalBackend> session;
+};
+
+TEST(SessionWait, ACompletedJobsExpiryNoLongerBoundsTheWait) {
+  WaitSession w;
+  // A: 0.4 ms of work, done at 0.4 ms; its expiry at 10 ms stays queued.
+  w.session.submit(0, 0, submit_msg(1, 0.0004, 0.01, 1.0));
+  w.clock.advance(0.0001);
+  w.session.pump();
+  w.clock.set(0.001);
+  w.session.pump();
+  ASSERT_EQ(w.target.last.type, MsgType::kCompleted);
+  // B: admitted at 1 ms, 20 ms of work: its completion at 21 ms is the
+  // first live event, behind A's dead expiry.
+  w.session.submit(0, 0, submit_msg(2, 0.02, 0.05, 1.0));
+  w.clock.set(0.0011);
+  w.session.pump();
+  EXPECT_DOUBLE_EQ(w.engine().next_event_time(), 0.01);
+  EXPECT_DOUBLE_EQ(w.engine().next_live_event_time(), 0.021);
+  EXPECT_NEAR(static_cast<double>(w.session.wait_us(-1)), w.lead_us(0.021),
+              1.0);
+}
+
+TEST(SessionWait, AStaleCompletionNoLongerBoundsTheWait) {
+  WaitSession w;
+  // A (5 ms of work, far deadline) runs from 0; B (1 ms, deadline 4 ms)
+  // arrives at 1 ms and preempts it, so A's completion at 5 ms goes stale.
+  w.session.submit(0, 0, submit_msg(1, 0.005, 0.5, 1.0));
+  w.clock.advance(0.0001);
+  w.session.pump();
+  w.clock.set(0.001);
+  w.session.submit(0, 0, submit_msg(2, 0.001, 0.003, 1.0));
+  w.clock.set(0.0011);
+  w.session.pump();
+  ASSERT_EQ(w.engine().running(), 1);
+  // B completes at 2 ms and A resumes, due at 6 ms; at 4.5 ms B's expiry
+  // has popped and A's stale completion at 5 ms is the raw front.
+  w.clock.set(0.0045);
+  w.session.pump();
+  ASSERT_EQ(w.engine().running(), 0);
+  EXPECT_DOUBLE_EQ(w.engine().next_event_time(), 0.005);
+  EXPECT_NEAR(w.engine().next_live_event_time(), 0.006, 1e-12);
+  EXPECT_NEAR(static_cast<double>(w.session.wait_us(-1)), w.lead_us(0.006),
+              1.0);
+  // The stale completion still pops, in order, inside the next pump.
+  w.clock.set(0.0061);
+  w.session.pump();
+  EXPECT_EQ(w.target.last.type, MsgType::kCompleted);
+  EXPECT_EQ(w.target.last.ticket, 0u);
+}
+
+TEST(SessionWait, ALiveVDoverTimerStillBoundsTheWait) {
+  WaitSession w;
+  // A (4 ms of work, deadline 8.1 ms) runs; B (3 ms, deadline 8.5 ms,
+  // later than A's) goes to Qother with a zero-laxity timer at
+  // 8.5 − 3 / c_lo = 2.5 ms, before A's completion at 4 ms. The timer can
+  // change the schedule, so the loop must wake for it.
+  w.session.submit(0, 0, submit_msg(1, 0.004, 0.0081, 1.0));
+  w.session.submit(0, 0, submit_msg(2, 0.003, 0.0085, 1.0));
+  w.clock.advance(0.0001);
+  w.session.pump();
+  ASSERT_EQ(w.engine().live_timer_count(), 1u);
+  EXPECT_NEAR(w.engine().next_event_time(), 0.0025, 1e-12);
+  EXPECT_EQ(w.engine().next_live_event_time(),
+            w.engine().next_event_time());
+  EXPECT_NEAR(static_cast<double>(w.session.wait_us(-1)), w.lead_us(0.0025),
+              1.0);
+}
+
+TEST(SessionWait, AFleetStaleCompletionLeftByAMigrationIsSkipped) {
+  FakeClock clock;
+  DiscardTarget target;
+  sjs::obs::MetricsRegistry registry;
+  sjs::cluster::ClusterServerConfig config;
+  config.fleet = sjs::cluster::Fleet::heterogeneous(2);  // large, standard
+  config.rental = "static";
+  sjs::serve::Session<sjs::cluster::FleetBackend> session(config, clock,
+                                                          target, "");
+  session.begin_live(clock.now(), &registry);
+  const sjs::cloud::MultiEngine& engine = session.backend().engine();
+  // A (far deadline) takes the fast machine; B (earlier deadline, more
+  // work) arrives later, takes it over, and A migrates to the slow one:
+  // A's completion on the fast machine is stale.
+  // The serving paths run at 70 (large) and 35 (standard): A is due on
+  // the fast machine at 5.7 ms, and after its migration at 1 ms on the
+  // slow one at 10.4 ms; B is due at 15.3 ms.
+  session.submit(0, 0, submit_msg(1, 0.4, 10.0, 1.0));
+  clock.advance(0.0001);
+  session.pump();
+  ASSERT_EQ(engine.server_of(0), 0u);
+  clock.set(0.001);
+  session.submit(0, 0, submit_msg(2, 1.0, 1.0, 1.0));
+  clock.set(0.0011);
+  session.pump();
+  ASSERT_EQ(engine.server_of(1), 0u);
+  ASSERT_EQ(engine.server_of(0), 1u);
+  const double front = engine.next_event_time();
+  const double live = engine.next_live_event_time();
+  EXPECT_LT(front, live);
+  EXPECT_NEAR(static_cast<double>(session.wait_us(-1)),
+              (live - clock.now()) * 1e6, 1.0);
+  // Sleeping through the stale completion skips nothing: A completes on
+  // the slow machine once its live completion is due.
+  clock.set(live + 1e-6);
+  session.pump();
+  EXPECT_EQ(target.last.type, MsgType::kCompleted);
+  EXPECT_EQ(target.last.ticket, 0u);
+}
+
 TEST(SessionWakeups, CountsSocketTimerAndEmptyTimerWakes) {
   // The wake-up accounting of docs/observability.md, on the Session the
   // loops share: a wait that slept and ended with descriptors ready is a
@@ -1013,9 +1138,12 @@ TEST(SessionWakeups, CountsSocketTimerAndEmptyTimerWakes) {
   EXPECT_EQ(counter(sjs::serve::kCtrWakeTimer), 1.0);
   EXPECT_EQ(counter(sjs::serve::kCtrWakeTimerEmpty), 0.0);
 
-  // The job's expiry is still queued, dead: the wake for it ships nothing.
-  const std::int64_t dead_wait = session.wait_us(-1);
-  ASSERT_GT(dead_wait, 0);
+  // The job's expiry is still queued, dead: it no longer ends the wait (an
+  // uncapped one waits for activity), and a capped wait that runs out ships
+  // nothing.
+  EXPECT_EQ(session.wait_us(-1), -1);
+  const std::int64_t dead_wait = session.wait_us(2000);
+  ASSERT_EQ(dead_wait, 2000);
   clock.advance(0.01);
   before = session.notified();
   session.pump();
@@ -1045,6 +1173,173 @@ TEST(SessionWakeups, InlineServerCountsItsLoopWakes) {
   EXPECT_GE(counters.at(std::string(sjs::serve::kCtrWakeSocket)), 1.0);
   EXPECT_GE(counters.at(std::string(sjs::serve::kCtrWakeTimer)), 1.0);
   EXPECT_GE(counters.at(std::string(sjs::serve::kCtrWakeTimerEmpty)), 1.0);
+}
+
+TEST(SessionWakeups, CompletedJobsExpiriesNoLongerWakeTheLoop) {
+  // Pairs of jobs that all complete: A runs at once; B waits in Qother
+  // behind a V-Dover zero-laxity timer, which finds it not valuable enough
+  // and leaves it to the supplement queue, where it runs after A. Stepped
+  // wait by wait, the loop wakes for the two completions and the timer;
+  // the expiries, dead by the time they are due, never end a wait. So the
+  // timer wakes that ship nothing are exactly the live timers that fired.
+  sjs::obs::MetricsRegistry registry;
+  WaitSession w(&registry);
+  constexpr int kPairs = 5;
+  std::uint64_t seq = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    w.clock.set(0.02 * pair);
+    w.session.submit(0, 0, submit_msg(++seq, 0.004, 0.0081, 1.0));
+    w.session.submit(0, 0, submit_msg(++seq, 0.003, 0.0085, 1.0));
+    w.session.pump();
+    for (int turn = 0; turn < 50; ++turn) {
+      const std::int64_t wait = w.session.wait_us(-1);
+      if (wait < 0) break;  // only dead expiries left: wait for activity
+      w.clock.advance(static_cast<double>(wait + 1) * 1e-6);
+      const std::uint64_t before = w.session.notified();
+      w.session.pump();
+      w.session.count_wakeup(wait, 0, before);
+    }
+  }
+  const auto counters = registry.snapshot().counters;
+  const auto counter = [&](std::string_view name) {
+    const auto it = counters.find(std::string(name));
+    return it == counters.end() ? 0.0 : it->second;
+  };
+  EXPECT_EQ(counter(sjs::serve::kCtrCompleted), 2.0 * kPairs);
+  EXPECT_EQ(counter("trace.timer"), 1.0 * kPairs);
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeTimer), 3.0 * kPairs);
+  EXPECT_EQ(counter(sjs::serve::kCtrWakeTimerEmpty), counter("trace.timer"));
+  // Each pair's last wait found only the two dead expiries and waited for
+  // activity instead.
+  EXPECT_GE(counter(sjs::serve::kCtrWakeDeadSkipped), 1.0 * kPairs);
+}
+
+// ---------------------------------------------------------------------------
+// Timer slack: every serving thread, and only a serving thread, runs with
+// the documented slack.
+
+/// A system clock that records, per calling thread, the timer slack the
+/// thread had at each read. Serving threads read the clock on every pump.
+class SlackRecordingClock final : public sjs::serve::Clock {
+ public:
+  double now() override {
+    const auto slack = static_cast<unsigned long>(
+        ::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slacks_[std::this_thread::get_id()].insert(slack);
+    }
+    return inner_.now();
+  }
+  std::map<std::thread::id, std::set<unsigned long>> slacks() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return slacks_;
+  }
+
+ private:
+  sjs::serve::SystemClock inner_;
+  std::mutex mu_;
+  std::map<std::thread::id, std::set<unsigned long>> slacks_;
+};
+
+/// What a served session saw of timer slack: the slack the thread that
+/// ran the front end had when run() returned, and per thread the slacks
+/// the clock was read with.
+struct SlackSeen {
+  unsigned long front_end = 0;
+  std::map<std::thread::id, std::set<unsigned long>> clock_reads;
+};
+
+/// Serves a short real-clock load on a thread of its own; the load runs on
+/// this thread.
+template <typename Server>
+SlackSeen serve_and_record_slack(Server& server, SlackRecordingClock& clock) {
+  SlackSeen seen;
+  const int port = server.start();
+  std::thread serving([&server, &seen] {
+    server.run();
+    seen.front_end =
+        static_cast<unsigned long>(::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
+  });
+  sjs::serve::LoadGenConfig load;
+  load.port = port;
+  load.duration_s = 0.1;
+  load.linger_s = 0.3;
+  load.arrival_rate = 200.0;
+  load.mean_workload = 0.02;
+  load.c_lo = kBandLo;
+  load.seed = 5;
+  load.send_drain = true;
+  sjs::serve::SystemClock client_clock;
+  const sjs::serve::LoadReport report =
+      sjs::serve::run_load(load, client_clock);
+  serving.join();
+  EXPECT_TRUE(server.finished());
+  EXPECT_GT(report.accepted, 0u);
+  seen.clock_reads = clock.slacks();
+  return seen;
+}
+
+TEST(ServingTimerSlack, EveryServingThreadRunsWithTheDocumentedSlack) {
+  const auto own_slack = [] {
+    return static_cast<unsigned long>(::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
+  };
+  // A sentinel slack on this thread: an earlier test in this process may
+  // have stepped a server here, and every thread this one spawns starts
+  // from it, so only an explicit set can give them the serving value.
+  const unsigned long inherited = own_slack();
+  const unsigned long before = sjs::serve::kServingTimerSlackNs + 12345;
+  ASSERT_EQ(::prctl(PR_SET_TIMERSLACK, before, 0, 0, 0), 0);
+  // The front end's thread, and every other thread that read the clock (a
+  // shard pumps its session on every turn; the sharded acceptor may read
+  // none), ran with the serving slack.
+  const auto expect_serving = [&](const SlackSeen& slack,
+                                  std::size_t clock_threads) {
+    EXPECT_EQ(slack.front_end, sjs::serve::kServingTimerSlackNs);
+    std::size_t seen = 0;
+    for (const auto& [thread, values] : slack.clock_reads) {
+      if (thread == std::this_thread::get_id()) {
+        // start() ran here: this thread read the clock, unchanged.
+        EXPECT_EQ(values, std::set<unsigned long>{before});
+        continue;
+      }
+      ++seen;
+      EXPECT_EQ(values,
+                std::set<unsigned long>{sjs::serve::kServingTimerSlackNs});
+    }
+    EXPECT_GE(seen, clock_threads);
+  };
+  ServerConfig config = scripted_config("");
+  config.accel = 20.0;
+  {
+    SCOPED_TRACE("inline");
+    SlackRecordingClock clock;
+    AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
+                           clock);
+    expect_serving(serve_and_record_slack(server, clock), 1);
+  }
+  {
+    SCOPED_TRACE("--shards=2: the acceptor and each shard thread");
+    SlackRecordingClock clock;
+    ServerConfig sharded = config;
+    sharded.shards = 2;
+    sharded.shard_poll_ms = 5;
+    sjs::serve::ShardedAdmissionServer server(
+        sharded, [] { return make_scheduler("V-Dover", kBandLo, kBandHi); },
+        clock);
+    expect_serving(serve_and_record_slack(server, clock), 2);
+  }
+  {
+    SCOPED_TRACE("--cluster=4");
+    SlackRecordingClock clock;
+    sjs::cluster::ClusterServerConfig cluster;
+    cluster.accel = 20.0;
+    sjs::cluster::ClusterServer server(cluster, clock);
+    expect_serving(serve_and_record_slack(server, clock), 1);
+  }
+  // The test's own thread kept its slack throughout.
+  EXPECT_EQ(own_slack(), before);
+  ::prctl(PR_SET_TIMERSLACK, inherited, 0, 0, 0);
 }
 
 // ---------------------------------------------------------------------------

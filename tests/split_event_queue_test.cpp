@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -346,6 +347,210 @@ TEST(SplitEventQueue, PurgeKeepsTheMergedOrder) {
     reference.pop();
   }
   EXPECT_TRUE(queue.empty());
+}
+
+// ---------------------------------------------------------------------------
+// first_live_time: the serving loop's wake-up bound.
+
+/// An event carrying what the engines' dead-event predicates read: `key` is
+/// the job (or, for a fleet completion, the server) and `stamp` the
+/// dispatch epoch of a completion or the id of a timer.
+struct KeyedEvent {
+  double time;
+  std::uint8_t type;
+  std::uint64_t seq;
+  std::size_t key = 0;
+  std::uint64_t stamp = 0;
+
+  bool operator>(const KeyedEvent& other) const {
+    if (time != other.time) return time > other.time;
+    if (type != other.type) return type > other.type;
+    return seq > other.seq;
+  }
+};
+
+/// The state both predicates read, drawn at random per episode.
+struct DeadState {
+  std::vector<bool> resolved;          // per job: has an outcome or retired
+  std::vector<std::uint64_t> epochs;   // per server (one on sim::Engine)
+  std::vector<bool> cancelled;         // per timer id
+};
+
+// sim::Engine's rule: 0 completion, 1 expiry, 2 capacity change, 3 release,
+// 4 timer.
+bool engine_dead(const DeadState& w, const KeyedEvent& e) {
+  switch (e.type) {
+    case 0:
+      return e.stamp != w.epochs[0];
+    case 1:
+      return w.resolved[e.key];
+    case 4:
+      return w.cancelled[e.stamp] || w.resolved[e.key];
+    default:
+      return false;
+  }
+}
+
+// cloud::MultiEngine's rule: 0 completion (key = server), 1 expiry,
+// 2 release.
+bool fleet_dead(const DeadState& w, const KeyedEvent& e) {
+  if (e.type == 0) return e.stamp != w.epochs[e.key];
+  return e.type == 1 && w.resolved[e.key];
+}
+
+struct LiveFrontTally {
+  int exact = 0;      // the result was the first live event's time
+  int bounded = 0;    // a frontier ran out: the result is a lower bound
+  int all_dead = 0;   // nothing live pending: +infinity
+};
+
+/// One random episode: a sealed static side partly consumed, a heap of
+/// volatile events, a random dead state with dead fraction `dead_p`. Checks
+/// front() <= first_live_time <= the brute-force first live time, and
+/// exactness whenever fewer dead events than the frontier can hold precede
+/// the first live one.
+void check_live_front(Rng& rng, bool fleet, double dead_p,
+                      LiveFrontTally& tally) {
+  constexpr std::size_t kJobs = 40;
+  constexpr std::size_t kServers = 4;
+  constexpr std::size_t kTimers = 64;
+  DeadState w;
+  w.resolved.resize(kJobs);
+  for (std::size_t j = 0; j < kJobs; ++j) w.resolved[j] = rng.bernoulli(dead_p);
+  w.epochs.resize(kServers);
+  for (auto& epoch : w.epochs) epoch = 1 + rng.below(3);
+  w.cancelled.resize(kTimers);
+  for (std::size_t t = 0; t < kTimers; ++t) {
+    w.cancelled[t] = rng.bernoulli(dead_p);
+  }
+  const auto is_dead = [&](const KeyedEvent& e) {
+    return fleet ? fleet_dead(w, e) : engine_dead(w, e);
+  };
+
+  SplitEventQueue<KeyedEvent> queue;
+  std::vector<KeyedEvent> pending;  // the brute-force reference
+  std::uint64_t seq = 0;
+  const auto make = [&](bool volatile_side) {
+    KeyedEvent e{static_cast<double>(rng.below(60)), 0, seq++};
+    // Releases and capacity changes are never dead: draw them less often
+    // as the dead fraction rises, so long dead runs come up.
+    static constexpr std::uint8_t kCanDie[] = {0, 1, 4};
+    if (rng.bernoulli(dead_p)) {
+      e.type = kCanDie[rng.below(fleet ? 2 : 3)];
+    } else {
+      e.type = static_cast<std::uint8_t>(rng.below(fleet ? 3 : 5));
+    }
+    if (!volatile_side && e.type == 0) e.type = 1;
+    if (!volatile_side && e.type == 4) e.type = 3;
+    e.key = rng.below(kJobs);
+    if (e.type == 0) {
+      const std::size_t server = fleet ? rng.below(kServers) : 0;
+      if (fleet) e.key = server;
+      // A completion of the current dispatch, or of an older one.
+      e.stamp = rng.bernoulli(dead_p) ? w.epochs[server] - 1
+                                      : w.epochs[server];
+    } else if (e.type == 4) {
+      e.stamp = rng.below(kTimers);
+    }
+    return e;
+  };
+
+  const int statics = static_cast<int>(rng.below(80));
+  for (int i = 0; i < statics; ++i) queue.push_static(make(false));
+  queue.seal();
+  const int heaped = static_cast<int>(rng.below(120));
+  for (int i = 0; i < heaped; ++i) {
+    const KeyedEvent e = make(true);
+    queue.push_volatile(e);
+  }
+  // Consume part of the merged sequence; what is left is the reference.
+  for (int i = static_cast<int>(rng.below(20)); i > 0 && !queue.empty(); --i) {
+    queue.pop();
+  }
+  // Rebuild the reference from what the queue would still pop.
+  {
+    SplitEventQueue<KeyedEvent> copy = queue;
+    while (!copy.empty()) pending.push_back(copy.pop());
+  }
+
+  const double result = queue.first_live_time(is_dead);
+  const KeyedEvent* front = queue.front();
+  const double raw = front ? front->time
+                           : std::numeric_limits<double>::infinity();
+  double truth = std::numeric_limits<double>::infinity();
+  std::size_t dead_before = 0;  // pending is in pop order
+  for (const KeyedEvent& e : pending) {
+    if (!is_dead(e)) {
+      truth = e.time;
+      break;
+    }
+    ++dead_before;
+  }
+  ASSERT_LE(raw, result);
+  ASSERT_LE(result, truth);
+  if (dead_before + 1 < SplitEventQueue<KeyedEvent>::kLiveFrontier) {
+    ASSERT_EQ(result, truth) << "dead before the first live: " << dead_before;
+  }
+  if (truth == std::numeric_limits<double>::infinity() &&
+      result == truth) {
+    ++tally.all_dead;
+  } else if (result == truth) {
+    ++tally.exact;
+  } else {
+    ++tally.bounded;
+  }
+}
+
+TEST(SplitEventQueue, FirstLiveTimeMatchesABruteForceScan) {
+  for (const bool fleet : {false, true}) {
+    SCOPED_TRACE(fleet ? "fleet predicate" : "engine predicate");
+    LiveFrontTally tally;
+    std::uint64_t seed = 0;
+    for (const double dead_p : {0.0, 0.3, 0.7, 0.95, 1.0}) {
+      for (int episode = 0; episode < 400; ++episode) {
+        Rng rng(++seed, fleet ? 7 : 6);
+        check_live_front(rng, fleet, dead_p, tally);
+        if (HasFatalFailure()) return;
+      }
+    }
+    // Every regime came up: exact answers, frontier overflows, and queues
+    // holding only dead events.
+    EXPECT_GT(tally.exact, 0);
+    EXPECT_GT(tally.bounded, 0);
+    EXPECT_GT(tally.all_dead, 0);
+  }
+}
+
+TEST(SplitEventQueue, FirstLiveTimeOverflowReturnsTheDeadEventItStoppedAt) {
+  // 40 dead heap events at times 0..39 ahead of one live one at 100: the
+  // best-first walk runs out of frontier after about 16 and answers with the
+  // time of the dead event it stopped at, a lower bound on 100.
+  SplitEventQueue<TestEvent> queue;
+  queue.seal();
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    queue.push_volatile(TestEvent{static_cast<double>(i), 0, i});
+  }
+  queue.push_volatile(TestEvent{100.0, 1, 40});
+  const auto dead = [](const TestEvent& e) { return e.type == 0; };
+  const double bound = queue.first_live_time(dead);
+  EXPECT_GE(bound, 0.0);
+  EXPECT_LT(bound, 100.0);
+  // With few enough dead ahead of it the answer is exact.
+  for (int i = 0; i < 30; ++i) queue.pop();
+  EXPECT_EQ(queue.first_live_time(dead), 100.0);
+  // A live static event ahead of the heap ends the walk.
+  SplitEventQueue<TestEvent> mixed;
+  mixed.push_static(TestEvent{5.0, 2, 0});
+  mixed.seal();
+  mixed.push_volatile(TestEvent{1.0, 0, 1});
+  mixed.push_volatile(TestEvent{7.0, 1, 2});
+  EXPECT_EQ(mixed.first_live_time(dead), 5.0);
+  // Nothing live at all: +infinity.
+  SplitEventQueue<TestEvent> none;
+  none.seal();
+  none.push_volatile(TestEvent{3.0, 0, 0});
+  EXPECT_EQ(none.first_live_time(dead),
+            std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

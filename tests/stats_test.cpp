@@ -183,6 +183,21 @@ TEST(Histogram, InvalidConstructionThrows) {
   EXPECT_THROW(Histogram(0.0, 1.0, 0), CheckError);
 }
 
+TEST(Histogram, QuantileIsTheUpperEdgeOfItsBin) {
+  Histogram h(0.0, 100.0, 100);
+  EXPECT_TRUE(std::isnan(h.quantile(0.5)));
+  for (int i = 0; i < 100; ++i) h.add(i + 0.5);  // one sample per bin
+  EXPECT_DOUBLE_EQ(h.quantile(0.50), 50.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 99.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
+  // Under- and overflow samples read as the range's edges.
+  Histogram edges(0.0, 1.0, 4);
+  edges.add(-1.0);
+  edges.add(5.0);
+  EXPECT_DOUBLE_EQ(edges.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(edges.quantile(1.0), 1.0);
+}
+
 TEST(Histogram, RenderShowsBars) {
   Histogram h(0.0, 1.0, 2);
   for (int i = 0; i < 5; ++i) h.add(0.25);
