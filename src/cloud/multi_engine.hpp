@@ -162,6 +162,7 @@ class MultiEngine {
     return static_cast<std::size_t>(jobs_.end());
   }
   /// The job window (sim/job_table.hpp) holding every per-job lane.
+  sim::JobTable& job_state() { return jobs_; }
   const sim::JobTable& job_state() const { return jobs_; }
   /// What schedulers size their per-job structures for in on_start(): the
   /// job count on batch runs, or the reserve_live() pre-size in a live

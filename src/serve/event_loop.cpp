@@ -53,6 +53,11 @@ EventLoop::EventLoop(Handler& handler) : handler_(&handler) {}
 EventLoop::~EventLoop() { shutdown(); }
 
 int EventLoop::listen_loopback(int port) {
+  // htons would wrap an out-of-range port onto some other one.
+  if (port < 0 || port > 65535) {
+    throw std::invalid_argument("port " + std::to_string(port) +
+                                " is outside [0, 65535]");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) fail("socket");
   const int one = 1;

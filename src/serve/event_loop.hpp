@@ -69,7 +69,8 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Binds and listens on 127.0.0.1:`port` (0 = ephemeral). Returns the
-  /// bound port. Throws std::runtime_error on failure.
+  /// bound port. Throws std::invalid_argument, before binding, for a port
+  /// outside [0, 65535], and std::runtime_error on failure.
   int listen_loopback(int port);
   int port() const { return port_; }
 

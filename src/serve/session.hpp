@@ -2,11 +2,11 @@
 // (docs/serving.md).
 //
 // A Session is everything between a decoded request and the engine: the
-// AdmissionGate, the ClockBridge, the per-job notification routes, the
-// notification sink, the StatsBody counters, the in-flight peak and the
-// journal. It answers SUBMIT, CANCEL and QUERY on local job ids, pumps the
-// engine to the bridge's virtual now, turns the engine's completions and
-// expiries into notifications, and resolves the backlog at drain.
+// AdmissionGate, the ClockBridge, the notification sink, the StatsBody
+// counters, the in-flight peak and the journal. It answers SUBMIT, CANCEL
+// and QUERY on local job ids, pumps the engine to the bridge's virtual now,
+// turns the engine's completions and expiries into notifications, and
+// resolves the backlog at drain.
 //
 // Three front ends run it:
 //   serve::AdmissionServer   Session<LocalBackend>, inline on the EventLoop
@@ -30,20 +30,20 @@
 // cluster/cluster_server.cpp), so engine calls stay direct.
 //
 // Replies. Every outgoing message goes through one ReplyTarget to its
-// route's (conn, gen). Inline, the target checks the connection is still
-// that incarnation and encodes onto the EventLoop; in a shard it pushes to
-// the reply channel. A job's wire ticket is its local id inline and the
-// acceptor's global ticket in a shard; the route keeps it.
+// job's reply route (conn, gen). Inline, the target checks the connection is
+// still that incarnation and encodes onto the EventLoop; in a shard it
+// pushes to the reply channel. A job's wire ticket is its local id inline
+// and the acceptor's global ticket in a shard; the route keeps it.
 //
-// The job window. Routes form a power-of-two ring over local ids, the
-// window [base, next) of jobs not yet retired, pre-sized from
-// max_in_flight and doubled only when the unretired span outgrows it. A job
-// retires once its terminal notification is dispatched and every lower id
-// has retired: the session streams its outcomes.csv row, retires it from
-// the engine's window, and moves its outcome (completed or expired, 2 bits)
-// to a packed lane indexed by wire ticket, which is all QUERY and CANCEL
-// need of a retired ticket. So a session's memory is bounded by its
-// unretired span plus those 2 bits per ticket, however long it runs.
+// The job window. There is one ring over local ids, the engine's
+// sim::JobTable (engine().job_state()); each job's reply route is a lane of
+// it, and the window gauges read it. A job retires once it has an outcome
+// and every lower id has retired, checked after the notifications are
+// dispatched: the session streams its outcomes.csv row, retires it from
+// the window, and moves its outcome (completed or expired, 2 bits) to a
+// packed lane indexed by wire ticket, which is all QUERY and CANCEL need of
+// a retired ticket. So a session's memory is bounded by its unretired span
+// plus those 2 bits per ticket, however long it runs.
 //
 // Journal failure (one policy in every mode): the first error wins and is
 // kept in journal_error(), the failing request is answered
@@ -70,6 +70,7 @@
 #include "serve/admission.hpp"
 #include "serve/clock.hpp"
 #include "serve/protocol.hpp"
+#include "sim/job_table.hpp"
 #include "stats/histogram.hpp"
 #include "util/vec.hpp"
 
@@ -141,19 +142,6 @@ class ReplyTarget {
                                    std::uint64_t /*request_ticket*/) const {
     return static_cast<std::uint64_t>(id);
   }
-};
-
-/// An unretired job's routing state: where its COMPLETED/EXPIRED
-/// notification goes (the generation guards against conn-id reuse after a
-/// disconnect) and what the session knows of its fate.
-struct Route {
-  int conn = -1;
-  std::uint64_t gen = 0;
-  std::uint64_t seq = 0;      // the SUBMIT's seq, echoed in notifications
-  std::uint64_t ticket = 0;   // the job's wire ticket
-  bool cancelled = false;
-  /// kCompleted/kExpired once the terminal notification is dispatched.
-  JobState outcome = JobState::kQueued;
 };
 
 /// Captures kComplete/kExpire events raised inside the engine so the pump
@@ -257,10 +245,9 @@ class Session {
   /// backend's metrics, closes the journal.
   void finalize();
 
-  /// Ring slots of the job window (a power of two).
-  std::size_t window_slots() const { return routes_.size(); }
-  /// Peak unretired span of the job window.
-  std::uint64_t window_peak() const { return window_peak_; }
+  /// Ring slots (a power of two) and peak unretired span of the job window.
+  std::size_t window_slots() const { return jobs().capacity(); }
+  std::uint64_t window_peak() const { return jobs().span_peak(); }
 
   /// Tickets the retired-outcome lane is pre-sized for.
   static constexpr std::size_t kRetiredTickets = std::size_t{1} << 20;
@@ -287,10 +274,9 @@ class Session {
 
  private:
   void dispatch_notifications();
-  /// Admitted jobs not yet retired.
-  std::uint64_t window_span() const {
-    return static_cast<std::uint64_t>(next_ - base_);
-  }
+  /// The job window: the engine's JobTable.
+  sim::JobTable& jobs() { return backend_.engine().job_state(); }
+  const sim::JobTable& jobs() const { return backend_.engine().job_state(); }
   /// Retires every job from the window base up to the first one without
   /// an outcome.
   void retire_resolved();
@@ -299,14 +285,6 @@ class Session {
   /// What the retired-outcome lane says of `ticket` (kUnknown: not a
   /// retired job of this session).
   JobState retired_state(std::uint64_t ticket) const;
-  Route& route(JobId id) {
-    return routes_[static_cast<std::size_t>(id) & (routes_.size() - 1)];
-  }
-  const Route& route(JobId id) const {
-    return routes_[static_cast<std::size_t>(id) & (routes_.size() - 1)];
-  }
-  /// Doubles the routes ring and re-slots the window.
-  void grow_routes();
   /// The journal-failure policy: the first error wins, the request gets
   /// `r` (its reply so far) as ERROR(kJournalFailed), the session drains.
   void fail_journal(int conn, std::uint64_t gen, Message r,
@@ -328,10 +306,6 @@ class Session {
   std::unique_ptr<obs::RingTraceBuffer> ring_;
   std::unique_ptr<obs::TraceMetricsBridge> trace_bridge_;
   obs::TeeSink tee_;
-  std::vector<Route> routes_;  // ring over local ids [base_, next_)
-  JobId base_ = 0;             // lowest unretired local id
-  JobId next_ = 0;             // next local id
-  std::uint64_t window_peak_ = 0;
   /// Outcomes of retired jobs, 2 bits per wire ticket (0 unknown,
   /// 1 completed, 2 expired), 32 tickets per word.
   std::vector<std::uint64_t> retired_;

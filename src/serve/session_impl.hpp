@@ -7,7 +7,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <exception>
 #include <limits>
@@ -31,7 +30,6 @@ void Session<Backend>::begin_live(double epoch,
   backend_.engine().attach_trace(&tee_);
   const auto n = static_cast<std::size_t>(backend_.config().max_in_flight);
   backend_.engine().reserve_live(n);
-  util::grow(routes_, std::bit_ceil(std::max<std::size_t>(n, 1)));
   retired_.reserve(kRetiredTickets / 32);
   notifications_.reserve(n);
   backend_.engine().begin_live();
@@ -126,14 +124,13 @@ void Session<Backend>::dispatch_notifications() {
   // the end retains the queue's capacity for the next pump cycle.
   for (std::size_t i = 0; i < notifications_.size(); ++i) {
     const obs::TraceEvent ev = notifications_[i];
-    if (ev.job < base_ || ev.job >= next_) continue;
+    if (!jobs().holds(ev.job)) continue;
     ++notified_;
-    Route& route = this->route(ev.job);
+    const sim::ReplyRoute& route = jobs().route(ev.job);
     Message note;
     note.ticket = route.ticket;
     note.seq = route.seq;
     if (ev.kind == obs::TraceKind::kComplete) {
-      route.outcome = JobState::kCompleted;
       ++stats_.completed;
       stats_.completed_value += ev.a;
       count(names_.completed);
@@ -141,7 +138,6 @@ void Session<Backend>::dispatch_notifications() {
       note.a = ev.a;       // value collected
       note.b = ev.time;    // completion instant
     } else {
-      route.outcome = JobState::kExpired;
       if (route.cancelled) {
         // The client already got kCancelled; the forced expiry is internal.
         --stats_.in_flight;
@@ -161,24 +157,25 @@ void Session<Backend>::dispatch_notifications() {
 
 template <typename Backend>
 void Session<Backend>::retire_resolved() {
-  while (base_ < next_) {
-    const Route& r = route(base_);
-    if (r.outcome == JobState::kQueued) return;
+  // Every job with an outcome had its notification dispatched just before
+  // this runs, so an outcome is what makes a job retirable.
+  const sim::JobTable& window = jobs();
+  while (window.span() > 0) {
+    const JobId id = window.base();
+    const auto outcome = window.outcome(id);
+    if (outcome == sim::JobOutcome::kPending) return;
     // The packed lane: 2 bits per wire ticket, grown a word at a time
     // inside begin()'s reserve (doubling past it).
-    const std::size_t word = r.ticket / 32;
+    const std::uint64_t ticket = window.route(id).ticket;
+    const std::size_t word = ticket / 32;
     if (word >= retired_.size()) util::grow(retired_, word + 1);
-    retired_[word] |= std::uint64_t{r.outcome == JobState::kCompleted ? 1u
-                                                                      : 2u}
-                      << (2 * (r.ticket % 32));
-    const JobId id = base_++;
+    retired_[word] |=
+        std::uint64_t{outcome == sim::JobOutcome::kCompleted ? 1u : 2u}
+        << (2 * (ticket % 32));
     // Read what outcomes.csv keeps of the job, then free its engine slot.
-    auto& engine = backend_.engine();
-    const auto& jobs = engine.job_state();
-    const auto outcome = jobs.outcome(id);
-    const double completion = jobs.completion(id);
-    const double value = jobs.job(id).value;
-    engine.retire(id);
+    const double completion = window.completion(id);
+    const double value = window.job(id).value;
+    backend_.engine().retire(id);
     if (!journal_) continue;
     try {
       journal_->record_outcome(id, outcome, completion, value);
@@ -194,17 +191,18 @@ void Session<Backend>::retire_resolved() {
 template <typename Backend>
 JobId Session<Backend>::find(std::uint64_t ticket) const {
   // Tickets increase with the local id: binary search the window.
-  JobId lo = base_;
-  JobId hi = next_;
+  const sim::JobTable& window = jobs();
+  JobId lo = window.base();
+  JobId hi = window.end();
   while (lo < hi) {
     const JobId mid = lo + (hi - lo) / 2;
-    if (route(mid).ticket < ticket) {
+    if (window.route(mid).ticket < ticket) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return lo < next_ && route(lo).ticket == ticket ? lo : kNoJob;
+  return lo < window.end() && window.route(lo).ticket == ticket ? lo : kNoJob;
 }
 
 template <typename Backend>
@@ -215,17 +213,6 @@ JobState Session<Backend>::retired_state(std::uint64_t ticket) const {
   return bits == 1   ? JobState::kCompleted
          : bits == 2 ? JobState::kExpired
                      : JobState::kUnknown;
-}
-
-template <typename Backend>
-void Session<Backend>::grow_routes() {
-  std::vector<Route> ring;
-  util::grow(ring, 2 * routes_.size());
-  const std::size_t mask = ring.size() - 1;
-  for (JobId id = base_; id < next_; ++id) {
-    ring[static_cast<std::size_t>(id) & mask] = route(id);
-  }
-  routes_.swap(ring);
 }
 
 template <typename Backend>
@@ -256,7 +243,7 @@ JobId Session<Backend>::submit(int conn, std::uint64_t gen, const Message& m) {
   // Journal first: a job whose row cannot be made durable is never
   // admitted, so nothing of it can run or notify.
   Job job = verdict.job;
-  job.id = next_;
+  job.id = jobs().end();
   if (journal_) {
     try {
       journal_->record_admit(job);
@@ -265,18 +252,14 @@ JobId Session<Backend>::submit(int conn, std::uint64_t gen, const Message& m) {
       return kNoJob;
     }
   }
+  // The window doubles only when the unretired span outgrows the pre-size;
+  // the admitted job's route starts fresh.
   const JobId id = engine.admit_live(job);
-  SJS_CHECK(id == next_);
-  // The ring doubles only when the unretired span outgrows the pre-size.
-  if (window_span() == routes_.size()) grow_routes();
-  Route& route = this->route(id);
-  route = Route{};
+  sim::ReplyRoute& route = jobs().route(id);
   route.conn = conn;
   route.gen = gen;
   route.seq = m.seq;
   route.ticket = target_->ticket_for(id, m.ticket);
-  ++next_;
-  window_peak_ = std::max(window_peak_, window_span());
   ++stats_.in_flight;
   in_flight_peak_ = std::max(in_flight_peak_, stats_.in_flight);
   ++stats_.accepted;
@@ -299,12 +282,12 @@ void Session<Backend>::cancel(int conn, std::uint64_t gen, const Message& m) {
   // A retired ticket is not found: its job has an outcome, so the cancel
   // fails exactly as it would have before retirement.
   const JobId id = find(m.ticket);
-  if (id == kNoJob || route(id).cancelled || !engine.cancel_live(id)) {
+  if (id == kNoJob || jobs().route(id).cancelled || !engine.cancel_live(id)) {
     r.type = MsgType::kCancelFailed;
     target_->send(conn, gen, r);
     return;
   }
-  route(id).cancelled = true;
+  jobs().route(id).cancelled = true;
   ++stats_.cancelled;
   count(names_.cancelled);
   if (journal_) {
@@ -370,15 +353,15 @@ void Session<Backend>::finalize() {
   // the same outcomes the session would have reached in real time.
   result_ = backend_.finish();
   dispatch_notifications();
-  SJS_CHECK_MSG(base_ == next_, "drain left " << window_span()
-                                              << " jobs unretired");
+  SJS_CHECK_MSG(jobs().span() == 0,
+                "drain left " << jobs().span() << " jobs unretired");
   if (shard_) {
     backend_.publish(result_, *shard_);
     shard_->set_gauge(names_.in_flight_peak,
                       static_cast<double>(in_flight_peak_));
-    shard_->set_gauge(names_.window_peak, static_cast<double>(window_peak_));
+    shard_->set_gauge(names_.window_peak, static_cast<double>(window_peak()));
     shard_->set_gauge(names_.window_slots,
-                      static_cast<double>(routes_.size()));
+                      static_cast<double>(window_slots()));
     if (wake_late_.total() > 0) {
       shard_->set_gauge(names_.wake_late_p50, wake_late_.quantile(0.50));
       shard_->set_gauge(names_.wake_late_p99, wake_late_.quantile(0.99));

@@ -26,8 +26,9 @@ ShardedAdmissionServer::~ShardedAdmissionServer() {
   // A still-serving plane must not hang the destructor: close the inputs so
   // every shard body exits, and keep consuming replies so no shard can wait
   // on a full reply channel meanwhile. ShardSet's destructor then joins.
+  // A start() that failed before spawning left no shard to wait for.
   for (auto& w : workers_) w->requests().close();
-  while (!all_replies_drained()) {
+  while (threads_.size() > 0 && !all_replies_drained()) {
     drain_replies();
     wait_fds(nullptr, 0, 1000);
   }

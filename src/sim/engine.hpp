@@ -213,11 +213,12 @@ class Engine {
     return job(id).deadline - now_ - remaining(id) / c_est;
   }
 
-  /// The job window backing every per-job lane. Schedulers
-  /// own their lanes (V-Dover's Qedf metadata / 0cl timers / flags, EDF-AC's
-  /// admission scratch) and read/write them through this reference; the
-  /// ground-truth lanes (remaining, outcome, released) are engine-owned —
-  /// schedulers must only read those, via the query surface above.
+  /// The job window backing every per-job lane. Schedulers own their lanes
+  /// (V-Dover's Qedf metadata / 0cl timers / flags, EDF-AC's admission
+  /// scratch), and a serving session its reply routes, through this
+  /// reference; the ground-truth lanes (remaining, outcome, released) are
+  /// engine-owned — schedulers must only read those, via the query surface
+  /// above.
   JobTable& job_state() { return jobs_; }
   const JobTable& job_state() const { return jobs_; }
 

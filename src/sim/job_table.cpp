@@ -33,7 +33,10 @@ void JobTable::resize_ring(std::size_t slots) {
   if (span() == 0) {
     // Nothing to carry over: plain growth keeps the buffers (and never
     // shrinks them).
-    if (!borrowed_) util::grow(jobs_, slots);
+    if (!borrowed_) {
+      util::grow(jobs_, slots);
+      util::grow(routes_, slots);
+    }
     util::grow(remaining_, slots);
     util::grow(completion_, slots);
     util::grow(outcome_, slots);
@@ -47,7 +50,10 @@ void JobTable::resize_ring(std::size_t slots) {
   } else {
     // Borrowed records stay where they are: id & mask is the id itself
     // under every mask at least as wide as the bound instance.
-    if (!borrowed_) reslot(jobs_, slots, base_, end_, mask_);
+    if (!borrowed_) {
+      reslot(jobs_, slots, base_, end_, mask_);
+      reslot(routes_, slots, base_, end_, mask_);
+    }
     reslot(remaining_, slots, base_, end_, mask_);
     reslot(completion_, slots, base_, end_, mask_);
     reslot(outcome_, slots, base_, end_, mask_);
@@ -65,6 +71,7 @@ void JobTable::resize_ring(std::size_t slots) {
 
 void JobTable::init_slot(std::size_t s, const Job& job) {
   jobs_[s] = job;
+  routes_[s] = ReplyRoute{};
   remaining_[s] = job.workload;
   completion_[s] = std::numeric_limits<double>::quiet_NaN();
   outcome_[s] = JobOutcome::kPending;
@@ -84,9 +91,12 @@ void JobTable::bind(const std::vector<Job>& jobs) {
   // An empty instance is a live session's start: nothing to borrow.
   borrowed_ = n > 0;
   if (n > capacity()) resize_ring(std::bit_ceil(n));
-  // Owned records fill every slot (a borrowed bind may have left the lane
+  // Owned records fill every slot (a borrowed bind may have left the lanes
   // short).
-  if (!borrowed_ && jobs_.size() != capacity()) util::grow(jobs_, capacity());
+  if (!borrowed_) {
+    util::grow(jobs_, capacity());
+    util::grow(routes_, capacity());
+  }
   records_ = borrowed_ ? jobs.data() : jobs_.data();
   // init_slot for slots [0, n), a lane at a time, the records apart.
   for (std::size_t i = 0; i < n; ++i) remaining_[i] = jobs[i].workload;
@@ -108,6 +118,7 @@ void JobTable::own_records() {
   if (!borrowed_) return;
   util::grow(jobs_, capacity());
   for (JobId id = base_; id < end_; ++id) jobs_[slot(id)] = records_[slot(id)];
+  util::grow(routes_, capacity());
   borrowed_ = false;
   records_ = jobs_.data();
 }

@@ -1,11 +1,12 @@
 // JobTable — the engine's per-job state: one window over admission ids.
 //
-// Every per-job table the engine and the schedulers keep (the job record,
-// remaining workload, outcome, completion instant, released flag, V-Dover's
-// Qedf metadata / 0cl timer handle / abandoned and 0cl-scheduled flags) is
-// one contiguous lane here. A JobId is the dense admission index (0, 1, 2,
-// ...), so digests, journal rows, ReadyQueue tie-breaks and the event order
-// are exactly those of a plain per-run vector.
+// Every per-job table the engine, the schedulers and a serving session keep
+// (the job record, remaining workload, outcome, completion instant, released
+// flag, V-Dover's Qedf metadata / 0cl timer handle / abandoned and
+// 0cl-scheduled flags, the session's reply route) is one contiguous lane
+// here. A JobId is the dense admission index (0, 1, 2, ...), so digests,
+// journal rows, ReadyQueue tie-breaks and the event order are exactly those
+// of a plain per-run vector.
 //
 // The lanes form a power-of-two ring indexed by `id & mask`. The window is
 // the id range [base(), end()): end() is the next id admit() hands out, and
@@ -18,7 +19,8 @@
 // A batch run is the same window over the whole sealed instance (bind()):
 // ids [0, n), nothing ever retires. Its job records are read from the
 // instance's own vector, which outlives the run, instead of being copied;
-// a live session owns its records (own_records()).
+// a live session owns its records (own_records()). The reply-route lane
+// follows the records: a borrowed window neither sizes nor fills it.
 //
 // Retired ids are dead: holds(id) is false for them, and the engine treats
 // any event still queued for one (a completed job's expiry, a stale
@@ -47,14 +49,25 @@ struct QedfMeta {
   double cslack_insert = 0.0;
 };
 
+/// Where serve::Session sends an unretired job's replies; the engine never
+/// reads it. The generation guards against conn-id reuse after a disconnect.
+struct ReplyRoute {
+  int conn = -1;
+  std::uint64_t gen = 0;
+  std::uint64_t seq = 0;     // the SUBMIT's seq, echoed in notifications
+  std::uint64_t ticket = 0;  // the job's wire ticket
+  bool cancelled = false;
+};
+
 class JobTable {
  public:
   /// Which lanes a table keeps. cloud::MultiEngine's global schedulers keep
   /// their own per-job state, so the fleet's table sizes and initialises
   /// only the engine's lanes (the job record, remaining, completion,
-  /// outcome, released); the scheduler lanes (V-Dover's Qedf metadata, 0cl
-  /// timer, abandoned and 0cl-scheduled flags, EDF-AC's admission scratch)
-  /// stay empty and must not be read.
+  /// outcome, released) and, with owned records, the reply route; the
+  /// scheduler lanes (V-Dover's Qedf metadata, 0cl timer, abandoned and
+  /// 0cl-scheduled flags, EDF-AC's admission scratch) stay empty and must
+  /// not be read.
   enum class Lanes { kAll, kEngine };
 
   explicit JobTable(Lanes lanes = Lanes::kAll) : lanes_(lanes) {}
@@ -73,9 +86,10 @@ class JobTable {
   /// until then.
   void bind(const std::vector<Job>& jobs);
 
-  /// Copies borrowed job records into the ring (no-op when it owns them).
-  /// admit() requires owned records: a live engine calls this as it enters
-  /// live mode, before anything can append to the bound vector.
+  /// Copies borrowed job records into the ring and sizes the reply-route
+  /// lane (no-op when it owns them). admit() requires owned records: a live
+  /// engine calls this as it enters live mode, before anything can append
+  /// to the bound vector.
   void own_records();
 
   /// Pre-sizes the ring for a span of `n` ids (rounded up to a power of
@@ -101,6 +115,9 @@ class JobTable {
   std::size_t span_peak() const { return span_peak_; }
   /// Ring slots (a power of two, or 0 before any reserve/bind/admit).
   std::size_t capacity() const { return remaining_.size(); }
+  /// Slots of the reply-route lane: capacity() once the table owns its
+  /// records, 0 in a table that has only borrowed them.
+  std::size_t route_slots() const { return routes_.size(); }
 
   // --- Lanes (unchecked ring indexing, see the header note) -----------------
 
@@ -133,6 +150,10 @@ class JobTable {
     ocl_scheduled_[slot(id)] = v ? 1 : 0;
   }
 
+  /// The reply route (owned records only).
+  ReplyRoute& route(JobId id) { return routes_[slot(id)]; }
+  const ReplyRoute& route(JobId id) const { return routes_[slot(id)]; }
+
   /// EDF-AC's trial-schedule scratch (deadline, remaining) — a table-owned
   /// buffer so the admission test reuses one allocation across calls. Exposed
   /// const-callable (mutable member) because the admission test is a const
@@ -155,6 +176,7 @@ class JobTable {
   const Job* records_ = nullptr;
   bool borrowed_ = false;
   std::vector<Job> jobs_;  // the owned records (unread while borrowed_)
+  std::vector<ReplyRoute> routes_;  // sized with jobs_, never while borrowed_
   std::vector<double> remaining_;
   std::vector<double> completion_;
   std::vector<JobOutcome> outcome_;

@@ -12,8 +12,9 @@
 // session settles its account at the wall-driven drain instant, which lies
 // past the last engine event the replay settles at (see docs/cluster.md).
 //
-// The remaining tests cover fleet admission rejection, cancel semantics and
-// the cancels journal, QUERY/STATS, and cross-run journal determinism.
+// The remaining tests cover the job window doubling under a pinned base,
+// fleet admission rejection, cancel semantics and the cancels journal,
+// QUERY/STATS, and cross-run journal determinism.
 #include <gtest/gtest.h>
 
 
@@ -314,6 +315,87 @@ TEST(ClusterServeTest, SjsSimChecksInvariantsOnClusterReplay) {
             1)
       << refused;
   EXPECT_NE(refused.find("--check-invariants"), std::string::npos) << refused;
+}
+
+TEST(ClusterServeTest, LongJobPinsTheWindowAndReplayStaysExact) {
+  // The fleet's analogue of ServeTest.LongDeadlineJobPinsTheWindowAndReplay-
+  // StaysExact. Job 0 needs at least 30 virtual seconds even on the fastest
+  // machine, so it stays unresolved while 40 short jobs come and go: the
+  // window base is pinned at 0 and the unretired span outgrows the ring
+  // pre-sized from max_in_flight = 8. There is one ring, the engine's job
+  // window, and the session's gauges read it. QUERY of a retired ticket
+  // still reads its outcome, and the streamed outcomes.csv replays
+  // byte-identically.
+  const std::string dir = fresh_dir("cluster_window_doubling");
+  FakeClock clock;
+  ClusterServerConfig config = scripted_config(dir);
+  config.max_in_flight = 8;
+  ClusterServer server(std::move(config), clock);
+  TestClient client(server.start());
+  EXPECT_EQ(server.window_slots(), 8u);
+  EXPECT_EQ(server.engine().job_state().capacity(), 8u);
+
+  std::uint64_t seq = 0;
+  client.send(submit_msg(++seq, 2100.0, 100.0, 30.0));
+  ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  for (int i = 0; i < 40; ++i) {
+    clock.advance(0.3);
+    client.send(submit_msg(++seq, 3.0, 0.5, 1.0));
+    ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  }
+  server.step(0);
+  EXPECT_EQ(server.engine().job_state().base(), 0);  // job 0 pins it
+  EXPECT_GT(server.window_peak(), 8u);
+  EXPECT_GT(server.window_slots(), 8u);
+  EXPECT_EQ(server.window_slots(), server.engine().job_state().capacity());
+
+  // Job 0 resolves by its deadline at t = 100; then every job retires.
+  clock.advance(100.0);
+  server.step(0);
+  client.read_socket();
+  EXPECT_EQ(server.engine().job_state().base(), 41);
+  EXPECT_EQ(server.engine().job_state().span(), 0u);
+  std::vector<MsgType> notified(41, MsgType::kError);
+  for (const Message& m : client.inbox) {
+    if (m.type == MsgType::kCompleted || m.type == MsgType::kExpired) {
+      ASSERT_LT(m.ticket, notified.size());
+      notified[m.ticket] = m.type;
+    }
+  }
+  for (const std::uint64_t ticket : {0u, 5u, 40u}) {
+    ASSERT_NE(notified[ticket], MsgType::kError) << "ticket " << ticket;
+    Message query;
+    query.type = MsgType::kQuery;
+    query.seq = ++seq;
+    query.ticket = ticket;
+    client.send(query);
+    const Message qr = client.await_seq(server, seq);
+    ASSERT_EQ(qr.type, MsgType::kQueryReply);
+    const JobState want = notified[ticket] == MsgType::kCompleted
+                              ? JobState::kCompleted
+                              : JobState::kExpired;
+    EXPECT_EQ(qr.code, static_cast<std::uint8_t>(want)) << "ticket " << ticket;
+  }
+
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = ++seq;
+  client.send(drain);
+  EXPECT_EQ(client.await_seq(server, seq).type, MsgType::kDraining);
+  while (server.step(0)) client.read_socket();
+  EXPECT_TRUE(server.finished());
+  EXPECT_TRUE(server.journal_error().empty());
+
+  const std::string replay_csv = dir + "_replay_outcomes.csv";
+  std::string out;
+  ASSERT_EQ(run_command(std::string(SJS_SIM_BIN) + " --cluster-bundle=" + dir +
+                            " --outcomes-csv=" + replay_csv,
+                        &out),
+            0)
+      << out;
+  const std::string live_csv = slurp(dir + "/outcomes.csv");
+  EXPECT_FALSE(live_csv.empty());
+  EXPECT_EQ(live_csv, slurp(replay_csv));
 }
 
 TEST(ClusterServeTest, ScriptedSessionIsDeterministicAcrossRuns) {

@@ -1,8 +1,9 @@
 // Unit tests for serve::EventLoop, the reactor under every serving front
 // end: write before sleep (queued output leaves before the next wait, with
 // no POLLOUT round), the POLLOUT resume of output a slow peer's socket
-// refused, the write-budget drop, and the close upcalls. The peer is a
-// plain loopback socket on the test's own thread.
+// refused, the write-budget drop, the close upcalls, and the listener's
+// port range check. The peer is a plain loopback socket on the test's own
+// thread.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,6 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "serve/event_loop.hpp"
@@ -185,6 +188,27 @@ TEST_F(LoopFixture, PeerCloseIsANormalClose) {
   EXPECT_EQ(handler.closed[0], handler.accepted[0]);
   EXPECT_FALSE(handler.overflows[0]);
   EXPECT_EQ(loop.open_conn_count(), 0u);
+}
+
+TEST(EventLoopListen, RefusesAPortOutsideTheRangeBeforeBinding) {
+  // htons would wrap 70000 onto 4464 and -1 onto 65535: both are refused
+  // before any socket exists, and the loop can still listen afterwards.
+  RecordingHandler handler;
+  EventLoop loop(handler);
+  for (const int port : {70000, 65536, -1}) {
+    try {
+      loop.listen_loopback(port);
+      ADD_FAILURE() << "port " << port << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(port)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(loop.port(), 0);
+  }
+  const int bound = loop.listen_loopback(0);
+  EXPECT_GT(bound, 0);
+  EXPECT_EQ(loop.port(), bound);
 }
 
 TEST(WaitFds, TimesOutWithNothingReadyAndSeesAReadyFd) {

@@ -427,10 +427,11 @@ TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
   // a warmed FakeClock session — submits, accept/reject decisions,
   // completion and expiry notifications, reply encoding, the poll loop, and
   // for the sharded plane the channel hops both ways — performs zero heap
-  // allocations. start() pre-sizes the slab, routes, and notification
-  // buffers from --max-in-flight; the warm-up grows everything else (socket
-  // buffers, decoders) to its steady-state high-water. No journal, no
-  // metrics: the probe measures the serve core itself.
+  // allocations. start() pre-sizes the slab, the job window (reply routes
+  // included), and the notification buffers from --max-in-flight; the
+  // warm-up grows everything else (socket buffers, decoders) to its
+  // steady-state high-water. No journal, no metrics: the probe measures the
+  // serve core itself.
   constexpr double kBandLo = 0.5;
   constexpr double kBandHi = 1.0;
   serve::ServerConfig config;

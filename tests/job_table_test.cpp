@@ -1,7 +1,7 @@
 // Unit tests for the job window (sim/job_table.hpp): dense admission-order
 // ids, retirement from the base, slot reuse after retirement, ring doubling
-// when the unretired span outgrows it, and the bounded-memory contract under
-// churn.
+// when the unretired span outgrows it, the bounded-memory contract under
+// churn, and the reply-route lane that exists only with owned records.
 //
 // The differential test drives the window and a deliberately naive
 // reference (ordered maps keyed by id) with one random operation stream and
@@ -27,8 +27,24 @@ namespace {
 
 using sim::JobOutcome;
 using sim::JobTable;
+using sim::ReplyRoute;
 
 Job make_job(double workload) { return Job{kNoJob, 0.0, workload, 10.0, 1.0}; }
+
+/// A reply route that encodes its job id in every field.
+ReplyRoute route_for(JobId id) {
+  const auto n = static_cast<std::uint64_t>(id);
+  return ReplyRoute{static_cast<int>(id % 7), n + 1, 2 * n, 3 * n + 5,
+                    id % 2 == 0};
+}
+
+void expect_route(const ReplyRoute& got, const ReplyRoute& want) {
+  EXPECT_EQ(got.conn, want.conn);
+  EXPECT_EQ(got.gen, want.gen);
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.ticket, want.ticket);
+  EXPECT_EQ(got.cancelled, want.cancelled);
+}
 
 TEST(JobTableTest, DenseBindMatchesInstanceOrder) {
   std::vector<Job> jobs;
@@ -103,12 +119,16 @@ TEST(JobTableTest, RingDoublesAndReslotsWhenSpanOutgrowsIt) {
   for (int i = 0; i < 4; ++i) {
     const JobId id = table.admit(make_job(1.0 + i));
     table.qedf_meta(id) = sim::QedfMeta{0.25 * i, 0.5 * i};
+    table.route(id) = route_for(id);
     table.set_released(id);
   }
   // Resolve and retire job 0; jobs 1..3 stay pending.
   table.set_outcome(0, JobOutcome::kExpired);
   table.retire_front();
-  for (int i = 0; i < 5; ++i) table.admit(make_job(10.0 + i));  // ids 4..8
+  for (int i = 0; i < 5; ++i) {  // ids 4..8
+    const JobId id = table.admit(make_job(10.0 + i));
+    table.route(id) = route_for(id);
+  }
   EXPECT_EQ(table.span(), 8u);
   EXPECT_EQ(table.capacity(), 8u);
   EXPECT_EQ(table.span_peak(), 8u);
@@ -116,6 +136,7 @@ TEST(JobTableTest, RingDoublesAndReslotsWhenSpanOutgrowsIt) {
     EXPECT_EQ(table.job(id).id, id);
     EXPECT_EQ(table.remaining(id), 1.0 + static_cast<double>(id));
     EXPECT_EQ(table.qedf_meta(id).t_insert, 0.25 * static_cast<double>(id));
+    expect_route(table.route(id), route_for(id));
     EXPECT_TRUE(table.released(id));
   }
   for (JobId id = 4; id < 9; ++id) {
@@ -123,9 +144,15 @@ TEST(JobTableTest, RingDoublesAndReslotsWhenSpanOutgrowsIt) {
     EXPECT_EQ(table.remaining(id), 6.0 + static_cast<double>(id));
     EXPECT_FALSE(table.released(id));
   }
-  table.admit(make_job(1.0));  // span 9 > 8: doubles again
+  const JobId last = table.admit(make_job(1.0));  // span 9 > 8: doubles
   EXPECT_EQ(table.capacity(), 16u);
+  EXPECT_EQ(table.route_slots(), 16u);
   EXPECT_EQ(table.job(1).id, 1);
+  // Every route survived the doubling; the new job's starts fresh.
+  for (JobId id = 1; id < last; ++id) {
+    expect_route(table.route(id), route_for(id));
+  }
+  expect_route(table.route(last), ReplyRoute{});
 }
 
 TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
@@ -137,6 +164,7 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
   table.reserve(8);
   std::map<JobId, double> ref_remaining;
   std::map<JobId, JobOutcome> ref_outcome;
+  std::map<JobId, ReplyRoute> ref_route;
   std::vector<JobId> retired;
   JobId next = 0;
   Rng rng(20250809);
@@ -149,6 +177,12 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
       ASSERT_EQ(id, next++);
       ref_remaining[id] = workload;
       ref_outcome[id] = JobOutcome::kPending;
+      // A fresh route, then the session's write of it.
+      ASSERT_EQ(table.route(id).conn, -1);
+      ASSERT_EQ(table.route(id).ticket, 0u);
+      ASSERT_FALSE(table.route(id).cancelled);
+      table.route(id) = route_for(id);
+      ref_route[id] = route_for(id);
     } else if (roll < 0.7) {
       // Resolve one of the oldest held jobs (jobs resolve roughly in
       // admission order, so the window keeps moving), if still pending.
@@ -174,6 +208,11 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
         const double served = rng.uniform(0.0, 0.5);
         table.remaining(it->first) -= served;
         it->second -= served;
+        // A cancel flips the route's flag in place.
+        if (served < 0.1) {
+          table.route(it->first).cancelled = true;
+          ref_route[it->first].cancelled = true;
+        }
       }
     } else {
       // Retire every resolved job at the base.
@@ -184,6 +223,7 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
         table.retire_front();
         ref_outcome.erase(ref_outcome.begin());
         ref_remaining.erase(id);
+        ref_route.erase(id);
         retired.push_back(id);
       }
     }
@@ -195,6 +235,13 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
       ASSERT_EQ(table.job(id).id, id) << "slot does not hold job " << id;
       ASSERT_EQ(table.remaining(id), rem);
       ASSERT_EQ(table.outcome(id), ref_outcome[id]);
+      const ReplyRoute& got = table.route(id);
+      const ReplyRoute& want = ref_route[id];
+      ASSERT_EQ(got.conn, want.conn);
+      ASSERT_EQ(got.gen, want.gen);
+      ASSERT_EQ(got.seq, want.seq);
+      ASSERT_EQ(got.ticket, want.ticket);
+      ASSERT_EQ(got.cancelled, want.cancelled);
     }
     if (!retired.empty()) {
       const JobId stale = retired[static_cast<std::size_t>(rng.uniform(
@@ -259,14 +306,20 @@ TEST(JobTableTest, BatchBindBorrowsTheRecordsUntilOwned) {
   }
   JobTable table;
   table.bind(jobs);
-  // A batch window reads the instance's own records, not copies.
+  // A batch window reads the instance's own records, not copies, and sizes
+  // no reply-route lane.
   EXPECT_EQ(&table.job(3), &jobs[3]);
+  EXPECT_EQ(table.route_slots(), 0u);
   EXPECT_THROW(table.admit(make_job(1.0)), CheckError);
   // Owned, the window keeps every record and admits after them; the bound
   // vector may then change without the window seeing it.
   table.own_records();
   EXPECT_NE(&table.job(3), &jobs[3]);
+  EXPECT_EQ(table.route_slots(), table.capacity());
   EXPECT_EQ(table.admit(make_job(9.0)), 5);
+  table.route(5) = route_for(5);
+  expect_route(table.route(5), route_for(5));
+  expect_route(table.route(3), ReplyRoute{});
   jobs.assign(jobs.size(), Job{});
   for (JobId id = 0; id < 5; ++id) {
     EXPECT_EQ(table.job(id).id, id);
@@ -281,11 +334,15 @@ TEST(JobTableTest, BatchBindBorrowsTheRecordsUntilOwned) {
     many[i].id = static_cast<JobId>(i);
   }
   live.bind(many);
+  EXPECT_EQ(live.route_slots(), 0u);
   live.bind({});
+  EXPECT_EQ(live.route_slots(), live.capacity());
   for (int i = 0; i < 40; ++i) {
     EXPECT_EQ(live.admit(make_job(2.0)), i);
+    live.route(i) = route_for(i);
   }
   EXPECT_EQ(live.job(39).id, 39);
+  expect_route(live.route(39), route_for(39));
 }
 
 TEST(JobTableTest, EngineLanesOnlyTableServesTheEngineLanes) {

@@ -467,9 +467,10 @@ TEST(ServeTest, LongDeadlineJobPinsTheWindowAndReplayStaysExact) {
   // Job 0 needs 10 of its 40 virtual seconds on the unit path, so short
   // jobs keep preempting it and it stays unresolved while dozens of them
   // come and go: the window base is pinned at 0, the unretired span
-  // outgrows the ring pre-sized from max_in_flight = 8, and the session's
-  // routes, the engine's job window and the ready queues double and
-  // re-slot. Replay must not notice.
+  // outgrows the ring pre-sized from max_in_flight = 8, and the engine's
+  // job window (the one ring over admission ids: the session's reply routes
+  // are a lane of it, and its window gauges read it) and the ready queues
+  // double and re-slot. Replay must not notice.
   const std::string dir = fresh_dir("serve_window_doubling");
   FakeClock clock;
   ServerConfig config = scripted_config(dir);

@@ -27,6 +27,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -510,6 +511,17 @@ TEST(ShardedServeTest, SubmitsDuringDrainAreRefused) {
   while (server.step(1)) client.read_socket();
   EXPECT_TRUE(server.finished());
   EXPECT_EQ(server.stats().accepted, 0u);
+}
+
+TEST(ShardedServeTest, AFailedStartLeavesNothingToWaitFor) {
+  // start() builds the shards before it binds: a port the listener refuses
+  // fails it before any shard thread runs, and the destructor must return
+  // instead of waiting for reply channels no shard will ever close.
+  FakeClock clock;
+  ServerConfig config = base_config("", 2);
+  config.port = 70000;
+  ShardedAdmissionServer server(config, scheduler_factory(), clock);
+  EXPECT_THROW(server.start(), std::invalid_argument);
 }
 
 }  // namespace

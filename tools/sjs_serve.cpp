@@ -29,8 +29,10 @@
 // The capacity profile is constant at c-hi for the session (a live service
 // observes its own rate; the declared band is what the algorithms consume).
 // Prints "LISTENING <port>" on stdout once ready — scripts wait for it.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <fcntl.h>
 #include <unistd.h>
@@ -187,6 +189,11 @@ int main(int argc, char** argv) {
       flags.get_bool("metrics") ? &registry : nullptr;
   sjs::serve::SystemClock clock;
   const std::string journal_dir = flags.get_string("journal");
+  // Saturated, not truncated: an out-of-range --port reaches the listener's
+  // range check (start() fails) instead of wrapping onto another port.
+  const int port = static_cast<int>(
+      std::clamp<long>(flags.get_int("port"), std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max()));
 
   if (cluster_k > 0) {
     if (flags.get_int("shards") >= 2) {
@@ -212,7 +219,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     config.min_rented = static_cast<std::size_t>(min_rented);
-    config.port = static_cast<int>(flags.get_int("port"));
+    config.port = port;
     config.journal_dir = journal_dir;
     config.accel = flags.get_double("accel");
     config.max_in_flight =
@@ -269,7 +276,7 @@ int main(int argc, char** argv) {
   config.capacity = sjs::cap::CapacityProfile(c_hi);
   config.c_lo = c_lo;
   config.c_hi = c_hi;
-  config.port = static_cast<int>(flags.get_int("port"));
+  config.port = port;
   config.journal_dir = journal_dir;
   config.accel = flags.get_double("accel");
   config.max_in_flight =
