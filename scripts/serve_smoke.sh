@@ -12,7 +12,8 @@
 #
 # Each phase also prints, with no threshold, sjs_load's notification lag
 # p50/p99, the server's peak RSS (VmHWM, read before the drain), its
-# job-window high-water gauges (server.window_peak[.shard<k>]), its loop
+# job-window gauges (server.in_flight_peak, .window_peak, .window_slots,
+# .window_stragglers and .outcome_rows_held, each [.shard<k>]), its loop
 # wake-ups per submit by cause (server.wakeups.*) and the p99 of how late
 # its timer wakes came (server.wake_late_us.p99). The cluster replay also
 # runs the invariant checker (sjs_sim --check-invariants).
@@ -21,6 +22,15 @@
 # sharded plane (--shards=4, sjs_load --connections=4, where step 3/4 apply
 # to EVERY per-shard bundle <journal>/shard<k> independently), and against
 # the fleet plane (--cluster=4, replayed via sjs_sim --cluster-bundle).
+#
+# Then a straggler phase per mode: an overloaded stream with deadline
+# windows up to 100x the workload (40x on the fleet) under a small
+# --max-in-flight (a power of two, so also the ring's pre-size) that the
+# jobs in flight stay under, while long-deadline jobs pin the window's base
+# and the unretired span grows several times past it. Beyond steps 1-4 it
+# asserts that every job window stayed at its pre-size
+# (server.window_slots[.shard<k>] = --max-in-flight) and that jobs spilled
+# to the straggler store (server.window_stragglers > 0).
 #
 # Usage: scripts/serve_smoke.sh   (BUILD_DIR overrides ./build)
 set -euo pipefail
@@ -166,8 +176,9 @@ smoke_phase() {
   [ -n "$COMPLETED" ] && [ "$COMPLETED" -gt 0 ] || {
     echo "FAIL($tag): no completed jobs in server summary" >&2; exit 1; }
 
-  echo "[$tag] job-window high-water:"
-  grep -E '^ +server\.window_peak' "$server_log" || echo "  (none reported)"
+  echo "[$tag] job window:"
+  grep -E '^ +server\.(in_flight_peak|window_|outcome_rows_held)' \
+    "$server_log" || echo "  (none reported)"
   wake_report "$tag" "$server_log"
 
   local metric
@@ -176,6 +187,32 @@ smoke_phase() {
     echo "FAIL($tag): server.jobs_completed metric missing or zero" >&2
     exit 1
   }
+}
+
+# straggler_gate <tag> <slots>: every job window of the phase's server kept
+# its pre-size of <slots>, and jobs spilled.
+straggler_gate() {
+  local tag="$1" slots="$2" log="$WORK/server_$1.log"
+  awk -v tag="$tag" -v slots="$slots" '
+    $1 ~ /^server\.window_slots/ {
+      windows++
+      if ($2 != slots) {
+        printf "FAIL(%s): %s %s, pre-size %s\n", tag, $1, $2, slots
+        bad = 1
+      }
+    }
+    $1 ~ /^server\.window_stragglers/ { spilled += $2 }
+    END {
+      if (windows == 0) {
+        printf "FAIL(%s): no window_slots gauge\n", tag; bad = 1
+      }
+      if (spilled == 0) { printf "FAIL(%s): no job spilled\n", tag; bad = 1 }
+      if (!bad) {
+        printf "[%s] %d window(s) kept %s slots; %d straggler(s) spilled\n",
+               tag, windows, slots, spilled
+      }
+      exit bad
+    }' "$log" >&2 || exit 1
 }
 
 # --- Phase 1: single-threaded AdmissionServer (the original gate) ----------
@@ -201,5 +238,24 @@ smoke_phase cluster "$WORK/journalc" --cluster=4 --
 replay_cluster_bundle "$WORK/journalc" cluster
 grep -q "^drained: cluster of 4" "$WORK/server_cluster.log" || {
   echo "FAIL: no cluster drain summary" >&2; exit 1; }
+CLUSTER_COMPLETED="$COMPLETED"
 
-echo "PASS: clean SIGTERM drains ($SINGLE_COMPLETED single / $SHARDED_COMPLETED sharded / $COMPLETED cluster completed), all replays bit-exact"
+# --- Phase 4: stragglers, per mode -----------------------------------------
+smoke_phase straggler_single "$WORK/journal_ss" --max-in-flight=64 -- \
+  --mean-workload=0.1 --slack-max=100
+straggler_gate straggler_single 64
+replay_bundle "$WORK/journal_ss" straggler_single
+
+smoke_phase straggler_sharded "$WORK/journal_s2" --shards=2 \
+  --max-in-flight=64 -- --mean-workload=0.2 --slack-max=100 --connections=2
+straggler_gate straggler_sharded 64
+for k in 0 1; do
+  replay_bundle "$WORK/journal_s2/shard$k" "straggler_shard$k"
+done
+
+smoke_phase straggler_cluster "$WORK/journal_sc" --cluster=4 \
+  --max-in-flight=64 -- --mean-workload=20 --slack-max=40 --c-lo=2
+straggler_gate straggler_cluster 64
+replay_cluster_bundle "$WORK/journal_sc" straggler_cluster
+
+echo "PASS: clean SIGTERM drains ($SINGLE_COMPLETED single / $SHARDED_COMPLETED sharded / $CLUSTER_COMPLETED cluster completed), all replays bit-exact, straggler windows at their pre-size"

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Peak RSS of one sjs_serve session against its length.
+"""Peak RSS of sjs_serve sessions against their length and their job window.
 
     python3 scripts/window_rss_probe.py --bin .bench_build --seconds 0.5 2.67 6
+    python3 scripts/window_rss_probe.py --bin .bench_build --perfbench-seed 1
 
 Starts sjs_serve the way perfbench's serve_single peak phase does (V-Dover,
 journal on, --max-in-flight=4096, band [1, 2], accel for 15k SUBMIT/s at
@@ -11,7 +12,16 @@ mean workload 0.01), drives it with perfbench's pb_load at --rate for each
 perfbench build directory (python3 perfbench/run.py builds one into
 .bench_build). Prints one JSON object: per session length, the admitted
 jobs, VmHWM in MB, and the job-window gauges sjs_serve --metrics reports
-at drain.
+at drain (server.window_slots, .window_peak, .window_stragglers,
+server.outcome_rows_held, server.in_flight_peak).
+
+--perfbench-seed SEED replays perfbench's six serve_cluster peak sessions of
+that seed instead: the fleet at 12k SUBMIT/s for 2.67 s each (40 s x the
+peak share 0.4 / 6 rounds), pb_load seeded SEED*7919 + 10*round + 2. Each
+session runs twice with the same load: once exactly as perfbench boots
+sjs_serve, whose VmHWM is the one rss_peak_mb takes the maximum of, and
+once with --metrics for the gauges (the metrics registry has a footprint
+of its own, reported as vm_hwm_metrics_mb).
 """
 import argparse
 import json
@@ -23,6 +33,12 @@ import subprocess
 import sys
 import tempfile
 
+# perfbench/run.py's serve_cluster peak phase.
+PB_RATE = 12000.0
+PB_SECONDS = 40.0 * 0.4 / 6
+PB_ROUNDS = 6
+PB_PEAK_STREAM = 2
+
 
 def vm_hwm_mb(pid):
     with open(f"/proc/{pid}/status") as f:
@@ -32,16 +48,20 @@ def vm_hwm_mb(pid):
     return 0.0
 
 
-def session(bin_dir, seconds, rate, cluster, seed):
+def session(bin_dir, seconds, rate, cluster, seed, metrics=True):
     work = tempfile.mkdtemp(prefix="window_probe_")
     journal = os.path.join(work, "journal")
     mean_workload = 0.01
     capacity = 192.5 if cluster else 2.0
     accel = rate * mean_workload / (1.2 * capacity)
-    cmd = [os.path.join(bin_dir, "sjs_serve"), "--port=0", f"--accel={accel!r}",
-           f"--journal={journal}", "--max-in-flight=4096", "--metrics"]
+    cmd = [os.path.join(bin_dir, "sjs_serve"), "--port=0"]
     cmd += (["--cluster=4", "--rental=threshold", "--cluster-key=deadline"]
-            if cluster else ["--scheduler=V-Dover", "--c-lo=1.0", "--c-hi=2.0"])
+            if cluster else ["--scheduler=V-Dover"])
+    cmd += [f"--accel={accel!r}", f"--journal={journal}", "--max-in-flight=4096"]
+    if not cluster:
+        cmd += ["--c-lo=1.0", "--c-hi=2.0"]
+    if metrics:
+        cmd.append("--metrics")
     server = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                               text=True)
     port = None
@@ -66,11 +86,29 @@ def session(bin_dir, seconds, rate, cluster, seed):
     with open(os.path.join(journal, "jobs.csv")) as f:
         admitted = sum(1 for _ in f) - 1
     gauges = {m.group(1): float(m.group(2))
-              for m in re.finditer(r"^\s+(server\.window_\w+|server\.in_flight_peak): (\S+)$",
-                                   out, re.M)}
+              for m in re.finditer(
+                  r"^\s+(server\.(?:window_\w+|outcome_rows_held|in_flight_peak)): (\S+)$",
+                  out, re.M)}
     shutil.rmtree(work, ignore_errors=True)
     return {"seconds": seconds, "admitted": admitted, "vm_hwm_mb": round(hwm, 2),
             "exit": server.returncode, **gauges}
+
+
+def perfbench_sessions(bin_dir, seed):
+    rows = []
+    for rnd in range(PB_ROUNDS):
+        load_seed = seed * 7919 + 10 * rnd + PB_PEAK_STREAM
+        plain = session(bin_dir, PB_SECONDS, PB_RATE, True, load_seed, metrics=False)
+        with_metrics = session(bin_dir, PB_SECONDS, PB_RATE, True, load_seed)
+        row = {"round": rnd, "load_seed": load_seed, "admitted": plain["admitted"],
+               "vm_hwm_mb": plain["vm_hwm_mb"],
+               "vm_hwm_metrics_mb": with_metrics["vm_hwm_mb"],
+               "exit": max(plain["exit"], with_metrics["exit"])}
+        row.update({k: v for k, v in with_metrics.items() if k.startswith("server.")})
+        rows.append(row)
+        print(json.dumps(row), file=sys.stderr)
+    return {"mode": "cluster", "rate": PB_RATE, "seconds": PB_SECONDS, "seed": seed,
+            "rss_peak_mb": max(r["vm_hwm_mb"] for r in rows), "sessions": rows}
 
 
 def main():
@@ -80,7 +118,12 @@ def main():
     ap.add_argument("--rate", type=float, default=15000.0)
     ap.add_argument("--cluster", action="store_true")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--perfbench-seed", type=int, default=None,
+                    help="replay perfbench's six serve_cluster peak sessions of this seed")
     args = ap.parse_args()
+    if args.perfbench_seed is not None:
+        print(json.dumps(perfbench_sessions(args.bin, args.perfbench_seed)))
+        return 0
     rows = [session(args.bin, s, args.rate, args.cluster, args.seed) for s in args.seconds]
     print(json.dumps({"rate": args.rate, "mode": "cluster" if args.cluster else "single",
                       "sessions": rows}))

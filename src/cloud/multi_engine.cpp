@@ -218,7 +218,7 @@ bool MultiEngine::event_dead(const Event& event) const {
 }
 
 void MultiEngine::harvest() {
-  if (jobs_.base() == 0) {
+  if (jobs_.retired() == 0) {
     // The window still holds every job of the run: report them per job.
     const std::size_t n = job_count();
     util::grow(result_.outcomes, n);
@@ -286,6 +286,9 @@ void MultiEngine::begin_live() {
 void MultiEngine::reserve_live(std::size_t max_in_flight) {
   live_reserve_ = max_in_flight;
   jobs_.reserve(max_in_flight);
+  // A job spills only while unresolved, so the jobs in flight bound the
+  // store (sim/job_table.hpp).
+  jobs_.reserve_stragglers(max_in_flight);
   // A release and an expiry per in-flight job, plus one completion per
   // server.
   queue_.reserve(0, 2 * max_in_flight + servers_.size());
@@ -326,10 +329,7 @@ void MultiEngine::admit_live(JobId id) {
 
 void MultiEngine::retire(JobId id) {
   SJS_CHECK_MSG(!in_callback_, "retire inside a scheduler callback");
-  SJS_CHECK_MSG(id == jobs_.base(), "retire out of order: job "
-                                        << id << ", window base "
-                                        << jobs_.base());
-  jobs_.retire_front();
+  jobs_.retire(id);
 }
 
 bool MultiEngine::cancel_live(JobId id) {

@@ -112,8 +112,8 @@ class MultiEngine {
   /// Enters live mode: no pre-loaded events beyond the jobs bound at
   /// construction (a warm-started fleet behaves like its replay).
   void begin_live();
-  /// Pre-sizes the job window and the event heap for a bounded-in-flight
-  /// session.
+  /// Pre-sizes the job window, its straggler store and the event heap for a
+  /// bounded-in-flight session.
   void reserve_live(std::size_t max_in_flight);
   /// Admits `job` (release >= now; its id field is ignored) at the next
   /// admission id, which it returns. Pushes its release and expiry events
@@ -123,8 +123,9 @@ class MultiEngine {
   /// Admits job `id` of the vector the engine was constructed over, already
   /// appended to it; `id` must be the next admission id.
   void admit_live(JobId id);
-  /// Retires job `id`, which must be the window's base() and have an
-  /// outcome: every queued event still naming it is dead from here on.
+  /// Retires job `id`, which must have an outcome and be the window's
+  /// base() or a spilled job: every queued event still naming it is dead
+  /// from here on.
   /// Read what the caller keeps of the job (job_state()) first.
   void retire(JobId id);
   /// Force-expires a live job at the current instant. Subdivides the running

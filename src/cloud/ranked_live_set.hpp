@@ -15,7 +15,8 @@
 // the head plus at most one tail push or pop. begin_run() pre-sizes both sides
 // (the head to K, the tail's id index to the job count), so a batch run
 // allocates nothing after on_start; in live mode ids grow with the session
-// and the tail's index grows geometrically, never once per release.
+// and the tail's index probes past colliding ids, growing geometrically with
+// its occupancy only, never once per release.
 //
 // Order: ascending (key, id), ties toward the smaller id — exactly the
 // iteration order of the node-based ordered set of (key, id) pairs both

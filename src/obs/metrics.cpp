@@ -3,7 +3,9 @@
 #include <atomic>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
+#include "util/id_probe.hpp"
 #include "util/logging.hpp"
 #include "util/vec.hpp"
 
@@ -151,12 +153,25 @@ static_assert(sizeof(kTraceCounterName) / sizeof(kTraceCounterName[0]) ==
               static_cast<std::size_t>(TraceKind::kRunEnd) + 1);
 }  // namespace
 
+std::size_t TraceMetricsBridge::slot_of(JobId job) const {
+  return util::probe_find(stamps_.size() - 1, job,
+                          [this](std::size_t s) { return stamps_[s].job; });
+}
+
+void TraceMetricsBridge::insert_stamp(const Stamp& stamp) {
+  util::probe_insert(
+      stamps_.size() - 1, stamp,
+      [this](std::size_t s) { return stamps_[s].job; },
+      [](const Stamp& st) { return st.job; },
+      [this](std::size_t s, Stamp& st) { std::swap(stamps_[s], st); });
+}
+
 void TraceMetricsBridge::grow_stamps() {
   std::vector<Stamp> old;
   old.swap(stamps_);
   util::grow(stamps_, old.empty() ? std::size_t{64} : 2 * old.size());
   for (const Stamp& s : old) {
-    if (s.job != kNoJob) stamps_[slot_of(s.job)] = s;
+    if (s.job != kNoJob) insert_stamp(s);
   }
 }
 
@@ -164,21 +179,31 @@ void TraceMetricsBridge::record(const TraceEvent& event) {
   shard_->count(kTraceCounterName[static_cast<std::size_t>(event.kind)]);
   switch (event.kind) {
     case TraceKind::kRelease: {
-      if (stamps_.empty()) grow_stamps();
-      while (stamps_[slot_of(event.job)].job != kNoJob) grow_stamps();
-      stamps_[slot_of(event.job)] = Stamp{event.job, event.time, event.b};
+      // Growth with the unresolved count only; colliding ids probe.
+      if (2 * (stamped_ + 1) > stamps_.size()) grow_stamps();
+      insert_stamp(Stamp{event.job, event.time, event.b});
+      ++stamped_;
       break;
     }
     case TraceKind::kComplete:
     case TraceKind::kExpire: {
       if (stamps_.empty()) break;
-      Stamp& s = stamps_[slot_of(event.job)];
-      if (s.job != event.job) break;  // released before the bridge attached
+      const std::size_t slot = slot_of(event.job);
+      // Not stamped: released before the bridge attached.
+      if (slot == stamps_.size()) break;
+      const Stamp& s = stamps_[slot];
       if (event.kind == TraceKind::kComplete) {
         shard_->observe("job.response_time", event.time - s.release);
         shard_->observe("job.slack_at_completion", s.deadline - event.time);
       }
-      s.job = kNoJob;
+      util::probe_erase(
+          stamps_.size() - 1, slot,
+          [this](std::size_t i) { return stamps_[i].job; },
+          [this](std::size_t dst, std::size_t src) {
+            stamps_[dst] = stamps_[src];
+          },
+          [this](std::size_t i) { stamps_[i].job = kNoJob; });
+      --stamped_;
       break;
     }
     case TraceKind::kRunEnd:

@@ -180,20 +180,21 @@ class TraceMetricsBridge : public TraceSink {
     double deadline = 0.0;
   };
 
-  /// The stamp ring slot of `job`.
-  std::size_t slot_of(JobId job) const {
-    return static_cast<std::size_t>(job) & (stamps_.size() - 1);
-  }
-  /// Doubles the ring and re-slots the stamps it holds.
+  /// The stamp slot of `job`; stamps_.size() when it has none.
+  std::size_t slot_of(JobId job) const;
+  /// Enters `stamp` in the table, which has room for it.
+  void insert_stamp(const Stamp& stamp);
+  /// Doubles the table and re-slots the stamps it holds.
   void grow_stamps();
 
   MetricsRegistry::Shard* shard_;
   // Stamps of the jobs released and not yet completed or expired, in a
-  // power-of-two ring keyed by `job & mask` (the job-window idiom of
-  // sim/job_table.hpp): bounded by the span of unresolved ids, not by the
-  // number of jobs a session ever releases. A release that finds its slot
-  // held by another unresolved job doubles the ring.
+  // power-of-two table probed from `job & mask` (util/id_probe.hpp): it
+  // doubles only when half full, so it is bounded by the jobs unresolved
+  // at once, not by the span of their ids nor by the number of jobs a
+  // session ever releases.
   std::vector<Stamp> stamps_;
+  std::size_t stamped_ = 0;
 };
 
 }  // namespace sjs::obs

@@ -22,17 +22,19 @@
 // the heap's internal layout.
 //
 // Addressable-slot invalidation rules: the position index is a power-of-two
-// ring keyed by `id & mask`, like the engine's job window
-// (sim/job_table.hpp), so a live session's queue index is bounded by the
-// span of the ids it holds, not by the number of jobs ever admitted. An
-// index slot names a heap position whose entry carries the id, so
-// contains(id) checks that the slot holds that id; when a push finds its
-// slot held by another queued id, the ring doubles and re-slots (queued ids
-// stay collision-free under every larger mask). push() requires the id to
-// be absent; erase()/pop() invalidate the id's slot immediately (erase of an
-// absent id is a tolerated no-op — schedulers purge expired jobs from every
-// queue they might be in). Keys are frozen at push(); a key that must change
-// goes through update_key(), never through mutation in place.
+// table keyed by `id & mask`, like the engine's job window
+// (sim/job_table.hpp), with collisions resolved by Robin Hood linear
+// probing (util/id_probe.hpp): an id whose home slot is taken uses a later
+// one. So the index is bounded by the number of jobs queued at once, not by
+// the span of their ids (a spilled straggler queues thousands of ids below
+// the newest job) nor by the number of jobs ever admitted; it doubles only
+// when it is full. An index slot names a heap position whose entry carries
+// the id, so contains(id) checks that the slot holds that id. push()
+// requires the id to be absent; erase()/pop() free the id's slot
+// immediately (erase of an absent id is a tolerated no-op — schedulers
+// purge expired jobs from every queue they might be in). Keys are frozen at
+// push(); a key that must change goes through update_key(), never through
+// mutation in place.
 //
 // clear() keeps the backing storage, and destroyed queues donate their
 // buffers to a small thread-local recycler that the next queue constructed
@@ -49,6 +51,7 @@
 
 #include "jobs/job.hpp"
 #include "util/fp.hpp"
+#include "util/id_probe.hpp"
 
 namespace sjs::sched {
 
@@ -71,14 +74,13 @@ class ReadyQueue {
   ReadyQueue(const ReadyQueue&) = delete;
   ReadyQueue& operator=(const ReadyQueue&) = delete;
 
-  /// Sizes the position index for a span of id_bound ids and reserves heap
-  /// storage, so a run whose queued ids span fewer than id_bound performs no
-  /// allocation after this call. Schedulers call it from on_start with
-  /// engine.job_capacity_hint().
+  /// Sizes the position index and reserves heap storage for id_bound queued
+  /// jobs, so a run that never queues more performs no allocation after this
+  /// call. Schedulers call it from on_start with engine.job_capacity_hint().
   void reserve(std::size_t id_bound);
 
-  /// Empties the queue in O(size), keeping all storage for reuse. The peak
-  /// statistic is NOT reset (it is a lifetime high-water mark).
+  /// Empties the queue in O(index slots), keeping all storage for reuse.
+  /// The peak statistic is NOT reset (it is a lifetime high-water mark).
   void clear();
 
   bool empty() const { return heap_.empty(); }
@@ -86,9 +88,7 @@ class ReadyQueue {
 
   /// True iff `id` is currently queued. O(1).
   bool contains(JobId id) const {
-    if (id < 0 || pos_.empty()) return false;
-    const std::uint32_t p = pos_[index_of(id)];
-    return p != kNpos && heap_[p].id == id;
+    return id >= 0 && !pos_.empty() && index_slot(id) < pos_.size();
   }
 
   /// Key `id` was queued with. The job must be queued. O(1).
@@ -116,6 +116,8 @@ class ReadyQueue {
 
   /// Entry slots currently reserved (capacity of the backing array).
   std::uint64_t slots() const { return heap_.capacity(); }
+  /// Slots of the position index (a power of two, 0 before first use).
+  std::size_t index_slots() const { return pos_.size(); }
 
   /// Visits entries in unspecified order (the raw heap layout). Only for
   /// order-insensitive consumers — anything whose result feeds a schedule
@@ -150,18 +152,31 @@ class ReadyQueue {
     return a.key > b.key || (fp::exact_eq(a.key, b.key) && a.id > b.id);
   }
 
-  std::size_t index_of(JobId id) const {
-    return static_cast<std::size_t>(id) & (pos_.size() - 1);
+  /// The id whose entry index slot `s` names (kNoJob when free).
+  JobId id_in(std::size_t s) const {
+    const std::uint32_t p = pos_[s];
+    return p == kNpos ? kNoJob : heap_[p].id;
   }
+  /// The index slot of queued `id`; pos_.size() when it is not queued.
+  std::size_t index_slot(JobId id) const {
+    return util::probe_find(pos_.size() - 1, id,
+                            [this](std::size_t s) { return id_in(s); });
+  }
+  /// Enters heap position `p` (its entry already in place) in the index.
+  void index_insert(std::uint32_t p);
 
-  void place(std::size_t slot, const Entry& e) {
+  /// Puts `e`, whose index slot is `index`, at heap position `slot`.
+  void place(std::size_t slot, const Entry& e, std::uint32_t index) {
     heap_[slot] = e;
-    pos_[index_of(e.id)] = static_cast<std::uint32_t>(slot);
+    where_[slot] = index;
+    pos_[index] = static_cast<std::uint32_t>(slot);
   }
 
-  /// Resizes the position ring to `slots` (a power of two) and re-slots
+  /// Resizes the position index to `slots` (a power of two) and re-slots
   /// every queued entry.
   void resize_index(std::size_t slots);
+  /// Removes the heap entry at `slot`, keeping the heap property.
+  void remove_at(std::size_t slot);
 
   void sift_up(std::size_t slot);
   void sift_down(std::size_t slot);
@@ -170,7 +185,8 @@ class ReadyQueue {
 
   QueueOrder order_;
   std::vector<Entry> heap_;
-  std::vector<std::uint32_t> pos_;  // id & mask -> heap slot, kNpos when free
+  std::vector<std::uint32_t> where_;  // heap slot -> its entry's index slot
+  std::vector<std::uint32_t> pos_;  // probed from id & mask: heap slot or kNpos
   mutable std::vector<Entry> scratch_;
   std::uint64_t peak_ = 0;
 };

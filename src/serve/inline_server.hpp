@@ -28,10 +28,12 @@ class InlineServer : public FrontEnd, private ReplyTarget {
   using Result = typename Backend::Result;
 
   /// Binds the listener, writes the journal preamble, anchors the clock
-  /// bridge, enters engine live mode. Returns the bound port.
+  /// bridge, enters engine live mode. Returns the bound port. The listener
+  /// comes first: a start that cannot bind leaves the journal directory as
+  /// it found it.
   int start() {
-    session_.open_journal();
     const int bound = listen(session_.backend().config().port);
+    session_.open_journal();
     session_.begin_live(clock_->now(), metrics_);
     return bound;
   }
@@ -51,9 +53,16 @@ class InlineServer : public FrontEnd, private ReplyTarget {
   std::vector<obs::TraceEvent> recent_trace() const {
     return session_.recent_trace();
   }
-  /// The session's job window: ring slots and peak unretired span.
+  /// The session's job window: ring slots, peak unretired span, peak
+  /// spilled stragglers, and the journal's peak held outcome rows.
   std::size_t window_slots() const { return session_.window_slots(); }
   std::uint64_t window_peak() const { return session_.window_peak(); }
+  std::uint64_t window_stragglers() const {
+    return session_.window_stragglers();
+  }
+  std::uint64_t outcome_rows_held() const {
+    return session_.outcome_rows_held();
+  }
 
  protected:
   /// The clock is injected (SystemClock for the daemon, FakeClock in tests)

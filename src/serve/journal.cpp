@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -122,6 +124,56 @@ void Journal::record_cancel(double time, JobId job) {
 void Journal::record_outcome(JobId id, sim::JobOutcome outcome,
                              double completion, double value) {
   SJS_CHECK_MSG(outcomes_fd_ >= 0, "record_outcome on a closed journal");
+  SJS_CHECK_MSG(id >= next_row_, "outcome row of job " << id << " twice");
+  if (id > next_row_) {
+    hold_outcome(id, outcome, completion, value);
+    return;
+  }
+  // The next row is in: write it and every held row it was holding back.
+  // next_row_ moves first, so a failed write never repeats a row.
+  ++next_row_;
+  write_outcome(id, outcome, completion, value);
+  while (next_row_ < held_end_ && held(next_row_).outcome !=
+                                      sim::JobOutcome::kPending) {
+    const HeldRow row = held(next_row_);
+    --held_count_;
+    write_outcome(next_row_++, row.outcome, row.completion, row.value);
+  }
+  held_end_ = std::max(held_end_, next_row_);
+}
+
+void Journal::hold_outcome(JobId id, sim::JobOutcome outcome,
+                           double completion, double value) {
+  const auto span = static_cast<std::size_t>(id + 1 - next_row_);
+  if (span > held_slots_) {
+    // Growth to the held span's high-water: re-slot the held ids in a ring
+    // twice as large (or as large as the span needs).
+    const std::size_t slots =
+        std::bit_ceil(std::max({span, 2 * held_slots_, std::size_t{64}}));
+    std::unique_ptr<HeldRow[]> fresh = util::alloc_uninit<HeldRow>(slots);
+    for (JobId j = next_row_; j < held_end_; ++j) {
+      fresh[static_cast<std::size_t>(j) & (slots - 1)] = held(j);
+    }
+    held_ = std::move(fresh);
+    held_slots_ = slots;
+  }
+  // Ids between the held ones are stragglers still unresolved: no row yet.
+  for (; held_end_ < id; ++held_end_) {
+    held(held_end_).outcome = sim::JobOutcome::kPending;
+  }
+  held_end_ = std::max(held_end_, id + 1);
+  held(id) = HeldRow{completion, value, outcome};
+  held_peak_ = std::max(held_peak_, ++held_count_);
+}
+
+void Journal::reserve_held_rows(std::size_t n) {
+  if (n <= held_slots_) return;
+  held_slots_ = std::bit_ceil(n);
+  held_ = util::alloc_uninit<HeldRow>(held_slots_);
+}
+
+void Journal::write_outcome(JobId id, sim::JobOutcome outcome,
+                            double completion, double value) {
   if (outcome_len_ + sim::kOutcomeRowMax > outcome_buf_.size()) {
     flush_outcomes();
   }

@@ -26,11 +26,18 @@
 //                the file one write(2) per full buffer; the file is complete
 //                once the session has drained and closed the journal. The
 //                fleet's ClusterJournal streams its outcomes.csv the same
-//                way.
+//                way. A session retires a spilled straggler
+//                (sim/job_table.hpp) after later jobs, so a row may come in
+//                before a lower id's: it is held, as (outcome, completion,
+//                value), until every lower id's row is written. The held
+//                rows span from the oldest unresolved straggler to the
+//                newest retired job, the one structure that still grows
+//                with the longest deadline.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,10 +79,18 @@ class Journal {
   /// Appends one cancellation. Throws on write failure like record_admit.
   void record_cancel(double time, JobId job);
 
-  /// Buffers job `id`'s outcomes.csv row (ids in order, each once; see the
-  /// header). Throws std::runtime_error when a full buffer's write fails.
+  /// Buffers job `id`'s outcomes.csv row (each id once, in any order; a
+  /// row some lower id's row has not preceded yet is held, see the header).
+  /// Throws std::runtime_error when a full buffer's write fails.
   void record_outcome(JobId id, sim::JobOutcome outcome, double completion,
                       double value);
+
+  /// Pre-sizes the held rows for a span of `n` ids, before any row is
+  /// held. Reserved, not written: the memory becomes resident only as rows
+  /// are held.
+  void reserve_held_rows(std::size_t n);
+  /// Peak count of held rows.
+  std::size_t rows_held_peak() const { return held_peak_; }
 
   /// Writes the buffered outcome rows and closes the files (the destructor
   /// also closes them, but only close() reports failure). Throws if a write
@@ -104,6 +119,22 @@ class Journal {
                   std::size_t count);
   /// Writes the buffered outcome rows.
   void flush_outcomes();
+  /// Appends job `id`'s row to the buffer.
+  void write_outcome(JobId id, sim::JobOutcome outcome, double completion,
+                     double value);
+  /// Holds job `id`'s row until the rows below it are written.
+  void hold_outcome(JobId id, sim::JobOutcome outcome, double completion,
+                    double value);
+
+  /// A held outcomes row; kPending marks a slot with no row yet.
+  struct HeldRow {
+    double completion;
+    double value;
+    sim::JobOutcome outcome;
+  };
+  HeldRow& held(JobId id) {
+    return held_[static_cast<std::size_t>(id) & (held_slots_ - 1)];
+  }
 
   std::string dir_;
   int jobs_fd_ = -1;     ///< jobs.csv, O_APPEND
@@ -113,6 +144,14 @@ class Journal {
   std::size_t outcome_len_ = 0;
   std::uint64_t admit_rows_ = 0;
   std::uint64_t cancel_rows_ = 0;
+  /// Held rows: a power-of-two ring over ids [next_row_, held_end_),
+  /// indexed by id & (held_slots_ - 1).
+  std::unique_ptr<HeldRow[]> held_;
+  std::size_t held_slots_ = 0;
+  JobId next_row_ = 0;  ///< the id whose row outcomes.csv needs next
+  JobId held_end_ = 0;
+  std::size_t held_count_ = 0;
+  std::size_t held_peak_ = 0;
 };
 
 /// meta.csv as a key→value map. Throws on missing/malformed file.

@@ -23,6 +23,8 @@ SessionCounterNames::SessionCounterNames(std::string_view suffix)
       in_flight_peak(label(kGaugeInFlightPeak, suffix)),
       window_peak(label(kGaugeWindowPeak, suffix)),
       window_slots(label(kGaugeWindowSlots, suffix)),
+      window_stragglers(label(kGaugeWindowStragglers, suffix)),
+      outcome_rows_held(label(kGaugeOutcomeRowsHeld, suffix)),
       wake_socket(label(kCtrWakeSocket, suffix)),
       wake_timer(label(kCtrWakeTimer, suffix)),
       wake_timer_empty(label(kCtrWakeTimerEmpty, suffix)),

@@ -37,13 +37,18 @@
 //
 // The job window. There is one ring over local ids, the engine's
 // sim::JobTable (engine().job_state()); each job's reply route is a lane of
-// it, and the window gauges read it. A job retires once it has an outcome
-// and every lower id has retired, checked after the notifications are
-// dispatched: the session streams its outcomes.csv row, retires it from
-// the window, and moves its outcome (completed or expired, 2 bits) to a
-// packed lane indexed by wire ticket, which is all QUERY and CANCEL need of
-// a retired ticket. So a session's memory is bounded by its unretired span
-// plus those 2 bits per ticket, however long it runs.
+// it, and the window gauges read it. After the notifications are
+// dispatched, the session retires every resolved job at the ring's base,
+// and a spilled straggler (a job the full ring moved to the table's
+// straggler store) as soon as its notification ships. A retiring job's
+// outcomes.csv row goes to the journal, which holds it while a lower id is
+// unresolved; its outcome (completed or expired, 2 bits) moves to a packed
+// lane indexed by wire ticket, which is all QUERY and CANCEL need of a
+// retired ticket. So the ring is bounded by its --max-in-flight pre-size,
+// the stragglers by the jobs in flight (the gate sheds at max_in_flight),
+// and only the held rows, about 24 bytes each, by the span from the oldest
+// unresolved straggler to the newest job; plus those 2 bits per ticket,
+// however long the session runs.
 //
 // Journal failure (one policy in every mode): the first error wins and is
 // kept in journal_error(), the failing request is answered
@@ -105,6 +110,10 @@ inline constexpr std::string_view kCtrOverflows = "server.write_overflows";
 inline constexpr std::string_view kGaugeInFlightPeak = "server.in_flight_peak";
 inline constexpr std::string_view kGaugeWindowPeak = "server.window_peak";
 inline constexpr std::string_view kGaugeWindowSlots = "server.window_slots";
+inline constexpr std::string_view kGaugeWindowStragglers =
+    "server.window_stragglers";
+inline constexpr std::string_view kGaugeOutcomeRowsHeld =
+    "server.outcome_rows_held";
 inline constexpr std::string_view kCtrWakeSocket = "server.wakeups.socket";
 inline constexpr std::string_view kCtrWakeTimer = "server.wakeups.timer";
 inline constexpr std::string_view kCtrWakeTimerEmpty =
@@ -123,7 +132,8 @@ inline constexpr std::string_view kGaugeWriteBufPeak =
 struct SessionCounterNames {
   explicit SessionCounterNames(std::string_view suffix);
   std::string submitted, accepted, rejected, shed, completed, expired,
-      cancelled, in_flight_peak, window_peak, window_slots, wake_socket,
+      cancelled, in_flight_peak, window_peak, window_slots,
+      window_stragglers, outcome_rows_held, wake_socket,
       wake_timer, wake_timer_empty, wake_dead_skipped, wake_late_p50,
       wake_late_p99, wake_late_max;
 };
@@ -202,9 +212,11 @@ class Session {
   /// `epoch`, takes this thread's metrics shard (`metrics` may be null),
   /// attaches the trace sinks, and pre-sizes everything the per-request
   /// path touches from max_in_flight, so a warmed session allocates
-  /// nothing, for any session length, while its unretired span stays within
-  /// the pre-size (the one exception is the retired-outcome lane, 2 bits
-  /// per ticket, pre-sized for kRetiredTickets and doubling past it).
+  /// nothing, for any session length and any deadlines. Two structures
+  /// grow past their pre-size to a high-water instead: the journal's held
+  /// outcome rows, with the span from the oldest unresolved straggler, and
+  /// the retired-outcome lane, 2 bits per ticket, pre-sized for
+  /// kRetiredTickets.
   void begin_live(double epoch, obs::MetricsRegistry* metrics);
 
   /// SUBMIT from (conn, gen). Returns the admitted local id, or kNoJob.
@@ -248,6 +260,12 @@ class Session {
   /// Ring slots (a power of two) and peak unretired span of the job window.
   std::size_t window_slots() const { return jobs().capacity(); }
   std::uint64_t window_peak() const { return jobs().span_peak(); }
+  /// Peak count of spilled jobs in the window's straggler store.
+  std::uint64_t window_stragglers() const { return jobs().straggler_peak(); }
+  /// Peak count of outcomes.csv rows the journal held back (0 without one).
+  std::uint64_t outcome_rows_held() const {
+    return journal_ ? journal_->rows_held_peak() : 0;
+  }
 
   /// Tickets the retired-outcome lane is pre-sized for.
   static constexpr std::size_t kRetiredTickets = std::size_t{1} << 20;
@@ -274,12 +292,17 @@ class Session {
 
  private:
   void dispatch_notifications();
+  /// Ships the notification of `ev`, a completion or expiry of a held job.
+  void notify(const obs::TraceEvent& ev);
   /// The job window: the engine's JobTable.
   sim::JobTable& jobs() { return backend_.engine().job_state(); }
   const sim::JobTable& jobs() const { return backend_.engine().job_state(); }
   /// Retires every job from the window base up to the first one without
   /// an outcome.
   void retire_resolved();
+  /// Retires job `id`, which has an outcome: records it in the retired
+  /// lane, frees its window slot, and hands its row to the journal.
+  void retire_job(JobId id);
   /// The unretired local id with wire ticket `ticket`, or kNoJob.
   JobId find(std::uint64_t ticket) const;
   /// What the retired-outcome lane says of `ticket` (kUnknown: not a

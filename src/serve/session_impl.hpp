@@ -30,6 +30,7 @@ void Session<Backend>::begin_live(double epoch,
   backend_.engine().attach_trace(&tee_);
   const auto n = static_cast<std::size_t>(backend_.config().max_in_flight);
   backend_.engine().reserve_live(n);
+  if (journal_) journal_->reserve_held_rows(n);
   retired_.reserve(kRetiredTickets / 32);
   notifications_.reserve(n);
   backend_.engine().begin_live();
@@ -125,84 +126,106 @@ void Session<Backend>::dispatch_notifications() {
   for (std::size_t i = 0; i < notifications_.size(); ++i) {
     const obs::TraceEvent ev = notifications_[i];
     if (!jobs().holds(ev.job)) continue;
-    ++notified_;
-    const sim::ReplyRoute& route = jobs().route(ev.job);
-    Message note;
-    note.ticket = route.ticket;
-    note.seq = route.seq;
-    if (ev.kind == obs::TraceKind::kComplete) {
-      ++stats_.completed;
-      stats_.completed_value += ev.a;
-      count(names_.completed);
-      note.type = MsgType::kCompleted;
-      note.a = ev.a;       // value collected
-      note.b = ev.time;    // completion instant
-    } else {
-      if (route.cancelled) {
-        // The client already got kCancelled; the forced expiry is internal.
-        --stats_.in_flight;
-        continue;
-      }
-      ++stats_.expired;
-      count(names_.expired);
-      note.type = MsgType::kExpired;
-      note.b = ev.time;
-    }
-    --stats_.in_flight;
-    target_->send(route.conn, route.gen, note);
+    notify(ev);
+    // A spilled job retires as soon as it resolves, so the straggler store
+    // holds only jobs in flight.
+    if (ev.job < jobs().base()) retire_job(ev.job);
   }
   notifications_.clear();
   retire_resolved();
 }
 
 template <typename Backend>
+void Session<Backend>::notify(const obs::TraceEvent& ev) {
+  ++notified_;
+  --stats_.in_flight;
+  const sim::ReplyRoute& route = jobs().route(ev.job);
+  Message note;
+  note.ticket = route.ticket;
+  note.seq = route.seq;
+  if (ev.kind == obs::TraceKind::kComplete) {
+    ++stats_.completed;
+    stats_.completed_value += ev.a;
+    count(names_.completed);
+    note.type = MsgType::kCompleted;
+    note.a = ev.a;       // value collected
+    note.b = ev.time;    // completion instant
+  } else {
+    // A cancelled job's client already got kCancelled; the forced expiry
+    // is internal.
+    if (route.cancelled) return;
+    ++stats_.expired;
+    count(names_.expired);
+    note.type = MsgType::kExpired;
+    note.b = ev.time;
+  }
+  target_->send(route.conn, route.gen, note);
+}
+
+template <typename Backend>
 void Session<Backend>::retire_resolved() {
-  // Every job with an outcome had its notification dispatched just before
-  // this runs, so an outcome is what makes a job retirable.
+  // Every job with an outcome had its notification dispatched before this
+  // runs, so an outcome is what makes a job retirable.
   const sim::JobTable& window = jobs();
-  while (window.span() > 0) {
-    const JobId id = window.base();
-    const auto outcome = window.outcome(id);
-    if (outcome == sim::JobOutcome::kPending) return;
-    // The packed lane: 2 bits per wire ticket, grown a word at a time
-    // inside begin()'s reserve (doubling past it).
-    const std::uint64_t ticket = window.route(id).ticket;
-    const std::size_t word = ticket / 32;
-    if (word >= retired_.size()) util::grow(retired_, word + 1);
-    retired_[word] |=
-        std::uint64_t{outcome == sim::JobOutcome::kCompleted ? 1u : 2u}
-        << (2 * (ticket % 32));
-    // Read what outcomes.csv keeps of the job, then free its engine slot.
-    const double completion = window.completion(id);
-    const double value = window.job(id).value;
-    backend_.engine().retire(id);
-    if (!journal_) continue;
-    try {
-      journal_->record_outcome(id, outcome, completion, value);
-    } catch (const std::exception& e) {
-      // The outcome row could not be written: outcomes.csv can no longer
-      // match a replay, so the session fails and drains.
-      if (journal_error_.empty()) journal_error_ = e.what();
-      request_drain();
-    }
+  while (window.span() > 0 &&
+         window.outcome(window.base()) != sim::JobOutcome::kPending) {
+    retire_job(window.base());
+  }
+}
+
+template <typename Backend>
+void Session<Backend>::retire_job(JobId id) {
+  const sim::JobTable& window = jobs();
+  const auto outcome = window.outcome(id);
+  // The packed lane: 2 bits per wire ticket, grown a word at a time
+  // inside begin()'s reserve (doubling past it).
+  const std::uint64_t ticket = window.route(id).ticket;
+  const std::size_t word = ticket / 32;
+  if (word >= retired_.size()) util::grow(retired_, word + 1);
+  retired_[word] |=
+      std::uint64_t{outcome == sim::JobOutcome::kCompleted ? 1u : 2u}
+      << (2 * (ticket % 32));
+  // Read what outcomes.csv keeps of the job, then free its engine slot.
+  const double completion = window.completion(id);
+  const double value = window.job(id).value;
+  backend_.engine().retire(id);
+  if (!journal_) return;
+  try {
+    // The journal holds the row while a spilled lower id is unresolved.
+    journal_->record_outcome(id, outcome, completion, value);
+  } catch (const std::exception& e) {
+    // The outcome row could not be written: outcomes.csv can no longer
+    // match a replay, so the session fails and drains.
+    if (journal_error_.empty()) journal_error_ = e.what();
+    request_drain();
   }
 }
 
 template <typename Backend>
 JobId Session<Backend>::find(std::uint64_t ticket) const {
-  // Tickets increase with the local id: binary search the window.
+  // Tickets increase with the local id, and the unretired ids in order are
+  // the spilled ones (all below the base) and then the ring's: binary
+  // search that sequence.
   const sim::JobTable& window = jobs();
-  JobId lo = window.base();
-  JobId hi = window.end();
+  const std::size_t spilled = window.straggler_count();
+  const auto id_at = [&](std::size_t i) {
+    return i < spilled ? window.straggler(i)
+                       : window.base() + static_cast<JobId>(i - spilled);
+  };
+  std::size_t lo = 0;
+  std::size_t hi = spilled + window.span();
   while (lo < hi) {
-    const JobId mid = lo + (hi - lo) / 2;
-    if (window.route(mid).ticket < ticket) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (window.route(id_at(mid)).ticket < ticket) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return lo < window.end() && window.route(lo).ticket == ticket ? lo : kNoJob;
+  return lo < spilled + window.span() &&
+                 window.route(id_at(lo)).ticket == ticket
+             ? id_at(lo)
+             : kNoJob;
 }
 
 template <typename Backend>
@@ -252,8 +275,11 @@ JobId Session<Backend>::submit(int conn, std::uint64_t gen, const Message& m) {
       return kNoJob;
     }
   }
-  // The window doubles only when the unretired span outgrows the pre-size;
-  // the admitted job's route starts fresh.
+  // A full window spills its base job, which must then be unresolved (the
+  // gate's in-flight cap is what bounds the straggler store): retire the
+  // resolved ones a previous spill exposed first. The admitted job's route
+  // starts fresh.
+  if (jobs().span() == jobs().capacity()) retire_resolved();
   const JobId id = engine.admit_live(job);
   sim::ReplyRoute& route = jobs().route(id);
   route.conn = conn;
@@ -353,8 +379,9 @@ void Session<Backend>::finalize() {
   // the same outcomes the session would have reached in real time.
   result_ = backend_.finish();
   dispatch_notifications();
-  SJS_CHECK_MSG(jobs().span() == 0,
-                "drain left " << jobs().span() << " jobs unretired");
+  SJS_CHECK_MSG(jobs().span() + jobs().straggler_count() == 0,
+                "drain left " << jobs().span() + jobs().straggler_count()
+                              << " jobs unretired");
   if (shard_) {
     backend_.publish(result_, *shard_);
     shard_->set_gauge(names_.in_flight_peak,
@@ -362,6 +389,10 @@ void Session<Backend>::finalize() {
     shard_->set_gauge(names_.window_peak, static_cast<double>(window_peak()));
     shard_->set_gauge(names_.window_slots,
                       static_cast<double>(window_slots()));
+    shard_->set_gauge(names_.window_stragglers,
+                      static_cast<double>(window_stragglers()));
+    shard_->set_gauge(names_.outcome_rows_held,
+                      static_cast<double>(outcome_rows_held()));
     if (wake_late_.total() > 0) {
       shard_->set_gauge(names_.wake_late_p50, wake_late_.quantile(0.50));
       shard_->set_gauge(names_.wake_late_p99, wake_late_.quantile(0.99));

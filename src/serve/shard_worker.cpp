@@ -39,9 +39,7 @@ ShardWorker::ShardWorker(const ServerConfig& config, std::size_t shard_index,
       // corner, where notifications can transiently exceed this.
       replies_(config.channel_capacity + config.max_in_flight + 8),
       session_(shard_config(config, shard_index), clock, *this,
-               ".shard" + std::to_string(shard_index), std::move(scheduler)) {
-  session_.open_journal();
-}
+               ".shard" + std::to_string(shard_index), std::move(scheduler)) {}
 
 ShardWorker::~ShardWorker() = default;
 

@@ -72,14 +72,18 @@ struct ShardReply {
 class ShardWorker final : private ReplyTarget {
  public:
   /// `config.journal_dir`, when set, is the PLANE's journal root; shard k
-  /// journals to `<root>/shard<k>` (written here; throws on I/O failure).
-  /// The clock is shared across the plane; run_shard() anchors this
-  /// shard's bridge at the epoch captured once by the acceptor. `metrics`
-  /// may be nullptr.
+  /// journals to `<root>/shard<k>` (see open_journal()). The clock is
+  /// shared across the plane; run_shard() anchors this shard's bridge at
+  /// the epoch captured once by the acceptor. `metrics` may be nullptr.
   ShardWorker(const ServerConfig& config, std::size_t shard_index,
               std::unique_ptr<sim::Scheduler> scheduler, Clock& clock,
               obs::MetricsRegistry* metrics);
   ~ShardWorker() override;
+
+  /// Writes the shard's journal preamble (no-op without a journal); the
+  /// acceptor calls it once the plane's port is bound. Throws on I/O
+  /// failure.
+  void open_journal() { session_.open_journal(); }
 
   conc::Channel<ShardRequest>& requests() { return requests_; }
   conc::Channel<ShardReply>& replies() { return replies_; }
@@ -92,9 +96,16 @@ class ShardWorker final : private ReplyTarget {
 
   // Safe to read only after the owning thread has been joined:
   const sim::SimResult& result() const { return session_.result(); }
-  /// The session's job window: ring slots and peak unretired span.
+  /// The session's job window: ring slots, peak unretired span, peak
+  /// spilled stragglers, and the journal's peak held outcome rows.
   std::size_t window_slots() const { return session_.window_slots(); }
   std::uint64_t window_peak() const { return session_.window_peak(); }
+  std::uint64_t window_stragglers() const {
+    return session_.window_stragglers();
+  }
+  std::uint64_t outcome_rows_held() const {
+    return session_.outcome_rows_held();
+  }
   /// Non-empty once a journal write failed on this shard. The failing
   /// request was answered ERROR(kJournalFailed), the shard's session began
   /// draining, and the acceptor drains the plane when that reply reaches

@@ -43,6 +43,8 @@ int ShardedAdmissionServer::start() {
     loop().watch(workers_[k]->replies().wake_fd());
   }
   const int port = listen(config_.port);
+  // Bound: only now may the shards truncate their journal directories.
+  for (auto& w : workers_) w->open_journal();
   // ONE clock read anchors the whole plane: the acceptor's bridge and every
   // shard's bridge share this epoch, so virtual time is a single timeline.
   const double epoch = clock_->now();

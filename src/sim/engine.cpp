@@ -406,7 +406,7 @@ void Engine::step_event() {
 }
 
 void Engine::harvest_result() {
-  if (jobs_.base() == 0) {
+  if (jobs_.retired() == 0) {
     // The window still holds every job of the run: report them per job.
     const auto n = static_cast<std::size_t>(jobs_.end());
     util::grow(result_.outcomes, n);
@@ -507,10 +507,7 @@ void Engine::admit_live(JobId id) {
 
 void Engine::retire(JobId id) {
   SJS_CHECK_MSG(!in_callback_, "retire inside a scheduler callback");
-  SJS_CHECK_MSG(id == jobs_.base(), "retire out of order: job "
-                                        << id << ", window base "
-                                        << jobs_.base());
-  jobs_.retire_front();
+  jobs_.retire(id);
 }
 
 bool Engine::cancel_live(JobId id) {
@@ -556,6 +553,9 @@ const SimResult& Engine::finish_live() {
 void Engine::reserve_live(std::size_t max_in_flight) {
   live_reserve_ = max_in_flight;
   jobs_.reserve(max_in_flight);
+  // A job spills only while unresolved, so the jobs in flight bound the
+  // store (sim/job_table.hpp).
+  jobs_.reserve_stragglers(max_in_flight);
   // The static side only takes pre-loaded jobs and capacity breakpoints; live
   // releases/expiries and timers go to the volatile heap: a release, an
   // expiry and one timer per in-flight job, plus the running job's

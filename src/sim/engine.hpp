@@ -90,10 +90,11 @@ class Engine {
   // full argument.
   //
   // Per-job state lives in the JobTable window (sim/job_table.hpp). A
-  // serving session retires each job once it has an outcome and every lower
-  // id is retired (retire()), so its memory does not grow with the number
-  // of jobs it admits. A live run that retires nothing keeps every job, like
-  // a batch run.
+  // serving session retires each job once it has an outcome (retire()), so
+  // its memory does not grow with the number of jobs it admits, and an
+  // unresolved job at a full window's base spills to the straggler store
+  // reserve_live() sized. A live run that retires nothing keeps every job,
+  // like a batch run.
 
   /// Enters live mode over the bound instance (normally empty; any jobs it
   /// holds are admitted at their own releases): initialises the run, pushes
@@ -137,9 +138,9 @@ class Engine {
   /// follows it.
   double next_live_event_time() const;
 
-  /// Retires job `id`, which must be the window's base() and have an
-  /// outcome: every queued event still naming it is dead from here on, and
-  /// its slot is free for a later admission. Read what the caller keeps of
+  /// Retires job `id`, which must have an outcome and be the window's
+  /// base() or a spilled job: every queued event still naming it is dead
+  /// from here on, and its slot is free for a later admission. Read what the caller keeps of
   /// the job (job(id), job_state()) before retiring it.
   void retire(JobId id);
 
@@ -154,11 +155,12 @@ class Engine {
   bool live_mode() const { return live_; }
 
   /// Pre-sizes every structure that grows with the in-flight population —
-  /// the job window, both event-queue sides and the timer slab — for
-  /// `max_in_flight` simultaneous jobs. A warmed live session that retires
-  /// its resolved jobs then performs zero heap allocations, however many
-  /// jobs it admits, as long as its unretired span stays within the
-  /// pre-size (the serve plane calls this at boot with --max-in-flight).
+  /// the job window and its straggler store, both event-queue sides and the
+  /// timer slab — for `max_in_flight` simultaneous jobs. A warmed live
+  /// session that retires its resolved jobs and keeps at most that many in
+  /// flight then performs zero heap allocations, however many jobs it
+  /// admits and however long their deadlines (the serve plane calls this at
+  /// boot with --max-in-flight).
   void reserve_live(std::size_t max_in_flight);
 
   /// Bound schedulers should size their per-job structures for in

@@ -88,6 +88,9 @@ void JobTable::bind(const std::vector<Job>& jobs) {
   const std::size_t n = jobs.size();
   base_ = 0;
   end_ = 0;
+  stragglers_.clear();
+  straggler_peak_ = 0;
+  retired_ = 0;
   // An empty instance is a live session's start: nothing to borrow.
   borrowed_ = n > 0;
   if (n > capacity()) resize_ring(std::bit_ceil(n));
@@ -128,24 +131,72 @@ void JobTable::reserve(std::size_t n) {
   if (lanes_ == Lanes::kAll) admission_scratch_.reserve(n + 2);
 }
 
+void JobTable::reserve_stragglers(std::size_t n) {
+  // Reserved, not resized: a store entry is written only when a job spills.
+  stragglers_.reserve(n);
+  straggler_room_ = std::max(straggler_room_, n);
+}
+
+const JobTable::Straggler* JobTable::find_spilled(JobId id) const {
+  const auto it = std::lower_bound(
+      stragglers_.begin(), stragglers_.end(), id,
+      [](const Straggler& s, JobId key) { return s.job.id < key; });
+  return it != stragglers_.end() && it->job.id == id ? &*it : nullptr;
+}
+
+void JobTable::spill_front() {
+  const std::size_t s = slot(base_);
+  Straggler entry{};
+  entry.job = jobs_[s];
+  entry.route = routes_[s];
+  entry.remaining = remaining_[s];
+  entry.completion = completion_[s];
+  entry.outcome = outcome_[s];
+  entry.released = released_[s];
+  if (lanes_ == Lanes::kAll) {
+    entry.qedf_meta = qedf_meta_[s];
+    entry.ocl_timer = ocl_timer_[s];
+    entry.abandoned = abandoned_[s];
+    entry.ocl_scheduled = ocl_scheduled_[s];
+  }
+  // Ids spill in base order, so the store stays sorted; it never outgrows
+  // its reservation (admit() checks the room).
+  util::append(stragglers_, entry);
+  straggler_peak_ = std::max(straggler_peak_, stragglers_.size());
+  ++base_;
+}
+
 JobId JobTable::admit(const Job& job) {
   SJS_CHECK_MSG(!borrowed_, "admit into a window of borrowed records");
   if (span() == capacity()) {
-    // The window outgrew the ring: double it (or create it) and re-slot.
-    resize_ring(capacity() == 0 ? 16 : 2 * capacity());
+    if (span() > 0 && stragglers_.size() < straggler_room_) {
+      spill_front();
+    } else {
+      // No room to spill: double the ring (or create it) and re-slot.
+      resize_ring(capacity() == 0 ? 16 : 2 * capacity());
+    }
   }
   const JobId id = end_++;
   init_slot(slot(id), job);
   jobs_[slot(id)].id = id;
-  if (span() > span_peak_) span_peak_ = span();
+  const JobId lowest = stragglers_.empty() ? base_ : stragglers_.front().job.id;
+  span_peak_ = std::max(span_peak_, static_cast<std::size_t>(end_ - lowest));
   return id;
 }
 
-void JobTable::retire_front() {
-  SJS_CHECK_MSG(base_ < end_, "retire_front on an empty window");
-  SJS_CHECK_MSG(outcome(base_) != JobOutcome::kPending,
-                "retire_front of job " << base_ << " with no outcome");
-  ++base_;
+void JobTable::retire(JobId id) {
+  SJS_CHECK_MSG(holds(id), "retire of job " << id << ", which is not held");
+  SJS_CHECK_MSG(outcome(id) != JobOutcome::kPending,
+                "retire of job " << id << " with no outcome");
+  if (id < base_) {
+    stragglers_.erase(stragglers_.begin() +
+                      (find_spilled(id) - stragglers_.data()));
+  } else {
+    SJS_CHECK_MSG(id == base_, "retire out of order: job "
+                                   << id << ", window base " << base_);
+    ++base_;
+  }
+  ++retired_;
 }
 
 }  // namespace sjs::sim

@@ -8,26 +8,44 @@
 // journal rows, ReadyQueue tie-breaks and the event order are exactly those
 // of a plain per-run vector.
 //
-// The lanes form a power-of-two ring indexed by `id & mask`. The window is
-// the id range [base(), end()): end() is the next id admit() hands out, and
-// base() is the lowest id not yet retired. retire_front() retires the job at
-// base() once it has an outcome, so a live session's memory is bounded by
-// the span of unretired ids, not by the number of jobs it ever admitted. The
-// ring is pre-sized by reserve() (the serve plane passes --max-in-flight)
-// and doubles, re-slotting the window, only when the span outgrows it.
+// The lanes form a power-of-two ring indexed by `id & mask`. The ring holds
+// the id range [base(), end()): end() is the next id admit() hands out.
+// retire(base()) retires the job at the base once it has an outcome, so a
+// live session's memory does not grow with the number of jobs it admits.
+// The ring is pre-sized by reserve() (the serve plane passes
+// --max-in-flight).
+//
+// Stragglers. In the paper's model a job keeps its slack until its
+// deadline, so one far-deadline job would pin the base while thousands of
+// later jobs come and go, and the ring would have to grow with the arrival
+// rate times the longest deadline. A live engine therefore also reserves a
+// straggler store (reserve_stragglers(), sized from --max-in-flight). When
+// admit() finds the ring full it spills the job at base() — every lane of
+// it, the reply route included — into that store, and advances the base.
+// A spilled job stays in the store, below base() and in id order, until
+// retire(id) takes it out. The ring is thus bounded by its pre-size, the
+// store by the jobs in flight (a spilled job is unresolved when it spills,
+// and the serving session retires it as soon as it resolves), and only the
+// span of unretired ids — end() minus the lowest unretired id, span_peak()
+// — still follows the longest deadline. A table with no store (a batch
+// run, or no reserve_stragglers()) or a full one doubles the ring and
+// re-slots it instead.
 //
 // A batch run is the same window over the whole sealed instance (bind()):
-// ids [0, n), nothing ever retires. Its job records are read from the
-// instance's own vector, which outlives the run, instead of being copied;
-// a live session owns its records (own_records()). The reply-route lane
-// follows the records: a borrowed window neither sizes nor fills it.
+// ids [0, n), nothing ever spills or retires, and the base stays 0, so a
+// lane read costs one extra, always-false compare against it. Its job
+// records are read from the instance's own vector, which outlives the run,
+// instead of being copied; a live session owns its records (own_records()).
+// The reply-route lane follows the records: a borrowed window neither sizes
+// nor fills it.
 //
 // Retired ids are dead: holds(id) is false for them, and the engine treats
 // any event still queued for one (a completed job's expiry, a stale
 // completion, a timer) as dead before it reads a lane. Hot accessors index
-// the ring without re-checking the window; the job lane keeps each record's
-// id, so job(id).id == id is the check that a slot holds the id it is read
-// for (tests/job_table_test.cpp).
+// the ring without re-checking the window (an id below the base is looked
+// up in the store first); the job lane keeps each record's id,
+// so job(id).id == id is the check that a slot holds the id it is read for
+// (tests/job_table_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -96,63 +114,117 @@ class JobTable {
   /// two).
   void reserve(std::size_t n);
 
+  /// Reserves room for `n` spilled jobs (see the header note). The store's
+  /// memory is reserved, not written: its pages are touched only as jobs
+  /// spill.
+  void reserve_stragglers(std::size_t n);
+
   /// Admits `job` at id end() with fresh lanes and returns that id (the
-  /// record's own id field is overwritten with it). Doubles the ring when
-  /// the span would outgrow it.
+  /// record's own id field is overwritten with it). When the ring is full it
+  /// spills the job at base() into the straggler store, or doubles the ring
+  /// if the store has no room.
   JobId admit(const Job& job);
 
-  /// Retires the job at base(), which must have an outcome; its slot is
-  /// free for a later admission.
-  void retire_front();
+  /// Retires job `id`, which must have an outcome and be either base() or a
+  /// spilled job; its slot is free for a later admission.
+  void retire(JobId id);
 
   JobId base() const { return base_; }
   JobId end() const { return end_; }
   /// Whether `id` is admitted and not retired.
-  bool holds(JobId id) const { return id >= base_ && id < end_; }
-  /// Unretired ids.
+  bool holds(JobId id) const {
+    return id < end_ && (id >= base_ || find_spilled(id) != nullptr);
+  }
+  /// Ids in the ring, [base(), end()).
   std::size_t span() const { return static_cast<std::size_t>(end_ - base_); }
-  /// Peak span since the last bind().
+  /// Peak span of unretired ids since the last bind(): end() minus the
+  /// lowest unretired id, spilled jobs included (it may exceed capacity()).
   std::size_t span_peak() const { return span_peak_; }
   /// Ring slots (a power of two, or 0 before any reserve/bind/admit).
   std::size_t capacity() const { return remaining_.size(); }
   /// Slots of the reply-route lane: capacity() once the table owns its
   /// records, 0 in a table that has only borrowed them.
   std::size_t route_slots() const { return routes_.size(); }
+  /// Jobs retired since the last bind().
+  std::uint64_t retired() const { return retired_; }
+
+  /// Spilled, unretired jobs, below base() in id order: straggler(i) is the
+  /// id of the i-th.
+  std::size_t straggler_count() const { return stragglers_.size(); }
+  JobId straggler(std::size_t i) const { return stragglers_[i].job.id; }
+  /// Peak straggler_count() since the last bind().
+  std::size_t straggler_peak() const { return straggler_peak_; }
+  /// Spilled jobs the store has room for.
+  std::size_t straggler_room() const { return straggler_room_; }
 
   // --- Lanes (unchecked ring indexing, see the header note) -----------------
 
-  const Job& job(JobId id) const { return records_[slot(id)]; }
+  const Job& job(JobId id) const { return lane(records_, &Straggler::job, id); }
 
-  double remaining(JobId id) const { return remaining_[slot(id)]; }
-  double& remaining(JobId id) { return remaining_[slot(id)]; }
+  double remaining(JobId id) const {
+    return lane(remaining_.data(), &Straggler::remaining, id);
+  }
+  double& remaining(JobId id) {
+    return lane(remaining_.data(), &Straggler::remaining, id);
+  }
 
-  JobOutcome outcome(JobId id) const { return outcome_[slot(id)]; }
-  void set_outcome(JobId id, JobOutcome o) { outcome_[slot(id)] = o; }
+  JobOutcome outcome(JobId id) const {
+    return lane(outcome_.data(), &Straggler::outcome, id);
+  }
+  void set_outcome(JobId id, JobOutcome o) {
+    lane(outcome_.data(), &Straggler::outcome, id) = o;
+  }
 
   /// Completion instant; NaN unless the job completed.
-  double completion(JobId id) const { return completion_[slot(id)]; }
-  void set_completion(JobId id, double t) { completion_[slot(id)] = t; }
+  double completion(JobId id) const {
+    return lane(completion_.data(), &Straggler::completion, id);
+  }
+  void set_completion(JobId id, double t) {
+    lane(completion_.data(), &Straggler::completion, id) = t;
+  }
 
-  bool released(JobId id) const { return released_[slot(id)] != 0; }
-  void set_released(JobId id) { released_[slot(id)] = 1; }
+  bool released(JobId id) const {
+    return lane(released_.data(), &Straggler::released, id) != 0;
+  }
+  void set_released(JobId id) {
+    lane(released_.data(), &Straggler::released, id) = 1;
+  }
 
-  QedfMeta& qedf_meta(JobId id) { return qedf_meta_[slot(id)]; }
-  const QedfMeta& qedf_meta(JobId id) const { return qedf_meta_[slot(id)]; }
+  QedfMeta& qedf_meta(JobId id) {
+    return lane(qedf_meta_.data(), &Straggler::qedf_meta, id);
+  }
+  const QedfMeta& qedf_meta(JobId id) const {
+    return lane(qedf_meta_.data(), &Straggler::qedf_meta, id);
+  }
 
-  TimerId& ocl_timer(JobId id) { return ocl_timer_[slot(id)]; }
-  TimerId ocl_timer(JobId id) const { return ocl_timer_[slot(id)]; }
+  TimerId& ocl_timer(JobId id) {
+    return lane(ocl_timer_.data(), &Straggler::ocl_timer, id);
+  }
+  TimerId ocl_timer(JobId id) const {
+    return lane(ocl_timer_.data(), &Straggler::ocl_timer, id);
+  }
 
-  bool abandoned(JobId id) const { return abandoned_[slot(id)] != 0; }
-  void set_abandoned(JobId id, bool v) { abandoned_[slot(id)] = v ? 1 : 0; }
+  bool abandoned(JobId id) const {
+    return lane(abandoned_.data(), &Straggler::abandoned, id) != 0;
+  }
+  void set_abandoned(JobId id, bool v) {
+    lane(abandoned_.data(), &Straggler::abandoned, id) = v ? 1 : 0;
+  }
 
-  bool ocl_scheduled(JobId id) const { return ocl_scheduled_[slot(id)] != 0; }
+  bool ocl_scheduled(JobId id) const {
+    return lane(ocl_scheduled_.data(), &Straggler::ocl_scheduled, id) != 0;
+  }
   void set_ocl_scheduled(JobId id, bool v) {
-    ocl_scheduled_[slot(id)] = v ? 1 : 0;
+    lane(ocl_scheduled_.data(), &Straggler::ocl_scheduled, id) = v ? 1 : 0;
   }
 
   /// The reply route (owned records only).
-  ReplyRoute& route(JobId id) { return routes_[slot(id)]; }
-  const ReplyRoute& route(JobId id) const { return routes_[slot(id)]; }
+  ReplyRoute& route(JobId id) {
+    return lane(routes_.data(), &Straggler::route, id);
+  }
+  const ReplyRoute& route(JobId id) const {
+    return lane(routes_.data(), &Straggler::route, id);
+  }
 
   /// EDF-AC's trial-schedule scratch (deadline, remaining) — a table-owned
   /// buffer so the admission test reuses one allocation across calls. Exposed
@@ -163,9 +235,47 @@ class JobTable {
   }
 
  private:
+  /// Every lane of one spilled job.
+  struct Straggler {
+    Job job;
+    ReplyRoute route;
+    double remaining;
+    double completion;
+    QedfMeta qedf_meta;
+    TimerId ocl_timer;
+    JobOutcome outcome;
+    std::uint8_t released;
+    std::uint8_t abandoned;
+    std::uint8_t ocl_scheduled;
+  };
+
   std::size_t slot(JobId id) const {
     return static_cast<std::size_t>(id) & mask_;
   }
+  /// The spilled job `id`, or null.
+  const Straggler* find_spilled(JobId id) const;
+  /// Job `id`'s entry of a lane: its `field` if it spilled, else its slot
+  /// of the ring lane at `ring` (for a retired id, whatever job holds it).
+  template <typename T>
+  const T& lane(const T* ring, T Straggler::*field, JobId id) const {
+    if (id < base_) [[unlikely]] return below_base(ring, field, id);
+    return ring[slot(id)];
+  }
+  /// lane() for an id below the base, out of the hot path.
+  template <typename T>
+  [[gnu::cold, gnu::noinline]] const T& below_base(const T* ring,
+                                                   T Straggler::*field,
+                                                   JobId id) const {
+    const Straggler* s = find_spilled(id);
+    return s != nullptr ? s->*field : ring[slot(id)];
+  }
+  template <typename T>
+  T& lane(T* ring, T Straggler::*field, JobId id) {
+    return const_cast<T&>(
+        std::as_const(*this).lane(static_cast<const T*>(ring), field, id));
+  }
+  /// Moves the job at base() into the store and advances the base.
+  void spill_front();
   /// Resizes every lane to `slots` (a power of two >= span()), moving the
   /// window's jobs to their slots under the new mask.
   void resize_ring(std::size_t slots);
@@ -185,12 +295,17 @@ class JobTable {
   std::vector<TimerId> ocl_timer_;
   std::vector<std::uint8_t> abandoned_;
   std::vector<std::uint8_t> ocl_scheduled_;
+  /// Spilled jobs in id order; capacity straggler_room_, reserved up front.
+  std::vector<Straggler> stragglers_;
+  std::size_t straggler_room_ = 0;
 
   Lanes lanes_;
   std::size_t mask_ = 0;
   JobId base_ = 0;
   JobId end_ = 0;
   std::size_t span_peak_ = 0;
+  std::size_t straggler_peak_ = 0;
+  std::uint64_t retired_ = 0;
 
   mutable std::vector<std::pair<double, double>> admission_scratch_;
 };

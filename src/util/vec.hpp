@@ -36,6 +36,14 @@ inline std::unique_ptr<T> alloc_unique(Args&&... args) {
   return std::make_unique<T>(std::forward<Args>(args)...);
 }
 
+/// Storage for `n` trivially constructible T, left uninitialised: a page of
+/// it becomes resident only once written, so a reservation sized for the
+/// worst case costs memory only as it is used.
+template <typename T>
+inline std::unique_ptr<T[]> alloc_uninit(std::size_t n) {
+  return std::make_unique_for_overwrite<T[]>(n);
+}
+
 /// v.push_back(x) for setup-time or growth-to-high-water appends.
 template <typename T, typename U>
 inline void append(std::vector<T>& v, U&& value) {

@@ -20,6 +20,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -321,10 +322,12 @@ TEST(ClusterServeTest, LongJobPinsTheWindowAndReplayStaysExact) {
   // The fleet's analogue of ServeTest.LongDeadlineJobPinsTheWindowAndReplay-
   // StaysExact. Job 0 needs at least 30 virtual seconds even on the fastest
   // machine, so it stays unresolved while 40 short jobs come and go: the
-  // window base is pinned at 0 and the unretired span outgrows the ring
-  // pre-sized from max_in_flight = 8. There is one ring, the engine's job
-  // window, and the session's gauges read it. QUERY of a retired ticket
-  // still reads its outcome, and the streamed outcomes.csv replays
+  // unretired span outgrows the ring pre-sized from max_in_flight = 8, and
+  // the full ring spills job 0 to the straggler store instead of doubling.
+  // There is one ring, the engine's job window, and the session's gauges
+  // read it. QUERY of a spilled ticket reads the live job, QUERY of a
+  // retired one still reads its outcome, and the streamed outcomes.csv
+  // (job 0's row first, the later rows held until it is written) replays
   // byte-identically.
   const std::string dir = fresh_dir("cluster_window_doubling");
   FakeClock clock;
@@ -344,10 +347,30 @@ TEST(ClusterServeTest, LongJobPinsTheWindowAndReplayStaysExact) {
     ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
   }
   server.step(0);
-  EXPECT_EQ(server.engine().job_state().base(), 0);  // job 0 pins it
+  {
+    // Job 0 is spilled, and the ring stayed at its pre-size.
+    const sjs::sim::JobTable& window = server.engine().job_state();
+    ASSERT_EQ(window.straggler_count(), 1u);
+    EXPECT_EQ(window.straggler(0), 0);
+    EXPECT_GT(window.base(), 0);
+    EXPECT_TRUE(window.holds(0));
+    EXPECT_EQ(window.route(0).ticket, 0u);
+  }
   EXPECT_GT(server.window_peak(), 8u);
-  EXPECT_GT(server.window_slots(), 8u);
+  EXPECT_EQ(server.window_slots(), 8u);
   EXPECT_EQ(server.window_slots(), server.engine().job_state().capacity());
+  EXPECT_GT(server.outcome_rows_held(), 0u);
+  Message spilled_query;
+  spilled_query.type = MsgType::kQuery;
+  spilled_query.seq = ++seq;
+  spilled_query.ticket = 0;
+  client.send(spilled_query);
+  const Message live = client.await_seq(server, seq);
+  ASSERT_EQ(live.type, MsgType::kQueryReply);
+  EXPECT_TRUE(live.code == static_cast<std::uint8_t>(JobState::kRunning) ||
+              live.code == static_cast<std::uint8_t>(JobState::kQueued))
+      << static_cast<int>(live.code);
+  EXPECT_GT(live.a, 0.0);  // work left
 
   // Job 0 resolves by its deadline at t = 100; then every job retires.
   clock.advance(100.0);
@@ -355,6 +378,9 @@ TEST(ClusterServeTest, LongJobPinsTheWindowAndReplayStaysExact) {
   client.read_socket();
   EXPECT_EQ(server.engine().job_state().base(), 41);
   EXPECT_EQ(server.engine().job_state().span(), 0u);
+  EXPECT_EQ(server.engine().job_state().straggler_count(), 0u);
+  EXPECT_EQ(server.window_stragglers(), 1u);
+  EXPECT_EQ(server.window_slots(), 8u);
   std::vector<MsgType> notified(41, MsgType::kError);
   for (const Message& m : client.inbox) {
     if (m.type == MsgType::kCompleted || m.type == MsgType::kExpired) {
@@ -398,6 +424,122 @@ TEST(ClusterServeTest, LongJobPinsTheWindowAndReplayStaysExact) {
   EXPECT_EQ(live_csv, slurp(replay_csv));
 }
 
+
+TEST(ClusterServeTest, SpilledStragglersCompleteAndExpireAndReplayStaysExact) {
+  // Two long jobs pin the base of the fleet's 8-slot window while short
+  // jobs come and go, so both spill. Job 0 completes; job 1, with far more
+  // work than the fleet can serve in its window, expires. Each resolves
+  // after later jobs retired, so the journal holds those rows until the
+  // stragglers' rows are written; the streamed outcomes.csv still replays
+  // byte-identically.
+  const std::string dir = fresh_dir("cluster_stragglers_resolve");
+  FakeClock clock;
+  ClusterServerConfig config = scripted_config(dir);
+  config.max_in_flight = 8;
+  config.admission_check = false;  // admits job 1, which cannot finish
+  ClusterServer server(std::move(config), clock);
+  TestClient client(server.start());
+
+  std::uint64_t seq = 0;
+  client.send(submit_msg(++seq, 2100.0, 100.0, 30.0));
+  ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  clock.advance(0.1);
+  client.send(submit_msg(++seq, 1.0e6, 60.0, 20.0));
+  ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  std::size_t spilled = 0;
+  for (int i = 0; i < 60; ++i) {
+    clock.advance(0.3);
+    client.send(submit_msg(++seq, 3.0, 0.5, 1.0));
+    ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+    const sjs::sim::JobTable& window = server.engine().job_state();
+    ASSERT_EQ(window.capacity(), 8u);
+    spilled = std::max(spilled, window.straggler_count());
+  }
+  EXPECT_EQ(spilled, 2u);
+  clock.advance(200.0);
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = ++seq;
+  client.send(drain);
+  EXPECT_EQ(client.await_seq(server, seq).type, MsgType::kDraining);
+  while (server.step(0)) client.read_socket();
+  EXPECT_TRUE(server.finished());
+  EXPECT_TRUE(server.journal_error().empty());
+  EXPECT_EQ(server.window_slots(), 8u);
+  EXPECT_EQ(server.window_stragglers(), 2u);
+  EXPECT_GT(server.outcome_rows_held(), 0u);
+
+  const std::string live_csv = slurp(dir + "/outcomes.csv");
+  EXPECT_NE(live_csv.find("\n0,completed,"), std::string::npos) << live_csv;
+  EXPECT_NE(live_csv.find("\n1,expired,"), std::string::npos) << live_csv;
+  const std::string replay_csv = dir + "_replay_outcomes.csv";
+  std::string out;
+  ASSERT_EQ(run_command(std::string(SJS_SIM_BIN) + " --cluster-bundle=" + dir +
+                            " --outcomes-csv=" + replay_csv,
+                        &out),
+            0)
+      << out;
+  EXPECT_EQ(live_csv, slurp(replay_csv));
+}
+
+TEST(ClusterServeTest, SpilledTicketsAnswerQueryAndCancel) {
+  // The fleet's window spills two long jobs: QUERY of a spilled ticket
+  // reads the live job, CANCEL of one cancels it, and its ticket then
+  // answers like any retired ticket. Short jobs resolve before the next
+  // arrives, so the gate sheds none.
+  FakeClock clock;
+  ClusterServerConfig config = scripted_config("");
+  config.max_in_flight = 4;
+  ClusterServer server(std::move(config), clock);
+  TestClient client(server.start());
+  std::uint64_t seq = 0;
+  const auto submit = [&](double workload, double window) {
+    client.send(submit_msg(++seq, workload, window, 1.0));
+    const Message r = client.await_seq(server, seq);
+    EXPECT_EQ(r.type, MsgType::kAccepted);
+    return r;
+  };
+  const auto request = [&](MsgType type, std::uint64_t ticket) {
+    Message m;
+    m.type = type;
+    m.seq = ++seq;
+    m.ticket = ticket;
+    client.send(m);
+    return client.await_seq(server, seq);
+  };
+  const Message first = submit(2100.0, 100.0);
+  clock.advance(0.1);
+  const Message second = submit(2100.0, 100.0);
+  for (int i = 0; i < 12; ++i) {
+    clock.advance(0.6);
+    submit(3.0, 0.5);
+  }
+  ASSERT_EQ(server.engine().job_state().straggler_count(), 2u);
+  Message r = request(MsgType::kQuery, first.ticket);
+  EXPECT_EQ(r.type, MsgType::kQueryReply);
+  EXPECT_TRUE(r.code == static_cast<std::uint8_t>(JobState::kRunning) ||
+              r.code == static_cast<std::uint8_t>(JobState::kQueued))
+      << static_cast<int>(r.code);
+  EXPECT_GT(r.a, 0.0);
+  r = request(MsgType::kCancel, second.ticket);
+  EXPECT_EQ(r.type, MsgType::kCancelled);
+  EXPECT_EQ(server.engine().job_state().straggler_count(), 1u);
+  r = request(MsgType::kQuery, second.ticket);
+  EXPECT_EQ(r.code, static_cast<std::uint8_t>(JobState::kExpired));
+  r = request(MsgType::kCancel, second.ticket);
+  EXPECT_EQ(r.type, MsgType::kCancelFailed);
+
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = ++seq;
+  client.send(drain);
+  while (server.step(0)) client.read_socket();
+  EXPECT_TRUE(server.finished());
+  EXPECT_EQ(server.stats().cancelled, 1u);
+  EXPECT_EQ(server.stats().shed, 0u);
+  EXPECT_EQ(server.window_slots(), 4u);
+  EXPECT_EQ(server.window_stragglers(), 2u);
+}
 TEST(ClusterServeTest, ScriptedSessionIsDeterministicAcrossRuns) {
   const std::string dir_a = fresh_dir("cluster_det_a");
   const std::string dir_b = fresh_dir("cluster_det_b");

@@ -694,6 +694,216 @@ TEST(HotPathAllocations, LongFleetSessionStaysInsideItsJobWindow) {
   EXPECT_EQ(slurp(config.journal_dir + "/outcomes.csv"), slurp(replay_csv));
 }
 
+/// What a session whose stragglers outlive the job window shows.
+struct StragglerProbe {
+  std::uint64_t allocs = 0;    ///< heap allocations after warm-up
+  std::uint64_t accepted = 0;  ///< admissions after warm-up
+};
+
+/// --max-in-flight of the straggler sessions: far below their span.
+constexpr std::uint64_t kStragglerSessionSlots = 16;
+
+/// Boots `make_server(clock)` with --max-in-flight=kStragglerSessionSlots,
+/// no admission check and a journal, on a fresh thread, and drives it with
+/// a heavy-tailed stream: short jobs (the sjs_load shape, windows a slack
+/// times an exponential workload over the floor) at 10/s, and every 100th
+/// job a tail job with far more work than any machine can serve in its
+/// 30 s window, so it stays unresolved for 300 arrivals and then expires.
+/// The warm-up's one tail job lives 60 s, so the held outcome rows reach a
+/// high-water the measured phase never exceeds. Counts the allocations of
+/// the measured phase, then drains the server and hands it to `inspect`.
+template <typename MakeServer, typename Inspect>
+StragglerProbe probe_straggler_session(double floor, int step_ms,
+                                       MakeServer make_server,
+                                       Inspect inspect) {
+  StragglerProbe out;
+  std::thread worker([&] {
+    serve::FakeClock clock;
+    auto server = make_server(clock);
+    const int port = server->start();
+    testutil::LoopbackClient client(port, /*record=*/false);
+    Rng rng(2032);
+    std::uint64_t seq = 0;
+    const auto submit = [&](double workload, double window) {
+      serve::Message m;
+      m.type = serve::MsgType::kSubmit;
+      m.seq = ++seq;
+      m.a = workload;
+      m.b = window;
+      m.c = 1.0;
+      client.send(m);
+      client.await_seq(*server, seq, step_ms);
+    };
+    const auto submit_one = [&](double tail_window) {
+      clock.advance(rng.exponential_rate(10.0));
+      if (seq % 100 == 99) {
+        submit(1.0e4 * floor, tail_window);
+        return;
+      }
+      const double workload = rng.exponential_mean(0.03 * floor);
+      submit(workload, rng.uniform(1.05, 3.0) * workload / floor);
+    };
+    const auto settle = [&] {
+      clock.advance(5.0);
+      for (int i = 0; i < 50; ++i) {
+        server->step(step_ms);
+        client.read_socket();
+      }
+    };
+    for (int i = 0; i < 900; ++i) submit_one(60.0);
+    settle();
+    // The largest reply burst the session can see: a full window of jobs
+    // admitted at one instant, all resolving in the next pump.
+    for (std::uint64_t i = 0; i < kStragglerSessionSlots; ++i) {
+      submit(0.001 * floor, 1.0);
+    }
+    clock.advance(5.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    settle();
+    const std::uint64_t warm_accepts = client.accepted;
+    util::AllocProbe::reset();
+    for (int i = 0; i < 3000; ++i) submit_one(30.0);
+    settle();
+    out.allocs = util::AllocProbe::count();
+    out.accepted = client.accepted - warm_accepts;
+
+    clock.advance(60.0);
+    serve::Message drain;
+    drain.type = serve::MsgType::kDrain;
+    drain.seq = ++seq;
+    client.send(drain);
+    while (server->step(step_ms)) client.read_socket();
+    inspect(*server);
+  });
+  worker.join();
+  return out;
+}
+
+/// The window of a straggler session after its drain: the ring kept its
+/// pre-size while the span grew many times past it, and jobs spilled.
+void expect_stragglers_spilled(const char* mode, std::size_t slots,
+                               std::uint64_t peak, std::uint64_t stragglers) {
+  std::fprintf(stderr,
+               "straggler session (%s): %zu slots, span peak %llu, "
+               "%llu stragglers\n",
+               mode, slots, static_cast<unsigned long long>(peak),
+               static_cast<unsigned long long>(stragglers));
+  EXPECT_EQ(slots, kStragglerSessionSlots) << mode;
+  EXPECT_GE(peak, 8 * kStragglerSessionSlots) << mode;
+  EXPECT_GE(stragglers, 1u) << mode;
+  EXPECT_LT(stragglers, kStragglerSessionSlots) << mode;
+}
+
+void expect_straggler_probe(const char* mode, const StragglerProbe& probe) {
+  std::fprintf(stderr, "straggler session (%s): %llu admitted, %llu "
+               "allocations\n", mode,
+               static_cast<unsigned long long>(probe.accepted),
+               static_cast<unsigned long long>(probe.allocs));
+  EXPECT_GE(probe.accepted, 2900u) << mode;
+  EXPECT_EQ(probe.allocs, 0u) << mode;
+}
+
+TEST(HotPathAllocations, HeavyTailedSessionSpillsInsteadOfGrowing) {
+  // The straggler contract (sim/job_table.hpp, serve/session.hpp): jobs
+  // whose deadlines lie hundreds of arrivals ahead pin the window's base,
+  // so the unretired span grows many times past --max-in-flight. The full
+  // ring spills each such job to the straggler store instead of doubling,
+  // the ready queues probe past colliding ids, and the journal holds the
+  // rows behind a straggler: a warmed session allocates nothing in all
+  // three modes, and the streamed outcomes.csv still replays byte-exactly.
+  serve::ServerConfig config;
+  config.scheduler_name = "V-Dover";
+  config.capacity = cap::CapacityProfile(1.0);
+  config.c_lo = 0.5;
+  config.c_hi = 1.0;
+  config.max_in_flight = kStragglerSessionSlots;
+  config.admission_check = false;
+  const auto lineup = sched::full_lineup(config.c_lo, config.c_hi);
+  const auto* factory = sched::find_factory(lineup, "V-Dover");
+  ASSERT_NE(factory, nullptr);
+
+  config.journal_dir = testing::TempDir() + "/straggler_single";
+  std::filesystem::remove_all(config.journal_dir);
+  expect_straggler_probe(
+      "single",
+      probe_straggler_session(
+          config.c_lo, 0,
+          [&](serve::FakeClock& clock) {
+            return std::make_unique<serve::AdmissionServer>(
+                config, factory->make(), clock);
+          },
+          [&](const serve::AdmissionServer& server) {
+            EXPECT_TRUE(server.finished());
+            EXPECT_TRUE(server.journal_error().empty());
+            expect_stragglers_spilled("single", server.window_slots(),
+                                      server.window_peak(),
+                                      server.window_stragglers());
+          }));
+  const Instance replayed = load_instance_bundle(config.journal_dir);
+  auto replay_scheduler = factory->make();
+  sim::Engine engine(replayed, *replay_scheduler);
+  const sim::SimResult replay = engine.run_to_completion();
+  const std::string replay_csv = config.journal_dir + "_replay.csv";
+  sim::save_outcomes_csv(replay, replayed.jobs(), replay_csv);
+  EXPECT_EQ(slurp(config.journal_dir + "/outcomes.csv"), slurp(replay_csv));
+
+  serve::ServerConfig sharded = config;
+  sharded.shards = 2;
+  sharded.shard_poll_ms = 5;
+  sharded.journal_dir = testing::TempDir() + "/straggler_sharded";
+  std::filesystem::remove_all(sharded.journal_dir);
+  expect_straggler_probe(
+      "sharded",
+      probe_straggler_session(
+          config.c_lo, 1,
+          [&](serve::FakeClock& clock) {
+            return std::make_unique<serve::ShardedAdmissionServer>(
+                sharded, [&] { return factory->make(); }, clock);
+          },
+          [&](const serve::ShardedAdmissionServer& server) {
+            EXPECT_TRUE(server.finished());
+            EXPECT_TRUE(server.journal_error().empty());
+            for (std::size_t k = 0; k < server.shard_count(); ++k) {
+              const serve::ShardWorker& shard = server.shard(k);
+              expect_stragglers_spilled("sharded", shard.window_slots(),
+                                        shard.window_peak(),
+                                        shard.window_stragglers());
+            }
+          }));
+
+  cluster::ClusterServerConfig fleet;
+  fleet.fleet = cluster::Fleet::heterogeneous(4);
+  fleet.rental = "threshold";
+  fleet.max_in_flight = kStragglerSessionSlots;
+  fleet.admission_check = false;
+  fleet.journal_dir = testing::TempDir() + "/straggler_fleet";
+  std::filesystem::remove_all(fleet.journal_dir);
+  expect_straggler_probe(
+      "fleet",
+      probe_straggler_session(
+          fleet.fleet.admission_c_lo(), 0,
+          [&](serve::FakeClock& clock) {
+            return std::make_unique<cluster::ClusterServer>(fleet, clock);
+          },
+          [&](const cluster::ClusterServer& server) {
+            EXPECT_TRUE(server.finished());
+            EXPECT_TRUE(server.journal_error().empty());
+            expect_stragglers_spilled("fleet", server.window_slots(),
+                                      server.window_peak(),
+                                      server.window_stragglers());
+          }));
+  const cluster::ClusterBundle bundle =
+      cluster::load_cluster_bundle(fleet.journal_dir);
+  cluster::Dispatcher dispatcher(
+      bundle.fleet, cluster::DispatcherConfig{},
+      cluster::make_rental_controller(bundle.meta.at("rental")));
+  const cloud::MultiSimResult fleet_replay =
+      cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
+  const std::string fleet_csv = fleet.journal_dir + "_replay.csv";
+  cloud::save_multi_outcomes_csv(fleet_replay, bundle.jobs, fleet_csv);
+  EXPECT_EQ(slurp(fleet.journal_dir + "/outcomes.csv"), slurp(fleet_csv));
+}
+
 TEST(HotPathAllocations, LiveVDoverTimerChurnAllocationFree) {
   // The engine's worst timer load, live: adaptive-EWMA V-Dover under a
   // 3x-overloaded arrival stream keeps a standing Qother queue, and every

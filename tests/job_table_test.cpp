@@ -90,10 +90,10 @@ TEST(JobTableTest, ReleaseSlotInvalidatesHandleAndReusesSlot) {
   for (int i = 0; i < 4; ++i) table.admit(make_job(1.0 + i));
 
   // A job without an outcome cannot retire.
-  EXPECT_THROW(table.retire_front(), CheckError);
+  EXPECT_THROW(table.retire(table.base()), CheckError);
   table.set_outcome(0, JobOutcome::kCompleted);
   table.set_completion(0, 0.5);
-  table.retire_front();
+  table.retire(table.base());
   EXPECT_EQ(table.base(), 1);
   EXPECT_FALSE(table.holds(0));
 
@@ -124,7 +124,7 @@ TEST(JobTableTest, RingDoublesAndReslotsWhenSpanOutgrowsIt) {
   }
   // Resolve and retire job 0; jobs 1..3 stay pending.
   table.set_outcome(0, JobOutcome::kExpired);
-  table.retire_front();
+  table.retire(table.base());
   for (int i = 0; i < 5; ++i) {  // ids 4..8
     const JobId id = table.admit(make_job(10.0 + i));
     table.route(id) = route_for(id);
@@ -155,13 +155,114 @@ TEST(JobTableTest, RingDoublesAndReslotsWhenSpanOutgrowsIt) {
   expect_route(table.route(last), ReplyRoute{});
 }
 
+TEST(JobTableTest, FullRingSpillsItsBaseInsteadOfDoubling) {
+  // A pending job 0 at the base of a full ring: the next admission moves
+  // it, every lane included, to the straggler store and advances the base,
+  // so the ring keeps its pre-size. Once the store is full, the ring
+  // doubles as it would without one.
+  for (const JobTable::Lanes lanes :
+       {JobTable::Lanes::kAll, JobTable::Lanes::kEngine}) {
+    const bool all = lanes == JobTable::Lanes::kAll;
+    JobTable table(lanes);
+    table.reserve(4);
+    table.reserve_stragglers(2);
+    EXPECT_EQ(table.straggler_room(), 2u);
+    for (int i = 0; i < 4; ++i) {
+      const JobId id = table.admit(make_job(1.0 + i));
+      table.route(id) = route_for(id);
+      if (all) table.qedf_meta(id) = sim::QedfMeta{0.25 * i, 0.5 * i};
+    }
+    table.set_released(0);
+    table.remaining(0) = 0.5;
+    if (all) {
+      table.ocl_timer(0) = 7;
+      table.set_abandoned(0, true);
+    }
+
+    const JobId four = table.admit(make_job(5.0));
+    EXPECT_EQ(four, 4);
+    EXPECT_EQ(table.capacity(), 4u);
+    EXPECT_EQ(table.base(), 1);
+    ASSERT_EQ(table.straggler_count(), 1u);
+    EXPECT_EQ(table.straggler(0), 0);
+    EXPECT_EQ(table.span(), 4u);
+    EXPECT_EQ(table.span_peak(), 5u);  // stragglers count in the span
+    // Job 0 reads the same through every lane, and job 4 has its slot.
+    EXPECT_TRUE(table.holds(0));
+    EXPECT_EQ(table.job(0).id, 0);
+    EXPECT_EQ(table.job(0).workload, 1.0);
+    EXPECT_EQ(table.remaining(0), 0.5);
+    EXPECT_TRUE(table.released(0));
+    EXPECT_EQ(table.outcome(0), JobOutcome::kPending);
+    expect_route(table.route(0), route_for(0));
+    if (all) {
+      EXPECT_EQ(table.qedf_meta(0).t_insert, 0.0);
+      EXPECT_EQ(table.ocl_timer(0), 7u);
+      EXPECT_TRUE(table.abandoned(0));
+      EXPECT_FALSE(table.ocl_scheduled(0));
+    }
+    EXPECT_EQ(table.job(4).id, 4);
+    EXPECT_EQ(table.remaining(4), 5.0);
+    // Writes reach the store entry.
+    table.route(0).cancelled = true;
+    EXPECT_TRUE(table.route(0).cancelled);
+
+    // Job 1 spills too; then the store is full and the ring doubles.
+    table.admit(make_job(6.0));
+    EXPECT_EQ(table.straggler_count(), 2u);
+    EXPECT_EQ(table.straggler(1), 1);
+    EXPECT_EQ(table.capacity(), 4u);
+    table.admit(make_job(7.0));
+    EXPECT_EQ(table.capacity(), 8u);
+    EXPECT_EQ(table.base(), 2);
+    EXPECT_EQ(table.straggler_peak(), 2u);
+
+    // A spilled job retires out of order once it has an outcome.
+    EXPECT_THROW(table.retire(1), CheckError);
+    table.set_outcome(1, JobOutcome::kExpired);
+    table.retire(1);
+    EXPECT_FALSE(table.holds(1));
+    EXPECT_TRUE(table.holds(0));
+    EXPECT_EQ(table.straggler_count(), 1u);
+    EXPECT_THROW(table.retire(3), CheckError);  // not the base
+    table.set_outcome(0, JobOutcome::kCompleted);
+    table.retire(0);
+    EXPECT_EQ(table.straggler_count(), 0u);
+    EXPECT_EQ(table.retired(), 2u);
+    EXPECT_FALSE(table.holds(0));
+  }
+}
+
+TEST(JobTableTest, BatchBindNeverSpills) {
+  // A bound instance is its whole window: base 0, no stragglers, however
+  // large the straggler store a previous live run reserved.
+  JobTable table;
+  table.reserve_stragglers(4);
+  std::vector<Job> jobs;
+  for (int i = 0; i < 40; ++i) {
+    jobs.push_back(make_job(1.0 + i));
+    jobs.back().id = i;
+  }
+  table.bind(jobs);
+  EXPECT_EQ(table.base(), 0);
+  EXPECT_EQ(table.straggler_count(), 0u);
+  EXPECT_EQ(table.span_peak(), 40u);
+  for (JobId id = 0; id < 40; ++id) EXPECT_EQ(table.job(id).id, id);
+  // kNoJob is no held id, and reading below the base does not throw.
+  EXPECT_FALSE(table.holds(kNoJob));
+}
+
 TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
-  // The reference keeps per-job state in ordered maps keyed by id and
-  // retires exactly like the window: from the lowest id, only once it has
-  // an outcome. The window must agree on every observable after every
-  // operation.
+  // The reference keeps per-job state in ordered maps keyed by id. The
+  // table retires like a serving session: a resolved spilled job in any
+  // order, the ring from its base once that job has an outcome. Some jobs
+  // stay pending long enough for the full ring to spill them (a store of
+  // four, after which the ring doubles instead). The window must agree with
+  // the reference on every observable after every operation.
+  constexpr std::size_t kRoom = 4;
   JobTable table;
   table.reserve(8);
+  table.reserve_stragglers(kRoom);
   std::map<JobId, double> ref_remaining;
   std::map<JobId, JobOutcome> ref_outcome;
   std::map<JobId, ReplyRoute> ref_route;
@@ -185,11 +286,13 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
       ref_route[id] = route_for(id);
     } else if (roll < 0.7) {
       // Resolve one of the oldest held jobs (jobs resolve roughly in
-      // admission order, so the window keeps moving), if still pending.
+      // admission order, so the window keeps moving), if still pending;
+      // every id divisible by 97 lingers (a far deadline) until later.
       auto skip = static_cast<int>(rng.uniform(0.0, 4.0));
       auto it = ref_outcome.begin();
       while (it != ref_outcome.end() &&
-             (it->second != JobOutcome::kPending || skip-- > 0)) {
+             (it->second != JobOutcome::kPending ||
+              (it->first % 97 == 0 && next - it->first < 40) || skip-- > 0)) {
         ++it;
       }
       if (it != ref_outcome.end()) {
@@ -200,9 +303,9 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
         it->second = o;
       }
     } else if (roll < 0.85) {
-      // Serve some work on a random held job.
+      // Serve some work on a random held job, spilled ones included.
       auto it = ref_remaining.lower_bound(static_cast<JobId>(
-          rng.uniform(static_cast<double>(table.base()),
+          rng.uniform(static_cast<double>(ref_remaining.begin()->first),
                       static_cast<double>(next))));
       if (it != ref_remaining.end()) {
         const double served = rng.uniform(0.0, 0.5);
@@ -215,22 +318,43 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
         }
       }
     } else {
-      // Retire every resolved job at the base.
-      while (!ref_outcome.empty() &&
-             ref_outcome.begin()->second != JobOutcome::kPending) {
-        const JobId id = ref_outcome.begin()->first;
-        ASSERT_EQ(table.base(), id);
-        table.retire_front();
-        ref_outcome.erase(ref_outcome.begin());
+      const auto forget = [&](JobId id) {
+        ref_outcome.erase(id);
         ref_remaining.erase(id);
         ref_route.erase(id);
         retired.push_back(id);
+      };
+      // Retire some resolved spilled jobs, in whatever order they come...
+      std::vector<JobId> spilled;
+      for (const auto& [id, o] : ref_outcome) {
+        if (id >= table.base()) break;
+        if (o != JobOutcome::kPending) spilled.push_back(id);
+      }
+      std::reverse(spilled.begin(), spilled.end());
+      for (const JobId id : spilled) {
+        if (rng.uniform(0.0, 1.0) < 0.3) continue;
+        table.retire(id);
+        forget(id);
+      }
+      // ...then every resolved job at the ring's base.
+      while (table.span() > 0 &&
+             ref_outcome.at(table.base()) != JobOutcome::kPending) {
+        const JobId id = table.base();
+        table.retire(table.base());
+        forget(id);
       }
     }
 
-    // Full-state comparison every step: each held id's slot holds that id.
-    ASSERT_EQ(table.span(), ref_remaining.size());
+    // Full-state comparison every step: each held id's slot (or store
+    // entry) holds that id, and the store holds exactly the ids below the
+    // base, in order.
+    ASSERT_EQ(table.span() + table.straggler_count(), ref_remaining.size());
+    std::size_t below = 0;
     for (const auto& [id, rem] : ref_remaining) {
+      if (id < table.base()) {
+        ASSERT_LT(below, table.straggler_count());
+        ASSERT_EQ(table.straggler(below++), id);
+      }
       ASSERT_TRUE(table.holds(id));
       ASSERT_EQ(table.job(id).id, id) << "slot does not hold job " << id;
       ASSERT_EQ(table.remaining(id), rem);
@@ -243,6 +367,7 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
       ASSERT_EQ(got.ticket, want.ticket);
       ASSERT_EQ(got.cancelled, want.cancelled);
     }
+    ASSERT_EQ(below, table.straggler_count());
     if (!retired.empty()) {
       const JobId stale = retired[static_cast<std::size_t>(rng.uniform(
           0.0, static_cast<double>(retired.size() - 1)))];
@@ -250,10 +375,14 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
     }
   }
 
-  // Retirement kept the ring far below the number of admissions.
+  // Retirement kept the ring far below the number of admissions, jobs
+  // spilled, and the store never outgrew its room.
   EXPECT_GT(next, 4000);
   EXPECT_LT(table.capacity(), static_cast<std::size_t>(next) / 4);
-  EXPECT_GE(table.capacity(), table.span_peak());
+  EXPECT_GT(table.straggler_peak(), 0u);
+  EXPECT_LE(table.straggler_peak(), kRoom);
+  EXPECT_EQ(table.retired() + table.span() + table.straggler_count(),
+            static_cast<std::uint64_t>(next));
 }
 
 TEST(JobTableTest, ChurnKeepsSlotsBoundedByPeakOccupancy) {
@@ -269,7 +398,7 @@ TEST(JobTableTest, ChurnKeepsSlotsBoundedByPeakOccupancy) {
     const JobId id = table.admit(make_job(rng.uniform(1.0, 2.0)));
     table.set_outcome(id, JobOutcome::kCompleted);
     if (table.span() == kWindow) {
-      while (table.span() > 0) table.retire_front();
+      while (table.span() > 0) table.retire(table.base());
     }
   }
   EXPECT_EQ(table.span_peak(), kWindow);
@@ -285,7 +414,7 @@ TEST(JobTableTest, DenseRebindInvalidatesPriorHandlesByContract) {
   table.remaining(0) = 0.25;
   table.set_released(1);
   table.set_outcome(0, JobOutcome::kCompleted);
-  table.retire_front();
+  table.retire(table.base());
   ASSERT_EQ(table.base(), 1);
 
   // Rebinding the same instance resets the window and every slot to its
@@ -362,7 +491,7 @@ TEST(JobTableTest, EngineLanesOnlyTableServesTheEngineLanes) {
   EXPECT_EQ(table.remaining(101), 100.0);
   table.set_outcome(0, JobOutcome::kCompleted);
   table.set_completion(0, 0.5);
-  table.retire_front();
+  table.retire(table.base());
   EXPECT_FALSE(table.holds(0));
   EXPECT_EQ(table.outcome(1), JobOutcome::kPending);
 }

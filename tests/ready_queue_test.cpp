@@ -93,7 +93,10 @@ void expect_same_ordered_view(const ReadyQueue& queue,
 // Interleaved push/pop/erase-by-id/update-key stream against the reference.
 // Keys come from a small discrete pool so duplicate keys (the tie-break
 // cases) occur constantly.
-void run_differential(QueueOrder order, std::uint64_t seed) {
+/// `stride` spreads the 64 ids apart: with a stride of 16 they share four
+/// home slots of the 64-slot index, so nearly every id probes.
+void run_differential(QueueOrder order, std::uint64_t seed,
+                      JobId stride = 1) {
   constexpr JobId kIdBound = 64;
   Rng rng(seed);
   ReadyQueue queue(order);
@@ -107,7 +110,8 @@ void run_differential(QueueOrder order, std::uint64_t seed) {
 
   for (int step = 0; step < 20000; ++step) {
     const int op = static_cast<int>(rng.uniform_int(0, 9));
-    const JobId id = static_cast<JobId>(rng.uniform_int(0, kIdBound - 1));
+    const JobId id =
+        stride * static_cast<JobId>(rng.uniform_int(0, kIdBound - 1));
     if (op < 4) {  // push a currently-absent id
       if (!ref.contains(id)) {
         const double key = random_key();
@@ -151,6 +155,8 @@ void run_differential(QueueOrder order, std::uint64_t seed) {
     ASSERT_EQ(got.id, expected.second);
   }
   EXPECT_TRUE(queue.empty());
+  // However the ids collided, the index kept its pre-size.
+  EXPECT_EQ(queue.index_slots(), static_cast<std::size_t>(kIdBound));
 }
 
 TEST(ReadyQueueDifferential, MinFirstMatchesOrderedSet) {
@@ -163,6 +169,47 @@ TEST(ReadyQueueDifferential, MaxFirstMatchesGreaterOrderedSet) {
   for (std::uint64_t seed : {5u, 6u, 7u, 8u}) {
     run_differential(QueueOrder::kMaxFirst, seed);
   }
+}
+
+TEST(ReadyQueueDifferential, CollidingIdsMatchOrderedSet) {
+  for (std::uint64_t seed : {5u, 6u}) {
+    run_differential(QueueOrder::kMinFirst, seed, 16);
+    run_differential(QueueOrder::kMaxFirst, seed, 16);
+  }
+}
+
+TEST(ReadyQueueTest, CollidingQueuedIdsLeaveSlotsUnchanged) {
+  // Ids far apart that share a home slot (a spilled straggler thousands of
+  // ids below the newest job) probe to free slots: neither the heap nor
+  // the position index grows while the queue holds no more than its
+  // pre-size.
+  ReadyQueue queue;
+  queue.reserve(8);
+  const std::uint64_t slots = queue.slots();
+  ASSERT_EQ(queue.index_slots(), 8u);
+  const std::vector<JobId> ids = {0, 8, 4096, 16, 8192, 24, 3, 11};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    queue.push(static_cast<double>(ids.size() - i), ids[i]);
+  }
+  EXPECT_EQ(queue.slots(), slots);
+  EXPECT_EQ(queue.index_slots(), 8u);
+  for (const JobId id : ids) EXPECT_TRUE(queue.contains(id)) << id;
+  EXPECT_FALSE(queue.contains(32));
+  EXPECT_FALSE(queue.erase(32));
+  // Erasing from the middle of a probe run keeps the rest reachable.
+  EXPECT_TRUE(queue.erase(4096));
+  EXPECT_FALSE(queue.contains(4096));
+  for (const JobId id : {0, 8, 16, 8192, 24, 3, 11}) {
+    EXPECT_TRUE(queue.contains(static_cast<JobId>(id))) << id;
+  }
+  queue.update_key(0, 0.5);
+  EXPECT_EQ(queue.key_of(0), 0.5);
+  // Pop order is the (key, id) order: ids were pushed with falling keys.
+  std::vector<JobId> popped;
+  while (!queue.empty()) popped.push_back(queue.pop().id);
+  EXPECT_EQ(popped, (std::vector<JobId>{0, 11, 3, 24, 8192, 16, 8}));
+  EXPECT_EQ(queue.index_slots(), 8u);
+  EXPECT_EQ(queue.slots(), slots);
 }
 
 TEST(ReadyQueueTest, TieBreakIsExactlyThePairOrder) {

@@ -466,11 +466,13 @@ TEST(ServeTest, QueryAndStatsReportLiveState) {
 TEST(ServeTest, LongDeadlineJobPinsTheWindowAndReplayStaysExact) {
   // Job 0 needs 10 of its 40 virtual seconds on the unit path, so short
   // jobs keep preempting it and it stays unresolved while dozens of them
-  // come and go: the window base is pinned at 0, the unretired span
-  // outgrows the ring pre-sized from max_in_flight = 8, and the engine's
-  // job window (the one ring over admission ids: the session's reply routes
-  // are a lane of it, and its window gauges read it) and the ready queues
-  // double and re-slot. Replay must not notice.
+  // come and go. The unretired span outgrows the ring pre-sized from
+  // max_in_flight = 8, so the full ring spills job 0 (every lane of it,
+  // its reply route included) to the straggler store and moves its base
+  // on: the engine's job window (the one ring over admission ids; the
+  // session's reply routes are a lane of it, and its window gauges read
+  // it) stays at 8 slots. The rows of the jobs that retire meanwhile are
+  // held until job 0's is written. Replay must not notice.
   const std::string dir = fresh_dir("serve_window_doubling");
   FakeClock clock;
   ServerConfig config = scripted_config(dir);
@@ -483,11 +485,20 @@ TEST(ServeTest, LongDeadlineJobPinsTheWindowAndReplayStaysExact) {
   std::uint64_t seq = 0;
   client.send(submit_msg(++seq, 10.0, 40.0, 30.0));
   ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  bool spilled = false;
   for (int i = 0; i < 40; ++i) {
     clock.advance(0.3);
     client.send(submit_msg(++seq, 0.05, 0.5, 0.1));
     ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+    const sjs::sim::JobTable& window = server.engine().job_state();
+    ASSERT_EQ(window.capacity(), 8u);
+    if (window.straggler_count() > 0) {
+      EXPECT_EQ(window.straggler(0), 0);
+      EXPECT_GT(window.base(), 0);
+      spilled = true;
+    }
   }
+  EXPECT_TRUE(spilled) << "job 0 never spilled";
   clock.advance(0.5);
   Message drain;
   drain.type = MsgType::kDrain;
@@ -498,9 +509,12 @@ TEST(ServeTest, LongDeadlineJobPinsTheWindowAndReplayStaysExact) {
   client.read_socket();
 
   EXPECT_GT(server.window_peak(), 8u);
-  EXPECT_GT(server.window_slots(), 8u);
-  EXPECT_GT(server.engine().job_state().capacity(), 8u);
+  EXPECT_EQ(server.window_slots(), 8u);
+  EXPECT_EQ(server.engine().job_state().capacity(), 8u);
+  EXPECT_GE(server.window_stragglers(), 1u);
+  EXPECT_GT(server.outcome_rows_held(), 0u);
   EXPECT_EQ(server.engine().job_state().base(), 41);  // all retired
+  EXPECT_EQ(server.engine().job_state().straggler_count(), 0u);
   std::vector<Message> notes;
   for (const Message& m : client.inbox) {
     if (m.type == MsgType::kCompleted || m.type == MsgType::kExpired) {
@@ -525,6 +539,154 @@ TEST(ServeTest, LongDeadlineJobPinsTheWindowAndReplayStaysExact) {
   sjs::sim::save_outcomes_csv(replay, replayed.jobs(),
                               replay_dir + "/outcomes.csv");
   EXPECT_EQ(slurp(dir + "/outcomes.csv"), slurp(replay_dir + "/outcomes.csv"));
+}
+
+TEST(ServeTest, SpilledStragglersCompleteAndExpireAndReplayStaysExact) {
+  // Two long jobs pin the base of an 8-slot window while short jobs come
+  // and go, so both spill. Job 0 completes; job 1, with more work than its
+  // window holds, expires. Each resolves after later jobs retired, so the
+  // journal holds those jobs' rows until the stragglers' rows are written,
+  // and the streamed outcomes.csv still equals a replay's byte for byte.
+  const std::string dir = fresh_dir("serve_stragglers_resolve");
+  FakeClock clock;
+  ServerConfig config = scripted_config(dir);
+  config.max_in_flight = 8;
+  config.admission_check = false;  // admits job 1, which cannot finish
+  AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
+                         clock);
+  TestClient client(server.start());
+
+  std::uint64_t seq = 0;
+  client.send(submit_msg(++seq, 5.0, 40.0, 30.0));
+  ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  clock.advance(0.1);
+  client.send(submit_msg(++seq, 50.0, 30.0, 20.0));
+  ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+  std::size_t spilled = 0;
+  for (int i = 0; i < 60; ++i) {
+    clock.advance(0.3);
+    client.send(submit_msg(++seq, 0.05, 0.5, 0.1));
+    ASSERT_EQ(client.await_seq(server, seq).type, MsgType::kAccepted);
+    const sjs::sim::JobTable& window = server.engine().job_state();
+    ASSERT_EQ(window.capacity(), 8u);
+    spilled = std::max(spilled, window.straggler_count());
+  }
+  EXPECT_EQ(spilled, 2u);
+  clock.advance(50.0);
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = ++seq;
+  client.send(drain);
+  EXPECT_EQ(client.await_seq(server, seq).type, MsgType::kDraining);
+  while (server.step(0)) client.read_socket();
+  client.read_socket();
+  EXPECT_TRUE(server.journal_error().empty());
+  EXPECT_EQ(server.window_slots(), 8u);
+  EXPECT_EQ(server.window_stragglers(), 2u);
+  EXPECT_GT(server.outcome_rows_held(), 0u);
+
+  const sjs::Instance replayed = sjs::load_instance_bundle(dir);
+  ASSERT_EQ(replayed.jobs().size(), 62u);
+  auto scheduler = make_scheduler("V-Dover", kBandLo, kBandHi);
+  sjs::sim::Engine engine(replayed, *scheduler);
+  const sjs::sim::SimResult replay = engine.run_to_completion();
+  EXPECT_EQ(replay.outcomes[0], sjs::sim::JobOutcome::kCompleted);
+  EXPECT_EQ(replay.outcomes[1], sjs::sim::JobOutcome::kExpired);
+  expect_bitwise_equal_results(server.result(), replay);
+  const std::string replay_dir = fresh_dir("serve_stragglers_resolve_replay");
+  std::filesystem::create_directories(replay_dir);
+  sjs::sim::save_outcomes_csv(replay, replayed.jobs(),
+                              replay_dir + "/outcomes.csv");
+  EXPECT_EQ(slurp(dir + "/outcomes.csv"), slurp(replay_dir + "/outcomes.csv"));
+}
+
+/// Two long jobs and a stream of short ones through a 4-slot window: the
+/// long ones spill. QUERY of a spilled ticket reads the live job, CANCEL of
+/// one cancels it, and its ticket then answers like any retired ticket.
+/// Short jobs resolve before the next arrives, so at most three jobs are
+/// ever in flight and the gate sheds none.
+template <typename Server>
+void expect_spilled_tickets_answer(Server& server, FakeClock& clock,
+                                   int step_ms) {
+  TestClient client(server.start());
+  std::uint64_t seq = 0;
+  const auto submit = [&](double workload, double window) {
+    client.send(submit_msg(++seq, workload, window, 1.0));
+    const Message r = client.await_seq(server, seq, step_ms);
+    EXPECT_EQ(r.type, MsgType::kAccepted);
+    return r;
+  };
+  const auto request = [&](MsgType type, std::uint64_t ticket) {
+    Message m;
+    m.type = type;
+    m.seq = ++seq;
+    m.ticket = ticket;
+    client.send(m);
+    return client.await_seq(server, seq, step_ms);
+  };
+  const Message first = submit(10.0, 40.0);
+  const Message second = submit(10.0, 40.0);
+  for (int i = 0; i < 12; ++i) {
+    clock.advance(0.6);
+    submit(0.05, 0.5);
+  }
+  Message r = request(MsgType::kQuery, first.ticket);
+  EXPECT_EQ(r.type, MsgType::kQueryReply);
+  EXPECT_TRUE(r.code == static_cast<std::uint8_t>(JobState::kRunning) ||
+              r.code == static_cast<std::uint8_t>(JobState::kQueued))
+      << static_cast<int>(r.code);
+  EXPECT_GT(r.a, 0.0);
+  EXPECT_LE(r.a, 10.0);
+  r = request(MsgType::kCancel, second.ticket);
+  EXPECT_EQ(r.type, MsgType::kCancelled);
+  EXPECT_EQ(r.ticket, second.ticket);
+  r = request(MsgType::kQuery, second.ticket);
+  EXPECT_EQ(r.code, static_cast<std::uint8_t>(JobState::kExpired));
+  r = request(MsgType::kCancel, second.ticket);
+  EXPECT_EQ(r.type, MsgType::kCancelFailed);
+  r = request(MsgType::kQuery, first.ticket);
+  EXPECT_NE(r.code, static_cast<std::uint8_t>(JobState::kExpired));
+  EXPECT_NE(r.code, static_cast<std::uint8_t>(JobState::kUnknown));
+
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = ++seq;
+  client.send(drain);
+  while (server.step(step_ms)) client.read_socket();
+  EXPECT_TRUE(server.finished());
+  EXPECT_EQ(server.stats().cancelled, 1u);
+  EXPECT_EQ(server.stats().shed, 0u);
+}
+
+TEST(ServeTest, SpilledTicketsAnswerQueryAndCancel) {
+  {
+    FakeClock clock;
+    ServerConfig config = scripted_config("");
+    config.max_in_flight = 4;
+    AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
+                           clock);
+    expect_spilled_tickets_answer(server, clock, 0);
+    EXPECT_EQ(server.window_stragglers(), 2u);
+    EXPECT_EQ(server.window_slots(), 4u);
+  }
+  {
+    // The sharded plane: each shard's window spills its own stragglers.
+    FakeClock clock;
+    ServerConfig config = scripted_config("");
+    config.max_in_flight = 4;
+    config.shards = 2;
+    config.shard_poll_ms = 5;
+    sjs::serve::ShardedAdmissionServer server(
+        config, [] { return make_scheduler("V-Dover", kBandLo, kBandHi); },
+        clock);
+    expect_spilled_tickets_answer(server, clock, 1);
+    std::uint64_t stragglers = 0;
+    for (std::size_t k = 0; k < server.shard_count(); ++k) {
+      EXPECT_EQ(server.shard(k).window_slots(), 4u);
+      stragglers += server.shard(k).window_stragglers();
+    }
+    EXPECT_GE(stragglers, 1u);
+  }
 }
 
 /// Submits a job that completes and one that is cancelled (its outcome is

@@ -22,6 +22,7 @@
 
 
 #include <algorithm>
+#include <map>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_server.hpp"
 #include "jobs/bundle.hpp"
 #include "obs/metrics.hpp"
 #include "loopback_client.hpp"
@@ -522,6 +524,71 @@ TEST(ShardedServeTest, AFailedStartLeavesNothingToWaitFor) {
   config.port = 70000;
   ShardedAdmissionServer server(config, scheduler_factory(), clock);
   EXPECT_THROW(server.start(), std::invalid_argument);
+}
+
+/// Every file under `dir`, by path relative to it, with its bytes.
+std::map<std::string, std::string> snapshot(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    files[std::filesystem::relative(entry.path(), dir).string()] =
+        slurp(entry.path().string());
+  }
+  return files;
+}
+
+TEST(ShardedServeTest, AFailedStartLeavesTheJournalUntouched) {
+  // The listener binds before any journal preamble is written, so a start
+  // that fails at the port (--port=70000) leaves a --journal directory
+  // holding an earlier session's bundle byte-identical, in all three modes:
+  // single, sharded (shard<k>/ bundles under the root) and the fleet.
+  const std::string dir = fresh_dir("failed_start_journal");
+  FakeClock clock;
+  {
+    ServerConfig earlier = base_config(dir, 0);
+    AdmissionServer server(earlier,
+                           make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+    TestClient client(server.start());
+    client.send(submit_msg(1, 0.5, 4.0, 1.0));
+    ASSERT_EQ(client.await_seq(server, 1).type, MsgType::kAccepted);
+    Message drain;
+    drain.type = MsgType::kDrain;
+    drain.seq = 2;
+    client.send(drain);
+    while (server.step(0)) client.read_socket();
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    const auto shard =
+        std::filesystem::path(dir) / ("shard" + std::to_string(k));
+    std::filesystem::create_directories(shard);
+    std::ofstream(shard / "jobs.csv") << "id,release,workload,deadline,value\n"
+                                      << k << ",0,1,2,1\n";
+  }
+  const auto before = snapshot(dir);
+  ASSERT_GT(before.size(), 6u);
+
+  ServerConfig single = base_config(dir, 0);
+  single.port = 70000;
+  AdmissionServer inline_server(
+      single, make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+  EXPECT_THROW(inline_server.start(), std::invalid_argument);
+  EXPECT_EQ(snapshot(dir), before) << "single";
+
+  ServerConfig sharded = base_config(dir, 2);
+  sharded.port = 70000;
+  ShardedAdmissionServer sharded_server(sharded, scheduler_factory(), clock);
+  EXPECT_THROW(sharded_server.start(), std::invalid_argument);
+  EXPECT_EQ(snapshot(dir), before) << "sharded";
+
+  sjs::cluster::ClusterServerConfig fleet;
+  fleet.fleet = sjs::cluster::Fleet::heterogeneous(4);
+  fleet.rental = "threshold";
+  fleet.journal_dir = dir;
+  fleet.port = 70000;
+  sjs::cluster::ClusterServer fleet_server(fleet, clock);
+  EXPECT_THROW(fleet_server.start(), std::invalid_argument);
+  EXPECT_EQ(snapshot(dir), before) << "fleet";
 }
 
 }  // namespace
