@@ -8,12 +8,15 @@
 #      nonzero server.jobs_completed metric),
 #   3. the journal directory is a parseable instance bundle, and
 #   4. replaying it through sjs_sim reproduces the live outcomes
-#      byte-identically (diff of outcomes.csv).
+#      byte-identically (diff of outcomes.csv), and
+#   5. every job window's ring stayed inside its reservation
+#      (server.window_slots[.shard<k>] <= server.window_reserved[.shard<k>]).
 #
 # Each phase also prints, with no threshold, sjs_load's notification lag
 # p50/p99, the server's peak RSS (VmHWM, read before the drain), its
 # job-window gauges (server.in_flight_peak, .window_peak, .window_slots,
-# .window_stragglers and .outcome_rows_held, each [.shard<k>]), its loop
+# .window_reserved, .window_stragglers and .outcome_rows_held, each
+# [.shard<k>]), its loop
 # wake-ups per submit by cause (server.wakeups.*) and the p99 of how late
 # its timer wakes came (server.wake_late_us.p99). The cluster replay also
 # runs the invariant checker (sjs_sim --check-invariants).
@@ -179,6 +182,7 @@ smoke_phase() {
   echo "[$tag] job window:"
   grep -E '^ +server\.(in_flight_peak|window_|outcome_rows_held)' \
     "$server_log" || echo "  (none reported)"
+  reserve_gate "$tag" "$server_log"
   wake_report "$tag" "$server_log"
 
   local metric
@@ -187,6 +191,38 @@ smoke_phase() {
     echo "FAIL($tag): server.jobs_completed metric missing or zero" >&2
     exit 1
   }
+}
+
+# reserve_gate <tag> <log>: every job window's ring (window_slots) stayed
+# within the slots its pre-size reserved (window_reserved, same suffix).
+reserve_gate() {
+  local tag="$1" log="$2"
+  awk -v tag="$tag" '
+    $1 ~ /^server\.window_slots/ {
+      k = $1; sub(/^server\.window_slots/, "", k); slots[k] = $2
+    }
+    $1 ~ /^server\.window_reserved/ {
+      k = $1; sub(/^server\.window_reserved/, "", k); reserved[k] = $2
+    }
+    END {
+      for (k in slots) {
+        windows++
+        if (!(k in reserved)) {
+          printf "FAIL(%s): no window_reserved%s gauge\n", tag, k; bad = 1
+        } else if (slots[k] + 0 > reserved[k] + 0) {
+          printf "FAIL(%s): window_slots%s %s > window_reserved %s\n", tag,
+                 k, slots[k], reserved[k]
+          bad = 1
+        }
+      }
+      if (windows == 0) {
+        printf "FAIL(%s): no window_slots gauge\n", tag; bad = 1
+      }
+      if (!bad) {
+        printf "[%s] %d window(s) within their reservation\n", tag, windows
+      }
+      exit bad
+    }' "$log" >&2 || exit 1
 }
 
 # straggler_gate <tag> <slots>: every job window of the phase's server kept

@@ -29,8 +29,8 @@ CapacityProfile load_trace(const std::string& path) {
     }
     if (i == 0 && row[0] == "time") continue;  // optional header
     try {
-      times.push_back(std::stod(row[0]));
-      rates.push_back(std::stod(row[1]));
+      times.push_back(parse_double(row[0]));
+      rates.push_back(parse_double(row[1]));
     } catch (const std::exception&) {
       throw std::runtime_error("trace row " + std::to_string(i) +
                                " is not numeric");

@@ -133,10 +133,10 @@ Fleet load_fleet_csv(const std::string& path) {
     }
     ServerSpec s;
     try {
-      s.c_lo = std::stod(rows[i][1]);
-      s.c_hi = std::stod(rows[i][2]);
-      s.speed = std::stod(rows[i][3]);
-      s.cost_rate = std::stod(rows[i][4]);
+      s.c_lo = parse_double(rows[i][1]);
+      s.c_hi = parse_double(rows[i][2]);
+      s.speed = parse_double(rows[i][3]);
+      s.cost_rate = parse_double(rows[i][4]);
     } catch (const std::exception&) {
       throw std::runtime_error("non-numeric fleet.csv row in " + path);
     }

@@ -41,8 +41,8 @@ Instance load_instance_bundle(const std::string& dir) {
   }
   double c_lo = 0.0, c_hi = 0.0;
   try {
-    c_lo = std::stod(band_rows[1][0]);
-    c_hi = std::stod(band_rows[1][1]);
+    c_lo = parse_double(band_rows[1][0]);
+    c_hi = parse_double(band_rows[1][1]);
   } catch (const std::exception&) {
     throw std::runtime_error("non-numeric band in " + dir);
   }

@@ -139,10 +139,10 @@ std::vector<Job> Instance::load_jobs(const std::string& path) {
     Job j;
     try {
       j.id = static_cast<JobId>(std::stol(row[0]));
-      j.release = std::stod(row[1]);
-      j.workload = std::stod(row[2]);
-      j.deadline = std::stod(row[3]);
-      j.value = std::stod(row[4]);
+      j.release = parse_double(row[1]);
+      j.workload = parse_double(row[2]);
+      j.deadline = parse_double(row[3]);
+      j.value = parse_double(row[4]);
     } catch (const std::exception&) {
       throw std::runtime_error("job row " + std::to_string(i) +
                                " is not numeric");

@@ -97,20 +97,27 @@ void ReadyQueue::resize_index(std::size_t slots) {
 }
 
 void ReadyQueue::reserve(std::size_t id_bound) {
-  // This IS the pre-sizing remedy: grow every table before the hot loop.
-  // The scratch is included so all buffers a queue donates to the recycler
-  // have capacity >= id_bound, and the two index buffers are both sized to
-  // the index's slots — whichever buffer the next same-sized queue adopts,
-  // its own reserve() is then a no-op (the zero-allocation warmed steady
-  // state depends on this interchangeability).
-  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(id_bound, 1));
+  // This IS the pre-sizing remedy: reserve every table before the hot loop,
+  // so growth up to id_bound queued jobs stays within capacity. Capacity
+  // is reserved, not written: the index starts at kFirstSlots and doubles
+  // with the queue, so only the pages the queue's occupancy needs are
+  // touched. The index may be half full, hence twice the slots. The
+  // scratch is included so all buffers a queue donates to the recycler
+  // have capacity >= id_bound, and the two index buffers are both reserved
+  // for the index's slots — whichever buffer the next same-sized queue
+  // adopts, its own reserve() is then a no-op (the zero-allocation warmed
+  // steady state depends on this interchangeability).
+  const std::size_t slots =
+      2 * std::bit_ceil(std::max(id_bound, kFirstSlots / 2));
   where_.reserve(slots);
-  if (pos_.size() < slots) resize_index(slots);
+  pos_.reserve(slots);
   heap_.reserve(id_bound);
   scratch_.reserve(id_bound);
 }
 
 void ReadyQueue::clear() {
+  // Only the index in use: its size follows the queue's peak, not the
+  // reservation.
   std::fill(pos_.begin(), pos_.end(), kNpos);
   heap_.clear();
   where_.clear();
@@ -128,10 +135,11 @@ const ReadyQueue::Entry& ReadyQueue::top() const {
 
 void ReadyQueue::push(double key, JobId id) {
   SJS_CHECK_MSG(id >= 0, "ReadyQueue::push of invalid job " << id);
-  // Growth with the queue's occupancy only: reserve() pre-sizes the index,
-  // and colliding ids probe instead of growing it.
-  if (pos_.empty()) resize_index(16);
-  if (heap_.size() == pos_.size()) resize_index(2 * pos_.size());
+  // Growth with the queue's occupancy only, within reserve()'s capacity:
+  // the index doubles once it would be more than half full, and colliding
+  // ids probe instead of growing it.
+  if (pos_.empty()) resize_index(kFirstSlots);
+  if (2 * (heap_.size() + 1) > pos_.size()) resize_index(2 * pos_.size());
   SJS_CHECK_MSG(!contains(id), "ReadyQueue::push of already-queued job " << id);
   util::append(heap_, Entry{key, id});
   util::append(where_, kNpos);

@@ -27,14 +27,17 @@
 // probing (util/id_probe.hpp): an id whose home slot is taken uses a later
 // one. So the index is bounded by the number of jobs queued at once, not by
 // the span of their ids (a spilled straggler queues thousands of ids below
-// the newest job) nor by the number of jobs ever admitted; it doubles only
-// when it is full. An index slot names a heap position whose entry carries
-// the id, so contains(id) checks that the slot holds that id. push()
-// requires the id to be absent; erase()/pop() free the id's slot
-// immediately (erase of an absent id is a tolerated no-op — schedulers
-// purge expired jobs from every queue they might be in). Keys are frozen at
-// push(); a key that must change goes through update_key(), never through
-// mutation in place.
+// the newest job) nor by the number of jobs ever admitted. reserve()
+// reserves its capacity without writing it: the index starts at 16 slots
+// and doubles, re-inserting the queued entries, once a push would leave it
+// more than half full, so the pages it touches follow the queue's peak
+// occupancy, not the pre-size. An index slot names a heap position whose
+// entry carries the id, so contains(id) checks that the slot holds that
+// id. push() requires the id to be absent; erase()/pop() free the id's
+// slot immediately (erase of an absent id is a tolerated no-op —
+// schedulers purge expired jobs from every queue they might be in). Keys
+// are frozen at push(); a key that must change goes through update_key(),
+// never through mutation in place.
 //
 // clear() keeps the backing storage, and destroyed queues donate their
 // buffers to a small thread-local recycler that the next queue constructed
@@ -74,13 +77,16 @@ class ReadyQueue {
   ReadyQueue(const ReadyQueue&) = delete;
   ReadyQueue& operator=(const ReadyQueue&) = delete;
 
-  /// Sizes the position index and reserves heap storage for id_bound queued
+  /// Reserves the position index and heap storage for id_bound queued
   /// jobs, so a run that never queues more performs no allocation after this
-  /// call. Schedulers call it from on_start with engine.job_capacity_hint().
+  /// call. Only capacity is reserved: the index is sized as the queue grows
+  /// into it. Schedulers call it from on_start with
+  /// engine.job_capacity_hint().
   void reserve(std::size_t id_bound);
 
-  /// Empties the queue in O(index slots), keeping all storage for reuse.
-  /// The peak statistic is NOT reset (it is a lifetime high-water mark).
+  /// Empties the queue in O(index slots in use), keeping all storage for
+  /// reuse. The peak statistic is NOT reset (it is a lifetime high-water
+  /// mark).
   void clear();
 
   bool empty() const { return heap_.empty(); }
@@ -116,8 +122,10 @@ class ReadyQueue {
 
   /// Entry slots currently reserved (capacity of the backing array).
   std::uint64_t slots() const { return heap_.capacity(); }
-  /// Slots of the position index (a power of two, 0 before first use).
+  /// Slots of the position index in use (a power of two, 0 before the
+  /// first push), and the slots its storage holds without reallocating.
   std::size_t index_slots() const { return pos_.size(); }
+  std::size_t index_reserved() const { return pos_.capacity(); }
 
   /// Visits entries in unspecified order (the raw heap layout). Only for
   /// order-insensitive consumers — anything whose result feeds a schedule
@@ -142,6 +150,8 @@ class ReadyQueue {
  private:
   static constexpr std::size_t kArity = 4;
   static constexpr std::uint32_t kNpos = 0xffffffffu;
+  /// Slots of the index a queue's first push() creates.
+  static constexpr std::size_t kFirstSlots = 16;
 
   /// Strict priority: true iff `a` pops before `b`. Total order (JobIds are
   /// unique), identical to the lexicographic pair order of the replaced set.

@@ -93,8 +93,10 @@ void VDoverScheduler::on_start(sim::Engine& engine) {
   qsupp_.reserve(n);
   // At most one regular interval closes per job (with its completion or
   // failure), so on a batch run the job count bounds the Lemma-1 interval
-  // log. A live session keeps the most recent ones within the same bound.
-  interval_cap_ = std::max<std::size_t>(n, 2);
+  // log. Nothing reads a live session's log while it runs: it keeps the
+  // most recent kLiveIntervals, whatever the pre-size.
+  interval_cap_ =
+      engine.live_mode() ? kLiveIntervals : std::max<std::size_t>(n, 2);
   intervals_.reserve(interval_cap_);
   // Per-job lanes (Qedf metadata, 0cl timers, flags) are slab lanes the
   // engine already sized in rewind()/admit_live — nothing to grow here.

@@ -21,6 +21,12 @@
 //            regular job or Qedf, under the conservative capacity estimate.
 //   flag   — reg / supp / idle.
 //
+// Memory: the queues reserve, from engine.job_capacity_hint(), capacity that
+// is touched only as they fill, and the per-job lanes live in the engine's
+// job window; the Lemma-1 interval log holds every interval of a batch run
+// but only the last kLiveIntervals of a live session, whatever its
+// --max-in-flight pre-size.
+//
 // The pseudocode in the available paper text is OCR-damaged in places; where
 // it is ambiguous we reconstruct from the prose (noted inline as
 // [reconstruction]).
@@ -116,13 +122,16 @@ class VDoverScheduler : public sim::Scheduler {
   /// only when individual admissibility is violated — an admissible regular
   /// job never fails, so every interval closes with a completion) is not
   /// included; `interval_open()` reports that condition. A batch run keeps
-  /// every interval; a live session keeps at least the most recent half of
-  /// its job_capacity_hint() worth, so the log does not grow with the
-  /// session.
+  /// every interval; a live session keeps at least the most recent
+  /// kLiveIntervals / 2, so the log grows neither with the session nor with
+  /// its --max-in-flight pre-size.
   const std::vector<RegularInterval>& regular_intervals() const {
     return intervals_;
   }
   bool interval_open() const { return interval_open_; }
+
+  /// The live session's interval log bound (2 KiB).
+  static constexpr std::size_t kLiveIntervals = 64;
 
  private:
   enum class Flag : std::uint8_t { kIdle, kReg, kSupp };

@@ -53,9 +53,11 @@ class InlineServer : public FrontEnd, private ReplyTarget {
   std::vector<obs::TraceEvent> recent_trace() const {
     return session_.recent_trace();
   }
-  /// The session's job window: ring slots, peak unretired span, peak
-  /// spilled stragglers, and the journal's peak held outcome rows.
+  /// The session's job window: ring slots in use and reserved, peak
+  /// unretired span, peak spilled stragglers, and the journal's peak held
+  /// outcome rows.
   std::size_t window_slots() const { return session_.window_slots(); }
+  std::size_t window_reserved() const { return session_.window_reserved(); }
   std::uint64_t window_peak() const { return session_.window_peak(); }
   std::uint64_t window_stragglers() const {
     return session_.window_stragglers();

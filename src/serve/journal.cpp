@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "capacity/trace_io.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/vec.hpp"
 
@@ -268,7 +269,7 @@ std::vector<std::pair<double, JobId>> read_journal_cancels(
     if (rows[i].size() != 2) {
       throw std::runtime_error("malformed cancels.csv row in " + dir);
     }
-    out.emplace_back(std::stod(rows[i][0]),
+    out.emplace_back(parse_double(rows[i][0]),
                      static_cast<JobId>(std::stol(rows[i][1])));
   }
   return out;

@@ -23,6 +23,7 @@ SessionCounterNames::SessionCounterNames(std::string_view suffix)
       in_flight_peak(label(kGaugeInFlightPeak, suffix)),
       window_peak(label(kGaugeWindowPeak, suffix)),
       window_slots(label(kGaugeWindowSlots, suffix)),
+      window_reserved(label(kGaugeWindowReserved, suffix)),
       window_stragglers(label(kGaugeWindowStragglers, suffix)),
       outcome_rows_held(label(kGaugeOutcomeRowsHeld, suffix)),
       wake_socket(label(kCtrWakeSocket, suffix)),

@@ -44,11 +44,12 @@
 // outcomes.csv row goes to the journal, which holds it while a lower id is
 // unresolved; its outcome (completed or expired, 2 bits) moves to a packed
 // lane indexed by wire ticket, which is all QUERY and CANCEL need of a
-// retired ticket. So the ring is bounded by its --max-in-flight pre-size,
-// the stragglers by the jobs in flight (the gate sheds at max_in_flight),
-// and only the held rows, about 24 bytes each, by the span from the oldest
-// unresolved straggler to the newest job; plus those 2 bits per ticket,
-// however long the session runs.
+// retired ticket. So the ring is bounded by its --max-in-flight
+// reservation (below it, it follows the unretired span), the stragglers by
+// the jobs in flight (the gate sheds at max_in_flight), and only the held
+// rows, about 24 bytes each, by the span from the oldest unresolved
+// straggler to the newest job; plus those 2 bits per ticket, however long
+// the session runs.
 //
 // Journal failure (one policy in every mode): the first error wins and is
 // kept in journal_error(), the failing request is answered
@@ -110,6 +111,8 @@ inline constexpr std::string_view kCtrOverflows = "server.write_overflows";
 inline constexpr std::string_view kGaugeInFlightPeak = "server.in_flight_peak";
 inline constexpr std::string_view kGaugeWindowPeak = "server.window_peak";
 inline constexpr std::string_view kGaugeWindowSlots = "server.window_slots";
+inline constexpr std::string_view kGaugeWindowReserved =
+    "server.window_reserved";
 inline constexpr std::string_view kGaugeWindowStragglers =
     "server.window_stragglers";
 inline constexpr std::string_view kGaugeOutcomeRowsHeld =
@@ -132,7 +135,7 @@ inline constexpr std::string_view kGaugeWriteBufPeak =
 struct SessionCounterNames {
   explicit SessionCounterNames(std::string_view suffix);
   std::string submitted, accepted, rejected, shed, completed, expired,
-      cancelled, in_flight_peak, window_peak, window_slots,
+      cancelled, in_flight_peak, window_peak, window_slots, window_reserved,
       window_stragglers, outcome_rows_held, wake_socket,
       wake_timer, wake_timer_empty, wake_dead_skipped, wake_late_p50,
       wake_late_p99, wake_late_max;
@@ -210,13 +213,15 @@ class Session {
 
   /// Enters live mode on the serving thread: anchors the bridge at
   /// `epoch`, takes this thread's metrics shard (`metrics` may be null),
-  /// attaches the trace sinks, and pre-sizes everything the per-request
+  /// attaches the trace sinks, and reserves everything the per-request
   /// path touches from max_in_flight, so a warmed session allocates
-  /// nothing, for any session length and any deadlines. Two structures
-  /// grow past their pre-size to a high-water instead: the journal's held
-  /// outcome rows, with the span from the oldest unresolved straggler, and
-  /// the retired-outcome lane, 2 bits per ticket, pre-sized for
-  /// kRetiredTickets.
+  /// nothing, for any session length and any deadlines. A reservation is
+  /// capacity, not memory: the job window and the queues grow into it as
+  /// the span needs, so RSS follows the load, not max_in_flight. Two
+  /// structures grow past their pre-size to a high-water instead: the
+  /// journal's held outcome rows, with the span from the oldest unresolved
+  /// straggler, and the retired-outcome lane, 2 bits per ticket, pre-sized
+  /// for kRetiredTickets.
   void begin_live(double epoch, obs::MetricsRegistry* metrics);
 
   /// SUBMIT from (conn, gen). Returns the admitted local id, or kNoJob.
@@ -257,8 +262,10 @@ class Session {
   /// backend's metrics, closes the journal.
   void finalize();
 
-  /// Ring slots (a power of two) and peak unretired span of the job window.
+  /// Ring slots in use (a power of two), the slots the pre-size reserved,
+  /// and the peak unretired span of the job window.
   std::size_t window_slots() const { return jobs().capacity(); }
+  std::size_t window_reserved() const { return jobs().reserved(); }
   std::uint64_t window_peak() const { return jobs().span_peak(); }
   /// Peak count of spilled jobs in the window's straggler store.
   std::uint64_t window_stragglers() const { return jobs().straggler_peak(); }

@@ -389,6 +389,8 @@ void Session<Backend>::finalize() {
     shard_->set_gauge(names_.window_peak, static_cast<double>(window_peak()));
     shard_->set_gauge(names_.window_slots,
                       static_cast<double>(window_slots()));
+    shard_->set_gauge(names_.window_reserved,
+                      static_cast<double>(window_reserved()));
     shard_->set_gauge(names_.window_stragglers,
                       static_cast<double>(window_stragglers()));
     shard_->set_gauge(names_.outcome_rows_held,

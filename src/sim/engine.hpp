@@ -154,9 +154,11 @@ class Engine {
 
   bool live_mode() const { return live_; }
 
-  /// Pre-sizes every structure that grows with the in-flight population —
+  /// Reserves every structure that grows with the in-flight population —
   /// the job window and its straggler store, both event-queue sides and the
-  /// timer slab — for `max_in_flight` simultaneous jobs. A warmed live
+  /// timer slab — for `max_in_flight` simultaneous jobs, without writing
+  /// the reservation (the window's ring starts at 16 slots and widens into
+  /// it). A warmed live
   /// session that retires its resolved jobs and keeps at most that many in
   /// flight then performs zero heap allocations, however many jobs it
   /// admits and however long their deadlines (the serve plane calls this at

@@ -11,13 +11,19 @@ namespace sjs::sim {
 
 namespace {
 
+/// util::grow, out of line: one copy per lane type serves every call site.
+template <typename T>
+[[gnu::noinline]] void grow_lane(std::vector<T>& lane, std::size_t n) {
+  util::grow(lane, n);
+}
+
 /// Moves the window [base, end) of `lane` from its slots under `old_mask`
 /// to its slots in a fresh lane of `slots` entries.
 template <typename T>
 void reslot(std::vector<T>& lane, std::size_t slots, JobId base, JobId end,
             std::size_t old_mask) {
   std::vector<T> fresh;
-  util::grow(fresh, slots);
+  grow_lane(fresh, slots);
   const std::size_t new_mask = slots - 1;
   for (JobId id = base; id < end; ++id) {
     const auto i = static_cast<std::size_t>(id);
@@ -26,47 +32,60 @@ void reslot(std::vector<T>& lane, std::size_t slots, JobId base, JobId end,
   lane.swap(fresh);
 }
 
+/// Doubles a full lane of `old` slots, holding the ids [base, base + old),
+/// inside its capacity: the ids whose slot moves under the wider mask are
+/// copied to the fresh upper half (util::ring_widen_run).
+template <typename T>
+void widen(std::vector<T>& lane, std::size_t old, JobId base) {
+  grow_lane(lane, 2 * old);
+  const auto [first, last] =
+      util::ring_widen_run(static_cast<std::uint64_t>(base), old);
+  T* const ring = lane.data();
+  std::copy(ring + first, ring + last, ring + first + old);
+}
+
 }  // namespace
+
+template <typename F>
+void JobTable::for_each_lane(F&& f) {
+  if (!borrowed_) {
+    f(jobs_);
+    f(routes_);
+  }
+  f(remaining_);
+  f(completion_);
+  f(outcome_);
+  f(released_);
+  if (lanes_ == Lanes::kAll) {
+    f(qedf_meta_);
+    f(ocl_timer_);
+    f(abandoned_);
+    f(ocl_scheduled_);
+  }
+}
 
 void JobTable::resize_ring(std::size_t slots) {
   SJS_CHECK(std::has_single_bit(slots) && slots >= span());
   if (span() == 0) {
     // Nothing to carry over: plain growth keeps the buffers (and never
     // shrinks them).
-    if (!borrowed_) {
-      util::grow(jobs_, slots);
-      util::grow(routes_, slots);
-    }
-    util::grow(remaining_, slots);
-    util::grow(completion_, slots);
-    util::grow(outcome_, slots);
-    util::grow(released_, slots);
-    if (lanes_ == Lanes::kAll) {
-      util::grow(qedf_meta_, slots);
-      util::grow(ocl_timer_, slots);
-      util::grow(abandoned_, slots);
-      util::grow(ocl_scheduled_, slots);
-    }
+    for_each_lane([slots](auto& lane) { grow_lane(lane, slots); });
   } else {
     // Borrowed records stay where they are: id & mask is the id itself
     // under every mask at least as wide as the bound instance.
-    if (!borrowed_) {
-      reslot(jobs_, slots, base_, end_, mask_);
-      reslot(routes_, slots, base_, end_, mask_);
-    }
-    reslot(remaining_, slots, base_, end_, mask_);
-    reslot(completion_, slots, base_, end_, mask_);
-    reslot(outcome_, slots, base_, end_, mask_);
-    reslot(released_, slots, base_, end_, mask_);
-    if (lanes_ == Lanes::kAll) {
-      reslot(qedf_meta_, slots, base_, end_, mask_);
-      reslot(ocl_timer_, slots, base_, end_, mask_);
-      reslot(abandoned_, slots, base_, end_, mask_);
-      reslot(ocl_scheduled_, slots, base_, end_, mask_);
-    }
+    for_each_lane([this, slots](auto& lane) {
+      reslot(lane, slots, base_, end_, mask_);
+    });
   }
   mask_ = slots - 1;
   if (!borrowed_) records_ = jobs_.data();
+}
+
+void JobTable::widen_ring() {
+  const std::size_t old = capacity();
+  for_each_lane([this, old](auto& lane) { widen(lane, old, base_); });
+  mask_ = 2 * old - 1;
+  records_ = jobs_.data();
 }
 
 void JobTable::init_slot(std::size_t s, const Job& job) {
@@ -97,8 +116,8 @@ void JobTable::bind(const std::vector<Job>& jobs) {
   // Owned records fill every slot (a borrowed bind may have left the lanes
   // short).
   if (!borrowed_) {
-    util::grow(jobs_, capacity());
-    util::grow(routes_, capacity());
+    grow_lane(jobs_, capacity());
+    grow_lane(routes_, capacity());
   }
   records_ = borrowed_ ? jobs.data() : jobs_.data();
   // init_slot for slots [0, n), a lane at a time, the records apart.
@@ -119,15 +138,26 @@ void JobTable::bind(const std::vector<Job>& jobs) {
 
 void JobTable::own_records() {
   if (!borrowed_) return;
-  util::grow(jobs_, capacity());
+  // The records lanes join the others' reservation, so the ring can widen
+  // into it.
+  jobs_.reserve(std::max(reserved_, capacity()));
+  routes_.reserve(std::max(reserved_, capacity()));
+  grow_lane(jobs_, capacity());
   for (JobId id = base_; id < end_; ++id) jobs_[slot(id)] = records_[slot(id)];
-  util::grow(routes_, capacity());
+  grow_lane(routes_, capacity());
   borrowed_ = false;
   records_ = jobs_.data();
 }
 
 void JobTable::reserve(std::size_t n) {
-  if (n > capacity()) resize_ring(std::bit_ceil(n));
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(n, 1));
+  if (slots > reserved_) {
+    // Capacity only: no page of it is written until the ring widens into
+    // it.
+    for_each_lane([slots](auto& lane) { lane.reserve(slots); });
+    reserved_ = slots;
+  }
+  if (capacity() == 0) resize_ring(std::min(kFirstSlots, reserved_));
   if (lanes_ == Lanes::kAll) admission_scratch_.reserve(n + 2);
 }
 
@@ -169,11 +199,14 @@ void JobTable::spill_front() {
 JobId JobTable::admit(const Job& job) {
   SJS_CHECK_MSG(!borrowed_, "admit into a window of borrowed records");
   if (span() == capacity()) {
-    if (span() > 0 && stragglers_.size() < straggler_room_) {
+    if (span() > 0 && capacity() < reserved_) {
+      widen_ring();
+    } else if (span() > 0 && stragglers_.size() < straggler_room_) {
       spill_front();
     } else {
-      // No room to spill: double the ring (or create it) and re-slot.
-      resize_ring(capacity() == 0 ? 16 : 2 * capacity());
+      // No room to widen or spill: double the ring (or create it) and
+      // re-slot it into fresh lanes.
+      resize_ring(capacity() == 0 ? kFirstSlots : 2 * capacity());
     }
   }
   const JobId id = end_++;

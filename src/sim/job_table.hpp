@@ -12,8 +12,15 @@
 // the id range [base(), end()): end() is the next id admit() hands out.
 // retire(base()) retires the job at the base once it has an outcome, so a
 // live session's memory does not grow with the number of jobs it admits.
-// The ring is pre-sized by reserve() (the serve plane passes
-// --max-in-flight).
+//
+// A pre-size is a reservation. reserve() (the serve plane passes
+// --max-in-flight) reserves every lane's capacity for its slots, but the
+// ring starts at min(16, reserved()) slots, and admit() doubles a full ring
+// in place while it is below the reservation: the lanes grow within their
+// capacity, so no allocation happens, and only the ids whose slot moves
+// under the wider mask are copied, into the fresh upper half. A page of
+// the reservation is thus touched only once the unretired span grows into
+// it, and a session's memory follows its span, not its pre-size.
 //
 // Stragglers. In the paper's model a job keeps its slack until its
 // deadline, so one far-deadline job would pin the base while thousands of
@@ -27,9 +34,10 @@
 // store by the jobs in flight (a spilled job is unresolved when it spills,
 // and the serving session retires it as soon as it resolves), and only the
 // span of unretired ids — end() minus the lowest unretired id, span_peak()
-// — still follows the longest deadline. A table with no store (a batch
-// run, or no reserve_stragglers()) or a full one doubles the ring and
-// re-slots it instead.
+// — still follows the longest deadline. Only a ring that has reached its
+// reservation spills. A table with no store (a batch run, or no
+// reserve_stragglers()) or a full one doubles the ring past the
+// reservation and re-slots it into fresh lanes instead.
 //
 // A batch run is the same window over the whole sealed instance (bind()):
 // ids [0, n), nothing ever spills or retires, and the base stays 0, so a
@@ -110,8 +118,10 @@ class JobTable {
   /// to the bound vector.
   void own_records();
 
-  /// Pre-sizes the ring for a span of `n` ids (rounded up to a power of
-  /// two).
+  /// Reserves every lane's capacity for a span of `n` ids (rounded up to a
+  /// power of two) without writing it, and starts an empty ring at
+  /// min(16, reserved()) slots. admit() widens the ring into the
+  /// reservation as the span needs it.
   void reserve(std::size_t n);
 
   /// Reserves room for `n` spilled jobs (see the header note). The store's
@@ -121,8 +131,9 @@ class JobTable {
 
   /// Admits `job` at id end() with fresh lanes and returns that id (the
   /// record's own id field is overwritten with it). When the ring is full it
+  /// doubles in place if it is below reserved(); at the reservation it
   /// spills the job at base() into the straggler store, or doubles the ring
-  /// if the store has no room.
+  /// past it if the store has no room.
   JobId admit(const Job& job);
 
   /// Retires job `id`, which must have an outcome and be either base() or a
@@ -140,8 +151,12 @@ class JobTable {
   /// Peak span of unretired ids since the last bind(): end() minus the
   /// lowest unretired id, spilled jobs included (it may exceed capacity()).
   std::size_t span_peak() const { return span_peak_; }
-  /// Ring slots (a power of two, or 0 before any reserve/bind/admit).
+  /// Ring slots in use (a power of two, or 0 before any
+  /// reserve/bind/admit).
   std::size_t capacity() const { return remaining_.size(); }
+  /// Slots reserve() reserved (a power of two, 0 without a reserve()); the
+  /// ring widens in place up to this many.
+  std::size_t reserved() const { return reserved_; }
   /// Slots of the reply-route lane: capacity() once the table owns its
   /// records, 0 in a table that has only borrowed them.
   std::size_t route_slots() const { return routes_.size(); }
@@ -274,11 +289,22 @@ class JobTable {
     return const_cast<T&>(
         std::as_const(*this).lane(static_cast<const T*>(ring), field, id));
   }
+  /// The ring a reserve() starts (at most the reservation).
+  static constexpr std::size_t kFirstSlots = 16;
+
+  /// Calls `f(lane)` for every lane the table keeps: the records and reply
+  /// routes only when it owns its records, the scheduler lanes only under
+  /// Lanes::kAll.
+  template <typename F>
+  void for_each_lane(F&& f);
   /// Moves the job at base() into the store and advances the base.
   void spill_front();
   /// Resizes every lane to `slots` (a power of two >= span()), moving the
   /// window's jobs to their slots under the new mask.
   void resize_ring(std::size_t slots);
+  /// Doubles a full ring with owned records inside the lanes' reserved
+  /// capacity (see the header note).
+  void widen_ring();
   /// Resets slot `s` to `job`'s initial state (owned records only).
   void init_slot(std::size_t s, const Job& job);
 
@@ -300,6 +326,7 @@ class JobTable {
   std::size_t straggler_room_ = 0;
 
   Lanes lanes_;
+  std::size_t reserved_ = 0;
   std::size_t mask_ = 0;
   JobId base_ = 0;
   JobId end_ = 0;

@@ -32,6 +32,19 @@ char* format_double_to(char* first, char* last, double v) {
   return write_g17(first, last, v);
 }
 
+double parse_double(std::string_view field) {
+  double v = 0.0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::out_of_range("parse_double: out of range");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("parse_double: not a number");
+  }
+  return v;
+}
+
 std::string format_double(double v) {
   char buf[32];
   return std::string(buf, write_g17(buf, buf + sizeof(buf), v));

@@ -9,6 +9,7 @@
 
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sjs {
@@ -54,6 +55,13 @@ std::string format_double(double v);
 /// Writes v's %.17g text (std::to_chars) at `first` without allocating;
 /// [first, last) must hold kNumericFieldMax bytes. Returns the end of it.
 char* format_double_to(char* first, char* last, double v);
+
+/// Reads a numeric field back: the whole of `field` must be one number
+/// (std::from_chars, general format), so every %.17g text format_double
+/// writes — subnormals included — reads back bit-exactly. Throws
+/// std::invalid_argument on empty or malformed text or trailing characters,
+/// and std::out_of_range on a value outside double's range.
+double parse_double(std::string_view field);
 
 /// Room one value of a numeric row needs: its %.17g text (at most 24
 /// characters) and a separator.

@@ -482,6 +482,46 @@ TEST(ClusterServeTest, SpilledStragglersCompleteAndExpireAndReplayStaysExact) {
   EXPECT_EQ(live_csv, slurp(replay_csv));
 }
 
+TEST(ClusterServeTest, TwoSubmitsAtVirtualZeroReplayByteExactly) {
+  // Without a clock advance the second SUBMIT is stamped nextafter(0), the
+  // smallest subnormal. Its jobs.csv row must load back bit-exactly, so
+  // the journal replays.
+  const std::string dir = fresh_dir("cluster_subnormal_stamp");
+  FakeClock clock;
+  ClusterServer server(scripted_config(dir), clock);
+  TestClient client(server.start());
+  client.send(submit_msg(1, 3.0, 1.0, 1.0));
+  const Message first = client.await_seq(server, 1);
+  client.send(submit_msg(2, 3.0, 1.0, 2.0));
+  const Message second = client.await_seq(server, 2);
+  ASSERT_EQ(first.type, MsgType::kAccepted);
+  ASSERT_EQ(second.type, MsgType::kAccepted);
+  EXPECT_EQ(first.a, 0.0);
+  EXPECT_EQ(second.a, std::nextafter(0.0, 1.0));
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = 3;
+  client.send(drain);
+  EXPECT_EQ(client.await_seq(server, 3).type, MsgType::kDraining);
+  while (server.step(0)) client.read_socket();
+  ASSERT_TRUE(server.finished());
+
+  const sjs::cluster::ClusterBundle bundle =
+      sjs::cluster::load_cluster_bundle(dir);
+  ASSERT_EQ(bundle.jobs.size(), 2u);
+  EXPECT_EQ(bundle.jobs[1].release, second.a);
+  const std::string replay_csv = dir + "_replay_outcomes.csv";
+  std::string out;
+  ASSERT_EQ(run_command(std::string(SJS_SIM_BIN) + " --cluster-bundle=" + dir +
+                            " --outcomes-csv=" + replay_csv,
+                        &out),
+            0)
+      << out;
+  const std::string live_csv = slurp(dir + "/outcomes.csv");
+  EXPECT_NE(live_csv.find("\n1,completed,"), std::string::npos) << live_csv;
+  EXPECT_EQ(live_csv, slurp(replay_csv));
+}
+
 TEST(ClusterServeTest, SpilledTicketsAnswerQueryAndCancel) {
   // The fleet's window spills two long jobs: QUERY of a spilled ticket
   // reads the live job, CANCEL of one cancels it, and its ticket then

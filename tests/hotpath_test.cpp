@@ -630,8 +630,11 @@ TEST(HotPathAllocations, LongSessionStaysInsideItsJobWindow) {
       [&](const serve::ShardedAdmissionServer& server) {
         EXPECT_TRUE(server.finished());
         EXPECT_TRUE(server.journal_error().empty());
+        // The acceptor splits the warm-up burst between the shards, so a
+        // shard's ring widens only as far as its share of it.
         for (std::size_t k = 0; k < server.shard_count(); ++k) {
-          EXPECT_EQ(server.shard(k).window_slots(), kWindowSessionSlots);
+          EXPECT_LE(server.shard(k).window_slots(), kWindowSessionSlots);
+          EXPECT_EQ(server.shard(k).window_reserved(), kWindowSessionSlots);
           EXPECT_LE(server.shard(k).window_peak(), kWindowSessionSlots);
         }
       });
@@ -892,6 +895,193 @@ TEST(HotPathAllocations, HeavyTailedSessionSpillsInsteadOfGrowing) {
                                       server.window_peak(),
                                       server.window_stragglers());
           }));
+  const cluster::ClusterBundle bundle =
+      cluster::load_cluster_bundle(fleet.journal_dir);
+  cluster::Dispatcher dispatcher(
+      bundle.fleet, cluster::DispatcherConfig{},
+      cluster::make_rental_controller(bundle.meta.at("rental")));
+  const cloud::MultiSimResult fleet_replay =
+      cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
+  const std::string fleet_csv = fleet.journal_dir + "_replay.csv";
+  cloud::save_multi_outcomes_csv(fleet_replay, bundle.jobs, fleet_csv);
+  EXPECT_EQ(slurp(fleet.journal_dir + "/outcomes.csv"), slurp(fleet_csv));
+}
+
+/// --max-in-flight of the widening sessions: sixteen times the first ring.
+constexpr std::uint64_t kWideningSessionSlots = 256;
+
+/// Boots `make_server(clock)` with --max-in-flight=kWideningSessionSlots,
+/// no admission check and a journal, on a fresh thread, and warms it up
+/// with short jobs only (the sjs_load shape at 10/s plus a burst of eight
+/// at one instant), so its span stays short and its job window near the
+/// 16-slot ring reserve() starts. The measured phase submits one job no
+/// machine can finish in its 20 s window, which pins the window's base for
+/// about 200 arrivals while short jobs come and go: the unretired span
+/// grows towards the pre-size, and the ring widens in place into its
+/// reservation. Counts the
+/// allocations of the measured phase, drains the server and hands it to
+/// `inspect`.
+template <typename MakeServer, typename Inspect>
+std::uint64_t probe_widening_session(double floor, int step_ms,
+                                     MakeServer make_server, Inspect inspect) {
+  std::uint64_t allocs = 0;
+  std::thread worker([&] {
+    serve::FakeClock clock;
+    auto server = make_server(clock);
+    const int port = server->start();
+    testutil::LoopbackClient client(port, /*record=*/false);
+    Rng rng(2033);
+    std::uint64_t seq = 0;
+    const auto submit = [&](double workload, double window) {
+      serve::Message m;
+      m.type = serve::MsgType::kSubmit;
+      m.seq = ++seq;
+      m.a = workload;
+      m.b = window;
+      m.c = 1.0;
+      client.send(m);
+      client.await_seq(*server, seq, step_ms);
+    };
+    const auto submit_short = [&] {
+      clock.advance(rng.exponential_rate(10.0));
+      const double workload = rng.exponential_mean(0.03 * floor);
+      submit(workload, rng.uniform(1.05, 3.0) * workload / floor);
+    };
+    const auto settle = [&] {
+      clock.advance(5.0);
+      for (int i = 0; i < 50; ++i) {
+        server->step(step_ms);
+        client.read_socket();
+      }
+    };
+    for (int i = 0; i < 300; ++i) submit_short();
+    settle();
+    for (int i = 0; i < 8; ++i) submit(0.001 * floor, 1.0);
+    clock.advance(5.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    settle();
+    util::AllocProbe::reset();
+    submit(1.0e4 * floor, 20.0);
+    for (int i = 0; i < 400; ++i) submit_short();
+    settle();
+    allocs = util::AllocProbe::count();
+
+    serve::Message drain;
+    drain.type = serve::MsgType::kDrain;
+    drain.seq = ++seq;
+    client.send(drain);
+    while (server->step(step_ms)) client.read_socket();
+    inspect(*server);
+  });
+  worker.join();
+  return allocs;
+}
+
+/// The window of a widening session after its drain: the ring widened past
+/// the 16 slots it started at, stayed inside its reservation, and nothing
+/// spilled.
+void expect_widened(const char* mode, std::size_t slots, std::size_t reserved,
+                    std::uint64_t peak, std::uint64_t stragglers) {
+  std::fprintf(stderr,
+               "widening session (%s): %zu of %zu slots, span peak %llu\n",
+               mode, slots, reserved, static_cast<unsigned long long>(peak));
+  EXPECT_EQ(reserved, kWideningSessionSlots) << mode;
+  EXPECT_GT(peak, 64u) << mode;
+  EXPECT_GE(slots, peak) << mode;
+  EXPECT_LE(slots, reserved) << mode;
+  EXPECT_EQ(stragglers, 0u) << mode;
+}
+
+TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
+  // The reservation contract (sim/job_table.hpp): --max-in-flight reserves
+  // the job window's lanes, the ring starts at 16 slots, and a span that
+  // outgrows the ring doubles it in place, inside the reserved capacity.
+  // A warmed session whose span grows from 16 slots to most of the
+  // pre-size therefore allocates nothing in all three modes (the ready
+  // queues' indices widen inside their reservations too), and its streamed
+  // outcomes.csv still replays byte-exactly.
+  serve::ServerConfig config;
+  config.scheduler_name = "V-Dover";
+  config.capacity = cap::CapacityProfile(1.0);
+  config.c_lo = 0.5;
+  config.c_hi = 1.0;
+  config.max_in_flight = kWideningSessionSlots;
+  config.admission_check = false;
+  const auto lineup = sched::full_lineup(config.c_lo, config.c_hi);
+  const auto* factory = sched::find_factory(lineup, "V-Dover");
+  ASSERT_NE(factory, nullptr);
+
+  config.journal_dir = testing::TempDir() + "/widening_single";
+  std::filesystem::remove_all(config.journal_dir);
+  const std::uint64_t single = probe_widening_session(
+      config.c_lo, 0,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<serve::AdmissionServer>(
+            config, factory->make(), clock);
+      },
+      [&](const serve::AdmissionServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        expect_widened("single", server.window_slots(),
+                       server.window_reserved(), server.window_peak(),
+                       server.window_stragglers());
+      });
+  EXPECT_EQ(single, 0u);
+  const Instance replayed = load_instance_bundle(config.journal_dir);
+  auto replay_scheduler = factory->make();
+  sim::Engine engine(replayed, *replay_scheduler);
+  const sim::SimResult replay = engine.run_to_completion();
+  const std::string replay_csv = config.journal_dir + "_replay.csv";
+  sim::save_outcomes_csv(replay, replayed.jobs(), replay_csv);
+  EXPECT_EQ(slurp(config.journal_dir + "/outcomes.csv"), slurp(replay_csv));
+
+  serve::ServerConfig sharded = config;
+  sharded.shards = 2;
+  sharded.shard_poll_ms = 5;
+  sharded.journal_dir = testing::TempDir() + "/widening_sharded";
+  std::filesystem::remove_all(sharded.journal_dir);
+  const std::uint64_t two = probe_widening_session(
+      config.c_lo, 1,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<serve::ShardedAdmissionServer>(
+            sharded, [&] { return factory->make(); }, clock);
+      },
+      [&](const serve::ShardedAdmissionServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        // The pinned job lives in one shard; the other's span stays short.
+        std::size_t widest = 0;
+        for (std::size_t k = 0; k < server.shard_count(); ++k) {
+          const serve::ShardWorker& shard = server.shard(k);
+          EXPECT_LE(shard.window_slots(), kWideningSessionSlots);
+          EXPECT_EQ(shard.window_reserved(), kWideningSessionSlots);
+          EXPECT_EQ(shard.window_stragglers(), 0u);
+          widest = std::max(widest, shard.window_slots());
+        }
+        EXPECT_GE(widest, 64u);
+      });
+  EXPECT_EQ(two, 0u);
+
+  cluster::ClusterServerConfig fleet;
+  fleet.fleet = cluster::Fleet::heterogeneous(4);
+  fleet.rental = "threshold";
+  fleet.max_in_flight = kWideningSessionSlots;
+  fleet.admission_check = false;
+  fleet.journal_dir = testing::TempDir() + "/widening_fleet";
+  std::filesystem::remove_all(fleet.journal_dir);
+  const std::uint64_t fleet_allocs = probe_widening_session(
+      fleet.fleet.admission_c_lo(), 0,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<cluster::ClusterServer>(fleet, clock);
+      },
+      [&](const cluster::ClusterServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        expect_widened("fleet", server.window_slots(),
+                       server.window_reserved(), server.window_peak(),
+                       server.window_stragglers());
+      });
+  EXPECT_EQ(fleet_allocs, 0u);
   const cluster::ClusterBundle bundle =
       cluster::load_cluster_bundle(fleet.journal_dir);
   cluster::Dispatcher dispatcher(

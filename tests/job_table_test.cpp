@@ -155,6 +155,95 @@ TEST(JobTableTest, RingDoublesAndReslotsWhenSpanOutgrowsIt) {
   expect_route(table.route(last), ReplyRoute{});
 }
 
+TEST(JobTableTest, RingWidensInPlaceUpToItsReservation) {
+  // reserve() reserves lane capacity and starts a 16-slot ring. A full ring
+  // below the reservation doubles in place: no lane moves to new storage,
+  // and every held id reads every lane as before, whichever half its slot
+  // lands in. At the reservation the ring spills instead of doubling.
+  for (const JobTable::Lanes lanes :
+       {JobTable::Lanes::kAll, JobTable::Lanes::kEngine}) {
+    const bool all = lanes == JobTable::Lanes::kAll;
+    JobTable table(lanes);
+    table.bind({});
+    table.reserve(40);  // rounds up to 64
+    table.reserve_stragglers(2);
+    EXPECT_EQ(table.reserved(), 64u);
+    EXPECT_EQ(table.capacity(), 16u);
+    EXPECT_EQ(table.route_slots(), 16u);
+    const auto fill = [&](JobId id) {
+      const double x = static_cast<double>(id);
+      table.remaining(id) = 0.5 * x;
+      table.set_completion(id, 0.25 * x);
+      if (id % 3 == 0) table.set_released(id);
+      table.route(id) = route_for(id);
+      if (all) {
+        table.qedf_meta(id) = sim::QedfMeta{x, -x};
+        table.ocl_timer(id) = static_cast<sim::TimerId>(7 * id);
+        table.set_abandoned(id, id % 2 == 0);
+        table.set_ocl_scheduled(id, id % 5 == 0);
+      }
+    };
+    const auto expect_lanes = [&](JobId id) {
+      const double x = static_cast<double>(id);
+      EXPECT_TRUE(table.holds(id));
+      EXPECT_EQ(table.job(id).id, id);
+      EXPECT_EQ(table.job(id).workload, 1.0 + x);
+      EXPECT_EQ(table.remaining(id), 0.5 * x);
+      EXPECT_EQ(table.completion(id), 0.25 * x);
+      EXPECT_EQ(table.outcome(id), JobOutcome::kPending);
+      EXPECT_EQ(table.released(id), id % 3 == 0);
+      expect_route(table.route(id), route_for(id));
+      if (all) {
+        EXPECT_EQ(table.qedf_meta(id).t_insert, x);
+        EXPECT_EQ(table.qedf_meta(id).cslack_insert, -x);
+        EXPECT_EQ(table.ocl_timer(id), static_cast<sim::TimerId>(7 * id));
+        EXPECT_EQ(table.abandoned(id), id % 2 == 0);
+        EXPECT_EQ(table.ocl_scheduled(id), id % 5 == 0);
+      }
+    };
+    const auto admit = [&] {
+      const JobId id = table.admit(make_job(1.0 + static_cast<double>(
+                                                      table.end())));
+      fill(id);
+      return id;
+    };
+    // Move the base off slot 0 first, so the window wraps the ring.
+    for (int i = 0; i < 16; ++i) admit();
+    for (int i = 0; i < 5; ++i) {
+      table.set_outcome(table.base(), JobOutcome::kCompleted);
+      table.retire(table.base());
+    }
+    while (table.span() < 16) admit();
+    ASSERT_EQ(table.capacity(), 16u);
+    const double* remaining_lane = &table.remaining(table.base());
+    const std::size_t base_slot =
+        static_cast<std::size_t>(table.base()) & (table.capacity() - 1);
+    remaining_lane -= base_slot;
+    for (std::size_t want : {32u, 64u}) {
+      admit();  // the full ring widens
+      EXPECT_EQ(table.capacity(), want);
+      EXPECT_EQ(table.route_slots(), want);
+      EXPECT_EQ(table.straggler_count(), 0u);
+      for (JobId id = table.base(); id < table.end(); ++id) expect_lanes(id);
+      while (table.span() < table.capacity()) admit();
+    }
+    // The ring never left its first storage.
+    const auto slot_of = [&](JobId id) {
+      return static_cast<std::size_t>(id) & (table.capacity() - 1);
+    };
+    EXPECT_EQ(&table.remaining(table.base()) - slot_of(table.base()),
+              remaining_lane);
+    // At the reservation a full ring spills its base instead.
+    const JobId spilled = table.base();
+    admit();
+    EXPECT_EQ(table.capacity(), 64u);
+    ASSERT_EQ(table.straggler_count(), 1u);
+    EXPECT_EQ(table.straggler(0), spilled);
+    expect_lanes(spilled);
+    for (JobId id = table.base(); id < table.end(); ++id) expect_lanes(id);
+  }
+}
+
 TEST(JobTableTest, FullRingSpillsItsBaseInsteadOfDoubling) {
   // A pending job 0 at the base of a full ring: the next admission moves
   // it, every lane included, to the straggler store and advances the base,
@@ -252,17 +341,21 @@ TEST(JobTableTest, BatchBindNeverSpills) {
   EXPECT_FALSE(table.holds(kNoJob));
 }
 
-TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
-  // The reference keeps per-job state in ordered maps keyed by id. The
-  // table retires like a serving session: a resolved spilled job in any
-  // order, the ring from its base once that job has an outcome. Some jobs
-  // stay pending long enough for the full ring to spill them (a store of
-  // four, after which the ring doubles instead). The window must agree with
-  // the reference on every observable after every operation.
+/// The reference keeps per-job state in ordered maps keyed by id. The
+/// table retires like a serving session: a resolved spilled job in any
+/// order, the ring from its base once that job has an outcome. Some jobs
+/// stay pending for 5 x `reserve` admissions, long enough for the ring to
+/// widen into its reservation (from 16 slots when `reserve` is larger) and
+/// then spill them (a store of four, after which the ring doubles past the
+/// reservation instead). The window must agree with the reference on every
+/// observable after every operation.
+void run_window_differential(std::size_t reserve) {
   constexpr std::size_t kRoom = 4;
   JobTable table;
-  table.reserve(8);
+  table.reserve(reserve);
   table.reserve_stragglers(kRoom);
+  ASSERT_EQ(table.capacity(), std::min<std::size_t>(reserve, 16));
+  const auto linger = static_cast<JobId>(5 * reserve);
   std::map<JobId, double> ref_remaining;
   std::map<JobId, JobOutcome> ref_outcome;
   std::map<JobId, ReplyRoute> ref_route;
@@ -274,8 +367,21 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
     const double roll = rng.uniform(0.0, 1.0);
     if (roll < 0.3 || ref_remaining.empty()) {
       const double workload = rng.uniform(0.5, 9.5);
+      const std::size_t ring_before = table.capacity();
+      const std::size_t spilled_before = table.straggler_count();
       const JobId id = table.admit(make_job(workload));
       ASSERT_EQ(id, next++);
+      // Below the reservation a full ring widens and never spills; at it,
+      // the ring spills, and doubles only with a full store.
+      if (table.straggler_count() > spilled_before) {
+        ASSERT_GE(ring_before, table.reserved());
+      }
+      if (table.capacity() != ring_before) {
+        ASSERT_EQ(table.capacity(), 2 * ring_before);
+        if (ring_before >= table.reserved()) {
+          ASSERT_EQ(spilled_before, kRoom);
+        }
+      }
       ref_remaining[id] = workload;
       ref_outcome[id] = JobOutcome::kPending;
       // A fresh route, then the session's write of it.
@@ -292,7 +398,8 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
       auto it = ref_outcome.begin();
       while (it != ref_outcome.end() &&
              (it->second != JobOutcome::kPending ||
-              (it->first % 97 == 0 && next - it->first < 40) || skip-- > 0)) {
+              (it->first % 97 == 0 && next - it->first < linger) ||
+              skip-- > 0)) {
         ++it;
       }
       if (it != ref_outcome.end()) {
@@ -381,8 +488,14 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
   EXPECT_LT(table.capacity(), static_cast<std::size_t>(next) / 4);
   EXPECT_GT(table.straggler_peak(), 0u);
   EXPECT_LE(table.straggler_peak(), kRoom);
+  EXPECT_GE(table.capacity(), table.reserved());
   EXPECT_EQ(table.retired() + table.span() + table.straggler_count(),
             static_cast<std::uint64_t>(next));
+}
+
+TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
+  run_window_differential(8);   // the ring starts at its reservation
+  run_window_differential(64);  // the ring starts at 16 and widens to 64
 }
 
 TEST(JobTableTest, ChurnKeepsSlotsBoundedByPeakOccupancy) {

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 
 #include "capacity/capacity_process.hpp"
 #include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
 #include "offline/feasibility.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "temp_path.hpp"
@@ -182,6 +186,58 @@ TEST_F(InstanceIo, LoadRejectsBadRows) {
     out << "id,release,workload,deadline,value\n0,0.0,1.0\n";
   }
   EXPECT_THROW(Instance::load_jobs(path_), std::runtime_error);
+}
+
+TEST_F(InstanceIo, SubnormalFieldsReadBackBitExactly) {
+  // Two SUBMITs at virtual time 0 are stamped 0 and nextafter(0), the
+  // smallest subnormal: its %.17g text must load back to the same bits,
+  // like every other finite value the writer emits.
+  const double tiny = std::nextafter(0.0, 1.0);
+  std::vector<Job> jobs{Job{0, 0.0, 1.0, 3.0, 1.0},
+                        Job{1, tiny, 1.0, 3.0 + tiny, 1.0},
+                        Job{2, 2.0 * tiny, 0x1p-1030, 4.0,
+                            std::numeric_limits<double>::denorm_min()}};
+  Instance instance(jobs, cap::CapacityProfile(1.0));
+  instance.save_jobs(path_);
+  const auto loaded = Instance::load_jobs(path_);
+  ASSERT_EQ(loaded.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&loaded[i].release, &jobs[i].release,
+                          sizeof(double)), 0) << i;
+    EXPECT_EQ(std::memcmp(&loaded[i].workload, &jobs[i].workload,
+                          sizeof(double)), 0) << i;
+    EXPECT_EQ(loaded[i], jobs[i]) << i;
+  }
+  {
+    std::ofstream out(path_);
+    out << "id,release,workload,deadline,value\n"
+        << "0,4.9406564584124654e-324,1,3,1\n";
+  }
+  EXPECT_EQ(Instance::load_jobs(path_).at(0).release, tiny);
+}
+
+TEST(ParseDouble, ReadsEveryFormattedValueBackAndRejectsTheRest) {
+  Rng rng(404);
+  std::vector<double> values{0.0, -0.0, 1.0, 0.1, 1e308, -2.5e-310,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max()};
+  for (int i = 0; i < 2000; ++i) {
+    std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (const double v : values) {
+    const double back = parse_double(format_double(v));
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << format_double(v);
+  }
+  EXPECT_THROW(parse_double("1e400"), std::out_of_range);
+  EXPECT_THROW(parse_double("-1e400"), std::out_of_range);
+  EXPECT_THROW(parse_double("1.5x"), std::invalid_argument);
+  EXPECT_THROW(parse_double("1.5 "), std::invalid_argument);
+  EXPECT_THROW(parse_double(""), std::invalid_argument);
+  EXPECT_THROW(parse_double("abc"), std::invalid_argument);
 }
 
 TEST_F(InstanceIo, LoadRejectsInvalidJob) {

@@ -93,14 +93,18 @@ void expect_same_ordered_view(const ReadyQueue& queue,
 // Interleaved push/pop/erase-by-id/update-key stream against the reference.
 // Keys come from a small discrete pool so duplicate keys (the tie-break
 // cases) occur constantly.
-/// `stride` spreads the 64 ids apart: with a stride of 16 they share four
-/// home slots of the 64-slot index, so nearly every id probes.
+/// `stride` spreads the 64 ids apart: with a stride of 16 they share at
+/// most eight home slots of the index, so nearly every id probes. The index
+/// starts at 16 slots and doubles inside its reservation as the queue
+/// grows, re-inserting what it holds.
 void run_differential(QueueOrder order, std::uint64_t seed,
                       JobId stride = 1) {
   constexpr JobId kIdBound = 64;
   Rng rng(seed);
   ReadyQueue queue(order);
   queue.reserve(static_cast<std::size_t>(kIdBound));
+  const std::size_t reserved = queue.index_reserved();
+  EXPECT_EQ(queue.index_slots(), 0u);  // reserved, not sized
   ReferenceQueue ref(order);
 
   const auto random_key = [&] {
@@ -155,8 +159,11 @@ void run_differential(QueueOrder order, std::uint64_t seed,
     ASSERT_EQ(got.id, expected.second);
   }
   EXPECT_TRUE(queue.empty());
-  // However the ids collided, the index kept its pre-size.
-  EXPECT_EQ(queue.index_slots(), static_cast<std::size_t>(kIdBound));
+  // However the ids collided, the index grew only inside its reservation,
+  // never past twice the jobs queued at once.
+  EXPECT_EQ(queue.index_reserved(), reserved);
+  EXPECT_GE(queue.index_slots(), 16u);
+  EXPECT_LE(queue.index_slots(), 2 * static_cast<std::size_t>(kIdBound));
 }
 
 TEST(ReadyQueueDifferential, MinFirstMatchesOrderedSet) {
@@ -182,24 +189,23 @@ TEST(ReadyQueueTest, CollidingQueuedIdsLeaveSlotsUnchanged) {
   // Ids far apart that share a home slot (a spilled straggler thousands of
   // ids below the newest job) probe to free slots: neither the heap nor
   // the position index grows while the queue holds no more than its
-  // pre-size.
+  // pre-size (eight jobs fill the 16-slot first index half).
   ReadyQueue queue;
   queue.reserve(8);
   const std::uint64_t slots = queue.slots();
-  ASSERT_EQ(queue.index_slots(), 8u);
-  const std::vector<JobId> ids = {0, 8, 4096, 16, 8192, 24, 3, 11};
+  const std::vector<JobId> ids = {0, 16, 4096, 32, 8192, 48, 3, 19};
   for (std::size_t i = 0; i < ids.size(); ++i) {
     queue.push(static_cast<double>(ids.size() - i), ids[i]);
   }
   EXPECT_EQ(queue.slots(), slots);
-  EXPECT_EQ(queue.index_slots(), 8u);
+  EXPECT_EQ(queue.index_slots(), 16u);
   for (const JobId id : ids) EXPECT_TRUE(queue.contains(id)) << id;
-  EXPECT_FALSE(queue.contains(32));
-  EXPECT_FALSE(queue.erase(32));
+  EXPECT_FALSE(queue.contains(64));
+  EXPECT_FALSE(queue.erase(64));
   // Erasing from the middle of a probe run keeps the rest reachable.
   EXPECT_TRUE(queue.erase(4096));
   EXPECT_FALSE(queue.contains(4096));
-  for (const JobId id : {0, 8, 16, 8192, 24, 3, 11}) {
+  for (const JobId id : {0, 16, 32, 8192, 48, 3, 19}) {
     EXPECT_TRUE(queue.contains(static_cast<JobId>(id))) << id;
   }
   queue.update_key(0, 0.5);
@@ -207,9 +213,55 @@ TEST(ReadyQueueTest, CollidingQueuedIdsLeaveSlotsUnchanged) {
   // Pop order is the (key, id) order: ids were pushed with falling keys.
   std::vector<JobId> popped;
   while (!queue.empty()) popped.push_back(queue.pop().id);
-  EXPECT_EQ(popped, (std::vector<JobId>{0, 11, 3, 24, 8192, 16, 8}));
-  EXPECT_EQ(queue.index_slots(), 8u);
+  EXPECT_EQ(popped, (std::vector<JobId>{0, 19, 3, 48, 8192, 32, 16}));
+  EXPECT_EQ(queue.index_slots(), 16u);
   EXPECT_EQ(queue.slots(), slots);
+}
+
+TEST(ReadyQueueDifferential, IndexGrowthWithinTheReservationKeepsPopOrder) {
+  // reserve() writes nothing: the index starts at 16 slots and doubles,
+  // re-inserting the queued entries, each time a push would leave it more
+  // than half full — up to the reservation and never past it, so the
+  // storage is never reallocated. Ids collide (stride 16, a straggler far
+  // below), and every doubling must keep the ordered-set pop order.
+  for (const QueueOrder order :
+       {QueueOrder::kMinFirst, QueueOrder::kMaxFirst}) {
+    constexpr std::size_t kBound = 256;
+    ReadyQueue queue(order);
+    ReferenceQueue ref(order);
+    queue.reserve(kBound);
+    const std::size_t reserved = queue.index_reserved();
+    const std::uint64_t heap_slots = queue.slots();
+    EXPECT_EQ(queue.index_slots(), 0u);
+    EXPECT_GE(reserved, 2 * kBound);
+    Rng rng(41);
+    std::vector<std::size_t> sizes;
+    for (std::size_t i = 0; i < kBound; ++i) {
+      const JobId id = i == 0 ? 0 : 100000 + 16 * static_cast<JobId>(i);
+      const double key = 0.5 * static_cast<double>(rng.uniform_int(0, 9));
+      queue.push(key, id);
+      ref.push(key, id);
+      if (sizes.empty() || sizes.back() != queue.index_slots()) {
+        sizes.push_back(queue.index_slots());
+        expect_same_ordered_view(queue, ref);
+      }
+      ASSERT_LE(2 * queue.size(), queue.index_slots());
+    }
+    EXPECT_EQ(sizes,
+              (std::vector<std::size_t>{16, 32, 64, 128, 256, 512}));
+    EXPECT_EQ(queue.index_reserved(), reserved);
+    EXPECT_EQ(queue.slots(), heap_slots);
+    while (!ref.empty()) {
+      const auto expected = ref.pop();
+      const auto got = queue.pop();
+      ASSERT_EQ(got.key, expected.first);
+      ASSERT_EQ(got.id, expected.second);
+    }
+    // clear() refills only the index in use, which keeps its size.
+    queue.clear();
+    EXPECT_EQ(queue.index_slots(), 512u);
+    EXPECT_EQ(queue.index_reserved(), reserved);
+  }
 }
 
 TEST(ReadyQueueTest, TieBreakIsExactlyThePairOrder) {

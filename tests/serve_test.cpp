@@ -541,6 +541,47 @@ TEST(ServeTest, LongDeadlineJobPinsTheWindowAndReplayStaysExact) {
   EXPECT_EQ(slurp(dir + "/outcomes.csv"), slurp(replay_dir + "/outcomes.csv"));
 }
 
+TEST(ServeTest, TwoSubmitsAtVirtualZeroReplayByteExactly) {
+  // Without a clock advance the second SUBMIT is stamped nextafter(0), the
+  // smallest subnormal. Its jobs.csv row must load back bit-exactly, so
+  // the journal replays.
+  const std::string dir = fresh_dir("serve_subnormal_stamp");
+  FakeClock clock;
+  AdmissionServer server(scripted_config(dir),
+                         make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+  TestClient client(server.start());
+  client.send(submit_msg(1, 0.25, 2.0, 1.0));
+  const Message first = client.await_seq(server, 1);
+  client.send(submit_msg(2, 0.25, 2.0, 2.0));
+  const Message second = client.await_seq(server, 2);
+  ASSERT_EQ(first.type, MsgType::kAccepted);
+  ASSERT_EQ(second.type, MsgType::kAccepted);
+  EXPECT_EQ(first.a, 0.0);
+  EXPECT_EQ(second.a, std::nextafter(0.0, 1.0));
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = 3;
+  client.send(drain);
+  EXPECT_EQ(client.await_seq(server, 3).type, MsgType::kDraining);
+  while (server.step(0)) client.read_socket();
+  client.read_socket();
+  ASSERT_TRUE(server.finished());
+
+  const sjs::Instance replayed = sjs::load_instance_bundle(dir);
+  ASSERT_EQ(replayed.jobs().size(), 2u);
+  EXPECT_EQ(replayed.jobs()[1].release, second.a);
+  auto scheduler = make_scheduler("V-Dover", kBandLo, kBandHi);
+  sjs::sim::Engine engine(replayed, *scheduler);
+  const sjs::sim::SimResult replay = engine.run_to_completion();
+  EXPECT_EQ(replay.completed_count, 2u);
+  expect_bitwise_equal_results(server.result(), replay);
+  const std::string replay_dir = fresh_dir("serve_subnormal_stamp_replay");
+  std::filesystem::create_directories(replay_dir);
+  sjs::sim::save_outcomes_csv(replay, replayed.jobs(),
+                              replay_dir + "/outcomes.csv");
+  EXPECT_EQ(slurp(dir + "/outcomes.csv"), slurp(replay_dir + "/outcomes.csv"));
+}
+
 TEST(ServeTest, SpilledStragglersCompleteAndExpireAndReplayStaysExact) {
   // Two long jobs pin the base of an 8-slot window while short jobs come
   // and go, so both spill. Job 0 completes; job 1, with more work than its
