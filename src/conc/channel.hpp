@@ -5,13 +5,9 @@
 // plane (the raw-concurrency lint rule bans std::thread/std::mutex/atomics
 // in src/serve/ and src/sched/ outside src/conc/ and util/thread_pool).
 //
-// Shape: a power-of-two ring of slots, reserved at construction for
-// `capacity` unconsumed messages — steady state allocates nothing as long
-// as T's move assignment does not. The reservation is capacity, not
-// memory: the ring starts at min(16, capacity) slots and doubles in place,
-// inside the reservation, only when a reservation finds it full, so its
-// resident pages follow the peak backlog rather than `capacity`. Many
-// producers, ONE consumer.
+// Shape: a fixed ring of `capacity` slots, preallocated at construction —
+// steady state allocates nothing as long as T's move assignment does not.
+// Many producers, ONE consumer.
 //
 // Two-phase send protocol:
 //
@@ -46,9 +42,7 @@
 // send and one syscall per consumer sleep/wake cycle.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -56,7 +50,6 @@
 
 #include "conc/wake_fd.hpp"
 #include "util/logging.hpp"
-#include "util/vec.hpp"
 
 namespace sjs::conc {
 
@@ -85,11 +78,8 @@ class Channel {
     bool valid = false;
   };
 
-  explicit Channel(std::size_t capacity) : capacity_(capacity) {
+  explicit Channel(std::size_t capacity) : slots_(capacity) {
     SJS_CHECK_MSG(capacity > 0, "Channel capacity must be positive");
-    const std::size_t reserved = std::bit_ceil(capacity);
-    slots_.reserve(reserved);
-    util::grow(slots_, std::min(kFirstSlots, reserved));
   }
 
   Channel(const Channel&) = delete;
@@ -101,8 +91,7 @@ class Channel {
   SendStatus reserve(Reservation& out) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return SendStatus::kClosed;
-    if (tail_ - head_ >= capacity_) return SendStatus::kFull;
-    if (tail_ - head_ == slots_.size()) widen();
+    if (tail_ - head_ >= slots_.size()) return SendStatus::kFull;
     Slot& s = slot(tail_);
     SJS_CHECK_MSG(s.state == SlotState::kEmpty, "Channel ring corrupted");
     s.state = SlotState::kReserved;
@@ -212,14 +201,7 @@ class Channel {
     return closed_ && head_ == tail_;
   }
 
-  std::size_t capacity() const { return capacity_; }
-
-  /// Ring slots in use: a power of two, at least the peak backlog and at
-  /// most bit_ceil(capacity()).
-  std::size_t ring_slots() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return slots_.size();
-  }
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Unconsumed reservations (committed, aborted, or pending).
   std::size_t size() const {
@@ -235,24 +217,7 @@ class Channel {
     SlotState state = SlotState::kEmpty;
   };
 
-  /// The ring a channel starts with (at most its reservation).
-  static constexpr std::size_t kFirstSlots = 16;
-
-  Slot& slot(std::uint64_t seq) { return slots_[seq & (slots_.size() - 1)]; }
-
-  /// Doubles the full ring inside its reserved capacity. The positions
-  /// [head_, tail_) fill it; those whose slot moves under the wider mask go
-  /// to the fresh upper half (util::ring_widen_run), leaving empty slots
-  /// behind.
-  void widen() {
-    const std::size_t old = slots_.size();
-    util::grow(slots_, 2 * old);
-    const auto [from, to] = util::ring_widen_run(head_, old);
-    Slot* const first = slots_.data() + from;
-    Slot* const last = slots_.data() + to;
-    std::move(first, last, first + old);
-    std::fill(first, last, Slot{});
-  }
+  Slot& slot(std::uint64_t seq) { return slots_[seq % slots_.size()]; }
 
   void signal_consumer() {
     // Coalesce: only the first signal after a drain pays the syscall.
@@ -262,7 +227,6 @@ class Channel {
   }
 
   mutable std::mutex mu_;
-  std::size_t capacity_;
   std::vector<Slot> slots_;
   std::uint64_t head_ = 0;  // next position to consume (absolute)
   std::uint64_t tail_ = 0;  // next position to reserve (absolute)

@@ -17,29 +17,21 @@ template <typename T>
   util::grow(lane, n);
 }
 
-/// Moves the window [base, end) of `lane` from its slots under `old_mask`
-/// to its slots in a fresh lane of `slots` entries.
-template <typename T>
-void reslot(std::vector<T>& lane, std::size_t slots, JobId base, JobId end,
-            std::size_t old_mask) {
-  std::vector<T> fresh;
-  grow_lane(fresh, slots);
-  const std::size_t new_mask = slots - 1;
-  for (JobId id = base; id < end; ++id) {
-    const auto i = static_cast<std::size_t>(id);
-    fresh[i & new_mask] = lane[i & old_mask];
-  }
-  lane.swap(fresh);
-}
-
-/// Doubles a full lane of `old` slots, holding the ids [base, base + old),
-/// inside its capacity: the ids whose slot moves under the wider mask are
-/// copied to the fresh upper half (util::ring_widen_run).
+/// Doubles a full lane of `old` slots, holding the ids [base, base + old).
+/// Under the wider mask an id keeps its slot unless its `old` bit is set;
+/// those move up by `old`, into the fresh upper half, which no other id maps
+/// to. The bit flips once across the ring (at its slot 0), so the movers
+/// fill one run of slots: from base's slot to the end when base has the
+/// bit, else from slot 0 to base's slot. Within the lane's reserved
+/// capacity the growth allocates nothing; past it, util::grow reallocates
+/// with the contents kept and the same copy applies.
 template <typename T>
 void widen(std::vector<T>& lane, std::size_t old, JobId base) {
   grow_lane(lane, 2 * old);
-  const auto [first, last] =
-      util::ring_widen_run(static_cast<std::uint64_t>(base), old);
+  const auto b = static_cast<std::size_t>(base);
+  const std::size_t at = b & (old - 1);
+  const std::size_t first = (b & old) != 0 ? at : 0;
+  const std::size_t last = (b & old) != 0 ? old : at;
   T* const ring = lane.data();
   std::copy(ring + first, ring + last, ring + first + old);
 }
@@ -65,18 +57,10 @@ void JobTable::for_each_lane(F&& f) {
 }
 
 void JobTable::resize_ring(std::size_t slots) {
-  SJS_CHECK(std::has_single_bit(slots) && slots >= span());
-  if (span() == 0) {
-    // Nothing to carry over: plain growth keeps the buffers (and never
-    // shrinks them).
-    for_each_lane([slots](auto& lane) { grow_lane(lane, slots); });
-  } else {
-    // Borrowed records stay where they are: id & mask is the id itself
-    // under every mask at least as wide as the bound instance.
-    for_each_lane([this, slots](auto& lane) {
-      reslot(lane, slots, base_, end_, mask_);
-    });
-  }
+  // An empty ring has nothing to carry over: plain growth keeps the
+  // buffers (and never shrinks them).
+  SJS_CHECK(std::has_single_bit(slots) && span() == 0);
+  for_each_lane([slots](auto& lane) { grow_lane(lane, slots); });
   mask_ = slots - 1;
   if (!borrowed_) records_ = jobs_.data();
 }
@@ -199,14 +183,14 @@ void JobTable::spill_front() {
 JobId JobTable::admit(const Job& job) {
   SJS_CHECK_MSG(!borrowed_, "admit into a window of borrowed records");
   if (span() == capacity()) {
-    if (span() > 0 && capacity() < reserved_) {
-      widen_ring();
-    } else if (span() > 0 && stragglers_.size() < straggler_room_) {
+    if (capacity() == 0) {
+      resize_ring(kFirstSlots);
+    } else if (capacity() >= reserved_ &&
+               stragglers_.size() < straggler_room_) {
       spill_front();
     } else {
-      // No room to widen or spill: double the ring (or create it) and
-      // re-slot it into fresh lanes.
-      resize_ring(capacity() == 0 ? kFirstSlots : 2 * capacity());
+      // Below the reservation, or with no room to spill: double the ring.
+      widen_ring();
     }
   }
   const JobId id = end_++;

@@ -37,7 +37,8 @@
 // — still follows the longest deadline. Only a ring that has reached its
 // reservation spills. A table with no store (a batch run, or no
 // reserve_stragglers()) or a full one doubles the ring past the
-// reservation and re-slots it into fresh lanes instead.
+// reservation instead, in place the same way (past the lanes' capacity the
+// growth reallocates, with the contents kept).
 //
 // A batch run is the same window over the whole sealed instance (bind()):
 // ids [0, n), nothing ever spills or retires, and the base stays 0, so a
@@ -299,11 +300,10 @@ class JobTable {
   void for_each_lane(F&& f);
   /// Moves the job at base() into the store and advances the base.
   void spill_front();
-  /// Resizes every lane to `slots` (a power of two >= span()), moving the
-  /// window's jobs to their slots under the new mask.
+  /// Grows every lane of an empty ring to `slots` (a power of two).
   void resize_ring(std::size_t slots);
-  /// Doubles a full ring with owned records inside the lanes' reserved
-  /// capacity (see the header note).
+  /// Doubles a full ring with owned records, in place (see the header
+  /// note).
   void widen_ring();
   /// Resets slot `s` to `job`'s initial state (owned records only).
   void init_slot(std::size_t s, const Job& job);

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -74,20 +73,6 @@ inline void grow_fill(std::vector<T>& v, std::size_t n, const U& fill) {
 template <typename T>
 inline void grow_to_index(std::vector<T>& v, std::size_t i) {
   if (i >= v.size()) v.resize(i + 1);
-}
-
-/// Doubling a full power-of-two ring in place: a ring of `old` slots holds
-/// the positions [base, base + old) at `pos & (old - 1)`. Under the wider
-/// mask a position keeps its slot unless its `old` bit is set; those move
-/// up by `old`, into the fresh upper half, which no other position maps to.
-/// The bit flips once across the ring (at its slot 0), so the movers fill
-/// one run of slots, returned as [first, last): from base's slot to the end
-/// when base has the bit, else from slot 0 to base's slot.
-inline std::pair<std::size_t, std::size_t> ring_widen_run(std::uint64_t base,
-                                                          std::size_t old) {
-  const auto at = static_cast<std::size_t>(base) & (old - 1);
-  if ((base & old) != 0) return {at, old};
-  return {0, at};
 }
 
 /// grow_to_index with an explicit fill value for the new tail.

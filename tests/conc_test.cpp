@@ -48,45 +48,6 @@ TEST(ChannelTest, CapacityBoundsOutstandingMessages) {
   EXPECT_EQ(ch.try_pop(v), PopStatus::kEmpty);  // open, not drained
 }
 
-TEST(ChannelTest, RingWidensInsideItsReservationKeepingReservationOrder) {
-  // The capacity is reserved, not filled: the ring starts at 16 slots and
-  // doubles in place when a reservation finds it full, never past
-  // bit_ceil(capacity). Positions already claimed keep their delivery
-  // order across a widening, a pending reservation and an aborted one
-  // included, and the backlog bound stays `capacity`.
-  Channel<int> ch(100);
-  EXPECT_EQ(ch.capacity(), 100u);
-  EXPECT_EQ(ch.ring_slots(), 16u);
-  int v = -1;
-  for (int i = 0; i < 5; ++i) {  // move the head off slot 0
-    ASSERT_EQ(ch.try_send(i), SendStatus::kOk);
-    ASSERT_EQ(ch.try_pop(v), PopStatus::kOk);
-  }
-  Channel<int>::Reservation late;
-  Channel<int>::Reservation dropped;
-  ASSERT_EQ(ch.reserve(late), SendStatus::kOk);
-  for (int i = 1; i <= 20; ++i) ASSERT_EQ(ch.try_send(i), SendStatus::kOk);
-  ASSERT_EQ(ch.reserve(dropped), SendStatus::kOk);
-  for (int i = 21; i <= 60; ++i) ASSERT_EQ(ch.try_send(i), SendStatus::kOk);
-  EXPECT_EQ(ch.ring_slots(), 64u);
-  EXPECT_EQ(ch.try_pop(v), PopStatus::kEmpty);  // waits for `late`
-  ch.commit(late, -1);
-  ch.abort(dropped);
-  std::vector<int> got;
-  while (ch.try_pop(v) == PopStatus::kOk) got.push_back(v);
-  std::vector<int> want{-1};
-  for (int i = 1; i <= 60; ++i) want.push_back(i);
-  EXPECT_EQ(got, want);
-  // A full backlog widens the ring to the reservation and no further.
-  for (int i = 0; i < 100; ++i) ASSERT_EQ(ch.try_send(i), SendStatus::kOk);
-  EXPECT_EQ(ch.try_send(100), SendStatus::kFull);
-  EXPECT_EQ(ch.ring_slots(), 128u);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(ch.try_pop(v), PopStatus::kOk);
-    ASSERT_EQ(v, i);
-  }
-}
-
 TEST(ChannelTest, ReservationsCountAgainstCapacity) {
   Channel<int> ch(2);
   Channel<int>::Reservation r1;
