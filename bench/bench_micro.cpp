@@ -596,12 +596,12 @@ void BM_ProtocolCodec(benchmark::State& state) {
 BENCHMARK(BM_ProtocolCodec)->Arg(64)->Arg(1024);
 
 void BM_ChannelThroughput(benchmark::State& state) {
-  // Single-producer/single-consumer drain of the bounded MPSC channel the
+  // Single-producer/single-consumer drain of the bounded FIFO channel the
   // sharded plane forwards every request through (src/conc/channel.hpp):
   // arg(0) messages pushed with try_send and popped back per iteration,
   // capacity pinned at the sjs_serve default (1024). Measures the per-message
-  // channel overhead — lock, slot state machine, and coalesced wakeup —
-  // without thread-scheduling noise.
+  // channel overhead — lock, ring move, and coalesced wakeup — without
+  // thread-scheduling noise.
   const auto batch = static_cast<std::size_t>(state.range(0));
   sjs::conc::Channel<sjs::serve::ShardRequest> channel(1024);
   sjs::serve::ShardRequest req;

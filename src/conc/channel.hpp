@@ -1,5 +1,5 @@
-// conc::Channel<T> — bounded MPSC channel with two-phase sends and a
-// close/drain state machine, designed to compose with poll(2) event loops.
+// conc::Channel<T> — bounded FIFO channel with a close/drain state machine,
+// designed to compose with poll(2) event loops.
 //
 // This is the ONLY sanctioned cross-thread traffic primitive for the serving
 // plane (the raw-concurrency lint rule bans std::thread/std::mutex/atomics
@@ -7,35 +7,26 @@
 //
 // Shape: a fixed ring of `capacity` slots, preallocated at construction —
 // steady state allocates nothing as long as T's move assignment does not.
-// Many producers, ONE consumer.
+// ONE consumer. The sharded plane gives every channel one producer too (the
+// acceptor feeds each request channel, each shard its reply channel); the
+// mutex keeps several producers safe as well, each one's messages staying
+// in its send order.
 //
-// Two-phase send protocol:
+// Sends:
 //
-//   reserve()        claims the next ring slot (kFull when `capacity`
-//                    reservations are unconsumed, kClosed after close()).
-//   commit(res, v)   publishes the value into the claimed slot.
-//   abort(res)       relinquishes the claim without publishing.
-//   try_send(v)      reserve+commit in one call (the common case).
-//
-// Reserving fixes the message's delivery position *before* the value is
-// built: the consumer receives messages in reservation order, never in
-// commit-completion order. This is the deterministic tie-break contract — a
-// slot committed late still delivers in its reserved position, and the
-// consumer waits (kEmpty) rather than reordering around an unresolved
-// reservation. An aborted reservation is skipped silently but still spends
-// its position.
+//   try_send(v)      enqueues v at the tail, or refuses with kFull when
+//                    `capacity` messages are unconsumed (backpressure) or
+//                    kClosed after close(); a refused value is not sent.
 //
 // Close/drain state machine:
 //
-//   open ──close()──▶ closed ──(all slots consumed)──▶ drained
+//   open ──close()──▶ closed ──(all messages consumed)──▶ drained
 //
-// close() only refuses NEW reservations; outstanding reservations may still
-// commit or abort, and everything already in the ring stays deliverable.
-// The consumer keeps popping until try_pop returns kDrained — that is the
-// barrier that makes "close, then join" lossless.
+// close() only refuses NEW sends; everything already in the ring stays
+// deliverable. The consumer keeps popping until try_pop returns kDrained —
+// that is the barrier that makes "close, then join" lossless.
 //
-// Wakeups: the channel owns a WakeFd (eventfd, self-pipe fallback). Any
-// transition the consumer may be parked on (commit, abort, close) signals
+// Wakeups: the channel owns an eventfd WakeFd. Every send and close signals
 // it; the consumer registers wake_fd() in its poll set and must
 // drain_wakeups() then pop until kEmpty/kDrained on every wakeup. A pending
 // flag coalesces signals so steady-state cost is one atomic exchange per
@@ -56,28 +47,20 @@ namespace sjs::conc {
 // Namespace-scope so call sites and tests can name them without spelling
 // the channel's value type.
 enum class SendStatus : std::uint8_t {
-  kOk,      ///< reservation claimed / message enqueued
-  kFull,    ///< `capacity` reservations are unconsumed — backpressure
+  kOk,      ///< message enqueued
+  kFull,    ///< `capacity` messages are unconsumed — backpressure
   kClosed,  ///< close() was called; no new sends
 };
 
 enum class PopStatus : std::uint8_t {
   kOk,       ///< a message was delivered
-  kEmpty,    ///< nothing deliverable right now (open, or awaiting commits)
-  kDrained,  ///< closed AND every reservation resolved and consumed
+  kEmpty,    ///< nothing queued right now (channel open)
+  kDrained,  ///< closed AND every message consumed
 };
 
 template <typename T>
 class Channel {
  public:
-  /// A claimed-but-unresolved slot. Resolve with commit() or abort()
-  /// exactly once; dropping a valid reservation wedges the consumer at its
-  /// position (checked in debug via outstanding accounting at destruction).
-  struct Reservation {
-    std::uint64_t seq = 0;
-    bool valid = false;
-  };
-
   explicit Channel(std::size_t capacity) : slots_(capacity) {
     SJS_CHECK_MSG(capacity > 0, "Channel capacity must be positive");
   }
@@ -85,63 +68,22 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  // --- producer side (any thread) ----------------------------------------
+  // --- producer side -------------------------------------------------------
 
-  /// Claims the next delivery position.
-  SendStatus reserve(Reservation& out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return SendStatus::kClosed;
-    if (tail_ - head_ >= slots_.size()) return SendStatus::kFull;
-    Slot& s = slot(tail_);
-    SJS_CHECK_MSG(s.state == SlotState::kEmpty, "Channel ring corrupted");
-    s.state = SlotState::kReserved;
-    out.seq = tail_++;
-    out.valid = true;
-    return SendStatus::kOk;
-  }
-
-  /// Publishes `value` at the reserved position and invalidates `res`.
-  void commit(Reservation& res, T value) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      SJS_CHECK_MSG(res.valid, "commit on an invalid reservation");
-      Slot& s = slot(res.seq);
-      SJS_CHECK_MSG(s.state == SlotState::kReserved,
-                    "commit on an unreserved slot");
-      s.value = std::move(value);
-      s.state = SlotState::kReady;
-      res.valid = false;
-    }
-    signal_consumer();
-  }
-
-  /// Relinquishes the reservation; the position is skipped on delivery.
-  void abort(Reservation& res) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      SJS_CHECK_MSG(res.valid, "abort on an invalid reservation");
-      Slot& s = slot(res.seq);
-      SJS_CHECK_MSG(s.state == SlotState::kReserved,
-                    "abort on an unreserved slot");
-      s.state = SlotState::kAborted;
-      res.valid = false;
-    }
-    // An abort at the head can unblock already-committed successors.
-    signal_consumer();
-  }
-
-  /// reserve + commit. kFull/kClosed leave `value` unsent.
+  /// Enqueues `value`. kFull/kClosed leave it unsent.
   SendStatus try_send(T value) {
-    Reservation res;
-    const SendStatus st = reserve(res);
-    // sjs-lint: allow(channel-discipline): failure-branch return — a failed reserve() claims no slot (res stays invalid), so there is nothing to resolve.
-    if (st != SendStatus::kOk) return st;
-    commit(res, std::move(value));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed_) return SendStatus::kClosed;
+      if (tail_ - head_ >= slots_.size()) return SendStatus::kFull;
+      slot(tail_++) = std::move(value);
+    }
+    signal_consumer();
     return SendStatus::kOk;
   }
 
-  /// Refuses new reservations. Idempotent; callable from any thread.
-  /// Outstanding reservations still resolve, queued messages still deliver.
+  /// Refuses new sends. Idempotent; callable from any thread. Queued
+  /// messages still deliver.
   void close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -153,46 +95,30 @@ class Channel {
 
   // --- consumer side (one thread) -----------------------------------------
 
-  /// Delivers the next message in reservation order. kEmpty while the head
-  /// position is an unresolved reservation (in-order delivery never skips
-  /// ahead of one).
+  /// Delivers the oldest queued message.
   PopStatus try_pop(T& out) {
     std::lock_guard<std::mutex> lock(mu_);
-    while (head_ != tail_) {
-      Slot& s = slot(head_);
-      if (s.state == SlotState::kReady) {
-        out = std::move(s.value);
-        s.value = T{};
-        s.state = SlotState::kEmpty;
-        ++head_;
-        return PopStatus::kOk;
-      }
-      if (s.state == SlotState::kAborted) {
-        s.state = SlotState::kEmpty;
-        ++head_;
-        continue;
-      }
-      return PopStatus::kEmpty;  // kReserved: wait for the producer
+    if (head_ == tail_) {
+      return closed_ ? PopStatus::kDrained : PopStatus::kEmpty;
     }
-    return closed_ ? PopStatus::kDrained : PopStatus::kEmpty;
+    T& front = slot(head_++);
+    out = std::move(front);
+    front = T{};
+    return PopStatus::kOk;
   }
 
   /// The fd to include in the consumer's poll set (readable on wakeup).
   int wake_fd() const { return wake_.fd(); }
 
   /// Consumes pending wakeups and re-arms signalling. Call on every poll
-  /// wakeup BEFORE popping: a message committed after the final kEmpty then
-  /// re-signals the fd, so no transition is ever missed.
+  /// wakeup BEFORE popping: a message sent after the final kEmpty then
+  /// re-signals the fd, so no transition is ever missed. The order matters
+  /// too: re-arming before the read could let a send signal the fd, have
+  /// the read swallow it, and leave the pending flag set with nothing to
+  /// wake the consumer.
   void drain_wakeups() {
     wake_.drain();
     signal_pending_.store(false, std::memory_order_release);
-  }
-
-  // --- introspection (either side; values are instantaneous) ---------------
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
   }
 
   /// closed AND fully consumed — the terminal state.
@@ -201,23 +127,8 @@ class Channel {
     return closed_ && head_ == tail_;
   }
 
-  std::size_t capacity() const { return slots_.size(); }
-
-  /// Unconsumed reservations (committed, aborted, or pending).
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<std::size_t>(tail_ - head_);
-  }
-
  private:
-  enum class SlotState : std::uint8_t { kEmpty, kReserved, kReady, kAborted };
-
-  struct Slot {
-    T value{};
-    SlotState state = SlotState::kEmpty;
-  };
-
-  Slot& slot(std::uint64_t seq) { return slots_[seq % slots_.size()]; }
+  T& slot(std::uint64_t seq) { return slots_[seq % slots_.size()]; }
 
   void signal_consumer() {
     // Coalesce: only the first signal after a drain pays the syscall.
@@ -227,9 +138,9 @@ class Channel {
   }
 
   mutable std::mutex mu_;
-  std::vector<Slot> slots_;
+  std::vector<T> slots_;
   std::uint64_t head_ = 0;  // next position to consume (absolute)
-  std::uint64_t tail_ = 0;  // next position to reserve (absolute)
+  std::uint64_t tail_ = 0;  // next position to fill (absolute)
   bool closed_ = false;
   std::atomic<bool> signal_pending_{false};
   WakeFd wake_;

@@ -1,6 +1,6 @@
 #include "conc/wake_fd.hpp"
 
-#include <fcntl.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -9,71 +9,29 @@
 #include <stdexcept>
 #include <string>
 
-#if defined(__linux__)
-#include <sys/eventfd.h>
-#define SJS_CONC_HAVE_EVENTFD 1
-#endif
-
 namespace sjs::conc {
 
-#if !SJS_CONC_HAVE_EVENTFD
-namespace {
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
-#endif
-
 WakeFd::WakeFd() {
-#if SJS_CONC_HAVE_EVENTFD
-  read_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (read_fd_ < 0) {
+  fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (fd_ < 0) {
     throw std::runtime_error(std::string("eventfd: ") + std::strerror(errno));
   }
-  write_fd_ = read_fd_;
-#else
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    throw std::runtime_error(std::string("pipe: ") + std::strerror(errno));
-  }
-  read_fd_ = fds[0];
-  write_fd_ = fds[1];
-  set_nonblocking(read_fd_);
-  set_nonblocking(write_fd_);
-#endif
 }
 
-WakeFd::~WakeFd() {
-  if (read_fd_ >= 0) ::close(read_fd_);
-  if (write_fd_ >= 0 && write_fd_ != read_fd_) ::close(write_fd_);
-}
+WakeFd::~WakeFd() { ::close(fd_); }
 
 void WakeFd::signal() {
-#if SJS_CONC_HAVE_EVENTFD
   const std::uint64_t one = 1;
   // EAGAIN means the counter is saturated — a wakeup is already pending,
   // which is all signal() promises.
-  [[maybe_unused]] const ssize_t n =
-      ::write(write_fd_, &one, sizeof(one));
-#else
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(write_fd_, &byte, 1);
-#endif
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
 }
 
 void WakeFd::drain() {
-#if SJS_CONC_HAVE_EVENTFD
+  // A non-semaphore eventfd read returns the whole counter and zeroes it,
+  // so one read consumes every pending signal (EAGAIN when there was none).
   std::uint64_t count = 0;
-  while (::read(read_fd_, &count, sizeof(count)) > 0) {
-  }
-#else
-  char buf[64];
-  while (::read(read_fd_, buf, sizeof(buf)) > 0) {
-  }
-#endif
+  [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof(count));
 }
 
 }  // namespace sjs::conc

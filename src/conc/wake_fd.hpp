@@ -1,18 +1,17 @@
-// WakeFd — a poll(2)-composable wakeup primitive (eventfd / self-pipe).
+// WakeFd — a poll(2)-composable wakeup primitive (one Linux eventfd).
 //
 // The channel subsystem needs a way for a producer thread to rouse a
 // consumer that is parked in poll(2) over sockets: the producer signals,
 // the consumer sees the fd readable alongside its other fds, drains it, and
-// services the channel. On Linux this is one eventfd; elsewhere it degrades
-// to a nonblocking self-pipe pair. Either way the contract is identical:
+// services the channel:
 //
 //   signal()  — async-signal-unsafe but thread-safe; edge-coalescing (many
 //               signals before a drain still cost one wakeup). Never blocks:
-//               a full pipe simply means a wakeup is already pending.
-//   fd()      — the readable end, registered with poll/select by the ONE
-//               consumer thread.
-//   drain()   — consumer-side: consumes every pending wakeup so the fd stops
-//               polling readable until the next signal().
+//               a saturated counter simply means a wakeup is already pending.
+//   fd()      — registered with poll/select by the ONE consumer thread.
+//   drain()   — consumer-side: one read(2) zeroes the counter, consuming
+//               every pending wakeup, so the fd stops polling readable until
+//               the next signal().
 //
 // Level-triggered consumers must drain() before re-polling or they spin.
 #pragma once
@@ -21,7 +20,7 @@ namespace sjs::conc {
 
 class WakeFd {
  public:
-  /// Opens the eventfd (or pipe pair). Throws std::runtime_error on failure.
+  /// Opens the eventfd. Throws std::runtime_error on failure.
   WakeFd();
   ~WakeFd();
 
@@ -31,15 +30,14 @@ class WakeFd {
   /// Makes fd() readable. Thread-safe, nonblocking, coalescing.
   void signal();
 
-  /// The readable end for the consumer's poll set.
-  int fd() const { return read_fd_; }
+  /// The eventfd for the consumer's poll set.
+  int fd() const { return fd_; }
 
   /// Consumes all pending wakeups (consumer thread only).
   void drain();
 
  private:
-  int read_fd_ = -1;
-  int write_fd_ = -1;  // == read_fd_ when backed by an eventfd
+  int fd_ = -1;
 };
 
 }  // namespace sjs::conc

@@ -185,30 +185,27 @@ void ShardedAdmissionServer::on_request(int conn, const Message& m) {
     reply(conn, r);
     return;
   }
-  // The next dense ticket decides the shard; the two-phase send means a
-  // full channel sheds WITHOUT consuming the ticket, keeping the
-  // ticket→shard map a pure function of the forwarded-submission index.
-  const std::uint64_t ticket = next_ticket_;
-  const std::size_t k = conc::shard_of(ticket, workers_.size());
-  auto& ch = workers_[k]->requests();
-  conc::Channel<ShardRequest>::Reservation res;
-  if (ch.reserve(res) != conc::SendStatus::kOk) {  // kFull (or drain race)
+  // The next dense ticket decides the shard. Only a delivered request
+  // consumes it: a full channel sheds and the ticket goes to the next
+  // submission, keeping the ticket→shard map a pure function of the
+  // forwarded-submission index.
+  ShardRequest req;
+  req.kind = ShardRequest::Kind::kSubmit;
+  req.conn = conn;
+  req.gen = gen_of(conn);
+  req.seq = m.seq;
+  req.ticket = next_ticket_;
+  req.workload = m.a;
+  req.rel_deadline = m.b;
+  req.value = m.c;
+  auto& ch = workers_[conc::shard_of(req.ticket, workers_.size())]->requests();
+  if (ch.try_send(req) != conc::SendStatus::kOk) {  // kFull (or drain race)
     ++stats_.shed;
     count(kCtrShed);
     r.type = MsgType::kShed;
     reply(conn, r);
     return;
   }
-  ShardRequest req;
-  req.kind = ShardRequest::Kind::kSubmit;
-  req.conn = conn;
-  req.gen = gen_of(conn);
-  req.seq = m.seq;
-  req.ticket = ticket;
-  req.workload = m.a;
-  req.rel_deadline = m.b;
-  req.value = m.c;
-  ch.commit(res, req);
   ++next_ticket_;
 }
 

@@ -5,7 +5,7 @@
 // a private live-mode engine + scheduler + journal. The two sides meet only
 // at bounded conc::Channels:
 //
-//   acceptor ──ShardRequest──▶ shard k          (bounded MPSC, per shard)
+//   acceptor ──ShardRequest──▶ shard k          (bounded FIFO, per shard)
 //   shard k  ──ShardReply────▶ acceptor         (per-shard reply channel)
 //
 // Routing is deterministic: the acceptor assigns each forwarded SUBMIT a

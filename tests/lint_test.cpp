@@ -256,7 +256,7 @@ TEST(LintTest, ListRulesNamesAllRules) {
         "float-type", "trace-exhaustive", "include-hygiene", "header-guard",
         "raw-concurrency", "timer-outside-set-timer", "poll-outside-wait-fds",
         "transitive-banned-time",
-        "alloc-in-hot-path", "channel-discipline", "include-cycle"}) {
+        "alloc-in-hot-path", "include-cycle"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
   }
 }
@@ -394,17 +394,6 @@ TEST(LintTest, AllocMaxWithoutReportIsUsageError) {
   const auto bad = run_lint("--report=alloc --max=nope " +
                             fixture_args(fx("src/sim/bad_hot_alloc.cpp")));
   EXPECT_EQ(bad.exit_code, 2);
-}
-
-TEST(LintTest, ChannelDisciplineFiresOnLeakyPathsOnly) {
-  const auto r = run_lint(fixture_args(fx("src/conc/bad_reserve.cpp")));
-  EXPECT_EQ(r.exit_code, 1);
-  // leaky (return between reserve and commit) + never_resolves (no
-  // resolution at all); disciplined and audited stay silent.
-  EXPECT_EQ(count_findings(r.output, "channel-discipline"), 2) << r.output;
-  EXPECT_NE(r.output.find("fixture::leaky"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("fixture::never_resolves"), std::string::npos)
-      << r.output;
 }
 
 TEST(LintTest, IncludeCycleAnchorsAtSmallestModuleAndHonorsSuppression) {

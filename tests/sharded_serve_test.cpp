@@ -156,6 +156,34 @@ void expect_bitwise_equal_results(const sjs::sim::SimResult& live,
   EXPECT_EQ(live.executed_total, replay.executed_total);
 }
 
+struct ShardReplay {
+  std::size_t jobs = 0;
+  sjs::sim::SimResult result;
+};
+
+/// Replays the shard journal <root>/shard<k> through a fresh engine: its
+/// aggregates must equal the live shard's bit for bit, and the outcomes.csv
+/// on disk what the replay writes byte for byte (the per-shard byte-diff
+/// scripts/serve_smoke.sh applies in CI).
+ShardReplay expect_shard_replays_exactly(const ShardedAdmissionServer& server,
+                                         const std::string& root,
+                                         std::size_t k) {
+  const std::string shard_dir = root + "/shard" + std::to_string(k);
+  const sjs::Instance replayed = sjs::load_instance_bundle(shard_dir);
+  auto scheduler = make_scheduler("V-Dover", replayed.c_lo(), replayed.c_hi());
+  sjs::sim::Engine engine(replayed, *scheduler);
+  ShardReplay out{replayed.jobs().size(), engine.run_to_completion()};
+  expect_bitwise_equal_results(server.shard(k).result(), out.result);
+  const std::string replay_dir = fresh_dir("sharded_shard_replay");
+  std::filesystem::create_directories(replay_dir);
+  sjs::sim::save_outcomes_csv(out.result, replayed.jobs(),
+                              replay_dir + "/outcomes.csv");
+  EXPECT_EQ(slurp(shard_dir + "/outcomes.csv"),
+            slurp(replay_dir + "/outcomes.csv"))
+      << "shard " << k;
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Contract 1: shards=1 is byte-identical to the single-threaded server.
 
@@ -287,29 +315,15 @@ TEST(ShardedServeTest, FourShardJournalsReplayBitExactlyAndUnionMatches) {
   std::size_t union_jobs = 0;
   std::uint64_t union_completed = 0;
   for (std::size_t k = 0; k < 4; ++k) {
-    const std::string shard_dir = dir_four + "/shard" + std::to_string(k);
-    const sjs::Instance replayed = sjs::load_instance_bundle(shard_dir);
-    EXPECT_GT(replayed.jobs().size(), 0u) << "shard " << k;
-    union_jobs += replayed.jobs().size();
-
-    auto scheduler =
-        make_scheduler("V-Dover", replayed.c_lo(), replayed.c_hi());
-    sjs::sim::Engine engine(replayed, *scheduler);
-    const sjs::sim::SimResult replay = engine.run_to_completion();
-    expect_bitwise_equal_results(server.shard(k).result(), replay);
-    union_completed += replay.completed_count;
-
-    // outcomes.csv on disk equals what a fresh replay would write: the same
-    // byte-diff scripts/serve_smoke.sh applies per shard in CI.
-    const std::string replay_dir = fresh_dir("sharded_union_replay");
-    std::filesystem::create_directories(replay_dir);
-    sjs::sim::save_outcomes_csv(replay, replayed.jobs(),
-                                replay_dir + "/outcomes.csv");
-    EXPECT_EQ(slurp(shard_dir + "/outcomes.csv"),
-              slurp(replay_dir + "/outcomes.csv"))
-        << "shard " << k;
-
-    for (const JobRow& row : bundle_rows(shard_dir)) union_rows.push_back(row);
+    const ShardReplay replay =
+        expect_shard_replays_exactly(server, dir_four, k);
+    EXPECT_GT(replay.jobs, 0u) << "shard " << k;
+    union_jobs += replay.jobs;
+    union_completed += replay.result.completed_count;
+    for (const JobRow& row :
+         bundle_rows(dir_four + "/shard" + std::to_string(k))) {
+      union_rows.push_back(row);
+    }
   }
   EXPECT_EQ(union_jobs, static_cast<std::size_t>(kJobs));
   EXPECT_EQ(union_completed, static_cast<std::uint64_t>(kJobs));
@@ -513,6 +527,81 @@ TEST(ShardedServeTest, SubmitsDuringDrainAreRefused) {
   while (server.step(1)) client.read_socket();
   EXPECT_TRUE(server.finished());
   EXPECT_EQ(server.stats().accepted, 0u);
+}
+
+TEST(ShardedServeTest, ShedAtAFullChannelBurnsNoTicket) {
+  // A one-slot request channel per shard, and bursts of SUBMITs, each in
+  // one send so the acceptor decodes it in one turn: most of a burst
+  // arrives while its shard still holds an earlier request and is shed at
+  // the channel. The per-shard gate never sheds (max_in_flight is far above
+  // the total), so every SHED is a channel refusal, and none may consume a
+  // ticket: the accepted tickets stay dense across the bursts.
+  constexpr std::uint64_t kBursts = 4;
+  constexpr std::uint64_t kPerBurst = 32;
+  constexpr std::uint64_t kTotal = kBursts * kPerBurst;
+  const std::string dir = fresh_dir("sharded_shed_full_channel");
+  FakeClock clock;
+  ServerConfig config = base_config(dir, 2);
+  config.channel_capacity = 1;
+  config.max_in_flight = 4 * kTotal;
+  ShardedAdmissionServer server(config, scheduler_factory(), clock);
+  server.start();
+  TestClient client(server.port());
+
+  const auto answered = [&client] {
+    std::uint64_t n = 0;
+    for (const Message& m : client.inbox) {
+      if (m.type == MsgType::kAccepted || m.type == MsgType::kShed ||
+          m.type == MsgType::kRejected) {
+        ++n;
+      }
+    }
+    return n;
+  };
+  std::uint64_t seq = 0;
+  for (std::uint64_t b = 0; b < kBursts; ++b) {
+    std::vector<std::uint8_t> burst;
+    for (std::uint64_t i = 0; i < kPerBurst; ++i) {
+      std::uint8_t frame[sjs::serve::kMaxFrame];
+      const std::size_t n = sjs::serve::encode_frame_into(
+          frame, submit_msg(++seq, 0.01, 5.0, 1.0));
+      burst.insert(burst.end(), frame, frame + n);
+    }
+    client.send_bytes(burst);
+    for (int spin = 0; spin < 4000 && answered() < seq; ++spin) {
+      server.step(1);
+      client.read_socket();
+    }
+    clock.advance(0.01);
+  }
+
+  std::vector<std::uint64_t> tickets;
+  std::uint64_t shed = 0;
+  for (const Message& m : client.inbox) {
+    ASSERT_NE(m.type, MsgType::kRejected) << "seq " << m.seq;
+    if (m.type == MsgType::kAccepted) tickets.push_back(m.ticket);
+    if (m.type == MsgType::kShed) ++shed;
+  }
+  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(tickets.size() + shed, kTotal);
+  EXPECT_EQ(server.stats().shed, shed);
+  std::sort(tickets.begin(), tickets.end());
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    EXPECT_EQ(tickets[i], static_cast<std::uint64_t>(i));
+  }
+
+  clock.advance(2.0);
+  server.request_drain();
+  while (server.step(1)) client.read_socket();
+  ASSERT_TRUE(server.finished());
+
+  // The shard journals hold exactly the accepted jobs and replay
+  // byte-exactly.
+  std::size_t journaled = 0;
+  for (std::size_t k = 0; k < 2; ++k) {
+    journaled += expect_shard_replays_exactly(server, dir, k).jobs;
+  }
+  EXPECT_EQ(journaled, tickets.size());
 }
 
 TEST(ShardedServeTest, AFailedStartLeavesNothingToWaitFor) {

@@ -83,7 +83,6 @@ AnalyzerResult run_analyzer(const AnalyzerOptions& options) {
   check_trace_exhaustive(a, diags);
   check_transitive_banned_time(a, diags);
   check_alloc_in_hot_path(a, diags, &result.alloc_report);
-  check_channel_discipline(a, diags);
   check_include_cycle(a, diags);
 
   std::sort(diags.begin(), diags.end(),

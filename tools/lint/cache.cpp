@@ -13,7 +13,7 @@ namespace {
 
 // Bump when the FileIndex shape or any phase-1 rule changes: a version
 // mismatch discards the whole store, so stale rule output can never replay.
-constexpr const char* kMagic = "sjs-lint-cache v2";
+constexpr const char* kMagic = "sjs-lint-cache v3";
 
 // Records are lines of \x1f-separated fields; the separator cannot appear
 // in source-derived strings (it is a C0 control character the lexer would
@@ -92,9 +92,6 @@ void IndexCache::load(const fs::path& path) {
     } else if (tag == "banned" && f.size() >= 4 && !entry.index.funcs.empty()) {
       entry.index.funcs.back().banned.push_back(
           {f[1], to_size(f[2]), to_size(f[3])});
-    } else if (tag == "chv" && f.size() >= 4 && !entry.index.funcs.empty()) {
-      entry.index.funcs.back().channel_violations.push_back(
-          {to_size(f[1]), to_size(f[2]), f[3]});
     } else if (tag == "inc" && f.size() >= 3) {
       entry.index.includes.push_back({f[1], to_size(f[2])});
     } else if (tag == "root" && f.size() >= 2) {
@@ -145,10 +142,6 @@ void IndexCache::save(const fs::path& path) const {
       for (const OpSite& op : fn.banned) {
         write_fields(os, {"banned", op.what, std::to_string(op.line),
                           std::to_string(op.col)});
-      }
-      for (const ChannelViolation& v : fn.channel_violations) {
-        write_fields(os, {"chv", std::to_string(v.line),
-                          std::to_string(v.col), v.message});
       }
     }
     for (const IncludeSite& inc : entry.index.includes) {

@@ -32,9 +32,6 @@ const std::vector<std::pair<const char*, const char*>>& rule_table() {
        "call closure reaches a banned clock/entropy read (chain reported)"},
       {"alloc-in-hot-path",
        "allocation-capable operation reachable from a sjs-hot-path-root"},
-      {"channel-discipline",
-       "conc::Channel::reserve without commit/abort on every token-level "
-       "path"},
       {"include-cycle", "module-level cycle in the include graph"},
   };
   return kRules;

@@ -190,112 +190,6 @@ Classification classify(const std::vector<Token>& stmt) {
   return out;
 }
 
-// Whether identifier `name` occurs in `toks[begin, end)`.
-bool mentions(const std::vector<Token>& toks, std::size_t begin,
-              std::size_t end, const char* name) {
-  for (std::size_t i = begin; i < end; ++i) {
-    if (toks[i].ident && toks[i].text == name) return true;
-  }
-  return false;
-}
-
-// Token-level two-phase discipline analysis for one function body (see
-// docs/static-analysis.md, channel-discipline). `toks[body_begin,body_end)`
-// is the token range between the body braces (exclusive of both).
-std::vector<ChannelViolation> analyze_channel_discipline(
-    const std::vector<Token>& toks, std::size_t body_begin,
-    std::size_t body_end) {
-  std::vector<ChannelViolation> out;
-  if (!mentions(toks, body_begin, body_end, "Reservation")) return out;
-
-  const auto is_call = [&](std::size_t i, const char* name) {
-    return toks[i].ident && toks[i].text == name && i + 1 < body_end &&
-           !toks[i + 1].ident && toks[i + 1].text == "(";
-  };
-  std::vector<std::size_t> reserves;
-  std::vector<std::size_t> resolves;  // commit or abort call sites
-  for (std::size_t i = body_begin; i < body_end; ++i) {
-    if (is_call(i, "reserve")) reserves.push_back(i);
-    if (is_call(i, "commit") || is_call(i, "abort")) resolves.push_back(i);
-  }
-
-  // Matching close for the paren/brace opened at `open`.
-  const auto matching = [&](std::size_t open, const char* o, const char* c) {
-    int depth = 0;
-    for (std::size_t i = open; i < body_end; ++i) {
-      if (toks[i].ident) continue;
-      if (toks[i].text == o) ++depth;
-      if (toks[i].text == c && --depth == 0) return i;
-    }
-    return body_end;
-  };
-
-  for (const std::size_t r : reserves) {
-    // First resolution after this reserve.
-    std::size_t resolve = body_end;
-    for (const std::size_t c : resolves) {
-      if (c > r) {
-        resolve = c;
-        break;
-      }
-    }
-    if (resolve == body_end) {
-      out.push_back({toks[r].line, toks[r].col,
-                     "conc::Channel::reserve with no commit/abort in the "
-                     "enclosing function: an unresolved reservation wedges "
-                     "the consumer at its ring position (two-phase send "
-                     "contract, conc/channel.hpp)"});
-      continue;
-    }
-    // The status-check block: if the reserve sits inside `if (...)` /
-    // `while (...)` parens, the controlled block (or statement) is the
-    // failure path and may return/throw freely.
-    std::size_t exempt_begin = 0, exempt_end = 0;
-    {
-      int depth = 0;
-      for (std::size_t i = r; i-- > body_begin;) {
-        if (toks[i].ident) continue;
-        if (toks[i].text == ")") ++depth;
-        if (toks[i].text == "(") {
-          if (depth == 0) {
-            if (i > body_begin && toks[i - 1].ident &&
-                (toks[i - 1].text == "if" || toks[i - 1].text == "while")) {
-              const std::size_t close = matching(i, "(", ")");
-              if (close + 1 < body_end && !toks[close + 1].ident &&
-                  toks[close + 1].text == "{") {
-                exempt_begin = close + 1;
-                exempt_end = matching(close + 1, "{", "}");
-              } else {
-                exempt_begin = close + 1;
-                exempt_end = exempt_begin;
-                while (exempt_end < body_end &&
-                       (toks[exempt_end].ident ||
-                        toks[exempt_end].text != ";")) {
-                  ++exempt_end;
-                }
-              }
-            }
-            break;
-          }
-          --depth;
-        }
-      }
-    }
-    for (std::size_t t = r; t < resolve; ++t) {
-      if (!toks[t].ident) continue;
-      if (toks[t].text != "return" && toks[t].text != "throw") continue;
-      if (t >= exempt_begin && t <= exempt_end) continue;
-      out.push_back({toks[t].line, toks[t].col,
-                     "token-level path between conc::Channel::reserve and "
-                     "its commit/abort leaves the function: the claimed ring "
-                     "slot would never resolve and the consumer would wedge "
-                     "at its position (two-phase send contract, "
-                     "conc/channel.hpp)"});
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 FileIndex build_index(const SourceFile& file) {
@@ -362,7 +256,6 @@ FileIndex build_index(const SourceFile& file) {
   std::vector<Token> stmt;
   bool in_function = false;
   std::size_t func_open_depth = 0;  // stack depth at which the body opened
-  std::size_t body_token_begin = 0;
   FunctionDef current;
 
   const auto scope_prefix = [&stack]() {
@@ -387,22 +280,6 @@ FileIndex build_index(const SourceFile& file) {
         if (stack.size() == func_open_depth) {
           // Function body closed.
           current.body_end = t.line;
-          auto viols =
-              analyze_channel_discipline(toks, body_token_begin, i);
-          current.channel_violations = std::move(viols);
-          if (mentions(toks, body_token_begin, i, "Reservation")) {
-            // Beside a conc::Channel Reservation, an unqualified reserve()
-            // is the channel's two-phase slot claim: it resolves to
-            // Channel::reserve only and allocates nothing.
-            std::erase_if(current.allocs, [](const OpSite& op) {
-              return op.what == "reserve";
-            });
-            for (CallSite& call : current.calls) {
-              if (call.name == "reserve" && call.qual.empty()) {
-                call.qual = "Channel::reserve";
-              }
-            }
-          }
           idx.funcs.push_back(std::move(current));
           current = FunctionDef{};
           in_function = false;
@@ -490,7 +367,6 @@ FileIndex build_index(const SourceFile& file) {
         stack.push_back({BlockKind::kFunction, c.name});
         in_function = true;
         func_open_depth = stack.size();
-        body_token_begin = i + 1;
       } else {
         stack.push_back({c.kind, c.name});
       }

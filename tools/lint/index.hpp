@@ -11,7 +11,6 @@
 //   - `// sjs-hot-path-root` annotations (attach to the next declaration
 //     or definition; roots are matched BY NAME, so annotating the virtual
 //     `on_release` declaration in sim/scheduler.hpp marks every override)
-//   - two-phase channel discipline facts (computed here, token-level)
 //   - quoted includes and TraceKind declarations/mentions
 //
 // Everything in a FileIndex is derived from the file's bytes alone, which
@@ -49,13 +48,6 @@ struct OpSite {
   std::size_t col = 0;
 };
 
-// A channel-discipline violation detected inside one function.
-struct ChannelViolation {
-  std::size_t line = 0;
-  std::size_t col = 0;
-  std::string message;
-};
-
 struct FunctionDef {
   std::string name;       // last component, e.g. "step_event"
   std::string qualified;  // scope-joined, e.g. "sjs::sim::Engine::step_event"
@@ -66,7 +58,6 @@ struct FunctionDef {
   std::vector<CallSite> calls;
   std::vector<OpSite> allocs;   // allocation-capable operations
   std::vector<OpSite> banned;   // direct banned clock/entropy reads
-  std::vector<ChannelViolation> channel_violations;
 };
 
 struct IncludeSite {

@@ -11,7 +11,7 @@
 //
 //   Phase 2 (cross-TU): rules that see every FileIndex plus the call graph
 //   — trace-exhaustive (enum vs exporter), transitive-banned-time,
-//   alloc-in-hot-path, channel-discipline, include-cycle.
+//   alloc-in-hot-path, include-cycle.
 #pragma once
 
 #include <string>
@@ -70,8 +70,6 @@ void check_transitive_banned_time(const Analysis& a,
                                   std::vector<Diagnostic>& diags);
 void check_alloc_in_hot_path(const Analysis& a, std::vector<Diagnostic>& diags,
                              std::vector<AllocReportEntry>* report);
-void check_channel_discipline(const Analysis& a,
-                              std::vector<Diagnostic>& diags);
 void check_include_cycle(const Analysis& a, std::vector<Diagnostic>& diags);
 
 }  // namespace sjs::lint

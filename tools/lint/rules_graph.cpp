@@ -1,7 +1,6 @@
 // Phase-2 (cross-TU) rules: everything that needs more than one file —
 // the enum/exporter pairing, call-graph reachability (time taint, hot-path
-// allocations), the per-function channel-discipline facts, and the
-// module-level include graph.
+// allocations), and the module-level include graph.
 #include <algorithm>
 #include <set>
 #include <sstream>
@@ -208,26 +207,6 @@ void check_alloc_in_hot_path(const Analysis& a, std::vector<Diagnostic>& diags,
                  chain_str,
              diags);
       if (diags.size() > before) diags.back().chain = chain_notes(a, chain);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: channel-discipline
-// ---------------------------------------------------------------------------
-
-// The token-level analysis lives in the indexer (it needs the token stream);
-// this rule just routes the recorded violations through the suppression
-// table. A reserve that can leave the function unresolved wedges the
-// consumer at that ring position — the deadlock is silent and remote.
-void check_channel_discipline(const Analysis& a,
-                              std::vector<Diagnostic>& diags) {
-  for (std::size_t i = 0; i < a.indices.size(); ++i) {
-    for (const FunctionDef& fn : a.indices[i].funcs) {
-      for (const ChannelViolation& v : fn.channel_violations) {
-        report(a.files[i], v.line, v.col, "channel-discipline",
-               v.message + " (in '" + fn.qualified + "')", diags);
-      }
     }
   }
 }

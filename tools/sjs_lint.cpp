@@ -63,10 +63,6 @@
 //                    an allocation-capable operation (new/make_unique/
 //                    push_back/resize/std::function...) in a function
 //                    reachable from a `// sjs-hot-path-root` annotation
-//   channel-discipline
-//                    a conc::Channel::reserve whose enclosing function has a
-//                    token-level path that leaves without commit/abort —
-//                    an unresolved reservation wedges the consumer
 //   include-cycle    a cycle in the module-level quoted-include graph
 //
 // Output: clickable `file:line:col: error: [rule] message` lines by default;
