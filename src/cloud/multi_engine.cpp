@@ -1,7 +1,6 @@
 #include "cloud/multi_engine.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/logging.hpp"
 #include "util/vec.hpp"
@@ -11,7 +10,12 @@ namespace sjs::cloud {
 MultiEngine::MultiEngine(const std::vector<Job>& jobs,
                          std::vector<cap::CapacityProfile> servers,
                          GlobalScheduler& scheduler)
-    : source_(&jobs), servers_(std::move(servers)), scheduler_(&scheduler) {
+    // Engine lanes only: the dispatcher and the global schedulers keep their
+    // own per-job state.
+    : LiveDriver(sim::JobTable::Lanes::kEngine),
+      source_(&jobs),
+      servers_(std::move(servers)),
+      scheduler_(&scheduler) {
   SJS_CHECK_MSG(!servers_.empty(), "need at least one server");
   cursors_.reserve(servers_.size());
   for (const cap::CapacityProfile& path : servers_) cursors_.emplace_back(path);
@@ -41,19 +45,6 @@ void MultiEngine::push_event(double time, EventType type, JobId jid,
 double MultiEngine::server_rate(std::size_t server) const {
   SJS_CHECK(server < servers_.size());
   return cursors_[server].rate(now_);
-}
-
-double MultiEngine::remaining(JobId id) const {
-  SJS_CHECK_MSG(is_released(id), "remaining() on unreleased job " << id);
-  return jobs_.remaining(id);
-}
-
-bool MultiEngine::is_released(JobId id) const {
-  return jobs_.holds(id) && jobs_.released(id);
-}
-
-bool MultiEngine::is_live(JobId id) const {
-  return is_released(id) && jobs_.outcome(id) == sim::JobOutcome::kPending;
 }
 
 std::size_t MultiEngine::server_of(JobId id) const {
@@ -217,7 +208,7 @@ bool MultiEngine::event_dead(const Event& event) const {
   return false;
 }
 
-void MultiEngine::harvest() {
+const MultiSimResult& MultiEngine::harvest_result() {
   if (jobs_.retired() == 0) {
     // The window still holds every job of the run: report them per job.
     const std::size_t n = job_count();
@@ -234,45 +225,25 @@ void MultiEngine::harvest() {
   trace(obs::TraceKind::kRunEnd, kNoJob, kNoServer, result_.completed_value,
         result_.generated_value);
   if (sink_) sink_->flush();
+  return result_;
 }
 
 MultiSimResult MultiEngine::run_to_completion() {
   SJS_CHECK_MSG(!live_, "run_to_completion during a live session");
-  result_ = MultiSimResult{};
-  result_.scheduler_name = scheduler_->name();
-  result_.busy_time_per_server.assign(servers_.size(), 0.0);
+  run_started_ = true;
   queue_.clear();
   queue_.reserve(2 * job_count(), 0);
-  for (JobId id = 0; id < jobs_.end(); ++id) schedule_job(id);
-  queue_.seal();
-
-  trace(obs::TraceKind::kRunStart, kNoJob, kNoServer,
-        static_cast<double>(job_count()),
-        static_cast<double>(servers_.size()));
-
-  in_callback_ = true;
-  scheduler_->on_start(*this);
-  in_callback_ = false;
-
-  while (!queue_.empty()) process_event(queue_.pop());
-
-  harvest();
-  return result_;
+  start_run();
+  drain_events();
+  return harvest_result();
 }
 
-// --- Live mode (real-time admission serving) --------------------------------
+// --- Live-mode driver hooks (sim/live_driver.hpp) ---------------------------
 
-void MultiEngine::begin_live() {
-  SJS_CHECK_MSG(!live_ && !in_callback_, "begin_live: already live");
-  live_ = true;
-  // Live admissions append to the job vector: copy out any records the
-  // window borrowed from it first.
-  jobs_.own_records();
+void MultiEngine::start_run() {
   result_ = MultiSimResult{};
   result_.scheduler_name = scheduler_->name();
   result_.busy_time_per_server.assign(servers_.size(), 0.0);
-  // A live session normally starts empty, but admit any pre-loaded jobs so a
-  // warm-started fleet behaves like the equivalent replay.
   for (JobId id = 0; id < jobs_.end(); ++id) schedule_job(id);
   queue_.seal();
   trace(obs::TraceKind::kRunStart, kNoJob, kNoServer,
@@ -281,17 +252,6 @@ void MultiEngine::begin_live() {
   in_callback_ = true;
   scheduler_->on_start(*this);
   in_callback_ = false;
-}
-
-void MultiEngine::reserve_live(std::size_t max_in_flight) {
-  live_reserve_ = max_in_flight;
-  jobs_.reserve(max_in_flight);
-  // A job spills only while unresolved, so the jobs in flight bound the
-  // store (sim/job_table.hpp).
-  jobs_.reserve_stragglers(max_in_flight);
-  // A release and an expiry per in-flight job, plus one completion per
-  // server.
-  queue_.reserve(0, 2 * max_in_flight + servers_.size());
 }
 
 void MultiEngine::schedule_job(JobId id) {
@@ -304,74 +264,9 @@ void MultiEngine::schedule_job(JobId id) {
   push_event(j.deadline, EventType::kExpiry, id, kNoServer, 0);
 }
 
-JobId MultiEngine::admit_live(const Job& job) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "admit_live outside live mode");
-  SJS_CHECK_MSG(job.release >= now_ - 1e-12,
-                "admit_live in the past: release " << job.release << " < now "
-                    << now_);
-  // Ids stay == admission order, exactly as the replayed Instance canonical
-  // form requires. The window grows only when its unretired span outgrows
-  // reserve_live's pre-size.
-  const JobId id = jobs_.admit(job);
-  schedule_job(id);
-  return id;
-}
-
-void MultiEngine::admit_live(JobId id) {
-  SJS_CHECK_MSG(id == jobs_.end() &&
-                    static_cast<std::size_t>(id) < source_->size(),
-                "admit_live out of order: job " << id << ", expected "
-                    << jobs_.end());
-  const Job& j = (*source_)[static_cast<std::size_t>(id)];
-  SJS_CHECK_MSG(j.id == id, "job id out of sync with its position");
-  admit_live(j);
-}
-
-void MultiEngine::retire(JobId id) {
-  SJS_CHECK_MSG(!in_callback_, "retire inside a scheduler callback");
-  jobs_.retire(id);
-}
-
-bool MultiEngine::cancel_live(JobId id) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "cancel_live outside live mode");
-  if (!is_live(id)) return false;
-  // Deliver an ordinary expiry interrupt at the current instant; the job's
-  // original expiry event stays queued and later pops as a no-op.
+void MultiEngine::expire_now(JobId id) {
   advance_all(now_);
   process_event(Event{now_, EventType::kExpiry, next_seq_++, id, kNoServer, 0});
-  return true;
-}
-
-void MultiEngine::advance_to(double t) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "advance_to outside live mode");
-  SJS_CHECK_MSG(t >= now_ - 1e-12,
-                "advance_to moving backwards: " << t << " < " << now_);
-  for (const Event* next = queue_.front(); next && next->time < t;
-       next = queue_.front()) {
-    process_event(queue_.pop());
-  }
-  now_ = std::max(now_, t);
-  // last_advance_ deliberately stays at the last processed event: execution
-  // integrals must be subdivided at event times only, exactly as replay
-  // subdivides them, or remaining workloads drift by ulps.
-}
-
-double MultiEngine::next_event_time() const {
-  const Event* next = queue_.front();
-  return next ? next->time : std::numeric_limits<double>::infinity();
-}
-
-double MultiEngine::next_live_event_time() const {
-  return queue_.first_live_time(
-      [this](const Event& e) { return event_dead(e); });
-}
-
-const MultiSimResult& MultiEngine::finish_live() {
-  SJS_CHECK_MSG(live_ && !in_callback_, "finish_live outside live mode");
-  while (!queue_.empty()) process_event(queue_.pop());
-  harvest();
-  live_ = false;
-  return result_;
 }
 
 void save_multi_outcomes_csv(const MultiSimResult& result,

@@ -10,17 +10,13 @@
 // A job occupies at most one server at a time (no intra-job parallelism —
 // these are VMs).
 //
-// The engine mirrors sim::Engine's guarantees: exact completion instants per
-// server via cumulative-work inversion, deterministic event ordering
-// (Completion < Expiry < Release, FIFO within class), lazy invalidation via
-// per-server dispatch epochs, and online information hiding. It runs on the
-// same event queue (sim::SplitEventQueue: releases/expiries on the sealed
-// static side in batch runs, completions on the heap) and reads each server's
-// path through its own monotone capacity cursor.
-//
-// Per-job state lives in the same sim::JobTable window as sim::Engine's
-// (bound to the whole instance in a batch run, retired job by job in a
-// serving session); a job's server is read off the K running slots.
+// Completion instants are exact per server (cumulative-work inversion over
+// each server's own monotone capacity cursor), events order deterministically
+// (Completion < Expiry < Release, FIFO within class), and stale completions
+// are invalidated lazily through per-server dispatch epochs. A job's server is
+// read off the K running slots. Live mode, the event queue and the job window
+// come from the live-mode driver (sim/live_driver.hpp) that sim::Engine
+// derives from too.
 #pragma once
 
 #include <algorithm>
@@ -32,8 +28,8 @@
 #include "jobs/job.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/job_table.hpp"
+#include "sim/live_driver.hpp"
 #include "sim/result.hpp"
-#include "sim/split_event_queue.hpp"
 #include "util/fp.hpp"
 
 namespace sjs::cloud {
@@ -93,7 +89,33 @@ void save_multi_outcomes_csv(const MultiSimResult& result,
                              const std::vector<Job>& jobs,
                              const std::string& path);
 
-class MultiEngine {
+enum class MultiEventType : std::uint8_t {
+  kCompletion = 0,
+  kExpiry = 1,
+  kRelease = 2,
+};
+
+/// One queued MultiEngine event (engine-internal; at namespace scope so that
+/// the live-mode driver's queue can be declared before the engine).
+struct MultiEvent {
+  double time;
+  MultiEventType type;
+  std::uint64_t seq;
+  JobId job;
+  std::size_t server = kNoServer;
+  std::uint64_t epoch = 0;
+
+  bool operator>(const MultiEvent& other) const {
+    if (fp::exact_ne(time, other.time)) return time > other.time;
+    if (type != other.type) return type > other.type;
+    return seq > other.seq;
+  }
+};
+
+class MultiEngine
+    : public sim::LiveDriver<MultiEngine, MultiEvent, MultiSimResult> {
+  friend class sim::LiveDriver<MultiEngine, MultiEvent, MultiSimResult>;
+
  public:
   /// Jobs must be release-sorted with ids equal to their positions (the
   /// Instance canonical form); servers must be non-empty. The job window is
@@ -108,43 +130,9 @@ class MultiEngine {
 
   MultiSimResult run_to_completion();
 
-  // --- live mode (real-time admission serving; mirrors sim::Engine) ---
-  /// Enters live mode: no pre-loaded events beyond the jobs bound at
-  /// construction (a warm-started fleet behaves like its replay).
-  void begin_live();
-  /// Pre-sizes the job window, its straggler store and the event heap for a
-  /// bounded-in-flight session.
-  void reserve_live(std::size_t max_in_flight);
-  /// Admits `job` (release >= now; its id field is ignored) at the next
-  /// admission id, which it returns. Pushes its release and expiry events
-  /// exactly as replay does, so relative event order — and therefore every
-  /// outcome byte — matches the replayed session.
-  JobId admit_live(const Job& job);
-  /// Admits job `id` of the vector the engine was constructed over, already
-  /// appended to it; `id` must be the next admission id.
-  void admit_live(JobId id);
-  /// Retires job `id`, which must have an outcome and be the window's
-  /// base() or a spilled job: every queued event still naming it is dead
-  /// from here on.
-  /// Read what the caller keeps of the job (job_state()) first.
-  void retire(JobId id);
-  /// Force-expires a live job at the current instant. Subdivides the running
-  /// job's execution integral at now(), so cancel-bearing sessions are
-  /// excluded from the bit-exact replay guarantee (same caveat as
-  /// sim::Engine::cancel_live).
-  bool cancel_live(JobId id);
-  /// Processes every event strictly before t, then moves the clock to t.
-  /// Execution integrals are subdivided at event times only, exactly as
-  /// replay subdivides them, or remaining workloads drift by ulps.
-  void advance_to(double t);
-  /// Time of the earliest pending event, or +inf when idle.
-  double next_event_time() const;
-  /// The event loop's wake-up bound, as sim::Engine::next_live_event_time:
-  /// the first pending event that is not dead (event_dead), or a time no
-  /// later than it, or +inf when only dead events are queued.
-  double next_live_event_time() const;
-  /// Drains all pending events and harvests the result.
-  const MultiSimResult& finish_live();
+  // Live mode (begin_live ... finish_live) and the job queries (now, job,
+  // job_count, job_state, job_capacity_hint, remaining, is_live,
+  // is_released) come from the live-mode driver (sim/live_driver.hpp).
 
   /// Attaches a trace sink (src/obs/); events carry the server index in
   /// TraceEvent::server and migrations are recorded as kMigrate. Same
@@ -153,27 +141,8 @@ class MultiEngine {
   bool trace_enabled() const { return sink_ != nullptr; }
 
   // --- query surface (online-observable) ---
-  double now() const { return now_; }
   std::size_t server_count() const { return servers_.size(); }
   double server_rate(std::size_t server) const;
-  /// The record of an unretired job.
-  const Job& job(JobId id) const { return jobs_.job(id); }
-  /// Jobs admitted so far (the instance size on a batch run).
-  std::size_t job_count() const {
-    return static_cast<std::size_t>(jobs_.end());
-  }
-  /// The job window (sim/job_table.hpp) holding every per-job lane.
-  sim::JobTable& job_state() { return jobs_; }
-  const sim::JobTable& job_state() const { return jobs_; }
-  /// What schedulers size their per-job structures for in on_start(): the
-  /// job count on batch runs, or the reserve_live() pre-size in a live
-  /// session (where job_count() is still 0 at start), as in sim::Engine.
-  std::size_t job_capacity_hint() const {
-    return std::max(job_count(), live_reserve_);
-  }
-  double remaining(JobId id) const;
-  bool is_live(JobId id) const;
-  bool is_released(JobId id) const;
   /// Server currently executing `id`, or kNoServer (a scan of the K
   /// running slots).
   std::size_t server_of(JobId id) const;
@@ -192,26 +161,8 @@ class MultiEngine {
   void stop(JobId id);
 
  private:
-  enum class EventType : std::uint8_t {
-    kCompletion = 0,
-    kExpiry = 1,
-    kRelease = 2,
-  };
-
-  struct Event {
-    double time;
-    EventType type;
-    std::uint64_t seq;
-    JobId job;
-    std::size_t server = kNoServer;
-    std::uint64_t epoch = 0;
-
-    bool operator>(const Event& other) const {
-      if (fp::exact_ne(time, other.time)) return time > other.time;
-      if (type != other.type) return type > other.type;
-      return seq > other.seq;
-    }
-  };
+  using EventType = MultiEventType;
+  using Event = MultiEvent;
 
   /// Records one trace event at `now_` (null check only when disabled).
   void trace(obs::TraceKind kind, JobId job, std::size_t server,
@@ -225,23 +176,36 @@ class MultiEngine {
 
   void push_event(double time, EventType type, JobId job, std::size_t server,
                   std::uint64_t epoch);
+
+  // Live-mode driver hooks (sim/live_driver.hpp).
   /// Whether `event` will pop as a no-op: a completion whose server has
   /// been re-dispatched since (a preemption or a migration), or an expiry
-  /// of a job that already has an outcome or was retired. Monotone, like
-  /// sim::Engine's.
+  /// of a job that already has an outcome or was retired.
   bool event_dead(const Event& event) const;
+  /// Counts job `id`'s value and queues its release and expiry.
+  void schedule_job(JobId id);
+  void step_event() { process_event(queue_.pop()); }
+  void expire_now(JobId id);
+  /// Copies the per-job lanes into result_ (when nothing retired) and closes
+  /// the trace stream.
+  const MultiSimResult& harvest_result();
+  /// The start of every run, batch or live, on an empty queue: the result,
+  /// the bound jobs' events, the seal, on_start.
+  void start_run();
+  /// A release and an expiry per in-flight job, plus one completion per
+  /// server.
+  void reserve_live_events(std::size_t max_in_flight) {
+    queue_.reserve(0, 2 * max_in_flight + servers_.size());
+  }
+  const std::vector<Job>& appended_jobs() const { return *source_; }
+
   /// Accounts execution on every busy server up to time t.
   void advance_all(double t);
   /// Bookkeeping stop of the job on `server` (no callback).
   void halt_server(std::size_t server);
   void schedule_completion(std::size_t server);
-  /// Pops and dispatches one event (shared by replay and live mode).
+  /// Handles one event (shared by replay and live mode).
   void process_event(const Event& event);
-  /// Counts job `id`'s value and queues its release and expiry.
-  void schedule_job(JobId id);
-  /// Copies the per-job lanes into result_ (when nothing retired) and closes
-  /// the trace stream.
-  void harvest();
 
   const std::vector<Job>* source_;  // read by admit_live(JobId) only
   std::vector<cap::CapacityProfile> servers_;
@@ -250,19 +214,9 @@ class MultiEngine {
   mutable std::vector<cap::CapacityProfile::Cursor> cursors_;
   GlobalScheduler* scheduler_;
 
-  double now_ = 0.0;
   double last_advance_ = 0.0;
   std::vector<JobId> running_;         // per server
   std::vector<std::uint64_t> epochs_;  // per server
-  /// Per job: one window, engine lanes only (the dispatcher and the global
-  /// schedulers keep their own per-job state).
-  sim::JobTable jobs_{sim::JobTable::Lanes::kEngine};
-
-  sim::SplitEventQueue<Event> queue_;
-  std::uint64_t next_seq_ = 0;
-  bool in_callback_ = false;
-  bool live_ = false;
-  std::size_t live_reserve_ = 0;  // reserve_live() pre-size (capacity hint)
   obs::TraceSink* sink_ = nullptr;
   MultiSimResult result_;
 };

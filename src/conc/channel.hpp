@@ -121,6 +121,14 @@ class Channel {
     signal_pending_.store(false, std::memory_order_release);
   }
 
+  /// drain_wakeups() only while a signal is pending: a consumer that checks
+  /// the channel without having been woken skips the read(2). The fd can be
+  /// readable with the flag clear (a signal that raced the last drain), so
+  /// the handler of the fd's own poll wakeup calls drain_wakeups() instead.
+  void drain_pending_wakeups() {
+    if (signal_pending_.load(std::memory_order_acquire)) drain_wakeups();
+  }
+
   /// closed AND fully consumed — the terminal state.
   bool drained() const {
     std::lock_guard<std::mutex> lock(mu_);

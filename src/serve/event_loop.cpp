@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "serve/protocol.hpp"
 #include "util/vec.hpp"
 
 namespace sjs::serve {
@@ -229,7 +230,8 @@ void EventLoop::accept_new() {
 }
 
 void EventLoop::read_conn(int conn) {
-  std::uint8_t buf[4096];
+  // One recv at most fills the room each FrameDecoder keeps for it.
+  std::uint8_t buf[FrameDecoder::kMaxRead];
   while (conn_open(conn)) {
     const ssize_t n =
         ::recv(conns_[static_cast<std::size_t>(conn)].fd, buf, sizeof(buf), 0);

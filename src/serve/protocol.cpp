@@ -166,6 +166,13 @@ bool decode_payload(const std::uint8_t* data, std::size_t size, Message& out,
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
   if (broken_) return;
+  if (buf_.size() + size > buf_.capacity()) {
+    // Reclaim the consumed prefix in place (no allocation) so the new bytes
+    // land in the room reserved at construction.
+    buf_.erase(buf_.begin(),
+               buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ = 0;
+  }
   buf_.insert(buf_.end(), data, data + size);
 }
 
@@ -191,13 +198,6 @@ FrameDecoder::Status FrameDecoder::next(Message& out) {
     return Status::kMalformed;
   }
   pos_ += kFrameHeader + len;
-  // Reclaim the consumed prefix once it dominates the buffer, keeping the
-  // decoder O(live bytes) over arbitrarily long sessions.
-  if (pos_ > 4096 && pos_ * 2 >= buf_.size()) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
   return Status::kOk;
 }
 

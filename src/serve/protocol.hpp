@@ -126,17 +126,30 @@ bool decode_payload(const std::uint8_t* data, std::size_t size, Message& out,
 /// they arrive; next() yields complete messages. Malformed input is sticky:
 /// after kMalformed the decoder refuses further frames (the connection is
 /// dead anyway).
+///
+/// The byte buffer is reserved once, at construction, for kCapacity bytes,
+/// and feed() compacts the consumed prefix before it appends whenever the
+/// bytes would not fit. A caller that drains next() after every feed leaves
+/// at most one partial frame unconsumed, so a feed of up to kMaxRead bytes
+/// then always fits and the buffer never grows; a larger single feed still
+/// may. The extra kMaxRead of room lets consumed bytes pile up, so a
+/// compaction moves at most one partial frame per kMaxRead bytes fed.
 class FrameDecoder {
  public:
   enum class Status { kOk, kNeedMore, kMalformed };
+
+  /// The largest recv the serving loop and the test client make.
+  static constexpr std::size_t kMaxRead = 4096;
+  static constexpr std::size_t kCapacity = 2 * kMaxRead + kMaxFrame;
+
+  FrameDecoder() { buf_.reserve(kCapacity); }
 
   void feed(const std::uint8_t* data, std::size_t size);
   Status next(Message& out);
   const std::string& error() const { return error_; }
 
   /// Returns the decoder to its initial state while keeping the byte
-  /// buffer's capacity — connection-slot reuse must not re-grow to the
-  /// previous connection's high-water from scratch.
+  /// buffer's capacity — connection-slot reuse must not re-grow it.
   void reset() {
     buf_.clear();
     pos_ = 0;

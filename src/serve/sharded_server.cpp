@@ -90,7 +90,7 @@ StatsBody ShardedAdmissionServer::stats() const {
 void ShardedAdmissionServer::drain_replies() {
   for (std::size_t k = 0; k < workers_.size(); ++k) {
     auto& ch = workers_[k]->replies();
-    ch.drain_wakeups();
+    ch.drain_pending_wakeups();
     ShardReply rep;
     while (ch.try_pop(rep) == conc::PopStatus::kOk) {
       dispatch_reply(k, rep);
@@ -162,6 +162,8 @@ void ShardedAdmissionServer::dispatch_reply(std::size_t shard,
 void ShardedAdmissionServer::on_other_wake(int fd) {
   for (auto& w : workers_) {
     if (w->replies().wake_fd() == fd) {
+      // Unconditional: the fd fired, and leaving it readable would spin the
+      // level-triggered poll even while the pending flag reads clear.
       w->replies().drain_wakeups();
       return;
     }

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/logging.hpp"
 #include "util/fp.hpp"
@@ -61,16 +60,6 @@ void Engine::push_event(double time, EventType type, JobId jid,
   queue_.track_peak();
 }
 
-double Engine::next_event_time() const {
-  const Event* front = queue_.front();
-  return front ? front->time : std::numeric_limits<double>::infinity();
-}
-
-double Engine::next_live_event_time() const {
-  return queue_.first_live_time(
-      [this](const Event& e) { return event_dead(e); });
-}
-
 bool Engine::event_dead(const Event& event) const {
   switch (event.type) {
     case EventType::kCompletion:
@@ -119,23 +108,10 @@ const Engine::TimerSlot& Engine::free_timer(TimerId id) {
   return timer_slots_[slot];
 }
 
-double Engine::remaining(JobId id) const {
-  SJS_CHECK_MSG(is_released(id), "remaining() on unreleased job " << id);
-  return jobs_.remaining(id);
-}
-
-bool Engine::is_released(JobId id) const {
-  return jobs_.holds(id) && jobs_.released(id);
-}
-
 bool Engine::is_completed(JobId id) const {
   SJS_CHECK_MSG(jobs_.holds(id), "is_completed() on job " << id
                                      << " outside the window");
   return jobs_.outcome(id) == JobOutcome::kCompleted;
-}
-
-bool Engine::is_live(JobId id) const {
-  return is_released(id) && jobs_.outcome(id) == JobOutcome::kPending;
 }
 
 void Engine::advance_execution(double t) {
@@ -364,12 +340,8 @@ const SimResult& Engine::run_to_completion() {
   scheduler_->on_start(*this);
   in_callback_ = false;
 
-  while (!queue_.empty()) {
-    step_event();
-  }
-
-  harvest_result();
-  return result_;
+  drain_events();
+  return harvest_result();
 }
 
 void Engine::process_event(const Event& event) {
@@ -405,7 +377,7 @@ void Engine::step_event() {
   in_callback_ = false;
 }
 
-void Engine::harvest_result() {
+const SimResult& Engine::harvest_result() {
   if (jobs_.retired() == 0) {
     // The window still holds every job of the run: report them per job.
     const auto n = static_cast<std::size_t>(jobs_.end());
@@ -433,30 +405,18 @@ void Engine::harvest_result() {
   trace(obs::TraceKind::kRunEnd, kNoJob, result_.completed_value,
         result_.generated_value);
   if (sink_) sink_->flush();
+  return result_;
 }
 
-// --- Live mode (real-time admission serving) --------------------------------
+// --- Live-mode driver hooks (sim/live_driver.hpp) ---------------------------
 
-void Engine::begin_live() {
-  SJS_CHECK_MSG(!live_ && !in_callback_, "begin_live: already live");
-  SJS_CHECK_MSG(!run_started_,
-                "begin_live needs a fresh engine or a reset() one");
-  run_started_ = true;
-  live_ = true;
-  // Live admissions append to the instance: copy out any records the
-  // window borrowed from it first.
-  jobs_.own_records();
+void Engine::start_run() {
   // Live events join the queue after the seal, and the live static side
   // keeps every capacity breakpoint: nothing here is a batch run's.
   static_key_.reusable = false;
-  queue_.clear();
-  next_seq_ = 0;
   result_.clear();
   result_.scheduler_name = scheduler_->name();
-  // A live session normally starts empty, but admit any pre-loaded jobs (the
-  // window already holds them, bound by rewind()) so a warm-started instance
-  // behaves like the equivalent replay.
-  for (JobId id = 0; id < jobs_.end(); ++id) schedule_live_job(id);
+  for (JobId id = 0; id < jobs_.end(); ++id) schedule_job(id);
   if (scheduler_->wants_capacity_events()) {
     // All profile breakpoints: the final deadline is unknown up front. The
     // extras beyond the last admitted deadline fire with no live jobs and
@@ -476,86 +436,23 @@ void Engine::begin_live() {
   in_callback_ = false;
 }
 
-void Engine::schedule_live_job(JobId id) {
+void Engine::schedule_job(JobId id) {
   const Job& j = jobs_.job(id);
   result_.generated_value += j.value;
   push_event(j.release, EventType::kRelease, id, 0);
   push_event(j.deadline, EventType::kExpiry, id, 0);
 }
 
-JobId Engine::admit_live(const Job& job) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "admit_live outside live mode");
-  SJS_CHECK_MSG(job.release >= now_ - 1e-12,
-                "admit_live in the past: release " << job.release << " < now "
-                    << now_);
-  SJS_CHECK_MSG(job.valid(), "admit_live of invalid job " << job.to_string());
-  // Ids stay == admission order (journal local ids and the outcome CSV
-  // depend on it). The window grows only when its unretired span outgrows
-  // reserve_live's pre-size.
-  const JobId id = jobs_.admit(job);
-  schedule_live_job(id);
-  return id;
-}
-
-void Engine::admit_live(JobId id) {
-  SJS_CHECK_MSG(id == jobs_.end() &&
-                    static_cast<std::size_t>(id) < instance_->size(),
-                "admit_live out of order: job " << id << ", expected "
-                    << jobs_.end());
-  admit_live(instance_->job(id));
-}
-
-void Engine::retire(JobId id) {
-  SJS_CHECK_MSG(!in_callback_, "retire inside a scheduler callback");
-  jobs_.retire(id);
-}
-
-bool Engine::cancel_live(JobId id) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "cancel_live outside live mode");
-  if (!is_live(id)) return false;
-  // Deliver an ordinary expiry interrupt at the current instant; the job's
-  // original expiry event stays queued and later pops as a no-op (outcome is
-  // no longer pending). Note this subdivides the running job's execution
-  // integral at now(), so cancel-bearing sessions are excluded from the
-  // bit-exact replay guarantee (docs/serving.md).
+void Engine::expire_now(JobId id) {
   advance_execution(now_);
   const Event event{now_, EventType::kExpiry, next_seq_++, id, 0};
   ++result_.events_processed;
   in_callback_ = true;
   handle_expiry(event);
   in_callback_ = false;
-  return true;
 }
 
-void Engine::advance_to(double t) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "advance_to outside live mode");
-  SJS_CHECK_MSG(t >= now_ - 1e-12, "advance_to moving backwards: " << t
-                                       << " < " << now_);
-  while (next_event_time() < t) {
-    step_event();
-  }
-  now_ = std::max(now_, t);
-  // last_advance_ deliberately stays at the last processed event: execution
-  // integrals must be subdivided at event times only, exactly as replay
-  // subdivides them, or remaining workloads drift by ulps.
-}
-
-const SimResult& Engine::finish_live() {
-  SJS_CHECK_MSG(live_ && !in_callback_, "finish_live outside live mode");
-  while (!queue_.empty()) {
-    step_event();
-  }
-  harvest_result();
-  live_ = false;
-  return result_;
-}
-
-void Engine::reserve_live(std::size_t max_in_flight) {
-  live_reserve_ = max_in_flight;
-  jobs_.reserve(max_in_flight);
-  // A job spills only while unresolved, so the jobs in flight bound the
-  // store (sim/job_table.hpp).
-  jobs_.reserve_stragglers(max_in_flight);
+void Engine::reserve_live_events(std::size_t max_in_flight) {
   // The static side only takes pre-loaded jobs and capacity breakpoints; live
   // releases/expiries and timers go to the volatile heap: a release, an
   // expiry and one timer per in-flight job, plus the running job's

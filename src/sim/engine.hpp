@@ -31,14 +31,41 @@
 #include "jobs/instance.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/job_table.hpp"
+#include "sim/live_driver.hpp"
 #include "sim/result.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/split_event_queue.hpp"
 #include "util/fp.hpp"
 
 namespace sjs::sim {
 
-class Engine {
+enum class EngineEventType : std::uint8_t {
+  // Declaration order IS the tie-break priority at equal timestamps.
+  kCompletion = 0,
+  kExpiry = 1,
+  kCapacityChange = 2,
+  kRelease = 3,
+  kTimer = 4,
+};
+
+/// One queued Engine event (engine-internal; at namespace scope so that the
+/// live-mode driver's queue can be declared before the engine).
+struct EngineEvent {
+  double time;
+  EngineEventType type;
+  std::uint64_t seq;     // FIFO tie-break within the same (time, type)
+  JobId job = kNoJob;
+  std::uint64_t id = 0;  // dispatch epoch (completion) or TimerId (timer)
+
+  bool operator>(const EngineEvent& other) const {
+    if (fp::exact_ne(time, other.time)) return time > other.time;
+    if (type != other.type) return type > other.type;
+    return seq > other.seq;
+  }
+};
+
+class Engine : public LiveDriver<Engine, EngineEvent, SimResult> {
+  friend class LiveDriver<Engine, EngineEvent, SimResult>;
+
  public:
   /// Binds the engine to an instance and a scheduler. Neither is owned; both
   /// must outlive the engine. A Scheduler instance must not be reused across
@@ -73,106 +100,13 @@ class Engine {
 
   // --- Live mode (real-time admission serving, src/serve/) -----------------
   //
-  // The serving daemon drives the engine against wall-clock time instead of
-  // running a sealed instance to completion: jobs are admitted with
-  // admit_live() as they arrive over the wire, and the event loop advances
-  // virtual time with advance_to(t) between socket polls. Live mode reuses
-  // the exact replay machinery — push_event/step_event, the handler
-  // dispatch, the (time, type, seq) total order — so a live session whose
-  // admitted arrival stream is journalled and replayed through
-  // run_to_completion reproduces the identical schedule: the event sequences
-  // coincide because (1) live release/expiry events go to the volatile heap,
-  // and heap-vs-static placement never affects the merged pop order, (2)
-  // admission stamps are strictly increasing and advance_to's bound is
-  // *strict* (< t), so every event at one timestamp is in the queue before
-  // any of them pops, and (3) relative seq order within each (time, type)
-  // class equals admission order in both modes. See docs/serving.md for the
-  // full argument.
-  //
-  // Per-job state lives in the JobTable window (sim/job_table.hpp). A
-  // serving session retires each job once it has an outcome (retire()), so
-  // its memory does not grow with the number of jobs it admits, and an
-  // unresolved job at a full window's base spills to the straggler store
-  // reserve_live() sized. A live run that retires nothing keeps every job,
-  // like a batch run.
-
-  /// Enters live mode over the bound instance (normally empty; any jobs it
-  /// holds are admitted at their own releases): initialises the run, pushes
-  /// capacity-change interrupts if the scheduler wants them, and raises
-  /// on_start. Pair with finish_live().
-  void begin_live();
-
-  /// Admits `job` (release >= now(); its id field is ignored) into the live
-  /// run at the next admission id, which it returns: stores the record in
-  /// the window and schedules the job's release and expiry.
-  JobId admit_live(const Job& job);
-
-  /// Admits job `id` of the bound instance, already appended to it
-  /// (Instance::append_job); `id` must be the next admission id.
-  void admit_live(JobId id);
-
-  /// Force-expires a live job at now() (client cancellation). The scheduler
-  /// sees an ordinary on_expire interrupt. Returns false when the job is not
-  /// live (already completed/expired/cancelled, retired, or not yet
-  /// released). Sessions containing cancellations are not journal-replayable
-  /// through run_to_completion (the replay input has no cancel channel).
-  bool cancel_live(JobId id);
-
-  /// Processes every pending event with time *strictly* before t, then
-  /// advances the virtual clock to t (>= now()). Strictness is what keeps
-  /// live pop order identical to replay order: events at exactly t wait
-  /// until every same-timestamp admission has been queued.
-  void advance_to(double t);
-
-  /// Timestamp of the next pending event, or +infinity when idle. Dead
-  /// events count: popping one is a cheap no-op, never wrong.
-  double next_event_time() const;
-
-  /// The event loop's wake-up bound: the time of the first pending event
-  /// that is not dead (event_dead), or a time no later than it when the
-  /// queue's fixed frontier overflows, or +infinity when only dead events
-  /// are queued. Never earlier than next_event_time(). Dead events before
-  /// it still pop in order inside the next advance_to(), so sleeping until
-  /// it changes no event, integral or outcome — only when the loop wakes.
-  /// Live timers bound it: a V-Dover timer can schedule the completion that
-  /// follows it.
-  double next_live_event_time() const;
-
-  /// Retires job `id`, which must have an outcome and be the window's
-  /// base() or a spilled job: every queued event still naming it is dead
-  /// from here on, and its slot is free for a later admission. Read what the caller keeps of
-  /// the job (job(id), job_state()) before retiring it.
-  void retire(JobId id);
-
-  /// Fast-forwards through every remaining event (drain: the simulated
-  /// backlog is resolved immediately in virtual time), harvests and returns
-  /// the result, and leaves live mode. A run that retired jobs reports
-  /// aggregates only (its per-job vectors stay empty: the retiring caller
-  /// consumed each job's outcome). Same reference lifetime as
-  /// run_to_completion().
-  const SimResult& finish_live();
-
-  bool live_mode() const { return live_; }
-
-  /// Reserves every structure that grows with the in-flight population —
-  /// the job window and its straggler store, both event-queue sides and the
-  /// timer slab — for `max_in_flight` simultaneous jobs, without writing
-  /// the reservation (the window's ring starts at 16 slots and widens into
-  /// it). A warmed live
-  /// session that retires its resolved jobs and keeps at most that many in
-  /// flight then performs zero heap allocations, however many jobs it
-  /// admits and however long their deadlines (the serve plane calls this at
-  /// boot with --max-in-flight).
-  void reserve_live(std::size_t max_in_flight);
-
-  /// Bound schedulers should size their per-job structures for in
-  /// on_start(): the static job count on replay runs, or the reserve_live()
-  /// pre-size in a live session (where job_count() is still 0 at start).
-  std::size_t job_capacity_hint() const {
-    return std::max(job_count(), live_reserve_);
-  }
-
-  // -------------------------------------------------------------------------
+  // begin_live, reserve_live, admit_live, cancel_live, advance_to,
+  // next_event_time, next_live_event_time, retire and finish_live come from
+  // the live-mode driver (sim/live_driver.hpp), which documents the contract
+  // once for both engines. Here begin_live also pushes capacity-change
+  // interrupts when the scheduler wants them (every profile breakpoint: the
+  // final deadline is unknown up front), and reserve_live sizes the timer
+  // slab as well.
 
   /// Enables recording of the full execution timeline into
   /// SimResult::schedule (off by default; costs one slice append per
@@ -187,8 +121,10 @@ class Engine {
   bool trace_enabled() const { return sink_ != nullptr; }
 
   // --- Query surface available to schedulers (online-observable only) ---
+  //
+  // now(), job(), job_count(), remaining(), is_released(), is_live() and
+  // job_state() come from the live-mode driver.
 
-  double now() const { return now_; }
   /// Current instantaneous capacity (observable: c(τ) is known for τ <= now).
   /// Served from the monotone capacity cursor: amortized O(1).
   double current_rate() const { return cursor_.rate(now_); }
@@ -196,17 +132,7 @@ class Engine {
   double c_lo() const { return instance_->c_lo(); }
   double c_hi() const { return instance_->c_hi(); }
 
-  /// The record of an unretired job (release, workload, deadline, value).
-  const Job& job(JobId id) const { return jobs_.job(id); }
-  /// Jobs admitted so far (the instance size on a batch run).
-  std::size_t job_count() const { return static_cast<std::size_t>(jobs_.end()); }
-  /// Remaining workload of a released job (exact as of `now`).
-  double remaining(JobId id) const;
-  bool is_released(JobId id) const;
   bool is_completed(JobId id) const;
-  /// A job is live if released, not completed, not expired, and not
-  /// retired.
-  bool is_live(JobId id) const;
   /// The job currently occupying the processor, or kNoJob.
   JobId running() const { return running_; }
   bool is_running(JobId id) const { return running_ == id; }
@@ -216,15 +142,6 @@ class Engine {
   double claxity(JobId id, double c_est) const {
     return job(id).deadline - now_ - remaining(id) / c_est;
   }
-
-  /// The job window backing every per-job lane. Schedulers own their lanes
-  /// (V-Dover's Qedf metadata / 0cl timers / flags, EDF-AC's admission
-  /// scratch), and a serving session its reply routes, through this
-  /// reference; the ground-truth lanes (remaining, outcome, released) are
-  /// engine-owned — schedulers must only read those, via the query surface
-  /// above.
-  JobTable& job_state() { return jobs_; }
-  const JobTable& job_state() const { return jobs_; }
 
   // --- Commands available to schedulers (only valid inside callbacks) ---
 
@@ -276,28 +193,8 @@ class Engine {
   }
 
  private:
-  enum class EventType : std::uint8_t {
-    // Declaration order IS the tie-break priority at equal timestamps.
-    kCompletion = 0,
-    kExpiry = 1,
-    kCapacityChange = 2,
-    kRelease = 3,
-    kTimer = 4,
-  };
-
-  struct Event {
-    double time;
-    EventType type;
-    std::uint64_t seq;     // FIFO tie-break within the same (time, type)
-    JobId job = kNoJob;
-    std::uint64_t id = 0;  // dispatch epoch (completion) or TimerId (timer)
-
-    bool operator>(const Event& other) const {
-      if (fp::exact_ne(time, other.time)) return time > other.time;
-      if (type != other.type) return type > other.type;
-      return seq > other.seq;
-    }
-  };
+  using EventType = EngineEventType;
+  using Event = EngineEvent;
 
   /// One timer slab slot; TimerId = (generation << 32) | (slot + 1).
   struct TimerSlot {
@@ -312,17 +209,28 @@ class Engine {
   }
 
   void push_event(double time, EventType type, JobId job, std::uint64_t id);
+
+  // Live-mode driver hooks (sim/live_driver.hpp).
   /// Adds job `id` (already in the window) to the live run: its value to
   /// the generated total, its release and expiry events to the queue.
-  void schedule_live_job(JobId id);
+  void schedule_job(JobId id);
   /// Pops and handles exactly one event (the body of the run loops).
   void step_event();
-  /// Dispatches one event to its handler (the switch shared by all modes).
-  void process_event(const Event& event);
+  /// Delivers an expiry of live job `id` at now_ (cancel_live).
+  void expire_now(JobId id);
   /// Fills the end-of-run SimResult fields (per-job tables when the window
   /// still holds every job, occupancy stats, kRunEnd trace) shared by
   /// run_to_completion and finish_live.
-  void harvest_result();
+  const SimResult& harvest_result();
+  /// begin_live's own part: the pre-loaded jobs, the static side (every
+  /// capacity breakpoint), on_start.
+  void start_run();
+  /// reserve_live's event-queue and timer-slab pre-sizes.
+  void reserve_live_events(std::size_t max_in_flight);
+  const std::vector<Job>& appended_jobs() const { return instance_->jobs(); }
+
+  /// Dispatches one event to its handler (the switch shared by all modes).
+  void process_event(const Event& event);
   /// Rewinds all per-run state (capacities of every container are kept) and
   /// the event queue: a reusable static side is rewound, any other cleared.
   void rewind();
@@ -373,23 +281,12 @@ class Engine {
   const Instance* instance_;
   Scheduler* scheduler_;
 
-  double now_ = 0.0;
   double last_advance_ = 0.0;   // execution accounted up to this time
   JobId running_ = kNoJob;
   std::uint64_t dispatch_epoch_ = 0;
   /// A completion event for the current dispatch epoch is in the heap; used
   /// to count the event as dead the moment a preemption invalidates it.
   bool completion_pending_ = false;
-
-  /// Per-job ground truth + scheduler lanes, one window (sim/job_table.hpp).
-  JobTable jobs_;
-
-  /// Releases, expiries and capacity changes go to the queue's sealed static
-  /// side; completions, timers (and, in live mode, late-arriving
-  /// releases/expiries) to its volatile heap. The merge rule is the queue's
-  /// (sim/split_event_queue.hpp).
-  SplitEventQueue<Event> queue_;
-  std::uint64_t next_seq_ = 0;
 
   /// What the sealed static side was built for. run_to_completion reuses it
   /// after reset() while `jobs` and `capacity_events` still match;
@@ -401,9 +298,6 @@ class Engine {
     std::uint64_t next_seq = 0;  // next_seq_ right after the seal
   };
   StaticSideKey static_key_;
-  /// A run started since construction or the last reset(); a second run
-  /// without reset() is refused.
-  bool run_started_ = false;
 
   /// The timer slab: one slot per armed timer, recycled LIFO. A cancel only
   /// frees the slot; the queued kTimer event stays and pops as a dead event
@@ -416,10 +310,7 @@ class Engine {
   mutable cap::CapacityProfile::Cursor cursor_;  // mutable: amortized-O(1)
                                                  // lookups from const queries
 
-  bool in_callback_ = false;
-  bool live_ = false;  // live admission mode (begin_live..finish_live)
   bool record_schedule_ = false;
-  std::size_t live_reserve_ = 0;  // reserve_live() pre-size (capacity hint)
   obs::TraceSink* sink_ = nullptr;
   SimResult result_;
 };

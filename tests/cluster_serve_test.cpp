@@ -34,6 +34,7 @@
 #include "cluster/cluster_server.hpp"
 #include "cluster/dispatcher.hpp"
 #include "loopback_client.hpp"
+#include "temp_path.hpp"
 #include "obs/metrics.hpp"
 #include "serve/clock.hpp"
 #include "serve/protocol.hpp"
@@ -50,11 +51,7 @@ using sjs::serve::Message;
 using sjs::serve::MsgType;
 using sjs::serve::RejectReason;
 
-std::string fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
+using sjs::testutil::fresh_dir;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

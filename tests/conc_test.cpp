@@ -98,6 +98,21 @@ TEST(ChannelTest, WakeFdSignalsOnCommitAndCoalesces) {
   EXPECT_TRUE(wake_readable(ch.wake_fd()));
 }
 
+TEST(ChannelTest, DrainPendingWakeupsDrainsOnlyASignalledChannel) {
+  Channel<int> ch(4);
+  ch.drain_pending_wakeups();  // nothing pending: no read, no block
+  EXPECT_FALSE(wake_readable(ch.wake_fd()));
+  ASSERT_EQ(ch.try_send(1), SendStatus::kOk);
+  EXPECT_TRUE(wake_readable(ch.wake_fd()));
+  ch.drain_pending_wakeups();
+  EXPECT_FALSE(wake_readable(ch.wake_fd()));
+  int v = -1;
+  EXPECT_EQ(ch.try_pop(v), PopStatus::kOk);
+  // Re-armed: the next send signals again.
+  ASSERT_EQ(ch.try_send(2), SendStatus::kOk);
+  EXPECT_TRUE(wake_readable(ch.wake_fd()));
+}
+
 TEST(ChannelTest, CloseSignalsTheConsumer) {
   Channel<int> ch(4);
   ch.drain_wakeups();

@@ -40,6 +40,7 @@
 #include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
 #include "loopback_client.hpp"
+#include "temp_path.hpp"
 #include "sched/factory.hpp"
 #include "sched/vdover.hpp"
 #include "serve/clock.hpp"
@@ -422,6 +423,49 @@ void expect_allocation_free(const char* mode, const ServeProbe& probe) {
   EXPECT_EQ(probe.allocs, 0u) << mode;
 }
 
+TEST(HotPathAllocations, FrameDecoderTakesAFullReadWithoutGrowing) {
+  // Both ends of every serving connection feed a FrameDecoder one recv at a
+  // time (FrontEnd::on_data, LoopbackClient::read_socket). A warmed decoder
+  // whose consumed prefix sits just under 4096 bytes then receives one full
+  // 4096-byte read: it must take it in the room reserved at construction,
+  // whatever the high-water of the reads before it.
+  serve::Message submit;
+  submit.type = serve::MsgType::kSubmit;
+  submit.a = 1.0;
+  submit.b = 2.0;
+  submit.c = 3.0;
+  const std::vector<std::uint8_t> frame = serve::encode_frame(submit);
+  constexpr std::size_t kRead = serve::FrameDecoder::kMaxRead;
+
+  serve::FrameDecoder decoder;
+  serve::Message out;
+  std::size_t consumed = 0;
+  while (consumed + 2 * frame.size() < 4096) {
+    decoder.feed(frame.data(), frame.size());
+    ASSERT_EQ(decoder.next(out), serve::FrameDecoder::Status::kOk);
+    consumed += frame.size();
+  }
+  ASSERT_EQ(decoder.next(out), serve::FrameDecoder::Status::kNeedMore);
+
+  // Whole frames, then the head of one more: a read that ends mid-frame.
+  std::vector<std::uint8_t> burst;
+  while (burst.size() + frame.size() <= kRead) {
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  const std::size_t whole = burst.size() / frame.size();
+  burst.insert(burst.end(), frame.begin(),
+               frame.begin() + static_cast<std::ptrdiff_t>(kRead - burst.size()));
+  ASSERT_EQ(burst.size(), kRead);
+
+  std::size_t decoded = 0;
+  util::AllocProbe::reset();
+  decoder.feed(burst.data(), burst.size());
+  while (decoder.next(out) == serve::FrameDecoder::Status::kOk) ++decoded;
+  const std::uint64_t allocs = util::AllocProbe::count();
+  EXPECT_EQ(decoded, whole);
+  EXPECT_EQ(allocs, 0u);
+}
+
 TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
   // The live-mode twin of the replay ratchet above, in every serving mode:
   // a warmed FakeClock session — submits, accept/reject decisions,
@@ -578,8 +622,7 @@ TEST(HotPathAllocations, LongSessionStaysInsideItsJobWindow) {
   const auto* factory = sched::find_factory(lineup, "V-Dover");
   ASSERT_NE(factory, nullptr);
 
-  const std::string single_dir = testing::TempDir() + "/window_single";
-  std::filesystem::remove_all(single_dir);
+  const std::string single_dir = testutil::fresh_dir("window_single");
   config.journal_dir = single_dir;
   const WindowProbe single = probe_long_window_session(
       0,
@@ -619,8 +662,7 @@ TEST(HotPathAllocations, LongSessionStaysInsideItsJobWindow) {
   serve::ServerConfig sharded = config;
   sharded.shards = 2;
   sharded.shard_poll_ms = 5;
-  sharded.journal_dir = testing::TempDir() + "/window_sharded";
-  std::filesystem::remove_all(sharded.journal_dir);
+  sharded.journal_dir = testutil::fresh_dir("window_sharded");
   const WindowProbe two = probe_long_window_session(
       1,
       [&](serve::FakeClock& clock) {
@@ -657,8 +699,7 @@ TEST(HotPathAllocations, LongFleetSessionStaysInsideItsJobWindow) {
   config.fleet = cluster::Fleet::heterogeneous(4);
   config.rental = "threshold";
   config.max_in_flight = kWindowSessionSlots;
-  config.journal_dir = testing::TempDir() + "/window_fleet";
-  std::filesystem::remove_all(config.journal_dir);
+  config.journal_dir = testutil::fresh_dir("window_fleet");
   const WindowProbe fleet = probe_long_window_session(
       0,
       [&](serve::FakeClock& clock) {
@@ -825,8 +866,7 @@ TEST(HotPathAllocations, HeavyTailedSessionSpillsInsteadOfGrowing) {
   const auto* factory = sched::find_factory(lineup, "V-Dover");
   ASSERT_NE(factory, nullptr);
 
-  config.journal_dir = testing::TempDir() + "/straggler_single";
-  std::filesystem::remove_all(config.journal_dir);
+  config.journal_dir = testutil::fresh_dir("straggler_single");
   expect_straggler_probe(
       "single",
       probe_straggler_session(
@@ -853,8 +893,7 @@ TEST(HotPathAllocations, HeavyTailedSessionSpillsInsteadOfGrowing) {
   serve::ServerConfig sharded = config;
   sharded.shards = 2;
   sharded.shard_poll_ms = 5;
-  sharded.journal_dir = testing::TempDir() + "/straggler_sharded";
-  std::filesystem::remove_all(sharded.journal_dir);
+  sharded.journal_dir = testutil::fresh_dir("straggler_sharded");
   expect_straggler_probe(
       "sharded",
       probe_straggler_session(
@@ -879,8 +918,7 @@ TEST(HotPathAllocations, HeavyTailedSessionSpillsInsteadOfGrowing) {
   fleet.rental = "threshold";
   fleet.max_in_flight = kStragglerSessionSlots;
   fleet.admission_check = false;
-  fleet.journal_dir = testing::TempDir() + "/straggler_fleet";
-  std::filesystem::remove_all(fleet.journal_dir);
+  fleet.journal_dir = testutil::fresh_dir("straggler_fleet");
   expect_straggler_probe(
       "fleet",
       probe_straggler_session(
@@ -1011,8 +1049,7 @@ TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
   const auto* factory = sched::find_factory(lineup, "V-Dover");
   ASSERT_NE(factory, nullptr);
 
-  config.journal_dir = testing::TempDir() + "/widening_single";
-  std::filesystem::remove_all(config.journal_dir);
+  config.journal_dir = testutil::fresh_dir("widening_single");
   const std::uint64_t single = probe_widening_session(
       config.c_lo, 0,
       [&](serve::FakeClock& clock) {
@@ -1038,8 +1075,7 @@ TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
   serve::ServerConfig sharded = config;
   sharded.shards = 2;
   sharded.shard_poll_ms = 5;
-  sharded.journal_dir = testing::TempDir() + "/widening_sharded";
-  std::filesystem::remove_all(sharded.journal_dir);
+  sharded.journal_dir = testutil::fresh_dir("widening_sharded");
   const std::uint64_t two = probe_widening_session(
       config.c_lo, 1,
       [&](serve::FakeClock& clock) {
@@ -1067,8 +1103,7 @@ TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
   fleet.rental = "threshold";
   fleet.max_in_flight = kWideningSessionSlots;
   fleet.admission_check = false;
-  fleet.journal_dir = testing::TempDir() + "/widening_fleet";
-  std::filesystem::remove_all(fleet.journal_dir);
+  fleet.journal_dir = testutil::fresh_dir("widening_fleet");
   const std::uint64_t fleet_allocs = probe_widening_session(
       fleet.fleet.admission_c_lo(), 0,
       [&](serve::FakeClock& clock) {

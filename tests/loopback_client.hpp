@@ -70,7 +70,7 @@ class LoopbackClient {
 
   /// Drains readable bytes into the decoder; true if the peer closed.
   bool read_socket() {
-    std::uint8_t buf[4096];
+    std::uint8_t buf[serve::FrameDecoder::kMaxRead];
     while (true) {
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
       if (n > 0) {

@@ -40,6 +40,7 @@
 #include "jobs/bundle.hpp"
 #include "obs/metrics.hpp"
 #include "loopback_client.hpp"
+#include "temp_path.hpp"
 #include "sched/factory.hpp"
 #include "serve/clock.hpp"
 #include "serve/journal.hpp"
@@ -60,11 +61,7 @@ using sjs::serve::MsgType;
 using sjs::serve::RejectReason;
 using sjs::serve::ServerConfig;
 
-std::string fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
+using sjs::testutil::fresh_dir;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

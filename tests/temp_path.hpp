@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <system_error>
+#include <vector>
 
 namespace sjs::testutil {
 
@@ -26,6 +28,26 @@ inline std::string unique_temp_path(const std::string& stem,
   std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
   name += "_" + std::to_string(::getpid()) + suffix;
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// unique_temp_path(stem), emptied now and removed when the test process
+/// exits: a journal directory (or output file) the test writes and reads
+/// back.
+inline std::string fresh_dir(const std::string& stem) {
+  struct Registry {
+    std::vector<std::string> paths;
+    ~Registry() {
+      std::error_code ignored;
+      for (const std::string& p : paths) {
+        std::filesystem::remove_all(p, ignored);
+      }
+    }
+  };
+  static Registry registry;
+  std::string path = unique_temp_path(stem);
+  std::filesystem::remove_all(path);
+  registry.paths.push_back(path);
+  return path;
 }
 
 }  // namespace sjs::testutil
