@@ -31,9 +31,18 @@
 # --max-in-flight (a power of two, so also the ring's pre-size) that the
 # jobs in flight stay under, while long-deadline jobs pin the window's base
 # and the unretired span grows several times past it. Beyond steps 1-4 it
-# asserts that every job window stayed at its pre-size
-# (server.window_slots[.shard<k>] = --max-in-flight) and that jobs spilled
-# to the straggler store (server.window_stragglers > 0).
+# asserts the window rule (sim/job_table.hpp): every job window's ring
+# stayed within max(16, 4 x its in-flight peak)
+# (server.window_slots[.shard<k>] against server.in_flight_peak, same
+# suffix), and jobs spilled to the straggler store
+# (server.window_stragglers > 0).
+#
+# Last, two phases boot sjs_serve with the flags perfbench boots it with
+# (single: V-Dover, band [1, 2]; fleet: --cluster=4 --rental=threshold
+# --cluster-key=deadline; both --max-in-flight=4096 and no --metrics), so
+# the server with no metrics registry runs here too. They gate steps 1, 3
+# and 4 and the completed counter of the server summary, and that the
+# server printed no metrics.
 #
 # Usage: scripts/serve_smoke.sh   (BUILD_DIR overrides ./build)
 set -euo pipefail
@@ -138,9 +147,15 @@ smoke_phase() {
   local load_flags=("$@")
   local server_log="$WORK/server_$tag.log"
 
+  # METRICS=0 boots the server without --metrics: no registry, so only
+  # the server summary's counters are gated.
+  local with_metrics="${METRICS:-1}"
+  local metrics_flag=()
+  [ "$with_metrics" -eq 1 ] && metrics_flag=(--metrics)
+
   # accel=20: two wall seconds of load span 40 virtual seconds, so plenty of
   # jobs resolve while the session is still live.
-  "$SERVE" --port=0 --journal="$journal" --accel=20 --metrics \
+  "$SERVE" --port=0 --journal="$journal" --accel=20 "${metrics_flag[@]}" \
     "${serve_flags[@]}" > "$server_log" 2>&1 &
   SERVER_PID=$!
 
@@ -178,6 +193,14 @@ smoke_phase() {
   COMPLETED="$(sed -n 's/^server: .* \([0-9]*\) completed.*/\1/p' "$server_log")"
   [ -n "$COMPLETED" ] && [ "$COMPLETED" -gt 0 ] || {
     echo "FAIL($tag): no completed jobs in server summary" >&2; exit 1; }
+
+  if [ "$with_metrics" -eq 0 ]; then
+    if grep -q '^metrics:' "$server_log"; then
+      echo "FAIL($tag): metrics printed without --metrics" >&2; exit 1
+    fi
+    echo "[$tag] no metrics registry: nothing to report"
+    return
+  fi
 
   echo "[$tag] job window:"
   grep -E '^ +server\.(in_flight_peak|window_|outcome_rows_held)' \
@@ -225,27 +248,42 @@ reserve_gate() {
     }' "$log" >&2 || exit 1
 }
 
-# straggler_gate <tag> <slots>: every job window of the phase's server kept
-# its pre-size of <slots>, and jobs spilled.
+# straggler_gate <tag>: every job window of the phase's server kept its
+# ring within max(16, 4 x its in-flight peak) (the window rule: a ring
+# doubles from C slots only while more than C/2 jobs are pending), and jobs
+# spilled.
 straggler_gate() {
-  local tag="$1" slots="$2" log="$WORK/server_$1.log"
-  awk -v tag="$tag" -v slots="$slots" '
+  local tag="$1" log="$WORK/server_$1.log"
+  awk -v tag="$tag" '
     $1 ~ /^server\.window_slots/ {
-      windows++
-      if ($2 != slots) {
-        printf "FAIL(%s): %s %s, pre-size %s\n", tag, $1, $2, slots
-        bad = 1
-      }
+      k = $1; sub(/^server\.window_slots/, "", k); sub(/:$/, "", k)
+      slots[k] = $2
+    }
+    $1 ~ /^server\.in_flight_peak/ {
+      k = $1; sub(/^server\.in_flight_peak/, "", k); sub(/:$/, "", k)
+      peak[k] = $2
     }
     $1 ~ /^server\.window_stragglers/ { spilled += $2 }
     END {
+      for (k in slots) {
+        windows++
+        bound = 4 * peak[k]
+        if (bound < 16) bound = 16
+        if (!(k in peak)) {
+          printf "FAIL(%s): no in_flight_peak%s gauge\n", tag, k; bad = 1
+        } else if (slots[k] + 0 > bound) {
+          printf "FAIL(%s): window_slots%s %s > max(16, 4 x in_flight_peak " \
+                 "%s)\n", tag, k, slots[k], peak[k]
+          bad = 1
+        }
+      }
       if (windows == 0) {
         printf "FAIL(%s): no window_slots gauge\n", tag; bad = 1
       }
       if (spilled == 0) { printf "FAIL(%s): no job spilled\n", tag; bad = 1 }
       if (!bad) {
-        printf "[%s] %d window(s) kept %s slots; %d straggler(s) spilled\n",
-               tag, windows, slots, spilled
+        printf "[%s] %d window(s) within 4x their in-flight peak; " \
+               "%d straggler(s) spilled\n", tag, windows, spilled
       }
       exit bad
     }' "$log" >&2 || exit 1
@@ -279,19 +317,28 @@ CLUSTER_COMPLETED="$COMPLETED"
 # --- Phase 4: stragglers, per mode -----------------------------------------
 smoke_phase straggler_single "$WORK/journal_ss" --max-in-flight=64 -- \
   --mean-workload=0.1 --slack-max=100
-straggler_gate straggler_single 64
+straggler_gate straggler_single
 replay_bundle "$WORK/journal_ss" straggler_single
 
 smoke_phase straggler_sharded "$WORK/journal_s2" --shards=2 \
   --max-in-flight=64 -- --mean-workload=0.2 --slack-max=100 --connections=2
-straggler_gate straggler_sharded 64
+straggler_gate straggler_sharded
 for k in 0 1; do
   replay_bundle "$WORK/journal_s2/shard$k" "straggler_shard$k"
 done
 
 smoke_phase straggler_cluster "$WORK/journal_sc" --cluster=4 \
   --max-in-flight=64 -- --mean-workload=20 --slack-max=40 --c-lo=2
-straggler_gate straggler_cluster 64
+straggler_gate straggler_cluster
 replay_cluster_bundle "$WORK/journal_sc" straggler_cluster
 
-echo "PASS: clean SIGTERM drains ($SINGLE_COMPLETED single / $SHARDED_COMPLETED sharded / $CLUSTER_COMPLETED cluster completed), all replays bit-exact, straggler windows at their pre-size"
+# --- Phase 5: booted as perfbench boots it, no metrics registry ------------
+METRICS=0 smoke_phase perfbench_single "$WORK/journal_ps" \
+  --scheduler=V-Dover --max-in-flight=4096 --c-lo=1.0 --c-hi=2.0 -- --c-lo=1
+replay_bundle "$WORK/journal_ps" perfbench_single
+
+METRICS=0 smoke_phase perfbench_cluster "$WORK/journal_pc" --cluster=4 \
+  --rental=threshold --cluster-key=deadline --max-in-flight=4096 -- --c-lo=2
+replay_cluster_bundle "$WORK/journal_pc" perfbench_cluster
+
+echo "PASS: clean SIGTERM drains ($SINGLE_COMPLETED single / $SHARDED_COMPLETED sharded / $CLUSTER_COMPLETED cluster completed), all replays bit-exact, straggler windows within 4x their in-flight peak, perfbench boots without metrics drain and replay"

@@ -22,8 +22,9 @@ that seed instead: the fleet at 12k SUBMIT/s for 2.67 s each (40 s x the
 peak share 0.4 / 6 rounds), pb_load seeded SEED*7919 + 10*round + 2. Each
 session runs twice with the same load: once exactly as perfbench boots
 sjs_serve, whose VmHWM is the one rss_peak_mb takes the maximum of, and
-once with --metrics for the gauges (the metrics registry has a footprint
-of its own, reported as vm_hwm_metrics_mb).
+once with --metrics for the gauges. Only a --metrics server keeps a
+metrics registry (its counters, and the trace bridge's stamp table), so
+that footprint is its own: vm_hwm_metrics_mb minus vm_hwm_mb.
 
 --max-in-flight N [N ...] (with --perfbench-seed) sweeps the pre-size: for
 each value, and for both perfbench workloads (serve_single's peak at 15k

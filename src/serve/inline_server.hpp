@@ -54,14 +54,15 @@ class InlineServer : public FrontEnd, private ReplyTarget {
     return session_.recent_trace();
   }
   /// The session's job window: ring slots in use and reserved, peak
-  /// unretired span, peak spilled stragglers, and the journal's peak held
-  /// outcome rows.
+  /// unretired span, peak spilled stragglers, the peak of jobs in flight,
+  /// and the journal's peak held outcome rows.
   std::size_t window_slots() const { return session_.window_slots(); }
   std::size_t window_reserved() const { return session_.window_reserved(); }
   std::uint64_t window_peak() const { return session_.window_peak(); }
   std::uint64_t window_stragglers() const {
     return session_.window_stragglers();
   }
+  std::uint64_t in_flight_peak() const { return session_.in_flight_peak(); }
   std::uint64_t outcome_rows_held() const {
     return session_.outcome_rows_held();
   }

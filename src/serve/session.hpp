@@ -269,6 +269,8 @@ class Session {
   std::uint64_t window_peak() const { return jobs().span_peak(); }
   /// Peak count of spilled jobs in the window's straggler store.
   std::uint64_t window_stragglers() const { return jobs().straggler_peak(); }
+  /// Peak count of admitted, unresolved jobs.
+  std::uint64_t in_flight_peak() const { return in_flight_peak_; }
   /// Peak count of outcomes.csv rows the journal held back (0 without one).
   std::uint64_t outcome_rows_held() const {
     return journal_ ? journal_->rows_held_peak() : 0;

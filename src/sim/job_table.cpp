@@ -180,16 +180,26 @@ void JobTable::spill_front() {
   ++base_;
 }
 
+bool JobTable::mostly_pending() const {
+  // Only a full ring asks, so every slot holds a job of [base(), end()).
+  const auto pending = static_cast<std::size_t>(
+      std::count(outcome_.begin(), outcome_.end(), JobOutcome::kPending));
+  return 2 * pending > capacity();
+}
+
 JobId JobTable::admit(const Job& job) {
   SJS_CHECK_MSG(!borrowed_, "admit into a window of borrowed records");
   if (span() == capacity()) {
     if (capacity() == 0) {
       resize_ring(kFirstSlots);
-    } else if (capacity() >= reserved_ &&
-               stragglers_.size() < straggler_room_) {
+    } else if (stragglers_.size() < straggler_room_ &&
+               (capacity() >= reserved_ || !mostly_pending())) {
+      // At the reservation, or below it with the span outrunning the jobs
+      // in flight: the base spills.
       spill_front();
     } else {
-      // Below the reservation, or with no room to spill: double the ring.
+      // More than half the ring pending below the reservation, or no room
+      // to spill: double the ring.
       widen_ring();
     }
   }

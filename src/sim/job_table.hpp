@@ -15,12 +15,13 @@
 //
 // A pre-size is a reservation. reserve() (the serve plane passes
 // --max-in-flight) reserves every lane's capacity for its slots, but the
-// ring starts at min(16, reserved()) slots, and admit() doubles a full ring
-// in place while it is below the reservation: the lanes grow within their
-// capacity, so no allocation happens, and only the ids whose slot moves
-// under the wider mask are copied, into the fresh upper half. A page of
-// the reservation is thus touched only once the unretired span grows into
-// it, and a session's memory follows its span, not its pre-size.
+// ring starts at min(16, reserved()) slots, and admit() may double a full
+// ring in place while it is below the reservation (when, see below): the
+// lanes grow within their capacity, so no allocation happens, and only the
+// ids whose slot moves under the wider mask are copied, into the fresh
+// upper half. A page of the reservation is thus touched only once the ring
+// widens into it, and a session's memory follows its load, not its
+// pre-size.
 //
 // Stragglers. In the paper's model a job keeps its slack until its
 // deadline, so one far-deadline job would pin the base while thousands of
@@ -34,11 +35,19 @@
 // store by the jobs in flight (a spilled job is unresolved when it spills,
 // and the serving session retires it as soon as it resolves), and only the
 // span of unretired ids — end() minus the lowest unretired id, span_peak()
-// — still follows the longest deadline. Only a ring that has reached its
-// reservation spills. A table with no store (a batch run, or no
-// reserve_stragglers()) or a full one doubles the ring past the
-// reservation instead, in place the same way (past the lanes' capacity the
-// growth reallocates, with the contents kept).
+// — still follows the longest deadline.
+//
+// The window follows the jobs in flight, not the span. A full ring below
+// its reservation doubles only when more than half of its slots hold
+// pending jobs (a scan of the 1-byte outcome lane, made only by an admit
+// that finds the ring full); otherwise the span is outrunning the work, and
+// the base spills as it does at the reservation. A ring thus doubles from C
+// slots only while more than C/2 jobs are pending, so below its reservation
+// it stays under max(16, 4 x its pending peak), whatever the deadlines, and
+// resolved jobs queued behind a straggler hold no lane. A table with no
+// store (a batch run, or no reserve_stragglers()) or a full one doubles the
+// ring instead, past the reservation too, in place the same way (past the
+// lanes' capacity the growth reallocates, with the contents kept).
 //
 // A batch run is the same window over the whole sealed instance (bind()):
 // ids [0, n), nothing ever spills or retires, and the base stays 0, so a
@@ -132,9 +141,10 @@ class JobTable {
 
   /// Admits `job` at id end() with fresh lanes and returns that id (the
   /// record's own id field is overwritten with it). When the ring is full it
-  /// doubles in place if it is below reserved(); at the reservation it
-  /// spills the job at base() into the straggler store, or doubles the ring
-  /// past it if the store has no room.
+  /// spills the job at base() into the straggler store, unless it is below
+  /// reserved() with more than half its slots pending; then, or when the
+  /// store has no room, it doubles in place (past the reservation only with
+  /// no room to spill).
   JobId admit(const Job& job);
 
   /// Retires job `id`, which must have an outcome and be either base() or a
@@ -298,6 +308,8 @@ class JobTable {
   /// Lanes::kAll.
   template <typename F>
   void for_each_lane(F&& f);
+  /// Whether more than half the slots of a full ring hold pending jobs.
+  bool mostly_pending() const;
   /// Moves the job at base() into the store and advances the base.
   void spill_front();
   /// Grows every lane of an empty ring to `slots` (a power of two).

@@ -39,6 +39,7 @@
 #include "jobs/bundle.hpp"
 #include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
+#include "obs/metrics.hpp"
 #include "loopback_client.hpp"
 #include "temp_path.hpp"
 #include "sched/factory.hpp"
@@ -466,16 +467,10 @@ TEST(HotPathAllocations, FrameDecoderTakesAFullReadWithoutGrowing) {
   EXPECT_EQ(allocs, 0u);
 }
 
-TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
-  // The live-mode twin of the replay ratchet above, in every serving mode:
-  // a warmed FakeClock session — submits, accept/reject decisions,
-  // completion and expiry notifications, reply encoding, the poll loop, and
-  // for the sharded plane the channel hops both ways — performs zero heap
-  // allocations. start() pre-sizes the slab, the job window (reply routes
-  // included), and the notification buffers from --max-in-flight; the
-  // warm-up grows everything else (socket buffers, decoders) to its
-  // steady-state high-water. No journal, no metrics: the probe measures the
-  // serve core itself.
+/// The steady-serve probe in all three modes, each front end given
+/// `metrics` (null: no registry).
+void expect_steady_serve_allocation_free(obs::MetricsRegistry* metrics,
+                                         const char* label) {
   constexpr double kBandLo = 0.5;
   constexpr double kBandHi = 1.0;
   serve::ServerConfig config;
@@ -486,24 +481,24 @@ TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
   const auto lineup = sched::full_lineup(kBandLo, kBandHi);
   const auto* factory = sched::find_factory(lineup, "V-Dover");
   ASSERT_NE(factory, nullptr);
+  const std::string mode = label;
 
   const ServeProbe single = probe_steady_serve_session(
       {kBandLo, 0.05, 20.0, 10.0, 0}, [&](serve::FakeClock& clock) {
         return std::make_unique<serve::AdmissionServer>(
-            config, factory->make(), clock);
+            config, factory->make(), clock, metrics);
       });
-  RecordProperty("steady_serve_allocs", static_cast<int>(single.allocs));
-  expect_allocation_free("single", single);
+  expect_allocation_free((mode + "single").c_str(), single);
 
   serve::ServerConfig sharded = config;
   sharded.shards = 2;
   sharded.shard_poll_ms = 5;  // shard threads re-check the FakeClock promptly
   expect_allocation_free(
-      "sharded",
+      (mode + "sharded").c_str(),
       probe_steady_serve_session(
           {kBandLo, 0.05, 20.0, 10.0, 1}, [&](serve::FakeClock& clock) {
             return std::make_unique<serve::ShardedAdmissionServer>(
-                sharded, [&] { return factory->make(); }, clock);
+                sharded, [&] { return factory->make(); }, clock, metrics);
           }));
 
   // The fleet: three speed classes over a tight base band, so admission
@@ -515,12 +510,70 @@ TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
   fleet.fleet.add(cluster::ServerSpec{30.0, 35.0, 0.5, 0.45});
   fleet.rental = "threshold";
   expect_allocation_free(
-      "fleet", probe_steady_serve_session(
-                   {fleet.fleet.admission_c_lo(), 40.0, 4.0, 2.0, 0},
-                   [&](serve::FakeClock& clock) {
-                     return std::make_unique<cluster::ClusterServer>(fleet,
-                                                                     clock);
-                   }));
+      (mode + "fleet").c_str(),
+      probe_steady_serve_session(
+          {fleet.fleet.admission_c_lo(), 40.0, 4.0, 2.0, 0},
+          [&](serve::FakeClock& clock) {
+            return std::make_unique<cluster::ClusterServer>(fleet, clock,
+                                                            metrics);
+          }));
+}
+
+TEST(HotPathAllocations, SteadyStateServeSessionAllocationFree) {
+  // The live-mode twin of the replay ratchet above, in every serving mode:
+  // a warmed FakeClock session — submits, accept/reject decisions,
+  // completion and expiry notifications, reply encoding, the poll loop, and
+  // for the sharded plane the channel hops both ways — performs zero heap
+  // allocations. start() pre-sizes the slab, the job window (reply routes
+  // included), and the notification buffers from --max-in-flight; the
+  // warm-up grows everything else (socket buffers, decoders) to its
+  // steady-state high-water. No journal, no metrics: the probe measures the
+  // serve core itself, as sjs_serve runs it without --metrics.
+  expect_steady_serve_allocation_free(nullptr, "");
+}
+
+TEST(HotPathAllocations, SteadyStateServeSessionWithMetricsAllocationFree) {
+  // The same probe with a metrics registry attached, as sjs_serve --metrics
+  // runs it: the server.* counters, the wake-lateness histogram and the
+  // trace-to-metrics bridge (its stamp table included) are warmed by the
+  // first burst, so the measured phase allocates nothing either.
+  obs::MetricsRegistry registry;
+  expect_steady_serve_allocation_free(&registry, "metrics ");
+}
+
+/// Replays the single-engine journal at `dir` and compares its outcomes.csv
+/// with the live session's, byte for byte.
+void expect_single_replay(const std::string& dir,
+                          const sched::NamedFactory& factory) {
+  const Instance replayed = load_instance_bundle(dir);
+  auto replay_scheduler = factory.make();
+  sim::Engine engine(replayed, *replay_scheduler);
+  const sim::SimResult replay = engine.run_to_completion();
+  const std::string replay_csv = dir + "_replay.csv";
+  sim::save_outcomes_csv(replay, replayed.jobs(), replay_csv);
+  EXPECT_EQ(slurp(dir + "/outcomes.csv"), slurp(replay_csv));
+}
+
+/// The same for a fleet journal.
+void expect_fleet_replay(const std::string& dir) {
+  const cluster::ClusterBundle bundle = cluster::load_cluster_bundle(dir);
+  cluster::Dispatcher dispatcher(
+      bundle.fleet, cluster::DispatcherConfig{},
+      cluster::make_rental_controller(bundle.meta.at("rental")));
+  const cloud::MultiSimResult replay =
+      cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
+  const std::string replay_csv = dir + "_replay.csv";
+  cloud::save_multi_outcomes_csv(replay, bundle.jobs, replay_csv);
+  EXPECT_EQ(slurp(dir + "/outcomes.csv"), slurp(replay_csv));
+}
+
+/// The window rule (sim/job_table.hpp): a ring below its reservation
+/// doubles from C slots only while more than C/2 jobs are pending, so it
+/// ends at most max(16, 4 x the session's in-flight peak).
+void expect_window_follows_jobs(const char* mode, std::size_t slots,
+                                std::uint64_t in_flight_peak) {
+  EXPECT_LE(slots, std::max<std::uint64_t>(16, 4 * in_flight_peak))
+      << mode << ": " << in_flight_peak << " in flight at the peak";
 }
 
 /// What a long session through a small job window shows.
@@ -633,10 +686,12 @@ TEST(HotPathAllocations, LongSessionStaysInsideItsJobWindow) {
       [&](const serve::AdmissionServer& server) {
         EXPECT_TRUE(server.finished());
         EXPECT_TRUE(server.journal_error().empty());
-        EXPECT_EQ(server.window_slots(), kWindowSessionSlots);
+        expect_window_follows_jobs("single", server.window_slots(),
+                                   server.in_flight_peak());
+        EXPECT_LE(server.window_slots(), kWindowSessionSlots);
         EXPECT_LE(server.window_peak(), kWindowSessionSlots);
         EXPECT_EQ(server.engine().job_state().capacity(),
-                  kWindowSessionSlots);
+                  server.window_slots());
         EXPECT_GT(server.engine().job_state().base(), 3600);
         EXPECT_EQ(server.result().completed_count +
                       server.result().expired_count,
@@ -651,13 +706,7 @@ TEST(HotPathAllocations, LongSessionStaysInsideItsJobWindow) {
   EXPECT_EQ(single.allocs, 0u);
 
   // The streamed outcomes.csv still equals a replay's, byte for byte.
-  const Instance replayed = load_instance_bundle(single_dir);
-  auto replay_scheduler = factory->make();
-  sim::Engine engine(replayed, *replay_scheduler);
-  const sim::SimResult replay = engine.run_to_completion();
-  const std::string replay_csv = single_dir + "_replay.csv";
-  sim::save_outcomes_csv(replay, replayed.jobs(), replay_csv);
-  EXPECT_EQ(slurp(single_dir + "/outcomes.csv"), slurp(replay_csv));
+  expect_single_replay(single_dir, *factory);
 
   serve::ServerConfig sharded = config;
   sharded.shards = 2;
@@ -675,6 +724,8 @@ TEST(HotPathAllocations, LongSessionStaysInsideItsJobWindow) {
         // The acceptor splits the warm-up burst between the shards, so a
         // shard's ring widens only as far as its share of it.
         for (std::size_t k = 0; k < server.shard_count(); ++k) {
+          expect_window_follows_jobs("sharded", server.shard(k).window_slots(),
+                                     server.shard(k).in_flight_peak());
           EXPECT_LE(server.shard(k).window_slots(), kWindowSessionSlots);
           EXPECT_EQ(server.shard(k).window_reserved(), kWindowSessionSlots);
           EXPECT_LE(server.shard(k).window_peak(), kWindowSessionSlots);
@@ -708,10 +759,12 @@ TEST(HotPathAllocations, LongFleetSessionStaysInsideItsJobWindow) {
       [&](const cluster::ClusterServer& server) {
         EXPECT_TRUE(server.finished());
         EXPECT_TRUE(server.journal_error().empty());
-        EXPECT_EQ(server.window_slots(), kWindowSessionSlots);
+        expect_window_follows_jobs("fleet", server.window_slots(),
+                                   server.in_flight_peak());
+        EXPECT_LE(server.window_slots(), kWindowSessionSlots);
         EXPECT_LE(server.window_peak(), kWindowSessionSlots);
         const sim::JobTable& window = server.engine().job_state();
-        EXPECT_EQ(window.capacity(), kWindowSessionSlots);
+        EXPECT_EQ(window.capacity(), server.window_slots());
         EXPECT_GT(window.base(), 3600);
         EXPECT_EQ(window.base(), window.end());
         EXPECT_EQ(server.result().completed_count +
@@ -726,16 +779,7 @@ TEST(HotPathAllocations, LongFleetSessionStaysInsideItsJobWindow) {
   EXPECT_EQ(fleet.allocs, 0u);
 
   // The streamed outcomes.csv still equals a replay's, byte for byte.
-  const cluster::ClusterBundle bundle =
-      cluster::load_cluster_bundle(config.journal_dir);
-  cluster::Dispatcher dispatcher(
-      bundle.fleet, cluster::DispatcherConfig{},
-      cluster::make_rental_controller(bundle.meta.at("rental")));
-  const cloud::MultiSimResult replay =
-      cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
-  const std::string replay_csv = config.journal_dir + "_replay.csv";
-  cloud::save_multi_outcomes_csv(replay, bundle.jobs, replay_csv);
-  EXPECT_EQ(slurp(config.journal_dir + "/outcomes.csv"), slurp(replay_csv));
+  expect_fleet_replay(config.journal_dir);
 }
 
 /// What a session whose stragglers outlive the job window shows.
@@ -882,13 +926,7 @@ TEST(HotPathAllocations, HeavyTailedSessionSpillsInsteadOfGrowing) {
                                       server.window_peak(),
                                       server.window_stragglers());
           }));
-  const Instance replayed = load_instance_bundle(config.journal_dir);
-  auto replay_scheduler = factory->make();
-  sim::Engine engine(replayed, *replay_scheduler);
-  const sim::SimResult replay = engine.run_to_completion();
-  const std::string replay_csv = config.journal_dir + "_replay.csv";
-  sim::save_outcomes_csv(replay, replayed.jobs(), replay_csv);
-  EXPECT_EQ(slurp(config.journal_dir + "/outcomes.csv"), slurp(replay_csv));
+  expect_single_replay(config.journal_dir, *factory);
 
   serve::ServerConfig sharded = config;
   sharded.shards = 2;
@@ -933,35 +971,36 @@ TEST(HotPathAllocations, HeavyTailedSessionSpillsInsteadOfGrowing) {
                                       server.window_peak(),
                                       server.window_stragglers());
           }));
-  const cluster::ClusterBundle bundle =
-      cluster::load_cluster_bundle(fleet.journal_dir);
-  cluster::Dispatcher dispatcher(
-      bundle.fleet, cluster::DispatcherConfig{},
-      cluster::make_rental_controller(bundle.meta.at("rental")));
-  const cloud::MultiSimResult fleet_replay =
-      cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
-  const std::string fleet_csv = fleet.journal_dir + "_replay.csv";
-  cloud::save_multi_outcomes_csv(fleet_replay, bundle.jobs, fleet_csv);
-  EXPECT_EQ(slurp(fleet.journal_dir + "/outcomes.csv"), slurp(fleet_csv));
+  expect_fleet_replay(fleet.journal_dir);
 }
 
 /// --max-in-flight of the widening sessions: sixteen times the first ring.
 constexpr std::uint64_t kWideningSessionSlots = 256;
+/// Jobs the dense phase admits at one instant.
+constexpr int kDenseBurst = 200;
 
-/// Boots `make_server(clock)` with --max-in-flight=kWideningSessionSlots,
-/// no admission check and a journal, on a fresh thread, and warms it up
-/// with short jobs only (the sjs_load shape at 10/s plus a burst of eight
-/// at one instant), so its span stays short and its job window near the
-/// 16-slot ring reserve() starts. The measured phase submits one job no
-/// machine can finish in its 20 s window, which pins the window's base for
-/// about 200 arrivals while short jobs come and go: the unretired span
-/// grows towards the pre-size, and the ring widens in place into its
-/// reservation. Counts the
-/// allocations of the measured phase, drains the server and hands it to
+/// What the measured phase of a widening session submits.
+enum class WindowLoad {
+  /// kDenseBurst short jobs at one instant, all pending at once: the span
+  /// and the jobs in flight grow together.
+  kDense,
+  /// One job no machine can finish in its 20 s window, then 400 short
+  /// jobs: the far-deadline job pins the base for about 200 arrivals while
+  /// the short jobs come and go, so the span outruns the jobs in flight.
+  kSparse,
+};
+
+/// Boots `make_server(clock)` on a fresh thread (its config sets
+/// --max-in-flight, no admission check and a journal), and warms it up
+/// with short jobs only (the sjs_load shape at 10/s plus a burst of
+/// sixteen at one instant), so its span stays short and its job window at
+/// the 16-slot ring reserve() starts. Counts the allocations of a measured
+/// phase that submits `load`, then drains the server and hands it to
 /// `inspect`.
 template <typename MakeServer, typename Inspect>
 std::uint64_t probe_widening_session(double floor, int step_ms,
-                                     MakeServer make_server, Inspect inspect) {
+                                     WindowLoad load, MakeServer make_server,
+                                     Inspect inspect) {
   std::uint64_t allocs = 0;
   std::thread worker([&] {
     serve::FakeClock clock;
@@ -994,13 +1033,28 @@ std::uint64_t probe_widening_session(double floor, int step_ms,
     };
     for (int i = 0; i < 300; ++i) submit_short();
     settle();
-    for (int i = 0; i < 8; ++i) submit(0.001 * floor, 1.0);
+    for (int i = 0; i < 16; ++i) submit(0.001 * floor, 1.0);
     clock.advance(5.0);
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     settle();
     util::AllocProbe::reset();
-    submit(1.0e4 * floor, 20.0);
-    for (int i = 0; i < 400; ++i) submit_short();
+    if (load == WindowLoad::kDense) {
+      // Queued behind one another, the burst's jobs resolve a few at a
+      // time as the clock creeps on, so no pump ships a larger reply burst
+      // than the warm-up's.
+      const std::uint64_t resolved = client.completed + client.expired;
+      for (int i = 0; i < kDenseBurst; ++i) submit(0.02 * floor, 100.0);
+      for (int i = 0; i < 20000 &&
+                      client.completed + client.expired < resolved + kDenseBurst;
+           ++i) {
+        clock.advance(0.002);
+        server->step(step_ms);
+        client.read_socket();
+      }
+    } else {
+      submit(1.0e4 * floor, 20.0);
+      for (int i = 0; i < 400; ++i) submit_short();
+    }
     settle();
     allocs = util::AllocProbe::count();
 
@@ -1015,28 +1069,33 @@ std::uint64_t probe_widening_session(double floor, int step_ms,
   return allocs;
 }
 
-/// The window of a widening session after its drain: the ring widened past
-/// the 16 slots it started at, stayed inside its reservation, and nothing
-/// spilled.
+/// The window of a dense widening session after its drain: the ring widened
+/// past the 16 slots it started at, stayed inside its reservation, and
+/// nothing spilled.
 void expect_widened(const char* mode, std::size_t slots, std::size_t reserved,
-                    std::uint64_t peak, std::uint64_t stragglers) {
+                    std::uint64_t peak, std::uint64_t stragglers,
+                    std::uint64_t in_flight_peak) {
   std::fprintf(stderr,
-               "widening session (%s): %zu of %zu slots, span peak %llu\n",
-               mode, slots, reserved, static_cast<unsigned long long>(peak));
+               "widening session (%s): %zu of %zu slots, span peak %llu, "
+               "%llu in flight at the peak\n",
+               mode, slots, reserved, static_cast<unsigned long long>(peak),
+               static_cast<unsigned long long>(in_flight_peak));
   EXPECT_EQ(reserved, kWideningSessionSlots) << mode;
   EXPECT_GT(peak, 64u) << mode;
   EXPECT_GE(slots, peak) << mode;
   EXPECT_LE(slots, reserved) << mode;
   EXPECT_EQ(stragglers, 0u) << mode;
+  expect_window_follows_jobs(mode, slots, in_flight_peak);
 }
 
 TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
   // The reservation contract (sim/job_table.hpp): --max-in-flight reserves
-  // the job window's lanes, the ring starts at 16 slots, and a span that
-  // outgrows the ring doubles it in place, inside the reserved capacity.
-  // A warmed session whose span grows from 16 slots to most of the
-  // pre-size therefore allocates nothing in all three modes (the ready
-  // queues' indices widen inside their reservations too), and its streamed
+  // the job window's lanes, the ring starts at 16 slots, and a full ring
+  // more than half of whose slots are pending doubles in place, inside the
+  // reserved capacity. A warmed session that admits a dense burst of
+  // pending jobs, so its span grows from 16 slots to most of the pre-size,
+  // therefore allocates nothing in all three modes (the ready queues'
+  // indices widen inside their reservations too), and its streamed
   // outcomes.csv still replays byte-exactly.
   serve::ServerConfig config;
   config.scheduler_name = "V-Dover";
@@ -1051,7 +1110,7 @@ TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
 
   config.journal_dir = testutil::fresh_dir("widening_single");
   const std::uint64_t single = probe_widening_session(
-      config.c_lo, 0,
+      config.c_lo, 0, WindowLoad::kDense,
       [&](serve::FakeClock& clock) {
         return std::make_unique<serve::AdmissionServer>(
             config, factory->make(), clock);
@@ -1061,23 +1120,17 @@ TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
         EXPECT_TRUE(server.journal_error().empty());
         expect_widened("single", server.window_slots(),
                        server.window_reserved(), server.window_peak(),
-                       server.window_stragglers());
+                       server.window_stragglers(), server.in_flight_peak());
       });
   EXPECT_EQ(single, 0u);
-  const Instance replayed = load_instance_bundle(config.journal_dir);
-  auto replay_scheduler = factory->make();
-  sim::Engine engine(replayed, *replay_scheduler);
-  const sim::SimResult replay = engine.run_to_completion();
-  const std::string replay_csv = config.journal_dir + "_replay.csv";
-  sim::save_outcomes_csv(replay, replayed.jobs(), replay_csv);
-  EXPECT_EQ(slurp(config.journal_dir + "/outcomes.csv"), slurp(replay_csv));
+  expect_single_replay(config.journal_dir, *factory);
 
   serve::ServerConfig sharded = config;
   sharded.shards = 2;
   sharded.shard_poll_ms = 5;
   sharded.journal_dir = testutil::fresh_dir("widening_sharded");
   const std::uint64_t two = probe_widening_session(
-      config.c_lo, 1,
+      config.c_lo, 1, WindowLoad::kDense,
       [&](serve::FakeClock& clock) {
         return std::make_unique<serve::ShardedAdmissionServer>(
             sharded, [&] { return factory->make(); }, clock);
@@ -1085,13 +1138,15 @@ TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
       [&](const serve::ShardedAdmissionServer& server) {
         EXPECT_TRUE(server.finished());
         EXPECT_TRUE(server.journal_error().empty());
-        // The pinned job lives in one shard; the other's span stays short.
+        // The acceptor splits the burst between the shards.
         std::size_t widest = 0;
         for (std::size_t k = 0; k < server.shard_count(); ++k) {
           const serve::ShardWorker& shard = server.shard(k);
           EXPECT_LE(shard.window_slots(), kWideningSessionSlots);
           EXPECT_EQ(shard.window_reserved(), kWideningSessionSlots);
           EXPECT_EQ(shard.window_stragglers(), 0u);
+          expect_window_follows_jobs("sharded", shard.window_slots(),
+                                     shard.in_flight_peak());
           widest = std::max(widest, shard.window_slots());
         }
         EXPECT_GE(widest, 64u);
@@ -1105,7 +1160,7 @@ TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
   fleet.admission_check = false;
   fleet.journal_dir = testutil::fresh_dir("widening_fleet");
   const std::uint64_t fleet_allocs = probe_widening_session(
-      fleet.fleet.admission_c_lo(), 0,
+      fleet.fleet.admission_c_lo(), 0, WindowLoad::kDense,
       [&](serve::FakeClock& clock) {
         return std::make_unique<cluster::ClusterServer>(fleet, clock);
       },
@@ -1114,19 +1169,51 @@ TEST(HotPathAllocations, WindowWidensIntoItsReservationWithoutAllocating) {
         EXPECT_TRUE(server.journal_error().empty());
         expect_widened("fleet", server.window_slots(),
                        server.window_reserved(), server.window_peak(),
-                       server.window_stragglers());
+                       server.window_stragglers(), server.in_flight_peak());
       });
   EXPECT_EQ(fleet_allocs, 0u);
-  const cluster::ClusterBundle bundle =
-      cluster::load_cluster_bundle(fleet.journal_dir);
-  cluster::Dispatcher dispatcher(
-      bundle.fleet, cluster::DispatcherConfig{},
-      cluster::make_rental_controller(bundle.meta.at("rental")));
-  const cloud::MultiSimResult fleet_replay =
-      cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
-  const std::string fleet_csv = fleet.journal_dir + "_replay.csv";
-  cloud::save_multi_outcomes_csv(fleet_replay, bundle.jobs, fleet_csv);
-  EXPECT_EQ(slurp(fleet.journal_dir + "/outcomes.csv"), slurp(fleet_csv));
+  expect_fleet_replay(fleet.journal_dir);
+}
+
+TEST(HotPathAllocations, SparseFleetWindowFollowsItsJobsInFlight) {
+  // The window rule (sim/job_table.hpp) on the fleet, at a --max-in-flight
+  // far above the session's span: one far-deadline job pins the window's
+  // base while short jobs come and go, so the span grows to about 200 ids
+  // with only a few jobs in flight. A full ring that is at most half
+  // pending spills its base instead of widening, so the ring stays within
+  // four times the in-flight peak rather than following the span into the
+  // reservation; a warmed session allocates nothing doing so, and its
+  // streamed outcomes.csv still replays byte-exactly.
+  cluster::ClusterServerConfig fleet;
+  fleet.fleet = cluster::Fleet::heterogeneous(4);
+  fleet.rental = "threshold";
+  fleet.max_in_flight = 4096;
+  fleet.admission_check = false;
+  fleet.journal_dir = testutil::fresh_dir("sparse_fleet");
+  const std::uint64_t allocs = probe_widening_session(
+      fleet.fleet.admission_c_lo(), 0, WindowLoad::kSparse,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<cluster::ClusterServer>(fleet, clock);
+      },
+      [&](const cluster::ClusterServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        std::fprintf(stderr,
+                     "sparse fleet session: %zu of %zu slots, span peak "
+                     "%llu, %llu in flight at the peak, %llu stragglers\n",
+                     server.window_slots(), server.window_reserved(),
+                     static_cast<unsigned long long>(server.window_peak()),
+                     static_cast<unsigned long long>(server.in_flight_peak()),
+                     static_cast<unsigned long long>(
+                         server.window_stragglers()));
+        EXPECT_EQ(server.window_reserved(), 4096u);
+        EXPECT_GT(server.window_peak(), 150u);
+        expect_window_follows_jobs("fleet", server.window_slots(),
+                                   server.in_flight_peak());
+        EXPECT_GE(server.window_stragglers(), 1u);
+      });
+  EXPECT_EQ(allocs, 0u);
+  expect_fleet_replay(fleet.journal_dir);
 }
 
 TEST(HotPathAllocations, LiveVDoverTimerChurnAllocationFree) {

@@ -322,6 +322,46 @@ TEST(JobTableTest, FullRingSpillsItsBaseInsteadOfDoubling) {
   }
 }
 
+TEST(JobTableTest, SparseRingSpillsBelowItsReservationDenseRingWidens) {
+  // A full ring below its reservation widens only when more than half of
+  // its slots hold pending jobs. With at most half pending, the span is
+  // outrunning the jobs in flight: the pending base spills and the ring
+  // keeps its size. The same ring with more than half pending doubles and
+  // spills nothing.
+  const auto full_ring = [](JobTable& table, std::size_t pending) {
+    table.reserve(64);
+    table.reserve_stragglers(4);
+    EXPECT_EQ(table.capacity(), 16u);
+    for (int i = 0; i < 16; ++i) table.admit(make_job(1.0 + i));
+    // Job 0 at the base and the newest `pending - 1` stay pending; the
+    // resolved jobs between them cannot retire past the base.
+    for (JobId id = 1; id < static_cast<JobId>(17 - pending); ++id) {
+      table.set_outcome(id, JobOutcome::kCompleted);
+    }
+  };
+  for (const std::size_t pending : {std::size_t{5}, std::size_t{8}}) {
+    JobTable table;
+    full_ring(table, pending);
+    const JobId id = table.admit(make_job(20.0));
+    EXPECT_EQ(id, 16);
+    EXPECT_EQ(table.capacity(), 16u) << pending << " pending";
+    ASSERT_EQ(table.straggler_count(), 1u) << pending << " pending";
+    EXPECT_EQ(table.straggler(0), 0);
+    EXPECT_EQ(table.base(), 1);
+    EXPECT_EQ(table.job(0).workload, 1.0);
+    EXPECT_EQ(table.outcome(0), JobOutcome::kPending);
+    EXPECT_EQ(table.job(id).id, id);
+  }
+  JobTable dense;
+  full_ring(dense, 9);
+  const JobId id = dense.admit(make_job(20.0));
+  EXPECT_EQ(id, 16);
+  EXPECT_EQ(dense.capacity(), 32u);
+  EXPECT_EQ(dense.straggler_count(), 0u);
+  EXPECT_EQ(dense.base(), 0);
+  for (JobId held = 0; held <= id; ++held) EXPECT_EQ(dense.job(held).id, held);
+}
+
 TEST(JobTableTest, BatchBindNeverSpills) {
   // A bound instance is its whole window: base 0, no stragglers, however
   // large the straggler store a previous live run reserved.
@@ -344,11 +384,11 @@ TEST(JobTableTest, BatchBindNeverSpills) {
 /// The reference keeps per-job state in ordered maps keyed by id. The
 /// table retires like a serving session: a resolved spilled job in any
 /// order, the ring from its base once that job has an outcome. Some jobs
-/// stay pending for 5 x `reserve` admissions, long enough for the ring to
-/// widen into its reservation (from 16 slots when `reserve` is larger) and
-/// then spill them (a store of four, after which the ring doubles past the
-/// reservation instead). The window must agree with the reference on every
-/// observable after every operation.
+/// stay pending for 5 x `reserve` admissions, so a full ring with few jobs
+/// pending spills them, below its reservation too (from 16 slots when
+/// `reserve` is larger), and a full store of four makes the ring double
+/// instead, past the reservation too. The window must agree with the
+/// reference on every observable after every operation.
 void run_window_differential(std::size_t reserve) {
   constexpr std::size_t kRoom = 4;
   JobTable table;
@@ -361,6 +401,7 @@ void run_window_differential(std::size_t reserve) {
   std::map<JobId, ReplyRoute> ref_route;
   std::vector<JobId> retired;
   JobId next = 0;
+  std::size_t sparse_spills = 0;  // spills of a ring below its reservation
   Rng rng(20250809);
 
   for (int step = 0; step < 20000; ++step) {
@@ -369,18 +410,25 @@ void run_window_differential(std::size_t reserve) {
       const double workload = rng.uniform(0.5, 9.5);
       const std::size_t ring_before = table.capacity();
       const std::size_t spilled_before = table.straggler_count();
+      std::size_t pending_before = 0;  // in the ring
+      for (auto it = ref_outcome.lower_bound(table.base());
+           it != ref_outcome.end(); ++it) {
+        if (it->second == JobOutcome::kPending) ++pending_before;
+      }
+      // A full ring may widen only if it is below the reservation with
+      // more than half its slots pending; otherwise it spills, and doubles
+      // only with a full store.
+      const bool may_widen = ring_before < table.reserved() &&
+                             2 * pending_before > ring_before;
       const JobId id = table.admit(make_job(workload));
       ASSERT_EQ(id, next++);
-      // Below the reservation a full ring widens and never spills; at it,
-      // the ring spills, and doubles only with a full store.
       if (table.straggler_count() > spilled_before) {
-        ASSERT_GE(ring_before, table.reserved());
+        ASSERT_FALSE(may_widen);
+        if (ring_before < table.reserved()) ++sparse_spills;
       }
       if (table.capacity() != ring_before) {
         ASSERT_EQ(table.capacity(), 2 * ring_before);
-        if (ring_before >= table.reserved()) {
-          ASSERT_EQ(spilled_before, kRoom);
-        }
+        if (!may_widen) ASSERT_EQ(spilled_before, kRoom);
       }
       ref_remaining[id] = workload;
       ref_outcome[id] = JobOutcome::kPending;
@@ -489,6 +537,7 @@ void run_window_differential(std::size_t reserve) {
   EXPECT_GT(table.straggler_peak(), 0u);
   EXPECT_LE(table.straggler_peak(), kRoom);
   EXPECT_GE(table.capacity(), table.reserved());
+  if (reserve > 16) EXPECT_GT(sparse_spills, 0u);
   EXPECT_EQ(table.retired() + table.span() + table.straggler_count(),
             static_cast<std::uint64_t>(next));
 }

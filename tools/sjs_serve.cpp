@@ -8,7 +8,7 @@
 //
 //   sjs_serve [--port=0] [--scheduler=V-Dover] [--journal=DIR]
 //             [--c-lo=1] [--c-hi=1] [--accel=1] [--max-in-flight=1024]
-//             [--no-admission-check] [--trace-ring=4096] [--metrics]
+//             [--no-admission-check] [--metrics]
 //             [--shards=1] [--channel-capacity=1024]
 //             [--cluster=0] [--cluster-key=deadline] [--rental=threshold]
 //             [--budget=0] [--min-rented=1]
@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
                 "admitted-but-unresolved job limit; beyond it submits SHED");
   flags.add_bool("no-admission-check", false,
                  "admit individually-inadmissible jobs too (Thm. 3(3) off)");
-  flags.add_int("trace-ring", 4096, "recent trace events kept (0 = off)");
   flags.add_bool("metrics", false, "print the server.* metrics at drain");
   flags.add_int("shards", 1,
                 "engine shards (>= 2 enables the sharded admission plane)");
@@ -173,8 +172,7 @@ int main(int argc, char** argv) {
   if (!flags.require_positive("accel") ||
       !flags.require_positive("max-in-flight") ||
       !flags.require_positive("channel-capacity") ||
-      !flags.require_positive("shards") ||
-      !flags.require_at_least("trace-ring", 0)) {
+      !flags.require_positive("shards")) {
     std::fprintf(stderr, "%s\n", flags.error().c_str());
     return 1;
   }
@@ -184,8 +182,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--cluster must be >= 0\n");
     return 1;
   }
+  // Observability only when asked: without --metrics no front end gets a
+  // registry, so the request path counts nothing and bridges no trace.
   sjs::obs::MetricsRegistry registry;
-  const sjs::obs::MetricsRegistry* metrics =
+  sjs::obs::MetricsRegistry* const metrics =
       flags.get_bool("metrics") ? &registry : nullptr;
   sjs::serve::SystemClock clock;
   const std::string journal_dir = flags.get_string("journal");
@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
     config.max_in_flight =
         static_cast<std::uint64_t>(flags.get_int("max-in-flight"));
     config.admission_check = !flags.get_bool("no-admission-check");
-    config.trace_ring = static_cast<std::size_t>(flags.get_int("trace-ring"));
     try {
       // Validate the rental policy name before binding the port.
       sjs::cluster::make_rental_controller(config.rental);
@@ -234,7 +233,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!install_signal_pipe()) return 1;
-    sjs::cluster::ClusterServer server(config, clock, &registry);
+    sjs::cluster::ClusterServer server(config, clock, metrics);
     return serve_until_drained(
         server,
         [](const sjs::cluster::ClusterServer& s) {
@@ -282,8 +281,6 @@ int main(int argc, char** argv) {
   config.max_in_flight =
       static_cast<std::uint64_t>(flags.get_int("max-in-flight"));
   config.admission_check = !flags.get_bool("no-admission-check");
-  config.trace_ring =
-      static_cast<std::size_t>(flags.get_int("trace-ring"));
   config.shards = static_cast<std::size_t>(flags.get_int("shards"));
   config.channel_capacity =
       static_cast<std::size_t>(flags.get_int("channel-capacity"));
@@ -291,7 +288,7 @@ int main(int argc, char** argv) {
 
   if (config.shards >= 2) {
     sjs::serve::ShardedAdmissionServer server(
-        config, [&] { return factory->make(); }, clock, &registry);
+        config, [&] { return factory->make(); }, clock, metrics);
     return serve_until_drained(
         server,
         [](const sjs::serve::ShardedAdmissionServer& s) {
@@ -318,7 +315,7 @@ int main(int argc, char** argv) {
         metrics);
   }
   sjs::serve::AdmissionServer server(config, factory->make(), clock,
-                                     &registry);
+                                     metrics);
   return serve_until_drained(
       server,
       [](const sjs::serve::AdmissionServer& s) {
