@@ -15,8 +15,8 @@
 # Each phase also prints, with no threshold, sjs_load's notification lag
 # p50/p99, the server's peak RSS (VmHWM, read before the drain), its
 # job-window gauges (server.in_flight_peak, .window_peak, .window_slots,
-# .window_reserved, .window_stragglers and .outcome_rows_held, each
-# [.shard<k>]), its loop
+# .window_reserved, .window_stragglers, .outcome_rows_held and
+# .outcome_ring_slots, each [.shard<k>]), its loop
 # wake-ups per submit by cause (server.wakeups.*) and the p99 of how late
 # its timer wakes came (server.wake_late_us.p99). The cluster replay also
 # runs the invariant checker (sjs_sim --check-invariants).
@@ -36,6 +36,15 @@
 # (server.window_slots[.shard<k>] against server.in_flight_peak, same
 # suffix), and jobs spilled to the straggler store
 # (server.window_stragglers > 0).
+#
+# Then a held-ring phase per engine (single and fleet): the straggler load
+# at --max-in-flight=65536, so the journal's held-row ring has a large
+# reservation to widen into. Beyond steps 1-4 it asserts that the ring
+# followed the held span, not the pre-size (serve/journal.hpp): every
+# journal's server.outcome_ring_slots[.shard<k>] <= max(64,
+# bit_ceil(server.outcome_rows_held + server.window_peak)), same suffix
+# (at any moment the held span is at most the held rows plus the unretired
+# ids).
 #
 # Last, two phases boot sjs_serve with the flags perfbench boots it with
 # (single: V-Dover, band [1, 2]; fleet: --cluster=4 --rental=threshold
@@ -203,7 +212,7 @@ smoke_phase() {
   fi
 
   echo "[$tag] job window:"
-  grep -E '^ +server\.(in_flight_peak|window_|outcome_rows_held)' \
+  grep -E '^ +server\.(in_flight_peak|window_|outcome_)' \
     "$server_log" || echo "  (none reported)"
   reserve_gate "$tag" "$server_log"
   wake_report "$tag" "$server_log"
@@ -289,6 +298,45 @@ straggler_gate() {
     }' "$log" >&2 || exit 1
 }
 
+# held_ring_gate <tag>: every journal's held-row ring kept within
+# max(64, bit_ceil(outcome_rows_held + window_peak)), same suffix.
+held_ring_gate() {
+  local tag="$1" log="$WORK/server_$1.log"
+  awk -v tag="$tag" '
+    function key(name, gauge) {
+      sub("^server\\." gauge, "", name); sub(/:$/, "", name); return name
+    }
+    $1 ~ /^server\.outcome_ring_slots/ {
+      ring[key($1, "outcome_ring_slots")] = $2
+    }
+    $1 ~ /^server\.outcome_rows_held/ { held[key($1, "outcome_rows_held")] = $2 }
+    $1 ~ /^server\.window_peak/ { span[key($1, "window_peak")] = $2 }
+    END {
+      for (k in ring) {
+        rings++
+        bound = 64
+        while (bound < held[k] + span[k]) bound *= 2
+        if (!(k in held) || !(k in span)) {
+          printf "FAIL(%s): no outcome_rows_held%s or window_peak%s gauge\n",
+                 tag, k, k
+          bad = 1
+        } else if (ring[k] + 0 > bound) {
+          printf "FAIL(%s): outcome_ring_slots%s %s > max(64, bit_ceil(" \
+                 "outcome_rows_held %s + window_peak %s)) = %d\n", tag, k,
+                 ring[k], held[k], span[k], bound
+          bad = 1
+        }
+      }
+      if (rings == 0) {
+        printf "FAIL(%s): no outcome_ring_slots gauge\n", tag; bad = 1
+      }
+      if (!bad) {
+        printf "[%s] %d held-row ring(s) within their held span\n", tag, rings
+      }
+      exit bad
+    }' "$log" >&2 || exit 1
+}
+
 # --- Phase 1: single-threaded AdmissionServer (the original gate) ----------
 smoke_phase single "$WORK/journal" --
 replay_bundle "$WORK/journal" single
@@ -332,7 +380,18 @@ smoke_phase straggler_cluster "$WORK/journal_sc" --cluster=4 \
 straggler_gate straggler_cluster
 replay_cluster_bundle "$WORK/journal_sc" straggler_cluster
 
-# --- Phase 5: booted as perfbench boots it, no metrics registry ------------
+# --- Phase 5: the journal's held rows at a large pre-size, per engine -------
+smoke_phase held_ring_single "$WORK/journal_hs" --max-in-flight=65536 -- \
+  --mean-workload=0.1 --slack-max=100
+held_ring_gate held_ring_single
+replay_bundle "$WORK/journal_hs" held_ring_single
+
+smoke_phase held_ring_cluster "$WORK/journal_hc" --cluster=4 \
+  --max-in-flight=65536 -- --mean-workload=20 --slack-max=40 --c-lo=2
+held_ring_gate held_ring_cluster
+replay_cluster_bundle "$WORK/journal_hc" held_ring_cluster
+
+# --- Phase 6: booted as perfbench boots it, no metrics registry ------------
 METRICS=0 smoke_phase perfbench_single "$WORK/journal_ps" \
   --scheduler=V-Dover --max-in-flight=4096 --c-lo=1.0 --c-hi=2.0 -- --c-lo=1
 replay_bundle "$WORK/journal_ps" perfbench_single
@@ -341,4 +400,4 @@ METRICS=0 smoke_phase perfbench_cluster "$WORK/journal_pc" --cluster=4 \
   --rental=threshold --cluster-key=deadline --max-in-flight=4096 -- --c-lo=2
 replay_cluster_bundle "$WORK/journal_pc" perfbench_cluster
 
-echo "PASS: clean SIGTERM drains ($SINGLE_COMPLETED single / $SHARDED_COMPLETED sharded / $CLUSTER_COMPLETED cluster completed), all replays bit-exact, straggler windows within 4x their in-flight peak, perfbench boots without metrics drain and replay"
+echo "PASS: clean SIGTERM drains ($SINGLE_COMPLETED single / $SHARDED_COMPLETED sharded / $CLUSTER_COMPLETED cluster completed), all replays bit-exact, straggler windows within 4x their in-flight peak, held-row rings within their held span, perfbench boots without metrics drain and replay"

@@ -19,6 +19,17 @@ Modes: single (15k SUBMIT/s, perfbench serve_single's peak), cluster
 (--cluster=4, 12k SUBMIT/s, serve_cluster's peak) and sharded (--shards=2 at
 the single engine's rate; not a perfbench workload). Compare figures only
 within one invocation: hypervisor steal moves CPU times between runs.
+
+    python3 scripts/serve_syscall_split.py --floor --seconds 5
+
+--floor measures the host's floor under those calls instead, with no
+sjs_serve: it builds scripts/loopback_floor.c, a bare loopback TCP
+request/reply pair, and runs its server (with the shim in LD_PRELOAD) and
+its client (15k requests/s, the single engine's peak rate) pinned to two
+different CPUs, once with the server's ppoll given no timeout and once
+with a near (200 us) timeout re-armed on every call, as a serving loop
+arms its next-event timer. Per run it prints the server's send, recv
+and ppoll calls per request with their wall and CPU time per call.
 """
 import argparse
 import json
@@ -39,6 +50,8 @@ MODES = {
                                                        "--c-lo=1.0", "--c-hi=2.0"]),
 }
 MEAN_WORKLOAD = 0.01
+FLOOR_RATE = 15000.0
+FLOOR_TIMEOUT_US = 200
 
 
 def build_shim(work):
@@ -47,6 +60,54 @@ def build_shim(work):
     subprocess.run([cc, "-O2", "-shared", "-fPIC", os.path.join(HERE, "syscall_shim.c"),
                     "-o", out, "-ldl"], check=True)
     return out
+
+
+def build_floor(work):
+    cc = os.environ.get("CC", "cc")
+    out = os.path.join(work, "loopback_floor")
+    subprocess.run([cc, "-O2", os.path.join(HERE, "loopback_floor.c"), "-o", out],
+                   check=True)
+    return out
+
+
+def call_split(tallies, units, unit="submit"):
+    """Per wrapped call that ran: its calls per unit, wall and CPU us per call."""
+    calls = {}
+    for name, t in tallies.items():
+        if t["calls"] == 0:
+            continue
+        calls[name] = {f"per_{unit}": round(t["calls"] / units, 3),
+                       "wall_us_per_call": round(t["wall_ns"] / t["calls"] / 1e3, 2),
+                       "cpu_us_per_call": round(t["cpu_ns"] / t["calls"] / 1e3, 2)}
+    return calls
+
+
+def run_floor(floor, shim, seconds, timeout_us, work):
+    """One loopback pair run: the server with the shim on this process's
+    first allowed CPU, the client on its second."""
+    cpus = sorted(os.sched_getaffinity(0))
+    server_cpu, client_cpu = (cpus[0], cpus[1]) if len(cpus) > 1 else (-1, -1)
+    split_path = os.path.join(work, f"floor_{timeout_us}.json")
+    env = dict(os.environ, LD_PRELOAD=shim, SJS_SYSCALL_SHIM_OUT=split_path)
+    server = subprocess.Popen([floor, "server", str(timeout_us), str(server_cpu)],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    line = server.stdout.readline()
+    if not line.startswith("LISTENING"):
+        server.kill()
+        raise SystemExit("loopback_floor server did not start")
+    client = subprocess.run([floor, "client", line.split()[1], repr(FLOOR_RATE),
+                             repr(seconds), str(client_cpu)],
+                            capture_output=True, text=True)
+    server.wait()
+    if client.returncode != 0 or server.returncode != 0:
+        raise SystemExit(f"loopback_floor failed: {client.stderr.strip()}")
+    sent = json.loads(client.stdout)
+    with open(split_path) as f:
+        tallies = json.load(f)
+    calls = call_split(tallies, sent["requests"], "request")
+    return {"ppoll_timeout_us": timeout_us or None, "rate": FLOOR_RATE, "seconds": seconds,
+            "requests": sent["requests"], "late": sent["late"],
+            "cpus": [server_cpu, client_cpu], "calls": calls}
 
 
 def cpu_seconds(pid):
@@ -92,13 +153,7 @@ def run_mode(bin_dir, shim, mode, seconds, seed, work):
     submits = json.loads(load.stdout)["arrivals"]
     with open(split_path) as f:
         tallies = json.load(f)
-    calls = {}
-    for name, t in tallies.items():
-        if t["calls"] == 0:
-            continue
-        calls[name] = {"per_submit": round(t["calls"] / submits, 3),
-                       "wall_us_per_call": round(t["wall_ns"] / t["calls"] / 1e3, 2),
-                       "cpu_us_per_call": round(t["cpu_ns"] / t["calls"] / 1e3, 2)}
+    calls = call_split(tallies, submits)
     return {"mode": mode, "rate": spec["rate"], "seconds": seconds, "seed": seed,
             "submits": submits,
             "server_cpu_us_per_submit": round(1e6 * (user + system) / submits, 2),
@@ -108,14 +163,24 @@ def run_mode(bin_dir, shim, mode, seconds, seed, work):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--bin", required=True, help="perfbench build directory")
+    ap.add_argument("--bin", help="perfbench build directory (not with --floor)")
     ap.add_argument("--seconds", type=float, default=5.0)
     ap.add_argument("--seed", type=int, default=7921)
     ap.add_argument("--modes", nargs="+", default=list(MODES), choices=list(MODES))
+    ap.add_argument("--floor", action="store_true",
+                    help="measure a bare loopback request/reply pair instead")
     args = ap.parse_args()
+    if not args.floor and not args.bin:
+        ap.error("--bin is required without --floor")
     work = tempfile.mkdtemp(prefix="syscall_split_")
     try:
         shim = build_shim(work)
+        if args.floor:
+            floor = build_floor(work)
+            runs = [run_floor(floor, shim, args.seconds, t, work)
+                    for t in (0, FLOOR_TIMEOUT_US)]
+            print(json.dumps({"floor": runs}))
+            return 0
         rows = [run_mode(args.bin, shim, m, args.seconds, args.seed, work)
                 for m in args.modes]
     finally:

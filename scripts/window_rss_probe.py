@@ -13,9 +13,13 @@ mean workload 0.01), drives it with perfbench's pb_load at --rate for each
 --cluster it serves perfbench's serve_cluster fleet instead. --bin is a
 perfbench build directory (python3 perfbench/run.py builds one into
 .bench_build). Prints one JSON object: per session length, the admitted
-jobs, VmHWM in MB, and the job-window gauges sjs_serve --metrics reports
-at drain (server.window_slots, .window_peak, .window_stragglers,
-server.outcome_rows_held, server.in_flight_peak).
+jobs, VmHWM in MB next to RssAnon and RssFile (read at the same moment),
+and the job-window gauges sjs_serve --metrics reports at drain
+(server.window_slots, .window_peak, .window_stragglers,
+server.outcome_rows_held, .outcome_ring_slots, server.in_flight_peak).
+At idle most of sjs_serve's VmHWM is file-backed library pages (libstdc++,
+libc, libm), which move one session's VmHWM by about 0.1 MB on their own;
+RssAnon is the figure a change to the server's own memory moves.
 
 --perfbench-seed SEED replays perfbench's six serve_cluster peak sessions of
 that seed instead: the fleet at 12k SUBMIT/s for 2.67 s each (40 s x the
@@ -54,12 +58,17 @@ PB_PEAK_STREAM = 2
 PB_MAX_IN_FLIGHT = 4096
 
 
-def vm_hwm_mb(pid):
+def memory_mb(pid):
+    """VmHWM, RssAnon and RssFile of `pid`, in MB."""
+    fields = {"VmHWM:": "vm_hwm_mb", "RssAnon:": "rss_anon_mb",
+              "RssFile:": "rss_file_mb"}
+    out = dict.fromkeys(fields.values(), 0.0)
     with open(f"/proc/{pid}/status") as f:
         for line in f:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024.0
-    return 0.0
+            key = line.split(maxsplit=1)[0] if line.strip() else ""
+            if key in fields:
+                out[fields[key]] = round(int(line.split()[1]) / 1024.0, 2)
+    return out
 
 
 def session(bin_dir, seconds, rate, cluster, seed, metrics=True,
@@ -104,7 +113,7 @@ def session(bin_dir, seconds, rate, cluster, seed, metrics=True,
             capture_output=True, text=True)
         if load.returncode != 0:
             raise SystemExit(f"pb_load failed: {load.stderr.strip()}")
-    hwm = vm_hwm_mb(server.pid)
+    memory = memory_mb(server.pid)
     server.send_signal(signal.SIGTERM)
     out = server.stdout.read()
     server.wait()
@@ -115,10 +124,10 @@ def session(bin_dir, seconds, rate, cluster, seed, metrics=True,
                 admitted += sum(1 for _ in f) - 1
     gauges = {m.group(1): float(m.group(2))
               for m in re.finditer(
-                  r"^\s+(server\.(?:window_\w+|outcome_rows_held|in_flight_peak)): (\S+)$",
+                  r"^\s+(server\.(?:window_\w+|outcome_\w+|in_flight_peak)): (\S+)$",
                   out, re.M)}
     shutil.rmtree(work, ignore_errors=True)
-    return {"seconds": seconds, "admitted": admitted, "vm_hwm_mb": round(hwm, 2),
+    return {"seconds": seconds, "admitted": admitted, **memory,
             "exit": server.returncode, **gauges}
 
 
@@ -134,6 +143,8 @@ def perfbench_sessions(bin_dir, seed, cluster=True, rounds=PB_ROUNDS,
                                max_in_flight=max_in_flight)
         row = {"round": rnd, "load_seed": load_seed, "admitted": plain["admitted"],
                "vm_hwm_mb": plain["vm_hwm_mb"],
+               "rss_anon_mb": plain["rss_anon_mb"],
+               "rss_file_mb": plain["rss_file_mb"],
                "vm_hwm_metrics_mb": with_metrics["vm_hwm_mb"],
                "exit": max(plain["exit"], with_metrics["exit"])}
         row.update({k: v for k, v in with_metrics.items() if k.startswith("server.")})
@@ -141,7 +152,9 @@ def perfbench_sessions(bin_dir, seed, cluster=True, rounds=PB_ROUNDS,
         print(json.dumps(row), file=sys.stderr)
     return {"mode": "cluster" if cluster else "single", "rate": rate,
             "seconds": PB_SECONDS, "seed": seed, "max_in_flight": max_in_flight,
-            "rss_peak_mb": max(r["vm_hwm_mb"] for r in rows), "sessions": rows}
+            "rss_peak_mb": max(r["vm_hwm_mb"] for r in rows),
+            "rss_anon_peak_mb": max(r["rss_anon_mb"] for r in rows),
+            "sessions": rows}
 
 
 def presize_sweep(bin_dir, seed, values, rounds, idle_seconds):
@@ -154,6 +167,8 @@ def presize_sweep(bin_dir, seed, values, rounds, idle_seconds):
                            max_in_flight=mif, idle_seconds=idle_seconds)
             row = perfbench_sessions(bin_dir, seed, cluster, rounds, mif)
             row["idle_vm_hwm_mb"] = idle["vm_hwm_mb"]
+            row["idle_rss_anon_mb"] = idle["rss_anon_mb"]
+            row["idle_rss_file_mb"] = idle["rss_file_mb"]
             print(json.dumps({k: v for k, v in row.items() if k != "sessions"}),
                   file=sys.stderr)
             out.append(row)
@@ -162,7 +177,9 @@ def presize_sweep(bin_dir, seed, values, rounds, idle_seconds):
         idle = session(bin_dir, 0.0, PB_RATES["single"], False, 0, metrics=False,
                        max_in_flight=mif, idle_seconds=idle_seconds, shards=2)
         row = {"mode": "sharded", "shards": 2, "max_in_flight": mif,
-               "idle_vm_hwm_mb": idle["vm_hwm_mb"]}
+               "idle_vm_hwm_mb": idle["vm_hwm_mb"],
+               "idle_rss_anon_mb": idle["rss_anon_mb"],
+               "idle_rss_file_mb": idle["rss_file_mb"]}
         print(json.dumps(row), file=sys.stderr)
         out.append(row)
     return {"seed": seed, "rounds": rounds, "idle_seconds": idle_seconds,

@@ -55,7 +55,7 @@ class InlineServer : public FrontEnd, private ReplyTarget {
   }
   /// The session's job window: ring slots in use and reserved, peak
   /// unretired span, peak spilled stragglers, the peak of jobs in flight,
-  /// and the journal's peak held outcome rows.
+  /// and the journal's peak held outcome rows and held-row ring slots.
   std::size_t window_slots() const { return session_.window_slots(); }
   std::size_t window_reserved() const { return session_.window_reserved(); }
   std::uint64_t window_peak() const { return session_.window_peak(); }
@@ -65,6 +65,9 @@ class InlineServer : public FrontEnd, private ReplyTarget {
   std::uint64_t in_flight_peak() const { return session_.in_flight_peak(); }
   std::uint64_t outcome_rows_held() const {
     return session_.outcome_rows_held();
+  }
+  std::size_t outcome_ring_slots() const {
+    return session_.outcome_ring_slots();
   }
 
  protected:

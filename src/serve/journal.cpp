@@ -52,12 +52,16 @@ int open_append(const std::string& dir, const char* file,
   return fd;
 }
 
-/// Outcome rows buffered per write(2): about a thousand rows.
-constexpr std::size_t kOutcomeBuffer = 1 << 16;
+/// Outcome rows buffered per write(2): one page, about 60 rows.
+constexpr std::size_t kOutcomeBuffer = 4096;
+
+/// The held-row ring a journal starts with.
+constexpr std::size_t kFirstHeldSlots = 64;
 
 }  // namespace
 
-Journal::Journal(const std::string& dir) : dir_(dir) {
+Journal::Journal(const std::string& dir)
+    : dir_(dir), outcome_buf_(util::alloc_uninit<char>(kOutcomeBuffer)) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -75,7 +79,7 @@ Journal::Journal(const std::string& dir) : dir_(dir) {
     }
     throw;
   }
-  util::grow(outcome_buf_, kOutcomeBuffer);
+  util::grow(held_, kFirstHeldSlots);
 }
 
 Journal::~Journal() {
@@ -146,17 +150,13 @@ void Journal::record_outcome(JobId id, sim::JobOutcome outcome,
 void Journal::hold_outcome(JobId id, sim::JobOutcome outcome,
                            double completion, double value) {
   const auto span = static_cast<std::size_t>(id + 1 - next_row_);
-  if (span > held_slots_) {
-    // Growth to the held span's high-water: re-slot the held ids in a ring
-    // twice as large (or as large as the span needs).
-    const std::size_t slots =
-        std::bit_ceil(std::max({span, 2 * held_slots_, std::size_t{64}}));
-    std::unique_ptr<HeldRow[]> fresh = util::alloc_uninit<HeldRow>(slots);
-    for (JobId j = next_row_; j < held_end_; ++j) {
-      fresh[static_cast<std::size_t>(j) & (slots - 1)] = held(j);
-    }
-    held_ = std::move(fresh);
-    held_slots_ = slots;
+  while (span > held_.size()) {
+    // Growth to the held span's high-water: double the ring in place, within
+    // its reservation (past it, util::grow reallocates with the rows kept).
+    const std::size_t old = held_.size();
+    util::grow(held_, 2 * old);
+    util::ring_widen(held_.data(), old, static_cast<std::uint64_t>(next_row_),
+                     static_cast<std::size_t>(held_end_ - next_row_));
   }
   // Ids between the held ones are stragglers still unresolved: no row yet.
   for (; held_end_ < id; ++held_end_) {
@@ -168,26 +168,23 @@ void Journal::hold_outcome(JobId id, sim::JobOutcome outcome,
 }
 
 void Journal::reserve_held_rows(std::size_t n) {
-  if (n <= held_slots_) return;
-  held_slots_ = std::bit_ceil(n);
-  held_ = util::alloc_uninit<HeldRow>(held_slots_);
+  // Capacity only: a page of it is written once the ring widens into it.
+  held_.reserve(std::bit_ceil(n));
 }
 
 void Journal::write_outcome(JobId id, sim::JobOutcome outcome,
                             double completion, double value) {
-  if (outcome_len_ + sim::kOutcomeRowMax > outcome_buf_.size()) {
-    flush_outcomes();
-  }
-  char* const row = outcome_buf_.data() + outcome_len_;
+  if (outcome_len_ + sim::kOutcomeRowMax > kOutcomeBuffer) flush_outcomes();
+  char* const row = outcome_buf_.get() + outcome_len_;
   outcome_len_ = static_cast<std::size_t>(
       sim::format_outcome_row(row, id, outcome, completion, value) -
-      outcome_buf_.data());
+      outcome_buf_.get());
 }
 
 void Journal::flush_outcomes() {
   std::size_t done = 0;
   while (done < outcome_len_) {
-    const ssize_t n = write_once(outcomes_fd_, outcome_buf_.data() + done,
+    const ssize_t n = write_once(outcomes_fd_, outcome_buf_.get() + done,
                                  outcome_len_ - done);
     if (n <= 0) {
       const std::string why =

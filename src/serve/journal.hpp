@@ -22,8 +22,9 @@
 //   outcomes.csv one row per admitted job, in id order, streamed as the
 //                session retires its jobs (record_outcome) with the row
 //                formatter of sim::save_outcomes_csv, so the replay gate can
-//                diff live vs replayed outcomes. Rows are buffered and reach
-//                the file one write(2) per full buffer; the file is complete
+//                diff live vs replayed outcomes. Rows are batched in one
+//                4 KiB page (allocated, never zero-filled) and reach the
+//                file one write(2) per full page; the file is complete
 //                once the session has drained and closed the journal. The
 //                fleet's ClusterJournal streams its outcomes.csv the same
 //                way. A session retires a spilled straggler
@@ -32,7 +33,14 @@
 //                value), until every lower id's row is written. The held
 //                rows span from the oldest unresolved straggler to the
 //                newest retired job, the one structure that still grows
-//                with the longest deadline.
+//                with the longest deadline. They live in a power-of-two
+//                ring indexed by `id & mask` that follows that span, the
+//                way sim::JobTable's ring does: the ring starts at 64
+//                slots, reserve_held_rows() reserves --max-in-flight rows
+//                without writing them, and a span that outgrows the ring
+//                doubles it in place (util::ring_widen; past the
+//                reservation it grows on, as one straggler can hold back
+//                any number of rows).
 #pragma once
 
 #include <cstdint>
@@ -85,12 +93,14 @@ class Journal {
   void record_outcome(JobId id, sim::JobOutcome outcome, double completion,
                       double value);
 
-  /// Pre-sizes the held rows for a span of `n` ids, before any row is
-  /// held. Reserved, not written: the memory becomes resident only as rows
-  /// are held.
+  /// Reserves the held-row ring's capacity for a span of `n` ids (rounded
+  /// up to a power of two) without writing it. A page of the reservation
+  /// becomes resident only once the held span widens the ring into it.
   void reserve_held_rows(std::size_t n);
   /// Peak count of held rows.
   std::size_t rows_held_peak() const { return held_peak_; }
+  /// Slots of the held-row ring in use: max(64, bit_ceil(peak held span)).
+  std::size_t held_ring_slots() const { return held_.size(); }
 
   /// Writes the buffered outcome rows and closes the files (the destructor
   /// also closes them, but only close() reports failure). Throws if a write
@@ -133,21 +143,20 @@ class Journal {
     sim::JobOutcome outcome;
   };
   HeldRow& held(JobId id) {
-    return held_[static_cast<std::size_t>(id) & (held_slots_ - 1)];
+    return held_[static_cast<std::size_t>(id) & (held_.size() - 1)];
   }
 
   std::string dir_;
   int jobs_fd_ = -1;     ///< jobs.csv, O_APPEND
   int cancels_fd_ = -1;  ///< cancels.csv, O_APPEND
   int outcomes_fd_ = -1;  ///< outcomes.csv
-  std::vector<char> outcome_buf_;  ///< pending rows; capacity = one write
+  std::unique_ptr<char[]> outcome_buf_;  ///< pending rows: one write's page
   std::size_t outcome_len_ = 0;
   std::uint64_t admit_rows_ = 0;
   std::uint64_t cancel_rows_ = 0;
   /// Held rows: a power-of-two ring over ids [next_row_, held_end_),
-  /// indexed by id & (held_slots_ - 1).
-  std::unique_ptr<HeldRow[]> held_;
-  std::size_t held_slots_ = 0;
+  /// indexed by id & (size - 1); its capacity is the reservation.
+  std::vector<HeldRow> held_;
   JobId next_row_ = 0;  ///< the id whose row outcomes.csv needs next
   JobId held_end_ = 0;
   std::size_t held_count_ = 0;

@@ -26,6 +26,7 @@ SessionCounterNames::SessionCounterNames(std::string_view suffix)
       window_reserved(label(kGaugeWindowReserved, suffix)),
       window_stragglers(label(kGaugeWindowStragglers, suffix)),
       outcome_rows_held(label(kGaugeOutcomeRowsHeld, suffix)),
+      outcome_ring_slots(label(kGaugeOutcomeRingSlots, suffix)),
       wake_socket(label(kCtrWakeSocket, suffix)),
       wake_timer(label(kCtrWakeTimer, suffix)),
       wake_timer_empty(label(kCtrWakeTimerEmpty, suffix)),

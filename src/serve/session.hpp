@@ -117,6 +117,8 @@ inline constexpr std::string_view kGaugeWindowStragglers =
     "server.window_stragglers";
 inline constexpr std::string_view kGaugeOutcomeRowsHeld =
     "server.outcome_rows_held";
+inline constexpr std::string_view kGaugeOutcomeRingSlots =
+    "server.outcome_ring_slots";
 inline constexpr std::string_view kCtrWakeSocket = "server.wakeups.socket";
 inline constexpr std::string_view kCtrWakeTimer = "server.wakeups.timer";
 inline constexpr std::string_view kCtrWakeTimerEmpty =
@@ -136,7 +138,7 @@ struct SessionCounterNames {
   explicit SessionCounterNames(std::string_view suffix);
   std::string submitted, accepted, rejected, shed, completed, expired,
       cancelled, in_flight_peak, window_peak, window_slots, window_reserved,
-      window_stragglers, outcome_rows_held, wake_socket,
+      window_stragglers, outcome_rows_held, outcome_ring_slots, wake_socket,
       wake_timer, wake_timer_empty, wake_dead_skipped, wake_late_p50,
       wake_late_p99, wake_late_max;
 };
@@ -274,6 +276,10 @@ class Session {
   /// Peak count of outcomes.csv rows the journal held back (0 without one).
   std::uint64_t outcome_rows_held() const {
     return journal_ ? journal_->rows_held_peak() : 0;
+  }
+  /// Slots of the journal's held-row ring in use (0 without a journal).
+  std::size_t outcome_ring_slots() const {
+    return journal_ ? journal_->held_ring_slots() : 0;
   }
 
   /// Tickets the retired-outcome lane is pre-sized for.

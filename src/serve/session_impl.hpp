@@ -395,6 +395,8 @@ void Session<Backend>::finalize() {
                       static_cast<double>(window_stragglers()));
     shard_->set_gauge(names_.outcome_rows_held,
                       static_cast<double>(outcome_rows_held()));
+    shard_->set_gauge(names_.outcome_ring_slots,
+                      static_cast<double>(outcome_ring_slots()));
     if (wake_late_.total() > 0) {
       shard_->set_gauge(names_.wake_late_p50, wake_late_.quantile(0.50));
       shard_->set_gauge(names_.wake_late_p99, wake_late_.quantile(0.99));

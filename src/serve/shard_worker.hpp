@@ -98,7 +98,7 @@ class ShardWorker final : private ReplyTarget {
   const sim::SimResult& result() const { return session_.result(); }
   /// The session's job window: ring slots in use and reserved, peak
   /// unretired span, peak spilled stragglers, the peak of jobs in flight,
-  /// and the journal's peak held outcome rows.
+  /// and the journal's peak held outcome rows and held-row ring slots.
   std::size_t window_slots() const { return session_.window_slots(); }
   std::size_t window_reserved() const { return session_.window_reserved(); }
   std::uint64_t window_peak() const { return session_.window_peak(); }
@@ -108,6 +108,9 @@ class ShardWorker final : private ReplyTarget {
   std::uint64_t in_flight_peak() const { return session_.in_flight_peak(); }
   std::uint64_t outcome_rows_held() const {
     return session_.outcome_rows_held();
+  }
+  std::size_t outcome_ring_slots() const {
+    return session_.outcome_ring_slots();
   }
   /// Non-empty once a journal write failed on this shard. The failing
   /// request was answered ERROR(kJournalFailed), the shard's session began

@@ -17,25 +17,6 @@ template <typename T>
   util::grow(lane, n);
 }
 
-/// Doubles a full lane of `old` slots, holding the ids [base, base + old).
-/// Under the wider mask an id keeps its slot unless its `old` bit is set;
-/// those move up by `old`, into the fresh upper half, which no other id maps
-/// to. The bit flips once across the ring (at its slot 0), so the movers
-/// fill one run of slots: from base's slot to the end when base has the
-/// bit, else from slot 0 to base's slot. Within the lane's reserved
-/// capacity the growth allocates nothing; past it, util::grow reallocates
-/// with the contents kept and the same copy applies.
-template <typename T>
-void widen(std::vector<T>& lane, std::size_t old, JobId base) {
-  grow_lane(lane, 2 * old);
-  const auto b = static_cast<std::size_t>(base);
-  const std::size_t at = b & (old - 1);
-  const std::size_t first = (b & old) != 0 ? at : 0;
-  const std::size_t last = (b & old) != 0 ? old : at;
-  T* const ring = lane.data();
-  std::copy(ring + first, ring + last, ring + first + old);
-}
-
 }  // namespace
 
 template <typename F>
@@ -66,8 +47,15 @@ void JobTable::resize_ring(std::size_t slots) {
 }
 
 void JobTable::widen_ring() {
+  // Each lane grows within its reserved capacity (past it, util::grow
+  // reallocates with the contents kept) and the movers follow the one ring
+  // rule.
   const std::size_t old = capacity();
-  for_each_lane([this, old](auto& lane) { widen(lane, old, base_); });
+  const auto base = static_cast<std::uint64_t>(base_);
+  for_each_lane([old, base](auto& lane) {
+    grow_lane(lane, 2 * old);
+    util::ring_widen(lane.data(), old, base, old);
+  });
   mask_ = 2 * old - 1;
   records_ = jobs_.data();
 }

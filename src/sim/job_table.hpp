@@ -19,7 +19,8 @@
 // ring in place while it is below the reservation (when, see below): the
 // lanes grow within their capacity, so no allocation happens, and only the
 // ids whose slot moves under the wider mask are copied, into the fresh
-// upper half. A page of the reservation is thus touched only once the ring
+// upper half (util::ring_widen, the rule serve::Journal's held rows follow
+// too). A page of the reservation is thus touched only once the ring
 // widens into it, and a session's memory follows its load, not its
 // pre-size.
 //

@@ -21,7 +21,9 @@
 // per-operation allocation; pre-size or pool instead.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -73,6 +75,26 @@ inline void grow_fill(std::vector<T>& v, std::size_t n, const U& fill) {
 template <typename T>
 inline void grow_to_index(std::vector<T>& v, std::size_t i) {
   if (i >= v.size()) v.resize(i + 1);
+}
+
+/// Doubles a power-of-two ring in place, the one widening rule of every
+/// id-indexed ring (sim::JobTable's lanes, serve::Journal's held rows).
+/// `ring` has room for `2 * old` slots; its lower `old` slots hold the
+/// positions [base, base + count), count <= old, each at `pos & (old - 1)`.
+/// Under the wider mask a position keeps its slot unless its `old` bit is
+/// set; those move up by `old`, into the upper half, which no other position
+/// maps to. The bit flips at most once across the positions (where their
+/// slot wraps to 0), so the movers are one run: from base's slot on when
+/// base has the bit, else from slot 0 to the last position's slot. Only
+/// held positions are copied, so a partly filled ring moves just its own.
+template <typename T>
+inline void ring_widen(T* ring, std::size_t old, std::uint64_t base,
+                       std::size_t count) {
+  const auto at = static_cast<std::size_t>(base) & (old - 1);
+  const std::size_t first = (base & old) != 0 ? at : 0;
+  const std::size_t last = (base & old) != 0 ? std::min(at + count, old)
+                                             : std::max(at + count, old) - old;
+  std::copy(ring + first, ring + last, ring + first + old);
 }
 
 /// grow_to_index with an explicit fill value for the new tail.

@@ -1216,6 +1216,116 @@ TEST(HotPathAllocations, SparseFleetWindowFollowsItsJobsInFlight) {
   expect_fleet_replay(fleet.journal_dir);
 }
 
+/// --max-in-flight of the held-ring sessions: room for the held span.
+constexpr std::uint64_t kHeldRingSessionSlots = 1024;
+
+/// The journal's held-row ring after a sparse session's drain: rows were
+/// held behind the far-deadline job, so the ring widened past the 64 slots
+/// it starts at, inside its reservation, and no further than the span can
+/// reach (the held rows plus the unretired ids).
+void expect_held_ring_widened(const char* mode, std::size_t ring_slots,
+                              std::uint64_t rows_held,
+                              std::uint64_t window_peak) {
+  std::fprintf(stderr,
+               "held-ring session (%s): %zu ring slots, %llu rows held, "
+               "span peak %llu\n",
+               mode, ring_slots, static_cast<unsigned long long>(rows_held),
+               static_cast<unsigned long long>(window_peak));
+  EXPECT_GT(ring_slots, 64u) << mode;
+  EXPECT_LE(ring_slots, kHeldRingSessionSlots) << mode;
+  EXPECT_LE(ring_slots, std::bit_ceil(rows_held + window_peak)) << mode;
+}
+
+TEST(HotPathAllocations, HeldOutcomeRingWidensIntoItsReservation) {
+  // The held-row contract (serve/journal.hpp): --max-in-flight reserves the
+  // journal's held-row ring, which starts at 64 slots and doubles in place
+  // as the held span needs. A warmed session whose far-deadline job holds
+  // back the rows of a few hundred later jobs widens the ring inside its
+  // reservation and allocates nothing in all three modes, and every
+  // streamed outcomes.csv still replays byte-exactly.
+  serve::ServerConfig config;
+  config.scheduler_name = "V-Dover";
+  config.capacity = cap::CapacityProfile(1.0);
+  config.c_lo = 0.5;
+  config.c_hi = 1.0;
+  config.max_in_flight = kHeldRingSessionSlots;
+  config.admission_check = false;
+  const auto lineup = sched::full_lineup(config.c_lo, config.c_hi);
+  const auto* factory = sched::find_factory(lineup, "V-Dover");
+  ASSERT_NE(factory, nullptr);
+
+  config.journal_dir = testutil::fresh_dir("held_ring_single");
+  const std::uint64_t single = probe_widening_session(
+      config.c_lo, 0, WindowLoad::kSparse,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<serve::AdmissionServer>(
+            config, factory->make(), clock);
+      },
+      [&](const serve::AdmissionServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        expect_held_ring_widened("single", server.outcome_ring_slots(),
+                                 server.outcome_rows_held(),
+                                 server.window_peak());
+      });
+  EXPECT_EQ(single, 0u);
+  expect_single_replay(config.journal_dir, *factory);
+
+  serve::ServerConfig sharded = config;
+  sharded.shards = 2;
+  sharded.shard_poll_ms = 5;
+  sharded.journal_dir = testutil::fresh_dir("held_ring_sharded");
+  const std::uint64_t two = probe_widening_session(
+      config.c_lo, 1, WindowLoad::kSparse,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<serve::ShardedAdmissionServer>(
+            sharded, [&] { return factory->make(); }, clock);
+      },
+      [&](const serve::ShardedAdmissionServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        // The far-deadline job holds back the rows of its own shard only.
+        std::size_t widest = 0;
+        for (std::size_t k = 0; k < server.shard_count(); ++k) {
+          const serve::ShardWorker& shard = server.shard(k);
+          EXPECT_GE(shard.outcome_ring_slots(), 64u);
+          EXPECT_LE(shard.outcome_ring_slots(),
+                    std::max<std::uint64_t>(
+                        64, std::bit_ceil(shard.outcome_rows_held() +
+                                          shard.window_peak())));
+          widest = std::max(widest, shard.outcome_ring_slots());
+        }
+        EXPECT_GT(widest, 64u);
+        EXPECT_LE(widest, kHeldRingSessionSlots);
+      });
+  EXPECT_EQ(two, 0u);
+  for (int k = 0; k < 2; ++k) {
+    expect_single_replay(sharded.journal_dir + "/shard" + std::to_string(k),
+                         *factory);
+  }
+
+  cluster::ClusterServerConfig fleet;
+  fleet.fleet = cluster::Fleet::heterogeneous(4);
+  fleet.rental = "threshold";
+  fleet.max_in_flight = kHeldRingSessionSlots;
+  fleet.admission_check = false;
+  fleet.journal_dir = testutil::fresh_dir("held_ring_fleet");
+  const std::uint64_t fleet_allocs = probe_widening_session(
+      fleet.fleet.admission_c_lo(), 0, WindowLoad::kSparse,
+      [&](serve::FakeClock& clock) {
+        return std::make_unique<cluster::ClusterServer>(fleet, clock);
+      },
+      [&](const cluster::ClusterServer& server) {
+        EXPECT_TRUE(server.finished());
+        EXPECT_TRUE(server.journal_error().empty());
+        expect_held_ring_widened("fleet", server.outcome_ring_slots(),
+                                 server.outcome_rows_held(),
+                                 server.window_peak());
+      });
+  EXPECT_EQ(fleet_allocs, 0u);
+  expect_fleet_replay(fleet.journal_dir);
+}
+
 TEST(HotPathAllocations, LiveVDoverTimerChurnAllocationFree) {
   // The engine's worst timer load, live: adaptive-EWMA V-Dover under a
   // 3x-overloaded arrival stream keeps a standing Qother queue, and every

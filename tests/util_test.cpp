@@ -26,6 +26,7 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/vec.hpp"
 #include "temp_path.hpp"
 
 namespace sjs {
@@ -748,6 +749,46 @@ TEST(Logging, LevelGating) {
   EXPECT_EQ(log_level(), LogLevel::kError);
   set_log_level(LogLevel::kWarn);
   EXPECT_EQ(log_level(), LogLevel::kWarn);
+}
+
+TEST(RingWiden, MovesExactlyTheHeldPositionsOfAPartlyFilledRing) {
+  // Every ring of up to 32 slots, every base over four wraps, every held
+  // count up to the ring: after the widening each held position reads at
+  // its slot under the wider mask, the lower half is untouched, and no
+  // upper slot that no held position maps to is written. The lower half's
+  // free slots hold stale values (-2 - slot), so copying one shows.
+  constexpr std::int64_t kEmpty = -1;
+  for (std::size_t old = 1; old <= 32; old *= 2) {
+    for (std::uint64_t base = 0; base < 4 * old; ++base) {
+      for (std::size_t count = 0; count <= old; ++count) {
+        std::vector<std::int64_t> ring(2 * old, kEmpty);
+        for (std::size_t s = 0; s < old; ++s) {
+          ring[s] = -2 - static_cast<std::int64_t>(s);
+        }
+        for (std::uint64_t p = base; p < base + count; ++p) {
+          ring[p & (old - 1)] = static_cast<std::int64_t>(p);
+        }
+        const std::vector<std::int64_t> lower(ring.begin(),
+                                              ring.begin() + old);
+        util::ring_widen(ring.data(), old, base, count);
+        std::vector<bool> mapped(2 * old, false);
+        for (std::uint64_t p = base; p < base + count; ++p) {
+          const std::size_t slot = p & (2 * old - 1);
+          mapped[slot] = true;
+          ASSERT_EQ(ring[slot], static_cast<std::int64_t>(p))
+              << "old " << old << ", base " << base << ", count " << count;
+        }
+        for (std::size_t s = 0; s < old; ++s) ASSERT_EQ(ring[s], lower[s]);
+        for (std::size_t s = old; s < 2 * old; ++s) {
+          if (!mapped[s]) {
+            ASSERT_EQ(ring[s], kEmpty) << "old " << old << ", base " << base
+                                       << ", count " << count << ", slot "
+                                       << s;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
